@@ -441,7 +441,10 @@ def _profile_arg(raw: str) -> tuple[int, int]:
     parts = raw.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("profile must be L,R")
-    return (int(parts[0]), int(parts[1]))
+    profile = (int(parts[0]), int(parts[1]))
+    if min(profile) < 0:
+        raise argparse.ArgumentTypeError("profile entries must be nonnegative")
+    return profile
 
 
 def _complex_arg(raw: str) -> complex:

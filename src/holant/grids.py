@@ -373,9 +373,6 @@ class QuantumGadget:
             out = out + c * gadget_signature(g, bindings, method=method)
         return out
 
-    def scaled(self, factor: complex) -> "QuantumGadget":
-        return QuantumGadget(tuple((c * factor, g) for c, g in self.terms))
-
 
 def compose(g1: SignatureGrid, g2: SignatureGrid, pairing: list[tuple[int, int]]) -> SignatureGrid:
     """Wire left slots of g1 onto right slots of g2 (both 1-based).
@@ -419,7 +416,7 @@ def compose(g1: SignatureGrid, g2: SignatureGrid, pairing: list[tuple[int, int]]
 # -- enumeration of closed grids and gadgets -------------------------------
 
 
-def _group_permutations(sig_list: list[str]):
+def _group_permutations(sig_list: list[str]) -> list[tuple[int, ...]]:
     """All vertex relabelings that permute equal signature ids only."""
     groups: list[list[int]] = []
     start = 0
@@ -427,26 +424,41 @@ def _group_permutations(sig_list: list[str]):
         if k == len(sig_list) or sig_list[k] != sig_list[start]:
             groups.append(list(range(start, k)))
             start = k
-    perms_per_group = [list(itertools.permutations(g)) for g in groups]
-    for combo in itertools.product(*perms_per_group):
+    perms = []
+    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
         perm = list(range(len(sig_list)))
         for g, image in zip(groups, combo):
             for src, dst in zip(g, image):
                 perm[src] = dst
-        yield perm
+        perms.append(tuple(perm))
+    return perms
 
 
-def _canonical_code(sig_list, edges, left_dangling, right_dangling):
-    """Minimum relabeling of the structure over same-signature permutations."""
-    best = None
-    for perm in _group_permutations(sig_list):
-        e = tuple(sorted((perm[u], i, perm[v], j) for (u, i, v, j) in edges))
-        ld = tuple((perm[v], i) for (v, i) in left_dangling)
-        rd = tuple((perm[v], j) for (v, j) in right_dangling)
-        code = (e, ld, rd)
-        if best is None or code < best:
-            best = code
-    return best
+def _relabeled_edge_keys(edges, perms, n: int, radix: int) -> list[tuple[int, ...]]:
+    """Each relabeling's edge list as a sorted tuple of packed integers.
+
+    Under p the edge (u, i, v, j) packs to ((p[u]*radix + i)*n + p[v])*radix
+    + j.  With every port below radix and every vertex below n this orders
+    as the tuple (p[u], i, p[v], j) does, so the packed tuples compare as
+    the sorted relabeled edge lists would.
+    """
+    rn = radix * n
+    high = rn * radix
+    packed = [(u, i * rn + j, v) for (u, i, v, j) in edges]
+    return [
+        tuple(sorted([p[u] * high + c + p[v] * radix for (u, c, v) in packed]))
+        for p in perms
+    ]
+
+
+def _unpack_edges(keys: tuple[int, ...], n: int, radix: int) -> tuple[Edge, ...]:
+    edges = []
+    for key in keys:
+        key, j = divmod(key, radix)
+        key, v = divmod(key, n)
+        u, i = divmod(key, radix)
+        edges.append((u, i, v, j))
+    return tuple(edges)
 
 
 def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
@@ -502,10 +514,11 @@ def enumerate_grids(
     """All closed grids over the named signatures, up to isomorphism.
 
     Isomorphism respects port order: a relabeling of vertices carrying
-    equal signature ids that maps the edge multiset to itself.  Yields
-    canonical representatives in a deterministic order: by vertex count,
-    then signature multiset, then canonical edge code, each with loop
-    counts 0..max_loops.
+    equal signature ids that maps the edge multiset to itself.  Each class
+    is represented by its canonical code, the lexicographic minimum over
+    those same-signature relabelings of the sorted edge tuple.  Yields in
+    a deterministic order: by vertex count, then signature multiset, then
+    canonical code, each with loop counts 0..max_loops.
     """
     sigs = sorted(sigs)
     ids = [s for s, _ in sigs]
@@ -519,12 +532,14 @@ def enumerate_grids(
                 continue
             left_ports = [(v, i) for v, (l, _) in enumerate(shapes) for i in range(1, l + 1)]
             right_ports = [(v, j) for v, (_, r) in enumerate(shapes) for j in range(1, r + 1)]
+            radix = 1 + max((max(sh) for sh in shapes), default=0)
+            perms = _group_permutations(sig_list)
             codes = set()
             for matching in _port_matchings(sig_list, left_ports, right_ports):
                 edges = tuple((lv, lp, rv, rp) for ((lv, lp), (rv, rp)) in matching)
-                codes.add(_canonical_code(sig_list, edges, (), ()))
+                codes.add(min(_relabeled_edge_keys(edges, perms, n, radix)))
             for code in sorted(codes):
-                edges, _, _ = code
+                edges = _unpack_edges(code, n, radix)
                 for loops in range(max_loops + 1):
                     yield SignatureGrid(
                         q=q, vertices=tuple(sig_list), edges=edges, loops=loops
@@ -542,9 +557,15 @@ def enumerate_gadgets(
     Bare wires appear as vertices carrying the reserved "wire" id and do
     not count against max_vertices.  Gadgets whose components have no
     dangling stub are skipped (their closed parts only scale the
-    signature).  Dedup is up to isomorphism fixing the slot orders.
+    signature).  Dedup is up to isomorphism fixing the slot orders: each
+    class is represented by the lexicographic minimum, over relabelings
+    of vertices with equal ids, of (sorted edges, left stubs, right
+    stubs), the edge part compared first.  Yields by vertex count, then
+    signature multiset, then wire count, then that canonical code.
     """
     lp, rp = profile
+    if lp < 0 or rp < 0:
+        raise ValueError(f"profile entries must be nonnegative, got {profile}")
     if lp == rp == 0:
         raise ValueError("use enumerate_grids for closed profiles")
     sigs = sorted(sigs)
@@ -574,6 +595,8 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
     shapes = base_shapes + [(1, 1)] * w
     left_ports = [(v, i) for v, (l, _) in enumerate(base_shapes) for i in range(1, l + 1)]
     right_ports = [(v, j) for v, (_, r) in enumerate(base_shapes) for j in range(1, r + 1)]
+    radix = 1 + max(max(sh) for sh in shapes)
+    perms = _group_permutations(sig_list)
     codes = set()
     for dang_l in itertools.combinations(range(len(left_ports)), lp - w):
         for dang_r in itertools.combinations(range(len(right_ports)), rp - w):
@@ -586,15 +609,26 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
                 edges = tuple((lv, i, rv, j) for ((lv, i), (rv, j)) in matching)
                 if not _components_all_dangle(n + w, edges, stubs_l + stubs_r):
                     continue
+                # the edge part of the code does not depend on the slot
+                # order, so only relabelings reaching its minimum can
+                # reach the minimum code for any order of the stubs
+                keys = _relabeled_edge_keys(edges, perms, n + w, radix)
+                best = min(keys)
+                reaching = [p for p, k in zip(perms, keys) if k == best]
                 for ord_l in itertools.permutations(stubs_l):
                     for ord_r in itertools.permutations(stubs_r):
-                        codes.add(_canonical_code(sig_list, edges, ord_l, ord_r))
-    for code in sorted(codes):
-        edges, ld, rd = code
+                        codes.add((best,) + min(
+                            (
+                                tuple((p[v], i) for (v, i) in ord_l),
+                                tuple((p[v], j) for (v, j) in ord_r),
+                            )
+                            for p in reaching
+                        ))
+    for keys, ld, rd in sorted(codes):
         yield SignatureGrid(
             q=q,
             vertices=tuple(sig_list),
-            edges=edges,
+            edges=_unpack_edges(keys, n + w, radix),
             left_dangling=ld,
             right_dangling=rd,
         )

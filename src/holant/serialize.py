@@ -154,10 +154,6 @@ def matrix_to_obj(m) -> list:
     return [[_pair(v) for v in row] for row in np.asarray(m, dtype=np.complex128)]
 
 
-def matrix_from_obj(rows) -> np.ndarray:
-    return np.array([[_unpair(v) for v in row] for row in rows], dtype=np.complex128)
-
-
 def graph_to_obj(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 

@@ -182,7 +182,10 @@ def gram_nondegenerate(
     attempts = (INDEP_TOL, RANK_TOL)
     for attempt, indep_tol in enumerate(attempts):
         span_lr = build_span(fs, (l, r), max_vertices, indep_tol=indep_tol)
-        span_rl = build_span(fs, (r, l), max_vertices, indep_tol=indep_tol)
+        if l == r:
+            span_rl = span_lr  # build_span is deterministic
+        else:
+            span_rl = build_span(fs, (r, l), max_vertices, indep_tol=indep_tol)
         m, sing, rank, null_vecs = _gram_pass(span_lr, span_rl, rank_tol)
         if rank == span_lr.dim:
             return GramReport(

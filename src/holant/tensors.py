@@ -149,10 +149,6 @@ class MixedTensor:
         return f"MixedTensor(q={self.q}, shape=({self.left},{self.right}))"
 
 
-def tensors_close(a: MixedTensor, b: MixedTensor, tol: float = DEFAULT_TOL) -> bool:
-    return a.allclose(b, tol)
-
-
 # -- the standard signatures ------------------------------------------
 
 

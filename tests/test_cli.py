@@ -120,6 +120,15 @@ def test_unknown_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_negative_profile_exits_2(capsys, tmp_path):
+    sigs = write(tmp_path, "s.json", sigset_to_obj({"s": MixedTensor(2, 1, 2, np.ones(8))}))
+    with pytest.raises(SystemExit) as exc:
+        main(["vanishing", "--sigs", sigs, "--profile=-1,2", "--max-vertices", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nonnegative" in err and "Traceback" not in err
+
+
 def test_poly_expansion(capsys, tmp_path):
     grid = write(
         tmp_path,

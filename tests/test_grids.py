@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holant import (
     MixedTensor,
@@ -15,8 +17,11 @@ from holant import (
     pair,
 )
 from holant.grids import (
+    WIRE_ID,
     QuantumGadget,
     SignatureGrid,
+    _components_all_dangle,
+    _port_matchings,
     compose,
     enumerate_gadgets,
     enumerate_grids,
@@ -460,6 +465,154 @@ def test_gadget_enumeration_no_closed_components():
     # a (0,0)-shaped signature can only appear as a closed component
     gs = list(enumerate_gadgets([("s", (0, 0)), ("a", (1, 1))], (1, 1), 2, q=2))
     assert all("s" not in g.vertices for g in gs)
+
+
+def test_gadget_enumeration_rejects_negative_profile():
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(enumerate_gadgets([("s", (1, 2))], (-1, 2), 2, q=2))
+
+
+# -- enumeration against the all-permutations canonical code -----------------
+
+
+def oracle_canonical_code(sig_list, edges, left_dangling, right_dangling):
+    """Minimum of (sorted edges, left stubs, right stubs) over every
+    relabeling that permutes vertices with equal signature ids."""
+    groups = [
+        list(g) for _, g in itertools.groupby(range(len(sig_list)), key=sig_list.__getitem__)
+    ]
+    best = None
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm = {src: dst for g, image in zip(groups, images) for src, dst in zip(g, image)}
+        code = (
+            tuple(sorted((perm[u], i, perm[v], j) for (u, i, v, j) in edges)),
+            tuple((perm[v], i) for (v, i) in left_dangling),
+            tuple((perm[v], j) for (v, j) in right_dangling),
+        )
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def oracle_enumerate_grids(sigs, max_vertices, q, max_loops=1):
+    """Same candidates as enumerate_grids, canonicalized by the oracle."""
+    for n in range(max_vertices + 1):
+        for multiset in itertools.combinations_with_replacement(sorted(sigs), n):
+            sig_list = [s for s, _ in multiset]
+            shapes = [sh for _, sh in multiset]
+            lports = [(v, i) for v, (l, _) in enumerate(shapes) for i in range(1, l + 1)]
+            rports = [(v, j) for v, (_, r) in enumerate(shapes) for j in range(1, r + 1)]
+            if len(lports) != len(rports):
+                continue
+            codes = {
+                oracle_canonical_code(sig_list, [l + r for (l, r) in m], (), ())
+                for m in _port_matchings(sig_list, lports, rports)
+            }
+            for edges, _, _ in sorted(codes):
+                for loops in range(max_loops + 1):
+                    yield SignatureGrid(q=q, vertices=tuple(sig_list), edges=edges, loops=loops)
+
+
+def oracle_enumerate_gadgets(sigs, profile, max_vertices, q):
+    """Same candidates as enumerate_gadgets, every slot order canonicalized
+    by the oracle."""
+    lp, rp = profile
+    for n in range(max_vertices + 1):
+        for multiset in itertools.combinations_with_replacement(sorted(sigs), n):
+            shapes = [sh for _, sh in multiset]
+            lports = [(v, i) for v, (l, _) in enumerate(shapes) for i in range(1, l + 1)]
+            rports = [(v, j) for v, (_, r) in enumerate(shapes) for j in range(1, r + 1)]
+            if len(lports) - len(rports) != lp - rp:
+                continue
+            for w in range(min(lp, rp) + 1):
+                if lp - w > len(lports) or rp - w > len(rports) or len(lports) - lp + w < 0:
+                    continue
+                sig_list = [s for s, _ in multiset] + [WIRE_ID] * w
+                wires = [(n + t, 1) for t in range(w)]
+                codes = set()
+                for dl in itertools.combinations(lports, lp - w):
+                    for dr in itertools.combinations(rports, rp - w):
+                        stubs_l, stubs_r = list(dl) + wires, list(dr) + wires
+                        free_l = [p for p in lports if p not in dl]
+                        free_r = [p for p in rports if p not in dr]
+                        touched = [v for (v, _) in stubs_l + stubs_r]
+                        for m in _port_matchings(sig_list, free_l, free_r, touched):
+                            edges = [l + r for (l, r) in m]
+                            if not _components_all_dangle(n + w, edges, stubs_l + stubs_r):
+                                continue
+                            for ol in itertools.permutations(stubs_l):
+                                for orr in itertools.permutations(stubs_r):
+                                    codes.add(oracle_canonical_code(sig_list, edges, ol, orr))
+                for edges, ld, rd in sorted(codes):
+                    yield SignatureGrid(
+                        q=q,
+                        vertices=tuple(sig_list),
+                        edges=edges,
+                        left_dangling=ld,
+                        right_dangling=rd,
+                    )
+
+
+NEQ_F = [("neq", (2, 0)), ("f", (0, 4))]
+
+
+@pytest.mark.parametrize(
+    "sigs,max_vertices",
+    [
+        ([("x", (2, 1)), ("y", (0, 3))], 4),
+        ([("s0", (1, 1)), ("s1", (2, 1)), ("s2", (1, 2))], 4),
+    ],
+)
+def test_grid_enumeration_matches_oracle_sequence(sigs, max_vertices):
+    got = list(enumerate_grids(sigs, max_vertices, q=2))
+    assert got == list(oracle_enumerate_grids(sigs, max_vertices, q=2))
+    # plain ints, so reports serialize as before
+    assert all(type(x) is int for g in got for e in g.edges for x in e)
+
+
+@pytest.mark.parametrize(
+    "sigs,profile,max_vertices",
+    [
+        (NEQ_F, (0, 4), 5),
+        (NEQ_F, (4, 0), 5),
+        ([("a", (1, 1)), ("b", (1, 2))], (2, 2), 4),
+    ],
+)
+def test_gadget_enumeration_matches_oracle_sequence(sigs, profile, max_vertices):
+    got = list(enumerate_gadgets(sigs, profile, max_vertices, q=2))
+    assert got == list(oracle_enumerate_gadgets(sigs, profile, max_vertices, q=2))
+    assert all(
+        type(x) is int
+        for g in got
+        for part in (g.edges, g.left_dangling, g.right_dangling)
+        for t in part
+        for x in t
+    )
+
+
+shape = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def enumeration_cases(draw):
+    shapes = draw(st.lists(shape, min_size=1, max_size=3))
+    sigs = [(f"s{k}", sh) for k, sh in enumerate(shapes)]
+    # at most 8 ports in any multiset keeps the oracle within a second
+    arity = max(l + r for l, r in shapes)
+    max_vertices = draw(st.integers(0, 4 if arity <= 2 else 2))
+    return sigs, draw(shape), max_vertices
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=enumeration_cases())
+def test_enumeration_matches_oracle_on_random_sets(case):
+    sigs, profile, max_vertices = case
+    if profile == (0, 0):
+        got = list(enumerate_grids(sigs, max_vertices, q=2))
+        assert got == list(oracle_enumerate_grids(sigs, max_vertices, q=2))
+    else:
+        got = list(enumerate_gadgets(sigs, profile, max_vertices, q=2))
+        assert got == list(oracle_enumerate_gadgets(sigs, profile, max_vertices, q=2))
 
 
 # -- polynomial --------------------------------------------------------------

@@ -112,6 +112,27 @@ def test_gram_identity_only_is_nonvanishing():
     assert report.rank == report.dim
 
 
+def test_gram_square_profile_builds_each_span_once(monkeypatch):
+    # at l == r the dual span is the span itself; the (1,1) report over a
+    # nilpotent matrix N is the one two separate builds gave: span {I, N},
+    # Gram matrix diag(2, 0), witness N
+    from holant import spans
+
+    built = []
+    real = spans.build_span
+    monkeypatch.setattr(
+        spans, "build_span", lambda *a, **k: built.append(a[1]) or real(*a, **k)
+    )
+    fs = {"n": mat_tensor([[0, 1], [0, 0]], 2)}
+    report = gram_nondegenerate(fs, (1, 1), 3)
+    assert built == [(1, 1)]
+    assert report.verdict == "vanishing_witness"
+    assert (report.dim, report.dim_dual, report.rank) == (2, 2, 1)
+    assert np.allclose(report.singular_values, [2, 0])
+    assert np.allclose(report.witness_signature.matrix(), [[0, 1], [0, 0]])
+    assert report.max_pairing_residual == 0.0
+
+
 def test_gram_equalities_are_nonvanishing():
     fs = {"eq20": equality_signature(2, 2, 0), "eq02": equality_signature(2, 0, 2)}
     for profile in ((1, 1), (2, 0), (0, 2)):

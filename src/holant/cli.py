@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize as sz
-from .grids import holant_eval, holant_eval_contracted, holant_polynomial
+from .grids import (
+    SignatureGrid,
+    holant_eval,
+    holant_eval_contracted,
+    holant_polynomial,
+    resolve_bindings,
+)
 from .homgraphs import bounded_degree_distinguisher, complete_graph, cycle_graph, hom_count
 from .simsim import recover_transform
 from .spans import check_indistinguishable, gram_nondegenerate
@@ -164,19 +170,35 @@ def _infer_shapes(grid) -> dict[str, tuple[int, int]]:
 # -- subcommand handlers ----------------------------------------------------------
 
 
+def _load_grid(path: str) -> SignatureGrid:
+    try:
+        return sz.grid_from_obj(_load_json(path))
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"{path}: {exc}")
+
+
 def _cmd_eval(args) -> dict:
-    grid = sz.grid_from_obj(_load_json(args.grid))
+    grid = _load_grid(args.grid)
     sigs = _load_sigset(args.sigs)
     if not grid.is_closed():
         raise CliError("eval needs a closed grid (no dangling ports)")
+    try:
+        bound = resolve_bindings(grid, sigs)
+        grid.validate({sid: sig.shape for sid, sig in bound.items()})
+    except ValueError as exc:
+        raise CliError(f"{args.grid}: {exc}")
     fn = holant_eval if args.method == "brute" else holant_eval_contracted
     value = fn(grid, sigs)
     return {"verdict": "ok", "q": grid.q, "method": args.method, "value": _jsonify(value)}
 
 
 def _cmd_poly(args) -> dict:
-    grid = sz.grid_from_obj(_load_json(args.grid))
+    grid = _load_grid(args.grid)
     shapes = _infer_shapes(grid)
+    try:
+        grid.validate(shapes)
+    except ValueError as exc:
+        raise CliError(f"{args.grid}: {exc}")
     poly = holant_polynomial(grid, shapes)
     monomials = [
         {

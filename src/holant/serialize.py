@@ -101,18 +101,33 @@ def grid_to_obj(grid: SignatureGrid) -> dict:
     }
 
 
+def _int_rows(obj: dict, key: str, width: int, vertex_cols: tuple[int, ...], n: int):
+    """The grid's rows under key as int tuples of the given width.
+
+    Entries at vertex_cols must be vertex indices below n.
+    """
+    rows = tuple(tuple(int(x) for x in row) for row in obj.get(key, []))
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"grid {key} entry {list(row)} needs {width} integers")
+        if not all(0 <= row[c] < n for c in vertex_cols):
+            raise ValueError(f"grid {key} entry {list(row)} names a vertex outside 0..{n - 1}")
+    return rows
+
+
 def grid_from_obj(obj: dict) -> SignatureGrid:
     if not isinstance(obj, dict):
         raise ValueError("grid must be a JSON object")
     vertices = tuple(
         str(_need(v, "sig", "vertex")) for v in _need(obj, "vertices", "grid")
     )
+    n = len(vertices)
     return SignatureGrid(
         q=int(_need(obj, "q", "grid")),
         vertices=vertices,
-        edges=tuple(tuple(int(x) for x in e) for e in obj.get("edges", [])),
-        left_dangling=tuple(tuple(int(x) for x in s) for s in obj.get("left_dangling", [])),
-        right_dangling=tuple(tuple(int(x) for x in s) for s in obj.get("right_dangling", [])),
+        edges=_int_rows(obj, "edges", 4, (0, 2), n),
+        left_dangling=_int_rows(obj, "left_dangling", 2, (0,), n),
+        right_dangling=_int_rows(obj, "right_dangling", 2, (0,), n),
         loops=int(obj.get("loops", 0)),
     )
 

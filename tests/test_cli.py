@@ -108,6 +108,36 @@ def test_malformed_json_gives_position(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+ONE_LOOP = {"q": 2, "vertices": [{"sig": "a"}], "edges": [[0, 1, 0, 1]]}
+
+
+@pytest.mark.parametrize("command", ["eval", "poly"])
+@pytest.mark.parametrize(
+    "grid_obj",
+    [
+        [1, 2],
+        {**ONE_LOOP, "edges": [[0, 1, 0]]},
+        {**ONE_LOOP, "edges": [[0, 9, 0, 1]]},
+        {**ONE_LOOP, "edges": [[5, 1, 0, 1]]},
+        {**ONE_LOOP, "q": "x"},
+    ],
+    ids=[
+        "bare-list",
+        "three-entry-edge",
+        "port-out-of-range",
+        "vertex-out-of-range",
+        "q-not-a-number",
+    ],
+)
+def test_malformed_grid_exits_2_without_traceback(capsys, tmp_path, command, grid_obj):
+    grid = write(tmp_path, "grid.json", grid_obj)
+    sigs = write(tmp_path, "sigs.json", sigset_to_obj({"a": MixedTensor(2, 1, 1, np.eye(2))}))
+    argv = [command, grid] + (["--sigs", sigs] if command == "eval" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("holant: ") and "Traceback" not in err
+
+
 def test_missing_file(capsys, tmp_path):
     sigs = write(tmp_path, "sigs.json", {})
     assert main(["eval", str(tmp_path / "nope.json"), "--sigs", sigs]) == 2

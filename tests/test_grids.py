@@ -21,6 +21,7 @@ from holant.grids import (
     QuantumGadget,
     SignatureGrid,
     _components_all_dangle,
+    _contraction_plan,
     _port_matchings,
     compose,
     enumerate_gadgets,
@@ -334,6 +335,176 @@ def test_quantum_gadget_signature_is_linear():
         QuantumGadget(())
     with pytest.raises(ValueError):
         QuantumGadget(((1.0, g), (1.0, SignatureGrid(q=2, vertices=(), edges=()))))
+
+
+# -- planned contraction replays the greedy contraction exactly --------------
+
+
+def oracle_contract_network(q, node_arrays, node_labels, label_edges, open_labels, loops):
+    """The contraction before plans were cached, kept verbatim as an oracle.
+
+    Recomputes the greedy pairwise order on every call: repeatedly
+    contract the node pair whose result tensor is smallest.
+    """
+    nodes: dict[int, tuple[np.ndarray, list]] = {
+        i: (np.asarray(a, dtype=np.complex128), list(ls))
+        for i, (a, ls) in enumerate(zip(node_arrays, node_labels))
+    }
+    owner: dict[object, int] = {}
+    for nid, (_, ls) in nodes.items():
+        for lbl in ls:
+            owner[lbl] = nid
+    next_id = len(nodes)
+    edges = list(label_edges)
+
+    def trace_self(nid):
+        nonlocal edges
+        arr, ls = nodes[nid]
+        while True:
+            here = [e for e in edges if owner[e[0]] == nid and owner[e[1]] == nid]
+            if not here:
+                break
+            la, lb = here[0]
+            p1, p2 = ls.index(la), ls.index(lb)
+            arr = np.trace(arr, axis1=min(p1, p2), axis2=max(p1, p2))
+            ls = [x for x in ls if x not in (la, lb)]
+            del owner[la], owner[lb]
+            edges.remove(here[0])
+        nodes[nid] = (arr, ls)
+
+    for nid in list(nodes):
+        trace_self(nid)
+
+    while edges:
+        pairs: dict[tuple[int, int], list] = {}
+        for e in edges:
+            u, v = owner[e[0]], owner[e[1]]
+            key = (min(u, v), max(u, v))
+            pairs.setdefault(key, []).append(e)
+        best = None
+        for (u, v), shared in sorted(pairs.items()):
+            ndim = nodes[u][0].ndim + nodes[v][0].ndim - 2 * len(shared)
+            cost = q**ndim
+            if best is None or cost < best[0]:
+                best = (cost, u, v, shared)
+        cost, u, v, shared = best
+        au, lu = nodes[u]
+        av, lv = nodes[v]
+        ax_u, ax_v = [], []
+        for (la, lb) in shared:
+            if owner[la] == u:
+                ax_u.append(lu.index(la))
+                ax_v.append(lv.index(lb))
+            else:
+                ax_u.append(lu.index(lb))
+                ax_v.append(lv.index(la))
+            del owner[la], owner[lb]
+        arr = np.tensordot(au, av, axes=(ax_u, ax_v))
+        labels = [x for k, x in enumerate(lu) if k not in ax_u] + [
+            x for k, x in enumerate(lv) if k not in ax_v
+        ]
+        del nodes[u], nodes[v]
+        nodes[next_id] = (arr, labels)
+        for lbl in labels:
+            owner[lbl] = next_id
+        edges = [e for e in edges if e not in shared]
+        trace_self(next_id)
+        next_id += 1
+
+    arr = np.array(1 + 0j)
+    labels: list = []
+    for nid in sorted(nodes):
+        a, ls = nodes[nid]
+        arr = np.multiply.outer(arr, a)
+        labels += ls
+    perm = [labels.index(lbl) for lbl in open_labels]
+    arr = np.transpose(arr, perm) if perm else arr.reshape(())
+    return arr * q**loops
+
+
+def oracle_contract(grid, bindings):
+    """Label the grid's network as before plans and contract it by the oracle."""
+    b = dict(bindings)
+    b.setdefault(WIRE_ID, identity_signature(grid.q))
+    shapes = {sid: sig.shape for sid, sig in b.items()}
+    grid.validate(shapes)
+    arrays = [b[sid].array for sid in grid.vertices]
+    labels = []
+    for v, sid in enumerate(grid.vertices):
+        l, r = shapes[sid]
+        labels.append([("L", v, i) for i in range(1, l + 1)] + [("R", v, j) for j in range(1, r + 1)])
+    label_edges = [(("L", u, i), ("R", v, j)) for (u, i, v, j) in grid.edges]
+    open_labels = [("L", v, i) for (v, i) in grid.left_dangling] + [
+        ("R", v, j) for (v, j) in grid.right_dangling
+    ]
+    return oracle_contract_network(grid.q, arrays, labels, label_edges, open_labels, grid.loops)
+
+
+def test_contracted_equals_oracle_on_closed_family():
+    sigs = [("s0", (1, 1)), ("s1", (2, 1)), ("s2", (1, 2))]
+    grids = list(enumerate_grids(sigs, 4, q=3))
+    assert len(grids) == 600
+    rng = np.random.default_rng(41)
+    _contraction_plan.cache_clear()
+    for _ in range(2):  # plans made on the first pass are replayed on the second
+        fs = {sid: random_tensor(rng, 3, *sh) for sid, sh in sigs}
+        for g in grids:
+            assert holant_eval_contracted(g, fs) == complex(oracle_contract(g, fs))
+    assert _contraction_plan.cache_info().hits == len(grids)
+
+
+def test_gadget_signature_equals_oracle_on_counterexample_family():
+    sigs = [("neq", (2, 0)), ("f", (0, 4))]
+    gadgets = list(enumerate_gadgets(sigs, (4, 0), 5, q=2))
+    assert gadgets
+    rng = np.random.default_rng(42)
+    _contraction_plan.cache_clear()
+    for _ in range(2):
+        fs = {"neq": disequality_signature(2, 2, 0), "f": random_tensor(rng, 2, 0, 4)}
+        for g in gadgets:
+            assert np.array_equal(gadget_signature(g, fs).array, oracle_contract(g, fs))
+    assert _contraction_plan.cache_info().hits == len(gadgets)
+
+
+@st.composite
+def contraction_cases(draw):
+    shapes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3))
+    sigs = [(f"s{k}", sh) for k, sh in enumerate(shapes)]
+    profile = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    max_vertices = draw(st.integers(0, 3))
+    q = draw(st.integers(1, 3))
+    return sigs, profile, max_vertices, q, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=contraction_cases())
+def test_contraction_equals_oracle_on_random_sets(case):
+    sigs, profile, max_vertices, q, seed = case
+    rng = np.random.default_rng(seed)
+    fs = {sid: random_tensor(rng, q, *sh) for sid, sh in sigs}
+    if profile == (0, 0):
+        for g in itertools.islice(enumerate_grids(sigs, max_vertices, q), 150):
+            assert holant_eval_contracted(g, fs) == complex(oracle_contract(g, fs))
+    else:
+        for g in itertools.islice(enumerate_gadgets(sigs, profile, max_vertices, q), 150):
+            assert np.array_equal(gadget_signature(g, fs).array, oracle_contract(g, fs))
+
+
+def test_plan_cache_keys_on_shapes():
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    loop = SignatureGrid(q=2, vertices=("a",), edges=((0, 1, 0, 1),))
+    stub = SignatureGrid(
+        q=2, vertices=("a",), edges=(), left_dangling=((0, 1),), right_dangling=((0, 1),)
+    )
+    other_shape = {"a": MixedTensor(2, 2, 1, np.ones(8))}
+    assert holant_eval_contracted(loop, {"a": MixedTensor.from_matrix(m)}) == 5
+    assert np.array_equal(gadget_signature(stub, {"a": MixedTensor.from_matrix(m)}).array, m)
+    with pytest.raises(ValueError):
+        holant_eval_contracted(loop, other_shape)
+    with pytest.raises(ValueError):
+        gadget_signature(stub, other_shape)
+    assert holant_eval_contracted(loop, {"a": MixedTensor.from_matrix(2 * m)}) == 10
+    assert np.array_equal(gadget_signature(stub, {"a": MixedTensor.from_matrix(-m)}).array, -m)
 
 
 # -- enumeration ------------------------------------------------------------

@@ -53,7 +53,8 @@ for k in fs:
 print("recovered T conjugates every generator (T differs from S by a",
       "scalar or a commuting factor, which is all the data determines)")
 
-# Repeated eigenvalues are fine: blocks are separated and aligned.
+# Repeated eigenvalues are fine: T solves T F_k = G_k T for every k at
+# once, so no eigenvalue of any single generator needs to be simple.
 fs2 = {"d": np.diag([2.0, 2.0, 3.0, 3.0]), "x": rng.standard_normal((q, q))}
 gs2 = {k: s @ m @ s_inv for k, m in fs2.items()}
 result = recover_transform(fs2, gs2)

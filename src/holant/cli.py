@@ -5,9 +5,7 @@ field.  Exit code 0 means the verdict is a pass or a success, 1 means a
 mathematical failure verdict (distinguisher found, vanishing, not
 similar), 2 means a usage or input-format problem.
 
-Environment: HOLANT_TOL overrides the default tolerance, HOLANT_WORKERS
-caps worker processes (accepted for compatibility; evaluation currently
-runs sequentially, which any worker count must reproduce exactly).
+Environment: HOLANT_TOL overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,27 +50,6 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    tolerance: float = 1e-9
-    verify_tolerance: float = 1e-6
-    seed: int = 0
-    max_vertices: int = 4
-    max_word_len: int | None = None
-    size_cap: int = 1 << 26
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.tolerance < 0 or self.verify_tolerance < 0:
-            raise CliError("tolerances must be nonnegative")
-        if self.max_vertices < 1 or self.size_cap < 1:
-            raise CliError("bounds must be positive")
-        if self.max_word_len is not None and self.max_word_len < 1:
-            raise CliError("word length bound must be positive")
-        if not (0 <= self.seed < 2**64):
-            raise CliError("seed must fit in 64 bits")
-
-
 def _resolve_tol(flag_value: float | None, fallback: float) -> float:
     """Explicit --tol wins, then HOLANT_TOL, then the command default."""
     if flag_value is not None:
@@ -88,17 +64,6 @@ def _resolve_tol(flag_value: float | None, fallback: float) -> float:
     if value < 0:
         raise CliError("HOLANT_TOL must be nonnegative")
     return value
-
-
-def _check_workers() -> None:
-    raw = os.environ.get("HOLANT_WORKERS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        raise CliError(f"HOLANT_WORKERS must be a positive integer, got {raw!r}")
 
 
 def _load_json(path: str):
@@ -126,6 +91,20 @@ def _tensorize(sigs: dict) -> dict[str, MixedTensor]:
 def _load_sigset(path: str) -> dict[str, MixedTensor]:
     try:
         return _tensorize(sz.sigset_from_obj(_load_json(path)))
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"{path}: {exc}")
+
+
+def _load_graph(path: str):
+    try:
+        return sz.graph_from_obj(_load_json(path))
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"{path}: {exc}")
+
+
+def _load_transform(path: str):
+    try:
+        return sz.transform_from_obj(_load_json(path))
     except (ValueError, TypeError) as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -216,8 +195,8 @@ def _cmd_poly(args) -> dict:
 
 
 def _cmd_hom(args) -> dict:
-    x = sz.graph_from_obj(_load_json(args.x))
-    g = sz.graph_from_obj(_load_json(args.g))
+    x = _load_graph(args.x)
+    g = _load_graph(args.g)
     return {
         "verdict": "ok",
         "method": args.method,
@@ -226,8 +205,8 @@ def _cmd_hom(args) -> dict:
 
 
 def _cmd_homdist(args) -> dict:
-    f = sz.graph_from_obj(_load_json(args.f))
-    g = sz.graph_from_obj(_load_json(args.g))
+    f = _load_graph(args.f)
+    g = _load_graph(args.g)
     report = bounded_degree_distinguisher(f, g, args.max_degree, args.max_vertices)
     out = {
         "verdict": report.verdict,
@@ -244,7 +223,7 @@ def _cmd_homdist(args) -> dict:
 
 def _cmd_transform(args) -> dict:
     sigs = _load_sigset(args.sigs)
-    t = sz.transform_from_obj(_load_json(args.matrix))
+    t = _load_transform(args.matrix)
     try:
         moved = t.act_set(sigs)
     except ValueError as exc:
@@ -476,6 +455,30 @@ def _complex_arg(raw: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _checked(convert, ok, message):
+    """An argparse type: convert, then raise CliError unless ok(value).
+
+    argparse lets CliError through, so main() reports it and returns 2;
+    a value convert() rejects gets argparse's own exit 2, whose message
+    names the type by convert's name.
+    """
+
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise CliError(message)
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_tol_arg = _checked(float, lambda v: v >= 0, "--tol must be nonnegative")
+_bound_arg = _checked(int, lambda v: v >= 1, "--max-vertices must be positive")
+_word_len_arg = _checked(int, lambda v: v >= 1, "--max-word-len must be positive")
+_seed_arg = _checked(int, lambda v: 0 <= v < 2**64, "--seed must fit in 64 bits")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holant", description="Tensor network Holant workbench"
@@ -487,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--sigs", required=True)
     p.add_argument("--method", choices=("brute", "contract"), default="contract")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol_arg, default=None)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("poly", help="expand a closed grid over symbolic entries")
@@ -504,36 +507,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--max-vertices", type=_bound_arg, required=True)
     p.set_defaults(fn=_cmd_homdist)
 
     p = sub.add_parser("transform", help="apply a holographic transformation")
     p.add_argument("--sigs", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--inverse-check", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol_arg, default=None)
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("check-indist", help="compare Holant values over all bounded grids")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--bijection", required=True)
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-vertices", type=_bound_arg, required=True)
+    p.add_argument("--tol", type=_tol_arg, default=None)
     p.set_defaults(fn=_cmd_check_indist)
 
     p = sub.add_parser("vanishing", help="test the gadget-span pairing for degeneracy")
     p.add_argument("--sigs", required=True)
     p.add_argument("--profile", type=_profile_arg, required=True)
-    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--max-vertices", type=_bound_arg, required=True)
     p.set_defaults(fn=_cmd_vanishing)
 
     p = sub.add_parser("simsim", help="recover a simultaneous similarity transform")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--max-word-len", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-word-len", type=_word_len_arg, default=None)
+    p.add_argument("--tol", type=_tol_arg, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(fn=_cmd_simsim)
 
     p = sub.add_parser("counterexample", help="one member of the scaled arity-4 family")
@@ -543,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("selftest", help="run the built-in fixtures")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser
@@ -551,17 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_workers()
-        mv = getattr(args, "max_vertices", None)
-        RunConfig(
-            tolerance=_resolve_tol(getattr(args, "tol", None), 1e-9),
-            seed=getattr(args, "seed", 0),
-            max_vertices=4 if mv is None else mv,
-            max_word_len=getattr(args, "max_word_len", None),
-            output=args.output,
-        )
+        args = parser.parse_args(argv)
         report = args.fn(args)
         text = sz.dumps(report)
         print(text)

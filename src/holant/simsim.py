@@ -3,10 +3,13 @@
 For sets of (1,1) signatures the gadget span is the unital matrix algebra
 generated by the set, the pairing is the trace form, and equality of all
 word traces characterizes simultaneous similarity (for trace-nondegenerate
-sets).  recover_transform follows the constructive proof: verify the
-algebraic preconditions, refine a partition of the domain by splitting
-eigenvalue clusters of corresponding elements, then align the resulting
-blocks one prefix at a time.
+sets).  recover_transform verifies those algebraic preconditions and
+then solves T F_i = G_i T for every i at once, as the null space of one
+linear map on T.  On nonvanishing sets the generated algebras are
+semisimple, so Holant-indistinguishable means similar, and a seeded
+random member of that null space is invertible with probability 1
+(Chistov, Ivanyos & Karpinski, ISSAC 1997; Brooksbank & Luks, J. Algebra
+2008).
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from holant.tensors import MixedTensor
 from holant.transforms import HoloTransform
 
 CLOSURE_TOL = 1e-9
 RANK_TOL = 1e-7
-CLUSTER_TOL = 1e-6
 DEFAULT_MAX_WORDS = 20000
 
 
@@ -359,375 +360,6 @@ def _word_matrix(word, mats, q):
     return m
 
 
-# -- partition refinement ------------------------------------------------------------
-
-
-@dataclass
-class PartitionState:
-    """Blocks of the domain with the transforms accumulated on each side."""
-
-    blocks: list[list[int]]
-    trivial: list[bool]
-    t_acc: np.ndarray  # applied to the first side
-    u_acc: np.ndarray  # applied to the second side
-
-
-class _VerificationFailure(Exception):
-    def __init__(self, witness: dict):
-        super().__init__(witness.get("reason", "verification failed"))
-        self.witness = witness
-
-
-def _cluster_eigenvalues(vals, rel_tol=CLUSTER_TOL):
-    """Greedy merge of eigenvalues within rel_tol of each other.
-
-    Returns a list of (representative, multiplicity) sorted by real part
-    then imaginary part of the representative.
-    """
-    vals = np.asarray(vals)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    parent = list(range(len(vals)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= rel_tol * scale:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(vals)):
-        groups.setdefault(find(i), []).append(vals[i])
-    clusters = [(complex(np.mean(g)), len(g)) for g in groups.values()]
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
-
-
-def _match_clusters(cf, cg, scale, tol=1e-5):
-    """Do the two cluster lists agree as multisets of (value, multiplicity)?"""
-    if len(cf) != len(cg):
-        return False
-    used = [False] * len(cg)
-    for rep, mult in cf:
-        hit = None
-        for j, (rep_g, mult_g) in enumerate(cg):
-            if used[j] or mult_g != mult:
-                continue
-            if abs(rep - rep_g) <= tol * max(1.0, scale):
-                hit = j
-                break
-        if hit is None:
-            return False
-        used[hit] = True
-    return True
-
-
-def _separate_block(m, lam, delta):
-    """Similarity making m block-diagonal: non-lam part first, lam part last.
-
-    Sorted complex Schur puts the far-from-lam eigenvalues top-left; one
-    Sylvester solve then removes the coupling block.
-    """
-    t, z, sdim = scipy.linalg.schur(
-        m, output="complex", sort=lambda x: abs(x - lam) > delta
-    )
-    n = m.shape[0]
-    if sdim in (0, n):
-        raise _VerificationFailure(
-            {"reason": "eigenvalue separation failed", "lambda": complex(lam)}
-        )
-    a11 = t[:sdim, :sdim]
-    a12 = t[:sdim, sdim:]
-    a22 = t[sdim:, sdim:]
-    r = scipy.linalg.solve_sylvester(a11, -a22, -a12)
-    p = np.eye(n, dtype=np.complex128)
-    p[:sdim, sdim:] = r
-    s = z @ p  # s^{-1} m s is block diagonal
-    return s, sdim
-
-
-def _annihilating_poly(clusters):
-    """Coefficients (np.poly order) of prod (t - rep)^mult over the clusters."""
-    roots = []
-    for rep, mult in clusters:
-        roots.extend([rep] * mult)
-    return np.poly(np.array(roots, dtype=np.complex128))
-
-
-def _poly_eval(coeffs, m):
-    n = m.shape[0]
-    out = np.zeros_like(m)
-    for c in coeffs:
-        out = out @ m + c * np.eye(n, dtype=np.complex128)
-    return out
-
-
-def _off_identity(m):
-    """Distance of m from span{I} (orthogonal projection residual)."""
-    n = m.shape[0]
-    lam = np.trace(m) / n
-    return float(np.linalg.norm(m - lam * np.eye(n)))
-
-
-def _lift(block_mat, block, q):
-    s = np.eye(q, dtype=np.complex128)
-    s[np.ix_(block, block)] = block_mat
-    return s
-
-
-def _refine_partition(paired: PairedAlgebra, rng, max_random_tries=40):
-    """Split the domain until every block's compressed span is scalar.
-
-    Each split conjugates both sides by a block-supported separation and
-    verifies the new subdomain projector is realized as a corresponding
-    pair via the annihilating-polynomial construction.
-    """
-    q = paired.q
-    f_imgs = [m.copy() for m in paired.f_images]
-    g_imgs = [m.copy() for m in paired.g_images]
-    state = PartitionState(
-        blocks=[list(range(q))],
-        trivial=[False],
-        t_acc=np.eye(q, dtype=np.complex128),
-        u_acc=np.eye(q, dtype=np.complex128),
-    )
-    while not all(state.trivial):
-        i = state.trivial.index(False)
-        block = state.blocks[i]
-        ix = np.ix_(block, block)
-        comp_f = [m[ix] for m in f_imgs]
-        comp_g = [m[ix] for m in g_imgs]
-        if all(
-            _off_identity(c) <= 1e-7 * max(1.0, np.linalg.norm(c)) for c in comp_f
-        ):
-            for cf, cg in zip(comp_f, comp_g):
-                if np.linalg.norm(cf - cg) > 1e-6 * max(
-                    1.0, np.linalg.norm(cf), np.linalg.norm(cg)
-                ):
-                    raise _VerificationFailure(
-                        {
-                            "reason": "scalar blocks disagree",
-                            "block": list(block),
-                            "residual": float(np.linalg.norm(cf - cg)),
-                        }
-                    )
-            state.trivial[i] = True
-            continue
-        split = _find_split(comp_f, comp_g, rng, max_random_tries)
-        if split is None:
-            raise _VerificationFailure(
-                {"reason": "no splitting element found", "block": list(block)}
-            )
-        mf, mg, lam, mult, delta = split
-        sf, x_size = _separate_block(mf, lam, delta)
-        sg, x_size_g = _separate_block(mg, lam, delta)
-        if x_size != x_size_g or x_size != len(block) - mult:
-            raise _VerificationFailure(
-                {
-                    "reason": "eigenvalue multiplicities disagree",
-                    "block": list(block),
-                    "lambda": complex(lam),
-                }
-            )
-        sf_inv = np.linalg.inv(sf)
-        sg_inv = np.linalg.inv(sg)
-        lift_f = _lift(sf_inv, block, q)
-        lift_f_inv = _lift(sf, block, q)
-        lift_g = _lift(sg_inv, block, q)
-        lift_g_inv = _lift(sg, block, q)
-        f_imgs = [lift_f @ m @ lift_f_inv for m in f_imgs]
-        g_imgs = [lift_g @ m @ lift_g_inv for m in g_imgs]
-        state.t_acc = lift_f @ state.t_acc
-        state.u_acc = lift_g @ state.u_acc
-        _verify_projector_pair(
-            sf_inv @ mf @ sf, sg_inv @ mg @ sg, lam, mult, x_size
-        )
-        new_a = block[:x_size]
-        new_b = block[x_size:]
-        state.blocks[i : i + 1] = [new_a, new_b]
-        state.trivial[i : i + 1] = [False, False]
-    return state, f_imgs, g_imgs
-
-
-def _find_split(comp_f, comp_g, rng, max_random_tries):
-    """A corresponding pair of compressed elements with split spectrum.
-
-    Tries the compressed basis images first, then seeded random
-    combinations applied with the same coefficients on both sides.
-    """
-    n = comp_f[0].shape[0]
-    candidates = list(zip(comp_f, comp_g))
-    for _ in range(max_random_tries):
-        c = rng.normal(size=len(comp_f)) + 1j * rng.normal(size=len(comp_f))
-        mf = sum(ci * m for ci, m in zip(c, comp_f))
-        mg = sum(ci * m for ci, m in zip(c, comp_g))
-        candidates.append((mf, mg))
-    for mf, mg in candidates:
-        vals_f = np.linalg.eigvals(mf)
-        clusters_f = _cluster_eigenvalues(vals_f)
-        if len(clusters_f) < 2:
-            continue
-        vals_g = np.linalg.eigvals(mg)
-        clusters_g = _cluster_eigenvalues(vals_g)
-        vscale = max(1.0, float(np.max(np.abs(vals_f))))
-        if not _match_clusters(clusters_f, clusters_g, vscale):
-            continue
-        lam, mult = clusters_f[0]
-        if mult == n:
-            continue
-        others = [rep for rep, _ in clusters_f[1:]]
-        delta = min(abs(rep - lam) for rep in others) / 2.0
-        return mf, mg, lam, mult, delta
-    return None
-
-
-def _verify_projector_pair(mf_sep, mg_sep, lam, mult, x_size):
-    """Check the split realizes the subdomain projector on both sides.
-
-    With N = (M - lam I)^mult and p an annihilating polynomial of the
-    invertible corner N_XX with constant term c != 0, the matrix
-    -(1/c)(p(N) - c I) must be the projector onto the first x_size
-    coordinates; the same polynomial must work on the mirrored side.
-    """
-    n = mf_sep.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    target = np.zeros((n, n), dtype=np.complex128)
-    target[:x_size, :x_size] = np.eye(x_size)
-    nf = np.linalg.matrix_power(mf_sep - lam * eye, mult)
-    ng = np.linalg.matrix_power(mg_sep - lam * eye, mult)
-    corner = nf[:x_size, :x_size]
-    clusters = _cluster_eigenvalues(np.linalg.eigvals(corner))
-    coeffs = _annihilating_poly(clusters)
-    c0 = coeffs[-1]
-    if abs(c0) < 1e-300:
-        raise _VerificationFailure(
-            {"reason": "projector polynomial has zero constant term"}
-        )
-    for name, nmat in (("first", nf), ("second", ng)):
-        proj = -(_poly_eval(coeffs, nmat) - c0 * eye) / c0
-        resid = np.linalg.norm(proj - target)
-        if resid > 1e-7 * max(1.0, np.linalg.norm(proj)):
-            raise _VerificationFailure(
-                {
-                    "reason": "subdomain projector not realized",
-                    "side": name,
-                    "residual": float(resid),
-                }
-            )
-
-
-# -- block alignment ----------------------------------------------------------------
-
-
-def _align_blocks(paired, state, f_imgs, g_imgs, tol):
-    """Prefix induction equating the two sides block by block.
-
-    For each new block p, every earlier block k with a nonzero (k,p)
-    coupling gets T_k built from that coupling and its trace-dual; the
-    assembled block-diagonal transform is applied to the first side.
-    """
-    q = paired.q
-    blocks = state.blocks
-    m = len(blocks)
-    d = len(f_imgs)
-    scale = max(1.0, *(np.linalg.norm(x) for x in f_imgs),
-                *(np.linalg.norm(x) for x in g_imgs))
-    for p in range(1, m):
-        xp = blocks[p]
-        t_full = np.eye(q, dtype=np.complex128)
-        t_inv_full = np.eye(q, dtype=np.complex128)
-        for k in range(p):
-            xk = blocks[k]
-            kp = np.ix_(xk, xp)
-            pk = np.ix_(xp, xk)
-            norms = [np.linalg.norm(f_imgs[j][kp]) for j in range(d)]
-            best = int(np.argmax(norms))
-            if norms[best] <= 1e-9 * scale:
-                worst_g = max(np.linalg.norm(g_imgs[j][kp]) for j in range(d))
-                if worst_g > 1e-6 * scale:
-                    raise _VerificationFailure(
-                        {
-                            "reason": "block coupling vanishes on one side only",
-                            "blocks": [list(xk), list(xp)],
-                            "residual": float(worst_g),
-                        }
-                    )
-                continue  # T_k stays the identity
-            fkp = f_imgs[best][kp]
-            gkp = g_imgs[best][kp]
-            if len(xk) != len(xp):
-                raise _VerificationFailure(
-                    {
-                        "reason": "coupled blocks of unequal size",
-                        "blocks": [list(xk), list(xp)],
-                    }
-                )
-            # trace-dual of the embedded coupling, minimum-norm coefficients
-            lifted = np.zeros((q, q), dtype=np.complex128)
-            lifted[kp] = fkp
-            v = np.array([np.trace(lifted @ f_imgs[j]) for j in range(d)])
-            vnorm = float(np.linalg.norm(v))
-            if vnorm <= 1e-9 * max(1.0, scale * np.linalg.norm(fkp)):
-                raise _VerificationFailure(
-                    {
-                        "reason": "coupling block pairs to zero with the algebra",
-                        "blocks": [list(xk), list(xp)],
-                    }
-                )
-            c = np.conj(v) / (vnorm * vnorm)
-            fhat = sum(ci * mj for ci, mj in zip(c, f_imgs))
-            ghat = sum(ci * mj for ci, mj in zip(c, g_imgs))
-            prod = fkp @ fhat[pk]
-            lam = np.trace(prod) / len(xk)
-            iden_k = np.eye(len(xk))
-            if (
-                abs(lam) <= 1e-9 * max(1.0, np.linalg.norm(prod))
-                or np.linalg.norm(prod - lam * iden_k) > 1e-6 * max(1.0, abs(lam)) * len(xk)
-                or np.linalg.norm(fhat[pk] @ fkp - lam * np.eye(len(xp)))
-                > 1e-6 * max(1.0, abs(lam)) * len(xp)
-            ):
-                raise _VerificationFailure(
-                    {
-                        "reason": "coupling dual is not a scalar inverse",
-                        "blocks": [list(xk), list(xp)],
-                        "lambda": complex(lam),
-                    }
-                )
-            t_k = gkp @ fhat[pk] / lam
-            t_k_inv = fkp @ ghat[pk] / lam
-            iden_res = np.linalg.norm(t_k @ t_k_inv - iden_k)
-            if iden_res > 1e-6 * max(1.0, np.linalg.norm(t_k) ** 2):
-                raise _VerificationFailure(
-                    {
-                        "reason": "block transform is not invertible",
-                        "blocks": [list(xk), list(xp)],
-                        "residual": float(iden_res),
-                    }
-                )
-            kk = np.ix_(xk, xk)
-            t_full[kk] = t_k
-            t_inv_full[kk] = t_k_inv
-        f_imgs = [t_full @ mj @ t_inv_full for mj in f_imgs]
-        state.t_acc = t_full @ state.t_acc
-        prefix = [i for b in blocks[: p + 1] for i in b]
-        pp = np.ix_(prefix, prefix)
-        for j in range(d):
-            resid = np.linalg.norm(f_imgs[j][pp] - g_imgs[j][pp])
-            if resid > max(tol, 1e-6) * max(1.0, scale):
-                raise _VerificationFailure(
-                    {
-                        "reason": "prefix alignment failed",
-                        "prefix_blocks": [list(b) for b in blocks[: p + 1]],
-                        "word": list(paired.words[j]),
-                        "residual": float(resid),
-                    }
-                )
-    return state, f_imgs
-
-
 # -- full recovery ----------------------------------------------------------------------
 
 
@@ -755,9 +387,12 @@ def recover_transform(
 
     Preconditions checked in order: word traces agree up to the bound;
     both trace forms are nondegenerate on the generated algebras; the
-    word correspondence is well defined both ways.  Then the domain is
-    refined into scalar blocks and the blocks are aligned; the returned
-    transform satisfies ||T F T^-1 - G|| <= tol * (1 + ||G||) per pair.
+    word correspondence is well defined both ways.  Then T is a seeded
+    random member of the null space of T -> (T F_i - G_i T)_i, cut at
+    RANK_TOL * max(sigma_max, 1), scaled to largest-modulus entry 1.  The
+    returned T satisfies ||T F T^-1 - G|| <= tol * (1 + ||G||) per pair;
+    a verification_failed witness carries the null-space dimension and
+    the cut's margin (kept and first dropped sigma over the threshold).
     """
     q, names, f_mats, g_mats = _normalize_sets(fs, gs)
     trace_report = trace_words_equal(f_mats, g_mats, max_len=max_word_len)
@@ -795,20 +430,35 @@ def recover_transform(
         return RecoveryResult(
             verdict=kind, q=q, transform=None, witness=paired.failure, residual=None
         )
+    # T.ravel() -> (T F_i - G_i T).ravel(), stacked over the ids
+    eye = np.eye(q)
+    stack = np.concatenate(
+        [np.kron(eye, f_mats[name].T) - np.kron(g_mats[name], eye) for name in names]
+    )
+    _, sing, vh = np.linalg.svd(stack)
+    thresh = RANK_TOL * max(float(sing[0]), 1.0)
+    dim = max(int(np.sum(sing <= thresh)), 1)
+    cut = {
+        "intertwiner_dim": dim,
+        "cut_margin": [
+            float(sing[-dim]) / thresh,
+            float(sing[-dim - 1]) / thresh if dim < sing.size else None,
+        ],
+    }
     rng = np.random.default_rng(seed)
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    t_final = (c @ vh[-dim:].conj()).reshape(q, q)
+    t_final = t_final / t_final.flat[np.argmax(np.abs(t_final))]
     try:
-        state, f_imgs, g_imgs = _refine_partition(paired, rng)
-        state, f_imgs = _align_blocks(paired, state, f_imgs, g_imgs, tol)
-    except _VerificationFailure as failure:
+        t_inv = np.linalg.inv(t_final)
+    except np.linalg.LinAlgError:
         return RecoveryResult(
             verdict="verification_failed",
             q=q,
             transform=None,
-            witness=failure.witness,
+            witness={"reason": "intertwiner is singular", **cut},
             residual=None,
         )
-    t_final = np.linalg.solve(state.u_acc, state.t_acc)
-    t_inv = np.linalg.inv(t_final)
     worst = 0.0
     worst_name = None
     for name in names:
@@ -827,6 +477,7 @@ def recover_transform(
                 "reason": "final conjugation residual above tolerance",
                 "pair": worst_name,
                 "residual": float(worst),
+                **cut,
             },
             residual=float(worst),
         )

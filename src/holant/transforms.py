@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from holant.grids import SignatureGrid, enumerate_grids, holant_eval_contracted
 from holant.tensors import MixedTensor, equality_signature
@@ -239,6 +238,9 @@ def epsilon_family_jordan(f: MixedTensor, eps: float) -> tuple[HoloTransform, Mi
         result = MixedTensor(q, 1, 1, m * (float(eps) ** offsets.clip(min=0)) * (offsets >= 0))
         transform = HoloTransform.diagonal(d)
         return transform, result
+    # imported here so that importing holant does not load scipy
+    import scipy.linalg
+
     tri, z = scipy.linalg.schur(m, output="complex")
     transform = HoloTransform(q, np.diag(d) @ z.conj().T)
     return transform, transform.act(f)

@@ -138,6 +138,47 @@ def test_malformed_grid_exits_2_without_traceback(capsys, tmp_path, command, gri
     assert err.startswith("holant: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("hom", [1, 2]),
+        ("hom", {"n": 2, "edges": [[0, 1, 0]]}),
+        ("hom", {"n": 2, "edges": [[0, 5]]}),
+        ("hom", {"n": "x"}),
+        ("homdist", [1, 2]),
+        ("homdist", {"n": 2, "edges": 5}),
+        ("transform", [1, 2]),
+        ("transform", {"q": 2}),
+        ("transform", {"q": 2, "matrix": [[1, 2]]}),
+        ("transform", {"q": 2, "matrix": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+    ],
+    ids=[
+        "hom-bare-list",
+        "hom-three-entry-edge",
+        "hom-vertex-out-of-range",
+        "hom-n-not-a-number",
+        "homdist-bare-list",
+        "homdist-edges-not-a-list",
+        "transform-bare-list",
+        "transform-missing-matrix",
+        "transform-entry-not-a-pair",
+        "transform-singular",
+    ],
+)
+def test_malformed_graph_or_transform_exits_2_without_traceback(capsys, tmp_path, command, obj):
+    bad = write(tmp_path, "bad.json", obj)
+    k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
+    sigs = write(tmp_path, "sigs.json", sigset_to_obj({"a": MixedTensor(2, 1, 1, np.eye(2))}))
+    argv = {
+        "hom": ["hom", "--x", bad, "--g", k3],
+        "homdist": ["homdist", "--f", k3, "--g", bad, "--max-degree", "2", "--max-vertices", "2"],
+        "transform": ["transform", "--sigs", sigs, "--matrix", bad],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("holant: ") and "Traceback" not in err
+
+
 def test_missing_file(capsys, tmp_path):
     sigs = write(tmp_path, "sigs.json", {})
     assert main(["eval", str(tmp_path / "nope.json"), "--sigs", sigs]) == 2
@@ -325,15 +366,6 @@ def test_output_flag_writes_report(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert code == 0
     assert out.read_text() == printed
-
-
-def test_env_workers_validation(capsys, tmp_path, monkeypatch):
-    k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
-    monkeypatch.setenv("HOLANT_WORKERS", "potato")
-    assert main(["hom", "--x", k3, "--g", k3]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("HOLANT_WORKERS", "4")
-    assert main(["hom", "--x", k3, "--g", k3]) == 0
 
 
 def test_env_tol_is_honored(capsys, tmp_path, monkeypatch):

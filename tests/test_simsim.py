@@ -8,6 +8,8 @@ closure) are worked out by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holant.simsim import (
     MatrixAlgebra,
@@ -275,8 +277,8 @@ def test_recover_repeated_eigenvalues_single_matrix():
 
 
 def test_recover_block_structure_with_couplings():
-    # two scalar blocks joined by off-diagonal couplings in the second
-    # generator force the alignment step to build a nontrivial T_k
+    # two scalar blocks of the first generator joined by off-diagonal
+    # couplings in the second: the intertwiner must mix the blocks
     rng = np.random.default_rng(47)
     a = np.diag([1.0, 1.0, 4.0, 4.0]).astype(complex)
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -362,3 +364,97 @@ def test_recover_larger_domains():
         gs = conjugate_set(fs, s)
         result = recover_transform(fs, gs)
         assert_conjugates(result, fs, gs)
+
+
+# -- recover_transform properties ------------------------------------------------------
+
+
+def random_nonvanishing_set(rng, q, k):
+    while True:
+        fs = {
+            f"m{i}": rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            for i in range(k)
+        }
+        if is_11_nonvanishing(algebra_closure(fs)):
+            return fs
+
+
+sizes = st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=sizes)
+def test_property_conjugated_sets_are_recovered(case):
+    q, k, seed = case
+    rng = np.random.default_rng(seed)
+    fs = random_nonvanishing_set(rng, q, k)
+    gs = conjugate_set(fs, random_well_conditioned(rng, q))
+    result = recover_transform(fs, gs)
+    assert result.residual <= 1e-6
+    assert_conjugates(result, fs, gs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=sizes)
+def test_property_shifted_eigenvalue_is_never_similar(case):
+    q, k, seed = case
+    rng = np.random.default_rng(seed)
+    fs = random_nonvanishing_set(rng, q, k)
+    vals, vecs = np.linalg.eig(fs["m0"])
+    vals[int(rng.integers(0, q))] += 0.3 + 0.7 * rng.random()
+    shifted = dict(fs, m0=vecs @ np.diag(vals) @ np.linalg.inv(vecs))
+    gs = conjugate_set(shifted, random_well_conditioned(rng, q))
+    assert recover_transform(fs, gs).verdict != "similar"
+
+
+small_entries = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5j])
+
+
+@st.composite
+def small_pairs(draw):
+    q = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    square = st.lists(small_entries, min_size=q * q, max_size=q * q)
+    fs = {f"m{i}": np.reshape(draw(square), (q, q)) for i in range(k)}
+    if draw(st.booleans()):
+        s = np.eye(q) + np.triu(np.reshape(draw(square), (q, q)), 1)
+        return fs, conjugate_set(fs, s)
+    return fs, {name: np.reshape(draw(square), (q, q)) for name in fs}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=small_pairs())
+def test_property_recover_never_raises(pair):
+    fs, gs = pair
+    result = recover_transform(fs, gs)
+    assert result.verdict in {
+        "similar", "vanishing", "not_covanishing", "trace_mismatch", "verification_failed"
+    }
+    if result.similar:
+        assert_conjugates(result, fs, gs)
+
+
+def test_failed_verification_reports_the_cut():
+    rng = np.random.default_rng(71)
+    fs = random_nonvanishing_set(rng, 3, 2)
+    gs = conjugate_set(fs, random_well_conditioned(rng, 3))
+    result = recover_transform(fs, gs, tol=0)
+    assert result.verdict == "verification_failed"
+    assert result.witness["intertwiner_dim"] >= 1
+    kept, dropped = result.witness["cut_margin"]
+    assert kept <= 1 < dropped
+
+
+def test_singular_intertwiner_is_a_flagged_miss(monkeypatch):
+    rng = np.random.default_rng(73)
+    fs = random_nonvanishing_set(rng, 2, 1)
+    gs = conjugate_set(fs, random_well_conditioned(rng, 2))
+
+    def singular(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    result = recover_transform(fs, gs)
+    assert result.verdict == "verification_failed"
+    assert result.witness["intertwiner_dim"] >= 1
+    assert len(result.witness["cut_margin"]) == 2

@@ -1,9 +1,12 @@
 """Command line workbench.
 
 Every subcommand prints one canonical JSON report with a "verdict"
-field.  Exit code 0 means the verdict is a pass or a success, 1 means a
+field; it is strict JSON, with any non-finite number reported as null.
+Exit code 0 means the verdict is a pass or a success, 1 means a
 mathematical failure verdict (distinguisher found, vanishing, not
-similar), 2 means a usage or input-format problem.
+similar), 2 means a usage or input-format problem, including any input
+the library rejects.  main() is the one place that maps exceptions to
+exit 2 and the one place that encodes reports.
 
 Environment: HOLANT_TOL overrides the default tolerance.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,7 +27,6 @@ from .grids import (
     holant_eval,
     holant_eval_contracted,
     holant_polynomial,
-    resolve_bindings,
 )
 from .homgraphs import bounded_degree_distinguisher, complete_graph, cycle_graph, hom_count
 from .simsim import recover_transform
@@ -43,11 +46,7 @@ PASS_VERDICTS = {
 
 
 class CliError(Exception):
-    """Carries the exit code for usage and format failures."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or format failure; main() reports it and returns 2."""
 
 
 def _resolve_tol(flag_value: float | None, fallback: float) -> float:
@@ -81,36 +80,26 @@ def _load_json(path: str):
         )
 
 
-def _tensorize(sigs: dict) -> dict[str, MixedTensor]:
+def _load(path: str, parse):
+    """parse() of the JSON in path; a rejected object names the file."""
+    try:
+        return parse(_load_json(path))
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise CliError(f"{path}: {exc}")
+
+
+def _sigset(obj) -> dict[str, MixedTensor]:
     return {
         name: sig.to_tensor() if isinstance(sig, SymBoolSignature) else sig
-        for name, sig in sigs.items()
+        for name, sig in sz.sigset_from_obj(obj).items()
     }
 
 
-def _load_sigset(path: str) -> dict[str, MixedTensor]:
-    try:
-        return _tensorize(sz.sigset_from_obj(_load_json(path)))
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}")
-
-
-def _load_graph(path: str):
-    try:
-        return sz.graph_from_obj(_load_json(path))
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}")
-
-
-def _load_transform(path: str):
-    try:
-        return sz.transform_from_obj(_load_json(path))
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}")
-
-
 def _jsonify(value):
-    """Reports carry numpy scalars, arrays, complex numbers, tuples."""
+    """Reports carry numpy scalars, arrays, complex numbers, tuples.
+
+    A non-finite float becomes None, so the encoded report is strict JSON.
+    """
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -120,9 +109,9 @@ def _jsonify(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [_jsonify(value.real), _jsonify(value.imag)]
     if isinstance(value, np.ndarray):
         return _jsonify(value.tolist())
     return value
@@ -149,54 +138,31 @@ def _infer_shapes(grid) -> dict[str, tuple[int, int]]:
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _load_grid(path: str) -> SignatureGrid:
-    try:
-        return sz.grid_from_obj(_load_json(path))
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}")
-
-
 def _cmd_eval(args) -> dict:
-    grid = _load_grid(args.grid)
-    sigs = _load_sigset(args.sigs)
+    grid = _load(args.grid, sz.grid_from_obj)
+    sigs = _load(args.sigs, _sigset)
     if not grid.is_closed():
         raise CliError("eval needs a closed grid (no dangling ports)")
-    try:
-        bound = resolve_bindings(grid, sigs)
-        grid.validate({sid: sig.shape for sid, sig in bound.items()})
-    except ValueError as exc:
-        raise CliError(f"{args.grid}: {exc}")
     fn = holant_eval if args.method == "brute" else holant_eval_contracted
-    value = fn(grid, sigs)
-    return {"verdict": "ok", "q": grid.q, "method": args.method, "value": _jsonify(value)}
+    return {"verdict": "ok", "q": grid.q, "method": args.method, "value": fn(grid, sigs)}
 
 
 def _cmd_poly(args) -> dict:
-    grid = _load_grid(args.grid)
-    shapes = _infer_shapes(grid)
-    try:
-        grid.validate(shapes)
-    except ValueError as exc:
-        raise CliError(f"{args.grid}: {exc}")
-    poly = holant_polynomial(grid, shapes)
-    monomials = [
-        {
-            "coeff": _jsonify(coeff),
-            "factors": [[sig, list(idx)] for sig, idx in mono],
-        }
-        for mono, coeff in poly.sorted_items()
-    ]
+    grid = _load(args.grid, sz.grid_from_obj)
+    poly = holant_polynomial(grid, _infer_shapes(grid))
     return {
         "verdict": "ok",
         "q": poly.q,
         "num_monomials": poly.num_monomials,
-        "monomials": monomials,
+        "monomials": [
+            {"coeff": coeff, "factors": mono} for mono, coeff in poly.sorted_items()
+        ],
     }
 
 
 def _cmd_hom(args) -> dict:
-    x = _load_graph(args.x)
-    g = _load_graph(args.g)
+    x = _load(args.x, sz.graph_from_obj)
+    g = _load(args.g, sz.graph_from_obj)
     return {
         "verdict": "ok",
         "method": args.method,
@@ -205,8 +171,8 @@ def _cmd_hom(args) -> dict:
 
 
 def _cmd_homdist(args) -> dict:
-    f = _load_graph(args.f)
-    g = _load_graph(args.g)
+    f = _load(args.f, sz.graph_from_obj)
+    g = _load(args.g, sz.graph_from_obj)
     report = bounded_degree_distinguisher(f, g, args.max_degree, args.max_vertices)
     out = {
         "verdict": report.verdict,
@@ -222,12 +188,9 @@ def _cmd_homdist(args) -> dict:
 
 
 def _cmd_transform(args) -> dict:
-    sigs = _load_sigset(args.sigs)
-    t = _load_transform(args.matrix)
-    try:
-        moved = t.act_set(sigs)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    sigs = _load(args.sigs, _sigset)
+    t = _load(args.matrix, sz.transform_from_obj)
+    moved = t.act_set(sigs)
     out = {"verdict": "ok", "q": t.q, "signatures": sz.sigset_to_obj(moved)}
     if args.inverse_check:
         back = t.inverse_transform().act_set(moved)
@@ -240,17 +203,14 @@ def _cmd_transform(args) -> dict:
 
 
 def _cmd_check_indist(args) -> dict:
-    fs = _load_sigset(args.f)
-    gs = _load_sigset(args.g)
+    fs = _load(args.f, _sigset)
+    gs = _load(args.g, _sigset)
     bijection = _load_json(args.bijection)
     if not isinstance(bijection, dict):
         raise CliError("bijection file must be a JSON object of id pairs")
-    try:
-        report = check_indistinguishable(
-            fs, gs, bijection, args.max_vertices, tol=_resolve_tol(args.tol, 0.0)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = check_indistinguishable(
+        fs, gs, bijection, args.max_vertices, tol=_resolve_tol(args.tol, 0.0)
+    )
     out = {
         "verdict": report.verdict,
         "max_vertices": report.max_vertices,
@@ -259,25 +219,22 @@ def _cmd_check_indist(args) -> dict:
     }
     if report.witness_grid is not None:
         out["witness_grid"] = sz.grid_to_obj(report.witness_grid)
-        out["value_f"] = _jsonify(report.value_f)
-        out["value_g"] = _jsonify(report.value_g)
+        out["value_f"] = report.value_f
+        out["value_g"] = report.value_g
     return out
 
 
 def _cmd_vanishing(args) -> dict:
-    fs = _load_sigset(args.sigs)
-    try:
-        report = gram_nondegenerate(fs, args.profile, args.max_vertices)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    fs = _load(args.sigs, _sigset)
+    report = gram_nondegenerate(fs, args.profile, args.max_vertices)
     out = {
         "verdict": report.verdict,
-        "profile": list(report.profile),
+        "profile": report.profile,
         "max_vertices": report.max_vertices,
         "dim": report.dim,
         "dim_dual": report.dim_dual,
         "rank": report.rank,
-        "singular_values": _jsonify(report.singular_values),
+        "singular_values": report.singular_values,
         "max_pairing_residual": report.max_pairing_residual,
     }
     if report.witness is not None:
@@ -287,27 +244,24 @@ def _cmd_vanishing(args) -> dict:
 
 
 def _cmd_simsim(args) -> dict:
-    fs = _load_sigset(args.f)
-    gs = _load_sigset(args.g)
+    fs = _load(args.f, _sigset)
+    gs = _load(args.g, _sigset)
     for name, sets in (("f", fs), ("g", gs)):
         bad = [k for k, t in sets.items() if t.shape != (1, 1)]
         if bad:
             raise CliError(f"--{name} signatures must have shape (1,1); bad ids: {bad}")
-    try:
-        result = recover_transform(
-            fs,
-            gs,
-            tol=_resolve_tol(args.tol, 1e-6),
-            max_word_len=args.max_word_len,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = recover_transform(
+        fs,
+        gs,
+        tol=_resolve_tol(args.tol, 1e-6),
+        max_word_len=args.max_word_len,
+        seed=args.seed,
+    )
     out = {"verdict": result.verdict, "q": result.q}
     if result.transform is not None:
         out["transform"] = sz.transform_to_obj(result.transform)
     if result.witness is not None:
-        out["witness"] = _jsonify(result.witness)
+        out["witness"] = result.witness
     if result.residual is not None:
         out["residual"] = result.residual
     return out
@@ -323,18 +277,15 @@ def _parse_complex(raw: str) -> complex:
 
 
 def _cmd_counterexample(args) -> dict:
-    try:
-        report = epsilon_family_counterexample(args.a, args.b, args.eps)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = epsilon_family_counterexample(args.a, args.b, args.eps)
     return {
         "verdict": "ok",
-        "a": _jsonify(report.a),
-        "b": _jsonify(report.b),
+        "a": report.a,
+        "b": report.b,
         "eps": report.eps,
         "transform": sz.transform_to_obj(report.transform),
-        "transformed_values": _jsonify(report.transformed_values),
-        "target_values": _jsonify(report.target_values),
+        "transformed_values": report.transformed_values,
+        "target_values": report.target_values,
         "distance": report.distance,
         "expected_distance": report.expected_distance,
         "disequality_fixed": report.disequality_fixed,
@@ -345,8 +296,6 @@ def _cmd_counterexample(args) -> dict:
 
 
 def _fixture_polynomial() -> tuple[bool, dict]:
-    from .grids import SignatureGrid
-
     grid = SignatureGrid(2, ("x", "y", "y"), ((1, 1, 0, 1), (2, 1, 0, 2)))
     poly = holant_polynomial(grid, {"x": (0, 2), "y": (1, 0)})
     want = {
@@ -431,7 +380,7 @@ def _cmd_selftest(args) -> dict:
     for name, fn in fixtures:
         ok, detail = fn()
         all_ok = all_ok and ok
-        rows.append({"name": name, "verdict": "pass" if ok else "fail", "detail": _jsonify(detail)})
+        rows.append({"name": name, "verdict": "pass" if ok else "fail", "detail": detail})
     return {"verdict": "pass" if all_ok else "fail", "fixtures": rows}
 
 
@@ -490,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--sigs", required=True)
     p.add_argument("--method", choices=("brute", "contract"), default="contract")
-    p.add_argument("--tol", type=_tol_arg, default=None)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("poly", help="expand a closed grid over symbolic entries")
@@ -556,7 +504,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.fn(args)
+        report = _jsonify(args.fn(args))
         text = sz.dumps(report)
         print(text)
         if args.output:
@@ -566,9 +514,12 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise CliError(f"cannot write {args.output}: {exc}")
         return 0 if report["verdict"] in PASS_VERDICTS else 1
-    except CliError as exc:
-        print(f"holant: {exc}", file=sys.stderr)
-        return exc.code
+    except (CliError, ValueError, TypeError, ArithmeticError, MemoryError) as exc:
+        # numpy's LinAlgError is a ValueError, OverflowError an
+        # ArithmeticError; numpy raises MemoryError up front for a shape
+        # it cannot allocate, Python's own MemoryError has no message
+        print(f"holant: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

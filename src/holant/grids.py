@@ -128,60 +128,35 @@ def _shapes_of(bindings: dict[str, MixedTensor]) -> dict[str, tuple[int, int]]:
 
 
 def _vertex_axis_tables(grid: SignatureGrid, shapes: dict[str, tuple[int, int]]):
-    """For each vertex, which edge or dangling slot feeds each axis.
+    """For each vertex, the assignment position that feeds each axis.
 
-    Returns per-vertex lists whose entries are ("e", edge_index) or
-    ("d", dangling_slot_index) with dangling slots numbered left first.
+    An assignment lists the edges' values, then the dangling slots',
+    left slots first; returns one tuple of positions per vertex.
     """
-    tables = []
-    for v, sig in enumerate(grid.vertices):
-        l, r = shapes[sig]
-        tables.append([None] * (l + r))
+    tables = [[0] * sum(shapes[sig]) for sig in grid.vertices]
     for eid, (u, i, v, j) in enumerate(grid.edges):
-        tables[u][i - 1] = ("e", eid)
-        lv = shapes[grid.vertices[v]][0]
-        tables[v][lv + j - 1] = ("e", eid)
-    ndang = len(grid.left_dangling)
+        tables[u][i - 1] = eid
+        tables[v][shapes[grid.vertices[v]][0] + j - 1] = eid
+    first = len(grid.edges)
     for k, (v, i) in enumerate(grid.left_dangling):
-        tables[v][i - 1] = ("d", k)
+        tables[v][i - 1] = first + k
+    first += len(grid.left_dangling)
     for k, (v, j) in enumerate(grid.right_dangling):
-        lv = shapes[grid.vertices[v]][0]
-        tables[v][lv + j - 1] = ("d", ndang + k)
-    return tables
+        tables[v][shapes[grid.vertices[v]][0] + j - 1] = first + k
+    return [tuple(t) for t in tables]
 
 
 def holant_eval(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
     """Holant value of a closed grid, straight from the definition.
 
-    Sums over all edge assignments the product of vertex signature
-    entries, short-circuiting a term as soon as a factor is zero, then
-    multiplies by q per vertexless loop.
+    The closed case of gadget_signature(method="brute"): sums over all
+    edge assignments the product of vertex signature entries,
+    short-circuiting a term as soon as a factor is zero, then multiplies
+    by q per vertexless loop.
     """
     if not grid.is_closed():
         raise ValueError("holant_eval needs a closed grid; use gadget_signature")
-    b = resolve_bindings(grid, bindings)
-    shapes = _shapes_of(b)
-    grid.validate(shapes)
-    q = grid.q
-    ne = len(grid.edges)
-    if q**ne > MAX_ENTRIES:
-        raise ValueError(f"{q}^{ne} edge assignments exceeds the enumeration cap")
-    tables = _vertex_axis_tables(grid, shapes)
-    arrays = [b[sig].array for sig in grid.vertices]
-    plans = []
-    for v in range(len(grid.vertices)):
-        plans.append((arrays[v], tuple(eid for (_, eid) in tables[v])))
-    total = 0j
-    for assign in itertools.product(range(q), repeat=ne):
-        term = 1 + 0j
-        for arr, eids in plans:
-            f = arr[tuple(assign[e] for e in eids)] if eids else arr[()]
-            if f == 0:
-                term = 0j
-                break
-            term *= f
-        total += term
-    return complex(total * q**grid.loops)
+    return complex(gadget_signature(grid, bindings, "brute").array)
 
 
 # -- pairwise tensor contraction -----------------------------------------
@@ -364,21 +339,18 @@ def gadget_signature(
         raise ValueError(f"unknown method {method!r}")
     shapes = _shapes_of(b)
     grid.validate(shapes)
-    if q ** (len(grid.edges) + l + r) > MAX_ENTRIES:
-        raise ValueError("assignment enumeration exceeds the cap")
-    tables = _vertex_axis_tables(grid, shapes)
-    arrays = [b[sig].array for sig in grid.vertices]
+    ne = len(grid.edges)
+    if q ** (ne + l + r) > MAX_ENTRIES:
+        raise ValueError(f"{q}^{ne + l + r} assignments exceeds the enumeration cap")
+    plans = list(zip((b[sig].array for sig in grid.vertices), _vertex_axis_tables(grid, shapes)))
     out = np.zeros((q,) * (l + r), dtype=np.complex128)
     for pins in itertools.product(range(q), repeat=l + r):
         total = 0j
-        for assign in itertools.product(range(q), repeat=len(grid.edges)):
+        for assign in itertools.product(range(q), repeat=ne):
+            slots = assign + pins
             term = 1 + 0j
-            for v, arr in enumerate(arrays):
-                idx = []
-                for slot in tables[v]:
-                    kind, k = slot
-                    idx.append(assign[k] if kind == "e" else pins[k])
-                f = arr[tuple(idx)] if idx else arr[()]
+            for arr, axes in plans:
+                f = arr[tuple(slots[k] for k in axes)]
                 if f == 0:
                     term = 0j
                     break
@@ -758,7 +730,7 @@ def holant_polynomial(
         vars_used = []
         coeff = factor
         for v, sig in enumerate(grid.vertices):
-            idx = tuple(assign[k] for (_, k) in tables[v])
+            idx = tuple(assign[k] for k in tables[v])
             if sig == WIRE_ID:
                 # wires are fixed to the identity, not symbolic
                 coeff *= wire_eye.array[idx]

@@ -291,14 +291,16 @@ def canonical_code(g: SimpleGraph) -> int:
     return best
 
 
+def _graph_of_code(n: int, code: int) -> SimpleGraph:
+    """The n-vertex graph whose adjacency bit code is code."""
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if code >> _edge_bit(n, u, v) & 1
+    )
+    return SimpleGraph(n, edges)
+
+
 def canonical_form(g: SimpleGraph) -> SimpleGraph:
-    code = canonical_code(g)
-    edges = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if code >> _edge_bit(g.n, u, v) & 1:
-                edges.append((u, v))
-    return SimpleGraph(g.n, tuple(edges))
+    return _graph_of_code(g.n, canonical_code(g))
 
 
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
@@ -332,7 +334,7 @@ def enumerate_connected_graphs(
                     g = SimpleGraph(n, h.edges + tuple((v, n - 1) for v in back))
                     code = canonical_code(g)
                     if code not in found:
-                        found[code] = canonical_form(g)
+                        found[code] = _graph_of_code(n, code)
         levels.append(found)
     out = []
     for level in levels:

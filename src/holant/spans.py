@@ -104,10 +104,7 @@ def build_span(
     count = 0
     for g in gadgets:
         count += 1
-        if (l, r) == (0, 0):
-            sig = MixedTensor.scalar(q, holant_eval_contracted(g, fs))
-        else:
-            sig = gadget_signature(g, fs)
+        sig = gadget_signature(g, fs)
         v = sig.entries.copy()
         for u in ortho:
             v -= (u.conj() @ v) * u
@@ -360,12 +357,10 @@ def check_covanishing(
     l, r = profile
     if (l, r) == (0, 0):
         structures = list(enumerate_grids(sig_shapes, max_vertices, q))
-        sig_f = [MixedTensor.scalar(q, holant_eval_contracted(g, fs)) for g in structures]
-        sig_g = [MixedTensor.scalar(q, holant_eval_contracted(g, gs_as_f)) for g in structures]
     else:
         structures = list(enumerate_gadgets(sig_shapes, profile, max_vertices, q))
-        sig_f = [gadget_signature(g, fs) for g in structures]
-        sig_g = [gadget_signature(g, gs_as_f) for g in structures]
+    sig_f = [gadget_signature(g, fs) for g in structures]
+    sig_g = [gadget_signature(g, gs_as_f) for g in structures]
     if not structures:
         return CovanishingReport(
             verdict="covanishing_at_bound",
@@ -388,7 +383,6 @@ def check_covanishing(
         smax = float(sing[0]) if sing.size else 0.0
         thresh = rank_tol * max(smax, 1.0)
         rank = int(np.sum(sing > thresh))
-        scale_b = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
         for k in range(rank, a.shape[0]):
             c = np.conj(u[:, k])
             cross = float(np.linalg.norm(c @ b))

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holant.cli import main
 from holant.grids import gadget_signature
@@ -392,3 +394,171 @@ def test_config_validation(capsys, tmp_path):
     code = main(["homdist", "--f", k4, "--g", k4, "--max-degree", "3", "--max-vertices", "0"])
     assert code == 2
     assert "positive" in capsys.readouterr().err
+
+
+# -- main() is the one error boundary and the one encoder -------------------------
+
+
+def strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "homdist-degree-0",
+        "poly-30-edges",
+        "eval-brute-30-edges",
+        "hom-brute-12-vertices",
+        "bijection-list-value",
+        "entry-overflows-float",
+    ],
+)
+def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
+    k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
+    k12 = write(tmp_path, "k12.json", graph_to_obj(complete_graph(12)))
+    c12 = write(tmp_path, "c12.json", graph_to_obj(cycle_graph(12)))
+    ring = write(
+        tmp_path,
+        "ring.json",
+        {"q": 2, "vertices": [{"sig": "a"}] * 30,
+         "edges": [[i, 1, (i + 1) % 30, 1] for i in range(30)]},
+    )
+    a = write(tmp_path, "a.json", sigset_to_obj({"a": MixedTensor(2, 1, 1, np.eye(2))}))
+    huge = write(
+        tmp_path, "huge.json", '{"a":{"q":2,"left":1,"right":1,"entries":[[1' + "0" * 400 + ',0]]}}'
+    )
+    bij = write(tmp_path, "bij.json", {"a": ["a"]})
+    argv = {
+        "homdist-degree-0": ["homdist", "--f", k3, "--g", k3, "--max-degree", "0", "--max-vertices", "3"],
+        "poly-30-edges": ["poly", ring],
+        "eval-brute-30-edges": ["eval", ring, "--sigs", a, "--method", "brute"],
+        "hom-brute-12-vertices": ["hom", "--x", k12, "--g", c12, "--method", "brute"],
+        "bijection-list-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij, "--max-vertices", "2"],
+        "entry-overflows-float": ["eval", ring, "--sigs", huge],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("holant: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_eval_has_no_tol_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "x.json", "--sigs", "y.json", "--tol", "0"])
+    assert exc.value.code == 2
+
+
+def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch):
+    from holant import cli
+    from holant.spans import GramReport
+
+    def inconclusive(fs, profile, max_vertices):
+        return GramReport(
+            verdict="inconclusive", profile=profile, max_vertices=max_vertices, dim=1,
+            dim_dual=1, rank=0, singular_values=np.array([0.0]), witness=None,
+            witness_signature=None, max_pairing_residual=float("nan"),
+        )
+
+    monkeypatch.setattr(cli, "gram_nondegenerate", inconclusive)
+    sigs = write(tmp_path, "eq.json", sigset_to_obj({"eq": equality_signature(2, 1, 1)}))
+    assert main(["vanishing", "--sigs", sigs, "--profile", "1,1", "--max-vertices", "2"]) == 1
+    out = capsys.readouterr().out
+    assert '"max_pairing_residual":null' in out
+    assert strict_loads(out)["verdict"] == "inconclusive"
+
+
+def test_non_finite_numbers_print_as_null(capsys):
+    assert main(["counterexample", "--a", "inf", "--b", "1", "--eps", "0.1"]) == 0
+    rep = strict_loads(capsys.readouterr().out)
+    assert rep["a"] == [None, 0.0]
+    assert rep["distance"] is None
+
+
+# Small valid inputs for every file-reading subcommand; the fuzz test below
+# edits one of them and runs the command.  Numbers it writes stay <= 8 (a
+# large float read as an arity is a large integer) so no mutant asks for a
+# large structure.
+FUZZ_FIXTURES = {
+    "grid": {"q": 2, "loops": 0, "vertices": [{"sig": "a"}, {"sig": "a"}],
+             "edges": [[0, 1, 1, 1], [1, 1, 0, 1]], "left_dangling": [], "right_dangling": []},
+    "sigs": {"a": {"q": 2, "left": 1, "right": 1,
+                   "entries": [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]},
+             "s": {"symbool": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "left": 0, "right": 2}},
+    "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+    "matrix": {"q": 2, "matrix": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    "bijection": {"a": "a", "s": "s"},
+}
+
+FUZZ_COMMANDS = {
+    "eval": ["eval", "{grid}", "--sigs", "{sigs}", "--method", "brute"],
+    "poly": ["poly", "{grid}"],
+    "hom": ["hom", "--x", "{graph}", "--g", "{graph}"],
+    "homdist": ["homdist", "--f", "{graph}", "--g", "{graph}", "--max-degree", "2",
+                "--max-vertices", "3"],
+    "transform": ["transform", "--sigs", "{sigs}", "--matrix", "{matrix}", "--inverse-check"],
+    "check-indist": ["check-indist", "--f", "{sigs}", "--g", "{sigs}", "--bijection",
+                     "{bijection}", "--max-vertices", "3"],
+    "vanishing": ["vanishing", "--sigs", "{sigs}", "--profile", "1,1", "--max-vertices", "2"],
+    "simsim": ["simsim", "--f", "{sigs}", "--g", "{sigs}"],
+}
+
+ATOMS = [None, True, -1, 0, 1, 2, 8, 0.5, float("nan"), float("inf"), "a", "x", [], {}]
+
+
+def _nodes(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _nodes(child, path + (i,))
+
+
+def _mutate(data, obj):
+    """Drop one key or item, swap it for an atom, or wrap it in a list."""
+    path = data.draw(st.sampled_from(list(_nodes(obj))))
+    action = data.draw(st.sampled_from(["drop", "atom", "wrap"]))
+    atom = data.draw(st.sampled_from(ATOMS))
+    if not path:
+        return [obj] if action == "wrap" else atom
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if action == "drop":
+        del parent[key]
+    else:
+        parent[key] = [parent[key]] if action == "wrap" else atom
+    return obj
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path, command, data):
+    template = FUZZ_COMMANDS[command]
+    used = [name for name in FUZZ_FIXTURES if "{" + name + "}" in template]
+    target = data.draw(st.sampled_from(used))
+    paths = {}
+    for name in used:
+        obj = json.loads(json.dumps(FUZZ_FIXTURES[name]))
+        if name == target:
+            for _ in range(data.draw(st.integers(1, 3))):
+                obj = _mutate(data, obj)
+        paths[name] = write(tmp_path, name + ".json", json.dumps(obj))
+    code = main([arg.format(**paths) for arg in template])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("holant: ")
+    else:
+        assert code in (0, 1)
+        assert "verdict" in strict_loads(captured.out)

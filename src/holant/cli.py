@@ -482,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simsim", help="recover a simultaneous similarity transform")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--max-word-len", type=_word_len_arg, default=None)
+    p.add_argument("--max-word-len", type=_word_len_arg, default=None,
+                   help="longest word whose traces are compared when a pair is not"
+                   " certified similar (default q*q; 20000 words at most)")
     p.add_argument("--tol", type=_tol_arg, default=None)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(fn=_cmd_simsim)

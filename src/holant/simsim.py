@@ -9,7 +9,9 @@ linear map on T.  On nonvanishing sets the generated algebras are
 semisimple, so Holant-indistinguishable means similar, and a seeded
 random member of that null space is invertible with probability 1
 (Chistov, Ivanyos & Karpinski, ISSAC 1997; Brooksbank & Luks, J. Algebra
-2008).
+2008).  A T that passes the residual check is therefore the certificate:
+word traces are compared, up to max_word_len, only to explain a pair
+that fails it.
 """
 
 from __future__ import annotations
@@ -76,12 +78,10 @@ class MatrixAlgebra:
 
     def __post_init__(self):
         if self.gram is None:
+            # tr(A B) = vec(A) . vec(B^T), so the Gram matrix is one product
             n = len(self.basis)
-            g = np.zeros((n, n), dtype=np.complex128)
-            for i, a in enumerate(self.basis):
-                for j, b in enumerate(self.basis):
-                    g[i, j] = np.trace(a @ b)
-            self.gram = g
+            b = np.array(self.basis, dtype=np.complex128).reshape(n, self.q, self.q)
+            self.gram = b.reshape(n, -1) @ b.transpose(0, 2, 1).reshape(n, -1).T
 
 
 def algebra_closure(gens: dict[str, np.ndarray], tol: float = CLOSURE_TOL,
@@ -385,16 +385,23 @@ def recover_transform(
 ) -> RecoveryResult:
     """Find T conjugating every F to its partner G, or say why none was found.
 
-    Preconditions checked in order: word traces agree up to the bound;
-    both trace forms are nondegenerate on the generated algebras; the
-    word correspondence is well defined both ways.  Then T is a seeded
-    random member of the null space of T -> (T F_i - G_i T)_i, cut at
+    The certificate runs first.  Preconditions checked in order: both
+    trace forms are nondegenerate on the generated algebras; the word
+    correspondence is well defined both ways.  Then T is a seeded random
+    member of the null space of T -> (T F_i - G_i T)_i, cut at
     RANK_TOL * max(sigma_max, 1), scaled to largest-modulus entry 1.  The
-    returned T satisfies ||T F T^-1 - G|| <= tol * (1 + ||G||) per pair;
-    a verification_failed witness carries the null-space dimension and
-    the cut's margin (kept and first dropped sigma over the threshold).
+    returned T satisfies ||T F T^-1 - G|| <= tol * (1 + ||G||) per pair,
+    which proves similarity, so a certified pair skips the trace-word
+    sweep.  Only when a step fails are word traces compared up to
+    max_word_len: a mismatch is the reported witness, and otherwise the
+    first failed step is.  A verification_failed witness carries the
+    null-space dimension and the cut's margin (kept and first dropped
+    sigma over the threshold).
     """
     q, names, f_mats, g_mats = _normalize_sets(fs, gs)
+    result = _certify(q, names, f_mats, g_mats, tol, seed)
+    if result.similar:
+        return result
     trace_report = trace_words_equal(f_mats, g_mats, max_len=max_word_len)
     if trace_report.verdict == "mismatch":
         return RecoveryResult(
@@ -408,6 +415,11 @@ def recover_transform(
             },
             residual=None,
         )
+    return result
+
+
+def _certify(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
+    """The similar verdict with T, or the first precondition that fails."""
     for side, mats in (("first", f_mats), ("second", g_mats)):
         report = is_11_nonvanishing(algebra_closure(mats))
         if not report:
@@ -430,6 +442,11 @@ def recover_transform(
         return RecoveryResult(
             verdict=kind, q=q, transform=None, witness=paired.failure, residual=None
         )
+    return _intertwine(q, names, f_mats, g_mats, tol, seed)
+
+
+def _intertwine(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
+    """Solve T F_i = G_i T for a seeded null-space member and check it."""
     # T.ravel() -> (T F_i - G_i T).ravel(), stacked over the ids
     eye = np.eye(q)
     stack = np.concatenate(

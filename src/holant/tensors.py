@@ -24,10 +24,13 @@ def _check_size(q: int, slots: int) -> None:
         raise ValueError(f"domain size must be positive, got {q}")
     if slots < 0:
         raise ValueError(f"slot count must be nonnegative, got {slots}")
-    if q**slots > MAX_ENTRIES:
+    # for q >= 2, q**slots >= 2**slots is over the cap once slots reaches
+    # its bit length; deciding that first keeps a huge slots count from
+    # building a huge integer
+    if q > 1 and (slots >= MAX_ENTRIES.bit_length() or q**slots > MAX_ENTRIES):
         raise ValueError(
-            f"tensor with q={q} and {slots} slots needs {q**slots} entries, "
-            f"over the {MAX_ENTRIES} cap"
+            f"tensor with q={q} and {slots} slots needs more than "
+            f"{MAX_ENTRIES} entries, over the cap"
         )
 
 

@@ -273,6 +273,8 @@ def epsilon_family_counterexample(a: complex, b: complex, eps: float) -> Epsilon
     """
     from holant.tensors import SymBoolSignature, disequality_signature, symmetric_values
 
+    if not all(np.isfinite(v) for v in (a, b, eps)):
+        raise ValueError("a, b and eps must be finite")
     if eps <= 0:
         raise ValueError("eps must be positive")
     t = HoloTransform.diagonal([1.0 / eps, eps])

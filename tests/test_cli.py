@@ -5,6 +5,10 @@ a verdict field.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -473,10 +477,51 @@ def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch
 
 
 def test_non_finite_numbers_print_as_null(capsys):
-    assert main(["counterexample", "--a", "inf", "--b", "1", "--eps", "0.1"]) == 0
+    # finite inputs whose scaled entries overflow: a * eps**4 is inf
+    with np.errstate(all="ignore"), pytest.warns(UserWarning):
+        code = main(["counterexample", "--a", "1e300", "--b", "1", "--eps", "1e10"])
+    assert code == 0
     rep = strict_loads(capsys.readouterr().out)
-    assert rep["a"] == [None, 0.0]
+    assert rep["a"] == [1e300, 0.0]
     assert rep["distance"] is None
+    assert rep["transformed_values"][0] == [None, None]
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b", "--eps"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_counterexample_rejects_non_finite_input(capsys, flag, value):
+    values = {"--a": "1", "--b": "1", "--eps": "0.1", flag: value}
+    assert main(["counterexample", *(f"{k}={v}" for k, v in values.items())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_huge_arity_is_refused_before_the_power():
+    # "left": 1e308 reads as a 1024-bit arity; q**slots would be a
+    # gigantic integer, so the command must refuse it at once
+    sigs = {"a": {"q": 2, "left": 1e308, "right": 1, "entries": [[1.0, 0.0]]}}
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from holant.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sigs.json")
+        with open(path, "w") as out:
+            json.dump(sigs, out)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "vanishing", "--sigs", path,
+             "--profile", "1,1", "--max-vertices", "2"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "over the cap" in proc.stderr
 
 
 # Small valid inputs for every file-reading subcommand; the fuzz test below

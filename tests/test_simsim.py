@@ -11,14 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holant import simsim
 from holant.simsim import (
+    RANK_TOL,
     MatrixAlgebra,
+    RecoveryResult,
     algebra_closure,
     build_paired_algebra,
     is_11_nonvanishing,
     recover_transform,
     trace_words_equal,
 )
+from holant.transforms import HoloTransform
 
 
 def random_well_conditioned(rng, q, cond_cap=1e3):
@@ -88,6 +92,17 @@ def test_gram_matrix_field():
     alg = algebra_closure({"n": np.array([[0.0, 1.0], [0.0, 0.0]])})
     assert isinstance(alg, MatrixAlgebra)
     assert np.allclose(alg.gram, np.array([[2.0, 0.0], [0.0, 0.0]]))
+
+
+def test_gram_product_matches_pairwise_traces():
+    rng = np.random.default_rng(7)
+    for q, k in ((1, 1), (2, 1), (3, 2), (4, 3), (5, 2)):
+        gens = {f"m{i}": rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+                for i in range(k)}
+        alg = algebra_closure(gens)
+        loop = np.array([[np.trace(a @ b) for b in alg.basis] for a in alg.basis])
+        assert alg.gram.shape == loop.shape
+        assert np.max(np.abs(alg.gram - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
 # -- is_11_nonvanishing -----------------------------------------------------------
@@ -366,6 +381,91 @@ def test_recover_larger_domains():
         assert_conjugates(result, fs, gs)
 
 
+# -- the sweep-first chain, kept as an oracle ---------------------------------------
+
+
+def sweep_first_recovery(fs, gs, tol=1e-6, max_word_len=None, seed=0):
+    """The recovery chain with the trace-word sweep first, kept as an oracle.
+
+    The sweep, both nonvanishing tests, the paired algebra and the
+    intertwiner run in that order and the first failure is the verdict.
+    """
+    q, names, f_mats, g_mats = simsim._normalize_sets(fs, gs)
+    trace_report = trace_words_equal(f_mats, g_mats, max_len=max_word_len)
+    if trace_report.verdict == "mismatch":
+        return RecoveryResult("trace_mismatch", q, None, {
+            "word": list(trace_report.witness_word),
+            "trace_f": trace_report.trace_f,
+            "trace_g": trace_report.trace_g,
+        }, None)
+    for side, mats in (("first", f_mats), ("second", g_mats)):
+        report = is_11_nonvanishing(algebra_closure(mats))
+        if not report:
+            return RecoveryResult("vanishing", q, None, {
+                "side": side,
+                "radical_element": report.radical[0].tolist(),
+                "gram_rank": report.rank,
+                "algebra_dim": report.dim,
+            }, None)
+    paired = build_paired_algebra(f_mats, g_mats)
+    if paired.failure is not None:
+        kind = paired.failure.pop("kind")
+        return RecoveryResult(kind, q, None, paired.failure, None)
+    eye = np.eye(q)
+    stack = np.concatenate(
+        [np.kron(eye, f_mats[name].T) - np.kron(g_mats[name], eye) for name in names]
+    )
+    _, sing, vh = np.linalg.svd(stack)
+    thresh = RANK_TOL * max(float(sing[0]), 1.0)
+    dim = max(int(np.sum(sing <= thresh)), 1)
+    cut = {
+        "intertwiner_dim": dim,
+        "cut_margin": [
+            float(sing[-dim]) / thresh,
+            float(sing[-dim - 1]) / thresh if dim < sing.size else None,
+        ],
+    }
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    t = (c @ vh[-dim:].conj()).reshape(q, q)
+    t = t / t.flat[np.argmax(np.abs(t))]
+    try:
+        t_inv = np.linalg.inv(t)
+    except np.linalg.LinAlgError:
+        return RecoveryResult("verification_failed", q, None,
+                              {"reason": "intertwiner is singular", **cut}, None)
+    worst, worst_name = 0.0, None
+    for name in names:
+        resid = np.linalg.norm(t @ f_mats[name] @ t_inv - g_mats[name]) / (
+            1 + np.linalg.norm(g_mats[name])
+        )
+        if resid > worst:
+            worst, worst_name = resid, name
+    if worst > tol:
+        return RecoveryResult("verification_failed", q, None, {
+            "reason": "final conjugation residual above tolerance",
+            "pair": worst_name,
+            "residual": float(worst),
+            **cut,
+        }, float(worst))
+    return RecoveryResult("similar", q, HoloTransform(q, t), None, float(worst))
+
+
+def recovered_as_sweep_first(fs, gs, **kwargs):
+    """recover_transform's result, checked equal to the sweep-first chain's."""
+    want = sweep_first_recovery(fs, gs, **kwargs)
+    got = recover_transform(fs, gs, **kwargs)
+    assert got.verdict == want.verdict
+    # repr compares floats exactly and treats nan like any other value
+    assert repr(got.witness) == repr(want.witness)
+    assert repr(got.residual) == repr(want.residual)
+    if want.transform is None:
+        assert got.transform is None
+    else:
+        assert np.array_equal(got.transform.matrix, want.transform.matrix)
+    return got
+
+
 # -- recover_transform properties ------------------------------------------------------
 
 
@@ -389,7 +489,7 @@ def test_property_conjugated_sets_are_recovered(case):
     rng = np.random.default_rng(seed)
     fs = random_nonvanishing_set(rng, q, k)
     gs = conjugate_set(fs, random_well_conditioned(rng, q))
-    result = recover_transform(fs, gs)
+    result = recovered_as_sweep_first(fs, gs)
     assert result.residual <= 1e-6
     assert_conjugates(result, fs, gs)
 
@@ -404,7 +504,7 @@ def test_property_shifted_eigenvalue_is_never_similar(case):
     vals[int(rng.integers(0, q))] += 0.3 + 0.7 * rng.random()
     shifted = dict(fs, m0=vecs @ np.diag(vals) @ np.linalg.inv(vecs))
     gs = conjugate_set(shifted, random_well_conditioned(rng, q))
-    assert recover_transform(fs, gs).verdict != "similar"
+    assert recovered_as_sweep_first(fs, gs).verdict != "similar"
 
 
 small_entries = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5j])
@@ -426,7 +526,7 @@ def small_pairs(draw):
 @given(pair=small_pairs())
 def test_property_recover_never_raises(pair):
     fs, gs = pair
-    result = recover_transform(fs, gs)
+    result = recovered_as_sweep_first(fs, gs)
     assert result.verdict in {
         "similar", "vanishing", "not_covanishing", "trace_mismatch", "verification_failed"
     }
@@ -434,11 +534,20 @@ def test_property_recover_never_raises(pair):
         assert_conjugates(result, fs, gs)
 
 
-def test_failed_verification_reports_the_cut():
+def test_failed_verification_reports_the_cut(monkeypatch):
     rng = np.random.default_rng(71)
     fs = random_nonvanishing_set(rng, 3, 2)
     gs = conjugate_set(fs, random_well_conditioned(rng, 3))
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        sweeps.append(trace_words_equal(*args, **kwargs))
+        return sweeps[-1]
+
+    # a failed certificate is explained by the sweep, which finds no mismatch
+    monkeypatch.setattr(simsim, "trace_words_equal", counting)
     result = recover_transform(fs, gs, tol=0)
+    assert [r.verdict for r in sweeps] == ["equal_at_bound"]
     assert result.verdict == "verification_failed"
     assert result.witness["intertwiner_dim"] >= 1
     kept, dropped = result.witness["cut_margin"]
@@ -458,3 +567,15 @@ def test_singular_intertwiner_is_a_flagged_miss(monkeypatch):
     assert result.verdict == "verification_failed"
     assert result.witness["intertwiner_dim"] >= 1
     assert len(result.witness["cut_margin"]) == 2
+
+
+def test_certified_pair_skips_the_sweep(monkeypatch):
+    rng = np.random.default_rng(79)
+    fs = random_nonvanishing_set(rng, 3, 2)
+    gs = conjugate_set(fs, random_well_conditioned(rng, 3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trace_words_equal called on a certified pair")
+
+    monkeypatch.setattr(simsim, "trace_words_equal", forbidden)
+    assert_conjugates(recover_transform(fs, gs), fs, gs)

@@ -41,7 +41,6 @@ PASS_VERDICTS = {
     "indistinguishable_at_bound",
     "indist_at_bound",
     "nonvanishing_at_bound",
-    "isomorphic",
 }
 
 
@@ -366,8 +365,7 @@ def _fixture_hom_agreement() -> tuple[bool, dict]:
     return counts == (6, 6, 2), {"counts": list(counts)}
 
 
-def _cmd_selftest(args) -> dict:
-    del args
+def _cmd_selftest(_args) -> dict:
     fixtures = [
         ("polynomial_expansion", _fixture_polynomial),
         ("pair_indistinguishable_bound6", _fixture_indistinguishable),
@@ -496,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("selftest", help="run the built-in fixtures")
-    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
 from holant.tensors import MixedTensor
 from holant.transforms import HoloTransform
 
-CLOSURE_TOL = 1e-9
-RANK_TOL = 1e-7
 DEFAULT_MAX_WORDS = 20000
 
 
@@ -84,8 +83,7 @@ class MatrixAlgebra:
             self.gram = b.reshape(n, -1) @ b.transpose(0, 2, 1).reshape(n, -1).T
 
 
-def algebra_closure(gens: dict[str, np.ndarray], tol: float = CLOSURE_TOL,
-                    q: int | None = None) -> MatrixAlgebra:
+def algebra_closure(gens: dict[str, np.ndarray], q: int | None = None) -> MatrixAlgebra:
     """Close a named matrix set under products, breadth-first by word length.
 
     The identity (empty word) seeds the basis; a word enters iff its matrix
@@ -101,21 +99,17 @@ def algebra_closure(gens: dict[str, np.ndarray], tol: float = CLOSURE_TOL,
     names = list(mats)
     words = [()]
     basis = [np.eye(q, dtype=np.complex128)]
-    ortho = [basis[0].ravel() / np.sqrt(q)]
+    independent = IncrementalBasis()
+    independent.add(basis[0].ravel())
     frontier = [0]
     while frontier and len(basis) < q * q:
         next_frontier = []
         for idx in frontier:
             for name in names:
                 cand = basis[idx] @ mats[name]
-                v = cand.ravel().copy()
-                for u in ortho:
-                    v -= (u.conj() @ v) * u
-                res = np.linalg.norm(v)
-                if res > tol * max(1.0, np.linalg.norm(cand)):
+                if independent.add(cand.ravel()):
                     words.append(words[idx] + (name,))
                     basis.append(cand)
-                    ortho.append(v / res)
                     next_frontier.append(len(basis) - 1)
                     if len(basis) == q * q:
                         break
@@ -140,26 +134,20 @@ class NonvanishingReport:
         return self.nonvanishing
 
 
-def is_11_nonvanishing(algebra: MatrixAlgebra, rank_tol: float = RANK_TOL) -> NonvanishingReport:
+def is_11_nonvanishing(algebra: MatrixAlgebra) -> NonvanishingReport:
     """Full trace-Gram rank means no algebra member pairs to zero with all.
 
     On failure the kernel of the Gram matrix gives radical elements: each
     is a nonzero algebra member trace-orthogonal to the whole algebra.
     """
-    u, sing, vh = np.linalg.svd(algebra.gram)
-    thresh = rank_tol * max(float(sing[0]) if sing.size else 0.0, 1.0)
-    rank = int(np.sum(sing > thresh))
-    radical = []
-    coeffs = []
-    for k in range(rank, algebra.dim):
-        c = np.conj(u[:, k])
-        coeffs.append(c)
-        radical.append(sum(ci * b for ci, b in zip(c, algebra.basis)))
+    cut = numerical_rank(algebra.gram)
+    coeffs = list(cut.left_null())
+    radical = [sum(ci * b for ci, b in zip(c, algebra.basis)) for c in coeffs]
     return NonvanishingReport(
-        nonvanishing=rank == algebra.dim,
+        nonvanishing=cut.rank == algebra.dim,
         dim=algebra.dim,
-        rank=rank,
-        singular_values=sing,
+        rank=cut.rank,
+        singular_values=cut.singular_values,
         radical=radical,
         radical_coefficients=coeffs,
     )
@@ -278,7 +266,7 @@ class PairedAlgebra:
     failure: dict | None
 
 
-def build_paired_algebra(fs, gs, tol: float = 1e-7) -> PairedAlgebra:
+def build_paired_algebra(fs, gs) -> PairedAlgebra:
     """Mirror the F-side word closure on the G side and cross-check it.
 
     The correspondence sum(c_w w(F)) <-> sum(c_w w(G)) is well defined in
@@ -305,10 +293,9 @@ def build_paired_algebra(fs, gs, tol: float = 1e-7) -> PairedAlgebra:
     stack_g = np.array([m.ravel() for m in paired.g_images])
 
     # G-images of independent F-words must stay independent
-    sing = np.linalg.svd(stack_g, compute_uv=False)
-    if sing.size and sing[-1] <= RANK_TOL * max(float(sing[0]), 1.0):
-        u = np.linalg.svd(stack_g)[0]
-        c = np.conj(u[:, -1])
+    cut = numerical_rank(stack_g)
+    if cut.rank < len(alg_f.words):
+        c = np.conj(cut.u[:, -1])
         paired.failure = {
             "kind": "not_covanishing",
             "direction": "second",
@@ -326,11 +313,11 @@ def build_paired_algebra(fs, gs, tol: float = 1e-7) -> PairedAlgebra:
             ext_g = paired.g_images[idx] @ g_mats[name]
             c = pinv @ ext_f.ravel()
             res_f = np.linalg.norm(stack_f.T @ c - ext_f.ravel())
-            if res_f > 10 * CLOSURE_TOL * max(1.0, scale):
+            if res_f > 10 * INDEP_TOL * max(1.0, scale):
                 # closure invariant violated; treat as internal error
                 raise ArithmeticError("algebra closure lost a word expansion")
             res_g = np.linalg.norm(stack_g.T @ c - ext_g.ravel())
-            if res_g > tol * max(1.0, scale):
+            if res_g > RANK_TOL * max(1.0, scale):
                 paired.failure = {
                     "kind": "not_covanishing",
                     "direction": "first",
@@ -342,7 +329,7 @@ def build_paired_algebra(fs, gs, tol: float = 1e-7) -> PairedAlgebra:
                 return paired
             tf = complex(np.trace(ext_f))
             tg = complex(np.trace(ext_g))
-            if abs(tf - tg) > tol * (1 + max(abs(tf), abs(tg))):
+            if abs(tf - tg) > RANK_TOL * (1 + max(abs(tf), abs(tg))):
                 paired.failure = {
                     "kind": "trace_mismatch",
                     "word": w + (name,),
@@ -452,9 +439,9 @@ def _intertwine(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
     stack = np.concatenate(
         [np.kron(eye, f_mats[name].T) - np.kron(g_mats[name], eye) for name in names]
     )
-    _, sing, vh = np.linalg.svd(stack)
-    thresh = RANK_TOL * max(float(sing[0]), 1.0)
-    dim = max(int(np.sum(sing <= thresh)), 1)
+    rank_cut = numerical_rank(stack)
+    sing, vh, thresh = rank_cut.singular_values, rank_cut.vh, rank_cut.threshold
+    dim = max(sing.size - rank_cut.rank, 1)
     cut = {
         "intertwiner_dim": dim,
         "cut_margin": [

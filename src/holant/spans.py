@@ -2,9 +2,9 @@
 
 The span of a signature set at a profile (l,r) collects the signatures of
 all gadgets over the set (plus bare wires) with at most a given number of
-vertices.  Rank decisions on the pairing Gram matrix use the singular
-value threshold 1e-7 * max(sigma_max, 1); verdicts are always relative to
-the vertex bound, since a larger gadget could still change the answer.
+vertices.  Rank decisions on the Gram matrix and the covanishing null
+spaces use the holant.numerics cut; verdicts are always relative to the
+vertex bound, since a larger gadget could still change the answer.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from holant.grids import (
     holant_eval,
     holant_eval_contracted,
 )
+from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
 from holant.tensors import MixedTensor, equality_signature, pair
-
-RANK_TOL = 1e-7
-INDEP_TOL = 1e-9
 
 
 @dataclass
@@ -45,9 +43,7 @@ class GadgetSpan:
 
     def stack(self) -> np.ndarray:
         n = self.q ** (self.profile[0] + self.profile[1])
-        if not self.basis:
-            return np.zeros((0, n), dtype=np.complex128)
-        return np.array([b.entries for b in self.basis])
+        return np.array([b.entries for b in self.basis], dtype=np.complex128).reshape(-1, n)
 
     def coefficients_for(self, t: MixedTensor) -> tuple[np.ndarray, float]:
         """Least-squares expansion of t over the basis; (coeffs, residual)."""
@@ -57,9 +53,9 @@ class GadgetSpan:
         res = float(np.linalg.norm(self.stack().T @ sol - t.entries))
         return sol, res
 
-    def contains(self, t: MixedTensor, tol: float = 1e-7) -> bool:
+    def contains(self, t: MixedTensor) -> bool:
         _, res = self.coefficients_for(t)
-        return res <= tol * max(1.0, t.norm())
+        return res <= RANK_TOL * max(1.0, t.norm())
 
 
 def _closed_structures(sig_shapes, max_vertices, q):
@@ -100,19 +96,14 @@ def build_span(
         gadgets = enumerate_gadgets(sig_shapes, profile, max_vertices, q)
     basis: list[MixedTensor] = []
     witnesses: list[SignatureGrid] = []
-    ortho: list[np.ndarray] = []
+    independent = IncrementalBasis(indep_tol)
     count = 0
     for g in gadgets:
         count += 1
         sig = gadget_signature(g, fs)
-        v = sig.entries.copy()
-        for u in ortho:
-            v -= (u.conj() @ v) * u
-        res = float(np.linalg.norm(v))
-        if res > indep_tol * max(1.0, sig.norm()):
+        if independent.add(sig.entries):
             basis.append(sig)
             witnesses.append(g)
-            ortho.append(v / res)
             if len(basis) == q ** (l + r):
                 break
     return GadgetSpan(
@@ -139,32 +130,28 @@ class GramReport:
     dim_dual: int
     rank: int
     singular_values: np.ndarray
-    witness: QuantumGadget | None
-    witness_signature: MixedTensor | None
-    max_pairing_residual: float
+    witness: QuantumGadget | None = None
+    witness_signature: MixedTensor | None = None
+    max_pairing_residual: float = 0.0
 
 
-def _gram_pass(span_lr: GadgetSpan, span_rl: GadgetSpan, rank_tol: float):
+def _gram_pass(span_lr: GadgetSpan, span_rl: GadgetSpan):
+    """Singular values, rank and left null vectors of the pairing matrix."""
     m = np.zeros((span_lr.dim, span_rl.dim), dtype=np.complex128)
     for i, a in enumerate(span_lr.basis):
         for j, b in enumerate(span_rl.basis):
             m[i, j] = pair(a, b)
     if min(m.shape) == 0:
-        sing = np.zeros(0)
-        null = np.eye(span_lr.dim, dtype=np.complex128)
-        return m, sing, 0, [null[:, k] for k in range(span_lr.dim)]
-    u, sing, vh = np.linalg.svd(m)
-    thresh = rank_tol * max(float(sing[0]), 1.0)
-    rank = int(np.sum(sing > thresh))
-    null_vecs = [np.conj(u[:, k]) for k in range(rank, span_lr.dim)]
-    return m, sing, rank, null_vecs
+        # unit coefficients as they are: conj would print 1 as [1.0, -0.0]
+        return np.zeros(0), 0, list(np.eye(span_lr.dim, dtype=np.complex128))
+    cut = numerical_rank(m)
+    return cut.singular_values, cut.rank, list(cut.left_null())
 
 
 def gram_nondegenerate(
     fs: dict[str, MixedTensor],
     profile: tuple[int, int],
     max_vertices: int,
-    rank_tol: float = RANK_TOL,
 ) -> GramReport:
     """Is the pairing nondegenerate on the bounded span at this profile?
 
@@ -183,7 +170,7 @@ def gram_nondegenerate(
             span_rl = span_lr  # build_span is deterministic
         else:
             span_rl = build_span(fs, (r, l), max_vertices, indep_tol=indep_tol)
-        m, sing, rank, null_vecs = _gram_pass(span_lr, span_rl, rank_tol)
+        sing, rank, null_vecs = _gram_pass(span_lr, span_rl)
         if rank == span_lr.dim:
             return GramReport(
                 verdict="nonvanishing_at_bound",
@@ -193,9 +180,6 @@ def gram_nondegenerate(
                 dim_dual=span_rl.dim,
                 rank=rank,
                 singular_values=sing,
-                witness=None,
-                witness_signature=None,
-                max_pairing_residual=0.0,
             )
         # rank defect: pick the null combination with the largest signature
         best = None
@@ -206,7 +190,7 @@ def gram_nondegenerate(
                 best = (norm, c, sig_arr)
         norm, c, sig_arr = best
         scale = max(1.0, max((b.norm() for b in span_lr.basis), default=0.0))
-        if norm <= rank_tol * scale:
+        if norm <= RANK_TOL * scale:
             if attempt + 1 < len(attempts):
                 continue  # spurious kernel from basis redundancy: re-prune
             return GramReport(
@@ -217,8 +201,6 @@ def gram_nondegenerate(
                 dim_dual=span_rl.dim,
                 rank=rank,
                 singular_values=sing,
-                witness=None,
-                witness_signature=None,
                 max_pairing_residual=float("nan"),
             )
         witness_sig = MixedTensor(span_lr.q, l, r, sig_arr)
@@ -327,11 +309,11 @@ class CovanishingReport:
     profile: tuple[int, int]
     max_vertices: int
     structures_checked: int
-    direction: str | None  # which side vanished: "first" or "second"
-    witness: QuantumGadget | None
-    witness_signature_f: MixedTensor | None
-    witness_signature_g: MixedTensor | None
-    max_cross_residual: float
+    direction: str | None = None  # which side vanished: "first" or "second"
+    witness: QuantumGadget | None = None
+    witness_signature_f: MixedTensor | None = None
+    witness_signature_g: MixedTensor | None = None
+    max_cross_residual: float = 0.0
 
 
 def check_covanishing(
@@ -340,8 +322,6 @@ def check_covanishing(
     bijection: dict[str, str],
     profile: tuple[int, int],
     max_vertices: int,
-    rank_tol: float = RANK_TOL,
-    nonzero_tol: float = 1e-6,
 ) -> CovanishingReport:
     """Do zero combinations transfer across the correspondence at this profile?
 
@@ -359,51 +339,25 @@ def check_covanishing(
         structures = list(enumerate_grids(sig_shapes, max_vertices, q))
     else:
         structures = list(enumerate_gadgets(sig_shapes, profile, max_vertices, q))
-    sig_f = [gadget_signature(g, fs) for g in structures]
-    sig_g = [gadget_signature(g, gs_as_f) for g in structures]
-    if not structures:
-        return CovanishingReport(
-            verdict="covanishing_at_bound",
-            profile=profile,
-            max_vertices=max_vertices,
-            structures_checked=0,
-            direction=None,
-            witness=None,
-            witness_signature_f=None,
-            witness_signature_g=None,
-            max_cross_residual=0.0,
-        )
-    stack_f = np.array([s.entries for s in sig_f])
-    stack_g = np.array([s.entries for s in sig_g])
+    shape = (len(structures), q ** (l + r))
+    stack_f = np.array([gadget_signature(g, fs).entries for g in structures]).reshape(shape)
+    stack_g = np.array([gadget_signature(g, gs_as_f).entries for g in structures]).reshape(shape)
     worst = (0.0, None, None)
     for direction, a, b in (("first", stack_f, stack_g), ("second", stack_g, stack_f)):
-        if a.shape[0] == 0:
-            continue
-        u, sing, vh = np.linalg.svd(a)
-        smax = float(sing[0]) if sing.size else 0.0
-        thresh = rank_tol * max(smax, 1.0)
-        rank = int(np.sum(sing > thresh))
-        for k in range(rank, a.shape[0]):
-            c = np.conj(u[:, k])
+        # left_null() holds this direction's U; nothing else may, so it
+        # is freed before the other direction's SVD
+        for c in numerical_rank(a).left_null():
             cross = float(np.linalg.norm(c @ b))
             if cross > worst[0]:
                 worst = (cross, direction, c)
     cross, direction, c = worst
-    scale = max(
-        1.0,
-        float(np.max(np.abs(stack_f))) if stack_f.size else 0.0,
-        float(np.max(np.abs(stack_g))) if stack_g.size else 0.0,
-    )
-    if direction is None or cross <= nonzero_tol * scale:
+    scale = max(1.0, np.abs(stack_f).max(initial=0.0), np.abs(stack_g).max(initial=0.0))
+    if direction is None or cross <= 1e-6 * scale:
         return CovanishingReport(
             verdict="covanishing_at_bound",
             profile=profile,
             max_vertices=max_vertices,
             structures_checked=len(structures),
-            direction=None,
-            witness=None,
-            witness_signature_f=None,
-            witness_signature_g=None,
             max_cross_residual=cross,
         )
     terms = tuple(
@@ -436,16 +390,16 @@ class DualCertificate:
     witness_bindings: dict[str, MixedTensor]
 
 
-def _find_member(fs: dict[str, MixedTensor], target: MixedTensor, tol: float):
+def _find_member(fs: dict[str, MixedTensor], target: MixedTensor):
     for name in sorted(fs):
         t = fs[name]
-        if t.q == target.q and t.shape == target.shape and t.allclose(target, tol):
+        if t.q == target.q and t.shape == target.shape and t.allclose(target, 1e-8):
             return name
     return None
 
 
 def dual_nonvanishing_certificate(
-    fs: dict[str, MixedTensor], k: MixedTensor, tol: float = 1e-8
+    fs: dict[str, MixedTensor], k: MixedTensor
 ) -> DualCertificate:
     """Build a partner gadget that pairs with k to a positive number.
 
@@ -461,14 +415,14 @@ def dual_nonvanishing_certificate(
     for name, t in fs.items():
         if t.q != q:
             raise ValueError("signature domain sizes must match k")
-        if _find_member(fs, t.conj(), tol) is None:
+        if _find_member(fs, t.conj()) is None:
             raise ValueError(
                 f"set is not conjugate closed: no partner for {name!r}"
             )
     if k.norm() == 0:
         raise ValueError("k is zero; every pairing with it vanishes")
     eq20 = equality_signature(q, 2, 0)
-    eq_name = _find_member(fs, eq20, tol)
+    eq_name = _find_member(fs, eq20)
     if eq_name is None:
         raise ValueError("contravariant binary equality is not available in the set")
     l, r = k.shape
@@ -476,7 +430,7 @@ def dual_nonvanishing_certificate(
     pad_name = None
     if l > 0:
         eq02 = equality_signature(q, 0, 2)
-        pad_name = _find_member(fs, eq02, tol)
+        pad_name = _find_member(fs, eq02)
         if pad_name is None:
             for name in sorted(fs):
                 t = fs[name]
@@ -497,7 +451,7 @@ def dual_nonvanishing_certificate(
         arr = np.tensordot(amat, arr, axes=([1], [i]))
         arr = np.moveaxis(arr, 0, i)
     padded_norm_sq = float(np.sum(np.abs(arr) ** 2))
-    if padded_norm_sq <= (tol * max(1.0, k.norm())) ** 2:
+    if padded_norm_sq <= (1e-8 * max(1.0, k.norm())) ** 2:
         raise ValueError("padding annihilated k; the pad signature is too singular")
 
     dual_arr = np.conj(arr)
@@ -509,8 +463,8 @@ def dual_nonvanishing_certificate(
         raise ArithmeticError("dual pairing failed to reproduce the padded norm")
 
     # witness gadget: conj(k) raised through equalities, padded both ways
-    conj_pad_name = _find_member(fs, fs[pad_name].conj(), tol) if pad_name else None
-    core_name = _find_member(fs, k.conj(), tol)
+    conj_pad_name = _find_member(fs, fs[pad_name].conj()) if pad_name else None
+    core_name = _find_member(fs, k.conj())
     if core_name is None:
         core_name = "dual_core"
         while core_name in fs:

@@ -269,7 +269,8 @@ def epsilon_family_counterexample(a: complex, b: complex, eps: float) -> Epsilon
     The diagonal transform diag(1/eps, eps) fixes the binary disequality
     and scales the weight-w entry of the covariant arity-4 signature by
     eps^(4-2w), so the distance to the target pair is
-    sqrt(|a eps^4|^2 + 4 |b eps^2|^2).
+    sqrt(|a eps^4|^2 + 4 |b eps^2|^2).  Raises ValueError unless the inputs
+    and every result are finite.
     """
     from holant.tensors import SymBoolSignature, disequality_signature, symmetric_values
 
@@ -281,11 +282,17 @@ def epsilon_family_counterexample(a: complex, b: complex, eps: float) -> Epsilon
     neq = disequality_signature(2, 2, 0)
     f = SymBoolSignature((a, b, 1, 0, 0), 0, 4).to_tensor()
     target = SymBoolSignature((0, 0, 1, 0, 0), 0, 4).to_tensor()
-    t_neq = t.act(neq)
-    t_f = t.act(f)
-    dist = float(np.sqrt(np.sum(np.abs(t_neq.entries - neq.entries) ** 2)
-                         + np.sum(np.abs(t_f.entries - target.entries) ** 2)))
-    expected = float(np.sqrt(abs(a * eps**4) ** 2 + 4 * abs(b * eps**2) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_neq = t.act(neq)
+        t_f = t.act(f)
+        dist = float(np.sqrt(np.sum(np.abs(t_neq.entries - neq.entries) ** 2)
+                             + np.sum(np.abs(t_f.entries - target.entries) ** 2)))
+    try:
+        expected = float(np.sqrt(abs(a * eps**4) ** 2 + 4 * abs(b * eps**2) ** 2))
+    except OverflowError:  # a Python float power raises rather than give inf
+        expected = float("inf")
+    if not np.isfinite([dist, expected]).all():
+        raise ValueError("a, b and eps overflow: the transformed family is not finite")
     return EpsilonCounterexampleReport(
         a=complex(a),
         b=complex(b),

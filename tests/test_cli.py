@@ -451,6 +451,12 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
     assert "Traceback" not in captured.err
 
 
+def test_selftest_has_no_seed_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_eval_has_no_tol_flag():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "x.json", "--sigs", "y.json", "--tol", "0"])
@@ -476,15 +482,17 @@ def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch
     assert strict_loads(out)["verdict"] == "inconclusive"
 
 
-def test_non_finite_numbers_print_as_null(capsys):
-    # finite inputs whose scaled entries overflow: a * eps**4 is inf
-    with np.errstate(all="ignore"), pytest.warns(UserWarning):
-        code = main(["counterexample", "--a", "1e300", "--b", "1", "--eps", "1e10"])
-    assert code == 0
-    rep = strict_loads(capsys.readouterr().out)
-    assert rep["a"] == [1e300, 0.0]
-    assert rep["distance"] is None
-    assert rep["transformed_values"][0] == [None, None]
+@pytest.mark.parametrize(
+    "a, eps", [("1e300", "1e10"), ("1", "1e100")], ids=["entries", "eps-power"]
+)
+def test_counterexample_overflow_exits_2(capsys, a, eps):
+    # finite inputs whose scaled family overflows: a * eps**4 is not finite
+    with pytest.warns(UserWarning, match="condition number"):
+        code = main(["counterexample", "--a", a, "--b", "1", "--eps", eps])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "holant: a, b and eps overflow: the transformed family is not finite\n"
 
 
 @pytest.mark.parametrize("flag", ["--a", "--b", "--eps"])

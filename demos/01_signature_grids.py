@@ -16,7 +16,6 @@ from holant import (
     disequality_signature,
     equality_signature,
     gadget_signature,
-    holant_eval,
     holant_eval_contracted,
     holant_polynomial,
 )
@@ -28,22 +27,23 @@ q = 2
 # so the value is the number of domain elements.
 eq = equality_signature(q, 1, 1)
 cycle = SignatureGrid(q, ("eq", "eq"), ((0, 1, 1, 1), (1, 1, 0, 1)))
-value = holant_eval(cycle, {"eq": eq})
+value = holant_eval_contracted(cycle, {"eq": eq})
 print("cycle of two equalities:", value)
 assert abs(value - q) < 1e-12
 
 # Disequality on the same cycle counts ordered pairs of distinct values.
 neq = disequality_signature(q, 1, 1)
-value = holant_eval(cycle, {"eq": neq})
+value = holant_eval_contracted(cycle, {"eq": neq})
 print("cycle of two disequalities:", value)
 assert abs(value - q * (q - 1)) < 1e-12
 
 # A vertexless loop is a free cycle and contributes a bare factor q.
 looped = SignatureGrid(q, ("eq", "eq"), ((0, 1, 1, 1), (1, 1, 0, 1)), loops=2)
-print("same grid with two free loops:", holant_eval(looped, {"eq": eq}))
+print("same grid with two free loops:", holant_eval_contracted(looped, {"eq": eq}))
 
-# The brute evaluator enumerates edge assignments; the contracted one
-# sums the same tensor network with einsum.  They agree.
+# The value is computed by contracting the tensor network pairwise.  The
+# Holant polynomial sums the same network over every edge assignment,
+# with the signature entries left symbolic; evaluating it agrees.
 rng = np.random.default_rng(7)
 f = MixedTensor.from_matrix(rng.standard_normal((q, q)))
 h = MixedTensor(q, 2, 2, rng.standard_normal((q, q, q, q)))
@@ -52,11 +52,12 @@ grid = SignatureGrid(
     ("f", "h", "f"),
     ((0, 1, 1, 1), (1, 1, 2, 1), (2, 1, 1, 2), (1, 2, 0, 1)),
 )
-v_brute = holant_eval(grid, {"f": f, "h": h})
-v_contract = holant_eval_contracted(grid, {"f": f, "h": h})
-print("brute:", v_brute)
+bindings = {"f": f, "h": h}
+v_contract = holant_eval_contracted(grid, bindings)
+v_poly = holant_polynomial(grid, {"f": (1, 1), "h": (2, 2)}).evaluate(bindings)
 print("contracted:", v_contract)
-assert abs(v_brute - v_contract) < 1e-9 * (1 + abs(v_brute))
+print("polynomial:", v_poly)
+assert abs(v_poly - v_contract) < 1e-9 * (1 + abs(v_contract))
 
 # Leave ports dangling and the grid becomes a gadget.  Its signature
 # lists the Holant value for every assignment of the dangling ports.

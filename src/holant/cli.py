@@ -5,8 +5,10 @@ field; it is strict JSON, with any non-finite number reported as null.
 Exit code 0 means the verdict is a pass or a success, 1 means a
 mathematical failure verdict (distinguisher found, vanishing, not
 similar), 2 means a usage or input-format problem, including any input
-the library rejects.  main() is the one place that maps exceptions to
-exit 2 and the one place that encodes reports.
+the library rejects, or a stdout that cannot be written.  main() is the
+one place that maps exceptions to exit 2 and the one place that encodes
+reports; stderr carries only its "holant:" lines, library warnings
+included.
 
 Environment: HOLANT_TOL overrides the default tolerance.
 """
@@ -18,13 +20,13 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import serialize as sz
 from .grids import (
     SignatureGrid,
-    holant_eval,
     holant_eval_contracted,
     holant_polynomial,
 )
@@ -142,8 +144,7 @@ def _cmd_eval(args) -> dict:
     sigs = _load(args.sigs, _sigset)
     if not grid.is_closed():
         raise CliError("eval needs a closed grid (no dangling ports)")
-    fn = holant_eval if args.method == "brute" else holant_eval_contracted
-    return {"verdict": "ok", "q": grid.q, "method": args.method, "value": fn(grid, sigs)}
+    return {"verdict": "ok", "q": grid.q, "value": holant_eval_contracted(grid, sigs)}
 
 
 def _cmd_poly(args) -> dict:
@@ -162,11 +163,7 @@ def _cmd_poly(args) -> dict:
 def _cmd_hom(args) -> dict:
     x = _load(args.x, sz.graph_from_obj)
     g = _load(args.g, sz.graph_from_obj)
-    return {
-        "verdict": "ok",
-        "method": args.method,
-        "count": hom_count(x, g, args.method),
-    }
+    return {"verdict": "ok", "count": hom_count(x, g)}
 
 
 def _cmd_homdist(args) -> dict:
@@ -340,8 +337,6 @@ def _fixture_vanishing_witness() -> tuple[bool, dict]:
 
 
 def _fixture_epsilon_family() -> tuple[bool, dict]:
-    import warnings
-
     from .transforms import DefectiveSpectrumWarning
 
     d1 = epsilon_family_counterexample(0.0, 1.0, 1e-1).distance
@@ -357,12 +352,8 @@ def _fixture_epsilon_family() -> tuple[bool, dict]:
 
 def _fixture_hom_agreement() -> tuple[bool, dict]:
     k3 = complete_graph(3)
-    counts = (
-        hom_count(k3, k3, "holant"),
-        hom_count(k3, k3, "brute"),
-        hom_count(cycle_graph(4), complete_graph(2), "holant"),
-    )
-    return counts == (6, 6, 2), {"counts": list(counts)}
+    counts = (hom_count(k3, k3), hom_count(cycle_graph(4), complete_graph(2)))
+    return counts == (6, 2), {"counts": list(counts)}
 
 
 def _cmd_selftest(_args) -> dict:
@@ -436,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a closed grid")
     p.add_argument("grid")
     p.add_argument("--sigs", required=True)
-    p.add_argument("--method", choices=("brute", "contract"), default="contract")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("poly", help="expand a closed grid over symbolic entries")
@@ -446,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hom", help="count homomorphisms between two graphs")
     p.add_argument("--x", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--method", choices=("holant", "brute"), default="holant")
     p.set_defaults(fn=_cmd_hom)
 
     p = sub.add_parser("homdist", help="search for a bounded-degree distinguisher")
@@ -499,26 +488,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for the CLI: one holant: line per warning."""
+    print(f"holant: warning: {message}", file=sys.stderr)
+
+
+def _print_report(text: str) -> None:
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # nothing more can reach this stdout; point its descriptor at
+        # devnull, so the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CliError(f"cannot write stdout: {exc}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        report = _jsonify(args.fn(args))
-        text = sz.dumps(report)
-        print(text)
-        if args.output:
-            try:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            except OSError as exc:
-                raise CliError(f"cannot write {args.output}: {exc}")
-        return 0 if report["verdict"] in PASS_VERDICTS else 1
-    except (CliError, ValueError, TypeError, ArithmeticError, MemoryError) as exc:
-        # numpy's LinAlgError is a ValueError, OverflowError an
-        # ArithmeticError; numpy raises MemoryError up front for a shape
-        # it cannot allocate, Python's own MemoryError has no message
-        print(f"holant: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            report = _jsonify(args.fn(args))
+            text = sz.dumps(report)
+            _print_report(text)
+            if args.output:
+                try:
+                    with open(args.output, "w", encoding="utf-8") as fh:
+                        fh.write(text + "\n")
+                except OSError as exc:
+                    raise CliError(f"cannot write {args.output}: {exc}")
+            return 0 if report["verdict"] in PASS_VERDICTS else 1
+        except (CliError, ValueError, TypeError, ArithmeticError, MemoryError) as exc:
+            # numpy's LinAlgError is a ValueError, OverflowError an
+            # ArithmeticError; numpy raises MemoryError up front for a shape
+            # it cannot allocate, Python's own MemoryError has no message
+            print(f"holant: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

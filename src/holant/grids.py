@@ -49,6 +49,10 @@ class SignatureGrid:
             raise ValueError("domain size must be positive")
         if self.loops < 0:
             raise ValueError("loop count must be nonnegative")
+        if self.q >= 2 and self.loops >= 1024:
+            # 2**1024 already overflows a float, so no such grid has a
+            # finite value; refuse before anything builds the power
+            raise ValueError(f"{self.loops} loops at q={self.q}: q**loops is not a finite float")
 
     @property
     def profile(self) -> tuple[int, int]:
@@ -118,45 +122,6 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
                 f"binding {sig!r} has domain {out[sig].q}, grid has {grid.q}"
             )
     return out
-
-
-def _shapes_of(bindings: dict[str, MixedTensor]) -> dict[str, tuple[int, int]]:
-    return {k: v.shape for k, v in bindings.items()}
-
-
-# -- brute-force evaluation by edge assignment ---------------------------
-
-
-def _vertex_axis_tables(grid: SignatureGrid, shapes: dict[str, tuple[int, int]]):
-    """For each vertex, the assignment position that feeds each axis.
-
-    An assignment lists the edges' values, then the dangling slots',
-    left slots first; returns one tuple of positions per vertex.
-    """
-    tables = [[0] * sum(shapes[sig]) for sig in grid.vertices]
-    for eid, (u, i, v, j) in enumerate(grid.edges):
-        tables[u][i - 1] = eid
-        tables[v][shapes[grid.vertices[v]][0] + j - 1] = eid
-    first = len(grid.edges)
-    for k, (v, i) in enumerate(grid.left_dangling):
-        tables[v][i - 1] = first + k
-    first += len(grid.left_dangling)
-    for k, (v, j) in enumerate(grid.right_dangling):
-        tables[v][shapes[grid.vertices[v]][0] + j - 1] = first + k
-    return [tuple(t) for t in tables]
-
-
-def holant_eval(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
-    """Holant value of a closed grid, straight from the definition.
-
-    The closed case of gadget_signature(method="brute"): sums over all
-    edge assignments the product of vertex signature entries,
-    short-circuiting a term as soon as a factor is zero, then multiplies
-    by q per vertexless loop.
-    """
-    if not grid.is_closed():
-        raise ValueError("holant_eval needs a closed grid; use gadget_signature")
-    return complex(gadget_signature(grid, bindings, "brute").array)
 
 
 # -- pairwise tensor contraction -----------------------------------------
@@ -319,45 +284,16 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     return complex(_contract(grid, resolve_bindings(grid, bindings)))
 
 
-def gadget_signature(
-    grid: SignatureGrid, bindings: dict[str, MixedTensor], method: str = "contract"
-) -> MixedTensor:
+def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> MixedTensor:
     """Signature of a gadget: Holant values over its dangling assignments.
 
     Slot order follows the dangling stub order, left stubs then right.
-    method "brute" pins the dangling slots and sums assignments directly;
-    "contract" leaves them as free tensor axes, with the contraction plan
-    cached per (grid, shapes) as in holant_eval_contracted: a fixed-size
-    cache whose reuse never changes the signature.
+    The dangling slots stay free tensor axes of the contraction, whose
+    plan is cached per (grid, shapes) as in holant_eval_contracted: a
+    fixed-size cache whose reuse never changes the signature.
     """
-    b = resolve_bindings(grid, bindings)
     l, r = grid.profile
-    q = grid.q
-    if method == "contract":
-        return MixedTensor(q, l, r, _contract(grid, b))
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    shapes = _shapes_of(b)
-    grid.validate(shapes)
-    ne = len(grid.edges)
-    if q ** (ne + l + r) > MAX_ENTRIES:
-        raise ValueError(f"{q}^{ne + l + r} assignments exceeds the enumeration cap")
-    plans = list(zip((b[sig].array for sig in grid.vertices), _vertex_axis_tables(grid, shapes)))
-    out = np.zeros((q,) * (l + r), dtype=np.complex128)
-    for pins in itertools.product(range(q), repeat=l + r):
-        total = 0j
-        for assign in itertools.product(range(q), repeat=ne):
-            slots = assign + pins
-            term = 1 + 0j
-            for arr, axes in plans:
-                f = arr[tuple(slots[k] for k in axes)]
-                if f == 0:
-                    term = 0j
-                    break
-                term *= f
-            total += term
-        out[pins] = total * q**grid.loops
-    return MixedTensor(q, l, r, out)
+    return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))
 
 
 # -- quantum gadgets ------------------------------------------------------
@@ -388,11 +324,11 @@ class QuantumGadget:
     def profile(self) -> tuple[int, int]:
         return self.terms[0][1].profile
 
-    def signature(self, bindings: dict[str, MixedTensor], method: str = "contract") -> MixedTensor:
+    def signature(self, bindings: dict[str, MixedTensor]) -> MixedTensor:
         l, r = self.profile
         out = MixedTensor.zeros(self.q, l, r)
         for c, g in self.terms:
-            out = out + c * gadget_signature(g, bindings, method=method)
+            out = out + c * gadget_signature(g, bindings)
         return out
 
 
@@ -705,6 +641,15 @@ class HolantPolynomial:
 
     def sorted_items(self):
         return sorted(self.monomials.items())
+
+
+def _vertex_axis_tables(grid: SignatureGrid, shapes: dict[str, tuple[int, int]]):
+    """For each vertex of a closed grid, the edge that feeds each axis."""
+    tables = [[0] * sum(shapes[sig]) for sig in grid.vertices]
+    for eid, (u, i, v, j) in enumerate(grid.edges):
+        tables[u][i - 1] = eid
+        tables[v][shapes[grid.vertices[v]][0] + j - 1] = eid
+    return [tuple(t) for t in tables]
 
 
 def holant_polynomial(

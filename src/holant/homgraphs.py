@@ -22,9 +22,6 @@ import numpy as np
 from .grids import SignatureGrid, holant_eval_contracted
 from .tensors import MixedTensor, SymBoolSignature, equality_signature
 
-# Brute-force hom counting refuses to walk more maps than this.
-BRUTE_CAP = 10**8
-
 # Holant values for counting problems must sit this close to an integer.
 ROUND_TOL = 1e-6
 
@@ -173,29 +170,14 @@ def _round_count(value: complex, what: str) -> int:
     return int(target)
 
 
-def hom_count(x: SimpleGraph, g: SimpleGraph, method: str = "holant") -> int:
-    """Number of homomorphisms from x into g."""
-    if method == "holant":
-        if g.n < 1:
-            return 0 if x.n else 1
-        grid = hom_grid(x, g.n)
-        bindings = hom_bindings(g.adjacency(), x.max_degree())
-        bindings = {k: v for k, v in bindings.items() if k in set(grid.vertices)}
-        return _round_count(holant_eval_contracted(grid, bindings), "hom count")
-    if method == "brute":
-        if g.n**x.n > BRUTE_CAP:
-            raise ValueError(f"brute force over {g.n}**{x.n} maps refused")
-        a = g.adjacency()
-        total = 0
-        for sigma in itertools.product(range(g.n), repeat=x.n):
-            prod = 1.0
-            for (u, v) in x.edges:
-                prod *= a[sigma[u], sigma[v]]
-                if prod == 0.0:
-                    break
-            total += prod
-        return _round_count(complex(total), "hom count")
-    raise ValueError(f"unknown method {method!r}")
+def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
+    """Number of homomorphisms from x into g: the Holant value of hom_grid."""
+    if g.n < 1:
+        return 0 if x.n else 1
+    grid = hom_grid(x, g.n)
+    bindings = hom_bindings(g.adjacency(), x.max_degree())
+    bindings = {k: v for k, v in bindings.items() if k in set(grid.vertices)}
+    return _round_count(holant_eval_contracted(grid, bindings), "hom count")
 
 
 def matchings_signatures(max_arity: int, perfect: bool = False) -> dict[int, MixedTensor]:

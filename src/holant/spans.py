@@ -19,7 +19,6 @@ from holant.grids import (
     enumerate_gadgets,
     enumerate_grids,
     gadget_signature,
-    holant_eval,
     holant_eval_contracted,
 )
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
@@ -241,6 +240,8 @@ class IndistinguishabilityReport:
 
 
 def _check_correspondence(fs, gs, bijection):
+    if not fs:
+        raise ValueError("need at least one signature")
     if set(bijection) != set(fs) or set(bijection.values()) != set(gs):
         raise ValueError("bijection must map the first id set onto the second")
     for fid, gid in bijection.items():
@@ -258,7 +259,6 @@ def check_indistinguishable(
     bijection: dict[str, str],
     max_vertices: int,
     tol: float = 0.0,
-    method: str = "contract",
 ) -> IndistinguishabilityReport:
     """Compare Holant values grid by grid under the id correspondence.
 
@@ -267,15 +267,14 @@ def check_indistinguishable(
     tol * (1 + |value|) is returned as a witness.
     """
     _check_correspondence(fs, gs, bijection)
-    evaluate = holant_eval if method == "brute" else holant_eval_contracted
     gs_as_f = {fid: gs[gid] for fid, gid in bijection.items()}
     sig_shapes = sorted((name, t.shape) for name, t in fs.items())
     q = next(iter(fs.values())).q
     count = 0
     max_diff = 0.0
     for grid in enumerate_grids(sig_shapes, max_vertices, q):
-        vf = evaluate(grid, fs)
-        vg = evaluate(grid, gs_as_f)
+        vf = holant_eval_contracted(grid, fs)
+        vg = holant_eval_contracted(grid, gs_as_f)
         count += 1
         diff = abs(vf - vg)
         if diff > tol * (1 + abs(vf)):

@@ -28,6 +28,7 @@ from holant.transforms import (
     is_permutation_preserver,
     verify_holant_theorem,
 )
+from oracles import brute_hom_count
 
 
 def random_set(rng, q, max_sigs=3, max_arity=3):
@@ -199,7 +200,7 @@ def test_criterion_09_hom_agreement_corpus():
                 if rng.random() < 0.5
             ),
         )
-        assert hom_count(x, g, "holant") == hom_count(x, g, "brute")
+        assert hom_count(x, g) == brute_hom_count(x, g)
     k3 = complete_graph(3)
     assert hom_count(k3, k3) == 6
     assert hom_count(cycle_graph(4), complete_graph(2)) == 2

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from holant.tensors import (
     equality_signature,
 )
 from holant.transforms import HoloTransform
+from oracles import brute_holant_eval
 
 
 def run(capsys, argv):
@@ -76,22 +76,19 @@ def test_eval_vertexless_loop(capsys, tmp_path):
 
 
 def test_eval_methods_agree(capsys, tmp_path):
+    # eval against the brute evaluator on the same grid and bindings
     x = cycle_graph(4)
+    bindings = {
+        "eq2": equality_signature(2, 2, 0),
+        "A": MixedTensor(2, 0, 2, complete_graph(2).adjacency()),
+    }
     grid = write(tmp_path, "grid.json", grid_to_obj(hom_grid(x, 2)))
-    sigs = write(
-        tmp_path,
-        "sigs.json",
-        sigset_to_obj(
-            {
-                "eq2": equality_signature(2, 2, 0),
-                "A": MixedTensor(2, 0, 2, complete_graph(2).adjacency()),
-            }
-        ),
-    )
-    code1, rep1 = run(capsys, ["eval", grid, "--sigs", sigs, "--method", "contract"])
-    code2, rep2 = run(capsys, ["eval", grid, "--sigs", sigs, "--method", "brute"])
-    assert code1 == code2 == 0
-    assert rep1["value"] == rep2["value"] == [2.0, 0.0]
+    sigs = write(tmp_path, "sigs.json", sigset_to_obj(bindings))
+    code, rep = run(capsys, ["eval", grid, "--sigs", sigs])
+    want = brute_holant_eval(hom_grid(x, 2), bindings)
+    assert code == 0
+    assert rep == {"q": 2, "value": [want.real, want.imag], "verdict": "ok"}
+    assert rep["value"] == [2.0, 0.0]
 
 
 def test_eval_rejects_open_grid(capsys, tmp_path):
@@ -227,9 +224,7 @@ def test_hom_and_homdist(capsys, tmp_path):
     k4 = write(tmp_path, "k4.json", graph_to_obj(complete_graph(4)))
     c4 = write(tmp_path, "c4.json", graph_to_obj(cycle_graph(4)))
     code, rep = run(capsys, ["hom", "--x", k3, "--g", k3])
-    assert (code, rep["count"]) == (0, 6)
-    code, rep = run(capsys, ["hom", "--x", k3, "--g", k3, "--method", "brute"])
-    assert (code, rep["count"]) == (0, 6)
+    assert (code, rep) == (0, {"count": 6, "verdict": "ok"})
 
     code, rep = run(capsys, ["homdist", "--f", k4, "--g", c4, "--max-degree", "3", "--max-vertices", "3"])
     assert code == 1
@@ -275,13 +270,11 @@ def test_check_indist_pass_and_witness(capsys, tmp_path, counterexample_files):
     code, rep = run(capsys, ["check-indist", "--f", f2, "--g", g2, "--bijection", bij2, "--max-vertices", "3"])
     assert code == 1
     assert rep["verdict"] == "distinguished"
-    # the witness grid replays: evaluating it under both bindings
+    # the witness grid replays: the brute evaluator, under both bindings,
     # reproduces the reported values
-    from holant.grids import holant_eval
-
     witness = grid_from_obj(rep["witness_grid"])
-    vf = holant_eval(witness, {"e": fs["e"]})
-    vg = holant_eval(witness, {"e": gs["e"]})
+    vf = brute_holant_eval(witness, {"e": fs["e"]})
+    vg = brute_holant_eval(witness, {"e": gs["e"]})
     assert [vf.real, vf.imag] == rep["value_f"]
     assert [vg.real, vg.imag] == rep["value_g"]
     assert vf != vg
@@ -415,16 +408,14 @@ def strict_loads(text):
     [
         "homdist-degree-0",
         "poly-30-edges",
-        "eval-brute-30-edges",
-        "hom-brute-12-vertices",
         "bijection-list-value",
+        "check-indist-empty-sets",
         "entry-overflows-float",
     ],
 )
 def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
     k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
-    k12 = write(tmp_path, "k12.json", graph_to_obj(complete_graph(12)))
-    c12 = write(tmp_path, "c12.json", graph_to_obj(cycle_graph(12)))
+    empty = write(tmp_path, "empty.json", {})
     ring = write(
         tmp_path,
         "ring.json",
@@ -439,9 +430,9 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
     argv = {
         "homdist-degree-0": ["homdist", "--f", k3, "--g", k3, "--max-degree", "0", "--max-vertices", "3"],
         "poly-30-edges": ["poly", ring],
-        "eval-brute-30-edges": ["eval", ring, "--sigs", a, "--method", "brute"],
-        "hom-brute-12-vertices": ["hom", "--x", k12, "--g", c12, "--method", "brute"],
         "bijection-list-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij, "--max-vertices", "2"],
+        "check-indist-empty-sets": ["check-indist", "--f", empty, "--g", empty, "--bijection", empty,
+                                    "--max-vertices", "2"],
         "entry-overflows-float": ["eval", ring, "--sigs", huge],
     }[case]
     assert main(argv) == 2
@@ -461,6 +452,21 @@ def test_eval_has_no_tol_flag():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "x.json", "--sigs", "y.json", "--tol", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "x.json", "--sigs", "y.json", "--method", "contract"],
+        ["hom", "--x", "x.json", "--g", "y.json", "--method", "holant"],
+    ],
+    ids=["eval", "hom"],
+)
+def test_there_is_no_method_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch):
@@ -486,13 +492,31 @@ def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch
     "a, eps", [("1e300", "1e10"), ("1", "1e100")], ids=["entries", "eps-power"]
 )
 def test_counterexample_overflow_exits_2(capsys, a, eps):
-    # finite inputs whose scaled family overflows: a * eps**4 is not finite
-    with pytest.warns(UserWarning, match="condition number"):
-        code = main(["counterexample", "--a", a, "--b", "1", "--eps", eps])
+    # finite inputs whose scaled family overflows: a * eps**4 is not finite;
+    # the ill-conditioned diag(1/eps, eps) warns first, on a holant: line
+    code = main(["counterexample", "--a", a, "--b", "1", "--eps", eps])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "holant: a, b and eps overflow: the transformed family is not finite\n"
+    assert captured.err == (
+        f"holant: warning: transform condition number {float(eps) ** 2:.3e} exceeds 1e+08; "
+        "transformed values may lose digits\n"
+        "holant: a, b and eps overflow: the transformed family is not finite\n"
+    )
+
+
+def test_ill_conditioned_transform_warns_on_one_line(capsys, tmp_path):
+    sigs = write(tmp_path, "sigs.json", sigset_to_obj({"eq": equality_signature(2, 1, 1)}))
+    with pytest.warns(UserWarning, match="condition number"):
+        t = HoloTransform.diagonal([1e5, 1e-5])
+    mat = write(tmp_path, "t.json", transform_to_obj(t))
+    assert main(["transform", "--sigs", sigs, "--matrix", mat]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "ok"
+    assert captured.err == (
+        "holant: warning: transform condition number 1.000e+10 exceeds 1e+08; "
+        "transformed values may lose digits\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--a", "--b", "--eps"])
@@ -505,31 +529,61 @@ def test_counterexample_rejects_non_finite_input(capsys, flag, value):
     assert "finite" in captured.err
 
 
-def test_huge_arity_is_refused_before_the_power():
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from holant.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_limited(argv, **kwargs):
+    """The CLI in a fresh interpreter, under a 1 GiB address-space limit."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv], text=True, timeout=60, env=env, **kwargs
+    )
+
+
+def test_huge_arity_is_refused_before_the_power(tmp_path):
     # "left": 1e308 reads as a 1024-bit arity; q**slots would be a
     # gigantic integer, so the command must refuse it at once
     sigs = {"a": {"q": 2, "left": 1e308, "right": 1, "entries": [[1.0, 0.0]]}}
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from holant.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "sigs.json")
-        with open(path, "w") as out:
-            json.dump(sigs, out)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "vanishing", "--sigs", path,
-             "--profile", "1,1", "--max-vertices", "2"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+    path = write(tmp_path, "sigs.json", json.dumps(sigs))
+    proc = run_limited(["vanishing", "--sigs", path, "--profile", "1,1", "--max-vertices", "2"],
+                       capture_output=True)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "over the cap" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "poly"])
+def test_huge_loop_count_is_refused_before_the_power(tmp_path, command):
+    # 2**(10**18) would be built as a bigint before any float overflowed
+    grid = write(tmp_path, "grid.json", '{"q": 2, "loops": 1e18, "vertices": [], "edges": []}')
+    sigs = write(tmp_path, "sigs.json", "{}")
+    argv = {"eval": ["eval", grid, "--sigs", sigs], "poly": ["poly", grid]}[command]
+    proc = run_limited(argv, capture_output=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("holant: ") and proc.stderr.count("\n") == 1
+    assert "q**loops is not a finite float" in proc.stderr
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_limited(["counterexample", "--a", "1,0", "--b", "1", "--eps", "0.1"],
+                           stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("holant: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 # Small valid inputs for every file-reading subcommand; the fuzz test below
@@ -548,7 +602,7 @@ FUZZ_FIXTURES = {
 }
 
 FUZZ_COMMANDS = {
-    "eval": ["eval", "{grid}", "--sigs", "{sigs}", "--method", "brute"],
+    "eval": ["eval", "{grid}", "--sigs", "{sigs}"],
     "poly": ["poly", "{grid}"],
     "hom": ["hom", "--x", "{graph}", "--g", "{graph}"],
     "homdist": ["homdist", "--f", "{graph}", "--g", "{graph}", "--max-degree", "2",

@@ -27,10 +27,10 @@ from holant.grids import (
     enumerate_gadgets,
     enumerate_grids,
     gadget_signature,
-    holant_eval,
     holant_eval_contracted,
     holant_polynomial,
 )
+from oracles import brute_gadget_signature, brute_holant_eval
 
 
 def random_tensor(rng, q, left, right):
@@ -70,35 +70,56 @@ def random_closed_grid(rng, qmax=3, vmax=4, arity_max=3):
     return grid, bindings
 
 
-# -- brute-force evaluator ------------------------------------------------
+# -- evaluation semantics -------------------------------------------------
 
 
 def test_empty_grid_and_loops():
     empty = SignatureGrid(q=3, vertices=(), edges=())
-    assert holant_eval(empty, {}) == 1
+    assert holant_eval_contracted(empty, {}) == 1
     loop = SignatureGrid(q=3, vertices=(), edges=(), loops=1)
-    assert holant_eval(loop, {}) == 3
     assert holant_eval_contracted(loop, {}) == 3
+
+
+def test_loop_count_is_refused_once_the_factor_overflows():
+    # 2**1023 is still a float; 2**1024 is not, so q >= 2 with 1024 or
+    # more loops never has a finite value and is refused at construction
+    loops = SignatureGrid(q=2, vertices=(), edges=(), loops=1023)
+    assert holant_eval_contracted(loops, {}) == 2.0**1023
+    for q in (2, 5):
+        with pytest.raises(ValueError, match="loops"):
+            SignatureGrid(q=q, vertices=(), edges=(), loops=1024)
+    assert holant_eval_contracted(SignatureGrid(q=1, vertices=(), edges=(), loops=10**18), {}) == 1
+
+
+def test_oracle_matches_closed_forms():
+    # the brute evaluator the comparisons below trust, pinned by hand
+    assert brute_holant_eval(SignatureGrid(q=3, vertices=(), edges=(), loops=2), {}) == 9
+    for q in (1, 2, 4):
+        g = SignatureGrid(q=q, vertices=("i",), edges=((0, 1, 0, 1),))
+        assert brute_holant_eval(g, {"i": identity_signature(q)}) == q
+    g = SignatureGrid(q=3, vertices=("a", "b"), edges=((0, 1, 1, 1), (0, 2, 1, 2)))
+    b = {"a": disequality_signature(3, 2, 0), "b": disequality_signature(3, 0, 2)}
+    assert brute_holant_eval(g, b) == 6
 
 
 def test_identity_cycle_gives_q():
     # a single (1,1) vertex with its own output wired to its input: trace
     for q in (1, 2, 4):
         g = SignatureGrid(q=q, vertices=("i",), edges=((0, 1, 0, 1),))
-        assert holant_eval(g, {"i": identity_signature(q)}) == q
+        assert holant_eval_contracted(g, {"i": identity_signature(q)}) == q
 
 
 def test_equality_pair_value():
     # two binary equalities wired in parallel give q
     g = SignatureGrid(q=3, vertices=("a", "b"), edges=((0, 1, 1, 1), (0, 2, 1, 2)))
     b = {"a": equality_signature(3, 2, 0), "b": equality_signature(3, 0, 2)}
-    assert holant_eval(g, b) == 3
+    assert holant_eval_contracted(g, b) == 3
     # disequality against equality gives 0
     b2 = {"a": disequality_signature(3, 2, 0), "b": equality_signature(3, 0, 2)}
-    assert holant_eval(g, b2) == 0
+    assert holant_eval_contracted(g, b2) == 0
     # disequality against disequality counts ordered distinct pairs
     b3 = {"a": disequality_signature(3, 2, 0), "b": disequality_signature(3, 0, 2)}
-    assert holant_eval(g, b3) == 6
+    assert holant_eval_contracted(g, b3) == 6
 
 
 def test_matrix_cycle_is_trace_of_power():
@@ -112,7 +133,7 @@ def test_matrix_cycle_is_trace_of_power():
             edges=tuple((v, 1, (v + 1) % k, 1) for v in range(k)),
         )
         want = np.trace(np.linalg.matrix_power(a.matrix(), k))
-        assert abs(holant_eval(g, {"a": a}) - want) < 1e-9
+        assert abs(holant_eval_contracted(g, {"a": a}) - want) < 1e-9
 
 
 def test_disconnected_grids_multiply():
@@ -136,25 +157,25 @@ def test_disconnected_grids_multiply():
     )
     b = dict(b1)
     b.update({"o" + s: t for s, t in b2.items()})
-    v1, v2 = holant_eval(g1, b1), holant_eval(g2, b2)
-    assert abs(holant_eval(union, b) - v1 * v2) < 1e-8 * (1 + abs(v1 * v2))
+    v1, v2 = holant_eval_contracted(g1, b1), holant_eval_contracted(g2, b2)
+    assert abs(holant_eval_contracted(union, b) - v1 * v2) < 1e-8 * (1 + abs(v1 * v2))
 
 
 def test_validation_rejects_bad_port_usage():
     g = SignatureGrid(q=2, vertices=("e",), edges=((0, 1, 0, 1), (0, 1, 0, 2)))
     with pytest.raises(ValueError):
-        holant_eval(g, {"e": equality_signature(2, 2, 2)})
+        holant_eval_contracted(g, {"e": equality_signature(2, 2, 2)})
     g2 = SignatureGrid(q=2, vertices=("e",), edges=())
     with pytest.raises(ValueError):
-        holant_eval(g2, {"e": equality_signature(2, 1, 1)})
+        holant_eval_contracted(g2, {"e": equality_signature(2, 1, 1)})
 
 
 def test_missing_binding_and_domain_mismatch():
     g = SignatureGrid(q=2, vertices=("e",), edges=((0, 1, 0, 1),))
     with pytest.raises(ValueError):
-        holant_eval(g, {})
+        holant_eval_contracted(g, {})
     with pytest.raises(ValueError):
-        holant_eval(g, {"e": identity_signature(3)})
+        holant_eval_contracted(g, {"e": identity_signature(3)})
 
 
 # -- contraction engine agrees with the definition -------------------------
@@ -164,7 +185,7 @@ def test_contracted_agrees_with_brute_on_random_corpus():
     rng = np.random.default_rng(33)
     for _ in range(200):
         g, b = random_closed_grid(rng)
-        v1 = holant_eval(g, b)
+        v1 = brute_holant_eval(g, b)
         v2 = holant_eval_contracted(g, b)
         assert abs(v1 - v2) <= 1e-8 * (1 + abs(v1))
 
@@ -187,8 +208,8 @@ def test_gadget_signature_contract_agrees_with_brute():
             right_dangling=((v, j),),
             loops=g.loops,
         )
-        k1 = gadget_signature(grid, b, method="brute")
-        k2 = gadget_signature(grid, b, method="contract")
+        k1 = brute_gadget_signature(grid, b)
+        k2 = gadget_signature(grid, b)
         assert k1.allclose(k2, 1e-8 * (1 + k1.norm()))
 
 
@@ -254,7 +275,7 @@ def test_pairing_equals_holant_of_wired_closure():
         # after both compositions the grid is closed; fall back if r == 0
         if closed.profile != (0, 0):
             continue
-        val = holant_eval(closed, {"a": a, "b": b})
+        val = holant_eval_contracted(closed, {"a": a, "b": b})
         want = pair(a, b)
         assert abs(val - want) <= 1e-9 * (1 + abs(want))
 
@@ -303,8 +324,8 @@ def test_compose_disjoint_union_multiplies_holants():
     )
     union = compose(g1, g2, [])
     b = {**b1, **b2}
-    want = holant_eval(g1, b1) * holant_eval(g2, b2)
-    assert abs(holant_eval(union, b) - want) <= 1e-8 * (1 + abs(want))
+    want = holant_eval_contracted(g1, b1) * holant_eval_contracted(g2, b2)
+    assert abs(holant_eval_contracted(union, b) - want) <= 1e-8 * (1 + abs(want))
 
 
 def test_compose_rejects_slot_reuse():
@@ -818,7 +839,7 @@ def test_polynomial_evaluation_matches_holant():
         g, b = random_closed_grid(rng, qmax=2, vmax=3)
         poly = holant_polynomial(g, {s: t.shape for s, t in b.items()})
         v1 = poly.evaluate(b)
-        v2 = holant_eval(g, b)
+        v2 = brute_holant_eval(g, b)
         assert abs(v1 - v2) <= 1e-8 * (1 + abs(v2))
 
 

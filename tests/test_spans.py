@@ -8,7 +8,7 @@ reduce to squared Frobenius norms computable by hand.
 import numpy as np
 import pytest
 
-from holant.grids import QuantumGadget
+from holant.grids import QuantumGadget, enumerate_grids
 from holant.spans import (
     build_span,
     check_covanishing,
@@ -24,6 +24,7 @@ from holant.tensors import (
     identity_signature,
     pair,
 )
+from oracles import brute_holant_eval
 
 
 def mat_tensor(m, q):
@@ -219,13 +220,17 @@ def test_distinguishable_pair_yields_witness_grid():
 
 
 def test_brute_and_contract_methods_agree():
+    # the verdict of the contracted sweep, replayed grid by grid with the
+    # brute evaluator
     fs = counterexample_set(0.5, -2.0)
     gs = counterexample_set(0.0, 0.0)
-    bij = {"neq": "neq", "f": "f"}
-    r1 = check_indistinguishable(fs, gs, bij, 4, method="brute")
-    r2 = check_indistinguishable(fs, gs, bij, 4, method="contract")
-    assert r1.verdict == r2.verdict == "indistinguishable_at_bound"
-    assert r1.grids_checked == r2.grids_checked
+    report = check_indistinguishable(fs, gs, {"neq": "neq", "f": "f"}, 4)
+    grids = list(enumerate_grids(sorted((k, t.shape) for k, t in fs.items()), 4, 2))
+    assert report.verdict == "indistinguishable_at_bound"
+    assert report.grids_checked == len(grids)
+    for grid in grids:
+        vf, vg = brute_holant_eval(grid, fs), brute_holant_eval(grid, gs)
+        assert abs(vf - vg) <= 1e-9 * (1 + abs(vf))
 
 
 def test_correspondence_validation():
@@ -235,6 +240,13 @@ def test_correspondence_validation():
     bad = {"u": gs["u"], "v": MixedTensor.scalar(2, 1.0)}
     with pytest.raises(ValueError):
         check_indistinguishable(fs, bad, {"u": "u", "v": "v"}, 2)
+
+
+def test_empty_sets_are_refused():
+    with pytest.raises(ValueError, match="at least one signature"):
+        check_indistinguishable({}, {}, {}, 2)
+    with pytest.raises(ValueError, match="at least one signature"):
+        check_covanishing({}, {}, {}, (1, 1), 2)
 
 
 # -- check_covanishing ------------------------------------------------------------

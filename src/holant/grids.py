@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,9 +50,10 @@ class SignatureGrid:
             raise ValueError("domain size must be positive")
         if self.loops < 0:
             raise ValueError("loop count must be nonnegative")
-        if self.q >= 2 and self.loops >= 1024:
-            # 2**1024 already overflows a float, so no such grid has a
-            # finite value; refuse before anything builds the power
+        if self.q >= 2 and self.loops >= 1024 / math.log2(self.q):
+            # q**loops >= 2**1024 overflows a float, so no such grid has
+            # a finite value; refuse before anything builds the power
+            # (an int compares with a float exactly, at any size)
             raise ValueError(f"{self.loops} loops at q={self.q}: q**loops is not a finite float")
 
     @property

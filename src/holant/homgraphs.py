@@ -221,16 +221,10 @@ def _edge_bit(n: int, u: int, v: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-def _code_under(g: SimpleGraph, perm) -> int:
-    code = 0
-    for (u, v) in g.edges:
-        code |= 1 << _edge_bit(g.n, perm[u], perm[v])
-    return code
-
-
 def _refine_colors(g: SimpleGraph) -> list[int]:
-    """Iterated neighborhood refinement; equal colors bound the
-    permutations the canonical search must try."""
+    """Iterated neighborhood refinement.  A color is the rank of the key
+    (color, sorted neighbor colors) among all keys, so isomorphic graphs
+    get the same classes; canonical_code labels them in color order."""
     adj = [[] for _ in range(g.n)]
     for (u, v) in g.edges:
         adj[u].append(v)
@@ -249,28 +243,59 @@ def _refine_colors(g: SimpleGraph) -> list[int]:
 
 
 def canonical_code(g: SimpleGraph) -> int:
-    """Smallest adjacency bit code over all vertex relabelings."""
-    if g.n <= 1:
+    """Smallest adjacency bit code over the class-respecting relabelings.
+
+    Labels are handed out color class by color class, in the order of
+    `_refine_colors`, and the minimum is taken over every order within
+    each class.  That is not the minimum over all n! relabelings, but
+    it is the same for isomorphic graphs, since refinement colors are.
+
+    The code's high bits belong to the pairs whose smaller label is
+    large, so codes compare as the rows n-2, ..., 0 in turn, where row
+    k is the set of labels above k adjacent to the vertex labelled k.
+    The search hands out labels from n-1 down and keeps only the
+    prefixes whose new row ties for the smallest.  Two tied prefixes
+    that assigned the same vertices, and in which every unassigned
+    vertex is adjacent to the same assigned labels, have the same
+    futures and are merged.
+    """
+    n = g.n
+    if n <= 1:
         return 0
     colors = _refine_colors(g)
-    groups: dict[int, list[int]] = {}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    members: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
-        groups.setdefault(c, []).append(v)
-    ordered = [groups[c] for c in sorted(groups)]
-    best = None
-    # labels are handed out color class by color class; within a class
-    # every order is tried
-    for parts in itertools.product(*(itertools.permutations(grp) for grp in ordered)):
-        perm = [0] * g.n
-        label = 0
-        for part in parts:
-            for v in part:
-                perm[v] = label
-                label += 1
-        code = _code_under(g, perm)
-        if best is None or code < best:
-            best = code
-    return best
+        members.setdefault(c, []).append(v)
+    owner = sorted(colors)
+    # a state holds, per vertex, -1 once it has a label, else the bit
+    # mask of the assigned labels it is adjacent to
+    states = [(0,) * n]
+    code = 0
+    for k in range(n - 1, -1, -1):
+        best = 1 << n  # above every mask of labels
+        tied: set[tuple[int, ...]] = set()
+        for state in states:
+            for x in members[owner[k]]:
+                row = state[x]
+                if row < 0 or row > best:
+                    continue
+                if row < best:
+                    best = row
+                    tied = set()
+                nxt = list(state)
+                nxt[x] = -1
+                for w in nbrs[x]:
+                    if nxt[w] >= 0:
+                        nxt[w] |= 1 << k
+                tied.add(tuple(nxt))
+        states = tied
+        # row k holds labels v > k, from the bit of the pair (k, k+1) on
+        code |= best >> (k + 1) << _edge_bit(n, k, k + 1)
+    return code
 
 
 def _graph_of_code(n: int, code: int) -> SimpleGraph:

@@ -1,11 +1,13 @@
-"""Brute-force evaluators, kept only as oracles for the tests.
+"""Brute-force evaluators and searches, kept only as oracles for the tests.
 
 Each one computes its number straight from the definition: a sum over
 every assignment of domain values, of the product of the entries that
 assignment reads.  None of them shares evaluation code with the library:
 the assignment loops and the axis tables here are their own, so a
 library bug cannot hide in both.  Binding resolution and port validation
-are the library's, since those decide what a grid means, not its value.
+are the library's, since those decide what a grid means, not its value;
+so is color refinement, which decides the relabelings a canonical code
+ranges over.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import numpy as np
 
 from holant.grids import SignatureGrid, resolve_bindings
-from holant.homgraphs import SimpleGraph
+from holant.homgraphs import SimpleGraph, _refine_colors
 from holant.tensors import MAX_ENTRIES, MixedTensor
 
 # brute_hom_count refuses to walk more maps than this
@@ -91,3 +93,24 @@ def brute_hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
         all((sigma[u], sigma[v]) in adjacent for (u, v) in x.edges)
         for sigma in itertools.product(range(g.n), repeat=x.n)
     )
+
+
+def oracle_canonical_code(g: SimpleGraph) -> int:
+    """canonical_code by listing every relabeling it ranges over.
+
+    Labels go out color class by color class in refined color order,
+    and every order within each class is tried; the code of a labeling
+    sets bit i for the i-th pair of labels in combinations order.
+    """
+    if g.n <= 1:
+        return 0
+    bit = {pair: i for i, pair in enumerate(itertools.combinations(range(g.n), 2))}
+    colors = _refine_colors(g)
+    classes = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
+        label = {v: i for i, v in enumerate(itertools.chain(*parts))}
+        code = sum(1 << bit[tuple(sorted((label[u], label[v])))] for (u, v) in g.edges)
+        if best is None or code < best:
+            best = code
+    return best

@@ -572,6 +572,18 @@ def test_huge_loop_count_is_refused_before_the_power(tmp_path, command):
     assert "q**loops is not a finite float" in proc.stderr
 
 
+def test_loop_count_past_the_float_range_at_q3_is_refused(tmp_path):
+    # 3**1000 is no float although 1000 < 1024; the grid must be refused
+    # by the loop bound, not fail later in the contraction
+    grid = write(tmp_path, "grid.json", '{"q": 3, "loops": 1000, "vertices": [], "edges": []}')
+    sigs = write(tmp_path, "sigs.json", "{}")
+    proc = run_limited(["eval", grid, "--sigs", sigs], capture_output=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("holant: ") and proc.stderr.count("\n") == 1
+    assert "1000 loops at q=3: q**loops is not a finite float" in proc.stderr
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -81,13 +81,16 @@ def test_empty_grid_and_loops():
 
 
 def test_loop_count_is_refused_once_the_factor_overflows():
-    # 2**1023 is still a float; 2**1024 is not, so q >= 2 with 1024 or
-    # more loops never has a finite value and is refused at construction
-    loops = SignatureGrid(q=2, vertices=(), edges=(), loops=1023)
-    assert holant_eval_contracted(loops, {}) == 2.0**1023
-    for q in (2, 5):
-        with pytest.raises(ValueError, match="loops"):
-            SignatureGrid(q=q, vertices=(), edges=(), loops=1024)
+    # q**loops is a float until it reaches 2**1024, so a grid is refused
+    # at construction exactly when loops >= 1024 / log2(q)
+    for q, last in ((2, 1023), (3, 646), (16, 255)):
+        grid = SignatureGrid(q=q, vertices=(), edges=(), loops=last)
+        assert holant_eval_contracted(grid, {}) == float(q) ** last
+        for loops in (last + 1, 10**400):
+            with pytest.raises(ValueError, match=r"q\*\*loops is not a finite float"):
+                SignatureGrid(q=q, vertices=(), edges=(), loops=loops)
+    with pytest.raises(ValueError, match="loops"):
+        SignatureGrid(q=5, vertices=(), edges=(), loops=1024)
     assert holant_eval_contracted(SignatureGrid(q=1, vertices=(), edges=(), loops=10**18), {}) == 1
 
 

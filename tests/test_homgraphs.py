@@ -1,16 +1,21 @@
 """Homomorphism counting, matchings, and bounded-degree experiments.
 
 Brute-force map enumeration (tests/oracles.py) is the oracle for every
-grid-based count.
+grid-based count, and the product of in-class relabelings is the oracle
+for canonical_code's search.
 The connected-graph census for small n is cross-checked against a
 from-scratch edge-subset enumeration.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from holant import homgraphs
 from holant.grids import holant_eval_contracted
 from holant.homgraphs import (
     SimpleGraph,
@@ -29,7 +34,7 @@ from holant.homgraphs import (
     matchings_signatures,
     path_graph,
 )
-from oracles import brute_hom_count
+from oracles import brute_hom_count, oracle_canonical_code
 
 # the unique cospectral, nonsingular, non-isomorphic connected pair on
 # six vertices (exhaustive search over the census)
@@ -48,6 +53,22 @@ def brute_matchings(x: SimpleGraph, perfect: bool) -> int:
                 continue
             count += 1
     return count
+
+
+@st.composite
+def graphs(draw, max_n):
+    """A graph on at most max_n vertices whose edges are the set bits of
+    a drawn integer, so every density, empty and complete included."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return SimpleGraph(n, tuple(p for i, p in enumerate(pairs) if bits >> i & 1))
+
+
+def petersen_graph() -> SimpleGraph:
+    outer = tuple((i, (i + 1) % 5) for i in range(5))
+    inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    return SimpleGraph(10, outer + inner + tuple((i, i + 5) for i in range(5)))
 
 
 def random_graph(rng, n, p=0.5) -> SimpleGraph:
@@ -177,12 +198,51 @@ def test_isomorphism_detection():
     assert canonical_form(c5.relabel([3, 1, 4, 0, 2])).edges == canonical_form(c5).edges
 
 
-def test_canonical_code_is_relabeling_invariant():
-    rng = np.random.default_rng(89)
-    for _ in range(15):
-        g = random_graph(rng, 6)
-        perm = list(rng.permutation(6))
-        assert canonical_code(g) == canonical_code(g.relabel(perm))
+@settings(max_examples=300, deadline=None)
+@given(graphs(7))
+@example(SimpleGraph(7, ()))
+@example(complete_graph(7))
+@example(cycle_graph(7))
+# keeping a single tied prefix per level misses this graph's minimum
+@example(SimpleGraph(6, ((0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (3, 5), (4, 5))))
+def test_canonical_code_matches_the_product_oracle(g):
+    assert canonical_code(g) == oracle_canonical_code(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(12), st.randoms(use_true_random=False))
+@example(cycle_graph(12), random.Random(0))
+@example(petersen_graph(), random.Random(0))
+def test_canonical_code_is_relabeling_invariant(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert canonical_code(g) == canonical_code(g.relabel(perm))
+
+
+@pytest.mark.parametrize("args", [(7, 3), (6, None)])
+def test_census_is_the_one_built_with_the_oracle(monkeypatch, args):
+    mine = enumerate_connected_graphs(*args)
+    enumerate_connected_graphs.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(homgraphs, "canonical_code", oracle_canonical_code)
+            theirs = enumerate_connected_graphs(*args)
+    finally:
+        enumerate_connected_graphs.cache_clear()
+    assert mine == theirs
+
+
+def test_isomorphism_reaches_graphs_refinement_cannot_split():
+    # every vertex of these graphs stays in one color class, which the
+    # product of in-class relabelings could not search (10! and 12!)
+    rnd = np.random.default_rng(97)
+    pet = petersen_graph()
+    assert are_isomorphic(pet, pet.relabel(list(rnd.permutation(10))))
+    c12 = cycle_graph(12)
+    assert are_isomorphic(c12, c12.relabel(list(rnd.permutation(12))))
+    c6 = cycle_graph(6).edges
+    two_c6 = SimpleGraph(12, c6 + tuple((u + 6, v + 6) for u, v in c6))
+    assert not are_isomorphic(c12, two_c6)
 
 
 def test_connected_census_matches_known_counts():
@@ -191,6 +251,10 @@ def test_connected_census_matches_known_counts():
     for g in graphs:
         by_n[g.n] = by_n.get(g.n, 0) + 1
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    by_n = [0] * 8
+    for g in enumerate_connected_graphs(8, 3):
+        by_n[g.n - 1] += 1
+    assert by_n == [1, 1, 2, 6, 10, 29, 64, 194]
 
 
 def test_connected_census_against_subset_enumeration():

@@ -334,45 +334,6 @@ class QuantumGadget:
         return out
 
 
-def compose(g1: SignatureGrid, g2: SignatureGrid, pairing: list[tuple[int, int]]) -> SignatureGrid:
-    """Wire left slots of g1 onto right slots of g2 (both 1-based).
-
-    Each pair (i, j) joins g1's contravariant slot i to g2's covariant
-    slot j.  Unwired slots keep their order, g1's before g2's on both
-    sides.  The composite signature is the contraction of the two gadget
-    signatures at the wired slots.
-    """
-    if g1.q != g2.q:
-        raise ValueError("domain sizes differ")
-    n1 = len(g1.vertices)
-    used_l = [p[0] for p in pairing]
-    used_r = [p[1] for p in pairing]
-    if len(set(used_l)) != len(used_l) or len(set(used_r)) != len(used_r):
-        raise ValueError("pairing reuses a slot")
-    for i, j in pairing:
-        if not (1 <= i <= len(g1.left_dangling)):
-            raise ValueError(f"left slot {i} out of range")
-        if not (1 <= j <= len(g2.right_dangling)):
-            raise ValueError(f"right slot {j} out of range")
-    edges = list(g1.edges) + [(u + n1, i, v + n1, j) for (u, i, v, j) in g2.edges]
-    for i, j in pairing:
-        v1, p1 = g1.left_dangling[i - 1]
-        v2, p2 = g2.right_dangling[j - 1]
-        edges.append((v1, p1, v2 + n1, p2))
-    left = [s for k, s in enumerate(g1.left_dangling) if (k + 1) not in used_l]
-    left += [(v + n1, p) for (v, p) in g2.left_dangling]
-    right = list(g1.right_dangling)
-    right += [(v + n1, p) for k, (v, p) in enumerate(g2.right_dangling) if (k + 1) not in used_r]
-    return SignatureGrid(
-        q=g1.q,
-        vertices=g1.vertices + g2.vertices,
-        edges=tuple(edges),
-        left_dangling=tuple(left),
-        right_dangling=tuple(right),
-        loops=g1.loops + g2.loops,
-    )
-
-
 # -- enumeration of closed grids and gadgets -------------------------------
 
 
@@ -469,7 +430,6 @@ def enumerate_grids(
     sigs: list[tuple[str, tuple[int, int]]],
     max_vertices: int,
     q: int,
-    max_loops: int = 1,
 ):
     """All closed grids over the named signatures, up to isomorphism.
 
@@ -478,7 +438,7 @@ def enumerate_grids(
     is represented by its canonical code, the lexicographic minimum over
     those same-signature relabelings of the sorted edge tuple.  Yields in
     a deterministic order: by vertex count, then signature multiset, then
-    canonical code, each with loop counts 0..max_loops.
+    canonical code, each with loop counts 0 and 1.
     """
     sigs = sorted(sigs)
     ids = [s for s, _ in sigs]
@@ -500,7 +460,7 @@ def enumerate_grids(
                 codes.add(min(_relabeled_edge_keys(edges, perms, n, radix)))
             for code in sorted(codes):
                 edges = _unpack_edges(code, n, radix)
-                for loops in range(max_loops + 1):
+                for loops in (0, 1):
                     yield SignatureGrid(
                         q=q, vertices=tuple(sig_list), edges=edges, loops=loops
                     )
@@ -657,7 +617,6 @@ def _vertex_axis_tables(grid: SignatureGrid, shapes: dict[str, tuple[int, int]])
 def holant_polynomial(
     grid: SignatureGrid,
     shapes: dict[str, tuple[int, int]],
-    cap: int = MONOMIAL_CAP,
 ) -> HolantPolynomial:
     """Expand a closed grid's Holant value over symbolic signature entries."""
     if not grid.is_closed():
@@ -688,8 +647,8 @@ def holant_polynomial(
         else:
             mono = tuple(sorted(vars_used))
             poly.monomials[mono] = poly.monomials.get(mono, 0j) + coeff
-            if len(poly.monomials) > cap:
-                raise ValueError(f"polynomial exceeds {cap} monomials")
+            if len(poly.monomials) > MONOMIAL_CAP:
+                raise ValueError(f"polynomial exceeds {MONOMIAL_CAP} monomials")
             continue
     poly.monomials = {m: c for m, c in poly.monomials.items() if c != 0}
     return poly

@@ -28,11 +28,10 @@ ROUND_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected graph on vertices 0..n-1 with no multi-edges."""
+    """Undirected graph on vertices 0..n-1 with no loops or multi-edges."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    allow_loops: bool = False
 
     def __post_init__(self):
         if self.n < 0:
@@ -41,7 +40,7 @@ class SimpleGraph:
         for (u, v) in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v and not self.allow_loops:
+            if u == v:
                 raise ValueError(f"self-loop at {u} not allowed")
             norm.append((min(u, v), max(u, v)))
         if len(set(norm)) != len(norm):
@@ -56,7 +55,7 @@ class SimpleGraph:
         deg = [0] * self.n
         for (u, v) in self.edges:
             deg[u] += 1
-            deg[v] += 1  # a loop counts twice
+            deg[v] += 1
         return deg
 
     def max_degree(self) -> int:
@@ -67,9 +66,6 @@ class SimpleGraph:
         for (u, v) in self.edges:
             a[u, v] += 1.0
             a[v, u] += 1.0
-        if self.allow_loops:
-            # the double count above put 2 on the diagonal
-            a[np.diag_indices(self.n)] //= 2
         return a
 
     def is_connected(self) -> bool:
@@ -90,11 +86,7 @@ class SimpleGraph:
 
     def relabel(self, perm: list[int]) -> "SimpleGraph":
         """Image graph where old vertex v becomes perm[v]."""
-        return SimpleGraph(
-            self.n,
-            tuple((perm[u], perm[v]) for (u, v) in self.edges),
-            self.allow_loops,
-        )
+        return SimpleGraph(self.n, tuple((perm[u], perm[v]) for (u, v) in self.edges))
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -304,10 +296,6 @@ def _graph_of_code(n: int, code: int) -> SimpleGraph:
         (u, v) for u in range(n) for v in range(u + 1, n) if code >> _edge_bit(n, u, v) & 1
     )
     return SimpleGraph(n, edges)
-
-
-def canonical_form(g: SimpleGraph) -> SimpleGraph:
-    return _graph_of_code(g.n, canonical_code(g))
 
 
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:

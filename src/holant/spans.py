@@ -22,7 +22,7 @@ from holant.grids import (
     holant_eval_contracted,
 )
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
-from holant.tensors import MixedTensor, equality_signature, pair
+from holant.tensors import MixedTensor, pair
 
 
 @dataclass
@@ -71,7 +71,6 @@ def build_span(
     profile: tuple[int, int],
     max_vertices: int,
     indep_tol: float = INDEP_TOL,
-    q: int | None = None,
 ) -> GadgetSpan:
     """Span of gadget signatures over fs and bare wires, at the profile.
 
@@ -80,12 +79,10 @@ def build_span(
     its witness gadget.  Bare wires do not count against max_vertices.
     """
     qs = {t.q for t in fs.values()}
-    if q is not None:
-        qs.add(q)
     if len(qs) > 1:
         raise ValueError("signatures must share a domain size")
     if not qs:
-        raise ValueError("need a domain size; supply q or a signature")
+        raise ValueError("need a signature to fix the domain size")
     q = qs.pop()
     sig_shapes = sorted((name, t.shape) for name, t in fs.items())
     l, r = profile
@@ -374,136 +371,4 @@ def check_covanishing(
         witness_signature_f=wf,
         witness_signature_g=wg,
         max_cross_residual=cross,
-    )
-
-
-# -- conjugate dual certificates --------------------------------------------------
-
-
-@dataclass
-class DualCertificate:
-    dual: MixedTensor
-    pairing_value: complex
-    padded_norm_sq: float
-    witness: QuantumGadget
-    witness_bindings: dict[str, MixedTensor]
-
-
-def _find_member(fs: dict[str, MixedTensor], target: MixedTensor):
-    for name in sorted(fs):
-        t = fs[name]
-        if t.q == target.q and t.shape == target.shape and t.allclose(target, 1e-8):
-            return name
-    return None
-
-
-def dual_nonvanishing_certificate(
-    fs: dict[str, MixedTensor], k: MixedTensor
-) -> DualCertificate:
-    """Build a partner gadget that pairs with k to a positive number.
-
-    Needs fs closed under entrywise conjugation, the contravariant binary
-    equality available to raise slots, and (when k has left slots) some
-    nonsingular covariant binary signature to pad them.  The dual is the
-    conjugated, padded reflection of k; its pairing with k equals the
-    squared norm of the padded tensor, which is positive for nonzero k.
-    """
-    if not fs:
-        raise ValueError("need a nonempty signature set")
-    q = k.q
-    for name, t in fs.items():
-        if t.q != q:
-            raise ValueError("signature domain sizes must match k")
-        if _find_member(fs, t.conj()) is None:
-            raise ValueError(
-                f"set is not conjugate closed: no partner for {name!r}"
-            )
-    if k.norm() == 0:
-        raise ValueError("k is zero; every pairing with it vanishes")
-    eq20 = equality_signature(q, 2, 0)
-    eq_name = _find_member(fs, eq20)
-    if eq_name is None:
-        raise ValueError("contravariant binary equality is not available in the set")
-    l, r = k.shape
-
-    pad_name = None
-    if l > 0:
-        eq02 = equality_signature(q, 0, 2)
-        pad_name = _find_member(fs, eq02)
-        if pad_name is None:
-            for name in sorted(fs):
-                t = fs[name]
-                if t.shape == (0, 2):
-                    sing = np.linalg.svd(t.matrix().reshape(q, q), compute_uv=False)
-                    if sing[-1] > 1e-9 * max(1.0, sing[0]):
-                        pad_name = name
-                        break
-        if pad_name is None:
-            raise ValueError(
-                "no nonsingular covariant binary signature available for padding"
-            )
-    amat = fs[pad_name].array.reshape(q, q) if pad_name else None
-
-    # padded = k with each left slot lowered through the pad matrix
-    arr = k.array
-    for i in range(l):
-        arr = np.tensordot(amat, arr, axes=([1], [i]))
-        arr = np.moveaxis(arr, 0, i)
-    padded_norm_sq = float(np.sum(np.abs(arr) ** 2))
-    if padded_norm_sq <= (1e-8 * max(1.0, k.norm())) ** 2:
-        raise ValueError("padding annihilated k; the pad signature is too singular")
-
-    dual_arr = np.conj(arr)
-    for _ in range(l):
-        dual_arr = np.tensordot(dual_arr, amat, axes=([0], [0]))
-    dual = MixedTensor(q, r, l, dual_arr)
-    value = pair(k, dual)
-    if abs(value - padded_norm_sq) > 1e-8 * (1 + padded_norm_sq):
-        raise ArithmeticError("dual pairing failed to reproduce the padded norm")
-
-    # witness gadget: conj(k) raised through equalities, padded both ways
-    conj_pad_name = _find_member(fs, fs[pad_name].conj()) if pad_name else None
-    core_name = _find_member(fs, k.conj())
-    if core_name is None:
-        core_name = "dual_core"
-        while core_name in fs:
-            core_name += "_"
-    bindings = {core_name: k.conj(), eq_name: eq20}
-    if pad_name:
-        bindings[pad_name] = fs[pad_name]
-        bindings[conj_pad_name] = fs[conj_pad_name]
-    vertices = [core_name]
-    edges = []
-    right_dangling = []
-    left_dangling = []
-    for i in range(1, l + 1):
-        a_i = len(vertices)
-        vertices.append(pad_name)
-        ca_i = len(vertices)
-        vertices.append(conj_pad_name)
-        e_i = len(vertices)
-        vertices.append(eq_name)
-        edges.append((0, i, ca_i, 2))  # conj core's left slot into conj pad
-        edges.append((e_i, 1, a_i, 1))  # equality bridges the two pads
-        edges.append((e_i, 2, ca_i, 1))
-        right_dangling.append((a_i, 2))
-    for j in range(1, r + 1):
-        e_j = len(vertices)
-        vertices.append(eq_name)
-        edges.append((e_j, 2, 0, j))  # raise conj core's right slot
-        left_dangling.append((e_j, 1))
-    grid = SignatureGrid(
-        q=q,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        left_dangling=tuple(left_dangling),
-        right_dangling=tuple(right_dangling),
-    )
-    witness = QuantumGadget(((1.0, grid),))
-    return DualCertificate(
-        dual=dual,
-        pairing_value=value,
-        padded_norm_sq=padded_norm_sq,
-        witness=witness,
-        witness_bindings=bindings,
     )

@@ -242,119 +242,7 @@ def symmetric_values(t: MixedTensor, tol: float = DEFAULT_TOL) -> tuple[complex,
     return tuple(vals)
 
 
-# -- subdomains --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubdomainMask:
-    """A subset of the domain [q], kept as a sorted tuple of elements."""
-
-    q: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elems = tuple(sorted(self.elements))
-        object.__setattr__(self, "elements", elems)
-        if self.q < 1:
-            raise ValueError("ambient domain must be nonempty")
-        if len(set(elems)) != len(elems):
-            raise ValueError("mask elements must be distinct")
-        if elems and (elems[0] < 0 or elems[-1] >= self.q):
-            raise ValueError(f"mask elements must lie in [0, {self.q})")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def restrict(t: MixedTensor, mask: SubdomainMask) -> MixedTensor:
-    """Keep only entries whose indices all lie in the mask; domain shrinks."""
-    if mask.q != t.q:
-        raise ValueError(f"mask is over q={mask.q}, tensor over q={t.q}")
-    if len(mask) == 0:
-        raise ValueError("cannot restrict to an empty domain")
-    n = t.arity
-    if n == 0:
-        return MixedTensor.scalar(len(mask), complex(t.array))
-    sel = np.ix_(*([list(mask.elements)] * n))
-    return MixedTensor(len(mask), t.left, t.right, t.array[sel])
-
-
-def embed_uparrow(t: MixedTensor, mask: SubdomainMask) -> MixedTensor:
-    """Zero-pad onto the ambient domain, placing t's domain at the mask.
-
-    Inverse to restrict on the masked block: restrict(embed_uparrow(t, m), m)
-    gives back t.
-    """
-    if len(mask) != t.q:
-        raise ValueError(
-            f"mask selects {len(mask)} elements but the tensor domain has {t.q}"
-        )
-    n = t.arity
-    _check_size(mask.q, n)
-    if n == 0:
-        return MixedTensor.scalar(mask.q, complex(t.array))
-    arr = np.zeros((mask.q,) * n, dtype=np.complex128)
-    arr[np.ix_(*([list(mask.elements)] * n))] = t.array
-    return MixedTensor(mask.q, t.left, t.right, arr)
-
-
-def subdomain_restrictor(mask: SubdomainMask) -> MixedTensor:
-    """The (1,1) projector fixing the mask and killing its complement."""
-    arr = np.zeros((mask.q, mask.q), dtype=np.complex128)
-    for x in mask.elements:
-        arr[x, x] = 1.0
-    return MixedTensor(mask.q, 1, 1, arr)
-
-
-def direct_sum(f: MixedTensor, g: MixedTensor) -> MixedTensor:
-    """Disjoint-domain sum: mixed index tuples get entry 0."""
-    if f.shape != g.shape:
-        raise ValueError(f"direct sum needs equal shapes, got {f.shape} vs {g.shape}")
-    q = f.q + g.q
-    n = f.arity
-    _check_size(q, n)
-    if n == 0:
-        return MixedTensor.scalar(q, complex(f.array) + complex(g.array))
-    arr = np.zeros((q,) * n, dtype=np.complex128)
-    arr[np.ix_(*([range(f.q)] * n))] = f.array
-    arr[np.ix_(*([range(f.q, q)] * n))] = g.array
-    return MixedTensor(q, f.left, f.right, arr)
-
-
-# -- multiplicative structure ------------------------------------------
-
-
-def tensor_product(a: MixedTensor, b: MixedTensor) -> MixedTensor:
-    """Tensor product; left slots of a then of b, same for right slots."""
-    if a.q != b.q:
-        raise ValueError(f"domain mismatch: {a.q} vs {b.q}")
-    _check_size(a.q, a.arity + b.arity)
-    big = np.multiply.outer(a.array, b.array)
-    # outer order is (La, Ra, Lb, Rb); we want (La, Lb, Ra, Rb)
-    la, ra, lb, rb = a.left, a.right, b.left, b.right
-    perm = (
-        list(range(la))
-        + list(range(la + ra, la + ra + lb))
-        + list(range(la, la + ra))
-        + list(range(la + ra + lb, la + ra + lb + rb))
-    )
-    return MixedTensor(a.q, la + lb, ra + rb, np.transpose(big, perm))
-
-
-def contract(t: MixedTensor, left_slot: int, right_slot: int) -> MixedTensor:
-    """Sum left slot i against right slot j (both 1-based).
-
-    Remaining slots keep their relative order.  Contracting the identity
-    (1,1) against itself gives the scalar q.
-    """
-    if not (1 <= left_slot <= t.left):
-        raise ValueError(f"left slot {left_slot} out of range 1..{t.left}")
-    if not (1 <= right_slot <= t.right):
-        raise ValueError(f"right slot {right_slot} out of range 1..{t.right}")
-    ax1 = left_slot - 1
-    ax2 = t.left + right_slot - 1
-    arr = np.trace(t.array, axis1=ax1, axis2=ax2)
-    return MixedTensor(t.q, t.left - 1, t.right - 1, arr)
+# -- pairing ----------------------------------------------------------
 
 
 def pair(a: MixedTensor, b: MixedTensor) -> complex:
@@ -368,13 +256,3 @@ def pair(a: MixedTensor, b: MixedTensor) -> complex:
     if a.left != b.right or a.right != b.left:
         raise ValueError(f"pairing needs transposed shapes, got {a.shape} vs {b.shape}")
     return complex(np.trace(a.matrix() @ b.matrix()))
-
-
-def dagger(t: MixedTensor) -> MixedTensor:
-    """Conjugate entries and swap the slot groups: (l,r) becomes (r,l).
-
-    pair(t, dagger(t)) is then the squared Frobenius norm of t.
-    """
-    perm = list(range(t.left, t.arity)) + list(range(t.left))
-    arr = np.conj(np.transpose(t.array, perm)) if t.arity else np.conj(t.array)
-    return MixedTensor(t.q, t.right, t.left, arr)

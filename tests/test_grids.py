@@ -23,7 +23,6 @@ from holant.grids import (
     _components_all_dangle,
     _contraction_plan,
     _port_matchings,
-    compose,
     enumerate_gadgets,
     enumerate_grids,
     gadget_signature,
@@ -258,88 +257,16 @@ def test_pairing_equals_holant_of_wired_closure():
         l, r = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         a = random_tensor(rng, q, l, r)
         b = random_tensor(rng, q, r, l)
-        ga = SignatureGrid(
+        # a's left slots onto b's right slots, b's left slots onto a's right slots
+        closed = SignatureGrid(
             q=q,
-            vertices=("a",),
-            edges=(),
-            left_dangling=tuple((0, i) for i in range(1, l + 1)),
-            right_dangling=tuple((0, j) for j in range(1, r + 1)),
+            vertices=("a", "b"),
+            edges=tuple((0, i, 1, i) for i in range(1, l + 1))
+            + tuple((1, j, 0, j) for j in range(1, r + 1)),
         )
-        gb = SignatureGrid(
-            q=q,
-            vertices=("b",),
-            edges=(),
-            left_dangling=tuple((0, i) for i in range(1, r + 1)),
-            right_dangling=tuple((0, j) for j in range(1, l + 1)),
-        )
-        # wire a's left slots onto b's right slots and vice versa
-        closed = compose(ga, gb, [(i, i) for i in range(1, l + 1)])
-        closed = compose(gb, closed, [(i, i) for i in range(1, r + 1)]) if r else closed
-        # after both compositions the grid is closed; fall back if r == 0
-        if closed.profile != (0, 0):
-            continue
         val = holant_eval_contracted(closed, {"a": a, "b": b})
         want = pair(a, b)
         assert abs(val - want) <= 1e-9 * (1 + abs(want))
-
-
-def test_compose_signature_is_contraction_of_signatures():
-    rng = np.random.default_rng(38)
-    q = 2
-    a = random_tensor(rng, q, 2, 1)
-    b = random_tensor(rng, q, 1, 2)
-    ga = SignatureGrid(
-        q=q,
-        vertices=("a",),
-        edges=(),
-        left_dangling=((0, 1), (0, 2)),
-        right_dangling=((0, 1),),
-    )
-    gb = SignatureGrid(
-        q=q,
-        vertices=("b",),
-        edges=(),
-        left_dangling=((0, 1),),
-        right_dangling=((0, 1), (0, 2)),
-    )
-    comp = compose(ga, gb, [(1, 2)])  # a's left slot 1 onto b's right slot 2
-    got = gadget_signature(comp, {"a": a, "b": b})
-    want = np.einsum("xlr,bsx->lbrs", a.array, b.array)
-    # remaining slots: a-left 2, b-left 1 then a-right 1, b-right 1
-    assert got.shape == (2, 2)
-    assert np.allclose(got.array, want)
-
-
-def test_compose_disjoint_union_multiplies_holants():
-    rng = np.random.default_rng(39)
-    g1, b1 = random_closed_grid(rng)
-    while g1.q != 2:
-        g1, b1 = random_closed_grid(rng)
-    g2, b2 = random_closed_grid(rng)
-    while g2.q != 2:
-        g2, b2 = random_closed_grid(rng)
-    b2 = {"o" + s: t for s, t in b2.items()}
-    g2 = SignatureGrid(
-        q=2,
-        vertices=tuple("o" + s for s in g2.vertices),
-        edges=g2.edges,
-        loops=g2.loops,
-    )
-    union = compose(g1, g2, [])
-    b = {**b1, **b2}
-    want = holant_eval_contracted(g1, b1) * holant_eval_contracted(g2, b2)
-    assert abs(holant_eval_contracted(union, b) - want) <= 1e-8 * (1 + abs(want))
-
-
-def test_compose_rejects_slot_reuse():
-    g = SignatureGrid(
-        q=2, vertices=("e",), edges=(), left_dangling=((0, 1), (0, 2))
-    )
-    h = SignatureGrid(
-        q=2, vertices=("e2",), edges=(), right_dangling=((0, 1), (0, 2))
-    )
-    with pytest.raises(ValueError):
-        compose(g, h, [(1, 1), (1, 2)])
 
 
 def test_quantum_gadget_signature_is_linear():
@@ -614,8 +541,8 @@ def test_enumeration_yields_valid_distinct_deterministic():
 
 
 def test_enumeration_loop_cap():
-    grids = list(enumerate_grids([], 0, q=2, max_loops=3))
-    assert [g.loops for g in grids] == [0, 1, 2, 3]
+    grids = list(enumerate_grids([], 0, q=2))
+    assert [g.loops for g in grids] == [0, 1]
 
 
 def test_gadget_enumeration_profiles_and_wires():
@@ -689,7 +616,7 @@ def oracle_canonical_code(sig_list, edges, left_dangling, right_dangling):
     return best
 
 
-def oracle_enumerate_grids(sigs, max_vertices, q, max_loops=1):
+def oracle_enumerate_grids(sigs, max_vertices, q):
     """Same candidates as enumerate_grids, canonicalized by the oracle."""
     for n in range(max_vertices + 1):
         for multiset in itertools.combinations_with_replacement(sorted(sigs), n):
@@ -704,7 +631,7 @@ def oracle_enumerate_grids(sigs, max_vertices, q, max_loops=1):
                 for m in _port_matchings(sig_list, lports, rports)
             }
             for edges, _, _ in sorted(codes):
-                for loops in range(max_loops + 1):
+                for loops in (0, 1):
                     yield SignatureGrid(q=q, vertices=tuple(sig_list), edges=edges, loops=loops)
 
 
@@ -857,11 +784,12 @@ def test_polynomial_merges_coefficients():
         assert [s for s, _ in mono] == ["e", "e2"]
 
 
-def test_polynomial_monomial_cap():
+def test_polynomial_monomial_cap(monkeypatch):
+    monkeypatch.setattr("holant.grids.MONOMIAL_CAP", 2)
     g = SignatureGrid(
         q=2,
         vertices=("u", "v"),
         edges=((0, 1, 1, 1), (0, 2, 1, 2)),
     )
     with pytest.raises(ValueError):
-        holant_polynomial(g, {"u": (2, 0), "v": (0, 2)}, cap=2)
+        holant_polynomial(g, {"u": (2, 0), "v": (0, 2)})

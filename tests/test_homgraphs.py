@@ -22,7 +22,6 @@ from holant.homgraphs import (
     are_isomorphic,
     bounded_degree_distinguisher,
     canonical_code,
-    canonical_form,
     complete_graph,
     count_matchings,
     cycle_graph,
@@ -88,7 +87,6 @@ def test_graph_validation():
         SimpleGraph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="loop"):
         SimpleGraph(3, ((1, 1),))
-    SimpleGraph(3, ((1, 1),), allow_loops=True)
 
 
 def test_graph_basics():
@@ -127,7 +125,7 @@ def test_hom_self_map_counts_automorphisms_at_least():
         assert hom_count(g, g) >= 1
 
 
-def test_hom_methods_agree_on_random_corpus():
+def test_hom_count_matches_the_oracle_on_random_corpus():
     rng = np.random.default_rng(71)
     for _ in range(60):
         x = random_graph(rng, int(rng.integers(1, 6)))
@@ -195,7 +193,7 @@ def test_isomorphism_detection():
     c5 = cycle_graph(5)
     assert are_isomorphic(c5, c5.relabel([3, 1, 4, 0, 2]))
     assert not are_isomorphic(cycle_graph(4), path_graph(4))
-    assert canonical_form(c5.relabel([3, 1, 4, 0, 2])).edges == canonical_form(c5).edges
+    assert canonical_code(c5.relabel([3, 1, 4, 0, 2])) == canonical_code(c5)
 
 
 @settings(max_examples=300, deadline=None)

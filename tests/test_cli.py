@@ -75,7 +75,7 @@ def test_eval_vertexless_loop(capsys, tmp_path):
     assert rep["value"] == [3.0, 0.0]
 
 
-def test_eval_matches_the_brute_oracle(capsys, tmp_path):
+def test_eval_methods_agree(capsys, tmp_path):
     # eval against the brute evaluator on the same grid and bindings
     x = cycle_graph(4)
     bindings = {

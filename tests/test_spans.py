@@ -211,7 +211,7 @@ def test_distinguishable_pair_yields_witness_grid():
     assert report.value_g == pytest.approx(2.0)
 
 
-def test_indistinguishable_verdict_matches_the_brute_oracle():
+def test_brute_and_contract_methods_agree():
     # the verdict of the contracted sweep, replayed grid by grid with the
     # brute evaluator
     fs = counterexample_set(0.5, -2.0)

@@ -128,11 +128,17 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
 
 # -- pairwise tensor contraction -----------------------------------------
 
-# Plans kept by the cache.  Checkers evaluate a whole family of structures
-# under one binding and then under another, so a plan is reused only if
-# the cache holds the family: 600 closed grids over three shapes at bound 4,
-# 1754 closed grids and 1548 (4,0)-gadgets of the arity-4 counterexample at
-# bound 6.  Full, the cache added about 12 MB to the peak memory.
+# Entries kept by each of the two plan caches.  Plans are cached per
+# (grid, shapes).  Checkers evaluate a whole family of structures under
+# one binding and then under another, so a plan is reused when the cache
+# holds the family: 600 closed grids over three shapes at bound 4, 1754
+# closed grids and 1548 (4,0)-gadgets of the arity-4 counterexample at
+# bound 6.  Skeletons are cached per structure, ignoring q >= 2, the loop
+# count and the stub order.  A plan missing from its cache, because it
+# was evicted or its grid is new (a hom grid built for another target
+# size, a gadget with its stubs reordered), is then derived from a cached
+# skeleton without a new greedy search.  After a counterexample-spans pass (tracemalloc), the 4096
+# plans held about 10 MB and the pass's 1363 skeletons about 3 MB.
 PLAN_CACHE_SIZE = 4096
 
 
@@ -156,97 +162,164 @@ class ContractionPlan(NamedTuple):
     factor: int
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _contraction_plan(
-    grid: SignatureGrid, shapes: tuple[tuple[str, tuple[int, int]], ...]
-) -> ContractionPlan:
-    """Validate grid against the (id, shape) pairs and plan its contraction.
+class PlanSkeleton(NamedTuple):
+    """The part of a contraction plan that depends on structure alone.
 
-    Uses the structure only, never signature values.  Every self-edge is
-    traced first; then the greedy order repeatedly contracts the node pair
-    whose result tensor is smallest, the first such pair in node order.
+    traces and outer are as in ContractionPlan.
+    steps: (u, perm_u, v, perm_v, shared) per pairwise contraction, where
+        shared counts the axes summed over; each operand keeps the rest.
+    outer_ranks: the number of axes of each node in outer.
+    left_pos, right_pos: for each dangling (vertex, port), the axis of the
+        outer product that carries it.
+    """
+
+    traces: tuple[tuple[int, int, int], ...]
+    steps: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
+    outer: tuple[int, ...]
+    outer_ranks: tuple[int, ...]
+    left_pos: dict[Stub, int]
+    right_pos: dict[Stub, int]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan_skeleton(
+    vertices: tuple[str, ...],
+    edges: tuple[Edge, ...],
+    left: tuple[Stub, ...],
+    right: tuple[Stub, ...],
+    shapes: tuple[tuple[str, tuple[int, int]], ...],
+    q: int,
+) -> PlanSkeleton:
+    """Greedy contraction order of a validated grid structure.
+
+    left and right are the dangling stubs in any fixed order (callers
+    pass them sorted); q is 1 or 2.  Every self-edge is traced first; then
+    the greedy order repeatedly contracts the node pair whose result
+    tensor is smallest, q**rank entries, the first such pair in node
+    order.  Since q**rank is strictly increasing in rank for every q >= 2,
+    q = 2 gives the order of every larger q; at q = 1 every pair ties.
     """
     shape_of = dict(shapes)
-    grid.validate(shape_of)
-    q = grid.q
     # one int label per vertex port, numbered so each vertex's labels list
     # its axes in order: left ports, then right ports
     start: list[int] = []
     labels: list[list[int] | None] = []
     owner: list[int] = []
-    for v, sig in enumerate(grid.vertices):
+    for v, sig in enumerate(vertices):
         l, r = shape_of[sig]
         start.append(len(owner))
         labels.append(list(range(len(owner), len(owner) + l + r)))
         owner += [v] * (l + r)
 
-    def right(v: int, j: int) -> int:
-        return start[v] + shape_of[grid.vertices[v]][0] + j - 1
-
-    edges = [(start[u] + i - 1, right(v, j)) for (u, i, v, j) in grid.edges]
-    open_labels = [start[v] + i - 1 for (v, i) in grid.left_dangling] + [
-        right(v, j) for (v, j) in grid.right_dangling
-    ]
+    def right_label(v: int, j: int) -> int:
+        return start[v] + shape_of[vertices[v]][0] + j - 1
 
     traces = []
-    self_edges = [e for e in edges if owner[e[0]] == owner[e[1]]]
-    for la, lb in sorted(self_edges, key=lambda e: owner[e[0]]):
+    pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    self_edges = []
+    for k, (u, i, v, j) in enumerate(edges):
+        e = (k, start[u] + i - 1, right_label(v, j))
+        if u == v:
+            self_edges.append(e)
+        else:
+            pairs.setdefault((min(u, v), max(u, v)), []).append(e)
+    for _, la, lb in sorted(self_edges, key=lambda e: owner[e[1]]):
         ls = labels[owner[la]]
         p1, p2 = sorted((ls.index(la), ls.index(lb)))
         traces.append((owner[la], p1, p2))
         ls.remove(la)
         ls.remove(lb)
-    edges = [e for e in edges if owner[e[0]] != owner[e[1]]]
 
+    # pairs maps each pair of nodes joined by an edge to those edges, in
+    # the grid's edge order; a merge re-keys only the pairs it touches
     steps = []
-    while edges:
-        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for e in edges:
-            u, v = owner[e[0]], owner[e[1]]
-            pairs.setdefault((min(u, v), max(u, v)), []).append(e)
-        best = None
-        for (u, v), shared in sorted(pairs.items()):
-            cost = q ** (len(labels[u]) + len(labels[v]) - 2 * len(shared))
-            if best is None or cost < best[0]:
-                best = (cost, u, v, shared)
-        cost, u, v, shared = best
-        if cost > MAX_ENTRIES:
-            raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
+    while pairs:
+        u, v = min(pairs, key=lambda p: (
+            q ** (len(labels[p[0]]) + len(labels[p[1]]) - 2 * len(pairs[p])), p
+        ))
+        shared = pairs.pop((u, v))
         lu, lv = labels[u], labels[v]
         ax_u, ax_v = [], []
-        for la, lb in shared:
+        for _, la, lb in shared:
             if owner[la] != u:
                 la, lb = lb, la
             ax_u.append(lu.index(la))
             ax_v.append(lv.index(lb))
         keep_u = [k for k in range(len(lu)) if k not in ax_u]
         keep_v = [k for k in range(len(lv)) if k not in ax_v]
-        steps.append((
-            u, tuple(keep_u + ax_u), (q ** len(keep_u), q ** len(ax_u)),
-            v, tuple(ax_v + keep_v), (q ** len(ax_v), q ** len(keep_v)),
-            (q,) * (len(keep_u) + len(keep_v)),
-        ))
+        steps.append((u, tuple(keep_u + ax_u), v, tuple(ax_v + keep_v), len(shared)))
+        w = len(labels)
         merged = [lu[k] for k in keep_u] + [lv[k] for k in keep_v]
         for lbl in merged:
-            owner[lbl] = len(labels)
+            owner[lbl] = w
         labels[u] = labels[v] = None
         labels.append(merged)
-        # every edge between u and v is in shared and self-edges were
-        # traced up front, so the merged node has none
-        edges = [e for e in edges if e not in shared]
+        # every edge between u and v was in shared, so the merged node
+        # has no self-edge; each other node's edges to u and v join
+        for a, b in [p for p in pairs if u in p or v in p]:
+            x = b if a in (u, v) else a
+            pairs[(x, w)] = sorted(pairs.get((x, w), []) + pairs.pop((a, b)))
 
     outer = tuple(nid for nid, ls in enumerate(labels) if ls is not None)
+    remaining = [lbl for nid in outer for lbl in labels[nid]]
+    position = {lbl: k for k, lbl in enumerate(remaining)}
+    return PlanSkeleton(
+        tuple(traces),
+        tuple(steps),
+        outer,
+        tuple(len(labels[nid]) for nid in outer),
+        {(v, i): position[start[v] + i - 1] for (v, i) in left},
+        {(v, j): position[right_label(v, j)] for (v, j) in right},
+    )
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _contraction_plan(
+    grid: SignatureGrid, shapes: tuple[tuple[str, tuple[int, int]], ...]
+) -> ContractionPlan:
+    """Validate grid against the (id, shape) pairs and plan its contraction.
+
+    Uses the structure only, never signature values.  Plans are cached
+    here per (grid, shapes).  The greedy order inside comes from
+    _plan_skeleton, cached per structure and shared by every grid that
+    differs from this one only in q >= 2, its loop count or the order of
+    its dangling stubs.  None of them can change which pair is contracted
+    next: the greedy compares result sizes q**rank, which order as the
+    ranks do for every q >= 2; loops never enter the network; and the
+    stub order only says which free axis carries which slot.  This
+    specializes the skeleton to q, checks each intermediate tensor and
+    then the outer product against MAX_ENTRIES in contraction order, and
+    orders the free axes by the stubs.
+    """
+    grid.validate(dict(shapes))
+    q = grid.q
+    sk = _plan_skeleton(
+        grid.vertices, grid.edges,
+        tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling)),
+        shapes, min(q, 2),
+    )
+    steps = []
+    for u, perm_u, v, perm_v, shared in sk.steps:
+        keep_u, keep_v = len(perm_u) - shared, len(perm_v) - shared
+        cost = q ** (keep_u + keep_v)
+        if cost > MAX_ENTRIES:
+            raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
+        steps.append((
+            u, perm_u, (q**keep_u, q**shared),
+            v, perm_v, (q**shared, q**keep_v),
+            (q,) * (keep_u + keep_v),
+        ))
     size = 1
-    remaining: list[int] = []
-    for nid in outer:
-        if size * q ** len(labels[nid]) > MAX_ENTRIES:
+    for rank in sk.outer_ranks:
+        if size * q**rank > MAX_ENTRIES:
             raise ValueError("outer product exceeds the entry cap")
-        size *= q ** len(labels[nid])
-        remaining += labels[nid]
-    perm = tuple(remaining.index(lbl) for lbl in open_labels)
-    if sorted(perm) != list(range(len(remaining))):
+        size *= q**rank
+    perm = tuple(sk.left_pos[s] for s in grid.left_dangling) + tuple(
+        sk.right_pos[s] for s in grid.right_dangling
+    )
+    if sorted(perm) != list(range(sum(sk.outer_ranks))):
         raise ValueError("open labels do not match the remaining axes")
-    return ContractionPlan(tuple(traces), tuple(steps), outer, perm, q**grid.loops)
+    return ContractionPlan(sk.traces, tuple(steps), sk.outer, perm, q**grid.loops)
 
 
 def _execute(plan: ContractionPlan, arrays: list[np.ndarray]) -> np.ndarray:
@@ -276,10 +349,13 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     """Holant value of a closed grid via pairwise tensor contraction.
 
     The contraction order is planned from the grid and its signature
-    shapes alone and cached per (grid, shapes) in a least-recently-used
-    cache of PLAN_CACHE_SIZE plans, shared with gadget_signature.  A
-    reused plan replays the same arithmetic, so the value does not depend
-    on whether the plan was cached.
+    shapes alone, in two least-recently-used caches of PLAN_CACHE_SIZE
+    entries each, shared with gadget_signature.  Plans are cached per
+    (grid, shapes); on a miss, the plan is specialized to q from a
+    skeleton cached per structure, ignoring q >= 2 and the loop count:
+    the greedy order compares sizes q**rank, which order as the ranks do
+    for every q >= 2.  A reused plan or skeleton replays the same
+    arithmetic, so the value does not depend on either cache.
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
@@ -290,9 +366,12 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     """Signature of a gadget: Holant values over its dangling assignments.
 
     Slot order follows the dangling stub order, left stubs then right.
-    The dangling slots stay free tensor axes of the contraction, whose
-    plan is cached per (grid, shapes) as in holant_eval_contracted: a
-    fixed-size cache whose reuse never changes the signature.
+    The dangling slots stay free tensor axes of the contraction, planned
+    and cached as in holant_eval_contracted.  The skeleton also ignores
+    the order of the stubs, which decides only the final transpose of
+    the free axes, never which pair is contracted next; so the gadgets
+    that differ only in slot order share one.  Neither cache's reuse
+    changes the signature.
     """
     l, r = grid.profile
     return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))

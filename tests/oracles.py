@@ -7,7 +7,9 @@ the assignment loops and the axis tables here are their own, so a
 library bug cannot hide in both.  Binding resolution and port validation
 are the library's, since those decide what a grid means, not its value;
 so is color refinement, which decides the relabelings a canonical code
-ranges over.
+ranges over.  oracle_contraction_plan is the contraction planner as a
+plain, uncached greedy loop, the reference for the library's cached
+plans.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from holant.grids import SignatureGrid, resolve_bindings
+from holant.grids import ContractionPlan, SignatureGrid, resolve_bindings
 from holant.homgraphs import SimpleGraph, _refine_colors
 from holant.tensors import MAX_ENTRIES, MixedTensor
 
@@ -114,3 +116,99 @@ def oracle_canonical_code(g: SimpleGraph) -> int:
         if best is None or code < best:
             best = code
     return best
+
+
+def oracle_contraction_plan(
+    grid: SignatureGrid, shapes: tuple[tuple[str, tuple[int, int]], ...]
+) -> ContractionPlan:
+    """grids._contraction_plan as it was before plans were split into a
+    cached skeleton and a specialization: uncached, and rebuilding and
+    re-sorting every node pair on every greedy step.
+
+    Validates grid against the (id, shape) pairs and plans its
+    contraction from the structure only, never signature values.  Every
+    self-edge is traced first; then the greedy order repeatedly contracts
+    the node pair whose result tensor is smallest, the first such pair in
+    node order.
+    """
+    shape_of = dict(shapes)
+    grid.validate(shape_of)
+    q = grid.q
+    # one int label per vertex port, numbered so each vertex's labels list
+    # its axes in order: left ports, then right ports
+    start: list[int] = []
+    labels: list[list[int] | None] = []
+    owner: list[int] = []
+    for v, sig in enumerate(grid.vertices):
+        l, r = shape_of[sig]
+        start.append(len(owner))
+        labels.append(list(range(len(owner), len(owner) + l + r)))
+        owner += [v] * (l + r)
+
+    def right(v: int, j: int) -> int:
+        return start[v] + shape_of[grid.vertices[v]][0] + j - 1
+
+    edges = [(start[u] + i - 1, right(v, j)) for (u, i, v, j) in grid.edges]
+    open_labels = [start[v] + i - 1 for (v, i) in grid.left_dangling] + [
+        right(v, j) for (v, j) in grid.right_dangling
+    ]
+
+    traces = []
+    self_edges = [e for e in edges if owner[e[0]] == owner[e[1]]]
+    for la, lb in sorted(self_edges, key=lambda e: owner[e[0]]):
+        ls = labels[owner[la]]
+        p1, p2 = sorted((ls.index(la), ls.index(lb)))
+        traces.append((owner[la], p1, p2))
+        ls.remove(la)
+        ls.remove(lb)
+    edges = [e for e in edges if owner[e[0]] != owner[e[1]]]
+
+    steps = []
+    while edges:
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for e in edges:
+            u, v = owner[e[0]], owner[e[1]]
+            pairs.setdefault((min(u, v), max(u, v)), []).append(e)
+        best = None
+        for (u, v), shared in sorted(pairs.items()):
+            cost = q ** (len(labels[u]) + len(labels[v]) - 2 * len(shared))
+            if best is None or cost < best[0]:
+                best = (cost, u, v, shared)
+        cost, u, v, shared = best
+        if cost > MAX_ENTRIES:
+            raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
+        lu, lv = labels[u], labels[v]
+        ax_u, ax_v = [], []
+        for la, lb in shared:
+            if owner[la] != u:
+                la, lb = lb, la
+            ax_u.append(lu.index(la))
+            ax_v.append(lv.index(lb))
+        keep_u = [k for k in range(len(lu)) if k not in ax_u]
+        keep_v = [k for k in range(len(lv)) if k not in ax_v]
+        steps.append((
+            u, tuple(keep_u + ax_u), (q ** len(keep_u), q ** len(ax_u)),
+            v, tuple(ax_v + keep_v), (q ** len(ax_v), q ** len(keep_v)),
+            (q,) * (len(keep_u) + len(keep_v)),
+        ))
+        merged = [lu[k] for k in keep_u] + [lv[k] for k in keep_v]
+        for lbl in merged:
+            owner[lbl] = len(labels)
+        labels[u] = labels[v] = None
+        labels.append(merged)
+        # every edge between u and v is in shared and self-edges were
+        # traced up front, so the merged node has none
+        edges = [e for e in edges if e not in shared]
+
+    outer = tuple(nid for nid, ls in enumerate(labels) if ls is not None)
+    size = 1
+    remaining: list[int] = []
+    for nid in outer:
+        if size * q ** len(labels[nid]) > MAX_ENTRIES:
+            raise ValueError("outer product exceeds the entry cap")
+        size *= q ** len(labels[nid])
+        remaining += labels[nid]
+    perm = tuple(remaining.index(lbl) for lbl in open_labels)
+    if sorted(perm) != list(range(len(remaining))):
+        raise ValueError("open labels do not match the remaining axes")
+    return ContractionPlan(tuple(traces), tuple(steps), outer, perm, q**grid.loops)

@@ -19,7 +19,7 @@ from holant.homgraphs import (
 )
 from holant.simsim import algebra_closure, is_11_nonvanishing, recover_transform, trace_words_equal
 from holant.spans import check_covanishing, check_indistinguishable, gram_nondegenerate
-from holant.tensors import MixedTensor, SymBoolSignature, disequality_signature, equality_signature
+from holant.tensors import MixedTensor, SymBoolSignature, disequality_signature
 from holant.transforms import (
     HoloTransform,
     epsilon_family_counterexample,

@@ -15,14 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holant.cli import main
-from holant.grids import gadget_signature
 from holant.serialize import (
     dumps,
     gadget_from_obj,
     graph_to_obj,
     grid_from_obj,
     grid_to_obj,
-    matrix_to_obj,
     sigset_to_obj,
     signature_from_obj,
     transform_to_obj,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from holant.grids import (
     SignatureGrid,
     _components_all_dangle,
     _contraction_plan,
+    _plan_skeleton,
     _port_matchings,
     enumerate_gadgets,
     enumerate_grids,
@@ -29,7 +31,7 @@ from holant.grids import (
     holant_eval_contracted,
     holant_polynomial,
 )
-from oracles import brute_gadget_signature, brute_holant_eval
+from oracles import brute_gadget_signature, brute_holant_eval, oracle_contraction_plan
 
 
 def random_tensor(rng, q, left, right):
@@ -397,24 +399,30 @@ def test_contracted_equals_oracle_on_closed_family():
     assert len(grids) == 600
     rng = np.random.default_rng(41)
     _contraction_plan.cache_clear()
+    _plan_skeleton.cache_clear()
     for _ in range(2):  # plans made on the first pass are replayed on the second
         fs = {sid: random_tensor(rng, 3, *sh) for sid, sh in sigs}
         for g in grids:
             assert holant_eval_contracted(g, fs) == complex(oracle_contract(g, fs))
     assert _contraction_plan.cache_info().hits == len(grids)
+    # each structure comes with loops 0 and 1, which share a skeleton
+    assert _plan_skeleton.cache_info().misses == 300
 
 
 def test_gadget_signature_equals_oracle_on_counterexample_family():
     sigs = [("neq", (2, 0)), ("f", (0, 4))]
     gadgets = list(enumerate_gadgets(sigs, (4, 0), 5, q=2))
-    assert gadgets
+    assert len(gadgets) == 1548
     rng = np.random.default_rng(42)
     _contraction_plan.cache_clear()
+    _plan_skeleton.cache_clear()
     for _ in range(2):
         fs = {"neq": disequality_signature(2, 2, 0), "f": random_tensor(rng, 2, 0, 4)}
         for g in gadgets:
             assert np.array_equal(gadget_signature(g, fs).array, oracle_contract(g, fs))
     assert _contraction_plan.cache_info().hits == len(gadgets)
+    # gadgets that differ only in the order of their stubs share a skeleton
+    assert _plan_skeleton.cache_info().misses == 65
 
 
 @st.composite
@@ -439,6 +447,81 @@ def test_contraction_equals_oracle_on_random_sets(case):
     else:
         for g in itertools.islice(enumerate_gadgets(sigs, profile, max_vertices, q), 150):
             assert np.array_equal(gadget_signature(g, fs).array, oracle_contract(g, fs))
+
+
+def plan_or_error(plan, grid, shapes):
+    try:
+        return plan(grid, shapes)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# (signatures, profile, max_vertices): the test families above, the
+# arity-4 counterexample's, and a few with wires, unary and empty shapes
+PLANNED_FAMILIES = [
+    ([("s0", (1, 1)), ("s1", (2, 1)), ("s2", (1, 2))], (0, 0), 4),
+    ([("neq", (2, 0)), ("f", (0, 4))], (0, 0), 5),
+    ([("neq", (2, 0)), ("f", (0, 4))], (4, 0), 5),
+    ([("a", (2, 2))], (0, 0), 3),
+    ([("a", (2, 2))], (2, 2), 2),
+    ([("x", (2, 1)), ("y", (0, 3))], (1, 2), 3),
+    ([("e", (0, 0)), ("p", (1, 0)), ("r", (1, 1)), ("t", (0, 2))], (1, 1), 3),
+]
+
+
+@functools.cache
+def planned_family(k):
+    sigs, profile, max_vertices = PLANNED_FAMILIES[k]
+    if profile == (0, 0):
+        return list(enumerate_grids(sigs, max_vertices, 2))
+    return list(enumerate_gadgets(sigs, profile, max_vertices, 2))
+
+
+@st.composite
+def planned_grids(draw):
+    """A grid or gadget from the enumerators, respecified with its edges
+    and stubs shuffled, another q and another loop count, and its shapes
+    as _contract passes them."""
+    k = draw(st.integers(0, len(PLANNED_FAMILIES) - 1))
+    g = draw(st.sampled_from(planned_family(k)))
+    shape_of = dict(PLANNED_FAMILIES[k][0], **{WIRE_ID: (1, 1)})
+    grid = SignatureGrid(
+        q=draw(st.sampled_from([1, 2, 3, 10, 16])),
+        vertices=g.vertices,
+        edges=draw(st.permutations(g.edges)),
+        left_dangling=draw(st.permutations(g.left_dangling)),
+        right_dangling=draw(st.permutations(g.right_dangling)),
+        loops=draw(st.integers(0, 3)),
+    )
+    return grid, tuple(sorted({sid: shape_of[sid] for sid in grid.vertices}.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=planned_grids())
+def test_cached_plan_equals_reference_planner(case):
+    grid, shapes = case
+    assert plan_or_error(_contraction_plan, grid, shapes) == plan_or_error(
+        oracle_contraction_plan, grid, shapes
+    )
+
+
+def test_plan_cap_is_checked_at_each_q():
+    # contracting u and v leaves 3 + 4 free axes: 2**7 entries at q=2,
+    # 16**7 at q=16, over the cap; both q share one skeleton
+    shapes = (("u", (1, 3)), ("v", (0, 5)))
+    stubs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5))
+    small, large = (
+        SignatureGrid(q=q, vertices=("u", "v"), edges=((0, 1, 1, 1),), right_dangling=stubs)
+        for q in (2, 16)
+    )
+    assert _contraction_plan(small, shapes) == oracle_contraction_plan(small, shapes)
+    with pytest.raises(ValueError) as got:
+        _contraction_plan(large, shapes)
+    with pytest.raises(ValueError) as want:
+        oracle_contraction_plan(large, shapes)
+    assert str(got.value) == str(want.value) == (
+        f"intermediate tensor of {16**7} entries exceeds the cap"
+    )
 
 
 def test_plan_cache_keys_on_shapes():

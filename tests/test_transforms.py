@@ -10,12 +10,10 @@ from holant import (
     disequality_signature,
     equality_signature,
     identity_signature,
-    symmetric_values,
 )
 from holant.grids import SignatureGrid, gadget_signature
 from holant.transforms import (
     DefectiveSpectrumWarning,
-    EpsilonCounterexampleReport,
     HoloTransform,
     IllConditionedTransformWarning,
     epsilon_family_counterexample,

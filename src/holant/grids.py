@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -416,39 +417,110 @@ class QuantumGadget:
 # -- enumeration of closed grids and gadgets -------------------------------
 
 
-def _group_permutations(sig_list: list[str]) -> list[tuple[int, ...]]:
-    """All vertex relabelings that permute equal signature ids only."""
-    groups: list[list[int]] = []
-    start = 0
-    for k in range(1, len(sig_list) + 1):
-        if k == len(sig_list) or sig_list[k] != sig_list[start]:
-            groups.append(list(range(start, k)))
-            start = k
-    perms = []
-    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = list(range(len(sig_list)))
-        for g, image in zip(groups, combo):
-            for src, dst in zip(g, image):
-                perm[src] = dst
-        perms.append(tuple(perm))
-    return perms
+def _id_runs(sig_list: list[str]) -> list[int]:
+    """For each vertex, the first index of its run of equal signature ids.
 
-
-def _relabeled_edge_keys(edges, perms, n: int, radix: int) -> list[tuple[int, ...]]:
-    """Each relabeling's edge list as a sorted tuple of packed integers.
-
-    Under p the edge (u, i, v, j) packs to ((p[u]*radix + i)*n + p[v])*radix
-    + j.  With every port below radix and every vertex below n this orders
-    as the tuple (p[u], i, p[v], j) does, so the packed tuples compare as
-    the sorted relabeled edge lists would.
+    sig_list is sorted, so the vertices of each id are contiguous and a
+    same-id relabeling permutes each run's labels among its own vertices.
     """
-    rn = radix * n
-    high = rn * radix
-    packed = [(u, i * rn + j, v) for (u, i, v, j) in edges]
-    return [
-        tuple(sorted([p[u] * high + c + p[v] * radix for (u, c, v) in packed]))
-        for p in perms
-    ]
+    run: list[int] = []
+    for v, sig in enumerate(sig_list):
+        run.append(run[-1] if v and sig == sig_list[v - 1] else v)
+    return run
+
+
+def _canonical_search(run: list[int], edges, radix: int, labelings: bool):
+    """Smallest packed edge code over same-id relabelings, by a search.
+
+    The code of a relabeling p is the sorted tuple of packed keys
+    ((p[u]*radix + i)*n + p[v])*radix + j, one per edge (u, i, v, j);
+    with every port below radix and every vertex below n it orders as
+    the tuple (p[u], i, p[v], j) does.  Sorted, the keys fall into blocks:
+    block k is the edges out of the vertex labelled k, in port order.
+
+    Labels are handed out 0..n-1 upward.  When label k is still free, the
+    search branches over the unlabelled vertices of its run.  A target
+    without a label gets the smallest free label of its run: any other
+    makes that key, and so the code, larger.  Only the branches whose
+    block k ties for the smallest are kept.  Distinct branches extend
+    distinct partial labelings, so no two kept states coincide.  A block
+    is compared with a key above every key appended: in gadgets some left
+    ports dangle, and a block that is a proper prefix of another is
+    followed by a key of label k+1, so it sorts after.
+
+    A run none of whose vertices has an edge out has only empty blocks,
+    so it is not branched on: its labels go out in order as its vertices
+    are first reached as targets, and the vertices never reached take the
+    rest in any order.
+
+    Returns the code and, if labelings is set, every relabeling that
+    reaches it, each as the tuple p; otherwise None.
+    """
+    n = len(run)
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, i, v, j) in sorted(edges):
+        out[u].append((i, v, j))
+    end = [0] * n
+    for v in range(n):
+        end[run[v]] = v + 1
+    branch = [False] * n
+    for v in range(n):
+        if out[v]:
+            branch[run[v]] = True
+    top = radix * n * radix * n
+    # a state is (label of each vertex or -1, next free label of each run)
+    states = [([-1] * n, list(run))]
+    code: list[int] = []
+    for k in range(n):
+        s = run[k]
+        if not branch[s]:
+            continue
+        best = None
+        tied = []
+        base = k * radix
+        for lab, nxt in states:
+            if nxt[s] > k:
+                choices = [lab.index(k)]
+            else:
+                choices = [v for v in range(s, end[s]) if lab[v] < 0]
+            for x in choices:
+                lab2, nxt2 = lab[:], nxt[:]
+                if lab2[x] < 0:
+                    lab2[x] = k
+                    nxt2[s] = k + 1
+                block = []
+                for i, t, j in out[x]:
+                    lt = lab2[t]
+                    if lt < 0:
+                        r = run[t]
+                        lt = lab2[t] = nxt2[r]
+                        nxt2[r] = lt + 1
+                    block.append(((base + i) * n + lt) * radix + j)
+                block.append(top)
+                if best is None or block < best:
+                    best = block
+                    tied = [(lab2, nxt2)]
+                elif block == best:
+                    tied.append((lab2, nxt2))
+        states = tied
+        code += best[:-1]
+    if not labelings:
+        return tuple(code), None
+    reaching = []
+    for lab, nxt in states:
+        # the vertices never reached take their runs' free labels in
+        # every order
+        idle = [v for v in range(n) if lab[v] < 0]
+        orders = [
+            itertools.permutations(range(nxt[s], end[s]))
+            for s in range(n) if end[s] and nxt[s] < end[s]
+        ]
+        for combo in itertools.product(*orders):
+            p = lab[:]
+            for v, label in zip(idle, itertools.chain(*combo)):
+                p[v] = label
+            reaching.append(tuple(p))
+    return tuple(code), reaching
 
 
 def _unpack_edges(keys: tuple[int, ...], n: int, radix: int) -> tuple[Edge, ...]:
@@ -475,7 +547,8 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
     if nl != len(free_right):
         return
     out: list[tuple[Stub, Stub]] = []
-    touched = [v in set(pretouched) for v in range(len(sig_list))]
+    pretouched = set(pretouched)
+    touched = [v in pretouched for v in range(len(sig_list))]
 
     def rec(k):
         if k == nl:
@@ -505,6 +578,14 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
     yield from rec(0)
 
 
+# Finished closed-grid families, least recently used first, keyed on
+# (sorted (id, shape) pairs, bound, q).  verify_holant_theorem walks the
+# whole family on every call; the arity-4 counterexample's family at
+# bound 6 holds 1754 grids in about 1 MB (tracemalloc).
+GRID_FAMILY_CACHE_SIZE = 8
+_closed_families: OrderedDict[tuple, tuple[SignatureGrid, ...]] = OrderedDict()
+
+
 def enumerate_grids(
     sigs: list[tuple[str, tuple[int, int]]],
     max_vertices: int,
@@ -518,11 +599,35 @@ def enumerate_grids(
     those same-signature relabelings of the sorted edge tuple.  Yields in
     a deterministic order: by vertex count, then signature multiset, then
     canonical code, each with loop counts 0 and 1.
+
+    Each port matching is canonicalized by _canonical_search, a search
+    over tied prefixes of the code that visits only the relabelings
+    whose blocks tie for the smallest, not every relabeling.  A walk that
+    runs to the end stores its family in a least-recently-used memo of
+    GRID_FAMILY_CACHE_SIZE families, keyed on (sorted (id, shape) pairs,
+    max_vertices, q); a later walk with the same key replays it.  A walk
+    stopped early stays lazy and stores nothing.
     """
-    sigs = sorted(sigs)
+    sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]
     if len(set(ids)) != len(ids):
         raise ValueError("signature ids must be distinct")
+    key = (tuple(sigs), max_vertices, q)
+    family = _closed_families.get(key)
+    if family is not None:
+        _closed_families.move_to_end(key)
+        yield from family
+        return
+    walked = []
+    for grid in _closed_grids(sigs, max_vertices, q):
+        walked.append(grid)
+        yield grid
+    _closed_families[key] = tuple(walked)
+    if len(_closed_families) > GRID_FAMILY_CACHE_SIZE:
+        _closed_families.popitem(last=False)
+
+
+def _closed_grids(sigs, max_vertices, q):
     for n in range(max_vertices + 1):
         for multiset in itertools.combinations_with_replacement(sigs, n):
             sig_list = [s for s, _ in multiset]
@@ -532,11 +637,11 @@ def enumerate_grids(
             left_ports = [(v, i) for v, (l, _) in enumerate(shapes) for i in range(1, l + 1)]
             right_ports = [(v, j) for v, (_, r) in enumerate(shapes) for j in range(1, r + 1)]
             radix = 1 + max((max(sh) for sh in shapes), default=0)
-            perms = _group_permutations(sig_list)
+            run = _id_runs(sig_list)
             codes = set()
             for matching in _port_matchings(sig_list, left_ports, right_ports):
-                edges = tuple((lv, lp, rv, rp) for ((lv, lp), (rv, rp)) in matching)
-                codes.add(min(_relabeled_edge_keys(edges, perms, n, radix)))
+                edges = [(lv, lp, rv, rp) for ((lv, lp), (rv, rp)) in matching]
+                codes.add(_canonical_search(run, edges, radix, False)[0])
             for code in sorted(codes):
                 edges = _unpack_edges(code, n, radix)
                 for loops in (0, 1):
@@ -561,6 +666,14 @@ def enumerate_gadgets(
     of vertices with equal ids, of (sorted edges, left stubs, right
     stubs), the edge part compared first.  Yields by vertex count, then
     signature multiset, then wire count, then that canonical code.
+
+    The edge part comes from _canonical_search, as in enumerate_grids,
+    with every relabeling that reaches it; the stub part is minimized
+    over those relabelings alone, for every order of the stubs.  Gadget
+    families are not memoized: the (0,4) family of the arity-4
+    counterexample at bound 6 holds 9816 gadgets in about 8.7 MB, most of
+    them one structure with its stubs reordered, and a memo would keep
+    them alive through the covanishing test's SVD.
     """
     lp, rp = profile
     if lp < 0 or rp < 0:
@@ -595,7 +708,7 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
     left_ports = [(v, i) for v, (l, _) in enumerate(base_shapes) for i in range(1, l + 1)]
     right_ports = [(v, j) for v, (_, r) in enumerate(base_shapes) for j in range(1, r + 1)]
     radix = 1 + max(max(sh) for sh in shapes)
-    perms = _group_permutations(sig_list)
+    run = _id_runs(sig_list)
     codes = set()
     for dang_l in itertools.combinations(range(len(left_ports)), lp - w):
         for dang_r in itertools.combinations(range(len(right_ports)), rp - w):
@@ -611,9 +724,7 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
                 # the edge part of the code does not depend on the slot
                 # order, so only relabelings reaching its minimum can
                 # reach the minimum code for any order of the stubs
-                keys = _relabeled_edge_keys(edges, perms, n + w, radix)
-                best = min(keys)
-                reaching = [p for p, k in zip(perms, keys) if k == best]
+                best, reaching = _canonical_search(run, edges, radix, True)
                 for ord_l in itertools.permutations(stubs_l):
                     for ord_r in itertools.permutations(stubs_r):
                         codes.add((best,) + min(

@@ -7,9 +7,11 @@ the assignment loops and the axis tables here are their own, so a
 library bug cannot hide in both.  Binding resolution and port validation
 are the library's, since those decide what a grid means, not its value;
 so is color refinement, which decides the relabelings a canonical code
-ranges over.  oracle_contraction_plan is the contraction planner as a
-plain, uncached greedy loop, the reference for the library's cached
-plans.
+ranges over.  oracle_grid_code and oracle_grid_labelings list every
+same-id relabeling of a grid, the reference for the library's search
+over tied prefixes.  oracle_contraction_plan is the contraction planner
+as a plain, uncached greedy loop, the reference for the library's
+cached plans.
 """
 
 from __future__ import annotations
@@ -116,6 +118,45 @@ def oracle_canonical_code(g: SimpleGraph) -> int:
         if best is None or code < best:
             best = code
     return best
+
+
+def _same_id_relabelings(sig_list):
+    """Every relabeling that permutes vertices with equal signature ids,
+    as a dict from vertex to new label; sig_list is sorted."""
+    groups = [
+        list(g) for _, g in itertools.groupby(range(len(sig_list)), key=sig_list.__getitem__)
+    ]
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        yield {src: dst for g, image in zip(groups, images) for src, dst in zip(g, image)}
+
+
+def oracle_grid_code(sig_list, edges, left_dangling, right_dangling):
+    """Minimum of (sorted edges, left stubs, right stubs) over every
+    relabeling that permutes vertices with equal signature ids."""
+    best = None
+    for perm in _same_id_relabelings(sig_list):
+        code = (
+            tuple(sorted((perm[u], i, perm[v], j) for (u, i, v, j) in edges)),
+            tuple((perm[v], i) for (v, i) in left_dangling),
+            tuple((perm[v], j) for (v, j) in right_dangling),
+        )
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def oracle_grid_labelings(sig_list, edges):
+    """Every same-id relabeling under which the sorted edges are smallest,
+    each as the tuple of new labels in vertex order."""
+    relabeled = [
+        (
+            tuple(sorted((perm[u], i, perm[v], j) for (u, i, v, j) in edges)),
+            tuple(perm[v] for v in range(len(sig_list))),
+        )
+        for perm in _same_id_relabelings(sig_list)
+    ]
+    best = min(code for code, _ in relabeled)
+    return [p for code, p in relabeled if code == best]
 
 
 def oracle_contraction_plan(

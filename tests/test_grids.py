@@ -18,20 +18,31 @@ from holant import (
     pair,
 )
 from holant.grids import (
+    GRID_FAMILY_CACHE_SIZE,
     WIRE_ID,
     QuantumGadget,
     SignatureGrid,
+    _canonical_search,
+    _closed_families,
     _components_all_dangle,
     _contraction_plan,
+    _id_runs,
     _plan_skeleton,
     _port_matchings,
+    _unpack_edges,
     enumerate_gadgets,
     enumerate_grids,
     gadget_signature,
     holant_eval_contracted,
     holant_polynomial,
 )
-from oracles import brute_gadget_signature, brute_holant_eval, oracle_contraction_plan
+from oracles import (
+    brute_gadget_signature,
+    brute_holant_eval,
+    oracle_contraction_plan,
+    oracle_grid_code,
+    oracle_grid_labelings,
+)
 
 
 def random_tensor(rng, q, left, right):
@@ -609,7 +620,10 @@ def test_enumeration_single_matrix_counts_partitions():
 
 def test_enumeration_yields_valid_distinct_deterministic():
     sigs = [("ne", (2, 0)), ("f", (0, 4))]
+    # clear the family memo, so both walks run the generator
+    _closed_families.clear()
     run1 = list(enumerate_grids(sigs, 6, q=2))
+    _closed_families.clear()
     run2 = list(enumerate_grids(sigs, 6, q=2))
     assert run1 == run2
     seen = set()
@@ -680,25 +694,6 @@ def test_gadget_enumeration_rejects_negative_profile():
 # -- enumeration against the all-permutations canonical code -----------------
 
 
-def oracle_canonical_code(sig_list, edges, left_dangling, right_dangling):
-    """Minimum of (sorted edges, left stubs, right stubs) over every
-    relabeling that permutes vertices with equal signature ids."""
-    groups = [
-        list(g) for _, g in itertools.groupby(range(len(sig_list)), key=sig_list.__getitem__)
-    ]
-    best = None
-    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = {src: dst for g, image in zip(groups, images) for src, dst in zip(g, image)}
-        code = (
-            tuple(sorted((perm[u], i, perm[v], j) for (u, i, v, j) in edges)),
-            tuple((perm[v], i) for (v, i) in left_dangling),
-            tuple((perm[v], j) for (v, j) in right_dangling),
-        )
-        if best is None or code < best:
-            best = code
-    return best
-
-
 def oracle_enumerate_grids(sigs, max_vertices, q):
     """Same candidates as enumerate_grids, canonicalized by the oracle."""
     for n in range(max_vertices + 1):
@@ -710,7 +705,7 @@ def oracle_enumerate_grids(sigs, max_vertices, q):
             if len(lports) != len(rports):
                 continue
             codes = {
-                oracle_canonical_code(sig_list, [l + r for (l, r) in m], (), ())
+                oracle_grid_code(sig_list, [l + r for (l, r) in m], (), ())
                 for m in _port_matchings(sig_list, lports, rports)
             }
             for edges, _, _ in sorted(codes):
@@ -747,7 +742,7 @@ def oracle_enumerate_gadgets(sigs, profile, max_vertices, q):
                                 continue
                             for ol in itertools.permutations(stubs_l):
                                 for orr in itertools.permutations(stubs_r):
-                                    codes.add(oracle_canonical_code(sig_list, edges, ol, orr))
+                                    codes.add(oracle_grid_code(sig_list, edges, ol, orr))
                 for edges, ld, rd in sorted(codes):
                     yield SignatureGrid(
                         q=q,
@@ -818,6 +813,95 @@ def test_enumeration_matches_oracle_on_random_sets(case):
     else:
         got = list(enumerate_gadgets(sigs, profile, max_vertices, q=2))
         assert got == list(oracle_enumerate_gadgets(sigs, profile, max_vertices, q=2))
+
+
+def matchings_of(sigs, profile, max_vertices):
+    """Every (sig_list, edges) the enumerators canonicalize: each port
+    matching of each multiset, with each choice of dangling ports and
+    wires for a gadget profile, closed components included."""
+    lp, rp = profile
+    for n in range(max_vertices + 1):
+        for multiset in itertools.combinations_with_replacement(sorted(sigs), n):
+            shapes = [sh for _, sh in multiset]
+            lports = [(v, i) for v, (l, _) in enumerate(shapes) for i in range(1, l + 1)]
+            rports = [(v, j) for v, (_, r) in enumerate(shapes) for j in range(1, r + 1)]
+            for w in range(min(lp, rp) + 1):
+                sig_list = [s for s, _ in multiset] + [WIRE_ID] * w
+                wires = [n + t for t in range(w)]
+                for dl in itertools.combinations(lports, lp - w):
+                    for dr in itertools.combinations(rports, rp - w):
+                        free_l = [p for p in lports if p not in dl]
+                        free_r = [p for p in rports if p not in dr]
+                        touched = [v for (v, _) in dl + dr] + wires
+                        for m in _port_matchings(sig_list, free_l, free_r, touched):
+                            yield sig_list, [l + r for (l, r) in m]
+
+
+def search_agrees_with_oracle(sig_list, edges, shapes):
+    n = len(sig_list)
+    radix = 1 + max((max(shapes[s]) for s in sig_list), default=0)
+    code, reaching = _canonical_search(_id_runs(sig_list), edges, radix, True)
+    assert _unpack_edges(code, n, radix) == oracle_grid_code(sig_list, edges, (), ())[0]
+    assert sorted(reaching) == sorted(oracle_grid_labelings(sig_list, edges))
+    assert _canonical_search(_id_runs(sig_list), edges, radix, False) == (code, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=enumeration_cases())
+def test_canonical_search_matches_oracle_on_every_matching(case):
+    sigs, profile, max_vertices = case
+    shapes = dict(sigs, wire=(1, 1))
+    for sig_list, edges in matchings_of(sigs, profile, max_vertices):
+        search_agrees_with_oracle(sig_list, edges, shapes)
+
+
+def test_canonical_search_orders_a_short_block_after_its_extension():
+    # both "a" vertices send port 1 to a fresh "b"; vertex 0's port 2
+    # dangles, so its block is a proper prefix of vertex 1's and must go
+    # second: the next key after it belongs to label 1
+    sig_list = ["a", "a", "b", "b", "b"]
+    edges = [(0, 1, 2, 1), (1, 1, 3, 1), (1, 2, 4, 1)]
+    code, reaching = _canonical_search(_id_runs(sig_list), edges, 3, True)
+    assert _unpack_edges(code, 5, 3) == ((0, 1, 2, 1), (0, 2, 3, 1), (1, 1, 4, 1))
+    assert reaching == [(1, 0, 4, 2, 3)]
+    search_agrees_with_oracle(sig_list, edges, {"a": (2, 0), "b": (0, 1)})
+
+
+SMALL_FAMILY = ([("x", (2, 1)), ("y", (0, 3))], 4)
+
+
+def test_closed_family_memo_replays_a_finished_walk():
+    sigs, bound = SMALL_FAMILY
+    _closed_families.clear()
+    first = list(enumerate_grids(sigs, bound, q=2))
+    assert list(_closed_families.values()) == [tuple(first)]
+    assert list(enumerate_grids(sigs, bound, q=2)) == first
+    # the key holds q and the bound
+    assert list(enumerate_grids(sigs, bound, q=3)) == [
+        SignatureGrid(3, g.vertices, g.edges, loops=g.loops) for g in first
+    ]
+    assert len(list(enumerate_grids(sigs, bound - 1, q=2))) < len(first)
+    assert len(_closed_families) == 3
+
+
+def test_closed_family_memo_skips_a_walk_stopped_early():
+    sigs, bound = SMALL_FAMILY
+    _closed_families.clear()
+    walk = enumerate_grids(sigs, bound, q=2)
+    next(walk)
+    walk.close()
+    assert not _closed_families
+    assert list(enumerate_grids(sigs, bound, q=2)) == list(oracle_enumerate_grids(sigs, bound, q=2))
+    assert len(_closed_families) == 1
+
+
+def test_closed_family_memo_is_bounded():
+    _closed_families.clear()
+    for q in range(1, GRID_FAMILY_CACHE_SIZE + 2):
+        list(enumerate_grids([("a", (1, 1))], 2, q))
+    assert len(_closed_families) == GRID_FAMILY_CACHE_SIZE
+    # the least recently used family, at q = 1, went first
+    assert all(key[2] > 1 for key in _closed_families)
 
 
 # -- polynomial --------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -578,12 +577,16 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
     yield from rec(0)
 
 
-# Finished closed-grid families, least recently used first, keyed on
-# (sorted (id, shape) pairs, bound, q).  verify_holant_theorem walks the
-# whole family on every call; the arity-4 counterexample's family at
-# bound 6 holds 1754 grids in about 1 MB (tracemalloc).
-GRID_FAMILY_CACHE_SIZE = 8
-_closed_families: OrderedDict[tuple, tuple[SignatureGrid, ...]] = OrderedDict()
+# The last finished closed-grid family, as (key, grids), keyed on
+# (sorted (id, shape) pairs, bound, q).  Every caller walks one family
+# over and over (verify_holant_theorem walks it on each call), so one slot
+# is enough.  A family of more than FAMILY_MEMO_MAX_GRIDS grids is never
+# stored; its walk drops what it kept once it passes the cap.  Grids take
+# 230-670 bytes each (tracemalloc), so the slot holds at most about
+# 3 MB: the arity-4 counterexample's family at bound 6, 1754 grids, holds
+# 1.2 MB; {a (1,1), b (2,2)} at bound 5, 107350 grids in 72 MB, streams.
+FAMILY_MEMO_MAX_GRIDS = 4096
+_last_family: tuple[tuple, tuple[SignatureGrid, ...]] | None = None
 
 
 def enumerate_grids(
@@ -603,28 +606,29 @@ def enumerate_grids(
     Each port matching is canonicalized by _canonical_search, a search
     over tied prefixes of the code that visits only the relabelings
     whose blocks tie for the smallest, not every relabeling.  A walk that
-    runs to the end stores its family in a least-recently-used memo of
-    GRID_FAMILY_CACHE_SIZE families, keyed on (sorted (id, shape) pairs,
+    runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids, replaces
+    the one stored family, keyed on (sorted (id, shape) pairs,
     max_vertices, q); a later walk with the same key replays it.  A walk
-    stopped early stays lazy and stores nothing.
+    stopped early, or of a larger family, stays lazy and stores nothing.
     """
+    global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]
     if len(set(ids)) != len(ids):
         raise ValueError("signature ids must be distinct")
     key = (tuple(sigs), max_vertices, q)
-    family = _closed_families.get(key)
-    if family is not None:
-        _closed_families.move_to_end(key)
-        yield from family
+    if _last_family is not None and _last_family[0] == key:
+        yield from _last_family[1]
         return
     walked = []
     for grid in _closed_grids(sigs, max_vertices, q):
-        walked.append(grid)
+        if walked is not None:
+            walked.append(grid)
+            if len(walked) > FAMILY_MEMO_MAX_GRIDS:
+                walked = None
         yield grid
-    _closed_families[key] = tuple(walked)
-    if len(_closed_families) > GRID_FAMILY_CACHE_SIZE:
-        _closed_families.popitem(last=False)
+    if walked is not None:
+        _last_family = (key, tuple(walked))
 
 
 def _closed_grids(sigs, max_vertices, q):

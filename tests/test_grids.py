@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holant.grids
 from holant import (
     MixedTensor,
     disequality_signature,
@@ -18,12 +19,10 @@ from holant import (
     pair,
 )
 from holant.grids import (
-    GRID_FAMILY_CACHE_SIZE,
     WIRE_ID,
     QuantumGadget,
     SignatureGrid,
     _canonical_search,
-    _closed_families,
     _components_all_dangle,
     _contraction_plan,
     _id_runs,
@@ -618,12 +617,12 @@ def test_enumeration_single_matrix_counts_partitions():
         assert len(got) == sum(partitions[: n + 1])
 
 
-def test_enumeration_yields_valid_distinct_deterministic():
+def test_enumeration_yields_valid_distinct_deterministic(monkeypatch):
     sigs = [("ne", (2, 0)), ("f", (0, 4))]
     # clear the family memo, so both walks run the generator
-    _closed_families.clear()
+    monkeypatch.setattr("holant.grids._last_family", None)
     run1 = list(enumerate_grids(sigs, 6, q=2))
-    _closed_families.clear()
+    monkeypatch.setattr("holant.grids._last_family", None)
     run2 = list(enumerate_grids(sigs, 6, q=2))
     assert run1 == run2
     seen = set()
@@ -870,38 +869,42 @@ def test_canonical_search_orders_a_short_block_after_its_extension():
 SMALL_FAMILY = ([("x", (2, 1)), ("y", (0, 3))], 4)
 
 
-def test_closed_family_memo_replays_a_finished_walk():
+def test_closed_family_memo_replays_a_finished_walk(monkeypatch):
     sigs, bound = SMALL_FAMILY
-    _closed_families.clear()
+    monkeypatch.setattr("holant.grids._last_family", None)
     first = list(enumerate_grids(sigs, bound, q=2))
-    assert list(_closed_families.values()) == [tuple(first)]
+    assert holant.grids._last_family[1] == tuple(first)
     assert list(enumerate_grids(sigs, bound, q=2)) == first
-    # the key holds q and the bound
+    # the key holds q and the bound; a new key replaces the stored family
     assert list(enumerate_grids(sigs, bound, q=3)) == [
         SignatureGrid(3, g.vertices, g.edges, loops=g.loops) for g in first
     ]
+    assert holant.grids._last_family[0][2] == 3
     assert len(list(enumerate_grids(sigs, bound - 1, q=2))) < len(first)
-    assert len(_closed_families) == 3
+    assert holant.grids._last_family[0][1] == bound - 1
 
 
-def test_closed_family_memo_skips_a_walk_stopped_early():
+def test_closed_family_memo_skips_a_walk_stopped_early(monkeypatch):
     sigs, bound = SMALL_FAMILY
-    _closed_families.clear()
+    monkeypatch.setattr("holant.grids._last_family", None)
     walk = enumerate_grids(sigs, bound, q=2)
     next(walk)
     walk.close()
-    assert not _closed_families
+    assert holant.grids._last_family is None
     assert list(enumerate_grids(sigs, bound, q=2)) == list(oracle_enumerate_grids(sigs, bound, q=2))
-    assert len(_closed_families) == 1
+    assert holant.grids._last_family is not None
 
 
-def test_closed_family_memo_is_bounded():
-    _closed_families.clear()
-    for q in range(1, GRID_FAMILY_CACHE_SIZE + 2):
-        list(enumerate_grids([("a", (1, 1))], 2, q))
-    assert len(_closed_families) == GRID_FAMILY_CACHE_SIZE
-    # the least recently used family, at q = 1, went first
-    assert all(key[2] > 1 for key in _closed_families)
+def test_closed_family_memo_skips_a_family_over_the_cap(monkeypatch):
+    sigs, bound = SMALL_FAMILY
+    expected = list(oracle_enumerate_grids(sigs, bound, q=2))
+    monkeypatch.setattr("holant.grids.FAMILY_MEMO_MAX_GRIDS", len(expected) - 1)
+    monkeypatch.setattr("holant.grids._last_family", None)
+    assert list(enumerate_grids(sigs, bound, q=2)) == expected
+    assert holant.grids._last_family is None
+    monkeypatch.setattr("holant.grids.FAMILY_MEMO_MAX_GRIDS", len(expected))
+    assert list(enumerate_grids(sigs, bound, q=2)) == expected
+    assert holant.grids._last_family[1] == tuple(expected)
 
 
 # -- polynomial --------------------------------------------------------------

@@ -136,9 +136,12 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
 # bound 6.  Skeletons are cached per structure, ignoring q >= 2, the loop
 # count and the stub order.  A plan missing from its cache, because it
 # was evicted or its grid is new (a hom grid built for another target
-# size, a gadget with its stubs reordered), is then derived from a cached
-# skeleton without a new greedy search.  After a counterexample-spans pass (tracemalloc), the 4096
-# plans held about 10 MB and the pass's 1363 skeletons about 3 MB.
+# size), is then derived from a cached skeleton without a new greedy
+# search.  The spans checkers contract one slot order per gadget
+# structure and transpose the signature for the rest (see
+# reordered_signature), so they never plan a reordered gadget.  After a
+# counterexample-spans pass (tracemalloc), the cache held 2240 plans in
+# about 3.6 MB and the pass's 1363 skeletons about 2.8 MB.
 PLAN_CACHE_SIZE = 4096
 
 
@@ -369,12 +372,39 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     The dangling slots stay free tensor axes of the contraction, planned
     and cached as in holant_eval_contracted.  The skeleton also ignores
     the order of the stubs, which decides only the final transpose of
-    the free axes, never which pair is contracted next; so the gadgets
-    that differ only in slot order share one.  Neither cache's reuse
-    changes the signature.
+    the free axes, never which pair is contracted next.  So a gadget
+    that differs from a contracted one only in slot order need not be
+    contracted: reordered_signature transposes the known signature into
+    the same bytes.  Neither cache's reuse changes the signature.
     """
     l, r = grid.profile
     return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))
+
+
+def reordered_signature(sig: MixedTensor, grid: SignatureGrid, target: SignatureGrid) -> MixedTensor:
+    """Signature of target, given sig, the signature of grid.
+
+    target must differ from grid only in the order of its dangling
+    stubs: the same q, vertices, edges and loops, and the same stubs as
+    multisets; otherwise ValueError.  The result is sig with its slot
+    axes transposed, bitwise equal to gadget_signature(target, ...) under
+    sig's bindings: both grids replay one skeleton, since it is keyed on
+    the sorted stubs, so their plans differ only in the final transpose
+    of the free axes, and the scale by q**loops commutes with it.
+    """
+    if (grid.q, grid.vertices, grid.edges, grid.loops) != (
+        target.q, target.vertices, target.edges, target.loops
+    ) or (sorted(grid.left_dangling), sorted(grid.right_dangling)) != (
+        sorted(target.left_dangling), sorted(target.right_dangling)
+    ):
+        raise ValueError("target differs from grid in more than its stub order")
+    l, r = grid.profile
+    if (sig.q, sig.left, sig.right) != (grid.q, l, r):
+        raise ValueError(f"signature of shape {sig.shape} at q={sig.q} is not the grid's")
+    axes = [grid.left_dangling.index(s) for s in target.left_dangling] + [
+        l + grid.right_dangling.index(s) for s in target.right_dangling
+    ]
+    return MixedTensor(grid.q, l, r, np.transpose(sig.array, axes))
 
 
 # -- quantum gadgets ------------------------------------------------------
@@ -671,13 +701,20 @@ def enumerate_gadgets(
     stubs), the edge part compared first.  Yields by vertex count, then
     signature multiset, then wire count, then that canonical code.
 
+    Since codes sort on the edge part first, every slot order of one
+    structure is yielded consecutively: a run of gadgets with equal
+    vertices, edges and loops, whose stubs are the same multisets in
+    different orders.  The spans checkers rely on this to contract each
+    structure once.
+
     The edge part comes from _canonical_search, as in enumerate_grids,
     with every relabeling that reaches it; the stub part is minimized
-    over those relabelings alone, for every order of the stubs.  Gadget
-    families are not memoized: the (0,4) family of the arity-4
-    counterexample at bound 6 holds 9816 gadgets in about 8.7 MB, most of
-    them one structure with its stubs reordered, and a memo would keep
-    them alive through the covanishing test's SVD.
+    over those relabelings alone, for every order of the stubs, once per
+    edge part: port matchings with an edge part already seen add no
+    code.  Gadget families are not memoized: the (0,4) family of the
+    arity-4 counterexample at bound 6 holds 9816 gadgets in about 8.7 MB,
+    421 structures in all their slot orders, and a memo would keep them
+    alive through the covanishing test's SVD.
     """
     lp, rp = profile
     if lp < 0 or rp < 0:
@@ -714,6 +751,7 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
     radix = 1 + max(max(sh) for sh in shapes)
     run = _id_runs(sig_list)
     codes = set()
+    seen = set()
     for dang_l in itertools.combinations(range(len(left_ports)), lp - w):
         for dang_r in itertools.combinations(range(len(right_ports)), rp - w):
             free_l = [p for k, p in enumerate(left_ports) if k not in dang_l]
@@ -727,8 +765,14 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
                     continue
                 # the edge part of the code does not depend on the slot
                 # order, so only relabelings reaching its minimum can
-                # reach the minimum code for any order of the stubs
+                # reach the minimum code for any order of the stubs.  The
+                # stubs are the ports the edges leave free, so matchings
+                # with one edge part are one gadget up to slot order and
+                # give the same codes: only the first is expanded
                 best, reaching = _canonical_search(run, edges, radix, True)
+                if best in seen:
+                    continue
+                seen.add(best)
                 for ord_l in itertools.permutations(stubs_l):
                     for ord_r in itertools.permutations(stubs_r):
                         codes.add((best,) + min(

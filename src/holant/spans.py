@@ -20,6 +20,7 @@ from holant.grids import (
     enumerate_grids,
     gadget_signature,
     holant_eval_contracted,
+    reordered_signature,
 )
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
 from holant.tensors import MixedTensor, pair
@@ -66,6 +67,27 @@ def _closed_structures(sig_shapes, max_vertices, q):
     return [g for g in enumerate_grids(sig_shapes, max_vertices, q) if g.vertices]
 
 
+def _signatures(gadgets, fs):
+    """Yield each gadget with its signature under fs, contracting each
+    structure once.
+
+    The enumerators yield the slot orders of one structure back to back:
+    equal (vertices, edges, loops), the same stubs in another order.  The
+    first of each run is contracted, through this module's
+    gadget_signature; the rest take its signature with the slot axes
+    transposed, which is bitwise the same.
+    """
+    first = sig = None
+    for g in gadgets:
+        if first is None or (g.vertices, g.edges, g.loops) != (
+            first.vertices, first.edges, first.loops
+        ):
+            first, sig = g, gadget_signature(g, fs)
+            yield g, sig
+        else:
+            yield g, reordered_signature(sig, first, g)
+
+
 def build_span(
     fs: dict[str, MixedTensor],
     profile: tuple[int, int],
@@ -94,9 +116,8 @@ def build_span(
     witnesses: list[SignatureGrid] = []
     independent = IncrementalBasis(indep_tol)
     count = 0
-    for g in gadgets:
+    for g, sig in _signatures(gadgets, fs):
         count += 1
-        sig = gadget_signature(g, fs)
         if independent.add(sig.entries):
             basis.append(sig)
             witnesses.append(g)
@@ -336,8 +357,10 @@ def check_covanishing(
     else:
         structures = list(enumerate_gadgets(sig_shapes, profile, max_vertices, q))
     shape = (len(structures), q ** (l + r))
-    stack_f = np.array([gadget_signature(g, fs).entries for g in structures]).reshape(shape)
-    stack_g = np.array([gadget_signature(g, gs_as_f).entries for g in structures]).reshape(shape)
+    stack_f, stack_g = (
+        np.array([sig.entries for _, sig in _signatures(structures, b)]).reshape(shape)
+        for b in (fs, gs_as_f)
+    )
     worst = (0.0, None, None)
     for direction, a, b in (("first", stack_f, stack_g), ("second", stack_g, stack_f)):
         # left_null() holds this direction's U; nothing else may, so it

@@ -11,7 +11,9 @@ ranges over.  oracle_grid_code and oracle_grid_labelings list every
 same-id relabeling of a grid, the reference for the library's search
 over tied prefixes.  oracle_contraction_plan is the contraction planner
 as a plain, uncached greedy loop, the reference for the library's
-cached plans.
+cached plans.  oracle_signatures contracts every gadget with the
+library's gadget_signature, the reference for the spans checkers, which
+contract one slot order per structure and transpose for the rest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from holant.grids import ContractionPlan, SignatureGrid, resolve_bindings
+from holant.grids import ContractionPlan, SignatureGrid, gadget_signature, resolve_bindings
 from holant.homgraphs import SimpleGraph, _refine_colors
 from holant.tensors import MAX_ENTRIES, MixedTensor
 
@@ -253,3 +255,10 @@ def oracle_contraction_plan(
     if sorted(perm) != list(range(len(remaining))):
         raise ValueError("open labels do not match the remaining axes")
     return ContractionPlan(tuple(traces), tuple(steps), outer, perm, q**grid.loops)
+
+
+def oracle_signatures(gadgets, fs):
+    """spans._signatures without the transposes: each gadget with its
+    own contracted signature under fs."""
+    for g in gadgets:
+        yield g, gadget_signature(g, fs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 
@@ -34,6 +35,7 @@ from holant.grids import (
     gadget_signature,
     holant_eval_contracted,
     holant_polynomial,
+    reordered_signature,
 )
 from oracles import (
     brute_gadget_signature,
@@ -260,6 +262,27 @@ def test_dangling_slot_order_transposes_signature():
     k12 = gadget_signature(g12, {"f": t})
     k21 = gadget_signature(g21, {"f": t})
     assert np.allclose(k12.array, k21.array.T)
+
+
+def test_reordered_signature_refuses_another_structure():
+    t = MixedTensor(2, 1, 1, np.arange(4.0).reshape(2, 2))
+    g = SignatureGrid(
+        q=2, vertices=("a", "a"), edges=((0, 1, 1, 1),),
+        left_dangling=((1, 1),), right_dangling=((0, 1),),
+    )
+    sig = gadget_signature(g, {"a": t})
+    assert reordered_signature(sig, g, g).array.tobytes() == sig.array.tobytes()
+    for target in (
+        dataclasses.replace(g, edges=((1, 1, 0, 1),)),
+        dataclasses.replace(g, loops=1),
+        dataclasses.replace(g, left_dangling=((0, 1),)),
+        dataclasses.replace(g, right_dangling=((1, 1),)),
+        dataclasses.replace(g, q=3),
+    ):
+        with pytest.raises(ValueError, match="more than its stub order"):
+            reordered_signature(sig, g, target)
+    with pytest.raises(ValueError, match="not the grid's"):
+        reordered_signature(MixedTensor(2, 0, 2, np.zeros(4)), g, g)
 
 
 def test_pairing_equals_holant_of_wired_closure():
@@ -787,6 +810,17 @@ def test_gadget_enumeration_matches_oracle_sequence(sigs, profile, max_vertices)
         for t in part
         for x in t
     )
+    # the slot orders of one structure come as one contiguous run, each
+    # with the stubs of the run's first gadget in another order
+    runs: dict[tuple, list[int]] = {}
+    for k, g in enumerate(got):
+        runs.setdefault((g.vertices, g.edges, g.loops), []).append(k)
+    for ks in runs.values():
+        assert ks == list(range(ks[0], ks[-1] + 1))
+        first = got[ks[0]]
+        for k in ks:
+            assert sorted(got[k].left_dangling) == sorted(first.left_dangling)
+            assert sorted(got[k].right_dangling) == sorted(first.right_dangling)
 
 
 shape = st.tuples(st.integers(0, 2), st.integers(0, 2))

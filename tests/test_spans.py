@@ -8,7 +8,8 @@ verdicts are replayed grid by grid with the brute evaluator.
 import numpy as np
 import pytest
 
-from holant.grids import QuantumGadget, enumerate_grids
+from holant import spans
+from holant.grids import QuantumGadget, enumerate_gadgets, enumerate_grids
 from holant.spans import (
     build_span,
     check_covanishing,
@@ -23,7 +24,7 @@ from holant.tensors import (
     identity_signature,
     pair,
 )
-from oracles import brute_holant_eval
+from oracles import brute_holant_eval, oracle_signatures
 
 
 def mat_tensor(m, q):
@@ -290,3 +291,79 @@ def test_transformed_set_covanishes_with_original():
     for profile in ((0, 0), (1, 0)):
         report = check_covanishing(fs, gs, bij, profile, 4)
         assert report.verdict == "covanishing_at_bound"
+
+
+# -- one contraction per gadget structure ----------------------------------------
+
+
+def slot_order_case(name):
+    """(fs, gs, profile, bound): the arity-4 counterexample pair at either
+    profile, or random q = 3 signatures whose (2,2) gadgets have wires."""
+    if name != "wired":
+        fs = counterexample_set(0.3 + 0.7j, -1.1 + 0.2j)
+        gs = counterexample_set(0.0, 0.0)
+        return fs, gs, {"neq_f_04": (0, 4), "neq_f_40": (4, 0)}[name], 5
+    rng = np.random.default_rng(41)
+    shapes = {"a": (1, 1), "b": (1, 2), "c": (2, 1)}
+    fs, gs = (
+        {
+            k: MixedTensor(3, l, r, rng.normal(size=3 ** (l + r)) + 1j * rng.normal(size=3 ** (l + r)))
+            for k, (l, r) in shapes.items()
+        }
+        for _ in range(2)
+    )
+    return fs, gs, (2, 2), 3
+
+
+@pytest.mark.parametrize("case", ["neq_f_04", "neq_f_40", "wired"])
+def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
+    fs, gs, profile, bound = slot_order_case(case)
+    bij = {k: k for k in fs}
+    q = next(iter(fs.values())).q
+    sig_shapes = sorted((k, t.shape) for k, t in fs.items())
+    gadgets = list(enumerate_gadgets(sig_shapes, profile, bound, q))
+    structures = {(g.vertices, g.edges, g.loops) for g in gadgets}
+    assert len(structures) < len(gadgets)
+
+    # every signature byte, as check_covanishing stacks them
+    got = list(spans._signatures(gadgets, fs))
+    want = list(oracle_signatures(gadgets, fs))
+    assert [g for g, _ in got] == gadgets
+    assert [s.array.tobytes() for _, s in got] == [s.array.tobytes() for _, s in want]
+
+    # each structure is contracted once, through the module attribute
+    contracted = []
+    real = spans.gadget_signature
+    monkeypatch.setattr(
+        spans, "gadget_signature", lambda g, b: contracted.append(g) or real(g, b)
+    )
+    span = build_span(fs, profile, bound)
+    walked = gadgets[: span.gadgets_enumerated]
+    assert len(contracted) == len({(g.vertices, g.edges, g.loops) for g in walked})
+    # a full-U SVD of the 9816-row (0,4) stack needs gigabytes, so that
+    # profile's covanishing test is checked through its stack above
+    cov = None
+    if profile != (0, 4):
+        before = len(contracted)
+        cov = check_covanishing(fs, gs, bij, profile, bound)
+        assert len(contracted) - before == 2 * len(structures)
+
+    monkeypatch.setattr(spans, "_signatures", oracle_signatures)
+    ref = build_span(fs, profile, bound)
+    assert span.gadgets_enumerated == ref.gadgets_enumerated
+    assert span.witnesses == ref.witnesses
+    assert [b.array.tobytes() for b in span.basis] == [b.array.tobytes() for b in ref.basis]
+    if cov is None:
+        return
+    ref_cov = check_covanishing(fs, gs, bij, profile, bound)
+    assert (cov.verdict, cov.structures_checked, cov.direction, cov.max_cross_residual) == (
+        ref_cov.verdict, ref_cov.structures_checked, ref_cov.direction,
+        ref_cov.max_cross_residual,
+    )
+    assert cov.verdict == "counterexample"
+    assert cov.witness.terms == ref_cov.witness.terms
+    for got_sig, want_sig in (
+        (cov.witness_signature_f, ref_cov.witness_signature_f),
+        (cov.witness_signature_g, ref_cov.witness_signature_g),
+    ):
+        assert got_sig.array.tobytes() == want_sig.array.tobytes()

@@ -107,102 +107,93 @@ class SignatureGrid:
 def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> dict[str, MixedTensor]:
     """Attach tensors to ids; checks q and the reserved wire id.
 
-    The identity binding for "wire" is built and supplied only when the
-    grid has wire vertices or the caller binds that id.
+    The identity binding for "wire" is built and supplied, after every
+    other id's binding is checked, only when the grid has wire vertices
+    or the caller binds that id.
     """
     out = dict(bindings)
-    if WIRE_ID in out or WIRE_ID in grid.vertices:
-        wire = identity_signature(grid.q)
-        if WIRE_ID in out and not out[WIRE_ID].allclose(wire, 0):
-            raise ValueError(f"{WIRE_ID!r} is reserved for the identity signature")
-        out.setdefault(WIRE_ID, wire)
-    for sig in set(grid.vertices):
+    for sig in set(grid.vertices) - {WIRE_ID}:
         if sig not in out:
             raise ValueError(f"missing binding for signature {sig!r}")
         if out[sig].q != grid.q:
             raise ValueError(
                 f"binding {sig!r} has domain {out[sig].q}, grid has {grid.q}"
             )
+    if WIRE_ID in out or WIRE_ID in grid.vertices:
+        wire = identity_signature(grid.q)
+        if WIRE_ID in out and not out[WIRE_ID].allclose(wire, 0):
+            raise ValueError(f"{WIRE_ID!r} is reserved for the identity signature")
+        out.setdefault(WIRE_ID, wire)
     return out
 
 
 # -- pairwise tensor contraction -----------------------------------------
 
-# Entries kept by each of the two plan caches.  Plans are cached per
-# (grid, shapes).  Checkers evaluate a whole family of structures under
-# one binding and then under another, so a plan is reused when the cache
-# holds the family: 600 closed grids over three shapes at bound 4, 1754
-# closed grids and 1548 (4,0)-gadgets of the arity-4 counterexample at
-# bound 6.  Skeletons are cached per structure, ignoring q >= 2, the loop
-# count and the stub order.  A plan missing from its cache, because it
-# was evicted or its grid is new (a hom grid built for another target
-# size), is then derived from a cached skeleton without a new greedy
-# search.  The spans checkers contract one slot order per gadget
-# structure and transpose the signature for the rest (see
-# reordered_signature), so they never plan a reordered gadget.  After a
-# counterexample-spans pass (tracemalloc), the cache held 2240 plans in
-# about 3.6 MB and the pass's 1363 skeletons about 2.8 MB.
+# Entries kept by the plan cache.  Plans are cached per structure: a grid's
+# vertices, edges and sorted stubs, its shapes and min(q, 2), so every grid
+# that differs from a planned one only in q >= 2, its loop count or the
+# order of its dangling stubs reuses its plan (hom grids built for several
+# target sizes, gadgets in every slot order).  Checkers evaluate a whole
+# family of structures under one binding and then under another, so a plan
+# is reused when the cache holds the family: 300 closed structures over
+# three shapes at bound 4, the 877 closed and 65 (4,0) structures of the
+# arity-4 counterexample at bound 6.  After a pass (tracemalloc), the cache
+# held 1363 plans in about 3.3 MB on counterexample-spans and 364 in about
+# 2.1 MB on hom-census.
 PLAN_CACHE_SIZE = 4096
 
 
 class ContractionPlan(NamedTuple):
-    """One grid's contraction order under one choice of signature shapes.
+    """One grid structure's contraction order, the same at every q >= 2.
 
     Nodes 0..n-1 are the vertex tensors; pairwise step k creates node n+k.
     traces: (node, axis1, axis2) for each self-edge, as np.trace takes them.
-    steps: (u, perm_u, shape_u, v, perm_v, shape_v, shape) per pairwise
-        contraction, exactly as np.tensordot performs it: transpose and
-        reshape both operands to matrices, np.dot, reshape the product.
+    steps: (u, perm_u, v, perm_v, keep_u, shared, keep_v) per pairwise
+        contraction, exactly as np.tensordot performs it: transpose both
+        operands, reshape them to q**keep_u x q**shared and q**shared x
+        q**keep_v matrices, np.dot, and reshape the product to
+        keep_u + keep_v axes of size q.
+    peak_rank: the largest keep_u + keep_v over the steps, 0 if none.
     outer: the nodes left over, multiplied as outer products in this order.
-    perm: axes of that product in dangling slot order, left stubs first.
-    factor: q to the number of vertexless loops.
+    outer_rank: the number of axes of that product.
+    left_axis, right_axis: for each dangling (vertex, port), the axis of
+        that product that carries it.
     """
 
     traces: tuple[tuple[int, int, int], ...]
-    steps: tuple[tuple, ...]
+    steps: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int, int, int], ...]
+    peak_rank: int
     outer: tuple[int, ...]
-    perm: tuple[int, ...]
-    factor: int
-
-
-class PlanSkeleton(NamedTuple):
-    """The part of a contraction plan that depends on structure alone.
-
-    traces and outer are as in ContractionPlan.
-    steps: (u, perm_u, v, perm_v, shared) per pairwise contraction, where
-        shared counts the axes summed over; each operand keeps the rest.
-    outer_ranks: the number of axes of each node in outer.
-    left_pos, right_pos: for each dangling (vertex, port), the axis of the
-        outer product that carries it.
-    """
-
-    traces: tuple[tuple[int, int, int], ...]
-    steps: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
-    outer: tuple[int, ...]
-    outer_ranks: tuple[int, ...]
-    left_pos: dict[Stub, int]
-    right_pos: dict[Stub, int]
+    outer_rank: int
+    left_axis: dict[Stub, int]
+    right_axis: dict[Stub, int]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan_skeleton(
+def _contraction_plan(
     vertices: tuple[str, ...],
     edges: tuple[Edge, ...],
     left: tuple[Stub, ...],
     right: tuple[Stub, ...],
     shapes: tuple[tuple[str, tuple[int, int]], ...],
     q: int,
-) -> PlanSkeleton:
-    """Greedy contraction order of a validated grid structure.
+) -> ContractionPlan:
+    """Validate a grid structure against its (id, shape) pairs and plan
+    its contraction.
 
     left and right are the dangling stubs in any fixed order (callers
-    pass them sorted); q is 1 or 2.  Every self-edge is traced first; then
-    the greedy order repeatedly contracts the node pair whose result
-    tensor is smallest, q**rank entries, the first such pair in node
-    order.  Since q**rank is strictly increasing in rank for every q >= 2,
-    q = 2 gives the order of every larger q; at q = 1 every pair ties.
+    pass them sorted); q is 1 or 2.  Uses the structure only, never
+    signature values, and runs only on a cache miss, so once per
+    structure; an invalid grid raises and is not cached.  Every self-edge
+    is traced first; then the greedy order repeatedly contracts the node
+    pair whose result tensor is smallest, q**rank entries, the first such
+    pair in node order.  Since q**rank is strictly increasing in rank for
+    every q >= 2, q = 2 gives the order of every larger q; at q = 1 every
+    pair ties.  Loops never enter the network, and the stub order only
+    says which free axis carries which slot, so neither changes the plan.
     """
     shape_of = dict(shapes)
+    SignatureGrid(q, vertices, edges, left, right).validate(shape_of)
     # one int label per vertex port, numbered so each vertex's labels list
     # its axes in order: left ports, then right ports
     start: list[int] = []
@@ -250,7 +241,10 @@ def _plan_skeleton(
             ax_v.append(lv.index(lb))
         keep_u = [k for k in range(len(lu)) if k not in ax_u]
         keep_v = [k for k in range(len(lv)) if k not in ax_v]
-        steps.append((u, tuple(keep_u + ax_u), v, tuple(ax_v + keep_v), len(shared)))
+        steps.append((
+            u, tuple(keep_u + ax_u), v, tuple(ax_v + keep_v),
+            len(keep_u), len(shared), len(keep_v),
+        ))
         w = len(labels)
         merged = [lu[k] for k in keep_u] + [lv[k] for k in keep_v]
         for lbl in merged:
@@ -266,99 +260,88 @@ def _plan_skeleton(
     outer = tuple(nid for nid, ls in enumerate(labels) if ls is not None)
     remaining = [lbl for nid in outer for lbl in labels[nid]]
     position = {lbl: k for k, lbl in enumerate(remaining)}
-    return PlanSkeleton(
-        tuple(traces),
-        tuple(steps),
-        outer,
-        tuple(len(labels[nid]) for nid in outer),
-        {(v, i): position[start[v] + i - 1] for (v, i) in left},
-        {(v, j): position[right_label(v, j)] for (v, j) in right},
-    )
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _contraction_plan(
-    grid: SignatureGrid, shapes: tuple[tuple[str, tuple[int, int]], ...]
-) -> ContractionPlan:
-    """Validate grid against the (id, shape) pairs and plan its contraction.
-
-    Uses the structure only, never signature values.  Plans are cached
-    here per (grid, shapes).  The greedy order inside comes from
-    _plan_skeleton, cached per structure and shared by every grid that
-    differs from this one only in q >= 2, its loop count or the order of
-    its dangling stubs.  None of them can change which pair is contracted
-    next: the greedy compares result sizes q**rank, which order as the
-    ranks do for every q >= 2; loops never enter the network; and the
-    stub order only says which free axis carries which slot.  This
-    specializes the skeleton to q, checks each intermediate tensor and
-    then the outer product against MAX_ENTRIES in contraction order, and
-    orders the free axes by the stubs.
-    """
-    grid.validate(dict(shapes))
-    q = grid.q
-    sk = _plan_skeleton(
-        grid.vertices, grid.edges,
-        tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling)),
-        shapes, min(q, 2),
-    )
-    steps = []
-    for u, perm_u, v, perm_v, shared in sk.steps:
-        keep_u, keep_v = len(perm_u) - shared, len(perm_v) - shared
-        cost = q ** (keep_u + keep_v)
-        if cost > MAX_ENTRIES:
-            raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
-        steps.append((
-            u, perm_u, (q**keep_u, q**shared),
-            v, perm_v, (q**shared, q**keep_v),
-            (q,) * (keep_u + keep_v),
-        ))
-    size = 1
-    for rank in sk.outer_ranks:
-        if size * q**rank > MAX_ENTRIES:
-            raise ValueError("outer product exceeds the entry cap")
-        size *= q**rank
-    perm = tuple(sk.left_pos[s] for s in grid.left_dangling) + tuple(
-        sk.right_pos[s] for s in grid.right_dangling
-    )
-    if sorted(perm) != list(range(sum(sk.outer_ranks))):
+    left_axis = {(v, i): position[start[v] + i - 1] for (v, i) in left}
+    right_axis = {(v, j): position[right_label(v, j)] for (v, j) in right}
+    if sorted([*left_axis.values(), *right_axis.values()]) != list(range(len(remaining))):
         raise ValueError("open labels do not match the remaining axes")
-    return ContractionPlan(sk.traces, tuple(steps), sk.outer, perm, q**grid.loops)
+    peak_rank = max((keep_u + keep_v for *_, keep_u, _, keep_v in steps), default=0)
+    return ContractionPlan(
+        tuple(traces), tuple(steps), peak_rank, outer, len(remaining), left_axis, right_axis
+    )
 
 
-def _execute(plan: ContractionPlan, arrays: list[np.ndarray]) -> np.ndarray:
-    """Replay a plan on the vertex tensors, in vertex order."""
+def _check_cap(plan: ContractionPlan, q: int) -> None:
+    """Refuse a plan whose intermediate tensors or outer product would have
+    more than MAX_ENTRIES entries at domain size q; an intermediate is
+    named by the first step over the cap in contraction order."""
+    if q**plan.peak_rank > MAX_ENTRIES:
+        for *_, keep_u, _, keep_v in plan.steps:
+            cost = q ** (keep_u + keep_v)
+            if cost > MAX_ENTRIES:
+                raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
+    if q**plan.outer_rank > MAX_ENTRIES:
+        raise ValueError("outer product exceeds the entry cap")
+
+
+def _execute(plan: ContractionPlan, q: int, arrays: list[np.ndarray], perm: tuple[int, ...]) -> np.ndarray:
+    """Replay a plan at domain size q on the vertex tensors, in vertex
+    order; perm lists the axes of the outer product in slot order."""
     nodes = list(arrays)
     for nid, axis1, axis2 in plan.traces:
         nodes[nid] = np.trace(nodes[nid], axis1=axis1, axis2=axis2)
-    for u, perm_u, shape_u, v, perm_v, shape_v, shape in plan.steps:
-        a = nodes[u].transpose(perm_u).reshape(shape_u)
-        b = nodes[v].transpose(perm_v).reshape(shape_v)
-        nodes.append(np.dot(a, b).reshape(shape))
+    for u, perm_u, v, perm_v, keep_u, shared, keep_v in plan.steps:
+        m = q**shared
+        a = nodes[u].transpose(perm_u).reshape(-1, m)
+        b = nodes[v].transpose(perm_v).reshape(m, -1)
+        nodes.append(np.dot(a, b).reshape((q,) * (keep_u + keep_v)))
     out = np.array(1 + 0j)
     for nid in plan.outer:
         out = np.multiply.outer(out, nodes[nid])
-    out = np.transpose(out, plan.perm) if plan.perm else out.reshape(())
-    return out * plan.factor
+    return np.transpose(out, perm) if perm else out.reshape(())
 
 
 def _contract(grid: SignatureGrid, b: dict[str, MixedTensor]) -> np.ndarray:
-    """Contract grid under bindings already passed through resolve_bindings."""
+    """Contract grid under bindings already passed through resolve_bindings.
+
+    The plan is shared by the grid's whole structure; what depends on
+    this grid alone is done here: the cap check at its q, the order of
+    its free axes by its stubs, and the factor q per vertexless loop.
+    """
     shapes = tuple(sorted({sig: b[sig].shape for sig in grid.vertices}.items()))
-    plan = _contraction_plan(grid, shapes)
-    return _execute(plan, [b[sig].array for sig in grid.vertices])
+    try:
+        plan = _contraction_plan(
+            grid.vertices, grid.edges,
+            tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling)),
+            shapes, min(grid.q, 2),
+        )
+    except ValueError:
+        # the plan validated the structure with its stubs sorted; validity
+        # does not depend on their order but the message does, so name the
+        # first fault in the grid's own order
+        grid.validate(dict(shapes))
+        raise
+    q = grid.q
+    _check_cap(plan, q)
+    perm = ()
+    if plan.outer_rank:  # the grid has stubs
+        perm = tuple(
+            [plan.left_axis[s] for s in grid.left_dangling]
+            + [plan.right_axis[s] for s in grid.right_dangling]
+        )
+    return _execute(plan, q, [b[sig].array for sig in grid.vertices], perm) * q**grid.loops
 
 
 def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
     """Holant value of a closed grid via pairwise tensor contraction.
 
     The contraction order is planned from the grid and its signature
-    shapes alone, in two least-recently-used caches of PLAN_CACHE_SIZE
-    entries each, shared with gadget_signature.  Plans are cached per
-    (grid, shapes); on a miss, the plan is specialized to q from a
-    skeleton cached per structure, ignoring q >= 2 and the loop count:
-    the greedy order compares sizes q**rank, which order as the ranks do
-    for every q >= 2.  A reused plan or skeleton replays the same
-    arithmetic, so the value does not depend on either cache.
+    shapes alone, in one least-recently-used cache of PLAN_CACHE_SIZE
+    entries shared with gadget_signature.  A plan is cached per
+    structure, ignoring q >= 2 and the loop count: the greedy order
+    compares sizes q**rank, which order as the ranks do for every q >= 2.
+    Each call checks the entry cap at its own q and scales by q per loop.
+    A reused plan replays the same arithmetic, so the value does not
+    depend on the cache.
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
@@ -370,12 +353,12 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
 
     Slot order follows the dangling stub order, left stubs then right.
     The dangling slots stay free tensor axes of the contraction, planned
-    and cached as in holant_eval_contracted.  The skeleton also ignores
-    the order of the stubs, which decides only the final transpose of
-    the free axes, never which pair is contracted next.  So a gadget
-    that differs from a contracted one only in slot order need not be
+    and cached as in holant_eval_contracted.  The plan also ignores the
+    order of the stubs, which decides only the final transpose of the
+    free axes, never which pair is contracted next.  So a gadget that
+    differs from a contracted one only in slot order need not be
     contracted: reordered_signature transposes the known signature into
-    the same bytes.  Neither cache's reuse changes the signature.
+    the same bytes.  Reuse of a cached plan does not change the signature.
     """
     l, r = grid.profile
     return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))
@@ -388,9 +371,10 @@ def reordered_signature(sig: MixedTensor, grid: SignatureGrid, target: Signature
     stubs: the same q, vertices, edges and loops, and the same stubs as
     multisets; otherwise ValueError.  The result is sig with its slot
     axes transposed, bitwise equal to gadget_signature(target, ...) under
-    sig's bindings: both grids replay one skeleton, since it is keyed on
-    the sorted stubs, so their plans differ only in the final transpose
-    of the free axes, and the scale by q**loops commutes with it.
+    sig's bindings: both grids replay one plan, since it is keyed on the
+    sorted stubs, so their contractions differ only in the final
+    transpose of the free axes, and the scale by q**loops commutes with
+    it.
     """
     if (grid.q, grid.vertices, grid.edges, grid.loops) != (
         target.q, target.vertices, target.edges, target.loops

@@ -168,7 +168,6 @@ def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
         return 0 if x.n else 1
     grid = hom_grid(x, g.n)
     bindings = hom_bindings(g.adjacency(), x.max_degree())
-    bindings = {k: v for k, v in bindings.items() if k in set(grid.vertices)}
     return _round_count(holant_eval_contracted(grid, bindings), "hom count")
 
 

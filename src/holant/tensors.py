@@ -175,12 +175,14 @@ def disequality_signature(q: int, left: int, right: int) -> MixedTensor:
     """Binary disequality: entry 1 exactly when the two indices differ."""
     if left + right != 2:
         raise ValueError("disequality is binary")
+    _check_size(q, 2)
     arr = np.ones((q, q), dtype=np.complex128) - np.eye(q)
     return MixedTensor(q, left, right, arr)
 
 
 def identity_signature(q: int) -> MixedTensor:
     """The (1,1) identity, the signature of a bare wire."""
+    _check_size(q, 2)
     return MixedTensor(q, 1, 1, np.eye(q))
 
 

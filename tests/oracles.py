@@ -10,8 +10,10 @@ so is color refinement, which decides the relabelings a canonical code
 ranges over.  oracle_grid_code and oracle_grid_labelings list every
 same-id relabeling of a grid, the reference for the library's search
 over tied prefixes.  oracle_contraction_plan is the contraction planner
-as a plain, uncached greedy loop, the reference for the library's
-cached plans.  oracle_signatures contracts every gadget with the
+as a plain, uncached greedy loop that plans one grid at its own q and
+stub order, the reference for the library's plan cache: its plans, which
+ignore q >= 2, the loop count and the stub order, are compared once
+specialized to a grid, and so are its two cap messages.  oracle_signatures contracts every gadget with the
 library's gadget_signature, the reference for the spans checkers, which
 contract one slot order per structure and transpose for the rest.
 """
@@ -19,10 +21,11 @@ contract one slot order per structure and transpose for the rest.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from holant.grids import ContractionPlan, SignatureGrid, gadget_signature, resolve_bindings
+from holant.grids import SignatureGrid, gadget_signature, resolve_bindings
 from holant.homgraphs import SimpleGraph, _refine_colors
 from holant.tensors import MAX_ENTRIES, MixedTensor
 
@@ -161,12 +164,32 @@ def oracle_grid_labelings(sig_list, edges):
     return [p for code, p in relabeled if code == best]
 
 
+class SpecializedPlan(NamedTuple):
+    """One grid's contraction order at its own q and stub order.
+
+    Nodes 0..n-1 are the vertex tensors; pairwise step k creates node n+k.
+    traces: (node, axis1, axis2) for each self-edge, as np.trace takes them.
+    steps: (u, perm_u, shape_u, v, perm_v, shape_v, shape) per pairwise
+        contraction, exactly as np.tensordot performs it: transpose and
+        reshape both operands to matrices, np.dot, reshape the product.
+    outer: the nodes left over, multiplied as outer products in this order.
+    perm: axes of that product in dangling slot order, left stubs first.
+    factor: q to the number of vertexless loops.
+    """
+
+    traces: tuple[tuple[int, int, int], ...]
+    steps: tuple[tuple, ...]
+    outer: tuple[int, ...]
+    perm: tuple[int, ...]
+    factor: int
+
+
 def oracle_contraction_plan(
     grid: SignatureGrid, shapes: tuple[tuple[str, tuple[int, int]], ...]
-) -> ContractionPlan:
-    """grids._contraction_plan as it was before plans were split into a
-    cached skeleton and a specialization: uncached, and rebuilding and
-    re-sorting every node pair on every greedy step.
+) -> SpecializedPlan:
+    """The contraction planner as it was before plans were cached per
+    structure: uncached, planning one grid at its own q and stub order,
+    and rebuilding and re-sorting every node pair on every greedy step.
 
     Validates grid against the (id, shape) pairs and plans its
     contraction from the structure only, never signature values.  Every
@@ -254,7 +277,7 @@ def oracle_contraction_plan(
     perm = tuple(remaining.index(lbl) for lbl in open_labels)
     if sorted(perm) != list(range(len(remaining))):
         raise ValueError("open labels do not match the remaining axes")
-    return ContractionPlan(tuple(traces), tuple(steps), outer, perm, q**grid.loops)
+    return SpecializedPlan(tuple(traces), tuple(steps), outer, perm, q**grid.loops)
 
 
 def oracle_signatures(gadgets, fs):

@@ -31,6 +31,7 @@ from holant.tensors import (
     SymBoolSignature,
     disequality_signature,
     equality_signature,
+    identity_signature,
 )
 from holant.transforms import HoloTransform
 from oracles import brute_holant_eval
@@ -580,6 +581,21 @@ def test_loop_count_past_the_float_range_at_q3_is_refused(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("holant: ") and proc.stderr.count("\n") == 1
     assert "1000 loops at q=3: q**loops is not a finite float" in proc.stderr
+
+
+def test_wire_grid_domain_mismatch_is_refused_before_the_identity(tmp_path):
+    # the q-by-q identity for the wire would need 10**12 entries; the
+    # binding's domain must be checked, and named, first
+    grid = write(tmp_path, "grid.json", {
+        "q": 10**6, "vertices": [{"sig": "a"}, {"sig": "wire"}],
+        "edges": [[0, 1, 1, 1], [1, 1, 0, 1]],
+    })
+    sigs = write(tmp_path, "sigs.json", sigset_to_obj({"a": identity_signature(2)}))
+    proc = run_limited(["eval", grid, "--sigs", sigs], capture_output=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("holant: ") and proc.stderr.count("\n") == 1
+    assert "binding 'a' has domain 2, grid has 1000000" in proc.stderr
 
 
 def test_closed_stdout_exits_2_without_traceback():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from holant.grids import (
     QuantumGadget,
     SignatureGrid,
     _canonical_search,
+    _check_cap,
     _components_all_dangle,
     _contraction_plan,
     _id_runs,
-    _plan_skeleton,
     _port_matchings,
     _unpack_edges,
     enumerate_gadgets,
@@ -38,6 +39,7 @@ from holant.grids import (
     reordered_signature,
 )
 from oracles import (
+    SpecializedPlan,
     brute_gadget_signature,
     brute_holant_eval,
     oracle_contraction_plan,
@@ -432,14 +434,14 @@ def test_contracted_equals_oracle_on_closed_family():
     assert len(grids) == 600
     rng = np.random.default_rng(41)
     _contraction_plan.cache_clear()
-    _plan_skeleton.cache_clear()
     for _ in range(2):  # plans made on the first pass are replayed on the second
         fs = {sid: random_tensor(rng, 3, *sh) for sid, sh in sigs}
         for g in grids:
             assert holant_eval_contracted(g, fs) == complex(oracle_contract(g, fs))
-    assert _contraction_plan.cache_info().hits == len(grids)
-    # each structure comes with loops 0 and 1, which share a skeleton
-    assert _plan_skeleton.cache_info().misses == 300
+    # each structure comes with loops 0 and 1, which share a plan; every
+    # call of the second pass hits
+    info = _contraction_plan.cache_info()
+    assert (info.misses, info.hits) == (300, 2 * len(grids) - 300)
 
 
 def test_gadget_signature_equals_oracle_on_counterexample_family():
@@ -448,14 +450,13 @@ def test_gadget_signature_equals_oracle_on_counterexample_family():
     assert len(gadgets) == 1548
     rng = np.random.default_rng(42)
     _contraction_plan.cache_clear()
-    _plan_skeleton.cache_clear()
     for _ in range(2):
         fs = {"neq": disequality_signature(2, 2, 0), "f": random_tensor(rng, 2, 0, 4)}
         for g in gadgets:
             assert np.array_equal(gadget_signature(g, fs).array, oracle_contract(g, fs))
-    assert _contraction_plan.cache_info().hits == len(gadgets)
-    # gadgets that differ only in the order of their stubs share a skeleton
-    assert _plan_skeleton.cache_info().misses == 65
+    # gadgets that differ only in the order of their stubs share a plan
+    info = _contraction_plan.cache_info()
+    assert (info.misses, info.hits) == (65, 2 * len(gadgets) - 65)
 
 
 @st.composite
@@ -480,6 +481,27 @@ def test_contraction_equals_oracle_on_random_sets(case):
     else:
         for g in itertools.islice(enumerate_gadgets(sigs, profile, max_vertices, q), 150):
             assert np.array_equal(gadget_signature(g, fs).array, oracle_contract(g, fs))
+
+
+def specialized_plan(grid, shapes):
+    """The cached plan of grid's structure, checked against the cap at
+    grid.q and specialized to grid as oracle_contraction_plan plans."""
+    q = grid.q
+    plan = _contraction_plan(
+        grid.vertices, grid.edges,
+        tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling)),
+        shapes, min(q, 2),
+    )
+    _check_cap(plan, q)
+    steps = tuple(
+        (u, perm_u, (q**keep_u, q**shared), v, perm_v, (q**shared, q**keep_v),
+         (q,) * (keep_u + keep_v))
+        for u, perm_u, v, perm_v, keep_u, shared, keep_v in plan.steps
+    )
+    perm = tuple(plan.left_axis[s] for s in grid.left_dangling) + tuple(
+        plan.right_axis[s] for s in grid.right_dangling
+    )
+    return SpecializedPlan(plan.traces, steps, plan.outer, perm, q**grid.loops)
 
 
 def plan_or_error(plan, grid, shapes):
@@ -533,28 +555,63 @@ def planned_grids(draw):
 @given(case=planned_grids())
 def test_cached_plan_equals_reference_planner(case):
     grid, shapes = case
-    assert plan_or_error(_contraction_plan, grid, shapes) == plan_or_error(
+    assert plan_or_error(specialized_plan, grid, shapes) == plan_or_error(
         oracle_contraction_plan, grid, shapes
     )
 
 
 def test_plan_cap_is_checked_at_each_q():
-    # contracting u and v leaves 3 + 4 free axes: 2**7 entries at q=2,
-    # 16**7 at q=16, over the cap; both q share one skeleton
+    # both q share one plan, and each checks the cap at its own q
     shapes = (("u", (1, 3)), ("v", (0, 5)))
-    stubs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5))
-    small, large = (
-        SignatureGrid(q=q, vertices=("u", "v"), edges=((0, 1, 1, 1),), right_dangling=stubs)
-        for q in (2, 16)
-    )
-    assert _contraction_plan(small, shapes) == oracle_contraction_plan(small, shapes)
-    with pytest.raises(ValueError) as got:
-        _contraction_plan(large, shapes)
+    for vertices, edges, stubs, message in [
+        # contracting u and v leaves 3 + 4 free axes: 2**7 entries at
+        # q=2, 16**7 at q=16, over the cap
+        (("u", "v"), ((0, 1, 1, 1),), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5)),
+         f"intermediate tensor of {16**7} entries exceeds the cap"),
+        # two unjoined v's are multiplied out to 10 axes: 2**10 and 16**10
+        (("v", "v"), (), tuple((v, j) for v in (0, 1) for j in range(1, 6)),
+         "outer product exceeds the entry cap"),
+    ]:
+        small, large = (
+            SignatureGrid(q=q, vertices=vertices, edges=edges, right_dangling=stubs)
+            for q in (2, 16)
+        )
+        _contraction_plan.cache_clear()
+        assert specialized_plan(small, shapes) == oracle_contraction_plan(small, shapes)
+        assert plan_or_error(specialized_plan, large, shapes) == plan_or_error(
+            oracle_contraction_plan, large, shapes
+        ) == f"ValueError: {message}"
+        assert _contraction_plan.cache_info().misses == 1
+    # through the public path too, where a missed check would fail to
+    # allocate 16**10 entries rather than build them
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gadget_signature(large, {"v": MixedTensor.zeros(16, 0, 5)})
+
+
+def test_invalid_grid_is_refused_on_every_call():
+    # the plan cache keeps no failure: a grid using a port twice is refused
+    # on every call, also after a valid grid on the same vertices is planned
+    bindings = {"a": MixedTensor.from_matrix(np.eye(2))}
+    valid = SignatureGrid(q=2, vertices=("a",), edges=((0, 1, 0, 1),))
+    twice = dataclasses.replace(valid, edges=valid.edges * 2)
+    _contraction_plan.cache_clear()
+    for grid in (twice, valid, twice, valid, twice):
+        if grid is valid:
+            assert holant_eval_contracted(grid, bindings) == 2
+        else:
+            with pytest.raises(ValueError, match="^left port 1 of vertex 0 used 2 times$"):
+                holant_eval_contracted(grid, bindings)
+    assert _contraction_plan.cache_info().currsize == 1
+    # plans are keyed on sorted stubs, but the message names the first
+    # fault in the grid's own stub order
+    bad = SignatureGrid(q=2, vertices=("a",), edges=(), left_dangling=((0, 5), (0, 3)),
+                        right_dangling=((0, 1),))
     with pytest.raises(ValueError) as want:
-        oracle_contraction_plan(large, shapes)
-    assert str(got.value) == str(want.value) == (
-        f"intermediate tensor of {16**7} entries exceeds the cap"
-    )
+        bad.validate({"a": (1, 1)})
+    assert str(want.value).startswith("port 5 out of range")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            gadget_signature(bad, bindings)
 
 
 def test_plan_cache_keys_on_shapes():

@@ -112,7 +112,8 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
     or the caller binds that id.
     """
     out = dict(bindings)
-    for sig in set(grid.vertices) - {WIRE_ID}:
+    # in vertex order, so the first fault named does not depend on hashing
+    for sig in dict.fromkeys(s for s in grid.vertices if s != WIRE_ID):
         if sig not in out:
             raise ValueError(f"missing binding for signature {sig!r}")
         if out[sig].q != grid.q:
@@ -133,11 +134,12 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
 # vertices, edges and sorted stubs, its shapes and min(q, 2), so every grid
 # that differs from a planned one only in q >= 2, its loop count or the
 # order of its dangling stubs reuses its plan (hom grids built for several
-# target sizes, gadgets in every slot order).  Checkers evaluate a whole
-# family of structures under one binding and then under another, so a plan
-# is reused when the cache holds the family: 300 closed structures over
-# three shapes at bound 4, the 877 closed and 65 (4,0) structures of the
-# arity-4 counterexample at bound 6.  After a pass (tracemalloc), the cache
+# target sizes, gadgets in every slot order).  Checkers contract each
+# structure of a family once under each binding set, back to back, so the
+# second replays the first's plan; the cache keeps a whole family so that a
+# later walk of it plans nothing: 300 closed structures over three shapes at
+# bound 4, the 877 closed and 65 (4,0) structures of the arity-4
+# counterexample at bound 6.  After a pass (tracemalloc), the cache
 # held 1363 plans in about 3.3 MB on counterexample-spans and 364 in about
 # 2.1 MB on hom-census.
 PLAN_CACHE_SIZE = 4096
@@ -355,40 +357,62 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     The dangling slots stay free tensor axes of the contraction, planned
     and cached as in holant_eval_contracted.  The plan also ignores the
     order of the stubs, which decides only the final transpose of the
-    free axes, never which pair is contracted next.  So a gadget that
-    differs from a contracted one only in slot order need not be
-    contracted: reordered_signature transposes the known signature into
-    the same bytes.  Reuse of a cached plan does not change the signature.
+    free axes, never which pair is contracted next, and the loop count,
+    which only scales the result.  So a grid that differs from a
+    contracted one only in slot order, or from a loop-free one also in
+    its loop count, need not be contracted: reordered_signature derives
+    the same bytes from the known signature.  A closed grid's signature
+    is its (0,0) tensor, holding holant_eval_contracted's value.  Reuse of
+    a cached plan does not change the signature.
     """
     l, r = grid.profile
     return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))
 
 
+def derives(grid: SignatureGrid, target: SignatureGrid) -> bool:
+    """Can reordered_signature derive target's signature from grid's?
+
+    Yes when they have the same q, vertices and edges, the same stubs as
+    multisets, and the same loop count unless grid has none.
+    """
+    stubs = (sorted(grid.left_dangling), sorted(grid.right_dangling))
+    return (grid.q, grid.vertices, grid.edges) == (target.q, target.vertices, target.edges) and (
+        grid.loops in (0, target.loops)
+        and stubs == (sorted(target.left_dangling), sorted(target.right_dangling))
+    )
+
+
 def reordered_signature(sig: MixedTensor, grid: SignatureGrid, target: SignatureGrid) -> MixedTensor:
     """Signature of target, given sig, the signature of grid.
 
-    target must differ from grid only in the order of its dangling
-    stubs: the same q, vertices, edges and loops, and the same stubs as
-    multisets; otherwise ValueError.  The result is sig with its slot
-    axes transposed, bitwise equal to gadget_signature(target, ...) under
-    sig's bindings: both grids replay one plan, since it is keyed on the
-    sorted stubs, so their contractions differ only in the final
-    transpose of the free axes, and the scale by q**loops commutes with
-    it.
+    target must differ from grid only in the order of its dangling stubs
+    and, if grid has no loops, in its loop count (see derives); otherwise
+    ValueError.  The result is bitwise gadget_signature(target, ...) under
+    sig's bindings.  Both grids replay one plan, since it is keyed on the
+    sorted stubs and ignores loops, so their contractions differ only in
+    the final transpose of the free axes, done here on sig, and in the
+    scale by q**loops, which commutes with it.
+
+    _contract scales by a complex multiply with q**loops + 0j, even at
+    loops 0, and that can flip a signed zero: (-0-0j)*1 is 0-0j, and
+    ((-0-0j)*1)*2 is 0+0j where (-0-0j)*2 is 0-0j.  A loop-free sig has
+    been through the multiply by 1 + 0j, so the loops are applied to its
+    real and imaginary parts apart, as a real multiply by q**loops each,
+    which gives the bits a single complex multiply by q**loops gives.
     """
-    if (grid.q, grid.vertices, grid.edges, grid.loops) != (
-        target.q, target.vertices, target.edges, target.loops
-    ) or (sorted(grid.left_dangling), sorted(grid.right_dangling)) != (
-        sorted(target.left_dangling), sorted(target.right_dangling)
-    ):
-        raise ValueError("target differs from grid in more than its stub order")
+    if not derives(grid, target):
+        raise ValueError("target differs from grid in more than its stub order and loop count")
     l, r = grid.profile
     if (sig.q, sig.left, sig.right) != (grid.q, l, r):
         raise ValueError(f"signature of shape {sig.shape} at q={sig.q} is not the grid's")
     axes = [grid.left_dangling.index(s) for s in target.left_dangling] + [
         l + grid.right_dangling.index(s) for s in target.right_dangling
     ]
-    return MixedTensor(grid.q, l, r, np.transpose(sig.array, axes))
+    arr = np.transpose(sig.array, axes)
+    if target.loops != grid.loops:
+        parts = arr.reshape(-1).view(np.float64) * float(grid.q**target.loops)
+        arr = parts.view(np.complex128).reshape(arr.shape)
+    return MixedTensor(grid.q, l, r, arr)
 
 
 # -- quantum gadgets ------------------------------------------------------
@@ -615,7 +639,9 @@ def enumerate_grids(
     is represented by its canonical code, the lexicographic minimum over
     those same-signature relabelings of the sorted edge tuple.  Yields in
     a deterministic order: by vertex count, then signature multiset, then
-    canonical code, each with loop counts 0 and 1.
+    canonical code, each with loop counts 0 and 1, back to back.  The
+    loop-1 copy differs only by a factor q, so the checkers contract the
+    loop-0 grid and derive the copy's value from it (reordered_signature).
 
     Each port matching is canonicalized by _canonical_search, a search
     over tied prefixes of the code that visits only the relabelings

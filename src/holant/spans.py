@@ -16,10 +16,11 @@ import numpy as np
 from holant.grids import (
     QuantumGadget,
     SignatureGrid,
+    derives,
     enumerate_gadgets,
     enumerate_grids,
     gadget_signature,
-    holant_eval_contracted,
+    holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
     reordered_signature,
 )
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
@@ -58,34 +59,27 @@ class GadgetSpan:
         return res <= RANK_TOL * max(1.0, t.norm())
 
 
-def _closed_structures(sig_shapes, max_vertices, q):
-    """Closed grids with at least one vertex, for the (0,0) profile.
+def structure_signatures(grids, *bindings):
+    """Yield (grid, sig, ...): each grid with its signature under every
+    binding set, contracting each structure once per binding set.
 
-    The vertexless grids contribute bare constants (1 and powers of q),
-    so the interesting (0,0) span is what the vertex-bearing grids add.
+    A run is grids yielded back to back with equal vertices and edges,
+    which leave equal stubs free: the enumerators yield the slot orders
+    of a gadget structure so, and a closed structure at loop counts 0
+    and 1.  The first grid of a run is contracted under every binding
+    set, through this module's gadget_signature, so perfbench's tracer
+    sees each contraction; reordered_signature derives the rest of the
+    run from it, bitwise the same.  A grid it cannot derive (see
+    grids.derives), such as another loop count of a looped grid, starts
+    a new run.
     """
-    return [g for g in enumerate_grids(sig_shapes, max_vertices, q) if g.vertices]
-
-
-def _signatures(gadgets, fs):
-    """Yield each gadget with its signature under fs, contracting each
-    structure once.
-
-    The enumerators yield the slot orders of one structure back to back:
-    equal (vertices, edges, loops), the same stubs in another order.  The
-    first of each run is contracted, through this module's
-    gadget_signature; the rest take its signature with the slot axes
-    transposed, which is bitwise the same.
-    """
-    first = sig = None
-    for g in gadgets:
-        if first is None or (g.vertices, g.edges, g.loops) != (
-            first.vertices, first.edges, first.loops
-        ):
-            first, sig = g, gadget_signature(g, fs)
-            yield g, sig
+    first = sigs = None
+    for g in grids:
+        if first is None or not derives(first, g):
+            first, sigs = g, [gadget_signature(g, b) for b in bindings]
+            yield (g, *sigs)
         else:
-            yield g, reordered_signature(sig, first, g)
+            yield (g, *(reordered_signature(sig, first, g) for sig in sigs))
 
 
 def build_span(
@@ -109,14 +103,16 @@ def build_span(
     sig_shapes = sorted((name, t.shape) for name, t in fs.items())
     l, r = profile
     if (l, r) == (0, 0):
-        gadgets = _closed_structures(sig_shapes, max_vertices, q)
+        # vertexless grids contribute bare constants (1 and powers of q), so
+        # the interesting (0,0) span is what the vertex-bearing grids add
+        gadgets = [g for g in enumerate_grids(sig_shapes, max_vertices, q) if g.vertices]
     else:
         gadgets = enumerate_gadgets(sig_shapes, profile, max_vertices, q)
     basis: list[MixedTensor] = []
     witnesses: list[SignatureGrid] = []
     independent = IncrementalBasis(indep_tol)
     count = 0
-    for g, sig in _signatures(gadgets, fs):
+    for g, sig in structure_signatures(gadgets, fs):
         count += 1
         if independent.add(sig.entries):
             basis.append(sig)
@@ -269,6 +265,9 @@ def _check_correspondence(fs, gs, bijection):
             )
         if fs[fid].q != gs[gid].q:
             raise ValueError("domain sizes differ across the correspondence")
+    gs_as_f = {fid: gs[gid] for fid, gid in bijection.items()}
+    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
+    return gs_as_f, sig_shapes, next(iter(fs.values())).q
 
 
 def check_indistinguishable(
@@ -284,15 +283,12 @@ def check_indistinguishable(
     evaluates it under both bindings; the first difference above
     tol * (1 + |value|) is returned as a witness.
     """
-    _check_correspondence(fs, gs, bijection)
-    gs_as_f = {fid: gs[gid] for fid, gid in bijection.items()}
-    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
-    q = next(iter(fs.values())).q
+    gs_as_f, sig_shapes, q = _check_correspondence(fs, gs, bijection)
     count = 0
     max_diff = 0.0
-    for grid in enumerate_grids(sig_shapes, max_vertices, q):
-        vf = holant_eval_contracted(grid, fs)
-        vg = holant_eval_contracted(grid, gs_as_f)
+    grids = enumerate_grids(sig_shapes, max_vertices, q)
+    for grid, sf, sg in structure_signatures(grids, fs, gs_as_f):
+        vf, vg = complex(sf.array), complex(sg.array)
         count += 1
         diff = abs(vf - vg)
         if diff > tol * (1 + abs(vf)):
@@ -347,20 +343,15 @@ def check_covanishing(
     combination is also null on the other side.  A null vector of one
     side whose image is bounded away from zero is a counterexample.
     """
-    _check_correspondence(fs, gs, bijection)
-    gs_as_f = {fid: gs[gid] for fid, gid in bijection.items()}
-    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
-    q = next(iter(fs.values())).q
+    gs_as_f, sig_shapes, q = _check_correspondence(fs, gs, bijection)
     l, r = profile
     if (l, r) == (0, 0):
         structures = list(enumerate_grids(sig_shapes, max_vertices, q))
     else:
         structures = list(enumerate_gadgets(sig_shapes, profile, max_vertices, q))
     shape = (len(structures), q ** (l + r))
-    stack_f, stack_g = (
-        np.array([sig.entries for _, sig in _signatures(structures, b)]).reshape(shape)
-        for b in (fs, gs_as_f)
-    )
+    rows = list(structure_signatures(structures, fs, gs_as_f))
+    stack_f, stack_g = (np.array([row[k].entries for row in rows]).reshape(shape) for k in (1, 2))
     worst = (0.0, None, None)
     for direction, a, b in (("first", stack_f, stack_g), ("second", stack_g, stack_f)):
         # left_null() holds this direction's U; nothing else may, so it

@@ -13,9 +13,11 @@ over tied prefixes.  oracle_contraction_plan is the contraction planner
 as a plain, uncached greedy loop that plans one grid at its own q and
 stub order, the reference for the library's plan cache: its plans, which
 ignore q >= 2, the loop count and the stub order, are compared once
-specialized to a grid, and so are its two cap messages.  oracle_signatures contracts every gadget with the
-library's gadget_signature, the reference for the spans checkers, which
-contract one slot order per structure and transpose for the rest.
+specialized to a grid, and so are its two cap messages.
+oracle_signatures contracts every grid, loop copies included, with the
+library's gadget_signature: the reference for spans.structure_signatures,
+which contracts one grid per structure and derives the other slot orders
+and loop counts.
 """
 
 from __future__ import annotations
@@ -280,8 +282,8 @@ def oracle_contraction_plan(
     return SpecializedPlan(tuple(traces), tuple(steps), outer, perm, q**grid.loops)
 
 
-def oracle_signatures(gadgets, fs):
-    """spans._signatures without the transposes: each gadget with its
-    own contracted signature under fs."""
-    for g in gadgets:
-        yield g, gadget_signature(g, fs)
+def oracle_signatures(grids, *bindings):
+    """spans.structure_signatures without the derivations: each grid with
+    its own contracted signature under every binding set."""
+    for g in grids:
+        yield (g, *(gadget_signature(g, b) for b in bindings))

@@ -90,6 +90,28 @@ def test_eval_methods_agree(capsys, tmp_path):
     assert rep["value"] == [2.0, 0.0]
 
 
+def test_missing_binding_named_does_not_depend_on_hashing(tmp_path):
+    # three vertices with no bindings: the first in vertex order is named,
+    # under every string hash seed
+    grid = write(
+        tmp_path,
+        "grid.json",
+        {"q": 2, "vertices": [{"sig": "c"}, {"sig": "a"}, {"sig": "b"}],
+         "edges": [[0, 1, 0, 1], [1, 1, 1, 1], [2, 1, 2, 1]]},
+    )
+    sigs = write(tmp_path, "empty.json", {})
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "holant.cli", "eval", grid, "--sigs", sigs],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "missing binding for signature 'c'" in proc.stderr
+
+
 def test_eval_rejects_open_grid(capsys, tmp_path):
     grid = write(
         tmp_path,

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holant.grids
+from holant import spans
 from holant import (
     MixedTensor,
     disequality_signature,
@@ -45,6 +46,7 @@ from oracles import (
     oracle_contraction_plan,
     oracle_grid_code,
     oracle_grid_labelings,
+    oracle_signatures,
 )
 
 
@@ -274,17 +276,43 @@ def test_reordered_signature_refuses_another_structure():
     )
     sig = gadget_signature(g, {"a": t})
     assert reordered_signature(sig, g, g).array.tobytes() == sig.array.tobytes()
-    for target in (
-        dataclasses.replace(g, edges=((1, 1, 0, 1),)),
-        dataclasses.replace(g, loops=1),
-        dataclasses.replace(g, left_dangling=((0, 1),)),
-        dataclasses.replace(g, right_dangling=((1, 1),)),
-        dataclasses.replace(g, q=3),
+    # a loop-free grid derives its loop copies; a looped one only itself
+    looped = dataclasses.replace(g, loops=2)
+    want = gadget_signature(looped, {"a": t})
+    assert reordered_signature(sig, g, looped).array.tobytes() == want.array.tobytes()
+    assert reordered_signature(want, looped, looped).array.tobytes() == want.array.tobytes()
+    for grid, target in (
+        (g, dataclasses.replace(g, edges=((1, 1, 0, 1),))),
+        (g, dataclasses.replace(g, left_dangling=((0, 1),))),
+        (g, dataclasses.replace(g, right_dangling=((1, 1),))),
+        (g, dataclasses.replace(g, q=3)),
+        (looped, g),
+        (looped, dataclasses.replace(g, loops=1)),
     ):
         with pytest.raises(ValueError, match="more than its stub order"):
-            reordered_signature(sig, g, target)
+            reordered_signature(sig, grid, target)
     with pytest.raises(ValueError, match="not the grid's"):
         reordered_signature(MixedTensor(2, 0, 2, np.zeros(4)), g, g)
+
+
+def test_loop_copies_keep_signed_zeros():
+    # _contract returns x * q**loops for the product x of its steps, a
+    # complex multiply even at loops 0: (-0-0j)*1 is 0-0j, and (0-0j)*3 is
+    # 0+0j where (-0-0j)*3 is 0-0j, so scaling the loop-free signature by
+    # q**loops as a complex would flip the sign of a zero
+    x = np.array([complex(-0.0, -0.0), complex(3.0, -0.0), complex(-0.0, -2.0)])
+    g = SignatureGrid(q=3, vertices=("a",), edges=(), right_dangling=((0, 1),))
+    sig = MixedTensor(3, 0, 1, x * 1)
+    for loops in (1, 2):
+        want = (x * 3**loops).tobytes()
+        assert (sig.array * 3**loops).tobytes() != want
+        target = dataclasses.replace(g, loops=loops)
+        assert reordered_signature(sig, g, target).array.tobytes() == want
+    # the walker derives a contracted grid's loop copy bitwise too
+    bindings = {"a": MixedTensor(3, 0, 1, x)}
+    grids = [g, dataclasses.replace(g, loops=1)]
+    got = [row[1].array.tobytes() for row in spans.structure_signatures(grids, bindings)]
+    assert got == [row[1].array.tobytes() for row in oracle_signatures(grids, bindings)]
 
 
 def test_pairing_equals_holant_of_wired_closure():

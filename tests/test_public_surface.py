@@ -1,4 +1,5 @@
-"""Every name in holant.__all__ has a caller outside the tests.
+"""Every name in holant.__all__ has a caller outside the tests, and every
+name perfbench's tracer wraps exists.
 
 A caller is a use in the library (src/holant, apart from __init__.py),
 the demos or perfbench: a name or attribute in code, or an import.
@@ -8,6 +9,7 @@ name that has no caller itself.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -57,3 +59,14 @@ def test_exports_are_listed_once():
 def test_every_export_has_a_caller_outside_the_tests():
     assert CONSUMERS
     assert sorted(_exports_without_caller()) == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer replaces these module attributes by name, so a
+    # deleted one would crash every traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for _, owners in tracing.BOUNDARIES.values() for site in owners]
+    assert len(sites) > 10
+    assert [(owner, attr) for owner, attr in sites if not hasattr(owner, attr)] == []

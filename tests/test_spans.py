@@ -293,16 +293,18 @@ def test_transformed_set_covanishes_with_original():
         assert report.verdict == "covanishing_at_bound"
 
 
-# -- one contraction per gadget structure ----------------------------------------
+# -- one contraction per structure ------------------------------------------------
 
 
 def slot_order_case(name):
     """(fs, gs, profile, bound): the arity-4 counterexample pair at either
-    profile, or random q = 3 signatures whose (2,2) gadgets have wires."""
-    if name != "wired":
+    profile or closed, random q = 3 signatures whose (2,2) gadgets have
+    wires, or closed-invariance's shapes at q = 3 under F and T·F."""
+    if name.startswith("neq_f"):
         fs = counterexample_set(0.3 + 0.7j, -1.1 + 0.2j)
         gs = counterexample_set(0.0, 0.0)
-        return fs, gs, {"neq_f_04": (0, 4), "neq_f_40": (4, 0)}[name], 5
+        profile, bound = {"neq_f_04": ((0, 4), 5), "neq_f_40": ((4, 0), 5)}.get(name, ((0, 0), 6))
+        return fs, gs, profile, bound
     rng = np.random.default_rng(41)
     shapes = {"a": (1, 1), "b": (1, 2), "c": (2, 1)}
     fs, gs = (
@@ -312,58 +314,95 @@ def slot_order_case(name):
         }
         for _ in range(2)
     )
-    return fs, gs, (2, 2), 3
+    if name == "wired":
+        return fs, gs, (2, 2), 3
+    return fs, closed_transform(3).act_set(fs), (0, 0), 4
 
 
-@pytest.mark.parametrize("case", ["neq_f_04", "neq_f_40", "wired"])
+def closed_transform(q):
+    from holant.transforms import HoloTransform
+
+    m = np.array([[1.0, 0.5j, 0.0], [0.25, -1.0, 0.5], [0.0, 1.0j, 2.0]])
+    return HoloTransform(q, m[:q, :q])
+
+
+@pytest.mark.parametrize("case", ["neq_f_04", "neq_f_40", "wired", "closed", "neq_f_closed"])
 def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
+    from holant import transforms
+
     fs, gs, profile, bound = slot_order_case(case)
     bij = {k: k for k in fs}
     q = next(iter(fs.values())).q
     sig_shapes = sorted((k, t.shape) for k, t in fs.items())
-    gadgets = list(enumerate_gadgets(sig_shapes, profile, bound, q))
-    structures = {(g.vertices, g.edges, g.loops) for g in gadgets}
-    assert len(structures) < len(gadgets)
+    if profile == (0, 0):
+        grids = list(enumerate_grids(sig_shapes, bound, q))
+    else:
+        grids = list(enumerate_gadgets(sig_shapes, profile, bound, q))
+    structures = {(g.vertices, g.edges) for g in grids}
+    assert len(structures) < len(grids)
 
-    # every signature byte, as check_covanishing stacks them
-    got = list(spans._signatures(gadgets, fs))
-    want = list(oracle_signatures(gadgets, fs))
-    assert [g for g, _ in got] == gadgets
-    assert [s.array.tobytes() for _, s in got] == [s.array.tobytes() for _, s in want]
+    # every signature byte under both binding sets, as check_covanishing
+    # stacks them; a closed grid's loop copy takes its value from here
+    got = list(spans.structure_signatures(grids, fs, gs))
+    want = list(oracle_signatures(grids, fs, gs))
+    assert [row[0] for row in got] == grids
+    for k in (1, 2):
+        assert [row[k].array.tobytes() for row in got] == [row[k].array.tobytes() for row in want]
 
-    # each structure is contracted once, through the module attribute
+    # each structure is contracted once per binding set, through the
+    # module attribute
     contracted = []
     real = spans.gadget_signature
     monkeypatch.setattr(
         spans, "gadget_signature", lambda g, b: contracted.append(g) or real(g, b)
     )
-    span = build_span(fs, profile, bound)
-    walked = gadgets[: span.gadgets_enumerated]
-    assert len(contracted) == len({(g.vertices, g.edges, g.loops) for g in walked})
-    # a full-U SVD of the 9816-row (0,4) stack needs gigabytes, so that
-    # profile's covanishing test is checked through its stack above
-    cov = None
-    if profile != (0, 4):
-        before = len(contracted)
-        cov = check_covanishing(fs, gs, bij, profile, bound)
-        assert len(contracted) - before == 2 * len(structures)
 
-    monkeypatch.setattr(spans, "_signatures", oracle_signatures)
-    ref = build_span(fs, profile, bound)
-    assert span.gadgets_enumerated == ref.gadgets_enumerated
-    assert span.witnesses == ref.witnesses
-    assert [b.array.tobytes() for b in span.basis] == [b.array.tobytes() for b in ref.basis]
-    if cov is None:
-        return
-    ref_cov = check_covanishing(fs, gs, bij, profile, bound)
-    assert (cov.verdict, cov.structures_checked, cov.direction, cov.max_cross_residual) == (
-        ref_cov.verdict, ref_cov.structures_checked, ref_cov.direction,
-        ref_cov.max_cross_residual,
-    )
-    assert cov.verdict == "counterexample"
-    assert cov.witness.terms == ref_cov.witness.terms
-    for got_sig, want_sig in (
-        (cov.witness_signature_f, ref_cov.witness_signature_f),
-        (cov.witness_signature_g, ref_cov.witness_signature_g),
-    ):
-        assert got_sig.array.tobytes() == want_sig.array.tobytes()
+    def reports():
+        """Each checker's report, with the contractions it made.  Closed
+        reports are compared as their reprs, which are bitwise: a float's
+        repr round-trips it, signed zeros included."""
+        out = {}
+        if profile == (0, 0):
+            before = len(contracted)
+            # F and T·F differ by rounding, so a tolerance lets the walk finish
+            out["indistinguishable"] = repr(check_indistinguishable(fs, gs, bij, bound, 1e-8))
+            out["theorem"] = repr(transforms.verify_holant_theorem(fs, closed_transform(q), bound))
+            out["closed_contracted"] = len(contracted) - before
+        before = len(contracted)
+        span = build_span(fs, profile, bound)
+        out["span_contracted"] = len(contracted) - before
+        out["span"] = (
+            span.gadgets_enumerated, span.witnesses, [b.array.tobytes() for b in span.basis]
+        )
+        # a full-U SVD of the 9816-row (0,4) stack needs gigabytes, and the
+        # 1754-row closed stack at bound 6 takes a while; those profiles'
+        # covanishing tests are checked through the stacks above
+        if profile != (0, 4) and case != "neq_f_closed":
+            before = len(contracted)
+            cov = check_covanishing(fs, gs, bij, profile, bound)
+            out["cov_contracted"] = len(contracted) - before
+            out["cov"] = (
+                cov.verdict, cov.structures_checked, cov.direction, cov.max_cross_residual,
+                cov.witness and cov.witness.terms,
+                *(w and w.array.tobytes() for w in (cov.witness_signature_f, cov.witness_signature_g)),
+            )
+        return out
+
+    mine = reports()
+    if profile == (0, 0):
+        # two checkers, each under two binding sets
+        assert mine["closed_contracted"] == 4 * len(structures)
+    walked = grids[: mine["span"][0]]
+    assert mine["span_contracted"] == len({(g.vertices, g.edges) for g in walked})
+    if "cov" in mine:
+        assert mine["cov_contracted"] == 2 * len(structures)
+        assert mine["cov"][0] == ("covanishing_at_bound" if case == "closed" else "counterexample")
+
+    monkeypatch.setattr(spans, "structure_signatures", oracle_signatures)
+    monkeypatch.setattr(transforms, "structure_signatures", oracle_signatures)
+    ref = reports()
+    assert ref["span_contracted"] == 0  # the oracle calls grids.gadget_signature
+    for out in (mine, ref):
+        for key in ("closed_contracted", "span_contracted", "cov_contracted"):
+            out.pop(key, None)
+    assert mine == ref

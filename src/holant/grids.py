@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from holant.elimination import elimination_plan
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature
 
 WIRE_ID = "wire"
@@ -128,38 +129,47 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
     return out
 
 
-# -- pairwise tensor contraction -----------------------------------------
+# -- tensor contraction ----------------------------------------------------
 
 # Entries kept by the plan cache.  Plans are cached per structure: a grid's
-# vertices, edges and sorted stubs, its shapes and min(q, 2), so every grid
-# that differs from a planned one only in q >= 2, its loop count or the
-# order of its dangling stubs reuses its plan (hom grids built for several
-# target sizes, gadgets in every slot order).  Checkers contract each
-# structure of a family once under each binding set, back to back, so the
-# second replays the first's plan; the cache keeps a whole family so that a
-# later walk of it plans nothing: 300 closed structures over three shapes at
-# bound 4, the 877 closed and 65 (4,0) structures of the arity-4
-# counterexample at bound 6.  After a pass (tracemalloc), the cache
-# held 1363 plans in about 3.3 MB on counterexample-spans and 364 in about
-# 2.1 MB on hom-census.
+# vertices, edges and sorted stubs, its shapes, min(q, 2) and the ids it
+# binds to equality signatures, so every grid that differs from a planned
+# one only in q >= 2, its loop count or the order of its dangling stubs
+# reuses its plan (hom grids built for several target sizes, gadgets in
+# every slot order).  Checkers contract each structure of a family once
+# under each binding set, back to back, so the second replays the first's
+# plan; the cache keeps a whole family so that a later walk of it plans
+# nothing: 300 closed structures over three shapes at bound 4, the 877
+# closed and 65 (4,0) structures of the arity-4 counterexample at bound 6.
+# Traced by tracemalloc over a whole pass, the cache ends holding 1363 plans
+# in about 2.4 MB on counterexample-spans, and 364 elimination plans in
+# about 1.8 MB on hom-census (2.3 MB as pairwise plans).
 PLAN_CACHE_SIZE = 4096
 
 
 class ContractionPlan(NamedTuple):
     """One grid structure's contraction order, the same at every q >= 2.
 
-    Nodes 0..n-1 are the vertex tensors; pairwise step k creates node n+k.
+    A plan contracts pairwise or by elimination, never both.  Nodes
+    0..n-1 are the vertex tensors; step k of either kind creates node n+k.
     traces: (node, axis1, axis2) for each self-edge, as np.trace takes them.
     steps: (u, perm_u, v, perm_v, keep_u, shared, keep_v) per pairwise
         contraction, exactly as np.tensordot performs it: transpose both
         operands, reshape them to q**keep_u x q**shared and q**shared x
         q**keep_v matrices, np.dot, and reshape the product to
         keep_u + keep_v axes of size q.
-    peak_rank: the largest keep_u + keep_v over the steps, 0 if none.
+    peak_rank: the largest output rank over the steps of either kind, 0
+        if none.
     outer: the nodes left over, multiplied as outer products in this order.
     outer_rank: the number of axes of that product.
     left_axis, right_axis: for each dangling (vertex, port), the axis of
         that product that carries it.
+    eliminations: the steps of holant.elimination.elimination_plan,
+        (operands, subscripts, rank), each one np.einsum that sums an
+        index class out of the nodes holding it (EINSUM_LOOP_MAX says how
+        einsum runs it).
+    free: the number of factors q from index classes that no tensor holds
+        and from arity-0 equalities.
     """
 
     traces: tuple[tuple[int, int, int], ...]
@@ -169,6 +179,8 @@ class ContractionPlan(NamedTuple):
     outer_rank: int
     left_axis: dict[Stub, int]
     right_axis: dict[Stub, int]
+    eliminations: tuple[tuple[tuple[int, ...], str | None, int], ...] = ()
+    free: int = 0
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -179,23 +191,32 @@ def _contraction_plan(
     right: tuple[Stub, ...],
     shapes: tuple[tuple[str, tuple[int, int]], ...],
     q: int,
+    equal: tuple[str, ...] = (),
 ) -> ContractionPlan:
     """Validate a grid structure against its (id, shape) pairs and plan
     its contraction.
 
     left and right are the dangling stubs in any fixed order (callers
-    pass them sorted); q is 1 or 2.  Uses the structure only, never
-    signature values, and runs only on a cache miss, so once per
-    structure; an invalid grid raises and is not cached.  Every self-edge
-    is traced first; then the greedy order repeatedly contracts the node
-    pair whose result tensor is smallest, q**rank entries, the first such
-    pair in node order.  Since q**rank is strictly increasing in rank for
-    every q >= 2, q = 2 gives the order of every larger q; at q = 1 every
-    pair ties.  Loops never enter the network, and the stub order only
-    says which free axis carries which slot, so neither changes the plan.
+    pass them sorted); q is 1 or 2.  equal lists the ids bound to an
+    exact equality signature; callers pass it only for closed grids at
+    q >= 2, and then the plan eliminates index classes
+    (holant.elimination).  With equal empty, the plan is pairwise.  Uses
+    the structure only, never signature values, and runs only on a cache
+    miss, so once per structure and equality set; an invalid grid raises
+    and is not cached.  Every self-edge is traced first; then the greedy
+    order repeatedly contracts the node pair whose result tensor is
+    smallest, q**rank entries, the first such pair in node order.  Since
+    q**rank is strictly increasing in rank for every q >= 2, q = 2 gives
+    the order of every larger q; at q = 1 every pair ties.  Loops never
+    enter the network, and the stub order only says which free axis
+    carries which slot, so neither changes the plan.
     """
     shape_of = dict(shapes)
     SignatureGrid(q, vertices, edges, left, right).validate(shape_of)
+    if equal:
+        steps, outer, free = elimination_plan(vertices, edges, shape_of, set(equal))
+        peak_rank = max((rank for *_, rank in steps), default=0)
+        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, steps, free)
     # one int label per vertex port, numbered so each vertex's labels list
     # its axes in order: left ports, then right ports
     start: list[int] = []
@@ -277,12 +298,26 @@ def _check_cap(plan: ContractionPlan, q: int) -> None:
     more than MAX_ENTRIES entries at domain size q; an intermediate is
     named by the first step over the cap in contraction order."""
     if q**plan.peak_rank > MAX_ENTRIES:
-        for *_, keep_u, _, keep_v in plan.steps:
-            cost = q ** (keep_u + keep_v)
+        ranks = [keep_u + keep_v for *_, keep_u, _, keep_v in plan.steps]
+        for rank in ranks + [rank for *_, rank in plan.eliminations]:
+            cost = q**rank
             if cost > MAX_ENTRIES:
                 raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
     if q**plan.outer_rank > MAX_ENTRIES:
         raise ValueError("outer product exceeds the entry cap")
+
+
+# Elimination steps that sum over at most this many index value tuples,
+# q**(rank + 1), run in np.einsum's own C loop; larger ones let np.einsum
+# pair their operands greedily (optimize=True: never an intermediate larger
+# than the step's operands or output), so that each pair is one BLAS
+# product.  The pairing costs some 10-20 us a step, the loop a few ns per
+# tuple and operand.  Timed on a 2-CPU host (numpy 2.4.6), loop against
+# paired: "ab,ac->bc" 15 against 19 us at q = 16 and 99 against 32 us at
+# q = 32; "ab,ac,ad->bcd" 25 against 81 us at q = 8 and 450 against 98 us
+# at q = 16.  A hom-census pass, plans cached, ran in 0.22 s with
+# thresholds from 2**13 to 2**15 and 0.28 s with every step in the loop.
+EINSUM_LOOP_MAX = 1 << 14
 
 
 def _execute(plan: ContractionPlan, q: int, arrays: list[np.ndarray], perm: tuple[int, ...]) -> np.ndarray:
@@ -296,33 +331,54 @@ def _execute(plan: ContractionPlan, q: int, arrays: list[np.ndarray], perm: tupl
         a = nodes[u].transpose(perm_u).reshape(-1, m)
         b = nodes[v].transpose(perm_v).reshape(m, -1)
         nodes.append(np.dot(a, b).reshape((q,) * (keep_u + keep_v)))
+    for operands, subscripts, rank in plan.eliminations:
+        large = q ** (rank + 1) > EINSUM_LOOP_MAX
+        nodes.append(np.einsum(subscripts, *[nodes[k] for k in operands], optimize=large))
     out = np.array(1 + 0j)
     for nid in plan.outer:
         out = np.multiply.outer(out, nodes[nid])
+    if plan.free:
+        out = out * q**plan.free
     return np.transpose(out, perm) if perm else out.reshape(())
 
 
 def _contract(grid: SignatureGrid, b: dict[str, MixedTensor]) -> np.ndarray:
     """Contract grid under bindings already passed through resolve_bindings.
 
+    A closed grid at q >= 2 with an id bound to an exact equality
+    signature (MixedTensor.is_equality; the wire identity is one) is
+    contracted by eliminating index classes, one np.einsum per class:
+    hom and matchings grids, whose equalities would otherwise be nodes of
+    many tiny pairwise steps.  Every other grid, and every grid with
+    stubs, keeps its pairwise plan; so does q = 1, where the entry cap
+    bounds no step and a wide step could need more indices than einsum
+    has letters.  Measured range, on a 2-CPU host: hom counts into
+    targets of q = 10 to 512 vertices (hom-census; cycles and random
+    cubic graphs of 128 and 512 vertices) ran as fast as by pairwise
+    plans or faster, and at q = 128 some grids fit the entry cap that
+    do not fit it pairwise: hom(K4, G) needs q**3 entries by
+    elimination, q**4 pairwise.
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
     """
-    shapes = tuple(sorted({sig: b[sig].shape for sig in grid.vertices}.items()))
+    ids = sorted(set(grid.vertices))
+    shapes = tuple([(sig, b[sig].shape) for sig in ids])
+    q = grid.q
+    if grid.left_dangling or grid.right_dangling:
+        left, right = tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling))
+        equal = ()
+    else:
+        left = right = ()
+        equal = tuple([sig for sig in ids if b[sig].is_equality()]) if q >= 2 else ()
     try:
-        plan = _contraction_plan(
-            grid.vertices, grid.edges,
-            tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling)),
-            shapes, min(grid.q, 2),
-        )
+        plan = _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(q, 2), equal)
     except ValueError:
         # the plan validated the structure with its stubs sorted; validity
         # does not depend on their order but the message does, so name the
         # first fault in the grid's own order
         grid.validate(dict(shapes))
         raise
-    q = grid.q
     _check_cap(plan, q)
     perm = ()
     if plan.outer_rank:  # the grid has stubs
@@ -334,16 +390,19 @@ def _contract(grid: SignatureGrid, b: dict[str, MixedTensor]) -> np.ndarray:
 
 
 def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
-    """Holant value of a closed grid via pairwise tensor contraction.
+    """Holant value of a closed grid via tensor contraction.
 
-    The contraction order is planned from the grid and its signature
-    shapes alone, in one least-recently-used cache of PLAN_CACHE_SIZE
-    entries shared with gadget_signature.  A plan is cached per
-    structure, ignoring q >= 2 and the loop count: the greedy order
-    compares sizes q**rank, which order as the ranks do for every q >= 2.
-    Each call checks the entry cap at its own q and scales by q per loop.
-    A reused plan replays the same arithmetic, so the value does not
-    depend on the cache.
+    The contraction order is planned from the grid, its signature shapes
+    and the ids bound to exact equality signatures, in one
+    least-recently-used cache of PLAN_CACHE_SIZE entries shared with
+    gadget_signature.  If some id is bound to an equality, each equality
+    vertex is one index its ports share, and the plan eliminates those
+    indices one np.einsum at a time (bucket elimination); otherwise it
+    contracts pairwise.  A plan is cached per structure, ignoring q >= 2
+    and the loop count: either greedy order compares sizes q**rank, which
+    order as the ranks do for every q >= 2.  Each call checks the entry
+    cap at its own q and scales by q per loop.  A reused plan replays the
+    same arithmetic, so the value does not depend on the cache.
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")

@@ -7,6 +7,11 @@ edge.  The same wiring with "at most one" / "exactly one" vertex
 signatures and a binary equality on the edges counts matchings and
 perfect matchings.
 
+The grids module sees the equality bindings and treats each equality
+vertex as one index its ports share, so hom(X, G) is contracted as a sum
+over X's vertices of products of adjacency matrices, one vertex
+eliminated per step, and a matchings count as a sum over X's edges.
+
 Bounded-degree indistinguishability experiments enumerate connected
 left graphs up to isomorphism and compare counts against two targets.
 """

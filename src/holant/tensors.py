@@ -37,7 +37,9 @@ def _check_size(q: int, slots: int) -> None:
 class MixedTensor:
     """Dense (left, right)-shaped tensor on domain [q], immutable."""
 
-    __slots__ = ("q", "left", "right", "array")
+    # _equality caches is_equality(); it is unset until decided, so that
+    # building a tensor costs nothing more
+    __slots__ = ("q", "left", "right", "array", "_equality")
 
     def __init__(self, q: int, left: int, right: int, array):
         _check_size(q, left + right)
@@ -111,6 +113,29 @@ class MixedTensor:
             raise ValueError("index tuple lengths must match the slot counts")
         return complex(self.array[tuple(left_index) + tuple(right_index)])
 
+    def is_equality(self) -> bool:
+        """Is this bitwise equality_signature(q, left, right)?
+
+        Decided from the bits of the entries, so a tensor with one entry
+        an ulp off, or with a -0.0, is not an equality.  Decided once per
+        tensor, which is immutable; equality_signature and
+        identity_signature mark their results at construction.
+        """
+        try:
+            return self._equality
+        except AttributeError:
+            pass
+        n = self.left + self.right
+        # an equality has q nonzero entries (the arity-0 one, q, has one);
+        # counting them first refuses most tensors without building the
+        # reference
+        verdict = np.count_nonzero(self.array) == (self.q if n else 1) and np.array_equal(
+            self.entries.view(np.uint64),
+            equality_signature(self.q, self.left, self.right).entries.view(np.uint64),
+        )
+        object.__setattr__(self, "_equality", bool(verdict))
+        return self._equality
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
@@ -164,11 +189,14 @@ def equality_signature(q: int, left: int, right: int) -> MixedTensor:
     n = left + right
     _check_size(q, n)
     if n == 0:
-        return MixedTensor.scalar(q, q)
-    arr = np.zeros((q,) * n, dtype=np.complex128)
-    for x in range(q):
-        arr[(x,) * n] = 1.0
-    return MixedTensor(q, left, right, arr)
+        out = MixedTensor.scalar(q, q)
+    else:
+        arr = np.zeros((q,) * n, dtype=np.complex128)
+        for x in range(q):
+            arr[(x,) * n] = 1.0
+        out = MixedTensor(q, left, right, arr)
+    object.__setattr__(out, "_equality", True)
+    return out
 
 
 def disequality_signature(q: int, left: int, right: int) -> MixedTensor:
@@ -183,7 +211,9 @@ def disequality_signature(q: int, left: int, right: int) -> MixedTensor:
 def identity_signature(q: int) -> MixedTensor:
     """The (1,1) identity, the signature of a bare wire."""
     _check_size(q, 2)
-    return MixedTensor(q, 1, 1, np.eye(q))
+    out = MixedTensor(q, 1, 1, np.eye(q))
+    object.__setattr__(out, "_equality", True)  # it is equality_signature(q, 1, 1)
+    return out
 
 
 # -- symmetric Boolean signatures --------------------------------------

@@ -2,7 +2,7 @@
 
 Each one computes its number straight from the definition: a sum over
 every assignment of domain values, of the product of the entries that
-assignment reads.  None of them shares evaluation code with the library:
+assignment reads, or for brute_matchings a count over every edge subset.  None of them shares evaluation code with the library:
 the assignment loops and the axis tables here are their own, so a
 library bug cannot hide in both.  Binding resolution and port validation
 are the library's, since those decide what a grid means, not its value;
@@ -104,6 +104,21 @@ def brute_hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
         all((sigma[u], sigma[v]) in adjacent for (u, v) in x.edges)
         for sigma in itertools.product(range(g.n), repeat=x.n)
     )
+
+
+def brute_matchings(x: SimpleGraph, perfect: bool) -> int:
+    """Number of edge subsets of x that share no vertex, and that cover
+    every vertex if perfect."""
+    count = 0
+    for r in range(x.m + 1):
+        for sub in itertools.combinations(x.edges, r):
+            used = [v for e in sub for v in e]
+            if len(set(used)) != len(used):
+                continue
+            if perfect and len(used) != x.n:
+                continue
+            count += 1
+    return count
 
 
 def oracle_canonical_code(g: SimpleGraph) -> int:

@@ -4,6 +4,7 @@ main() is invoked in-process; every report must parse as JSON and carry
 a verdict field.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from holant.serialize import (
     signature_from_obj,
     transform_to_obj,
 )
+from holant.grids import SignatureGrid, holant_eval_contracted
 from holant.homgraphs import complete_graph, cycle_graph, hom_grid
 from holant.tensors import (
     MixedTensor,
@@ -110,6 +112,54 @@ def test_missing_binding_named_does_not_depend_on_hashing(tmp_path):
         )
         assert proc.returncode == 2, proc.stderr
         assert "missing binding for signature 'c'" in proc.stderr
+
+
+def shared_index_grid(k, q):
+    """A closed grid whose k index classes are pairwise joined.
+
+    One (0,2) "t" per pair of classes holds those two; each class is a
+    ring of k - 1 (2,1) equalities "e", each handing its first left port
+    to a t.  Summing out any class leaves a tensor over the k - 1 others.
+    """
+    pairs = list(itertools.combinations(range(k), 2))
+    vertices = ["t"] * len(pairs)
+    ports = {c: [] for c in range(k)}
+    for p, (a, b) in enumerate(pairs):
+        ports[a].append((p, 1))
+        ports[b].append((p, 2))
+    edges = []
+    for c in range(k):
+        ring = list(range(len(vertices), len(vertices) + k - 1))
+        vertices += ["e"] * (k - 1)
+        for s, v in enumerate(ring):
+            edges.append((v, 1, *ports[c][s]))
+            edges.append((v, 2, ring[(s + 1) % (k - 1)], 1))
+    return SignatureGrid(q, tuple(vertices), tuple(edges)), pairs
+
+
+def test_elimination_over_the_entry_cap_exits_2(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    # at k = 4 and q = 2 the grid is the sum over the classes' values of
+    # the product of t over every pair
+    grid, pairs = shared_index_grid(4, 2)
+    t = rng.standard_normal((2, 2))
+    sigs = {"e": equality_signature(2, 2, 1), "t": MixedTensor(2, 0, 2, t)}
+    want = sum(
+        np.prod([t[x[a], x[b]] for a, b in pairs]) for x in itertools.product(range(2), repeat=4)
+    )
+    assert holant_eval_contracted(grid, sigs) == pytest.approx(want, rel=1e-12)
+    # at k = 8 and q = 16 every class leaves 7 others: 16**7 entries
+    grid, _ = shared_index_grid(8, 16)
+    sigs = {"e": equality_signature(16, 2, 1), "t": MixedTensor(16, 0, 2, rng.standard_normal((16, 16)))}
+    message = f"intermediate tensor of {16**7} entries exceeds the cap"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        holant_eval_contracted(grid, sigs)
+    grid_file = write(tmp_path, "grid.json", grid_to_obj(grid))
+    sigs_file = write(tmp_path, "sigs.json", sigset_to_obj(sigs))
+    assert main(["eval", grid_file, "--sigs", sigs_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"holant: {message}\n"
 
 
 def test_eval_rejects_open_grid(capsys, tmp_path):

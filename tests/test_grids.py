@@ -6,14 +6,24 @@ import dataclasses
 import functools
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import holant.grids
 from holant import spans
+from holant.homgraphs import (
+    SimpleGraph,
+    complete_graph,
+    cycle_graph,
+    hom_bindings,
+    hom_count,
+    hom_grid,
+    path_graph,
+)
 from holant import (
     MixedTensor,
     disequality_signature,
@@ -657,6 +667,154 @@ def test_plan_cache_keys_on_shapes():
         gadget_signature(stub, other_shape)
     assert holant_eval_contracted(loop, {"a": MixedTensor.from_matrix(2 * m)}) == 10
     assert np.array_equal(gadget_signature(stub, {"a": MixedTensor.from_matrix(-m)}).array, -m)
+
+
+# -- equality signatures as shared indices ----------------------------------
+
+
+def build_mix(spec):
+    """A closed grid and its bindings from a drawn spec: equality ids are
+    bound to equality_signature, the others to seeded random tensors.
+
+    spec is (q, vertices, edges, loops, seed); each vertex is
+    (id, shape, bound to an equality).
+    """
+    q, vertices, edges, loops, seed = spec
+    rng = np.random.default_rng(seed)
+    bindings = {}
+    for sid, shape, equal in vertices:
+        if sid != WIRE_ID and sid not in bindings:
+            bindings[sid] = equality_signature(q, *shape) if equal else random_tensor(rng, q, *shape)
+    grid = SignatureGrid(q, tuple(sid for sid, _, _ in vertices), edges, loops=loops)
+    return grid, bindings
+
+
+@st.composite
+def equality_mixes(draw):
+    """Closed grids with an equality id "e0", a random id "f0", maybe more
+    of each, maybe wires, and unary padding that balances the ports."""
+    q = draw(st.integers(2, 3))
+    arity = st.integers(0, 3).flatmap(lambda a: st.tuples(st.integers(0, a), st.just(a)))
+    pool = {}
+    for sid, equal in (("e0", True), ("e1", True), ("f0", False), ("f1", False)):
+        l, a = draw(arity)
+        pool[sid] = ((l, a - l), equal)
+    picks = ["e0", "f0"] + draw(st.lists(st.sampled_from(sorted(pool)), max_size=3))
+    vertices = [(sid, *pool[sid]) for sid in draw(st.permutations(picks))]
+    vertices += [(WIRE_ID, (1, 1), True)] * draw(st.integers(0, 2))
+    left = sum(l for _, (l, _), _ in vertices)
+    right = sum(r for _, (_, r), _ in vertices)
+    pad_equal = draw(st.booleans())
+    vertices += [("pl", (1, 0), pad_equal)] * (right - left)
+    vertices += [("pr", (0, 1), pad_equal)] * (left - right)
+    ports_l = [(v, i) for v, (_, (l, _), _) in enumerate(vertices) for i in range(1, l + 1)]
+    ports_r = [(v, j) for v, (_, (_, r), _) in enumerate(vertices) for j in range(1, r + 1)]
+    assume(len(ports_l) <= 7)
+    matched = draw(st.permutations(ports_r))
+    edges = tuple((u, i, v, j) for (u, i), (v, j) in zip(ports_l, matched))
+    return q, tuple(vertices), edges, draw(st.integers(0, 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=equality_mixes())
+# a self-edge on an equality vertex
+@example(spec=(3, (("e0", (1, 1), True), ("f0", (1, 1), False)),
+               ((0, 1, 0, 1), (1, 1, 1, 1)), 0, 1))
+# an arity-0 equality, whose value is q
+@example(spec=(2, (("e0", (0, 0), True), ("f0", (1, 1), False)), ((1, 1, 1, 1),), 1, 2))
+# a wire between an equality and a random tensor
+@example(spec=(3, (("e0", (1, 1), True), (WIRE_ID, (1, 1), True), ("f0", (1, 1), False)),
+               ((0, 1, 1, 1), (1, 1, 2, 1), (2, 1, 0, 1)), 0, 3))
+# one tensor with both axes in one class: f0 leaves and re-enters e0
+@example(spec=(3, (("e0", (2, 2), True), ("f0", (1, 1), False), ("f1", (1, 1), False)),
+               ((0, 1, 1, 1), (1, 1, 0, 1), (0, 2, 2, 1), (2, 1, 0, 2)), 0, 4))
+def test_equality_mixes_match_brute_force(spec):
+    grid, bindings = build_mix(spec)
+    want = brute_holant_eval(grid, bindings)
+    # rounding error is bounded by a multiple of the sum of |terms|, the
+    # value of the grid under the entrywise absolute bindings
+    scale = brute_holant_eval(
+        grid, {sid: MixedTensor(t.q, t.left, t.right, np.abs(t.array)) for sid, t in bindings.items()}
+    ).real
+    # every step in einsum's loop, then every step with its operands paired
+    for loop_max in (holant.grids.EINSUM_LOOP_MAX, 0):
+        with mock.patch.object(holant.grids, "EINSUM_LOOP_MAX", loop_max):
+            got = holant_eval_contracted(grid, bindings)
+        assert abs(got - want) <= 1e-9 * scale
+
+
+def test_equality_is_decided_from_the_bits():
+    # the 4-cycle's hom grid with a random "A": an exact equality takes
+    # the elimination route; one entry 1 ulp off, or a -0.0, takes the
+    # pairwise route and gives the pairwise plan's value bit for bit
+    grid = hom_grid(cycle_graph(4), 3)
+    rng = np.random.default_rng(7)
+    a = random_tensor(rng, 3, 0, 2)
+    exact = equality_signature(3, 2, 0)
+    ulp = exact.array.copy()
+    ulp[1, 1] = np.nextafter(1.0, 2.0)
+    neg = exact.array.copy()
+    neg[0, 2] = -0.0
+    shapes = (("A", (0, 2)), ("eq2", (2, 0)))
+    for eq2, equal in ((exact, ("eq2",)), (MixedTensor(3, 2, 0, ulp), ()), (MixedTensor(3, 2, 0, neg), ())):
+        bindings = {"A": a, "eq2": eq2}
+        _contraction_plan.cache_clear()
+        got = holant_eval_contracted(grid, bindings)
+        plan = _contraction_plan(grid.vertices, grid.edges, (), (), shapes, 2, equal)
+        assert _contraction_plan.cache_info().hits == 1
+        assert bool(plan.eliminations) == bool(equal)
+        if equal:
+            assert abs(got - brute_holant_eval(grid, bindings)) <= 1e-12 * max(1, abs(got))
+        else:
+            want = complex(oracle_contract(grid, bindings))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_equality_verdict_is_kept_on_the_tensor():
+    # the standard constructors mark their results; any other tensor is
+    # decided from its bits on the first call, and the verdict is kept
+    for t in (equality_signature(3, 2, 1), equality_signature(4, 0, 0), identity_signature(3)):
+        assert t._equality is True
+        copy = MixedTensor(t.q, t.left, t.right, t.array)
+        assert not hasattr(copy, "_equality")
+        assert copy.is_equality() and copy._equality is True
+    for t in (disequality_signature(3, 1, 1), MixedTensor.scalar(3, 2), MixedTensor.zeros(2, 0, 2)):
+        assert not t.is_equality() and t._equality is False
+    # a hom grid's equality bindings read from values, not built by
+    # equality_signature, still take the elimination route
+    grid = hom_grid(cycle_graph(4), 3)
+    bindings = {"A": MixedTensor(3, 0, 2, np.ones((3, 3)) - np.eye(3)),
+                "eq2": MixedTensor(3, 2, 0, np.eye(3))}
+    _contraction_plan.cache_clear()
+    assert holant_eval_contracted(grid, bindings) == 18
+    shapes = (("A", (0, 2)), ("eq2", (2, 0)))
+    assert _contraction_plan(grid.vertices, grid.edges, (), (), shapes, 2, ("eq2",)).eliminations
+    assert _contraction_plan.cache_info().hits == 1
+
+
+def test_large_elimination_steps_pair_their_operands(monkeypatch):
+    # at q = 40 a width-2 step sums over 40**3 > EINSUM_LOOP_MAX value
+    # tuples, so einsum pairs its operands through BLAS; the counts equal
+    # those of the einsum loop and of the pairwise plan
+    n = 40
+    cubic = [(v, (v + 1) % n) for v in range(n)] + [(v, v + n // 2) for v in range(n // 2)]
+    targets = [cycle_graph(n), SimpleGraph(n, tuple(cubic))]
+    xs = [cycle_graph(4), complete_graph(4), path_graph(5), SimpleGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3)))]
+    assert n**3 > holant.grids.EINSUM_LOOP_MAX
+    for g in targets:
+        a = np.zeros((n, n))
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1
+        for x in xs:
+            grid = hom_grid(x, n)
+            bindings = hom_bindings(a, x.max_degree())
+            paired = holant_eval_contracted(grid, bindings)
+            with monkeypatch.context() as m:
+                m.setattr(holant.grids, "EINSUM_LOOP_MAX", n ** 8)
+                looped = holant_eval_contracted(grid, bindings)
+            assert paired == looped == complex(oracle_contract(grid, bindings))
+    # closed walks of length 4 on a cycle of 40 vertices
+    assert hom_count(cycle_graph(4), cycle_graph(n)) == 6 * n
 
 
 # -- enumeration ------------------------------------------------------------

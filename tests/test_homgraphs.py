@@ -33,25 +33,12 @@ from holant.homgraphs import (
     matchings_signatures,
     path_graph,
 )
-from oracles import brute_hom_count, oracle_canonical_code
+from oracles import brute_hom_count, brute_matchings, oracle_canonical_code
 
 # the unique cospectral, nonsingular, non-isomorphic connected pair on
 # six vertices (exhaustive search over the census)
 COSPECTRAL_F = SimpleGraph(6, ((0, 5), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)))
 COSPECTRAL_G = SimpleGraph(6, ((0, 3), (1, 2), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)))
-
-
-def brute_matchings(x: SimpleGraph, perfect: bool) -> int:
-    count = 0
-    for r in range(x.m + 1):
-        for sub in itertools.combinations(x.edges, r):
-            used = [v for e in sub for v in e]
-            if len(set(used)) != len(used):
-                continue
-            if perfect and len(used) != x.n:
-                continue
-            count += 1
-    return count
 
 
 @st.composite
@@ -135,12 +122,13 @@ def test_hom_self_map_counts_automorphisms_at_least():
         assert hom_count(g, g) >= 1
 
 
-def test_hom_methods_agree_on_random_corpus():
-    rng = np.random.default_rng(71)
-    for _ in range(60):
-        x = random_graph(rng, int(rng.integers(1, 6)))
-        g = random_graph(rng, int(rng.integers(1, 6)))
-        assert hom_count(x, g) == brute_hom_count(x, g)
+@settings(max_examples=150, deadline=None)
+@given(graphs(5), graphs(5))
+@example(SimpleGraph(0, ()), complete_graph(3))
+@example(SimpleGraph(4, ((1, 2),)), complete_graph(3))  # isolated vertices
+@example(SimpleGraph(5, ((0, 1), (2, 3), (3, 4))), cycle_graph(5))  # disconnected
+def test_hom_methods_agree_on_random_corpus(x, g):
+    assert hom_count(x, g) == brute_hom_count(x, g)
 
 
 def test_hom_multiplicative_over_disjoint_union():
@@ -188,12 +176,12 @@ def test_matchings_counts():
     assert count_matchings(complete_graph(4), perfect=True) == 3
 
 
-def test_matchings_against_brute_enumeration():
-    rng = np.random.default_rng(83)
-    for _ in range(20):
-        x = random_graph(rng, int(rng.integers(2, 7)))
-        for perfect in (False, True):
-            assert count_matchings(x, perfect) == brute_matchings(x, perfect)
+@settings(max_examples=100, deadline=None)
+@given(graphs(6), st.booleans())
+@example(SimpleGraph(0, ()), False)
+@example(SimpleGraph(3, ()), True)
+def test_matchings_against_brute_enumeration(x, perfect):
+    assert count_matchings(x, perfect) == brute_matchings(x, perfect)
 
 
 # -- canonical forms and enumeration -------------------------------------------------

@@ -693,20 +693,13 @@ def enumerate_grids(
 ):
     """All closed grids over the named signatures, up to isomorphism.
 
-    Isomorphism respects port order: a relabeling of vertices carrying
-    equal signature ids that maps the edge multiset to itself.  Each class
-    is represented by its canonical code, the lexicographic minimum over
-    those same-signature relabelings of the sorted edge tuple.  Yields in
-    a deterministic order: by vertex count, then signature multiset, then
-    canonical code, each with loop counts 0 and 1, back to back.  The
-    loop-1 copy differs only by a factor q, so the checkers contract the
-    loop-0 grid and derive the copy's value from it (reordered_signature).
+    The (0,0) structures of _structures, in its order, each yielded with
+    loop counts 0 and 1, back to back.  The loop-1 copy differs only by a
+    factor q, so the checkers contract the loop-0 grid and derive the
+    copy's value from it (reordered_signature).
 
-    Each port matching is canonicalized by _canonical_search, a search
-    over tied prefixes of the code that visits only the relabelings
-    whose blocks tie for the smallest, not every relabeling.  A walk that
-    runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids, replaces
-    the one stored family, keyed on (sorted (id, shape) pairs,
+    A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
+    replaces the one stored family, keyed on (sorted (id, shape) pairs,
     max_vertices, q); a later walk with the same key replays it.  A walk
     stopped early, or of a larger family, stays lazy and stores nothing.
     """
@@ -720,37 +713,16 @@ def enumerate_grids(
         yield from _last_family[1]
         return
     walked = []
-    for grid in _closed_grids(sigs, max_vertices, q):
-        if walked is not None:
-            walked.append(grid)
-            if len(walked) > FAMILY_MEMO_MAX_GRIDS:
-                walked = None
-        yield grid
+    for vertices, edges, _, _ in _structures(sigs, (0, 0), max_vertices):
+        for loops in (0, 1):
+            grid = SignatureGrid(q=q, vertices=vertices, edges=edges, loops=loops)
+            if walked is not None:
+                walked.append(grid)
+                if len(walked) > FAMILY_MEMO_MAX_GRIDS:
+                    walked = None
+            yield grid
     if walked is not None:
         _last_family = (key, tuple(walked))
-
-
-def _closed_grids(sigs, max_vertices, q):
-    for n in range(max_vertices + 1):
-        for multiset in itertools.combinations_with_replacement(sigs, n):
-            sig_list = [s for s, _ in multiset]
-            shapes = [sh for _, sh in multiset]
-            if sum(l for l, _ in shapes) != sum(r for _, r in shapes):
-                continue
-            left_ports = [(v, i) for v, (l, _) in enumerate(shapes) for i in range(1, l + 1)]
-            right_ports = [(v, j) for v, (_, r) in enumerate(shapes) for j in range(1, r + 1)]
-            radix = 1 + max((max(sh) for sh in shapes), default=0)
-            run = _id_runs(sig_list)
-            codes = set()
-            for matching in _port_matchings(sig_list, left_ports, right_ports):
-                edges = [(lv, lp, rv, rp) for ((lv, lp), (rv, rp)) in matching]
-                codes.add(_canonical_search(run, edges, radix, False)[0])
-            for code in sorted(codes):
-                edges = _unpack_edges(code, n, radix)
-                for loops in (0, 1):
-                    yield SignatureGrid(
-                        q=q, vertices=tuple(sig_list), edges=edges, loops=loops
-                    )
 
 
 def enumerate_gadgets(
@@ -761,39 +733,61 @@ def enumerate_gadgets(
 ):
     """All (l,r)-gadgets over the named signatures plus bare wires.
 
-    Bare wires appear as vertices carrying the reserved "wire" id and do
-    not count against max_vertices.  Gadgets whose components have no
-    dangling stub are skipped (their closed parts only scale the
-    signature).  Dedup is up to isomorphism fixing the slot orders: each
-    class is represented by the lexicographic minimum, over relabelings
-    of vertices with equal ids, of (sorted edges, left stubs, right
-    stubs), the edge part compared first.  Yields by vertex count, then
-    signature multiset, then wire count, then that canonical code.
-
-    Since codes sort on the edge part first, every slot order of one
-    structure is yielded consecutively: a run of gadgets with equal
-    vertices, edges and loops, whose stubs are the same multisets in
-    different orders.  The spans checkers rely on this to contract each
-    structure once.
-
-    The edge part comes from _canonical_search, as in enumerate_grids,
-    with every relabeling that reaches it; the stub part is minimized
-    over those relabelings alone, for every order of the stubs, once per
-    edge part: port matchings with an edge part already seen add no
-    code.  Gadget families are not memoized: the (0,4) family of the
-    arity-4 counterexample at bound 6 holds 9816 gadgets in about 8.7 MB,
-    421 structures in all their slot orders, and a memo would keep them
-    alive through the covanishing test's SVD.
+    The structures of _structures at a profile with stubs; each slot
+    order of a structure is a gadget of its own.  Bare wires appear as
+    vertices carrying the reserved "wire" id and do not count against
+    max_vertices.  Gadget families are not memoized: the (0,4) family of
+    the arity-4 counterexample at bound 6 holds 9816 gadgets in about
+    8.7 MB, 421 structures in all their slot orders, and a memo would keep
+    them alive through the covanishing test's SVD.
     """
     lp, rp = profile
     if lp < 0 or rp < 0:
         raise ValueError(f"profile entries must be nonnegative, got {profile}")
     if lp == rp == 0:
         raise ValueError("use enumerate_grids for closed profiles")
-    sigs = sorted(sigs)
+    sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]
     if len(set(ids)) != len(ids) or WIRE_ID in ids:
         raise ValueError("signature ids must be distinct and not the reserved wire id")
+    for vertices, edges, left, right in _structures(sigs, profile, max_vertices):
+        yield SignatureGrid(
+            q=q, vertices=vertices, edges=edges, left_dangling=left, right_dangling=right
+        )
+
+
+def _structures(sigs, profile, max_vertices):
+    """Every structure of an (l,r) profile over sigs, up to isomorphism.
+
+    sigs is sorted, with shapes as tuples.  A structure is (vertices,
+    edges, left stubs, right stubs): up to max_vertices vertices over
+    sigs, plus w bare wires, vertices with the reserved "wire" id, for
+    each w up to min(l, r); a closed grid is a (0,0) structure.  Two
+    structures are isomorphic when a relabeling of vertices carrying
+    equal ids maps one's edges, ports kept, and its stubs in slot order
+    to the other's.  Each class is represented by its canonical code,
+    the lexicographic minimum over those relabelings of (sorted edges,
+    left stubs, right stubs), the edge part compared first.  Yields by
+    vertex count, then signature multiset, then wire count, then
+    canonical code.
+
+    Each port matching's edge part comes from _canonical_search, a search
+    over tied prefixes of the code that visits only the relabelings whose
+    blocks tie for the smallest.  Two rules depend on whether the
+    structure has stubs, so on the profile alone:
+    - a matching some component of which reaches no stub is skipped (its
+      closed part only scales the signature), and only when there are
+      stubs: closed grids keep every component;
+    - the search returns the relabelings that reach the edge part only
+      when there are stubs to order; the stub part is minimized over
+      them, for every order of the stubs, once per edge part.
+
+    Since codes sort on the edge part first, every slot order of one
+    structure comes back to back, and enumerate_grids yields the loop
+    copies of a closed structure back to back: spans.structure_signatures
+    relies on both to contract each structure once.
+    """
+    lp, rp = profile
     for n in range(max_vertices + 1):
         for multiset in itertools.combinations_with_replacement(sigs, n):
             base_sigs = [s for s, _ in multiset]
@@ -803,21 +797,17 @@ def enumerate_gadgets(
             if L - R != lp - rp:
                 continue
             for w in range(min(lp, rp) + 1):
-                m = L - lp + w  # internal edge count
-                if m < 0 or rp - w < 0 or lp - w > L or rp - w > R:
-                    continue
-                yield from _gadgets_for_multiset(
-                    q, base_sigs, base_shapes, lp, rp, w, m
-                )
+                if lp - w <= L and rp - w <= R:
+                    yield from _gadgets_for_multiset(base_sigs, base_shapes, lp, rp, w)
 
 
-def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
+def _gadgets_for_multiset(base_sigs, base_shapes, lp, rp, w):
     n = len(base_sigs)
     sig_list = base_sigs + [WIRE_ID] * w
     shapes = base_shapes + [(1, 1)] * w
     left_ports = [(v, i) for v, (l, _) in enumerate(base_shapes) for i in range(1, l + 1)]
     right_ports = [(v, j) for v, (_, r) in enumerate(base_shapes) for j in range(1, r + 1)]
-    radix = 1 + max(max(sh) for sh in shapes)
+    radix = 1 + max((max(sh) for sh in shapes), default=0)
     run = _id_runs(sig_list)
     codes = set()
     seen = set()
@@ -827,10 +817,14 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
             free_r = [p for k, p in enumerate(right_ports) if k not in dang_r]
             stubs_l = [left_ports[k] for k in dang_l] + [(n + t, 1) for t in range(w)]
             stubs_r = [right_ports[k] for k in dang_r] + [(n + t, 1) for t in range(w)]
-            pretouched = [v for (v, _) in stubs_l + stubs_r]
+            stubs = stubs_l + stubs_r
+            pretouched = [v for (v, _) in stubs]
             for matching in _port_matchings(sig_list, free_l, free_r, pretouched):
-                edges = tuple((lv, i, rv, j) for ((lv, i), (rv, j)) in matching)
-                if not _components_all_dangle(n + w, edges, stubs_l + stubs_r):
+                edges = [(lv, i, rv, j) for ((lv, i), (rv, j)) in matching]
+                if not stubs:
+                    codes.add((_canonical_search(run, edges, radix, False)[0], (), ()))
+                    continue
+                if not _components_all_dangle(n + w, edges, stubs):
                     continue
                 # the edge part of the code does not depend on the slot
                 # order, so only relabelings reaching its minimum can
@@ -851,14 +845,9 @@ def _gadgets_for_multiset(q, base_sigs, base_shapes, lp, rp, w, m):
                             )
                             for p in reaching
                         ))
+    vertices = tuple(sig_list)
     for keys, ld, rd in sorted(codes):
-        yield SignatureGrid(
-            q=q,
-            vertices=tuple(sig_list),
-            edges=_unpack_edges(keys, n + w, radix),
-            left_dangling=ld,
-            right_dangling=rd,
-        )
+        yield vertices, _unpack_edges(keys, n + w, radix), ld, rd
 
 
 def _components_all_dangle(n, edges, stubs) -> bool:

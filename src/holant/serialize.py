@@ -165,10 +165,6 @@ def transform_from_obj(obj: dict) -> HoloTransform:
     return HoloTransform(int(_need(obj, "q", "transform")), mat)
 
 
-def matrix_to_obj(m) -> list:
-    return [[_pair(v) for v in row] for row in np.asarray(m, dtype=np.complex128)]
-
-
 def graph_to_obj(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 

@@ -258,6 +258,8 @@ def _check_correspondence(fs, gs, bijection):
         raise ValueError("need at least one signature")
     if set(bijection) != set(fs) or set(bijection.values()) != set(gs):
         raise ValueError("bijection must map the first id set onto the second")
+    if len(set(bijection.values())) != len(bijection):
+        raise ValueError("bijection must be one-to-one: two ids map to one")
     for fid, gid in bijection.items():
         if fs[fid].shape != gs[gid].shape:
             raise ValueError(

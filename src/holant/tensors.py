@@ -77,6 +77,8 @@ class MixedTensor:
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2:
             raise ValueError("matrix form must be 2-dimensional")
+        if not left and not right:
+            raise ValueError("a (0,0) matrix form does not fix the domain size q")
         q = round(m.shape[0] ** (1.0 / left)) if left else round(m.shape[1] ** (1.0 / right))
         if left and q**left != m.shape[0]:
             raise ValueError("matrix row count is not a power of a domain size")

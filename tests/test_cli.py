@@ -480,6 +480,7 @@ def strict_loads(text):
         "homdist-degree-0",
         "poly-30-edges",
         "bijection-list-value",
+        "bijection-many-to-one",
         "check-indist-empty-sets",
         "entry-overflows-float",
     ],
@@ -498,10 +499,16 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
         tmp_path, "huge.json", '{"a":{"q":2,"left":1,"right":1,"entries":[[1' + "0" * 400 + ',0]]}}'
     )
     bij = write(tmp_path, "bij.json", {"a": ["a"]})
+    ab = write(tmp_path, "ab.json", sigset_to_obj({"a": MixedTensor(2, 1, 1, np.eye(2)),
+                                                   "b": MixedTensor(2, 1, 1, np.eye(2))}))
+    c = write(tmp_path, "c.json", sigset_to_obj({"c": MixedTensor(2, 1, 1, np.eye(2))}))
+    onto_c = write(tmp_path, "onto_c.json", {"a": "c", "b": "c"})
     argv = {
         "homdist-degree-0": ["homdist", "--f", k3, "--g", k3, "--max-degree", "0", "--max-vertices", "3"],
         "poly-30-edges": ["poly", ring],
         "bijection-list-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij, "--max-vertices", "2"],
+        "bijection-many-to-one": ["check-indist", "--f", ab, "--g", c, "--bijection", onto_c,
+                                  "--max-vertices", "2"],
         "check-indist-empty-sets": ["check-indist", "--f", empty, "--g", empty, "--bijection", empty,
                                     "--max-vertices", "2"],
         "entry-overflows-float": ["eval", ring, "--sigs", huge],

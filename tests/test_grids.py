@@ -956,6 +956,15 @@ def test_gadget_enumeration_rejects_negative_profile():
         list(enumerate_gadgets([("s", (1, 2))], (-1, 2), 2, q=2))
 
 
+def test_enumerators_refuse_duplicate_ids():
+    # shapes given as lists sort as tuples, so the repeat is named
+    sigs = [("s", [1, 2]), ("s", (1, 1))]
+    with pytest.raises(ValueError, match="distinct"):
+        list(enumerate_grids(sigs, 2, q=2))
+    with pytest.raises(ValueError, match="distinct"):
+        list(enumerate_gadgets(sigs, (1, 1), 2, q=2))
+
+
 # -- enumeration against the all-permutations canonical code -----------------
 
 
@@ -1026,6 +1035,11 @@ NEQ_F = [("neq", (2, 0)), ("f", (0, 4))]
     [
         ([("x", (2, 1)), ("y", (0, 3))], 4),
         ([("s0", (1, 1)), ("s1", (2, 1)), ("s2", (1, 2))], 4),
+        # the family check_indistinguishable walks for the arity-4
+        # counterexample
+        (NEQ_F, 6),
+        # closed components stay in closed grids (gadgets drop them)
+        ([("s", (0, 0)), ("a", (1, 1))], 3),
     ],
 )
 def test_grid_enumeration_matches_oracle_sequence(sigs, max_vertices):

@@ -235,6 +235,17 @@ def test_correspondence_validation():
         check_indistinguishable(fs, bad, {"u": "u", "v": "v"}, 2)
 
 
+def test_many_to_one_map_is_not_a_bijection():
+    # keys cover the first set and values the second, but "a" and "b"
+    # share an image, so no grid walk may start
+    u = unary_pair_sets()[0]["u"]
+    fs, gs, bij = {"a": u, "b": u}, {"c": u}, {"a": "c", "b": "c"}
+    with pytest.raises(ValueError, match="one-to-one"):
+        check_indistinguishable(fs, gs, bij, 2)
+    with pytest.raises(ValueError, match="one-to-one"):
+        check_covanishing(fs, gs, bij, (1, 0), 2)
+
+
 def test_empty_sets_are_refused():
     with pytest.raises(ValueError, match="at least one signature"):
         check_indistinguishable({}, {}, {}, 2)

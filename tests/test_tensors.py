@@ -91,6 +91,13 @@ def test_shape_validation():
         MixedTensor(0, 0, 0, np.zeros(1))
 
 
+def test_from_matrix_refuses_zero_slots():
+    # a 1 x 1 matrix is a (0,0) form at every q, so none can be chosen
+    with pytest.raises(ValueError, match="domain size"):
+        MixedTensor.from_matrix([[5]], 0, 0)
+    assert MixedTensor.from_matrix([[1, 2, 3]], 0, 1).q == 3
+
+
 # -- pairing against the oracle ----------------------------------------
 
 

@@ -420,9 +420,9 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     which only scales the result.  So a grid that differs from a
     contracted one only in slot order, or from a loop-free one also in
     its loop count, need not be contracted: reordered_signature derives
-    the same bytes from the known signature.  A closed grid's signature
-    is its (0,0) tensor, holding holant_eval_contracted's value.  Reuse of
-    a cached plan does not change the signature.
+    the same bytes from the known signature's array.  A closed grid's
+    signature is its (0,0) tensor, holding holant_eval_contracted's
+    value.  Reuse of a cached plan does not change the signature.
     """
     l, r = grid.profile
     return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))
@@ -441,16 +441,17 @@ def derives(grid: SignatureGrid, target: SignatureGrid) -> bool:
     )
 
 
-def reordered_signature(sig: MixedTensor, grid: SignatureGrid, target: SignatureGrid) -> MixedTensor:
-    """Signature of target, given sig, the signature of grid.
+def reordered_signature(sig: np.ndarray, grid: SignatureGrid, target: SignatureGrid) -> np.ndarray:
+    """Signature array of target, given sig, the signature array of grid.
 
-    target must differ from grid only in the order of its dangling stubs
-    and, if grid has no loops, in its loop count (see derives); otherwise
-    ValueError.  The result is bitwise gadget_signature(target, ...) under
-    sig's bindings.  Both grids replay one plan, since it is keyed on the
+    Precondition: derives(grid, target), which is not checked here.
+    The result is bitwise gadget_signature(target, ...).array under sig's
+    bindings.  Both grids replay one plan, since it is keyed on the
     sorted stubs and ignores loops, so their contractions differ only in
     the final transpose of the free axes, done here on sig, and in the
-    scale by q**loops, which commutes with it.
+    scale by q**loops, which commutes with it.  At equal loop counts the
+    result is a transposed view of sig, so it shares sig's memory and is
+    read-only if sig is.
 
     _contract scales by a complex multiply with q**loops + 0j, even at
     loops 0, and that can flip a signed zero: (-0-0j)*1 is 0-0j, and
@@ -459,19 +460,15 @@ def reordered_signature(sig: MixedTensor, grid: SignatureGrid, target: Signature
     real and imaginary parts apart, as a real multiply by q**loops each,
     which gives the bits a single complex multiply by q**loops gives.
     """
-    if not derives(grid, target):
-        raise ValueError("target differs from grid in more than its stub order and loop count")
-    l, r = grid.profile
-    if (sig.q, sig.left, sig.right) != (grid.q, l, r):
-        raise ValueError(f"signature of shape {sig.shape} at q={sig.q} is not the grid's")
+    l = len(grid.left_dangling)
     axes = [grid.left_dangling.index(s) for s in target.left_dangling] + [
         l + grid.right_dangling.index(s) for s in target.right_dangling
     ]
-    arr = np.transpose(sig.array, axes)
+    arr = np.transpose(sig, axes)
     if target.loops != grid.loops:
         parts = arr.reshape(-1).view(np.float64) * float(grid.q**target.loops)
         arr = parts.view(np.complex128).reshape(arr.shape)
-    return MixedTensor(grid.q, l, r, arr)
+    return arr
 
 
 # -- quantum gadgets ------------------------------------------------------
@@ -695,8 +692,8 @@ def enumerate_grids(
 
     The (0,0) structures of _structures, in its order, each yielded with
     loop counts 0 and 1, back to back.  The loop-1 copy differs only by a
-    factor q, so the checkers contract the loop-0 grid and derive the
-    copy's value from it (reordered_signature).
+    factor q, so the checkers contract the loop-0 grid only and scale its
+    value's array for the copy (reordered_signature).
 
     A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
     replaces the one stored family, keyed on (sorted (id, shape) pairs,
@@ -785,7 +782,8 @@ def _structures(sigs, profile, max_vertices):
     Since codes sort on the edge part first, every slot order of one
     structure comes back to back, and enumerate_grids yields the loop
     copies of a closed structure back to back: spans.structure_signatures
-    relies on both to contract each structure once.
+    relies on both to contract each structure once and to take the other
+    members' signature arrays from that one contraction.
     """
     lp, rp = profile
     for n in range(max_vertices + 1):

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import SignatureGrid, holant_eval_contracted
-from .tensors import MixedTensor, SymBoolSignature, equality_signature
+from .tensors import MixedTensor, SymBoolSignature, _check_size, equality_signature
 
 # Holant values for counting problems must sit this close to an integer.
 ROUND_TOL = 1e-6
@@ -171,6 +171,7 @@ def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
     """Number of homomorphisms from x into g: the Holant value of hom_grid."""
     if g.n < 1:
         return 0 if x.n else 1
+    _check_size(g.n, 2)  # refuse a target too large for A before its dense adjacency
     grid = hom_grid(x, g.n)
     bindings = hom_bindings(g.adjacency(), x.max_degree())
     return _round_count(holant_eval_contracted(grid, bindings), "hom count")

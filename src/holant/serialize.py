@@ -42,6 +42,17 @@ def _need(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _count(value, field: str) -> int:
+    """A count read from JSON: an int, or a float with an integral value."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _need_count(obj: dict, key: str, what: str) -> int:
+    return _count(_need(obj, key, what), f"{what} {key!r}")
+
+
 # -- signatures ----------------------------------------------------------------
 
 
@@ -68,11 +79,11 @@ def signature_from_obj(obj: dict):
     if "symbool" in obj:
         values = tuple(_unpair(p) for p in obj["symbool"])
         return SymBoolSignature(
-            values, int(_need(obj, "left", "signature")), int(_need(obj, "right", "signature"))
+            values, _need_count(obj, "left", "signature"), _need_count(obj, "right", "signature")
         )
-    q = int(_need(obj, "q", "signature"))
-    left = int(_need(obj, "left", "signature"))
-    right = int(_need(obj, "right", "signature"))
+    q = _need_count(obj, "q", "signature")
+    left = _need_count(obj, "left", "signature")
+    right = _need_count(obj, "right", "signature")
     entries = [_unpair(p) for p in _need(obj, "entries", "signature")]
     return MixedTensor(q, left, right, np.array(entries, dtype=np.complex128))
 
@@ -106,7 +117,7 @@ def _int_rows(obj: dict, key: str, width: int, vertex_cols: tuple[int, ...], n: 
 
     Entries at vertex_cols must be vertex indices below n.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in obj.get(key, []))
+    rows = tuple(tuple(_count(x, f"each number of grid {key}") for x in row) for row in obj.get(key, []))
     for row in rows:
         if len(row) != width:
             raise ValueError(f"grid {key} entry {list(row)} needs {width} integers")
@@ -123,12 +134,12 @@ def grid_from_obj(obj: dict) -> SignatureGrid:
     )
     n = len(vertices)
     return SignatureGrid(
-        q=int(_need(obj, "q", "grid")),
+        q=_need_count(obj, "q", "grid"),
         vertices=vertices,
         edges=_int_rows(obj, "edges", 4, (0, 2), n),
         left_dangling=_int_rows(obj, "left_dangling", 2, (0,), n),
         right_dangling=_int_rows(obj, "right_dangling", 2, (0,), n),
-        loops=int(obj.get("loops", 0)),
+        loops=_count(obj.get("loops", 0), "grid 'loops'"),
     )
 
 
@@ -162,7 +173,7 @@ def transform_to_obj(t: HoloTransform) -> dict:
 def transform_from_obj(obj: dict) -> HoloTransform:
     rows = _need(obj, "matrix", "transform")
     mat = np.array([[_unpair(v) for v in row] for row in rows], dtype=np.complex128)
-    return HoloTransform(int(_need(obj, "q", "transform")), mat)
+    return HoloTransform(_need_count(obj, "q", "transform"), mat)
 
 
 def graph_to_obj(g: SimpleGraph) -> dict:
@@ -171,6 +182,6 @@ def graph_to_obj(g: SimpleGraph) -> dict:
 
 def graph_from_obj(obj: dict) -> SimpleGraph:
     return SimpleGraph(
-        int(_need(obj, "n", "graph")),
-        tuple(tuple(int(x) for x in e) for e in obj.get("edges", [])),
+        _need_count(obj, "n", "graph"),
+        tuple(tuple(_count(x, "each number of graph edges") for x in e) for e in obj.get("edges", [])),
     )

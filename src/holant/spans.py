@@ -60,26 +60,29 @@ class GadgetSpan:
 
 
 def structure_signatures(grids, *bindings):
-    """Yield (grid, sig, ...): each grid with its signature under every
-    binding set, contracting each structure once per binding set.
+    """Yield (grid, array, ...): each grid with its signature array under
+    every binding set, contracting each structure once per binding set.
 
     A run is grids yielded back to back with equal vertices and edges,
     which leave equal stubs free: the enumerators yield the slot orders
     of a gadget structure so, and a closed structure at loop counts 0
     and 1.  The first grid of a run is contracted under every binding
     set, through this module's gadget_signature, so perfbench's tracer
-    sees each contraction; reordered_signature derives the rest of the
-    run from it, bitwise the same.  A grid it cannot derive (see
-    grids.derives), such as another loop count of a looped grid, starts
-    a new run.
+    sees each contraction, and its signature's read-only array is kept.
+    Every other grid of the run takes its array from that one by
+    reordered_signature, bitwise the same as its own contraction: a
+    transposed view for another slot order, a scaled copy for a loop
+    copy.  A grid that derives refuses to take from the run's first,
+    such as another loop count of a looped grid, starts a new run.
+    derives runs once per grid after the first.
     """
-    first = sigs = None
+    first = arrays = None
     for g in grids:
-        if first is None or not derives(first, g):
-            first, sigs = g, [gadget_signature(g, b) for b in bindings]
-            yield (g, *sigs)
+        if first is not None and derives(first, g):
+            yield (g, *(reordered_signature(a, first, g) for a in arrays))
         else:
-            yield (g, *(reordered_signature(sig, first, g) for sig in sigs))
+            first, arrays = g, [gadget_signature(g, b).array for b in bindings]
+            yield (g, *arrays)
 
 
 def build_span(
@@ -114,8 +117,8 @@ def build_span(
     count = 0
     for g, sig in structure_signatures(gadgets, fs):
         count += 1
-        if independent.add(sig.entries):
-            basis.append(sig)
+        if independent.add(sig.reshape(-1)):
+            basis.append(MixedTensor(q, l, r, sig))
             witnesses.append(g)
             if len(basis) == q ** (l + r):
                 break
@@ -290,7 +293,7 @@ def check_indistinguishable(
     max_diff = 0.0
     grids = enumerate_grids(sig_shapes, max_vertices, q)
     for grid, sf, sg in structure_signatures(grids, fs, gs_as_f):
-        vf, vg = complex(sf.array), complex(sg.array)
+        vf, vg = complex(sf), complex(sg)
         count += 1
         diff = abs(vf - vg)
         if diff > tol * (1 + abs(vf)):
@@ -353,7 +356,7 @@ def check_covanishing(
         structures = list(enumerate_gadgets(sig_shapes, profile, max_vertices, q))
     shape = (len(structures), q ** (l + r))
     rows = list(structure_signatures(structures, fs, gs_as_f))
-    stack_f, stack_g = (np.array([row[k].entries for row in rows]).reshape(shape) for k in (1, 2))
+    stack_f, stack_g = (np.array([row[k].reshape(-1) for row in rows]).reshape(shape) for k in (1, 2))
     worst = (0.0, None, None)
     for direction, a, b in (("first", stack_f, stack_g), ("second", stack_g, stack_f)):
         # left_null() holds this direction's U; nothing else may, so it

@@ -19,6 +19,11 @@ MAX_ENTRIES = 1 << 26
 DEFAULT_TOL = 1e-9
 
 
+def _check_counts(left: int, right: int) -> None:
+    if left < 0 or right < 0:
+        raise ValueError(f"slot counts must be nonnegative, got ({left},{right})")
+
+
 def _check_size(q: int, slots: int) -> None:
     if q < 1:
         raise ValueError(f"domain size must be positive, got {q}")
@@ -42,6 +47,7 @@ class MixedTensor:
     __slots__ = ("q", "left", "right", "array", "_equality")
 
     def __init__(self, q: int, left: int, right: int, array):
+        _check_counts(left, right)
         _check_size(q, left + right)
         arr = np.asarray(array, dtype=np.complex128)
         want = (q,) * (left + right)
@@ -77,18 +83,12 @@ class MixedTensor:
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2:
             raise ValueError("matrix form must be 2-dimensional")
+        _check_counts(left, right)
         if not left and not right:
             raise ValueError("a (0,0) matrix form does not fix the domain size q")
         q = round(m.shape[0] ** (1.0 / left)) if left else round(m.shape[1] ** (1.0 / right))
-        if left and q**left != m.shape[0]:
-            raise ValueError("matrix row count is not a power of a domain size")
-        if right == 0:
-            q2 = q
-        else:
-            q2 = round(m.shape[1] ** (1.0 / right))
-        if q2**right != m.shape[1] or (left and right and q != q2):
-            raise ValueError("matrix shape inconsistent with slot counts")
-        q = q if left else q2
+        if m.shape != (q**left, q**right):
+            raise ValueError(f"matrix shape {m.shape} is not q**{left} x q**{right} for any q")
         return cls(q, left, right, m.reshape((q,) * (left + right)))
 
     # -- views ---------------------------------------------------------
@@ -188,6 +188,7 @@ def equality_signature(q: int, left: int, right: int) -> MixedTensor:
     The arity-0 case is the scalar q (the closed equality vertex sums a
     single free index over the domain).
     """
+    _check_counts(left, right)
     n = left + right
     _check_size(q, n)
     if n == 0:
@@ -236,6 +237,7 @@ class SymBoolSignature:
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        _check_counts(self.left, self.right)
         if len(vals) != self.left + self.right + 1:
             raise ValueError(
                 f"need arity+1 values, got {len(vals)} for shape "
@@ -247,12 +249,9 @@ class SymBoolSignature:
         return self.left + self.right
 
     def to_tensor(self) -> MixedTensor:
-        n = self.arity
-        _check_size(2, n)
-        arr = np.zeros((2,) * n, dtype=np.complex128) if n else np.array(self.values[0])
-        if n:
-            for idx in np.ndindex(*(2,) * n):
-                arr[idx] = self.values[sum(idx)]
+        _check_size(2, self.arity)
+        # entries in lexicographic order; at arity 0 the one index is ()
+        arr = np.fromiter((self.values[sum(i)] for i in np.ndindex(*(2,) * self.arity)), complex)
         return MixedTensor(2, self.left, self.right, arr)
 
 

@@ -129,7 +129,7 @@ def verify_holant_theorem(
     count = 0
     grids = enumerate_grids([(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q)
     for grid, sig_before, sig_after in structure_signatures(grids, fs, transformed):
-        before, after = complex(sig_before.array), complex(sig_after.array)
+        before, after = complex(sig_before), complex(sig_after)
         err = abs(before - after)
         scaled = err / (1 + abs(before))
         count += 1

@@ -299,6 +299,6 @@ def oracle_contraction_plan(
 
 def oracle_signatures(grids, *bindings):
     """spans.structure_signatures without the derivations: each grid with
-    its own contracted signature under every binding set."""
+    its own contracted signature array under every binding set."""
     for g in grids:
-        yield (g, *(gadget_signature(g, b) for b in bindings))
+        yield (g, *(gadget_signature(g, b).array for b in bindings))

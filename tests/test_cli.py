@@ -483,6 +483,10 @@ def strict_loads(text):
         "bijection-many-to-one",
         "check-indist-empty-sets",
         "entry-overflows-float",
+        "negative-slot-count",
+        "fractional-signature-counts",
+        "fractional-grid-counts",
+        "fractional-graph-counts",
     ],
 )
 def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
@@ -503,6 +507,23 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
                                                    "b": MixedTensor(2, 1, 1, np.eye(2))}))
     c = write(tmp_path, "c.json", sigset_to_obj({"c": MixedTensor(2, 1, 1, np.eye(2))}))
     onto_c = write(tmp_path, "onto_c.json", {"a": "c", "b": "c"})
+    # a (2,-1) and a (-1,2) signature joined by two edges: each slot sum is valid
+    skew = write(tmp_path, "skew.json", {
+        "a": {"q": 2, "left": 2, "right": -1, "entries": [[1, 0], [2, 0]]},
+        "b": {"q": 2, "left": -1, "right": 2, "entries": [[1, 0], [2, 0]]},
+    })
+    skew_grid = write(tmp_path, "skew_grid.json", {
+        "q": 2, "vertices": [{"sig": "a"}, {"sig": "b"}], "edges": [[0, 1, 1, 1], [0, 2, 1, 2]],
+    })
+    # counts that int() would truncate: q 2.9 and 2.5 to 2, loops 0.9 to 0, n 3.7 to 3
+    frac_sigs = write(tmp_path, "frac_sigs.json", {
+        "a": {"q": 2.9, "left": True, "right": 1.7, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+    })
+    trace = write(tmp_path, "trace.json", {"q": 2, "vertices": [{"sig": "a"}], "edges": [[0, 1, 0, 1]]})
+    frac_grid = write(tmp_path, "frac_grid.json", {
+        "q": 2.5, "loops": 0.9, "vertices": [{"sig": "a"}], "edges": [[0, 1.9, 0.2, 1]],
+    })
+    frac_graph = write(tmp_path, "frac_graph.json", {"n": 3.7, "edges": [[0, 1.2]]})
     argv = {
         "homdist-degree-0": ["homdist", "--f", k3, "--g", k3, "--max-degree", "0", "--max-vertices", "3"],
         "poly-30-edges": ["poly", ring],
@@ -512,12 +533,23 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
         "check-indist-empty-sets": ["check-indist", "--f", empty, "--g", empty, "--bijection", empty,
                                     "--max-vertices", "2"],
         "entry-overflows-float": ["eval", ring, "--sigs", huge],
+        "negative-slot-count": ["eval", skew_grid, "--sigs", skew],
+        "fractional-signature-counts": ["eval", trace, "--sigs", frac_sigs],
+        "fractional-grid-counts": ["eval", frac_grid, "--sigs", a],
+        "fractional-graph-counts": ["hom", "--x", frac_graph, "--g", k3],
     }[case]
+    message = {
+        "negative-slot-count": "slot counts must be nonnegative, got (2,-1)",
+        "fractional-signature-counts": "signature 'q' must be an integer, got 2.9",
+        "fractional-grid-counts": "grid 'q' must be an integer, got 2.5",
+        "fractional-graph-counts": "graph 'n' must be an integer, got 3.7",
+    }.get(case, "")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("holant: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert message in captured.err
 
 
 def test_selftest_has_no_seed_flag():
@@ -635,6 +667,18 @@ def test_huge_arity_is_refused_before_the_power(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "over the cap" in proc.stderr
+
+
+def test_huge_hom_target_is_refused_before_its_adjacency(tmp_path):
+    # the 20000 x 20000 adjacency alone needs 3 GiB; the target must be
+    # refused by the entry cap before it is built
+    x = write(tmp_path, "x.json", graph_to_obj(complete_graph(2)))
+    g = write(tmp_path, "g.json", {"n": 20000, "edges": [[0, 1]]})
+    proc = run_limited(["hom", "--x", x, "--g", g], capture_output=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("holant: ") and proc.stderr.count("\n") == 1
+    assert "tensor with q=20000 and 2 slots needs more than 67108864 entries, over the cap" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["eval", "poly"])

@@ -1,5 +1,5 @@
-"""Every name in holant.__all__ has a caller outside the tests, and every
-name perfbench's tracer wraps exists.
+"""Every name in holant.__all__ has a caller outside the tests, every
+name perfbench's tracer wraps exists, and importing holant stays cheap.
 
 A caller is a use in the library (src/holant, apart from __init__.py),
 the demos or perfbench: a name or attribute in code, or an import.
@@ -10,6 +10,9 @@ name that has no caller itself.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -70,3 +73,12 @@ def test_every_traced_name_resolves():
     sites = [site for _, owners in tracing.BOUNDARIES.values() for site in owners]
     assert len(sites) > 10
     assert [(owner, attr) for owner, attr in sites if not hasattr(owner, attr)] == []
+
+
+def test_import_does_not_load_scipy():
+    # every CLI call and perfbench's setup_s pay for a cold import; scipy
+    # is imported where it is used (epsilon_family_jordan), not here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, holant; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -63,6 +63,13 @@ def test_signature_errors():
         signature_from_obj({"q": 2, "left": 1, "right": 1})
     with pytest.raises(ValueError, match="pair"):
         signature_from_obj({"q": 1, "left": 1, "right": 0, "entries": [3.0]})
+    # a count is an int or an integral float, never a bool or a string
+    one = [[1.0, 0.0]]
+    with pytest.raises(ValueError, match="signature 'left' must be an integer, got True"):
+        signature_from_obj({"q": 1, "left": True, "right": 0, "entries": one})
+    with pytest.raises(ValueError, match="signature 'q' must be an integer, got '1'"):
+        signature_from_obj({"q": "1", "left": 1, "right": 0, "entries": one})
+    assert signature_from_obj({"q": 1.0, "left": 1.0, "right": 0, "entries": one}).shape == (1, 0)
 
 
 def test_sigset_round_trip():
@@ -116,6 +123,9 @@ def test_graph_round_trip():
 def test_graph_from_obj_validates():
     with pytest.raises(ValueError, match="out of range"):
         graph_from_obj({"n": 2, "edges": [[0, 5]]})
+    with pytest.raises(ValueError, match="each number of graph edges must be an integer, got 1.2"):
+        graph_from_obj({"n": 2, "edges": [[0, 1.2]]})
+    assert graph_from_obj({"n": 2.0, "edges": [[0.0, 1]]}) == SimpleGraph(2, ((0, 1),))
     assert graph_from_obj({"n": 3}) == SimpleGraph(3, ())
 
 

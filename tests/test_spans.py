@@ -8,6 +8,7 @@ verdicts are replayed grid by grid with the brute evaluator.
 import numpy as np
 import pytest
 
+from holant import grids as grids_module
 from holant import spans
 from holant.grids import QuantumGadget, enumerate_gadgets, enumerate_grids
 from holant.spans import (
@@ -353,12 +354,37 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
     assert len(structures) < len(grids)
 
     # every signature byte under both binding sets, as check_covanishing
-    # stacks them; a closed grid's loop copy takes its value from here
-    got = list(spans.structure_signatures(grids, fs, gs))
+    # stacks them; a closed grid's loop copy takes its value from here.
+    # derives is counted through both modules, so a second call inside
+    # reordered_signature would show
+    targets = []
+    real_derives = spans.derives
+
+    def counted_derives(grid, target):
+        targets.append(target)
+        return real_derives(grid, target)
+
+    with monkeypatch.context() as m:
+        m.setattr(spans, "derives", counted_derives)
+        m.setattr(grids_module, "derives", counted_derives)
+        got = list(spans.structure_signatures(grids, fs, gs))
     want = list(oracle_signatures(grids, fs, gs))
     assert [row[0] for row in got] == grids
     for k in (1, 2):
-        assert [row[k].array.tobytes() for row in got] == [row[k].array.tobytes() for row in want]
+        assert [row[k].tobytes() for row in got] == [row[k].tobytes() for row in want]
+    # derives runs once per grid after the first, and says yes for every
+    # grid but the first of each structure
+    assert targets == grids[1:]
+    firsts = {}
+    for row in got:
+        first = firsts.setdefault((row[0].vertices, row[0].edges), row)
+        for k in (1, 2):
+            if row is first:
+                assert not row[k].flags.writeable
+            elif row[0].loops == first[0].loops:
+                # another slot order: a read-only view of the run's array
+                assert np.shares_memory(row[k], first[k])
+                assert not row[k].flags.writeable
 
     # each structure is contracted once per binding set, through the
     # module attribute

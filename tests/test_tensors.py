@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ def test_shape_validation():
         MixedTensor(2, 1, 1, np.zeros(3))
     with pytest.raises(ValueError):
         MixedTensor(0, 0, 0, np.zeros(1))
+    # a negative count is refused even where the other makes the sum valid
+    for build, counts in (
+        (lambda: MixedTensor(2, 2, -1, [1, 2]), "(2,-1)"),
+        (lambda: MixedTensor.zeros(2, 2, -1), "(2,-1)"),
+        (lambda: disequality_signature(2, 3, -1), "(3,-1)"),
+        (lambda: equality_signature(2, -1, 1), "(-1,1)"),
+        (lambda: SymBoolSignature((1, 2), 2, -1), "(2,-1)"),
+        (lambda: MixedTensor.from_matrix(np.eye(2), -1, 1), "(-1,1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"slot counts must be nonnegative, got {counts}")):
+            build()
 
 
 def test_from_matrix_refuses_zero_slots():

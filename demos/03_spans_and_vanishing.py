@@ -17,9 +17,11 @@ import numpy as np
 from holant import (
     HoloTransform,
     MixedTensor,
+    SymBoolSignature,
     build_span,
     check_covanishing,
     check_indistinguishable,
+    disequality_signature,
     equality_signature,
     gram_nondegenerate,
     recover_transform,
@@ -81,3 +83,26 @@ result = recover_transform({"f": f}, gs)
 print("recovered a similarity:", result.verdict,
       " residual", result.residual)
 assert result.similar
+
+# The arity-4 counterexample: a binary disequality feeding
+# f = [a, b, 1, 0, 0], against the same set with a = b = 0.  A closed
+# grid reads f only at Hamming weight 2, so the sets are
+# indistinguishable; yet f's low weights give a (0,4) combination that
+# every closing gadget pairs to zero, and the zero combinations do not
+# transfer.  Every signature here is symmetric, so the checkers walk one
+# grid per class of port permutations, and bound 8 takes a fraction of
+# a second.
+neq = disequality_signature(q, 2, 0)
+fs = {"neq": neq, "f": SymBoolSignature((1.0, 1.0, 1.0, 0, 0), 0, 4).to_tensor()}
+gs = {"neq": neq, "f": SymBoolSignature((0, 0, 1.0, 0, 0), 0, 4).to_tensor()}
+bij = {"neq": "neq", "f": "f"}
+rep = check_indistinguishable(fs, gs, bij, max_vertices=8)
+print("counterexample pair at bound 8:", rep.verdict, "over", rep.grids_checked,
+      "classes of grids, max difference", rep.max_difference)
+assert rep.verdict == "indistinguishable_at_bound" and rep.max_difference == 0.0
+rep = gram_nondegenerate(fs, profile=(0, 4), max_vertices=8)
+print("its (0,4) pairing:", rep.verdict, " rank", rep.rank, "of", rep.dim)
+assert rep.verdict == "vanishing_witness"
+rep = check_covanishing(fs, gs, bij, profile=(4, 0), max_vertices=8)
+print("its (4,0) covanishing:", rep.verdict, "after", rep.structures_checked, "gadgets")
+assert rep.verdict == "counterexample"

@@ -140,9 +140,10 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
 # under each binding set, back to back, so the second replays the first's
 # plan; the cache keeps a whole family so that a later walk of it plans
 # nothing: 300 closed structures over three shapes at bound 4, the 877
-# closed and 65 (4,0) structures of the arity-4 counterexample at bound 6.
-# Traced by tracemalloc over a whole pass, the cache ends holding 1363 plans
-# in about 2.4 MB on counterexample-spans, and 364 elimination plans in
+# closed structures of the arity-4 counterexample at bound 6 with ordered
+# ports (verify_holant_theorem's walk; the spans checkers walk 5 up to
+# port symmetry).  Traced by tracemalloc over a whole pass, the cache ends
+# holding 12 plans on counterexample-spans, and 364 elimination plans in
 # about 1.8 MB on hom-census (2.3 MB as pairwise plans).
 PLAN_CACHE_SIZE = 4096
 
@@ -672,21 +673,39 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
 
 
 # The last finished closed-grid family, as (key, grids), keyed on
-# (sorted (id, shape) pairs, bound, q).  Every caller walks one family
-# over and over (verify_holant_theorem walks it on each call), so one slot
-# is enough.  A family of more than FAMILY_MEMO_MAX_GRIDS grids is never
-# stored; its walk drops what it kept once it passes the cap.  Grids take
-# 230-670 bytes each (tracemalloc), so the slot holds at most about
-# 3 MB: the arity-4 counterexample's family at bound 6, 1754 grids, holds
-# 1.2 MB; {a (1,1), b (2,2)} at bound 5, 107350 grids in 72 MB, streams.
+# (sorted (id, shape) pairs, bound, q, the ids walked up to port
+# symmetry).  Every caller walks one family over and over
+# (verify_holant_theorem walks it on each call), so one slot is enough.
+# A family of more than FAMILY_MEMO_MAX_GRIDS grids is never stored; its
+# walk drops what it kept once it passes the cap.  Grids take 230-670
+# bytes each (tracemalloc), so the slot holds at most about 3 MB: the
+# arity-4 counterexample's family at bound 6 holds 1754 grids in 1.2 MB
+# with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
+# bound 5, 107350 grids in 72 MB, streams.
 FAMILY_MEMO_MAX_GRIDS = 4096
 _last_family: tuple[tuple, tuple[SignatureGrid, ...]] | None = None
+
+
+def _port_walk(sigs, symmetric):
+    """The ids walked up to port symmetry, and the per-multiset walk.
+
+    The walk takes one grid per class of port permutations
+    (holant.portclasses, imported here on first use) when every id is in
+    symmetric and some id has a group of two or more ports; otherwise no
+    id, and every port is distinct (_gadgets_for_multiset).
+    """
+    if sigs and all(s in symmetric for s, _ in sigs) and any(max(sh) >= 2 for _, sh in sigs):
+        from holant.portclasses import classes_for_multiset
+
+        return tuple(s for s, _ in sigs), classes_for_multiset
+    return (), _gadgets_for_multiset
 
 
 def enumerate_grids(
     sigs: list[tuple[str, tuple[int, int]]],
     max_vertices: int,
     q: int,
+    symmetric=(),
 ):
     """All closed grids over the named signatures, up to isomorphism.
 
@@ -695,22 +714,30 @@ def enumerate_grids(
     factor q, so the checkers contract the loop-0 grid only and scale its
     value's array for the copy (reordered_signature).
 
+    symmetric lists the ids whose every binding is symmetric
+    (MixedTensor.is_symmetric); the spans checkers compute it, and its
+    default () walks ordered ports.  When every id is in it and some id
+    has two or more ports on a side, isomorphism also permutes each
+    vertex's left ports and its right ports (holant.portclasses).
+
     A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
     replaces the one stored family, keyed on (sorted (id, shape) pairs,
-    max_vertices, q); a later walk with the same key replays it.  A walk
-    stopped early, or of a larger family, stays lazy and stores nothing.
+    max_vertices, q, the ids walked up to port symmetry); a later walk
+    with the same key replays it.  A walk stopped early, or of a larger
+    family, stays lazy and stores nothing.
     """
     global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]
     if len(set(ids)) != len(ids):
         raise ValueError("signature ids must be distinct")
-    key = (tuple(sigs), max_vertices, q)
+    by_class, per_multiset = _port_walk(sigs, symmetric)
+    key = (tuple(sigs), max_vertices, q, by_class)
     if _last_family is not None and _last_family[0] == key:
         yield from _last_family[1]
         return
     walked = []
-    for vertices, edges, _, _ in _structures(sigs, (0, 0), max_vertices):
+    for vertices, edges, _, _ in _structures(sigs, (0, 0), max_vertices, per_multiset):
         for loops in (0, 1):
             grid = SignatureGrid(q=q, vertices=vertices, edges=edges, loops=loops)
             if walked is not None:
@@ -727,16 +754,19 @@ def enumerate_gadgets(
     profile: tuple[int, int],
     max_vertices: int,
     q: int,
+    symmetric=(),
 ):
     """All (l,r)-gadgets over the named signatures plus bare wires.
 
     The structures of _structures at a profile with stubs; each slot
     order of a structure is a gadget of its own.  Bare wires appear as
     vertices carrying the reserved "wire" id and do not count against
-    max_vertices.  Gadget families are not memoized: the (0,4) family of
-    the arity-4 counterexample at bound 6 holds 9816 gadgets in about
-    8.7 MB, 421 structures in all their slot orders, and a memo would keep
-    them alive through the covanishing test's SVD.
+    max_vertices.  symmetric selects the walk up to port symmetry as in
+    enumerate_grids.  Gadget families are not memoized: with ordered
+    ports the (0,4) family of the arity-4 counterexample at bound 6 holds
+    9816 gadgets in about 8.7 MB, 421 structures in all their slot
+    orders (11 gadgets up to port symmetry), and a memo would keep such
+    a family alive through the covanishing test's SVD.
     """
     lp, rp = profile
     if lp < 0 or rp < 0:
@@ -747,13 +777,14 @@ def enumerate_gadgets(
     ids = [s for s, _ in sigs]
     if len(set(ids)) != len(ids) or WIRE_ID in ids:
         raise ValueError("signature ids must be distinct and not the reserved wire id")
-    for vertices, edges, left, right in _structures(sigs, profile, max_vertices):
+    per_multiset = _port_walk(sigs, symmetric)[1]
+    for vertices, edges, left, right in _structures(sigs, profile, max_vertices, per_multiset):
         yield SignatureGrid(
             q=q, vertices=vertices, edges=edges, left_dangling=left, right_dangling=right
         )
 
 
-def _structures(sigs, profile, max_vertices):
+def _structures(sigs, profile, max_vertices, per_multiset):
     """Every structure of an (l,r) profile over sigs, up to isomorphism.
 
     sigs is sorted, with shapes as tuples.  A structure is (vertices,
@@ -779,6 +810,11 @@ def _structures(sigs, profile, max_vertices):
       when there are stubs to order; the stub part is minimized over
       them, for every order of the stubs, once per edge part.
 
+    per_multiset yields the classes of one multiset and wire count:
+    _gadgets_for_multiset, or holant.portclasses.classes_for_multiset,
+    which also permutes the ports inside each vertex's groups and keeps
+    both rules.
+
     Since codes sort on the edge part first, every slot order of one
     structure comes back to back, and enumerate_grids yields the loop
     copies of a closed structure back to back: spans.structure_signatures
@@ -796,7 +832,7 @@ def _structures(sigs, profile, max_vertices):
                 continue
             for w in range(min(lp, rp) + 1):
                 if lp - w <= L and rp - w <= R:
-                    yield from _gadgets_for_multiset(base_sigs, base_shapes, lp, rp, w)
+                    yield from per_multiset(base_sigs, base_shapes, lp, rp, w)
 
 
 def _gadgets_for_multiset(base_sigs, base_shapes, lp, rp, w):

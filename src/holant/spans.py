@@ -5,6 +5,20 @@ all gadgets over the set (plus bare wires) with at most a given number of
 vertices.  Rank decisions on the Gram matrix and the covanishing null
 spaces use the holant.numerics cut; verdicts are always relative to the
 vertex bound, since a larger gadget could still change the answer.
+
+When every id's bindings are symmetric (MixedTensor.is_symmetric; F and
+G alike for the check_* functions) and some id has two or more ports on
+a side, the walk takes one grid or gadget per class of port permutations
+(the symmetric argument of grids.enumerate_grids and enumerate_gadgets;
+holant.portclasses).  No verdict can change.  Permuting a symmetric
+vertex's ports inside a group changes no value under either binding
+set, so the grids of one class have equal values under both, and the
+difference of any two of them is null on both sides.  The ordered
+walk's stacks are the class walk's rows with repeats: they span the
+same spaces, the left null vectors they add are those differences,
+which vanish on both sides, and the closed values they compare are the
+same values.  What does change is how many grids are counted and which
+ones stand as bases and witnesses.
 """
 
 from __future__ import annotations
@@ -85,6 +99,13 @@ def structure_signatures(grids, *bindings):
             yield (g, *arrays)
 
 
+def _symmetric_ids(*binding_sets) -> tuple[str, ...]:
+    """The ids whose binding is symmetric in every binding set."""
+    return tuple(
+        k for k in binding_sets[0] if all(b[k].is_symmetric() for b in binding_sets)
+    )
+
+
 def build_span(
     fs: dict[str, MixedTensor],
     profile: tuple[int, int],
@@ -96,6 +117,9 @@ def build_span(
     Keeps a maximal linearly independent subset, first come first kept,
     in the deterministic enumeration order; each basis element carries
     its witness gadget.  Bare wires do not count against max_vertices.
+    Over symmetric bindings it walks one gadget per class of port
+    permutations, which has the span of the ordered walk (see the module
+    docstring).
     """
     qs = {t.q for t in fs.values()}
     if len(qs) > 1:
@@ -104,13 +128,17 @@ def build_span(
         raise ValueError("need a signature to fix the domain size")
     q = qs.pop()
     sig_shapes = sorted((name, t.shape) for name, t in fs.items())
+    symmetric = _symmetric_ids(fs)
     l, r = profile
     if (l, r) == (0, 0):
         # vertexless grids contribute bare constants (1 and powers of q), so
         # the interesting (0,0) span is what the vertex-bearing grids add
-        gadgets = [g for g in enumerate_grids(sig_shapes, max_vertices, q) if g.vertices]
+        gadgets = [
+            g for g in enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
+            if g.vertices
+        ]
     else:
-        gadgets = enumerate_gadgets(sig_shapes, profile, max_vertices, q)
+        gadgets = enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
     basis: list[MixedTensor] = []
     witnesses: list[SignatureGrid] = []
     independent = IncrementalBasis(indep_tol)
@@ -286,12 +314,15 @@ def check_indistinguishable(
 
     Walks every closed grid over the first set up to the bound and
     evaluates it under both bindings; the first difference above
-    tol * (1 + |value|) is returned as a witness.
+    tol * (1 + |value|) is returned as a witness.  When every id is
+    bound symmetrically on both sides, one grid per class of port
+    permutations stands for the class, whose grids all share its values
+    (see the module docstring).
     """
     gs_as_f, sig_shapes, q = _check_correspondence(fs, gs, bijection)
     count = 0
     max_diff = 0.0
-    grids = enumerate_grids(sig_shapes, max_vertices, q)
+    grids = enumerate_grids(sig_shapes, max_vertices, q, symmetric=_symmetric_ids(fs, gs_as_f))
     for grid, sf, sg in structure_signatures(grids, fs, gs_as_f):
         vf, vg = complex(sf), complex(sg)
         count += 1
@@ -347,13 +378,20 @@ def check_covanishing(
     null space of each side's signature stack, and checks that every null
     combination is also null on the other side.  A null vector of one
     side whose image is bounded away from zero is a counterexample.
+    When every id is bound symmetrically on both sides, the stacks hold
+    one gadget per class of port permutations: the ordered stacks repeat
+    those rows, and the null vectors the repeats add vanish on both
+    sides (see the module docstring).
     """
     gs_as_f, sig_shapes, q = _check_correspondence(fs, gs, bijection)
+    symmetric = _symmetric_ids(fs, gs_as_f)
     l, r = profile
     if (l, r) == (0, 0):
-        structures = list(enumerate_grids(sig_shapes, max_vertices, q))
+        structures = list(enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric))
     else:
-        structures = list(enumerate_gadgets(sig_shapes, profile, max_vertices, q))
+        structures = list(
+            enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
+        )
     shape = (len(structures), q ** (l + r))
     rows = list(structure_signatures(structures, fs, gs_as_f))
     stack_f, stack_g = (np.array([row[k].reshape(-1) for row in rows]).reshape(shape) for k in (1, 2))

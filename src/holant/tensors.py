@@ -42,9 +42,9 @@ def _check_size(q: int, slots: int) -> None:
 class MixedTensor:
     """Dense (left, right)-shaped tensor on domain [q], immutable."""
 
-    # _equality caches is_equality(); it is unset until decided, so that
-    # building a tensor costs nothing more
-    __slots__ = ("q", "left", "right", "array", "_equality")
+    # _equality and _symmetric cache is_equality() and is_symmetric(); each
+    # is unset until decided, so that building a tensor costs nothing more
+    __slots__ = ("q", "left", "right", "array", "_equality", "_symmetric")
 
     def __init__(self, q: int, left: int, right: int, array):
         _check_counts(left, right)
@@ -137,6 +137,27 @@ class MixedTensor:
         )
         object.__setattr__(self, "_equality", bool(verdict))
         return self._equality
+
+    def is_symmetric(self) -> bool:
+        """Is the array unchanged, bit for bit, by every permutation of
+        its left slots among themselves and of its right slots among
+        themselves?
+
+        Tested on the adjacent swaps inside each group, which generate
+        those permutations.  Decided from the bits, like is_equality, so
+        a -0.0 against a 0.0 breaks symmetry; decided once per tensor.  A
+        tensor with no group of two or more slots is symmetric.
+        """
+        try:
+            return self._symmetric
+        except AttributeError:
+            pass
+        # a trailing axis holds each entry's real and imaginary bits
+        bits = self.array[..., None].view(np.uint64)
+        swaps = [k for k in range(self.left + self.right - 1) if k + 1 != self.left]
+        verdict = all(np.array_equal(bits, np.swapaxes(bits, k, k + 1)) for k in swaps)
+        object.__setattr__(self, "_symmetric", verdict)
+        return verdict
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))

@@ -17,7 +17,9 @@ specialized to a grid, and so are its two cap messages.
 oracle_signatures contracts every grid, loop copies included, with the
 library's gadget_signature: the reference for spans.structure_signatures,
 which contracts one grid per structure and derives the other slot orders
-and loop counts.
+and loop counts.  oracle_port_class is a grid's class under same-id
+relabelings and in-group port permutations, by listing every relabeling:
+the reference for the walk up to port symmetry (holant.portclasses).
 """
 
 from __future__ import annotations
@@ -179,6 +181,29 @@ def oracle_grid_labelings(sig_list, edges):
     ]
     best = min(code for code, _ in relabeled)
     return [p for code, p in relabeled if code == best]
+
+
+def oracle_port_class(grid: SignatureGrid):
+    """The class of a grid under same-id relabelings and, inside each
+    vertex, permutations of its left ports and of its right ports.
+
+    Permuting a vertex's ports inside a group only renames which port
+    each edge and stub uses there, so two grids are one class exactly
+    when some same-id relabeling maps the multiset of (u, v) vertex
+    pairs of one's edges, and the vertex of each of its slots, onto the
+    other's: the ports are forgotten, and the minimum is taken over every
+    relabeling.  Vertices, the profile and loops complete the class.
+    """
+    best = None
+    for perm in _same_id_relabelings(grid.vertices):
+        code = (
+            tuple(sorted((perm[u], perm[v]) for (u, _, v, _) in grid.edges)),
+            tuple(perm[v] for (v, _) in grid.left_dangling),
+            tuple(perm[v] for (v, _) in grid.right_dangling),
+        )
+        if best is None or code < best:
+            best = code
+    return (grid.q, grid.vertices, grid.loops, best)
 
 
 class SpecializedPlan(NamedTuple):

@@ -215,14 +215,18 @@ def test_distinguishable_pair_yields_witness_grid():
 
 def test_brute_and_contract_methods_agree():
     # the verdict of the contracted sweep, replayed grid by grid with the
-    # brute evaluator
+    # brute evaluator: the sweep walks one grid per class of port
+    # permutations, and every ordered-port grid agrees too
     fs = counterexample_set(0.5, -2.0)
     gs = counterexample_set(0.0, 0.0)
     report = check_indistinguishable(fs, gs, {"neq": "neq", "f": "f"}, 4)
-    grids = list(enumerate_grids(sorted((k, t.shape) for k, t in fs.items()), 4, 2))
+    sig_shapes = sorted((k, t.shape) for k, t in fs.items())
+    classes = list(enumerate_grids(sig_shapes, 4, 2, symmetric=("f", "neq")))
+    ordered = list(enumerate_grids(sig_shapes, 4, 2))
     assert report.verdict == "indistinguishable_at_bound"
-    assert report.grids_checked == len(grids)
-    for grid in grids:
+    assert report.grids_checked == len(classes) == 4
+    assert len(ordered) == 26
+    for grid in classes + ordered:
         vf, vg = brute_holant_eval(grid, fs), brute_holant_eval(grid, gs)
         assert abs(vf - vg) <= 1e-9 * (1 + abs(vf))
 
@@ -310,13 +314,14 @@ def test_transformed_set_covanishes_with_original():
 
 def slot_order_case(name):
     """(fs, gs, profile, bound): the arity-4 counterexample pair at either
-    profile or closed, random q = 3 signatures whose (2,2) gadgets have
-    wires, or closed-invariance's shapes at q = 3 under F and T·F."""
+    profile or closed, at bound 6, random q = 3 signatures whose (2,2)
+    gadgets have wires, or closed-invariance's shapes at q = 3 under F
+    and T·F."""
     if name.startswith("neq_f"):
         fs = counterexample_set(0.3 + 0.7j, -1.1 + 0.2j)
         gs = counterexample_set(0.0, 0.0)
-        profile, bound = {"neq_f_04": ((0, 4), 5), "neq_f_40": ((4, 0), 5)}.get(name, ((0, 0), 6))
-        return fs, gs, profile, bound
+        profile = {"neq_f_04": (0, 4), "neq_f_40": (4, 0)}.get(name, (0, 0))
+        return fs, gs, profile, 6
     rng = np.random.default_rng(41)
     shapes = {"a": (1, 1), "b": (1, 2), "c": (2, 1)}
     fs, gs = (
@@ -346,12 +351,22 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
     bij = {k: k for k in fs}
     q = next(iter(fs.values())).q
     sig_shapes = sorted((k, t.shape) for k, t in fs.items())
+    # the walk the span checkers take: up to port symmetry for the
+    # counterexample pair, whose every binding is symmetric, and with
+    # ordered ports for the random sets
+    symmetric = tuple(fs) if case.startswith("neq_f") else ()
     if profile == (0, 0):
-        grids = list(enumerate_grids(sig_shapes, bound, q))
+        grids = list(enumerate_grids(sig_shapes, bound, q, symmetric=symmetric))
     else:
-        grids = list(enumerate_gadgets(sig_shapes, profile, bound, q))
+        grids = list(enumerate_gadgets(sig_shapes, profile, bound, q, symmetric=symmetric))
     structures = {(g.vertices, g.edges) for g in grids}
     assert len(structures) < len(grids)
+    if case.startswith("neq_f"):
+        # classes of port permutations: 10 closed grids over 5 structures,
+        # 11 (0,4) gadgets over 4 and 10 (4,0) gadgets over 3
+        assert (len(grids), len(structures)) == {
+            (0, 0): (10, 5), (0, 4): (11, 4), (4, 0): (10, 3)
+        }[profile]
 
     # every signature byte under both binding sets, as check_covanishing
     # stacks them; a closed grid's loop copy takes its value from here.
@@ -411,29 +426,28 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
         out["span"] = (
             span.gadgets_enumerated, span.witnesses, [b.array.tobytes() for b in span.basis]
         )
-        # a full-U SVD of the 9816-row (0,4) stack needs gigabytes, and the
-        # 1754-row closed stack at bound 6 takes a while; those profiles'
-        # covanishing tests are checked through the stacks above
-        if profile != (0, 4) and case != "neq_f_closed":
-            before = len(contracted)
-            cov = check_covanishing(fs, gs, bij, profile, bound)
-            out["cov_contracted"] = len(contracted) - before
-            out["cov"] = (
-                cov.verdict, cov.structures_checked, cov.direction, cov.max_cross_residual,
-                cov.witness and cov.witness.terms,
-                *(w and w.array.tobytes() for w in (cov.witness_signature_f, cov.witness_signature_g)),
-            )
+        before = len(contracted)
+        cov = check_covanishing(fs, gs, bij, profile, bound)
+        out["cov_contracted"] = len(contracted) - before
+        out["cov"] = (
+            cov.verdict, cov.structures_checked, cov.direction, cov.max_cross_residual,
+            cov.witness and cov.witness.terms,
+            *(w and w.array.tobytes() for w in (cov.witness_signature_f, cov.witness_signature_g)),
+        )
         return out
 
     mine = reports()
     if profile == (0, 0):
-        # two checkers, each under two binding sets
-        assert mine["closed_contracted"] == 4 * len(structures)
+        # two checkers, each under two binding sets; verify_holant_theorem
+        # walks ordered ports
+        theorem_walk = {(g.vertices, g.edges) for g in enumerate_grids(sig_shapes, bound, q)}
+        assert mine["closed_contracted"] == 2 * len(structures) + 2 * len(theorem_walk)
     walked = grids[: mine["span"][0]]
     assert mine["span_contracted"] == len({(g.vertices, g.edges) for g in walked})
-    if "cov" in mine:
-        assert mine["cov_contracted"] == 2 * len(structures)
-        assert mine["cov"][0] == ("covanishing_at_bound" if case == "closed" else "counterexample")
+    assert mine["cov_contracted"] == 2 * len(structures)
+    assert mine["cov"][:2] == (
+        "covanishing_at_bound" if profile == (0, 0) else "counterexample", len(grids)
+    )
 
     monkeypatch.setattr(spans, "structure_signatures", oracle_signatures)
     monkeypatch.setattr(transforms, "structure_signatures", oracle_signatures)

@@ -159,6 +159,27 @@ def test_symmetric_values_rejects_asymmetric():
         symmetric_values(t)
 
 
+def test_is_symmetric_is_decided_from_the_bits():
+    rng = np.random.default_rng(3)
+    assert SymBoolSignature((1, 2j, 3, -4, 5), 1, 3).to_tensor().is_symmetric()
+    assert disequality_signature(3, 2, 0).is_symmetric()
+    # no group of two slots: nothing to permute
+    assert random_tensor(rng, 3, 1, 1).is_symmetric()
+    assert MixedTensor.scalar(2, 7).is_symmetric()
+    t = random_tensor(rng, 2, 2, 1)
+    assert not t.is_symmetric() and t._symmetric is False
+    # symmetric inside each group, but not across the groups
+    arr = np.zeros((2, 2, 2))
+    arr[0, 1, 1] = arr[1, 0, 1] = 1.0
+    assert MixedTensor(2, 2, 1, arr).is_symmetric()
+    assert not MixedTensor(2, 1, 2, arr).is_symmetric()
+    # a -0.0 against a 0.0 is not bitwise symmetric
+    arr = np.zeros((2, 2))
+    arr[0, 1] = -0.0
+    assert not MixedTensor(2, 0, 2, arr).is_symmetric()
+    assert MixedTensor(2, 1, 1, arr).is_symmetric()
+
+
 def test_symbool_length_validation():
     with pytest.raises(ValueError):
         SymBoolSignature((1, 0), 2, 0)

@@ -129,6 +129,74 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
     return out
 
 
+class _Bound(NamedTuple):
+    """The bindings of one kind of grid across the sets of a
+    BindingStacks, ready for stacked_signature."""
+
+    shapes: tuple[tuple[str, tuple[int, int]], ...]  # (id, shape), sorted by id
+    # the sets k grouped by their plan, keyed by the ids that plan takes
+    # for exact equalities: () for a pairwise plan
+    routes: dict[tuple[str, ...], list[int]]
+    arrays: list[np.ndarray] | None  # per vertex, (B, q, ..., q), if a set replays pairwise
+    rows: list[list[np.ndarray]] | None  # per set, per vertex, if a set eliminates
+
+
+class BindingStacks:
+    """The binding sets of one walk, each id's tensors stacked on a
+    leading batch axis, for stacked_signature.
+
+    bind(grid) resolves every set by resolve_bindings once per kind of
+    grid the walk meets (its q, vertex sequence and whether it is
+    closed), so a fault is named as a lone grid's contraction names it,
+    and keeps what stacked_signature reads for that kind: a family has
+    far fewer vertex sequences than structures.  Each set's plan is
+    chosen here: a closed grid at q >= 2 under a set that binds some id
+    to an exact equality is eliminated on that set's own arrays, every
+    other grid is replayed pairwise on the stacks.  Each id is stacked
+    once per walk and domain size, the wire identity once some grid has
+    wire vertices.  The sets share each id's shape, as every caller's
+    correspondence checks.  A lone set's stacks are views of its own
+    arrays.
+    """
+
+    __slots__ = ("sets", "_stacks", "_bound")
+
+    def __init__(self, sets):
+        self.sets = tuple(sets)
+        self._stacks: dict[tuple[int, str], np.ndarray] = {}
+        self._bound: dict[tuple[int, tuple[str, ...], bool], _Bound] = {}
+
+    def bind(self, grid: SignatureGrid) -> _Bound:
+        q, closed = grid.q, grid.is_closed()
+        key = (q, grid.vertices, closed)
+        bound = self._bound.get(key)
+        if bound is not None:
+            return bound
+        resolved = [resolve_bindings(grid, b) for b in self.sets]
+        ids = sorted(set(grid.vertices))
+        routes: dict[tuple[str, ...], list[int]] = {}
+        for k, b in enumerate(resolved):
+            equal = ()
+            if closed and q >= 2:
+                equal = tuple([sig for sig in ids if b[sig].is_equality()])
+            routes.setdefault(equal, []).append(k)
+        arrays = rows = None
+        if () in routes:
+            for sig in ids:
+                if (q, sig) not in self._stacks:
+                    if len(resolved) == 1:
+                        self._stacks[q, sig] = resolved[0][sig].array[None]
+                    else:
+                        self._stacks[q, sig] = np.stack([b[sig].array for b in resolved])
+            arrays = [self._stacks[q, sig] for sig in grid.vertices]
+        if len(routes) > 1 or () not in routes:
+            rows = [[b[sig].array for sig in grid.vertices] for b in resolved]
+        bound = self._bound[key] = _Bound(
+            tuple([(sig, resolved[0][sig].shape) for sig in ids]), routes, arrays, rows
+        )
+        return bound
+
+
 # -- tensor contraction ----------------------------------------------------
 
 # Entries kept by the plan cache.  Plans are cached per structure: a grid's
@@ -136,15 +204,16 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
 # binds to equality signatures, so every grid that differs from a planned
 # one only in q >= 2, its loop count or the order of its dangling stubs
 # reuses its plan (hom grids built for several target sizes, gadgets in
-# every slot order).  Checkers contract each structure of a family once
-# under each binding set, back to back, so the second replays the first's
-# plan; the cache keeps a whole family so that a later walk of it plans
-# nothing: 300 closed structures over three shapes at bound 4, the 877
-# closed structures of the arity-4 counterexample at bound 6 with ordered
-# ports (verify_holant_theorem's walk; the spans checkers walk 5 up to
-# port symmetry).  Traced by tracemalloc over a whole pass, the cache ends
-# holding 12 plans on counterexample-spans, and 364 elimination plans in
-# about 1.8 MB on hom-census (2.3 MB as pairwise plans).
+# every slot order).  Checkers replay each structure of a family once for
+# all their binding sets together (stacked_signature), so a walk looks
+# each plan up once; the cache keeps a whole family so that a later walk
+# of it plans nothing: 300 closed structures over three shapes at bound
+# 4, the 877 closed structures of the arity-4 counterexample at bound 6
+# with ordered ports (5 up to port symmetry, which every checker walks
+# over those symmetric signatures).  Traced by tracemalloc over a whole
+# pass, the cache ends holding 12 plans on counterexample-spans, and 364
+# elimination plans in about 1.8 MB on hom-census (2.3 MB as pairwise
+# plans).
 PLAN_CACHE_SIZE = 4096
 
 
@@ -321,73 +390,128 @@ def _check_cap(plan: ContractionPlan, q: int) -> None:
 EINSUM_LOOP_MAX = 1 << 14
 
 
-def _execute(plan: ContractionPlan, q: int, arrays: list[np.ndarray], perm: tuple[int, ...]) -> np.ndarray:
-    """Replay a plan at domain size q on the vertex tensors, in vertex
-    order; perm lists the axes of the outer product in slot order."""
-    nodes = list(arrays)
+def _execute(
+    plan: ContractionPlan,
+    q: int,
+    arrays: list[np.ndarray] | None,
+    rows: list[list[np.ndarray]] | None,
+    perm: tuple[int, ...],
+    batch: int,
+) -> np.ndarray:
+    """Replay a plan at domain size q on the vertex tensors of batch
+    binding sets, in vertex order: a pairwise plan reads arrays, each
+    vertex's tensors stacked on a leading batch axis, and an elimination
+    plan reads rows, each set's own tensors.  perm lists the axes of the
+    outer product in slot order.  Returns the batch results, stacked on
+    a leading axis.
+
+    Each step gives every row the bits that row gets alone: a trace runs
+    on the axes shifted by one, a pairwise step is one np.matmul of
+    (batch, m, k) and (batch, k, n) stacks, which equals np.dot row by
+    row at q >= 2, and outer products broadcast.  At q = 1 every array
+    holds one entry, and numpy rounds a one-entry product by the path it
+    takes (np.matmul, np.dot and broadcasting differ in signed zeros and
+    fused multiply-adds), so there each row takes np.dot and
+    np.multiply.outer apart, as a lone set does.  A plan that eliminates
+    has no pairwise step; each row runs its np.einsum steps apart, on
+    that row's own tensors, and only the scalars they leave are stacked.
+    """
+    nodes = list(arrays) if arrays is not None else []
     for nid, axis1, axis2 in plan.traces:
-        nodes[nid] = np.trace(nodes[nid], axis1=axis1, axis2=axis2)
+        nodes[nid] = nodes[nid].trace(axis1=axis1 + 1, axis2=axis2 + 1)
     for u, perm_u, v, perm_v, keep_u, shared, keep_v in plan.steps:
         m = q**shared
-        a = nodes[u].transpose(perm_u).reshape(-1, m)
-        b = nodes[v].transpose(perm_v).reshape(m, -1)
-        nodes.append(np.dot(a, b).reshape((q,) * (keep_u + keep_v)))
-    for operands, subscripts, rank in plan.eliminations:
-        large = q ** (rank + 1) > EINSUM_LOOP_MAX
-        nodes.append(np.einsum(subscripts, *[nodes[k] for k in operands], optimize=large))
-    out = np.array(1 + 0j)
+        a = nodes[u].transpose((0, *[p + 1 for p in perm_u])).reshape(batch, -1, m)
+        b = nodes[v].transpose((0, *[p + 1 for p in perm_v])).reshape(batch, m, -1)
+        ab = np.matmul(a, b) if q > 1 else np.array([np.dot(x, y) for x, y in zip(a, b)])
+        nodes.append(ab.reshape((batch,) + (q,) * (keep_u + keep_v)))
+    if rows is not None:  # an elimination plan
+        rows = [list(row) for row in rows]
+        for operands, subscripts, rank in plan.eliminations:
+            large = q ** (rank + 1) > EINSUM_LOOP_MAX
+            for row in rows:
+                row.append(np.einsum(subscripts, *[row[k] for k in operands], optimize=large))
+        nodes = {nid: np.array([row[nid] for row in rows]) for nid in plan.outer}
+    # the product starts from 1 + 0j, as a lone set's does: a multiply by
+    # it can turn -0.0 into 0.0
+    out = None
     for nid in plan.outer:
-        out = np.multiply.outer(out, nodes[nid])
+        node = nodes[nid]
+        if out is None:
+            out = node * (1 + 0j)
+        elif q == 1:
+            out = np.array([np.multiply.outer(x, y) for x, y in zip(out, node)])
+        elif out.ndim == node.ndim == 1:
+            out = out * node
+        else:
+            shifted = (1,) * (out.ndim - 1) + node.shape[1:]
+            out = out.reshape(out.shape + (1,) * (node.ndim - 1)) * node.reshape((batch, *shifted))
+    if out is None:
+        out = np.ones(batch, dtype=np.complex128)
     if plan.free:
         out = out * q**plan.free
-    return np.transpose(out, perm) if perm else out.reshape(())
+    return np.transpose(out, (0, *[p + 1 for p in perm])) if perm else out
 
 
-def _contract(grid: SignatureGrid, b: dict[str, MixedTensor]) -> np.ndarray:
-    """Contract grid under bindings already passed through resolve_bindings.
+def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
+    """Signature arrays of grid under every binding set of stacks, as one
+    read-only array of shape (B, q, ..., q): row k is bitwise
+    gadget_signature(grid, stacks.sets[k]).array.
 
-    A closed grid at q >= 2 with an id bound to an exact equality
-    signature (MixedTensor.is_equality; the wire identity is one) is
-    contracted by eliminating index classes, one np.einsum per class:
-    hom and matchings grids, whose equalities would otherwise be nodes of
-    many tiny pairwise steps.  Every other grid, and every grid with
-    stubs, keeps its pairwise plan; so does q = 1, where the entry cap
-    bounds no step and a wide step could need more indices than einsum
-    has letters.  Measured range, on a 2-CPU host: hom counts into
-    targets of q = 10 to 512 vertices (hom-census; cycles and random
-    cubic graphs of 128 and 512 vertices) ran as fast as by pairwise
-    plans or faster, and at q = 128 some grids fit the entry cap that
-    do not fit it pairwise: hom(K4, G) needs q**3 entries by
-    elimination, q**4 pairwise.
+    The grid's structure is planned once and replayed once on the
+    stacks, not once per binding set.  A closed grid at q >= 2 with an
+    id bound to an exact equality signature (MixedTensor.is_equality;
+    the wire identity is one) is contracted by eliminating index classes,
+    one np.einsum per class: hom and matchings grids, whose equalities
+    would otherwise be nodes of many tiny pairwise steps.  Every other
+    grid, and every grid with stubs, keeps its pairwise plan; so does
+    q = 1, where the entry cap bounds no step and a wide step could need
+    more indices than einsum has letters.  Measured range, on a 2-CPU
+    host: hom counts into targets of q = 10 to 512 vertices (hom-census;
+    cycles and random cubic graphs of 128 and 512 vertices) ran as fast
+    as by pairwise plans or faster, and at q = 128 some grids fit the
+    entry cap that do not fit it pairwise: hom(K4, G) needs q**3 entries
+    by elimination, q**4 pairwise.  Binding sets share a replay when they
+    pick one plan, that is, bind the same ids to equalities; a set whose
+    plan differs is replayed apart.
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
     """
-    ids = sorted(set(grid.vertices))
-    shapes = tuple([(sig, b[sig].shape) for sig in ids])
     q = grid.q
+    shapes, routes, arrays, rows = stacks.bind(grid)
+    left = right = ()
     if grid.left_dangling or grid.right_dangling:
         left, right = tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling))
-        equal = ()
-    else:
-        left = right = ()
-        equal = tuple([sig for sig in ids if b[sig].is_equality()]) if q >= 2 else ()
-    try:
-        plan = _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(q, 2), equal)
-    except ValueError:
-        # the plan validated the structure with its stubs sorted; validity
-        # does not depend on their order but the message does, so name the
-        # first fault in the grid's own order
-        grid.validate(dict(shapes))
-        raise
-    _check_cap(plan, q)
-    perm = ()
-    if plan.outer_rank:  # the grid has stubs
-        perm = tuple(
-            [plan.left_axis[s] for s in grid.left_dangling]
-            + [plan.right_axis[s] for s in grid.right_dangling]
-        )
-    return _execute(plan, q, [b[sig].array for sig in grid.vertices], perm) * q**grid.loops
+    out = None
+    for equal, ks in routes.items():
+        try:
+            plan = _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(q, 2), equal)
+        except ValueError:
+            # the plan validated the structure with its stubs sorted; validity
+            # does not depend on their order but the message does, so name the
+            # first fault in the grid's own order
+            grid.validate(dict(shapes))
+            raise
+        _check_cap(plan, q)
+        perm = ()
+        if plan.outer_rank:  # the grid has stubs
+            perm = tuple(
+                [plan.left_axis[s] for s in grid.left_dangling]
+                + [plan.right_axis[s] for s in grid.right_dangling]
+            )
+        if len(routes) == 1:
+            out = _execute(plan, q, arrays, rows, perm, len(ks))
+        else:  # closed, so each row is one value
+            if out is None:
+                out = np.empty(len(stacks.sets), dtype=np.complex128)
+            if equal:
+                out[ks] = _execute(plan, q, None, [rows[k] for k in ks], perm, len(ks))
+            else:
+                out[ks] = _execute(plan, q, [a[ks] for a in arrays], None, perm, len(ks))
+    out = out * q**grid.loops
+    out.setflags(write=False)
+    return out
 
 
 def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
@@ -407,7 +531,7 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
-    return complex(_contract(grid, resolve_bindings(grid, bindings)))
+    return complex(stacked_signature(grid, BindingStacks((bindings,)))[0])
 
 
 def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> MixedTensor:
@@ -415,18 +539,19 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
 
     Slot order follows the dangling stub order, left stubs then right.
     The dangling slots stay free tensor axes of the contraction, planned
-    and cached as in holant_eval_contracted.  The plan also ignores the
-    order of the stubs, which decides only the final transpose of the
-    free axes, never which pair is contracted next, and the loop count,
-    which only scales the result.  So a grid that differs from a
-    contracted one only in slot order, or from a loop-free one also in
-    its loop count, need not be contracted: reordered_signature derives
-    the same bytes from the known signature's array.  A closed grid's
-    signature is its (0,0) tensor, holding holant_eval_contracted's
-    value.  Reuse of a cached plan does not change the signature.
+    and cached as in holant_eval_contracted: stacked_signature with one
+    binding set.  The plan also ignores the order of the stubs, which
+    decides only the final transpose of the free axes, never which pair
+    is contracted next, and the loop count, which only scales the result.
+    So a grid that differs from a contracted one only in slot order, or
+    from a loop-free one also in its loop count, need not be contracted:
+    reordered_signature derives the same bytes from the known signature's
+    array.  A closed grid's signature is its (0,0) tensor, holding
+    holant_eval_contracted's value.  Reuse of a cached plan does not
+    change the signature.
     """
     l, r = grid.profile
-    return MixedTensor(grid.q, l, r, _contract(grid, resolve_bindings(grid, bindings)))
+    return MixedTensor(grid.q, l, r, stacked_signature(grid, BindingStacks((bindings,)))[0])
 
 
 def derives(grid: SignatureGrid, target: SignatureGrid) -> bool:
@@ -443,27 +568,29 @@ def derives(grid: SignatureGrid, target: SignatureGrid) -> bool:
 
 
 def reordered_signature(sig: np.ndarray, grid: SignatureGrid, target: SignatureGrid) -> np.ndarray:
-    """Signature array of target, given sig, the signature array of grid.
+    """Signature arrays of target, given sig, the signature arrays of grid
+    stacked on a leading batch axis as stacked_signature returns them.
 
     Precondition: derives(grid, target), which is not checked here.
-    The result is bitwise gadget_signature(target, ...).array under sig's
-    bindings.  Both grids replay one plan, since it is keyed on the
-    sorted stubs and ignores loops, so their contractions differ only in
-    the final transpose of the free axes, done here on sig, and in the
-    scale by q**loops, which commutes with it.  At equal loop counts the
-    result is a transposed view of sig, so it shares sig's memory and is
-    read-only if sig is.
+    Row k of the result is bitwise gadget_signature(target, ...).array
+    under row k's bindings.  Both grids replay one plan, since it is
+    keyed on the sorted stubs and ignores loops, so their contractions
+    differ only in the final transpose of the free axes, done here on
+    sig, and in the scale by q**loops, which commutes with it.  At equal
+    loop counts the result is a transposed view of sig, so it shares
+    sig's memory and is read-only if sig is.
 
-    _contract scales by a complex multiply with q**loops + 0j, even at
-    loops 0, and that can flip a signed zero: (-0-0j)*1 is 0-0j, and
-    ((-0-0j)*1)*2 is 0+0j where (-0-0j)*2 is 0-0j.  A loop-free sig has
-    been through the multiply by 1 + 0j, so the loops are applied to its
-    real and imaginary parts apart, as a real multiply by q**loops each,
-    which gives the bits a single complex multiply by q**loops gives.
+    stacked_signature scales by a complex multiply with q**loops + 0j,
+    even at loops 0, and that can flip a signed zero: (-0-0j)*1 is 0-0j,
+    and ((-0-0j)*1)*2 is 0+0j where (-0-0j)*2 is 0-0j.  A loop-free sig
+    has been through the multiply by 1 + 0j, so the loops are applied to
+    its real and imaginary parts apart, as a real multiply by q**loops
+    each, which gives the bits a single complex multiply by q**loops
+    gives.
     """
     l = len(grid.left_dangling)
-    axes = [grid.left_dangling.index(s) for s in target.left_dangling] + [
-        l + grid.right_dangling.index(s) for s in target.right_dangling
+    axes = [0] + [1 + grid.left_dangling.index(s) for s in target.left_dangling] + [
+        1 + l + grid.right_dangling.index(s) for s in target.right_dangling
     ]
     arr = np.transpose(sig, axes)
     if target.loops != grid.loops:
@@ -715,10 +842,11 @@ def enumerate_grids(
     value's array for the copy (reordered_signature).
 
     symmetric lists the ids whose every binding is symmetric
-    (MixedTensor.is_symmetric); the spans checkers compute it, and its
-    default () walks ordered ports.  When every id is in it and some id
-    has two or more ports on a side, isomorphism also permutes each
-    vertex's left ports and its right ports (holant.portclasses).
+    (MixedTensor.is_symmetric); the spans checkers and
+    verify_holant_theorem compute it, and its default () walks ordered
+    ports.  When every id is in it and some id has two or more ports on
+    a side, isomorphism also permutes each vertex's left ports and its
+    right ports (holant.portclasses).
 
     A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
     replaces the one stored family, keyed on (sorted (id, shape) pairs,

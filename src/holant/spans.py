@@ -28,15 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from holant.grids import (
+    BindingStacks,
     QuantumGadget,
     SignatureGrid,
     derives,
     enumerate_gadgets,
     enumerate_grids,
-    gadget_signature,
     holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
     reordered_signature,
 )
+
+# structure_signatures contracts each run through this name, which
+# perfbench's tracer wraps as its grid contraction boundary
+from holant.grids import stacked_signature as gadget_signature
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
 from holant.tensors import MixedTensor, pair
 
@@ -75,28 +79,31 @@ class GadgetSpan:
 
 def structure_signatures(grids, *bindings):
     """Yield (grid, array, ...): each grid with its signature array under
-    every binding set, contracting each structure once per binding set.
+    every binding set, contracting each structure once for all of them.
 
     A run is grids yielded back to back with equal vertices and edges,
     which leave equal stubs free: the enumerators yield the slot orders
     of a gadget structure so, and a closed structure at loop counts 0
-    and 1.  The first grid of a run is contracted under every binding
-    set, through this module's gadget_signature, so perfbench's tracer
-    sees each contraction, and its signature's read-only array is kept.
-    Every other grid of the run takes its array from that one by
-    reordered_signature, bitwise the same as its own contraction: a
-    transposed view for another slot order, a scaled copy for a loop
-    copy.  A grid that derives refuses to take from the run's first,
-    such as another loop count of a looped grid, starts a new run.
+    and 1.  The first grid of a run is contracted once, under every
+    binding set at the same time, through this module's gadget_signature
+    (grids.stacked_signature), so perfbench's tracer sees each run; the
+    bindings are checked and stacked once per walk (grids.BindingStacks).
+    Every other grid of the run takes its arrays from that read-only
+    stack by one reordered_signature, bitwise the same as its own
+    contraction: a transposed view for another slot order, a scaled copy
+    for a loop copy.  A grid that derives refuses to take from the run's
+    first, such as another loop count of a looped grid, starts a new run.
     derives runs once per grid after the first.
     """
-    first = arrays = None
+    stacks = BindingStacks(bindings)
+    first = stack = None
     for g in grids:
         if first is not None and derives(first, g):
-            yield (g, *(reordered_signature(a, first, g) for a in arrays))
+            arrays = reordered_signature(stack, first, g)
         else:
-            first, arrays = g, [gadget_signature(g, b).array for b in bindings]
-            yield (g, *arrays)
+            first = g
+            arrays = stack = gadget_signature(g, stacks)
+        yield (g, *(arrays[k, ...] for k in range(len(bindings))))
 
 
 def _symmetric_ids(*binding_sets) -> tuple[str, ...]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from holant.grids import SignatureGrid, enumerate_grids
 from holant.grids import holant_eval_contracted  # unused, but perfbench's tracer wraps this name
-from holant.spans import structure_signatures
+from holant.spans import _symmetric_ids, structure_signatures
 from holant.tensors import MixedTensor, equality_signature
 
 COND_WARN_THRESHOLD = 1e8
@@ -115,7 +115,15 @@ def verify_holant_theorem(
 ) -> HolantTheoremReport:
     """Evaluate every closed grid over fs up to the bound, both ways.
 
-    A grid passes when |before - after| <= tol * (1 + |before|).
+    A grid passes when |before - after| <= tol * (1 + |before|).  When
+    every binding of fs is symmetric (MixedTensor.is_symmetric) and some
+    id has two or more ports on a side, the walk takes one grid per class
+    of port permutations, as the spans checkers do (holant.spans).  In
+    exact arithmetic the grids of a class share one value under fs, and
+    one under T·F: T acts on every left slot alike and T inverse on every
+    right slot alike, so T·F is symmetric wherever F is.  Only rounding
+    tells the members of a class apart, so one of them tests what all of
+    them would; grids_checked counts the classes.
     """
     if not fs:
         raise ValueError("need at least one signature")
@@ -127,7 +135,10 @@ def verify_holant_theorem(
     max_abs = 0.0
     max_scaled = 0.0
     count = 0
-    grids = enumerate_grids([(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q)
+    grids = enumerate_grids(
+        [(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q,
+        symmetric=_symmetric_ids(fs),
+    )
     for grid, sig_before, sig_after in structure_signatures(grids, fs, transformed):
         before, after = complex(sig_before), complex(sig_after)
         err = abs(before - after)

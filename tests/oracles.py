@@ -15,9 +15,10 @@ stub order, the reference for the library's plan cache: its plans, which
 ignore q >= 2, the loop count and the stub order, are compared once
 specialized to a grid, and so are its two cap messages.
 oracle_signatures contracts every grid, loop copies included, with the
-library's gadget_signature: the reference for spans.structure_signatures,
-which contracts one grid per structure and derives the other slot orders
-and loop counts.  oracle_port_class is a grid's class under same-id
+library's gadget_signature, one binding set at a time: the reference for
+spans.structure_signatures, which contracts one grid per structure for
+every binding set at once and derives the other slot orders and loop
+counts.  oracle_port_class is a grid's class under same-id
 relabelings and in-group port permutations, by listing every relabeling:
 the reference for the walk up to port symmetry (holant.portclasses).
 """

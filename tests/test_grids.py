@@ -285,12 +285,14 @@ def test_reordered_signature_refuses_another_structure():
         q=2, vertices=("a", "a"), edges=((0, 1, 1, 1),),
         left_dangling=((1, 1),), right_dangling=((0, 1),),
     )
-    sig = gadget_signature(g, {"a": t}).array
+    # reordered_signature takes and returns a stack of signatures, here
+    # a batch of one
+    sig = gadget_signature(g, {"a": t}).array[None]
     assert derives(g, g)
     assert reordered_signature(sig, g, g).tobytes() == sig.tobytes()
     # a loop-free grid derives its loop copies; a looped one only itself
     looped = dataclasses.replace(g, loops=2)
-    want = gadget_signature(looped, {"a": t}).array
+    want = gadget_signature(looped, {"a": t}).array[None]
     assert derives(g, looped) and derives(looped, looped)
     assert reordered_signature(sig, g, looped).tobytes() == want.tobytes()
     assert reordered_signature(want, looped, looped).tobytes() == want.tobytes()
@@ -307,10 +309,10 @@ def test_reordered_signature_refuses_another_structure():
 
 
 def test_loop_copies_keep_signed_zeros():
-    # _contract returns x * q**loops for the product x of its steps, a
-    # complex multiply even at loops 0: (-0-0j)*1 is 0-0j, and (0-0j)*3 is
-    # 0+0j where (-0-0j)*3 is 0-0j, so scaling the loop-free signature by
-    # q**loops as a complex would flip the sign of a zero
+    # stacked_signature returns x * q**loops for the product x of its
+    # steps, a complex multiply even at loops 0: (-0-0j)*1 is 0-0j, and
+    # (0-0j)*3 is 0+0j where (-0-0j)*3 is 0-0j, so scaling the loop-free
+    # signature by q**loops as a complex would flip the sign of a zero
     x = np.array([complex(-0.0, -0.0), complex(3.0, -0.0), complex(-0.0, -2.0)])
     g = SignatureGrid(q=3, vertices=("a",), edges=(), right_dangling=((0, 1),))
     sig = x * 1
@@ -318,7 +320,7 @@ def test_loop_copies_keep_signed_zeros():
         want = (x * 3**loops).tobytes()
         assert (sig * 3**loops).tobytes() != want
         target = dataclasses.replace(g, loops=loops)
-        assert reordered_signature(sig, g, target).tobytes() == want
+        assert reordered_signature(sig[None], g, target).tobytes() == want
     # the walker derives a contracted grid's loop copy bitwise too
     bindings = {"a": MixedTensor(3, 0, 1, x)}
     grids = [g, dataclasses.replace(g, loops=1)]
@@ -508,6 +510,24 @@ def contraction_cases(draw):
     return sigs, profile, max_vertices, q, draw(st.integers(0, 2**32 - 1))
 
 
+def test_one_entry_contractions_round_as_the_oracle():
+    # at q = 1 every tensor holds one entry, and numpy rounds a product of
+    # one-entry arrays by the path it takes: np.matmul against np.dot
+    # differ in the sign of a zero, broadcasting against np.multiply.outer
+    # in the last bit; the batched executor must give the oracle's bits
+    rng = np.random.default_rng(44)
+    sigs = [("a", (1, 1)), ("b", (1, 2)), ("c", (2, 1))]
+    entries = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    entries[::3] = complex(-0.0, -0.0)
+    entries[1::4] = complex(0.0, -0.0)
+    for k in range(8):
+        fs = {sid: MixedTensor(1, *sh, entries[3 * k + n]) for n, (sid, sh) in enumerate(sigs)}
+        for g in enumerate_gadgets(sigs, (2, 2), 2, 1):
+            assert gadget_signature(g, fs).array.tobytes() == oracle_contract(g, fs).tobytes()
+        for g in enumerate_grids(sigs, 3, 1):
+            assert gadget_signature(g, fs).array.tobytes() == oracle_contract(g, fs).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=contraction_cases())
 def test_contraction_equals_oracle_on_random_sets(case):
@@ -575,7 +595,7 @@ def planned_family(k):
 def planned_grids(draw):
     """A grid or gadget from the enumerators, respecified with its edges
     and stubs shuffled, another q and another loop count, and its shapes
-    as _contract passes them."""
+    as stacked_signature passes them."""
     k = draw(st.integers(0, len(PLANNED_FAMILIES) - 1))
     g = draw(st.sampled_from(planned_family(k)))
     shape_of = dict(PLANNED_FAMILIES[k][0], **{WIRE_ID: (1, 1)})

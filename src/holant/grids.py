@@ -150,9 +150,10 @@ class BindingStacks:
     closed), so a fault is named as a lone grid's contraction names it,
     and keeps what stacked_signature reads for that kind: a family has
     far fewer vertex sequences than structures.  Each set's plan is
-    chosen here: a closed grid at q >= 2 under a set that binds some id
-    to an exact equality is eliminated on that set's own arrays, every
-    other grid is replayed pairwise on the stacks.  Each id is stacked
+    chosen by _bind, which the lone-set contractions share: a closed
+    grid at q >= 2 under a set that binds some id to an exact equality
+    is eliminated on that set's own arrays, every other grid is replayed
+    pairwise on the stacks.  Each id is stacked
     once per walk and domain size, the wire identity once some grid has
     wire vertices.  The sets share each id's shape, as every caller's
     correspondence checks.  A lone set's stacks are views of its own
@@ -167,34 +168,38 @@ class BindingStacks:
         self._bound: dict[tuple[int, tuple[str, ...], bool], _Bound] = {}
 
     def bind(self, grid: SignatureGrid) -> _Bound:
-        q, closed = grid.q, grid.is_closed()
-        key = (q, grid.vertices, closed)
+        key = (grid.q, grid.vertices, grid.is_closed())
         bound = self._bound.get(key)
-        if bound is not None:
-            return bound
-        resolved = [resolve_bindings(grid, b) for b in self.sets]
-        ids = sorted(set(grid.vertices))
-        routes: dict[tuple[str, ...], list[int]] = {}
-        for k, b in enumerate(resolved):
-            equal = ()
-            if closed and q >= 2:
-                equal = tuple([sig for sig in ids if b[sig].is_equality()])
-            routes.setdefault(equal, []).append(k)
-        arrays = rows = None
-        if () in routes:
-            for sig in ids:
-                if (q, sig) not in self._stacks:
-                    if len(resolved) == 1:
-                        self._stacks[q, sig] = resolved[0][sig].array[None]
-                    else:
-                        self._stacks[q, sig] = np.stack([b[sig].array for b in resolved])
-            arrays = [self._stacks[q, sig] for sig in grid.vertices]
-        if len(routes) > 1 or () not in routes:
-            rows = [[b[sig].array for sig in grid.vertices] for b in resolved]
-        bound = self._bound[key] = _Bound(
-            tuple([(sig, resolved[0][sig].shape) for sig in ids]), routes, arrays, rows
-        )
+        if bound is None:
+            resolved = [resolve_bindings(grid, b) for b in self.sets]
+            bound = self._bound[key] = _bind(grid, resolved, self._stacks)
         return bound
+
+
+def _bind(grid: SignatureGrid, resolved: list[dict], stacks: dict) -> _Bound:
+    """The _Bound of grid under resolved binding sets: each set's plan
+    route and the arrays or rows those routes read.  stacks keeps each
+    (q, id)'s stacked arrays for later grids; a lone set's are views."""
+    q = grid.q
+    ids = sorted(set(grid.vertices))
+    routes: dict[tuple[str, ...], list[int]] = {}
+    for k, b in enumerate(resolved):
+        equal = ()
+        if q >= 2 and grid.is_closed():
+            equal = tuple([sig for sig in ids if b[sig].is_equality()])
+        routes.setdefault(equal, []).append(k)
+    arrays = rows = None
+    if () in routes:
+        for sig in ids:
+            if (q, sig) not in stacks:
+                if len(resolved) == 1:
+                    stacks[q, sig] = resolved[0][sig].array[None]
+                else:
+                    stacks[q, sig] = np.stack([b[sig].array for b in resolved])
+        arrays = [stacks[q, sig] for sig in grid.vertices]
+    if len(routes) > 1 or () not in routes:
+        rows = [[b[sig].array for sig in grid.vertices] for b in resolved]
+    return _Bound(tuple([(sig, resolved[0][sig].shape) for sig in ids]), routes, arrays, rows)
 
 
 # -- tensor contraction ----------------------------------------------------
@@ -204,16 +209,17 @@ class BindingStacks:
 # binds to equality signatures, so every grid that differs from a planned
 # one only in q >= 2, its loop count or the order of its dangling stubs
 # reuses its plan (hom grids built for several target sizes, gadgets in
-# every slot order).  Checkers replay each structure of a family once for
-# all their binding sets together (stacked_signature), so a walk looks
-# each plan up once; the cache keeps a whole family so that a later walk
-# of it plans nothing: 300 closed structures over three shapes at bound
-# 4, the 877 closed structures of the arity-4 counterexample at bound 6
-# with ordered ports (5 up to port symmetry, which every checker walks
-# over those symmetric signatures).  Traced by tracemalloc over a whole
-# pass, the cache ends holding 12 plans on counterexample-spans, and 364
-# elimination plans in about 1.8 MB on hom-census (2.3 MB as pairwise
-# plans).
+# every slot order).  A walk contracts each structure once for all its
+# binding sets (stacked_signature), so it looks each plan up once; the
+# stored closed family keeps its structures' plans (family_plans), so a
+# replay of it looks up none.  The cache keeps a whole family, so that a
+# later walk of one that is not stored plans nothing:
+# 300 closed structures over three shapes at bound 4, the 877 closed
+# structures of the arity-4 counterexample at bound 6 with ordered ports
+# (5 up to port symmetry, which every checker walks over those symmetric
+# signatures).  Traced by tracemalloc over a whole pass, the cache ends
+# holding 12 plans on counterexample-spans, and 364 elimination plans in
+# about 1.8 MB on hom-census (2.3 MB as pairwise plans).
 PLAN_CACHE_SIZE = 4096
 
 
@@ -222,12 +228,16 @@ class ContractionPlan(NamedTuple):
 
     A plan contracts pairwise or by elimination, never both.  Nodes
     0..n-1 are the vertex tensors; step k of either kind creates node n+k.
+    The axes of traces and steps are those of _execute's stacks, whose
+    axis 0 is the batch of binding sets and axis k + 1 a node's axis k.
     traces: (node, axis1, axis2) for each self-edge, as np.trace takes them.
-    steps: (u, perm_u, v, perm_v, keep_u, shared, keep_v) per pairwise
-        contraction, exactly as np.tensordot performs it: transpose both
-        operands, reshape them to q**keep_u x q**shared and q**shared x
-        q**keep_v matrices, np.dot, and reshape the product to
-        keep_u + keep_v axes of size q.
+    steps: (u, axes_u, v, axes_v, shared, rank) per pairwise contraction,
+        exactly as np.tensordot performs it: transpose both operands by
+        their axes (the batch axis first), reshape them to stacks of
+        (q**keep_u, q**shared) and (q**shared, q**keep_v) matrices, where
+        keep_u and keep_v are the axes of u and v left over, multiply, and
+        reshape the product to the batch axis and rank = keep_u + keep_v
+        axes of size q.
     peak_rank: the largest output rank over the steps of either kind, 0
         if none.
     outer: the nodes left over, multiplied as outer products in this order.
@@ -243,7 +253,7 @@ class ContractionPlan(NamedTuple):
     """
 
     traces: tuple[tuple[int, int, int], ...]
-    steps: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int, int, int], ...]
+    steps: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int, int], ...]
     peak_rank: int
     outer: tuple[int, ...]
     outer_rank: int
@@ -313,7 +323,7 @@ def _contraction_plan(
     for _, la, lb in sorted(self_edges, key=lambda e: owner[e[1]]):
         ls = labels[owner[la]]
         p1, p2 = sorted((ls.index(la), ls.index(lb)))
-        traces.append((owner[la], p1, p2))
+        traces.append((owner[la], p1 + 1, p2 + 1))
         ls.remove(la)
         ls.remove(lb)
 
@@ -335,8 +345,9 @@ def _contraction_plan(
         keep_u = [k for k in range(len(lu)) if k not in ax_u]
         keep_v = [k for k in range(len(lv)) if k not in ax_v]
         steps.append((
-            u, tuple(keep_u + ax_u), v, tuple(ax_v + keep_v),
-            len(keep_u), len(shared), len(keep_v),
+            u, tuple([0] + [k + 1 for k in keep_u + ax_u]),
+            v, tuple([0] + [k + 1 for k in ax_v + keep_v]),
+            len(shared), len(keep_u) + len(keep_v),
         ))
         w = len(labels)
         merged = [lu[k] for k in keep_u] + [lv[k] for k in keep_v]
@@ -357,7 +368,7 @@ def _contraction_plan(
     right_axis = {(v, j): position[right_label(v, j)] for (v, j) in right}
     if sorted([*left_axis.values(), *right_axis.values()]) != list(range(len(remaining))):
         raise ValueError("open labels do not match the remaining axes")
-    peak_rank = max((keep_u + keep_v for *_, keep_u, _, keep_v in steps), default=0)
+    peak_rank = max((rank for *_, rank in steps), default=0)
     return ContractionPlan(
         tuple(traces), tuple(steps), peak_rank, outer, len(remaining), left_axis, right_axis
     )
@@ -368,8 +379,7 @@ def _check_cap(plan: ContractionPlan, q: int) -> None:
     more than MAX_ENTRIES entries at domain size q; an intermediate is
     named by the first step over the cap in contraction order."""
     if q**plan.peak_rank > MAX_ENTRIES:
-        ranks = [keep_u + keep_v for *_, keep_u, _, keep_v in plan.steps]
-        for rank in ranks + [rank for *_, rank in plan.eliminations]:
+        for *_, rank in plan.steps + plan.eliminations:
             cost = q**rank
             if cost > MAX_ENTRIES:
                 raise ValueError(f"intermediate tensor of {cost} entries exceeds the cap")
@@ -401,12 +411,12 @@ def _execute(
     """Replay a plan at domain size q on the vertex tensors of batch
     binding sets, in vertex order: a pairwise plan reads arrays, each
     vertex's tensors stacked on a leading batch axis, and an elimination
-    plan reads rows, each set's own tensors.  perm lists the axes of the
-    outer product in slot order.  Returns the batch results, stacked on
-    a leading axis.
+    plan reads rows, each set's own tensors.  perm, unless empty, lists
+    the axes of the stacked outer product in slot order, the batch axis
+    first.  Returns the batch results, stacked on a leading axis.
 
     Each step gives every row the bits that row gets alone: a trace runs
-    on the axes shifted by one, a pairwise step is one np.matmul of
+    on the plan's batch-shifted axes, a pairwise step is one np.matmul of
     (batch, m, k) and (batch, k, n) stacks, which equals np.dot row by
     row at q >= 2, and outer products broadcast.  At q = 1 every array
     holds one entry, and numpy rounds a one-entry product by the path it
@@ -418,13 +428,13 @@ def _execute(
     """
     nodes = list(arrays) if arrays is not None else []
     for nid, axis1, axis2 in plan.traces:
-        nodes[nid] = nodes[nid].trace(axis1=axis1 + 1, axis2=axis2 + 1)
-    for u, perm_u, v, perm_v, keep_u, shared, keep_v in plan.steps:
+        nodes[nid] = nodes[nid].trace(axis1=axis1, axis2=axis2)
+    for u, axes_u, v, axes_v, shared, rank in plan.steps:
         m = q**shared
-        a = nodes[u].transpose((0, *[p + 1 for p in perm_u])).reshape(batch, -1, m)
-        b = nodes[v].transpose((0, *[p + 1 for p in perm_v])).reshape(batch, m, -1)
+        a = nodes[u].transpose(axes_u).reshape(batch, -1, m)
+        b = nodes[v].transpose(axes_v).reshape(batch, m, -1)
         ab = np.matmul(a, b) if q > 1 else np.array([np.dot(x, y) for x, y in zip(a, b)])
-        nodes.append(ab.reshape((batch,) + (q,) * (keep_u + keep_v)))
+        nodes.append(ab.reshape((batch,) + (q,) * rank))
     if rows is not None:  # an elimination plan
         rows = [list(row) for row in rows]
         for operands, subscripts, rank in plan.eliminations:
@@ -450,10 +460,61 @@ def _execute(
         out = np.ones(batch, dtype=np.complex128)
     if plan.free:
         out = out * q**plan.free
-    return np.transpose(out, (0, *[p + 1 for p in perm])) if perm else out
+    return out.transpose(perm) if perm else out
 
 
-def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
+def _planned(grid: SignatureGrid, shapes, equal: tuple[str, ...]):
+    """(plan, perm) for grid under one route's (id, shape) pairs and
+    equality ids, the cap checked at grid.q; perm is _execute's."""
+    left = right = ()
+    if grid.left_dangling or grid.right_dangling:
+        left, right = tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling))
+    try:
+        plan = _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(grid.q, 2), equal)
+    except ValueError:
+        # the plan validated the structure with its stubs sorted; validity
+        # does not depend on their order but the message does, so name the
+        # first fault in the grid's own order
+        grid.validate(dict(shapes))
+        raise
+    _check_cap(plan, grid.q)
+    perm = ()
+    if plan.outer_rank:  # the grid has stubs
+        perm = tuple(
+            [0]
+            + [plan.left_axis[s] + 1 for s in grid.left_dangling]
+            + [plan.right_axis[s] + 1 for s in grid.right_dangling]
+        )
+    return plan, perm
+
+
+def _contract(grid: SignatureGrid, bound: _Bound, batch: int, plans: dict) -> np.ndarray:
+    """stacked_signature on the _Bound of grid under batch binding sets."""
+    q = grid.q
+    shapes, routes, arrays, rows = bound
+    out = None
+    for equal, ks in routes.items():
+        planned = plans.get((shapes, equal))
+        if planned is None:
+            planned = plans[shapes, equal] = _planned(grid, shapes, equal)
+        plan, perm = planned
+        if len(routes) == 1:
+            out = _execute(plan, q, arrays, rows, perm, len(ks))
+        else:  # closed, so each row is one value
+            if out is None:
+                out = np.empty(batch, dtype=np.complex128)
+            if equal:
+                out[ks] = _execute(plan, q, None, [rows[k] for k in ks], perm, len(ks))
+            else:
+                out[ks] = _execute(plan, q, [a[ks] for a in arrays], None, perm, len(ks))
+    out = out * q**grid.loops
+    out.setflags(write=False)
+    return out
+
+
+def stacked_signature(
+    grid: SignatureGrid, stacks: BindingStacks, plans: dict | None = None
+) -> np.ndarray:
     """Signature arrays of grid under every binding set of stacks, as one
     read-only array of shape (B, q, ..., q): row k is bitwise
     gadget_signature(grid, stacks.sets[k]).array.
@@ -477,41 +538,10 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
+    plans, a dict a caller keeps for this one grid (family_plans), holds
+    the first two per route once they are made.
     """
-    q = grid.q
-    shapes, routes, arrays, rows = stacks.bind(grid)
-    left = right = ()
-    if grid.left_dangling or grid.right_dangling:
-        left, right = tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling))
-    out = None
-    for equal, ks in routes.items():
-        try:
-            plan = _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(q, 2), equal)
-        except ValueError:
-            # the plan validated the structure with its stubs sorted; validity
-            # does not depend on their order but the message does, so name the
-            # first fault in the grid's own order
-            grid.validate(dict(shapes))
-            raise
-        _check_cap(plan, q)
-        perm = ()
-        if plan.outer_rank:  # the grid has stubs
-            perm = tuple(
-                [plan.left_axis[s] for s in grid.left_dangling]
-                + [plan.right_axis[s] for s in grid.right_dangling]
-            )
-        if len(routes) == 1:
-            out = _execute(plan, q, arrays, rows, perm, len(ks))
-        else:  # closed, so each row is one value
-            if out is None:
-                out = np.empty(len(stacks.sets), dtype=np.complex128)
-            if equal:
-                out[ks] = _execute(plan, q, None, [rows[k] for k in ks], perm, len(ks))
-            else:
-                out[ks] = _execute(plan, q, [a[ks] for a in arrays], None, perm, len(ks))
-    out = out * q**grid.loops
-    out.setflags(write=False)
-    return out
+    return _contract(grid, stacks.bind(grid), len(stacks.sets), {} if plans is None else plans)
 
 
 def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
@@ -531,7 +561,8 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
-    return complex(stacked_signature(grid, BindingStacks((bindings,)))[0])
+    bound = _bind(grid, [resolve_bindings(grid, bindings)], {})
+    return complex(_contract(grid, bound, 1, {})[0])
 
 
 def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> MixedTensor:
@@ -545,56 +576,63 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     is contracted next, and the loop count, which only scales the result.
     So a grid that differs from a contracted one only in slot order, or
     from a loop-free one also in its loop count, need not be contracted:
-    reordered_signature derives the same bytes from the known signature's
-    array.  A closed grid's signature is its (0,0) tensor, holding
-    holant_eval_contracted's value.  Reuse of a cached plan does not
-    change the signature.
+    derives says how its signature follows from the known one's array,
+    bitwise.  A closed grid's signature is its (0,0) tensor,
+    holding holant_eval_contracted's value.  Reuse of a cached plan does
+    not change the signature.
     """
     l, r = grid.profile
-    return MixedTensor(grid.q, l, r, stacked_signature(grid, BindingStacks((bindings,)))[0])
+    bound = _bind(grid, [resolve_bindings(grid, bindings)], {})
+    return MixedTensor(grid.q, l, r, _contract(grid, bound, 1, {})[0])
 
 
-def derives(grid: SignatureGrid, target: SignatureGrid) -> bool:
-    """Can reordered_signature derive target's signature from grid's?
+def derives(grid: SignatureGrid, target: SignatureGrid):
+    """How target's signature arrays follow from grid's: (axes, scale)
+    for derived_signature, or None if they do not.
 
-    Yes when they have the same q, vertices and edges, the same stubs as
-    multisets, and the same loop count unless grid has none.
+    They follow when the grids have the same q, vertices and edges, the
+    same stubs as multisets, and the same loop count unless grid has
+    none: both replay one plan, keyed on the sorted stubs and blind to
+    loops, so they differ only in the final transpose of the free axes
+    and in the scale by q**loops, which commutes with it.  axes takes
+    grid's stacked arrays to target's slot order, None at grid's own;
+    scale is q**loops as a float, None at grid's loop count.
     """
-    stubs = (sorted(grid.left_dangling), sorted(grid.right_dangling))
-    return (grid.q, grid.vertices, grid.edges) == (target.q, target.vertices, target.edges) and (
-        grid.loops in (0, target.loops)
-        and stubs == (sorted(target.left_dangling), sorted(target.right_dangling))
-    )
+    if (grid.q, grid.vertices, grid.edges) != (target.q, target.vertices, target.edges):
+        return None
+    if grid.loops not in (0, target.loops):
+        return None
+    axes = None
+    if grid.left_dangling != target.left_dangling or grid.right_dangling != target.right_dangling:
+        if (sorted(grid.left_dangling), sorted(grid.right_dangling)) != (
+            sorted(target.left_dangling), sorted(target.right_dangling)
+        ):
+            return None
+        l = len(grid.left_dangling)
+        axes = tuple(
+            [0]
+            + [1 + grid.left_dangling.index(s) for s in target.left_dangling]
+            + [1 + l + grid.right_dangling.index(s) for s in target.right_dangling]
+        )
+    return axes, (float(grid.q**target.loops) if target.loops != grid.loops else None)
 
 
-def reordered_signature(sig: np.ndarray, grid: SignatureGrid, target: SignatureGrid) -> np.ndarray:
-    """Signature arrays of target, given sig, the signature arrays of grid
-    stacked on a leading batch axis as stacked_signature returns them.
+def derived_signature(sig: np.ndarray, axes, scale) -> np.ndarray:
+    """target's signature arrays from sig, grid's as stacked_signature
+    returns them, where derives(grid, target) = (axes, scale).
 
-    Precondition: derives(grid, target), which is not checked here.
-    Row k of the result is bitwise gadget_signature(target, ...).array
-    under row k's bindings.  Both grids replay one plan, since it is
-    keyed on the sorted stubs and ignores loops, so their contractions
-    differ only in the final transpose of the free axes, done here on
-    sig, and in the scale by q**loops, which commutes with it.  At equal
-    loop counts the result is a transposed view of sig, so it shares
-    sig's memory and is read-only if sig is.
-
+    Row k is bitwise gadget_signature(target, ...).array under row k's
+    bindings.  Without a scale the result is a view of sig.
     stacked_signature scales by a complex multiply with q**loops + 0j,
     even at loops 0, and that can flip a signed zero: (-0-0j)*1 is 0-0j,
     and ((-0-0j)*1)*2 is 0+0j where (-0-0j)*2 is 0-0j.  A loop-free sig
-    has been through the multiply by 1 + 0j, so the loops are applied to
-    its real and imaginary parts apart, as a real multiply by q**loops
-    each, which gives the bits a single complex multiply by q**loops
-    gives.
+    has been through the multiply by 1 + 0j, so scale multiplies its
+    real and imaginary parts apart, which gives the bits a single
+    complex multiply by q**loops gives.
     """
-    l = len(grid.left_dangling)
-    axes = [0] + [1 + grid.left_dangling.index(s) for s in target.left_dangling] + [
-        1 + l + grid.right_dangling.index(s) for s in target.right_dangling
-    ]
-    arr = np.transpose(sig, axes)
-    if target.loops != grid.loops:
-        parts = arr.reshape(-1).view(np.float64) * float(grid.q**target.loops)
+    arr = sig if axes is None else sig.transpose(axes)
+    if scale is not None:
+        parts = arr.reshape(-1).view(np.float64) * scale
         arr = parts.view(np.complex128).reshape(arr.shape)
     return arr
 
@@ -799,7 +837,7 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
     yield from rec(0)
 
 
-# The last finished closed-grid family, as (key, grids), keyed on
+# The last finished closed-grid family, as (key, grids, plans), keyed on
 # (sorted (id, shape) pairs, bound, q, the ids walked up to port
 # symmetry).  Every caller walks one family over and over
 # (verify_holant_theorem walks it on each call), so one slot is enough.
@@ -808,9 +846,19 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
 # bytes each (tracemalloc), so the slot holds at most about 3 MB: the
 # arity-4 counterexample's family at bound 6 holds 1754 grids in 1.2 MB
 # with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
-# bound 5, 107350 grids in 72 MB, streams.
+# bound 5, 107350 grids in 72 MB, streams.  plans holds one dict per
+# structure, in which stacked_signature keeps its loop-free grid's plans.
 FAMILY_MEMO_MAX_GRIDS = 4096
-_last_family: tuple[tuple, tuple[SignatureGrid, ...]] | None = None
+_last_family: tuple[tuple, tuple[SignatureGrid, ...], tuple[dict, ...]] | None = None
+
+
+def family_plans(grids) -> tuple[dict, ...] | None:
+    """The stored family's plan dicts, one per structure, if grids, a
+    list or tuple, holds that family's grids in walk order; else None."""
+    if _last_family is None or not isinstance(grids, (list, tuple)):
+        return None
+    _, family, plans = _last_family
+    return plans if len(grids) == len(family) and tuple(grids) == family else None
 
 
 def _port_walk(sigs, symmetric):
@@ -839,7 +887,7 @@ def enumerate_grids(
     The (0,0) structures of _structures, in its order, each yielded with
     loop counts 0 and 1, back to back.  The loop-1 copy differs only by a
     factor q, so the checkers contract the loop-0 grid only and scale its
-    value's array for the copy (reordered_signature).
+    value for the copy (derives).
 
     symmetric lists the ids whose every binding is symmetric
     (MixedTensor.is_symmetric); the spans checkers and
@@ -851,8 +899,11 @@ def enumerate_grids(
     A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
     replaces the one stored family, keyed on (sorted (id, shape) pairs,
     max_vertices, q, the ids walked up to port symmetry); a later walk
-    with the same key replays it.  A walk stopped early, or of a larger
-    family, stays lazy and stores nothing.
+    with the same key replays it.  The family is stored with one plan
+    dict per structure (family_plans), so that a checker handed the
+    stored grids contracts each structure once per binding batch
+    without planning or looking up anything again.  A walk stopped
+    early, or of a larger family, stays lazy and stores nothing.
     """
     global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
@@ -874,7 +925,7 @@ def enumerate_grids(
                     walked = None
             yield grid
     if walked is not None:
-        _last_family = (key, tuple(walked))
+        _last_family = (key, tuple(walked), tuple([{} for _ in walked[::2]]))
 
 
 def enumerate_gadgets(

@@ -23,19 +23,22 @@ ones stand as bases and witnesses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from holant import grids as _grids
 from holant.grids import (
     BindingStacks,
     QuantumGadget,
     SignatureGrid,
+    derived_signature,
     derives,
     enumerate_gadgets,
     enumerate_grids,
+    family_plans,
     holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
-    reordered_signature,
 )
 
 # structure_signatures contracts each run through this name, which
@@ -89,21 +92,51 @@ def structure_signatures(grids, *bindings):
     (grids.stacked_signature), so perfbench's tracer sees each run; the
     bindings are checked and stacked once per walk (grids.BindingStacks).
     Every other grid of the run takes its arrays from that read-only
-    stack by one reordered_signature, bitwise the same as its own
-    contraction: a transposed view for another slot order, a scaled copy
-    for a loop copy.  A grid that derives refuses to take from the run's
-    first, such as another loop count of a looped grid, starts a new run.
-    derives runs once per grid after the first.
+    stack, bitwise the same as its own contraction: a transposed view
+    for another slot order, a scaled copy for a loop copy.  grids.derives
+    checks each grid against its run's first, and a grid it refuses
+    starts a new run; only the current run is kept, so a consumer that
+    stops early contracts nothing past the grid it stopped at.
     """
     stacks = BindingStacks(bindings)
     first = stack = None
     for g in grids:
-        if first is not None and derives(first, g):
-            arrays = reordered_signature(stack, first, g)
-        else:
-            first = g
-            arrays = stack = gadget_signature(g, stacks)
+        step = derives(first, g) if first is not None else None
+        if step is None:
+            first, step = g, (None, None)
+            stack = gadget_signature(g, stacks)
+        arrays = derived_signature(stack, *step)
         yield (g, *(arrays[k, ...] for k in range(len(bindings))))
+
+
+def closed_signature_blocks(grids, *bindings):
+    """Yield (grids, values): a walk of closed grids in consecutive
+    blocks, values[k, j] bitwise the value structure_signatures gives
+    grids[k] under bindings[j], as one read-only array per block.
+
+    A block that is the whole stored family (grids.family_plans) is
+    replayed: each structure's loop-free grid is contracted once with
+    the plans the memo keeps for it, and its loop copy scaled from it by
+    grids.derives, all copies at once.  Any other block goes through
+    structure_signatures.  A block holds at most FAMILY_MEMO_MAX_GRIDS
+    + 1 grids, so a walk of a family too large for the memo holds about
+    as many grids at a time as the memo would, and the block that takes
+    a whole family that fits it has run its enumerator to the end, which
+    stores the family.
+    """
+    stacks = BindingStacks(bindings)
+    walk = iter(grids)
+    while block := list(itertools.islice(walk, _grids.FAMILY_MEMO_MAX_GRIDS + 1)):
+        plans = family_plans(block)
+        if plans is None:
+            rows = [row[1:] for row in structure_signatures(block, *bindings)]
+            values = np.array(rows, dtype=np.complex128)
+        else:
+            runs = np.stack([gadget_signature(g, stacks, p) for g, p in zip(block[::2], plans)])
+            copies = derived_signature(runs, *derives(block[0], block[1]))
+            values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))
+        values.setflags(write=False)
+        yield block, values
 
 
 def _symmetric_ids(*binding_sets) -> tuple[str, ...]:

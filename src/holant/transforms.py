@@ -16,7 +16,7 @@ import numpy as np
 
 from holant.grids import SignatureGrid, enumerate_grids
 from holant.grids import holant_eval_contracted  # unused, but perfbench's tracer wraps this name
-from holant.spans import _symmetric_ids, structure_signatures
+from holant.spans import _symmetric_ids, closed_signature_blocks
 from holant.tensors import MixedTensor, equality_signature
 
 COND_WARN_THRESHOLD = 1e8
@@ -124,6 +124,14 @@ def verify_holant_theorem(
     right slot alike, so T·F is symmetric wherever F is.  Only rounding
     tells the members of a class apart, so one of them tests what all of
     them would; grids_checked counts the classes.
+
+    The values come as one (grids, 2) array per block of the walk
+    (spans.closed_signature_blocks: the whole family at once when it is
+    the stored one) and are judged by numpy as a loop over the grids in
+    walk order would judge them: moduli by np.hypot, which rounds as
+    Python's abs of a complex does, worst_grid the first grid of the
+    largest scaled error above 0 (None if every error is 0), and NaN
+    errors passed over as x > max and max(a, b) pass over them.
     """
     if not fs:
         raise ValueError("need at least one signature")
@@ -139,15 +147,19 @@ def verify_holant_theorem(
         [(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q,
         symmetric=_symmetric_ids(fs),
     )
-    for grid, sig_before, sig_after in structure_signatures(grids, fs, transformed):
-        before, after = complex(sig_before), complex(sig_after)
-        err = abs(before - after)
-        scaled = err / (1 + abs(before))
-        count += 1
-        if scaled > max_scaled:
-            max_scaled = scaled
-            worst = grid
-        max_abs = max(max_abs, err)
+    for block, values in closed_signature_blocks(grids, fs, transformed):
+        before = values[:, 0]
+        diff = before - values[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.hypot(diff.real, diff.imag)
+            scaled = err / (1 + np.hypot(before.real, before.imag))
+            above = np.where(scaled > max_scaled, scaled, 0.0)
+        k = int(above.argmax())
+        if above[k] > max_scaled:
+            max_scaled = float(above[k])
+            worst = block[k]
+        max_abs = float(np.fmax.reduce(err, initial=max_abs))
+        count += len(block)
     return HolantTheoremReport(
         q=t.q,
         max_vertices=max_vertices,

@@ -18,9 +18,12 @@ oracle_signatures contracts every grid, loop copies included, with the
 library's gadget_signature, one binding set at a time: the reference for
 spans.structure_signatures, which contracts one grid per structure for
 every binding set at once and derives the other slot orders and loop
-counts.  oracle_port_class is a grid's class under same-id
-relabelings and in-group port permutations, by listing every relabeling:
-the reference for the walk up to port symmetry (holant.portclasses).
+counts.  oracle_verify_holant_theorem is verify_holant_theorem's
+judgement as a loop over the grids in walk order, on oracle_signatures'
+values: the reference for the library's judgement of whole value arrays.
+oracle_port_class is a grid's class under same-id relabelings and
+in-group port permutations, by listing every relabeling: the reference
+for the walk up to port symmetry (holant.portclasses).
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from holant.grids import SignatureGrid, gadget_signature, resolve_bindings
+from holant.grids import SignatureGrid, enumerate_grids, gadget_signature, resolve_bindings
 from holant.homgraphs import SimpleGraph, _refine_colors
+from holant.spans import _symmetric_ids
 from holant.tensors import MAX_ENTRIES, MixedTensor
+from holant.transforms import PREDICATE_TOL, HolantTheoremReport
 
 # brute_hom_count refuses to walk more maps than this
 BRUTE_CAP = 10**8
@@ -328,3 +333,43 @@ def oracle_signatures(grids, *bindings):
     its own contracted signature array under every binding set."""
     for g in grids:
         yield (g, *(gadget_signature(g, b).array for b in bindings))
+
+
+def oracle_verify_holant_theorem(fs, t, max_vertices, tol=PREDICATE_TOL):
+    """verify_holant_theorem with the judgement a loop over the grids:
+    each grid's values under fs and T·F from oracle_signatures, its error
+    by Python's abs of a complex, and the first strictly largest scaled
+    error kept with its grid."""
+    if not fs:
+        raise ValueError("need at least one signature")
+    qs = {s.q for s in fs.values()}
+    if qs != {t.q}:
+        raise ValueError("signatures and transform must share one domain size")
+    transformed = t.act_set(fs)
+    worst = None
+    max_abs = 0.0
+    max_scaled = 0.0
+    count = 0
+    grids = enumerate_grids(
+        [(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q,
+        symmetric=_symmetric_ids(fs),
+    )
+    for grid, sig_before, sig_after in oracle_signatures(grids, fs, transformed):
+        before, after = complex(sig_before), complex(sig_after)
+        err = abs(before - after)
+        scaled = err / (1 + abs(before))
+        count += 1
+        if scaled > max_scaled:
+            max_scaled = scaled
+            worst = grid
+        max_abs = max(max_abs, err)
+    return HolantTheoremReport(
+        q=t.q,
+        max_vertices=max_vertices,
+        grids_checked=count,
+        max_abs_error=max_abs,
+        max_scaled_error=max_scaled,
+        worst_grid=worst,
+        tol=tol,
+        passed=max_scaled <= tol,
+    )

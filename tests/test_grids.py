@@ -42,13 +42,13 @@ from holant.grids import (
     _id_runs,
     _port_matchings,
     _unpack_edges,
+    derived_signature,
     derives,
     enumerate_gadgets,
     enumerate_grids,
     gadget_signature,
     holant_eval_contracted,
     holant_polynomial,
-    reordered_signature,
 )
 from oracles import (
     SpecializedPlan,
@@ -285,18 +285,18 @@ def test_reordered_signature_refuses_another_structure():
         q=2, vertices=("a", "a"), edges=((0, 1, 1, 1),),
         left_dangling=((1, 1),), right_dangling=((0, 1),),
     )
-    # reordered_signature takes and returns a stack of signatures, here
+    # derived_signature takes and returns a stack of signatures, here
     # a batch of one
     sig = gadget_signature(g, {"a": t}).array[None]
-    assert derives(g, g)
-    assert reordered_signature(sig, g, g).tobytes() == sig.tobytes()
+    assert derives(g, g) == (None, None)
+    assert derived_signature(sig, *derives(g, g)).tobytes() == sig.tobytes()
     # a loop-free grid derives its loop copies; a looped one only itself
     looped = dataclasses.replace(g, loops=2)
     want = gadget_signature(looped, {"a": t}).array[None]
-    assert derives(g, looped) and derives(looped, looped)
-    assert reordered_signature(sig, g, looped).tobytes() == want.tobytes()
-    assert reordered_signature(want, looped, looped).tobytes() == want.tobytes()
-    # derives is the one rule of what reordered_signature may be given
+    assert derives(g, looped) == (None, 4.0) and derives(looped, looped) == (None, None)
+    assert derived_signature(sig, *derives(g, looped)).tobytes() == want.tobytes()
+    assert derived_signature(want, *derives(looped, looped)).tobytes() == want.tobytes()
+    # derives is the one rule of what derived_signature may be given
     for grid, target in (
         (g, dataclasses.replace(g, edges=((1, 1, 0, 1),))),
         (g, dataclasses.replace(g, left_dangling=((0, 1),))),
@@ -320,7 +320,7 @@ def test_loop_copies_keep_signed_zeros():
         want = (x * 3**loops).tobytes()
         assert (sig * 3**loops).tobytes() != want
         target = dataclasses.replace(g, loops=loops)
-        assert reordered_signature(sig[None], g, target).tobytes() == want
+        assert derived_signature(sig[None], *derives(g, target)).tobytes() == want
     # the walker derives a contracted grid's loop copy bitwise too
     bindings = {"a": MixedTensor(3, 0, 1, x)}
     grids = [g, dataclasses.replace(g, loops=1)]
@@ -552,15 +552,21 @@ def specialized_plan(grid, shapes):
         shapes, min(q, 2),
     )
     _check_cap(plan, q)
-    steps = tuple(
-        (u, perm_u, (q**keep_u, q**shared), v, perm_v, (q**shared, q**keep_v),
-         (q,) * (keep_u + keep_v))
-        for u, perm_u, v, perm_v, keep_u, shared, keep_v in plan.steps
-    )
+    # the plan's axes are batch-shifted: axis 0 of each stack is the batch
+    traces = tuple((nid, axis1 - 1, axis2 - 1) for nid, axis1, axis2 in plan.traces)
+    steps = []
+    for u, axes_u, v, axes_v, shared, rank in plan.steps:
+        assert axes_u[0] == axes_v[0] == 0
+        perm_u, perm_v = (tuple(p - 1 for p in axes[1:]) for axes in (axes_u, axes_v))
+        keep_u, keep_v = len(perm_u) - shared, len(perm_v) - shared
+        assert keep_u + keep_v == rank
+        steps.append((
+            u, perm_u, (q**keep_u, q**shared), v, perm_v, (q**shared, q**keep_v), (q,) * rank
+        ))
     perm = tuple(plan.left_axis[s] for s in grid.left_dangling) + tuple(
         plan.right_axis[s] for s in grid.right_dangling
     )
-    return SpecializedPlan(plan.traces, steps, plan.outer, perm, q**grid.loops)
+    return SpecializedPlan(traces, tuple(steps), plan.outer, perm, q**grid.loops)
 
 
 def plan_or_error(plan, grid, shapes):

@@ -25,7 +25,7 @@ from holant.tensors import (
     identity_signature,
     pair,
 )
-from oracles import brute_holant_eval, oracle_signatures
+from oracles import brute_holant_eval, oracle_signatures, oracle_verify_holant_theorem
 
 
 def mat_tensor(m, q):
@@ -370,8 +370,8 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
 
     # every signature byte under both binding sets, as check_covanishing
     # stacks them; a closed grid's loop copy takes its value from here.
-    # derives is counted through both modules, so a second call inside
-    # reordered_signature would show
+    # derives is counted through both modules, so a call from inside
+    # grids would show
     targets = []
     real_derives = spans.derives
 
@@ -406,7 +406,7 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
     contracted = []
     real = spans.gadget_signature
     monkeypatch.setattr(
-        spans, "gadget_signature", lambda g, stacks: contracted.append(g) or real(g, stacks)
+        spans, "gadget_signature", lambda g, *rest: contracted.append(g) or real(g, *rest)
     )
 
     def reports():
@@ -450,7 +450,7 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
     )
 
     monkeypatch.setattr(spans, "structure_signatures", oracle_signatures)
-    monkeypatch.setattr(transforms, "structure_signatures", oracle_signatures)
+    monkeypatch.setattr(transforms, "verify_holant_theorem", oracle_verify_holant_theorem)
     ref = reports()
     assert ref["span_contracted"] == 0  # the oracle calls grids.gadget_signature
     for out in (mine, ref):
@@ -511,3 +511,83 @@ def test_batched_rows_equal_each_set_alone(name):
     for mine, ref in zip(got, want):
         for a, b in zip(mine[1:], ref[1:]):
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def replay_case(name):
+    """(sig_shapes, bound, q, three binding sets) of a closed family: the
+    same shapes at q = 1, 2 and 3, with the wire identity bound in the
+    first set; every set binding one id to an exact equality (each
+    structure eliminated); only the middle set doing so (mixed routes).
+    The last set carries signed zeros."""
+    rng = np.random.default_rng(47)
+    if name in ("equality", "mixed"):
+        shapes, bound, q = {"e": (0, 3), "a": (2, 0), "u": (1, 0)}, 4, 3
+    else:
+        shapes, bound, q = {"a": (1, 1), "b": (1, 2), "c": (2, 1)}, 3, int(name[1])
+    sets = []
+    for k in range(3):
+        b = {}
+        for sig, (l, r) in shapes.items():
+            x = rng.normal(size=q ** (l + r)) + 1j * rng.normal(size=q ** (l + r))
+            if k == 2:
+                x[::3] = complex(-0.0, -0.0)
+                x[1::4] = complex(0.0, -0.0)
+            b[sig] = MixedTensor(q, l, r, x)
+        sets.append(b)
+    sets[0]["wire"] = identity_signature(q)
+    if name in ("equality", "mixed"):
+        for k in (1,) if name == "mixed" else (0, 1, 2):
+            sets[k]["e"] = equality_signature(q, 0, 3)
+    return sorted(shapes.items()), bound, q, sets
+
+
+def signature_bytes(rows):
+    return [[(a.shape, a.dtype, a.tobytes()) for a in row[1:]] for row in rows]
+
+
+@pytest.mark.parametrize("name", ["q1", "q2", "q3", "equality", "mixed"])
+def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
+    sig_shapes, bound, q, sets = replay_case(name)
+    monkeypatch.setattr(grids_module, "_last_family", None)
+    grids = list(enumerate_grids(sig_shapes, bound, q))
+    plans = grids_module.family_plans(grids)
+    assert {g.loops for g in grids} == {0, 1} and len(plans) == len(grids) // 2
+    want = signature_bytes(oracle_signatures(grids, *sets))
+    cold = list(spans.structure_signatures(grids, *sets))
+    assert signature_bytes(cold) == want
+    cold_values = np.array([row[1:] for row in cold])
+
+    def replayed():
+        [(block, values)] = spans.closed_signature_blocks(grids, *sets)
+        assert block == grids and not values.flags.writeable
+        return values
+
+    # the first replay fills the memo's plans, the second reads them
+    assert not any(plans)
+    for _ in range(2):
+        assert replayed().tobytes() == cold_values.tobytes()
+    assert all(plans)
+
+    # bindings of other shapes find no plan in the memo, and fail as a
+    # walk with no family stored fails
+    def refusal():
+        swapped = [
+            dict(b, a=b["u"], u=b["a"]) if "u" in b else dict(b, b=b["c"], c=b["b"]) for b in sets
+        ]
+        with pytest.raises(ValueError) as exc:
+            list(spans.closed_signature_blocks(grids, *swapped))
+        return str(exc.value)
+
+    replayed_refusal = refusal()
+    monkeypatch.setattr(grids_module, "_last_family", None)
+    assert grids_module.family_plans(grids) is None
+    assert refusal() == replayed_refusal
+    # a family over the memo cap streams in blocks of at most cap + 1
+    # grids through structure_signatures
+    cap = len(grids) // 3
+    monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
+    blocks = list(spans.closed_signature_blocks(enumerate_grids(sig_shapes, bound, q), *sets))
+    assert grids_module._last_family is None
+    assert len(blocks) == -(-len(grids) // (cap + 1))
+    assert [g for block, _ in blocks for g in block] == grids
+    assert np.concatenate([v for _, v in blocks]).tobytes() == cold_values.tobytes()

@@ -292,3 +292,90 @@ def test_counterexample_distance_decade_ratio():
     dists = [epsilon_family_counterexample(0.0, 1.0, e).distance for e in (1e-1, 1e-2, 1e-3)]
     assert dists[0] / dists[1] >= 99
     assert dists[1] / dists[2] >= 99
+
+
+# -- the judgement on value arrays ---------------------------------------------
+
+
+def report_fields(report):
+    """Every field of a HolantTheoremReport, floats as their exact bits."""
+    out = []
+    for name, value in vars(report).items():
+        if isinstance(value, float):
+            value = np.float64(value).tobytes()
+        out.append((name, value))
+    return out
+
+
+def theorem_cases():
+    """(fs, t, bound): closed-invariance's shapes at q = 1, 2 and 3, a
+    random set, a set with a NaN entry, one with an inf entry, and one
+    that T leaves bitwise alone, so that every error is 0."""
+    rng = np.random.default_rng(57)
+    shapes = {"a": (1, 1), "b": (2, 1), "c": (1, 2)}
+    cases = []
+    for q in (1, 2, 3):
+        fs = {name: random_tensor(rng, q, l, r) for name, (l, r) in shapes.items()}
+        cases.append((fs, random_transform(rng, q), 4))
+    fs = {"f0": random_tensor(rng, 2, 2, 0), "f1": random_tensor(rng, 2, 1, 3)}
+    cases.append((fs, random_transform(rng, 2), 4))
+    base = {name: random_tensor(rng, 2, l, r) for name, (l, r) in shapes.items()}
+    for bad in (np.nan, np.inf):
+        arr = base["b"].array.copy()
+        arr[0, 1, 1] = bad
+        cases.append((dict(base, b=MixedTensor(2, 2, 1, arr)), random_transform(rng, 2), 3))
+    cases.append((base, HoloTransform(2, np.eye(2)), 3))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", range(len(theorem_cases())))
+def test_theorem_report_equals_the_loop_over_grids(monkeypatch, case):
+    from holant import grids
+    from oracles import oracle_verify_holant_theorem
+
+    fs, t, bound = theorem_cases()[case]
+    want = oracle_verify_holant_theorem(fs, t, bound)
+    # cold (the family is walked and stored), replayed from the stored
+    # table, and streamed in blocks of a few grids with nothing stored
+    monkeypatch.setattr(grids, "_last_family", None)
+    got = [verify_holant_theorem(fs, t, bound), verify_holant_theorem(fs, t, bound)]
+    monkeypatch.setattr(grids, "FAMILY_MEMO_MAX_GRIDS", max(1, want.grids_checked // 3))
+    monkeypatch.setattr(grids, "_last_family", None)
+    got.append(verify_holant_theorem(fs, t, bound))
+    assert grids._last_family is None
+    for report in got:
+        assert report_fields(report) == report_fields(want)
+    if case == len(theorem_cases()) - 1:
+        assert (want.max_abs_error, want.max_scaled_error, want.worst_grid) == (0.0, 0.0, None)
+    elif case >= len(theorem_cases()) - 3:
+        # the NaN and inf sets: some errors are NaN, and they are passed over
+        assert np.isfinite(want.max_scaled_error) or want.max_scaled_error == np.inf
+        assert want.worst_grid is not None
+
+
+def test_theorem_replay_contracts_once_per_structure(monkeypatch):
+    # closed-invariance's family: three shapes at q = 3, bound 4, 300
+    # structures at loop counts 0 and 1.  Each query contracts each
+    # structure once, through the module attribute that perfbench's
+    # tracer wraps, with a hashable grid first
+    from holant import grids, spans
+
+    rng = np.random.default_rng(59)
+    shapes = {"s0": (1, 1), "s1": (2, 1), "s2": (1, 2)}
+    fs = {name: random_tensor(rng, 3, l, r) for name, (l, r) in shapes.items()}
+    t = random_transform(rng, 3)
+    contracted = []
+    real = spans.gadget_signature
+    monkeypatch.setattr(
+        spans, "gadget_signature", lambda g, *rest: contracted.append(g) or real(g, *rest)
+    )
+    monkeypatch.setattr(grids, "_last_family", None)
+    for _ in range(3):
+        before = len(contracted)
+        assert verify_holant_theorem(fs, t, 4).grids_checked == 600
+        assert len(contracted) - before == 300
+    runs = grids._last_family[1][::2]
+    assert contracted == list(runs) * 3
+    assert len({hash(g) for g in contracted}) == 300
+    assert all(g.loops == 0 for g in contracted)

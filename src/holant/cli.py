@@ -246,13 +246,7 @@ def _cmd_simsim(args) -> dict:
         bad = [k for k, t in sets.items() if t.shape != (1, 1)]
         if bad:
             raise CliError(f"--{name} signatures must have shape (1,1); bad ids: {bad}")
-    result = recover_transform(
-        fs,
-        gs,
-        tol=_resolve_tol(args.tol, 1e-6),
-        max_word_len=args.max_word_len,
-        seed=args.seed,
-    )
+    result = recover_transform(fs, gs, tol=_resolve_tol(args.tol, 1e-6), seed=args.seed)
     out = {"verdict": result.verdict, "q": result.q}
     if result.transform is not None:
         out["transform"] = sz.transform_to_obj(result.transform)
@@ -413,7 +407,6 @@ def _checked(convert, ok, message):
 
 _tol_arg = _checked(float, lambda v: v >= 0, "--tol must be nonnegative")
 _bound_arg = _checked(int, lambda v: v >= 1, "--max-vertices must be positive")
-_word_len_arg = _checked(int, lambda v: v >= 1, "--max-word-len must be positive")
 _seed_arg = _checked(int, lambda v: 0 <= v < 2**64, "--seed must fit in 64 bits")
 
 
@@ -469,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simsim", help="recover a simultaneous similarity transform")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--max-word-len", type=_word_len_arg, default=None,
-                   help="longest word whose traces are compared when a pair is not"
-                   " certified similar (default q*q; 20000 words at most)")
     p.add_argument("--tol", type=_tol_arg, default=None)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(fn=_cmd_simsim)

@@ -2,29 +2,36 @@
 
 For sets of (1,1) signatures the gadget span is the unital matrix algebra
 generated by the set, the pairing is the trace form, and equality of all
-word traces characterizes simultaneous similarity (for trace-nondegenerate
-sets).  recover_transform verifies those algebraic preconditions and
-then solves T F_i = G_i T for every i at once, as the null space of one
-linear map on T.  On nonvanishing sets the generated algebras are
-semisimple, so Holant-indistinguishable means similar, and a seeded
-random member of that null space is invertible with probability 1
-(Chistov, Ivanyos & Karpinski, ISSAC 1997; Brooksbank & Luks, J. Algebra
-2008).  A T that passes the residual check is therefore the certificate:
-word traces are compared, up to max_word_len, only to explain a pair
-that fails it.
+word traces characterizes simultaneous similarity for nonvanishing sets
+(Procesi, 1976).  Both questions are answered on one word basis of the
+algebra A generated by the pairs F_i (+) G_i, closed breadth first
+(dim A <= 2 q^2; Pappacena, 1997): tr w(F) - tr w(G) is linear on A, so
+it vanishes on every word iff it vanishes on the basis words, and the
+word correspondence is well defined both ways iff dim A = dim A_F =
+dim A_G.
+
+recover_transform accepts a pair when the trace Grams of both sides on
+that basis have full rank, then solves T F_i = G_i T for every i at once,
+as the null space of one linear map on T.  On nonvanishing sets the
+generated algebras are semisimple, so Holant-indistinguishable means
+similar, and a seeded random member of that null space is invertible
+with probability 1 (Chistov, Ivanyos & Karpinski, ISSAC 1997; Brooksbank
+& Luks, J. Algebra 2008).  A T that passes the residual check is
+therefore the certificate: the per-side closures and the word traces
+run only to explain a pair that fails it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
+from holant.numerics import RANK_TOL, IncrementalBasis, numerical_rank  # noqa: F401
 from holant.tensors import MixedTensor
 from holant.transforms import HoloTransform
-
-DEFAULT_MAX_WORDS = 20000
 
 
 def _as_matrix(value, q=None):
@@ -77,10 +84,50 @@ class MatrixAlgebra:
 
     def __post_init__(self):
         if self.gram is None:
-            # tr(A B) = vec(A) . vec(B^T), so the Gram matrix is one product
-            n = len(self.basis)
-            b = np.array(self.basis, dtype=np.complex128).reshape(n, self.q, self.q)
-            self.gram = b.reshape(n, -1) @ b.transpose(0, 2, 1).reshape(n, -1).T
+            self.gram = _trace_gram(self.basis)
+
+
+def _trace_gram(mats) -> np.ndarray:
+    """[tr(A B)] over a list of q x q matrices, as one product.
+
+    tr(A B) = vec(A) . vec(B^T).
+    """
+    b = np.array(mats, dtype=np.complex128)
+    n = len(b)
+    return b.reshape(n, -1) @ b.transpose(0, 2, 1).reshape(n, -1).T
+
+
+def _word_closure(sides, q):
+    """Basis words of the algebra generated by the tuples (M_i over sides).
+
+    sides is a list of dicts with the same ids, one q x q matrix each: one
+    dict for a matrix set's own algebra, [F, G] for the algebra of the
+    pairs F_i (+) G_i.  Breadth-first by word length with generators in
+    the given order, on one IncrementalBasis of the concatenated images.
+    Yields (word, images), images of shape (len(sides), q, q), for the
+    empty word and then for each word independent of those before it.
+    Every other word is a combination of yielded words no longer than
+    itself.
+    """
+    gens = {name: np.stack([side[name] for side in sides]) for name in sides[0]}
+    full = len(sides) * q * q
+    eye = np.stack([np.eye(q, dtype=np.complex128)] * len(sides))
+    basis = [((), eye)]
+    independent = IncrementalBasis()
+    independent.add(eye.ravel())
+    yield basis[0]
+    start = 0
+    while start < len(basis) < full:
+        end = len(basis)
+        for word, images in basis[start:end]:
+            for name, gen in gens.items():
+                cand = images @ gen
+                if independent.add(cand.ravel()):
+                    basis.append((word + (name,), cand))
+                    yield basis[-1]
+                    if len(basis) == full:
+                        return
+        start = end
 
 
 def algebra_closure(gens: dict[str, np.ndarray], q: int | None = None) -> MatrixAlgebra:
@@ -96,26 +143,10 @@ def algebra_closure(gens: dict[str, np.ndarray], q: int | None = None) -> Matrix
         mats[name] = mm
     if q is None:
         raise ValueError("empty generator set needs an explicit domain size")
-    names = list(mats)
-    words = [()]
-    basis = [np.eye(q, dtype=np.complex128)]
-    independent = IncrementalBasis()
-    independent.add(basis[0].ravel())
-    frontier = [0]
-    while frontier and len(basis) < q * q:
-        next_frontier = []
-        for idx in frontier:
-            for name in names:
-                cand = basis[idx] @ mats[name]
-                if independent.add(cand.ravel()):
-                    words.append(words[idx] + (name,))
-                    basis.append(cand)
-                    next_frontier.append(len(basis) - 1)
-                    if len(basis) == q * q:
-                        break
-            if len(basis) == q * q:
-                break
-        frontier = next_frontier
+    words, basis = [], []
+    for word, images in _word_closure([mats], q):
+        words.append(word)
+        basis.append(images[0])
     return MatrixAlgebra(q=q, generators=mats, words=words, basis=basis)
 
 
@@ -158,28 +189,22 @@ def is_11_nonvanishing(algebra: MatrixAlgebra) -> NonvanishingReport:
 
 @dataclass
 class TraceWordReport:
-    verdict: str  # equal_at_bound | mismatch
-    max_len: int
-    length_reached: int
+    verdict: str  # equal | mismatch
     words_checked: int
     witness_word: tuple[str, ...] | None
     trace_f: complex | None
     trace_g: complex | None
 
 
-def trace_words_equal(
-    fs,
-    gs,
-    max_len: int | None = None,
-    tol: float = 1e-8,
-    max_words: int = DEFAULT_MAX_WORDS,
-) -> TraceWordReport:
-    """Compare tr(w(F)) with tr(w(G)) over all words up to max_len.
+def trace_words_equal(fs, gs, tol: float = 1e-8) -> TraceWordReport:
+    """Compare tr(w(F)) with tr(w(G)) over every word, on the pair closure's basis.
 
-    Breadth-first in word length with generators in supplied order, so the
-    first failure is the lowest word in enumeration order.  Word count is
-    capped at max_words; the reached length is reported either way and the
-    pass verdict is only relative to it.
+    tr w(F) - tr w(G) is linear on the algebra generated by the pairs
+    F_i (+) G_i, so it vanishes on every word iff it vanishes on the
+    basis words, and the verdict is complete.  The closure is breadth
+    first with generators in supplied order, and a word outside the
+    basis is a combination of basis words no longer than itself, so the
+    first mismatch found is as short as any mismatching word.
 
     Each generator pair is rescaled to unit Frobenius norm before
     multiplying, which a shared trace survives, so tol measures the
@@ -187,62 +212,23 @@ def trace_words_equal(
     floating point.  Reported traces are for the matrices as given.
     """
     q, names, f_mats, g_mats = _normalize_sets(fs, gs)
-    if max_len is None:
-        max_len = q * q
     scales = {}
     for name in names:
         c = max(np.linalg.norm(f_mats[name]), np.linalg.norm(g_mats[name]))
         scales[name] = c if c > 0 else 1.0
         f_mats[name] = f_mats[name] / scales[name]
         g_mats[name] = g_mats[name] / scales[name]
-    eye = np.eye(q, dtype=np.complex128)
-    level = [((), eye, eye, 1.0)]
     checked = 0
-    length_reached = 0
-    for length in range(1, max_len + 1):
-        next_level = []
-        for word, mf, mg, scale in level:
-            for name in names:
-                wf = mf @ f_mats[name]
-                wg = mg @ g_mats[name]
-                tf = complex(np.trace(wf))
-                tg = complex(np.trace(wg))
-                checked += 1
-                if abs(tf - tg) > tol * (1 + max(abs(tf), abs(tg))):
-                    word_scale = scale * scales[name]
-                    return TraceWordReport(
-                        verdict="mismatch",
-                        max_len=max_len,
-                        length_reached=length,
-                        words_checked=checked,
-                        witness_word=word + (name,),
-                        trace_f=tf * word_scale,
-                        trace_g=tg * word_scale,
-                    )
-                next_level.append((word + (name,), wf, wg, scale * scales[name]))
-                if checked >= max_words:
-                    return TraceWordReport(
-                        verdict="equal_at_bound",
-                        max_len=max_len,
-                        length_reached=length,
-                        words_checked=checked,
-                        witness_word=None,
-                        trace_f=None,
-                        trace_g=None,
-                    )
-        level = next_level
-        length_reached = length
-        if not level:
-            break
-    return TraceWordReport(
-        verdict="equal_at_bound",
-        max_len=max_len,
-        length_reached=length_reached,
-        words_checked=checked,
-        witness_word=None,
-        trace_f=None,
-        trace_g=None,
-    )
+    for word, (wf, wg) in _word_closure([f_mats, g_mats], q):
+        if not word:
+            continue  # tr I = q on both sides
+        checked += 1
+        tf = complex(np.trace(wf))
+        tg = complex(np.trace(wg))
+        if abs(tf - tg) > tol * (1 + max(abs(tf), abs(tg))):
+            word_scale = math.prod((scales[name] for name in word), start=1.0)
+            return TraceWordReport("mismatch", checked, word, tf * word_scale, tg * word_scale)
+    return TraceWordReport("equal", checked, None, None, None)
 
 
 # -- paired algebra ----------------------------------------------------------------
@@ -250,10 +236,10 @@ def trace_words_equal(
 
 @dataclass
 class PairedAlgebra:
-    """One word basis carrying both sides' images.
+    """One word basis of the pair algebra carrying both sides' images.
 
-    failure records the first covanishing or trace inconsistency found
-    while mirroring the closure, as a machine-readable dict.
+    failure records a projection that is not injective, as a
+    machine-readable not_covanishing witness.
     """
 
     q: int
@@ -267,84 +253,67 @@ class PairedAlgebra:
 
 
 def build_paired_algebra(fs, gs) -> PairedAlgebra:
-    """Mirror the F-side word closure on the G side and cross-check it.
+    """Close the pairs F_i (+) G_i and check that both projections are injective.
 
     The correspondence sum(c_w w(F)) <-> sum(c_w w(G)) is well defined in
-    both directions iff the G-images of the basis words stay independent
-    and every one-step word extension expands with the same coefficients
-    on both sides.  Each check failure is a covanishing witness.
+    both directions iff dim A = dim A_F = dim A_G for the pair algebra A.
+    A side whose trace Gram on the basis has full rank is injective.
+    Otherwise its images are reduced in word order: the first one in the
+    span of those before it expands with coefficients that the other side
+    does not share, and that is the covanishing witness.
     """
     q, names, f_mats, g_mats = _normalize_sets(fs, gs)
-    alg_f = algebra_closure(f_mats)
-    g_images = [_word_matrix(w, g_mats, q) for w in alg_f.words]
+    words, pairs = zip(*_word_closure([f_mats, g_mats], q))
+    f_images, g_images = [p[0] for p in pairs], [p[1] for p in pairs]
+    n = len(words)
     paired = PairedAlgebra(
         q=q,
         names=names,
-        words=list(alg_f.words),
+        words=list(words),
         f_generators=f_mats,
         g_generators=g_mats,
-        f_images=list(alg_f.basis),
+        f_images=f_images,
         g_images=g_images,
         failure=None,
     )
-    scale = max(1.0, *(np.linalg.norm(m) for m in paired.f_images),
-                *(np.linalg.norm(m) for m in paired.g_images))
-    stack_f = np.array([m.ravel() for m in paired.f_images])
-    stack_g = np.array([m.ravel() for m in paired.g_images])
-
-    # G-images of independent F-words must stay independent
-    cut = numerical_rank(stack_g)
-    if cut.rank < len(alg_f.words):
-        c = np.conj(cut.u[:, -1])
+    if _nondegenerate(f_images, g_images):
+        return paired
+    ranks = [_image_rank(f_images), _image_rank(g_images)]
+    for direction, (_, k), collapsed, other in (
+        ("first", ranks[0], f_images, g_images),
+        ("second", ranks[1], g_images, f_images),
+    ):
+        if k is None:
+            continue
+        c = np.linalg.lstsq(_stack(collapsed[:k]).T, collapsed[k].ravel(), rcond=None)[0]
         paired.failure = {
             "kind": "not_covanishing",
-            "direction": "second",
-            "words": list(alg_f.words),
+            "direction": direction,
+            "word": words[k],
+            "words": list(words[:k]),
             "coefficients": c.tolist(),
-            "residual": float(np.linalg.norm(c @ stack_f)),
+            "residual": float(np.linalg.norm(c @ _stack(other[:k]) - other[k].ravel())),
+            "dims": [n, ranks[0][0], ranks[1][0]],
         }
-        return paired
-
-    # one-step extensions must expand identically on both sides
-    pinv = np.linalg.pinv(stack_f.T)
-    for idx, w in enumerate(alg_f.words):
-        for name in names:
-            ext_f = paired.f_images[idx] @ f_mats[name]
-            ext_g = paired.g_images[idx] @ g_mats[name]
-            c = pinv @ ext_f.ravel()
-            res_f = np.linalg.norm(stack_f.T @ c - ext_f.ravel())
-            if res_f > 10 * INDEP_TOL * max(1.0, scale):
-                # closure invariant violated; treat as internal error
-                raise ArithmeticError("algebra closure lost a word expansion")
-            res_g = np.linalg.norm(stack_g.T @ c - ext_g.ravel())
-            if res_g > RANK_TOL * max(1.0, scale):
-                paired.failure = {
-                    "kind": "not_covanishing",
-                    "direction": "first",
-                    "word": w + (name,),
-                    "words": list(alg_f.words),
-                    "coefficients": c.tolist(),
-                    "residual": float(res_g),
-                }
-                return paired
-            tf = complex(np.trace(ext_f))
-            tg = complex(np.trace(ext_g))
-            if abs(tf - tg) > RANK_TOL * (1 + max(abs(tf), abs(tg))):
-                paired.failure = {
-                    "kind": "trace_mismatch",
-                    "word": w + (name,),
-                    "trace_f": tf,
-                    "trace_g": tg,
-                }
-                return paired
+        break
     return paired
 
 
-def _word_matrix(word, mats, q):
-    m = np.eye(q, dtype=np.complex128)
-    for name in word:
-        m = m @ mats[name]
-    return m
+def _nondegenerate(f_images, g_images) -> bool:
+    """Both sides' trace Grams on the basis have full rank."""
+    n = len(f_images)
+    return all(numerical_rank(_trace_gram(images)).rank == n for images in (f_images, g_images))
+
+
+def _stack(mats):
+    return np.array([m.ravel() for m in mats])
+
+
+def _image_rank(images):
+    """The dimension of the images' span, and the first image in the span of earlier ones."""
+    independent = IncrementalBasis()
+    kept = [independent.add(m.ravel()) for m in images]
+    return sum(kept), None if all(kept) else kept.index(False)
 
 
 # -- full recovery ----------------------------------------------------------------------
@@ -367,29 +336,28 @@ def recover_transform(
     fs,
     gs,
     tol: float = 1e-6,
-    max_word_len: int | None = None,
     seed: int = 0,
 ) -> RecoveryResult:
     """Find T conjugating every F to its partner G, or say why none was found.
 
-    The certificate runs first.  Preconditions checked in order: both
-    trace forms are nondegenerate on the generated algebras; the word
-    correspondence is well defined both ways.  Then T is a seeded random
-    member of the null space of T -> (T F_i - G_i T)_i, cut at
+    The certificate runs first: full-rank trace Grams of both sides on
+    the pair algebra's basis make both trace forms nondegenerate and the
+    word correspondence well defined both ways.  Then T is a seeded
+    random member of the null space of T -> (T F_i - G_i T)_i, cut at
     RANK_TOL * max(sigma_max, 1), scaled to largest-modulus entry 1.  The
     returned T satisfies ||T F T^-1 - G|| <= tol * (1 + ||G||) per pair,
-    which proves similarity, so a certified pair skips the trace-word
-    sweep.  Only when a step fails are word traces compared up to
-    max_word_len: a mismatch is the reported witness, and otherwise the
-    first failed step is.  A verification_failed witness carries the
-    null-space dimension and the cut's margin (kept and first dropped
-    sigma over the threshold).
+    which proves similarity, so a certified pair skips the trace words.
+    Otherwise the traces of all words are compared, and a mismatch is the
+    reported witness.  Failing that, the first failed step is, in the
+    order: either side's trace form, the correspondence, the intertwiner.
+    A verification_failed witness carries the null-space dimension and
+    the cut's margin (kept and first dropped sigma over the threshold).
     """
     q, names, f_mats, g_mats = _normalize_sets(fs, gs)
     result = _certify(q, names, f_mats, g_mats, tol, seed)
-    if result.similar:
+    if result is not None and result.similar:
         return result
-    trace_report = trace_words_equal(f_mats, g_mats, max_len=max_word_len)
+    trace_report = trace_words_equal(f_mats, g_mats)
     if trace_report.verdict == "mismatch":
         return RecoveryResult(
             verdict="trace_mismatch",
@@ -402,11 +370,31 @@ def recover_transform(
             },
             residual=None,
         )
-    return result
+    return result or _explain(q, names, f_mats, g_mats, tol, seed)
 
 
-def _certify(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
-    """The similar verdict with T, or the first precondition that fails."""
+def _certify(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult | None:
+    """The intertwiner's verdict when both trace Grams have full rank, else None.
+
+    dim A <= dim A_F <= q^2 when the correspondence is well defined, so
+    the closure is cut one word past q^2.
+    """
+    closure = itertools.islice(_word_closure([f_mats, g_mats], q), q * q + 1)
+    pairs = np.array([images for _, images in closure])
+    if len(pairs) > q * q or not _nondegenerate(pairs[:, 0], pairs[:, 1]):
+        return None
+    return _intertwine(q, names, f_mats, g_mats, tol, seed)
+
+
+def _explain(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
+    """The first precondition that fails, or the intertwiner's verdict.
+
+    The pair algebra is built before the side checks, though its witness
+    is read after them, so that every pair the certificate turns down
+    passes through build_paired_algebra, where perfbench's tracer times
+    the paired-algebra layer.
+    """
+    paired = build_paired_algebra(f_mats, g_mats)
     for side, mats in (("first", f_mats), ("second", g_mats)):
         report = is_11_nonvanishing(algebra_closure(mats))
         if not report:
@@ -423,7 +411,6 @@ def _certify(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
                 },
                 residual=None,
             )
-    paired = build_paired_algebra(f_mats, g_mats)
     if paired.failure is not None:
         kind = paired.failure.pop("kind")
         return RecoveryResult(

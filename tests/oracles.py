@@ -24,6 +24,8 @@ values: the reference for the library's judgement of whole value arrays.
 oracle_port_class is a grid's class under same-id relabelings and
 in-group port permutations, by listing every relabeling: the reference
 for the walk up to port symmetry (holant.portclasses).
+oracle_trace_words compares the traces of every word up to a length,
+the reference for simsim.trace_words_equal.
 """
 
 from __future__ import annotations
@@ -373,3 +375,36 @@ def oracle_verify_holant_theorem(fs, t, max_vertices, tol=PREDICATE_TOL):
         tol=tol,
         passed=max_scaled <= tol,
     )
+
+
+def oracle_trace_words(fs, gs, max_len, tol=1e-8):
+    """Every word up to max_len, breadth first, generators in the given
+    order: the first word whose traces differ, with both traces, or None.
+
+    The reference for simsim.trace_words_equal, which checks the basis
+    words of the algebra generated by the pairs F_i (+) G_i.  Basis words
+    are at most 2 q^2 - 1 long, so max_len = 2 q^2 - 1 makes the sweep
+    complete.  Each generator pair is rescaled to unit Frobenius norm
+    before multiplying, and tol applies to the rescaled traces.
+    """
+    names = list(fs)
+    f_mats, g_mats, scales = {}, {}, {}
+    for name in names:
+        f, g = np.asarray(fs[name], dtype=complex), np.asarray(gs[name], dtype=complex)
+        scales[name] = max(np.linalg.norm(f), np.linalg.norm(g)) or 1.0
+        f_mats[name], g_mats[name] = f / scales[name], g / scales[name]
+    q = next(iter(f_mats.values())).shape[0]
+    eye = np.eye(q, dtype=complex)
+    level = [((), eye, eye, 1.0)]
+    for _ in range(max_len):
+        next_level = []
+        for word, mf, mg, scale in level:
+            for name in names:
+                wf, wg = mf @ f_mats[name], mg @ g_mats[name]
+                tf, tg = complex(np.trace(wf)), complex(np.trace(wg))
+                word_scale = scale * scales[name]
+                if abs(tf - tg) > tol * (1 + max(abs(tf), abs(tg))):
+                    return word + (name,), tf * word_scale, tg * word_scale
+                next_level.append((word + (name,), wf, wg, word_scale))
+        level = next_level
+    return None

@@ -848,6 +848,10 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
 # with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
 # bound 5, 107350 grids in 72 MB, streams.  plans holds one dict per
 # structure, in which stacked_signature keeps its loop-free grid's plans.
+# spans.closed_signature_blocks replays any closed walk one way, in
+# blocks of the smallest even size above this cap: the stored family
+# whole, with these dicts, and a larger family block by block, with
+# fresh ones.
 FAMILY_MEMO_MAX_GRIDS = 4096
 _last_family: tuple[tuple, tuple[SignatureGrid, ...], tuple[dict, ...]] | None = None
 
@@ -997,8 +1001,9 @@ def _structures(sigs, profile, max_vertices, per_multiset):
     Since codes sort on the edge part first, every slot order of one
     structure comes back to back, and enumerate_grids yields the loop
     copies of a closed structure back to back: spans.structure_signatures
-    relies on both to contract each structure once and to take the other
-    members' signature arrays from that one contraction.
+    and spans.closed_signature_blocks rely on both to contract each
+    structure once and to take the other members' signature arrays from
+    that one contraction.
     """
     lp, rp = profile
     for n in range(max_vertices + 1):

@@ -46,7 +46,7 @@ class IncrementalBasis:
     def add(self, vec: np.ndarray) -> bool:
         v = vec.copy()
         for u in self.ortho:
-            v -= (u.conj() @ v) * u
+            v -= np.vdot(u, v) * u
         res = float(np.linalg.norm(v))
         if res > self.tol * max(1.0, float(np.linalg.norm(vec))):
             self.ortho.append(v / res)

@@ -41,11 +41,11 @@ from holant.grids import (
     holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
 )
 
-# structure_signatures contracts each run through this name, which
-# perfbench's tracer wraps as its grid contraction boundary
+# structure_signatures and closed_signature_blocks contract through this
+# name, which perfbench's tracer wraps as its grid contraction boundary
 from holant.grids import stacked_signature as gadget_signature
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
-from holant.tensors import MixedTensor, pair
+from holant.tensors import MixedTensor, _check_size, pair
 
 
 @dataclass
@@ -97,6 +97,9 @@ def structure_signatures(grids, *bindings):
     checks each grid against its run's first, and a grid it refuses
     starts a new run; only the current run is kept, so a consumer that
     stops early contracts nothing past the grid it stopped at.
+    build_span, check_indistinguishable and check_covanishing take their
+    signatures from here; closed_signature_blocks replays a closed walk
+    block by block instead, with the same bits.
     """
     stacks = BindingStacks(bindings)
     first = stack = None
@@ -110,31 +113,30 @@ def structure_signatures(grids, *bindings):
 
 
 def closed_signature_blocks(grids, *bindings):
-    """Yield (grids, values): a walk of closed grids in consecutive
+    """Yield (grids, values): a walk of closed grids (enumerate_grids,
+    each structure at loop counts 0 and 1, back to back) in consecutive
     blocks, values[k, j] bitwise the value structure_signatures gives
     grids[k] under bindings[j], as one read-only array per block.
 
-    A block that is the whole stored family (grids.family_plans) is
-    replayed: each structure's loop-free grid is contracted once with
-    the plans the memo keeps for it, and its loop copy scaled from it by
-    grids.derives, all copies at once.  Any other block goes through
-    structure_signatures.  A block holds at most FAMILY_MEMO_MAX_GRIDS
-    + 1 grids, so a walk of a family too large for the memo holds about
-    as many grids at a time as the memo would, and the block that takes
-    a whole family that fits it has run its enumerator to the end, which
-    stores the family.
+    Every block is replayed one way: each structure's loop-free grid is
+    contracted once under all binding sets at the same time, and its
+    loop copy scaled from it by grids.derives, all copies at once.  The
+    plan dicts are the stored family's (grids.family_plans) when the
+    block is that family, and fresh ones otherwise.  A block holds the
+    smallest even number of grids above FAMILY_MEMO_MAX_GRIDS, so no
+    structure's two grids are split across blocks, a walk of a family
+    too large for the memo holds about as many grids at a time as the
+    memo would, and the block that takes a whole family that fits it
+    has run its enumerator to the end, which stores the family.
     """
     stacks = BindingStacks(bindings)
     walk = iter(grids)
-    while block := list(itertools.islice(walk, _grids.FAMILY_MEMO_MAX_GRIDS + 1)):
-        plans = family_plans(block)
-        if plans is None:
-            rows = [row[1:] for row in structure_signatures(block, *bindings)]
-            values = np.array(rows, dtype=np.complex128)
-        else:
-            runs = np.stack([gadget_signature(g, stacks, p) for g, p in zip(block[::2], plans)])
-            copies = derived_signature(runs, *derives(block[0], block[1]))
-            values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))
+    cap = _grids.FAMILY_MEMO_MAX_GRIDS
+    while block := list(itertools.islice(walk, cap + 2 - cap % 2)):
+        plans = family_plans(block) or [None] * (len(block) // 2)
+        runs = np.stack([gadget_signature(g, stacks, p) for g, p in zip(block[::2], plans)])
+        copies = derived_signature(runs, *derives(block[0], block[1]))
+        values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))
         values.setflags(write=False)
         yield block, values
 
@@ -144,6 +146,31 @@ def _symmetric_ids(*binding_sets) -> tuple[str, ...]:
     return tuple(
         k for k in binding_sets[0] if all(b[k].is_symmetric() for b in binding_sets)
     )
+
+
+def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
+    """The walk of the spans checkers over fs at the profile: closed grids
+    at (0,0), gadgets otherwise, up to port symmetry over the ids bound
+    symmetrically in fs and every other binding set.
+
+    A profile whose signatures would have more than MAX_ENTRIES entries
+    is refused here, before any gadget is enumerated: no signature fits
+    it, and the walk would never end.
+    """
+    qs = {t.q for t in fs.values()}
+    if len(qs) > 1:
+        raise ValueError("signatures must share a domain size")
+    if not qs:
+        raise ValueError("need a signature to fix the domain size")
+    q = qs.pop()
+    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
+    symmetric = _symmetric_ids(fs, *others)
+    l, r = profile
+    if (l, r) == (0, 0):
+        return enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
+    if l >= 0 and r >= 0:  # enumerate_gadgets names a negative entry
+        _check_size(q, l + r)
+    return enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
 
 
 def build_span(
@@ -161,24 +188,13 @@ def build_span(
     permutations, which has the span of the ordered walk (see the module
     docstring).
     """
-    qs = {t.q for t in fs.values()}
-    if len(qs) > 1:
-        raise ValueError("signatures must share a domain size")
-    if not qs:
-        raise ValueError("need a signature to fix the domain size")
-    q = qs.pop()
-    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
-    symmetric = _symmetric_ids(fs)
+    gadgets = _walk(profile, max_vertices, fs)
+    q = next(iter(fs.values())).q
     l, r = profile
     if (l, r) == (0, 0):
         # vertexless grids contribute bare constants (1 and powers of q), so
         # the interesting (0,0) span is what the vertex-bearing grids add
-        gadgets = [
-            g for g in enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
-            if g.vertices
-        ]
-    else:
-        gadgets = enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
+        gadgets = [g for g in gadgets if g.vertices]
     basis: list[MixedTensor] = []
     witnesses: list[SignatureGrid] = []
     independent = IncrementalBasis(indep_tol)
@@ -338,9 +354,7 @@ def _check_correspondence(fs, gs, bijection):
             )
         if fs[fid].q != gs[gid].q:
             raise ValueError("domain sizes differ across the correspondence")
-    gs_as_f = {fid: gs[gid] for fid, gid in bijection.items()}
-    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
-    return gs_as_f, sig_shapes, next(iter(fs.values())).q
+    return {fid: gs[gid] for fid, gid in bijection.items()}
 
 
 def check_indistinguishable(
@@ -359,10 +373,10 @@ def check_indistinguishable(
     permutations stands for the class, whose grids all share its values
     (see the module docstring).
     """
-    gs_as_f, sig_shapes, q = _check_correspondence(fs, gs, bijection)
+    gs_as_f = _check_correspondence(fs, gs, bijection)
     count = 0
     max_diff = 0.0
-    grids = enumerate_grids(sig_shapes, max_vertices, q, symmetric=_symmetric_ids(fs, gs_as_f))
+    grids = _walk((0, 0), max_vertices, fs, gs_as_f)
     for grid, sf, sg in structure_signatures(grids, fs, gs_as_f):
         vf, vg = complex(sf), complex(sg)
         count += 1
@@ -423,15 +437,10 @@ def check_covanishing(
     those rows, and the null vectors the repeats add vanish on both
     sides (see the module docstring).
     """
-    gs_as_f, sig_shapes, q = _check_correspondence(fs, gs, bijection)
-    symmetric = _symmetric_ids(fs, gs_as_f)
+    gs_as_f = _check_correspondence(fs, gs, bijection)
+    structures = list(_walk(profile, max_vertices, fs, gs_as_f))
+    q = next(iter(fs.values())).q
     l, r = profile
-    if (l, r) == (0, 0):
-        structures = list(enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric))
-    else:
-        structures = list(
-            enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
-        )
     shape = (len(structures), q ** (l + r))
     rows = list(structure_signatures(structures, fs, gs_as_f))
     stack_f, stack_g = (np.array([row[k].reshape(-1) for row in rows]).reshape(shape) for k in (1, 2))

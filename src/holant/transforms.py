@@ -126,12 +126,14 @@ def verify_holant_theorem(
     them would; grids_checked counts the classes.
 
     The values come as one (grids, 2) array per block of the walk
-    (spans.closed_signature_blocks: the whole family at once when it is
-    the stored one) and are judged by numpy as a loop over the grids in
-    walk order would judge them: moduli by np.hypot, which rounds as
-    Python's abs of a complex does, worst_grid the first grid of the
-    largest scaled error above 0 (None if every error is 0), and NaN
-    errors passed over as x > max and max(a, b) pass over them.
+    (spans.closed_signature_blocks, which replays every block one way:
+    the whole family at once when it fits the memo, else even-sized
+    blocks that keep each structure's loop copy beside it) and are
+    judged by numpy as a loop over the grids in walk order would judge
+    them: moduli by np.hypot, which rounds as Python's abs of a complex
+    does, worst_grid the first grid of the largest scaled error above 0
+    (None if every error is 0), and NaN errors passed over as x > max
+    and max(a, b) pass over them.
     """
     if not fs:
         raise ValueError("need at least one signature")
@@ -143,6 +145,8 @@ def verify_holant_theorem(
     max_abs = 0.0
     max_scaled = 0.0
     count = 0
+    # the walk is this module's enumerate_grids, not spans._walk: perfbench's
+    # tracer wraps transforms.enumerate_grids as its enumeration boundary
     grids = enumerate_grids(
         [(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q,
         symmetric=_symmetric_ids(fs),

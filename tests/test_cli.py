@@ -669,6 +669,25 @@ def test_huge_arity_is_refused_before_the_power(tmp_path):
     assert "over the cap" in proc.stderr
 
 
+def test_over_cap_profile_is_refused_before_enumerating(capsys, monkeypatch, tmp_path):
+    # no signature has 2**60 entries, so no gadget may be enumerated: the
+    # walk of slot orders at (30,30) would not end
+    from holant import spans
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("enumerated gadgets at an over-cap profile")
+
+    monkeypatch.setattr(spans, "enumerate_gadgets", no_walk)
+    sigs = write(tmp_path, "s.json", sigset_to_obj({"s": identity_signature(2)}))
+    code = main(["vanishing", "--sigs", sigs, "--profile", "30,30", "--max-vertices", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "holant: tensor with q=2 and 60 slots needs more than 67108864 entries, over the cap\n"
+    )
+
+
 def test_huge_hom_target_is_refused_before_its_adjacency(tmp_path):
     # the 20000 x 20000 adjacency alone needs 3 GiB; the target must be
     # refused by the entry cap before it is built

@@ -54,6 +54,7 @@ from oracles import (
     SpecializedPlan,
     brute_gadget_signature,
     brute_holant_eval,
+    oracle_contract,
     oracle_contraction_plan,
     oracle_grid_code,
     oracle_grid_labelings,
@@ -367,106 +368,6 @@ def test_quantum_gadget_signature_is_linear():
 
 
 # -- planned contraction replays the greedy contraction exactly --------------
-
-
-def oracle_contract_network(q, node_arrays, node_labels, label_edges, open_labels, loops):
-    """The contraction before plans were cached, kept verbatim as an oracle.
-
-    Recomputes the greedy pairwise order on every call: repeatedly
-    contract the node pair whose result tensor is smallest.
-    """
-    nodes: dict[int, tuple[np.ndarray, list]] = {
-        i: (np.asarray(a, dtype=np.complex128), list(ls))
-        for i, (a, ls) in enumerate(zip(node_arrays, node_labels))
-    }
-    owner: dict[object, int] = {}
-    for nid, (_, ls) in nodes.items():
-        for lbl in ls:
-            owner[lbl] = nid
-    next_id = len(nodes)
-    edges = list(label_edges)
-
-    def trace_self(nid):
-        nonlocal edges
-        arr, ls = nodes[nid]
-        while True:
-            here = [e for e in edges if owner[e[0]] == nid and owner[e[1]] == nid]
-            if not here:
-                break
-            la, lb = here[0]
-            p1, p2 = ls.index(la), ls.index(lb)
-            arr = np.trace(arr, axis1=min(p1, p2), axis2=max(p1, p2))
-            ls = [x for x in ls if x not in (la, lb)]
-            del owner[la], owner[lb]
-            edges.remove(here[0])
-        nodes[nid] = (arr, ls)
-
-    for nid in list(nodes):
-        trace_self(nid)
-
-    while edges:
-        pairs: dict[tuple[int, int], list] = {}
-        for e in edges:
-            u, v = owner[e[0]], owner[e[1]]
-            key = (min(u, v), max(u, v))
-            pairs.setdefault(key, []).append(e)
-        best = None
-        for (u, v), shared in sorted(pairs.items()):
-            ndim = nodes[u][0].ndim + nodes[v][0].ndim - 2 * len(shared)
-            cost = q**ndim
-            if best is None or cost < best[0]:
-                best = (cost, u, v, shared)
-        cost, u, v, shared = best
-        au, lu = nodes[u]
-        av, lv = nodes[v]
-        ax_u, ax_v = [], []
-        for (la, lb) in shared:
-            if owner[la] == u:
-                ax_u.append(lu.index(la))
-                ax_v.append(lv.index(lb))
-            else:
-                ax_u.append(lu.index(lb))
-                ax_v.append(lv.index(la))
-            del owner[la], owner[lb]
-        arr = np.tensordot(au, av, axes=(ax_u, ax_v))
-        labels = [x for k, x in enumerate(lu) if k not in ax_u] + [
-            x for k, x in enumerate(lv) if k not in ax_v
-        ]
-        del nodes[u], nodes[v]
-        nodes[next_id] = (arr, labels)
-        for lbl in labels:
-            owner[lbl] = next_id
-        edges = [e for e in edges if e not in shared]
-        trace_self(next_id)
-        next_id += 1
-
-    arr = np.array(1 + 0j)
-    labels: list = []
-    for nid in sorted(nodes):
-        a, ls = nodes[nid]
-        arr = np.multiply.outer(arr, a)
-        labels += ls
-    perm = [labels.index(lbl) for lbl in open_labels]
-    arr = np.transpose(arr, perm) if perm else arr.reshape(())
-    return arr * q**loops
-
-
-def oracle_contract(grid, bindings):
-    """Label the grid's network as before plans and contract it by the oracle."""
-    b = dict(bindings)
-    b.setdefault(WIRE_ID, identity_signature(grid.q))
-    shapes = {sid: sig.shape for sid, sig in b.items()}
-    grid.validate(shapes)
-    arrays = [b[sid].array for sid in grid.vertices]
-    labels = []
-    for v, sid in enumerate(grid.vertices):
-        l, r = shapes[sid]
-        labels.append([("L", v, i) for i in range(1, l + 1)] + [("R", v, j) for j in range(1, r + 1)])
-    label_edges = [(("L", u, i), ("R", v, j)) for (u, i, v, j) in grid.edges]
-    open_labels = [("L", v, i) for (v, i) in grid.left_dangling] + [
-        ("R", v, j) for (v, j) in grid.right_dangling
-    ]
-    return oracle_contract_network(grid.q, arrays, labels, label_edges, open_labels, grid.loops)
 
 
 def test_contracted_equals_oracle_on_closed_family():

@@ -238,6 +238,12 @@ def test_correspondence_validation():
     bad = {"u": gs["u"], "v": MixedTensor.scalar(2, 1.0)}
     with pytest.raises(ValueError):
         check_indistinguishable(fs, bad, {"u": "u", "v": "v"}, 2)
+    # one side mixing domain sizes is refused as build_span refuses it
+    mixed = {"a": MixedTensor(2, 1, 0, np.ones(2)), "b": MixedTensor(3, 1, 0, np.ones(3))}
+    with pytest.raises(ValueError, match="signatures must share a domain size"):
+        check_indistinguishable(mixed, mixed, {"a": "a", "b": "b"}, 2)
+    with pytest.raises(ValueError, match="signatures must share a domain size"):
+        check_covanishing(mixed, mixed, {"a": "a", "b": "b"}, (1, 0), 2)
 
 
 def test_many_to_one_map_is_not_a_bijection():
@@ -249,6 +255,39 @@ def test_many_to_one_map_is_not_a_bijection():
         check_indistinguishable(fs, gs, bij, 2)
     with pytest.raises(ValueError, match="one-to-one"):
         check_covanishing(fs, gs, bij, (1, 0), 2)
+
+
+def test_over_cap_profiles_are_refused_before_enumerating(monkeypatch):
+    # a profile with q**(l+r) over tensors.MAX_ENTRIES (2**26) fits no
+    # signature; every checker refuses it before any gadget is enumerated
+    fs = {"m": identity_signature(2)}
+    with pytest.raises(ValueError, match="profile entries must be nonnegative"):
+        build_span(fs, (-1, 30), 1)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("enumerated an over-cap profile")
+
+    monkeypatch.setattr(spans, "enumerate_grids", no_walk)
+    monkeypatch.setattr(spans, "enumerate_gadgets", no_walk)
+    for profile, slots in (((13, 14), 27), ((0, 27), 27), ((30, 30), 60)):
+        over = f"tensor with q=2 and {slots} slots needs more than 67108864 entries, over the cap"
+        with pytest.raises(ValueError, match=over):
+            build_span(fs, profile, 1)
+        with pytest.raises(ValueError, match=over):
+            gram_nondegenerate(fs, profile, 1)
+        with pytest.raises(ValueError, match=over):
+            check_covanishing(fs, fs, {"m": "m"}, profile, 1)
+    # 2**26 entries are under the cap: the walk is taken
+    walked = []
+
+    def empty_walk(sigs, profile, *args, **kwargs):
+        walked.append(profile)
+        return iter(())
+
+    monkeypatch.setattr(spans, "enumerate_gadgets", empty_walk)
+    assert build_span(fs, (26, 0), 1).dim == 0
+    assert gram_nondegenerate(fs, (13, 13), 1).verdict == "nonvanishing_at_bound"
+    assert walked == [(26, 0), (13, 13)]
 
 
 def test_empty_sets_are_refused():
@@ -582,12 +621,20 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
     monkeypatch.setattr(grids_module, "_last_family", None)
     assert grids_module.family_plans(grids) is None
     assert refusal() == replayed_refusal
-    # a family over the memo cap streams in blocks of at most cap + 1
-    # grids through structure_signatures
-    cap = len(grids) // 3
-    monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
-    blocks = list(spans.closed_signature_blocks(enumerate_grids(sig_shapes, bound, q), *sets))
-    assert grids_module._last_family is None
-    assert len(blocks) == -(-len(grids) // (cap + 1))
-    assert [g for block, _ in blocks for g in block] == grids
-    assert np.concatenate([v for _, v in blocks]).tobytes() == cold_values.tobytes()
+    # a family over the memo cap streams, replayed as the stored family
+    # is, in blocks of the smallest even size above the cap, so no block
+    # splits a structure's loop-0 and loop-1 grids
+    def no_fallback(*args):
+        raise AssertionError("closed_signature_blocks called structure_signatures")
+
+    monkeypatch.setattr(spans, "structure_signatures", no_fallback)
+    odd = len(grids) // 3 | 1
+    for cap, size in ((odd, odd + 1), (odd + 1, odd + 3)):
+        monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
+        walk = enumerate_grids(sig_shapes, bound, q)
+        blocks = list(spans.closed_signature_blocks(walk, *sets))
+        assert grids_module._last_family is None
+        assert len(blocks) == -(-len(grids) // size)
+        assert all(len(block) % 2 == 0 and block[0].loops == 0 for block, _ in blocks)
+        assert [g for block, _ in blocks for g in block] == grids
+        assert np.concatenate([v for _, v in blocks]).tobytes() == cold_values.tobytes()

@@ -175,6 +175,11 @@ class BindingStacks:
             bound = self._bound[key] = _bind(grid, resolved, self._stacks)
         return bound
 
+    def stack(self, q: int, sig: str) -> np.ndarray | None:
+        """sig's arrays at domain size q stacked over the sets, once some
+        grid bound so far replays pairwise under a set; else None."""
+        return self._stacks.get((q, sig))
+
 
 def _bind(grid: SignatureGrid, resolved: list[dict], stacks: dict) -> _Bound:
     """The _Bound of grid under resolved binding sets: each set's plan
@@ -210,10 +215,13 @@ def _bind(grid: SignatureGrid, resolved: list[dict], stacks: dict) -> _Bound:
 # one only in q >= 2, its loop count or the order of its dangling stubs
 # reuses its plan (hom grids built for several target sizes, gadgets in
 # every slot order).  A walk contracts each structure once for all its
-# binding sets (stacked_signature), so it looks each plan up once; the
-# stored closed family keeps its structures' plans (family_plans), so a
-# replay of it looks up none.  The cache keeps a whole family, so that a
-# later walk of one that is not stored plans nothing:
+# binding sets (stacked_signature), so it looks each plan up once.  A
+# closed block is compiled into one program (holant.familyprogram), which
+# looks each structure's plans up when it is built and keeps them; the
+# stored closed family keeps its program (family_slot), so a replay of it
+# looks up none, but at q = 1, where each replay contracts structure by
+# structure.  The cache keeps a whole family, so that a later walk of one
+# that is not stored plans nothing:
 # 300 closed structures over three shapes at bound 4, the 877 closed
 # structures of the arity-4 counterexample at bound 6 with ordered ports
 # (5 up to port symmetry, which every checker walks over those symmetric
@@ -463,20 +471,26 @@ def _execute(
     return out.transpose(perm) if perm else out
 
 
-def _planned(grid: SignatureGrid, shapes, equal: tuple[str, ...]):
-    """(plan, perm) for grid under one route's (id, shape) pairs and
-    equality ids, the cap checked at grid.q; perm is _execute's."""
+def _plan(grid: SignatureGrid, shapes, equal: tuple[str, ...]) -> ContractionPlan:
+    """The plan of grid under one route's (id, shape) pairs and equality
+    ids; an invalid grid raises, its first fault named in its own order."""
     left = right = ()
     if grid.left_dangling or grid.right_dangling:
         left, right = tuple(sorted(grid.left_dangling)), tuple(sorted(grid.right_dangling))
     try:
-        plan = _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(grid.q, 2), equal)
+        return _contraction_plan(grid.vertices, grid.edges, left, right, shapes, min(grid.q, 2), equal)
     except ValueError:
         # the plan validated the structure with its stubs sorted; validity
         # does not depend on their order but the message does, so name the
         # first fault in the grid's own order
         grid.validate(dict(shapes))
         raise
+
+
+def _planned(grid: SignatureGrid, shapes, equal: tuple[str, ...]):
+    """(plan, perm) for grid under one route's (id, shape) pairs and
+    equality ids, the cap checked at grid.q; perm is _execute's."""
+    plan = _plan(grid, shapes, equal)
     _check_cap(plan, grid.q)
     perm = ()
     if plan.outer_rank:  # the grid has stubs
@@ -488,16 +502,13 @@ def _planned(grid: SignatureGrid, shapes, equal: tuple[str, ...]):
     return plan, perm
 
 
-def _contract(grid: SignatureGrid, bound: _Bound, batch: int, plans: dict) -> np.ndarray:
+def _contract(grid: SignatureGrid, bound: _Bound, batch: int) -> np.ndarray:
     """stacked_signature on the _Bound of grid under batch binding sets."""
     q = grid.q
     shapes, routes, arrays, rows = bound
     out = None
     for equal, ks in routes.items():
-        planned = plans.get((shapes, equal))
-        if planned is None:
-            planned = plans[shapes, equal] = _planned(grid, shapes, equal)
-        plan, perm = planned
+        plan, perm = _planned(grid, shapes, equal)
         if len(routes) == 1:
             out = _execute(plan, q, arrays, rows, perm, len(ks))
         else:  # closed, so each row is one value
@@ -512,9 +523,7 @@ def _contract(grid: SignatureGrid, bound: _Bound, batch: int, plans: dict) -> np
     return out
 
 
-def stacked_signature(
-    grid: SignatureGrid, stacks: BindingStacks, plans: dict | None = None
-) -> np.ndarray:
+def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     """Signature arrays of grid under every binding set of stacks, as one
     read-only array of shape (B, q, ..., q): row k is bitwise
     gadget_signature(grid, stacks.sets[k]).array.
@@ -538,10 +547,18 @@ def stacked_signature(
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
-    plans, a dict a caller keeps for this one grid (family_plans), holds
-    the first two per route once they are made.
+
+    grid may also be a compiled block of loop-free closed grids
+    (holant.familyprogram.FamilyProgram, hashed by identity, so that
+    perfbench's tracer can count it).  It replays all its structures at
+    once and returns a read-only (structures, B) array whose row j is
+    bitwise this function's result for its structure j: one
+    level-batched program for the pairwise rows, and a replay structure
+    by structure for rows at q = 1 and rows that eliminate equalities.
     """
-    return _contract(grid, stacks.bind(grid), len(stacks.sets), {} if plans is None else plans)
+    if not isinstance(grid, SignatureGrid):
+        return grid.replay(stacks)
+    return _contract(grid, stacks.bind(grid), len(stacks.sets))
 
 
 def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
@@ -562,7 +579,7 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
     bound = _bind(grid, [resolve_bindings(grid, bindings)], {})
-    return complex(_contract(grid, bound, 1, {})[0])
+    return complex(_contract(grid, bound, 1)[0])
 
 
 def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> MixedTensor:
@@ -583,7 +600,7 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     """
     l, r = grid.profile
     bound = _bind(grid, [resolve_bindings(grid, bindings)], {})
-    return MixedTensor(grid.q, l, r, _contract(grid, bound, 1, {})[0])
+    return MixedTensor(grid.q, l, r, _contract(grid, bound, 1)[0])
 
 
 def derives(grid: SignatureGrid, target: SignatureGrid):
@@ -837,32 +854,36 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
     yield from rec(0)
 
 
-# The last finished closed-grid family, as (key, grids, plans), keyed on
+# The last finished closed-grid family, as (key, grids, slot), keyed on
 # (sorted (id, shape) pairs, bound, q, the ids walked up to port
 # symmetry).  Every caller walks one family over and over
-# (verify_holant_theorem walks it on each call), so one slot is enough.
+# (verify_holant_theorem walks it on each call), so one family is kept.
 # A family of more than FAMILY_MEMO_MAX_GRIDS grids is never stored; its
 # walk drops what it kept once it passes the cap.  Grids take 230-670
-# bytes each (tracemalloc), so the slot holds at most about 3 MB: the
+# bytes each (tracemalloc), so the grids take at most about 3 MB: the
 # arity-4 counterexample's family at bound 6 holds 1754 grids in 1.2 MB
 # with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
-# bound 5, 107350 grids in 72 MB, streams.  plans holds one dict per
-# structure, in which stacked_signature keeps its loop-free grid's plans.
-# spans.closed_signature_blocks replays any closed walk one way, in
-# blocks of the smallest even size above this cap: the stored family
-# whole, with these dicts, and a larger family block by block, with
-# fresh ones.
+# bound 5, 107350 grids in 72 MB, streams.  slot is a one-item list that
+# holds the family's compiled program (holant.familyprogram) once a
+# replay has compiled it: 0.2 MB of index arrays for the 300 structures
+# of closed-invariance's family, planned and compiled in about 14 ms;
+# {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 4, bound 5, 1729 structures,
+# keep 3.2 MB.  spans.closed_signature_blocks replays any closed walk
+# one way, in blocks of the smallest even size above this cap, each by
+# a compiled program: the stored family whole, by its kept program, and
+# a larger family block by block, each block compiled part by part as
+# its one replay reaches the part, and dropped after.
 FAMILY_MEMO_MAX_GRIDS = 4096
-_last_family: tuple[tuple, tuple[SignatureGrid, ...], tuple[dict, ...]] | None = None
+_last_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
 
 
-def family_plans(grids) -> tuple[dict, ...] | None:
-    """The stored family's plan dicts, one per structure, if grids, a
-    list or tuple, holds that family's grids in walk order; else None."""
+def family_slot(grids) -> list | None:
+    """The stored family's program slot, if grids, a list or tuple,
+    holds that family's grids in walk order; else None."""
     if _last_family is None or not isinstance(grids, (list, tuple)):
         return None
-    _, family, plans = _last_family
-    return plans if len(grids) == len(family) and tuple(grids) == family else None
+    _, family, slot = _last_family
+    return slot if len(grids) == len(family) and tuple(grids) == family else None
 
 
 def _port_walk(sigs, symmetric):
@@ -903,11 +924,16 @@ def enumerate_grids(
     A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
     replaces the one stored family, keyed on (sorted (id, shape) pairs,
     max_vertices, q, the ids walked up to port symmetry); a later walk
-    with the same key replays it.  The family is stored with one plan
-    dict per structure (family_plans), so that a checker handed the
-    stored grids contracts each structure once per binding batch
-    without planning or looking up anything again.  A walk stopped
-    early, or of a larger family, stays lazy and stores nothing.
+    with the same key replays it.  The family is stored with a slot for
+    its compiled program (family_slot): the first closed replay of the
+    stored grids (spans.closed_signature_blocks) compiles their
+    pairwise plans into one level-batched program (holant.familyprogram)
+    and keeps it there, so that every later replay contracts the whole
+    family in a few batched numpy calls per binding batch without
+    planning or looking up anything again; rows at q = 1 and rows that
+    eliminate equalities are still contracted structure by structure,
+    inside the same replay.  A walk stopped early, or of a larger
+    family, stays lazy and stores nothing.
     """
     global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
@@ -929,7 +955,7 @@ def enumerate_grids(
                     walked = None
             yield grid
     if walked is not None:
-        _last_family = (key, tuple(walked), tuple([{} for _ in walked[::2]]))
+        _last_family = (key, tuple(walked), [None])
 
 
 def enumerate_gadgets(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from holant.numerics import RANK_TOL, IncrementalBasis, numerical_rank  # noqa: F401
+from holant.numerics import IncrementalBasis, numerical_rank
 from holant.tensors import MixedTensor
 from holant.transforms import HoloTransform
 

@@ -37,7 +37,7 @@ from holant.grids import (
     derives,
     enumerate_gadgets,
     enumerate_grids,
-    family_plans,
+    family_slot,
     holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
 )
 
@@ -118,23 +118,37 @@ def closed_signature_blocks(grids, *bindings):
     blocks, values[k, j] bitwise the value structure_signatures gives
     grids[k] under bindings[j], as one read-only array per block.
 
-    Every block is replayed one way: each structure's loop-free grid is
-    contracted once under all binding sets at the same time, and its
-    loop copy scaled from it by grids.derives, all copies at once.  The
-    plan dicts are the stored family's (grids.family_plans) when the
-    block is that family, and fresh ones otherwise.  A block holds the
-    smallest even number of grids above FAMILY_MEMO_MAX_GRIDS, so no
-    structure's two grids are split across blocks, a walk of a family
-    too large for the memo holds about as many grids at a time as the
-    memo would, and the block that takes a whole family that fits it
-    has run its enumerator to the end, which stores the family.
+    Every block is replayed one way: its loop-free grids are compiled
+    once into a level-batched program (holant.familyprogram, imported on
+    first use), which contracts all of them under all binding sets at
+    the same time through this module's gadget_signature, and each loop
+    copy is scaled from its structure's values by grids.derives, all
+    copies at once.  The program does the pairwise rows; rows at q = 1
+    and rows whose route eliminates equalities are contracted structure
+    by structure inside the same call.  The stored family keeps its
+    program (grids.family_slot), so a replay of it compiles nothing;
+    every other block is compiled afresh.  A block holds the smallest
+    even number of grids above FAMILY_MEMO_MAX_GRIDS, so no structure's
+    two grids are split across blocks, a walk of a family too large for
+    the memo holds about as many grids at a time as the memo would, and
+    the block that takes a whole family that fits it has run its
+    enumerator to the end, which stores the family.
     """
+    from holant.familyprogram import FamilyProgram
+
     stacks = BindingStacks(bindings)
     walk = iter(grids)
     cap = _grids.FAMILY_MEMO_MAX_GRIDS
     while block := list(itertools.islice(walk, cap + 2 - cap % 2)):
-        plans = family_plans(block) or [None] * (len(block) // 2)
-        runs = np.stack([gadget_signature(g, stacks, p) for g, p in zip(block[::2], plans)])
+        slot = family_slot(block)
+        program = slot[0] if slot else None
+        if program is None:
+            # the stored family's program is kept for later replays;
+            # any other block's is replayed once
+            program = FamilyProgram(block[::2], stacks, keep=slot is not None)
+            if slot is not None:
+                slot[0] = program
+        runs = gadget_signature(program, stacks)
         copies = derived_signature(runs, *derives(block[0], block[1]))
         values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))
         values.setflags(write=False)

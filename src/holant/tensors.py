@@ -162,9 +162,6 @@ class MixedTensor:
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
-    def conj(self) -> "MixedTensor":
-        return MixedTensor(self.q, self.left, self.right, np.conj(self.array))
-
     # -- linear structure ----------------------------------------------
 
     def _compat(self, other: "MixedTensor") -> None:
@@ -177,10 +174,6 @@ class MixedTensor:
     def __add__(self, other: "MixedTensor") -> "MixedTensor":
         self._compat(other)
         return MixedTensor(self.q, self.left, self.right, self.array + other.array)
-
-    def __sub__(self, other: "MixedTensor") -> "MixedTensor":
-        self._compat(other)
-        return MixedTensor(self.q, self.left, self.right, self.array - other.array)
 
     def __mul__(self, scalar) -> "MixedTensor":
         return MixedTensor(self.q, self.left, self.right, self.array * complex(scalar))

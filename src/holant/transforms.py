@@ -128,12 +128,16 @@ def verify_holant_theorem(
     The values come as one (grids, 2) array per block of the walk
     (spans.closed_signature_blocks, which replays every block one way:
     the whole family at once when it fits the memo, else even-sized
-    blocks that keep each structure's loop copy beside it) and are
-    judged by numpy as a loop over the grids in walk order would judge
-    them: moduli by np.hypot, which rounds as Python's abs of a complex
-    does, worst_grid the first grid of the largest scaled error above 0
-    (None if every error is 0), and NaN errors passed over as x > max
-    and max(a, b) pass over them.
+    blocks that keep each structure's loop copy beside it, each block's
+    loop-free grids compiled into one level-batched program,
+    holant.familyprogram, which the stored family keeps; rows at q = 1
+    and rows that eliminate equalities are contracted structure by
+    structure inside the same replay) and are judged by numpy as a
+    loop over the grids in walk order would judge them: moduli by
+    np.hypot, which rounds as Python's abs of a complex does, worst_grid
+    the first grid of the largest scaled error above 0 (None if every
+    error is 0), and NaN errors passed over as x > max and max(a, b)
+    pass over them.
     """
     if not fs:
         raise ValueError("need at least one signature")

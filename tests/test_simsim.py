@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holant import simsim
+from holant.numerics import RANK_TOL
 from holant.simsim import (
-    RANK_TOL,
     MatrixAlgebra,
     RecoveryResult,
     algebra_closure,

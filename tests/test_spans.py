@@ -477,10 +477,11 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
 
     mine = reports()
     if profile == (0, 0):
-        # two checkers, each one contraction per structure for its two
-        # binding sets; verify_holant_theorem takes the spans checkers'
-        # walk, since its F is symmetric where theirs is
-        assert mine["closed_contracted"] == 2 * len(structures)
+        # check_indistinguishable makes one contraction per structure for
+        # its two binding sets; verify_holant_theorem takes the spans
+        # checkers' walk, since its F is symmetric where theirs is, and
+        # replays it as one compiled block, in one call
+        assert mine["closed_contracted"] == len(structures) + 1
     walked = grids[: mine["span"][0]]
     assert mine["span_contracted"] == len({(g.vertices, g.edges) for g in walked})
     assert mine["cov_contracted"] == len(structures)
@@ -589,8 +590,8 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
     sig_shapes, bound, q, sets = replay_case(name)
     monkeypatch.setattr(grids_module, "_last_family", None)
     grids = list(enumerate_grids(sig_shapes, bound, q))
-    plans = grids_module.family_plans(grids)
-    assert {g.loops for g in grids} == {0, 1} and len(plans) == len(grids) // 2
+    slot = grids_module.family_slot(grids)
+    assert {g.loops for g in grids} == {0, 1} and slot == [None]
     want = signature_bytes(oracle_signatures(grids, *sets))
     cold = list(spans.structure_signatures(grids, *sets))
     assert signature_bytes(cold) == want
@@ -601,11 +602,12 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
         assert block == grids and not values.flags.writeable
         return values
 
-    # the first replay fills the memo's plans, the second reads them
-    assert not any(plans)
+    # the first replay compiles the memo's program, the second replays it
     for _ in range(2):
         assert replayed().tobytes() == cold_values.tobytes()
-    assert all(plans)
+    program = slot[0]
+    assert program.runs == tuple(grids[::2])
+    assert replayed().tobytes() == cold_values.tobytes() and slot[0] is program
 
     # bindings of other shapes find no plan in the memo, and fail as a
     # walk with no family stored fails
@@ -619,7 +621,7 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
 
     replayed_refusal = refusal()
     monkeypatch.setattr(grids_module, "_last_family", None)
-    assert grids_module.family_plans(grids) is None
+    assert grids_module.family_slot(grids) is None
     assert refusal() == replayed_refusal
     # a family over the memo cap streams, replayed as the stored family
     # is, in blocks of the smallest even size above the cap, so no block

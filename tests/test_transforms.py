@@ -356,9 +356,11 @@ def test_theorem_report_equals_the_loop_over_grids(monkeypatch, case):
 
 def test_theorem_replay_contracts_once_per_structure(monkeypatch):
     # closed-invariance's family: three shapes at q = 3, bound 4, 300
-    # structures at loop counts 0 and 1.  Each query contracts each
-    # structure once, through the module attribute that perfbench's
-    # tracer wraps, with a hashable grid first
+    # structures at loop counts 0 and 1.  Each query contracts the
+    # family's one block in one call, through the module attribute that
+    # perfbench's tracer wraps, with a hashable first argument: the
+    # family's compiled program, kept with the stored family, which
+    # planned each structure once for all three queries
     from holant import grids, spans
 
     rng = np.random.default_rng(59)
@@ -370,12 +372,17 @@ def test_theorem_replay_contracts_once_per_structure(monkeypatch):
     monkeypatch.setattr(
         spans, "gadget_signature", lambda g, *rest: contracted.append(g) or real(g, *rest)
     )
+    planned = []
+    real_plan = grids._plan
+    monkeypatch.setattr(grids, "_plan", lambda g, *rest: planned.append(g) or real_plan(g, *rest))
     monkeypatch.setattr(grids, "_last_family", None)
     for _ in range(3):
         before = len(contracted)
         assert verify_holant_theorem(fs, t, 4).grids_checked == 600
-        assert len(contracted) - before == 300
+        assert len(contracted) - before == 1
+    program = contracted[0]
+    assert contracted == [program] * 3 and len({program}) == 1
+    assert grids._last_family[2] == [program]
     runs = grids._last_family[1][::2]
-    assert contracted == list(runs) * 3
-    assert len({hash(g) for g in contracted}) == 300
-    assert all(g.loops == 0 for g in contracted)
+    assert program.runs == runs and all(g.loops == 0 for g in runs)
+    assert planned == list(runs) and len(set(planned)) == 300

@@ -61,7 +61,7 @@ def _resolve_tol(flag_value: float | None, fallback: float) -> float:
         value = float(raw)
     except ValueError:
         raise CliError(f"HOLANT_TOL is not a number: {raw!r}")
-    if value < 0:
+    if not value >= 0:  # NaN too: every check would pass under it
         raise CliError("HOLANT_TOL must be nonnegative")
     return value
 

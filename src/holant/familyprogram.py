@@ -36,9 +36,14 @@ grids.stacked_signature's.  Two layouts decide that:
   row-major array otherwise; each operand is gathered in that order,
   worked out once here from the step's axes.
 
-Two kinds of binding-set row keep _execute per structure, inside the
-same replay: every row at q = 1, where numpy rounds a one-entry product
-by the path it takes, and the rows whose route eliminates equalities.
+The program batches only the pairwise rows at q >= 2 of the structures
+whose pairwise plan fits the entry cap.  A segment (a run of grids with
+one vertex sequence) hands every row of its structures to
+grids._contract, inside the same replay, when it is at q = 1, where
+numpy rounds a one-entry product by the path it takes, when it holds a
+structure over the pairwise cap, when some binding set's route
+eliminates equalities in it, or when the binding sets' shapes differ
+from those it was compiled for.
 """
 
 from __future__ import annotations
@@ -80,36 +85,32 @@ class FamilyProgram:
     """The compiled replay of a block of loop-free closed grids, runs,
     under binding sets whose ids have the shapes it was compiled for.
 
-    Building one plans every structure once, validating it, and checks
-    the entry cap and plans the elimination routes of the stacks it is
-    built with, raising in walk order as a replay structure by structure
-    would.  It splits the structures into parts; a kept program compiles
+    Building one plans every structure pairwise once, validating it and
+    checking the entry cap, and plans each route the stacks it is built
+    with take that eliminates or is pairwise over the cap, raising in
+    walk and route order as a replay structure by structure would.  It
+    splits the batched structures into parts; a kept program compiles
     each part on its first replay and keeps it, one that is not compiles
     each part whenever a replay reaches it.  replay(stacks) returns a
-    read-only (structures, B) array.
+    read-only (structures, B) array; the rows it does not batch are
+    grids._contract's.
     """
 
-    __slots__ = (
-        "runs", "q", "segments", "eliminated", "over_cap",
-        "plans", "arity", "parts", "compiled", "keep",
-    )
+    __slots__ = ("runs", "q", "segments", "over_cap", "plans", "arity", "parts", "compiled", "keep")
 
     def __init__(self, runs, stacks: _grids.BindingStacks, *, keep: bool):
         self.runs = tuple(runs)
         q = self.q = self.runs[0].q
         if any(g.q != q or g.loops or not g.is_closed() for g in self.runs):
             raise ValueError("a family program holds loop-free closed grids of one q")
-        self.eliminated: dict[tuple[int, tuple[str, ...]], tuple] = {}
-        self.over_cap: dict[int, ValueError] = {}
+        self.over_cap: set[int] = set()  # structures whose pairwise plan is over the cap
         # maximal runs of grids with one vertex sequence, so one kind for
-        # BindingStacks.bind: (start, end, (id, shape) pairs, whether a
-        # pairwise plan in it is over the entry cap)
+        # BindingStacks.bind: (start, end, (id, shape) pairs, whether its
+        # rows are handed to grids._contract under every binding set)
         self.segments = []
         self.parts: list[list[int]] = []  # indices into runs
         self.compiled: dict[int, tuple] = {}  # part -> its compiled form
         self.keep = keep
-        if q == 1:
-            return
         starts = [
             i for i, g in enumerate(self.runs) if i == 0 or g.vertices != self.runs[i - 1].vertices
         ]
@@ -120,40 +121,25 @@ class FamilyProgram:
                 plans.append(_grids._plan(self.runs[i], bound.shapes, ()))
                 try:
                     _grids._check_cap(plans[i], q)
-                except ValueError as exc:
-                    self.over_cap[i] = exc
-                self._eliminate(i, bound)
-            capped = any(i in self.over_cap for i in range(start, end))
-            self.segments.append((start, end, bound.shapes, capped))
+                except ValueError:
+                    self.over_cap.add(i)
+                # raise as grids._contract would, in route order
+                for equal in bound.routes:
+                    if equal or i in self.over_cap:
+                        _grids._planned(self.runs[i], bound.shapes, equal)
+            whole = q == 1 or any(i in self.over_cap for i in range(start, end))
+            self.segments.append((start, end, bound.shapes, whole))
         self.arity = {sig: sum(sh) for _, _, shapes, _ in self.segments for sig, sh in shapes}
         self._split()
 
-    def _eliminate(self, i: int, bound, rows_out=None) -> None:
-        """Plan structure i's routes that eliminate, and append to
-        rows_out, unless it is None, (sets, i, values) for each; a
-        pairwise route over the cap raises, in route order."""
-        for equal, ks in bound.routes.items():
-            if not equal:
-                if i in self.over_cap:
-                    raise self.over_cap[i]
-                continue
-            planned = self.eliminated.get((i, equal))
-            if planned is None:
-                planned = self.eliminated[i, equal] = _grids._planned(self.runs[i], bound.shapes, equal)
-            if rows_out is not None:
-                plan, perm = planned
-                rows = [bound.rows[k] for k in ks]
-                rows_out.append((ks, i, _grids._execute(plan, self.q, None, rows, perm, len(ks))))
-
     def _split(self) -> None:
-        """Split the pairwise plans, in walk order, into parts of at
-        most PART_MAX_ENTRIES node entries."""
+        """Split the pairwise plans of the segments not handed over, in
+        walk order, into parts of at most PART_MAX_ENTRIES node entries."""
         q, arity = self.q, self.arity
         members: list[int] = []
         entries = 0
-        for i, (g, plan) in enumerate(zip(self.runs, self.plans)):
-            if i in self.over_cap:
-                continue
+        for i in [i for start, end, _, whole in self.segments if not whole for i in range(start, end)]:
+            g, plan = self.runs[i], self.plans[i]
             traced = [0] * len(g.vertices)
             for nid, _, _ in plan.traces:
                 traced[nid] += 1
@@ -264,23 +250,17 @@ class FamilyProgram:
         """Every structure's values under every set of stacks, as one
         read-only (structures, B) array, bitwise stacked_signature's."""
         q, runs, batch = self.q, self.runs, len(stacks.sets)
-        if q == 1:
-            out = np.stack([_grids.stacked_signature(g, stacks) for g in runs])
-            out.setflags(write=False)
-            return out
-        eliminated = []
-        for start, end, shapes, capped in self.segments:
+        # the rows this program does not batch, contracted first: under
+        # other shapes a segment's grids are invalid, and _contract names
+        # the fault in walk order, as a cold walk names it
+        handed = {}
+        for start, end, shapes, whole in self.segments:
             bound = stacks.bind(runs[start])
-            if bound.shapes != shapes:
-                # each grid of the segment holds every id of its kind, so
-                # none is valid under other shapes: planning one names the
-                # fault as a replay without this program would
-                _grids._plan(runs[start], bound.shapes, ())
-                raise ValueError("bindings do not fit the compiled family")
-            if capped or len(bound.routes) > 1 or () not in bound.routes:
+            if whole or bound.shapes != shapes or list(bound.routes) != [()]:
                 for i in range(start, end):
-                    self._eliminate(i, bound, eliminated)
-        out = np.empty((batch, len(runs)), dtype=np.complex128)
+                    handed[i] = _grids._contract(runs[i], bound, batch)
+        # zeros: no part writes the columns of a segment handed over whole
+        out = np.zeros((batch, len(runs)), dtype=np.complex128)
         for j, members in enumerate(self.parts):
             part = self.compiled.get(j)
             if part is None:
@@ -291,8 +271,8 @@ class FamilyProgram:
             buf = np.empty((batch, size), dtype=np.complex128)
             for sig, (lo, hi) in inputs.items():
                 stack = stacks.stack(q, sig)
-                # an id that no pairwise route reads feeds only values
-                # that its elimination routes replace
+                # an id that no pairwise route reads feeds only rows
+                # handed to grids._contract
                 buf[:, lo:hi] = 0 if stack is None else stack.reshape(batch, -1)
             for (sig, pattern), (lo, hi) in traces.items():
                 node = stacks.stack(q, sig)
@@ -319,10 +299,10 @@ class FamilyProgram:
                 for f in range(1, len(idx)):
                     product = product * factors[:, f]
                 out[:, same] = product
-        for ks, i, values in eliminated:
-            out[ks, i] = values
         # the factor q**loops of a loop-free grid, multiplied as
-        # stacked_signature multiplies it
+        # grids._contract multiplies it, which multiplied the handed rows
         out = (out * 1).T
+        for i, values in handed.items():
+            out[i] = values
         out.setflags(write=False)
         return out

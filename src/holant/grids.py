@@ -217,11 +217,12 @@ def _bind(grid: SignatureGrid, resolved: list[dict], stacks: dict) -> _Bound:
 # every slot order).  A walk contracts each structure once for all its
 # binding sets (stacked_signature), so it looks each plan up once.  A
 # closed block is compiled into one program (holant.familyprogram), which
-# looks each structure's plans up when it is built and keeps them; the
-# stored closed family keeps its program (family_slot), so a replay of it
-# looks up none, but at q = 1, where each replay contracts structure by
-# structure.  The cache keeps a whole family, so that a later walk of one
-# that is not stored plans nothing:
+# looks each structure's pairwise plan up when it is built and keeps it;
+# the stored closed family keeps its program (family_slot), so a replay of
+# it looks up none, but for the rows it hands to _contract (q = 1, a
+# structure over the pairwise cap, a route that eliminates), which look
+# their plans up on each replay.  The cache keeps a whole family, so that
+# a later walk of one that is not stored plans nothing:
 # 300 closed structures over three shapes at bound 4, the 877 closed
 # structures of the arity-4 counterexample at bound 6 with ordered ports
 # (5 up to port symmetry, which every checker walks over those symmetric
@@ -553,8 +554,11 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     perfbench's tracer can count it).  It replays all its structures at
     once and returns a read-only (structures, B) array whose row j is
     bitwise this function's result for its structure j: one
-    level-batched program for the pairwise rows, and a replay structure
-    by structure for rows at q = 1 and rows that eliminate equalities.
+    level-batched program for the pairwise rows at q >= 2 of structures
+    whose pairwise plan fits the entry cap, and _contract, structure by
+    structure, for every other row (q = 1, a structure over the pairwise
+    cap, a route that eliminates equalities, shapes other than the
+    compiled ones).
     """
     if not isinstance(grid, SignatureGrid):
         return grid.replay(stacks)
@@ -930,10 +934,11 @@ def enumerate_grids(
     pairwise plans into one level-batched program (holant.familyprogram)
     and keeps it there, so that every later replay contracts the whole
     family in a few batched numpy calls per binding batch without
-    planning or looking up anything again; rows at q = 1 and rows that
-    eliminate equalities are still contracted structure by structure,
-    inside the same replay.  A walk stopped early, or of a larger
-    family, stays lazy and stores nothing.
+    planning or looking up anything again; the rows the program does not
+    batch (q = 1, a structure over the pairwise cap, a route that
+    eliminates equalities) are still _contract's, structure by
+    structure, inside the same replay.  A walk stopped early, or of a
+    larger family, stays lazy and stores nothing.
     """
     global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)

@@ -1,11 +1,12 @@
 """Graph homomorphism counting through closed tensor grids.
 
 A homomorphism count hom(X, G) becomes a Holant value by placing an
-equality signature of arity deg(v) on every vertex of X and the
-adjacency matrix of G, read as a (0,2) signature, in the middle of every
-edge.  The same wiring with "at most one" / "exactly one" vertex
-signatures and a binary equality on the edges counts matchings and
-perfect matchings.
+equality signature of arity deg(v) on every vertex of X (an isolated
+vertex's is the arity-0 one, the scalar |V(G)|) and the adjacency
+matrix of G, read as a (0,2) signature, in the middle of every edge.
+The same wiring with "at most one" / "exactly one" vertex signatures
+and a binary equality on the edges counts matchings and perfect
+matchings.
 
 The grids module sees the equality bindings and treats each equality
 vertex as one index its ports share, so hom(X, G) is contracted as a sum
@@ -111,11 +112,10 @@ def path_graph(n: int) -> SimpleGraph:
 # -- grid constructions --------------------------------------------------------
 
 
-def _star_grid(
-    x: SimpleGraph, vertex_id, edge_id: str, q: int, close_isolated: bool
-) -> SignatureGrid:
+def _star_grid(x: SimpleGraph, vertex_id, edge_id: str, q: int) -> SignatureGrid:
     """Common wiring: a vertex signature per x-vertex, a 2-port edge
-    signature per x-edge.  vertex_id maps a degree to a binding name."""
+    signature per x-edge.  vertex_id maps a degree to a binding name; an
+    isolated vertex gets an arity-0 signature, a scalar with no ports."""
     vertices = [vertex_id(d) for d in x.degrees()]
     edge_base = len(vertices)
     for _ in x.edges:
@@ -127,24 +127,15 @@ def _star_grid(
         next_port[u] += 1
         grid_edges.append((v, next_port[v], edge_base + k, 2))
         next_port[v] += 1
-    if close_isolated:
-        # isolated vertices carry a unary equality closed off by a
-        # covariant partner, contributing a free sum over the domain
-        for v in range(x.n):
-            if next_port[v] == 1:
-                vertices.append("eq1_cov")
-                grid_edges.append((v, 1, len(vertices) - 1, 1))
     return SignatureGrid(q, tuple(vertices), tuple(grid_edges))
 
 
 def hom_grid(x: SimpleGraph, q: int) -> SignatureGrid:
     """Closed grid whose Holant value is hom(x, G) for any target G on
-    [q], once "A" is bound to the adjacency of G."""
-
-    def vertex_id(d):
-        return "eq1" if d == 0 else f"eq{d}"
-
-    return _star_grid(x, vertex_id, "A", q, close_isolated=True)
+    [q], once "A" is bound to the adjacency of G and each "eq{d}" to the
+    equality of arity d (hom_bindings): a degree-d vertex of x is an
+    "eq{d}" vertex, an isolated one "eq0", the scalar q."""
+    return _star_grid(x, lambda d: f"eq{d}", "A", q)
 
 
 def hom_bindings(adjacency, max_arity: int) -> dict[str, MixedTensor]:
@@ -152,8 +143,8 @@ def hom_bindings(adjacency, max_arity: int) -> dict[str, MixedTensor]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be a square matrix")
     q = a.shape[0]
-    out = {"A": MixedTensor(q, 0, 2, a), "eq1_cov": equality_signature(q, 0, 1)}
-    for d in range(1, max(max_arity, 1) + 1):
+    out = {"A": MixedTensor(q, 0, 2, a)}
+    for d in range(max_arity + 1):
         out[f"eq{d}"] = equality_signature(q, d, 0)
     return out
 
@@ -197,8 +188,7 @@ def matchings_signatures(max_arity: int, perfect: bool = False) -> dict[int, Mix
 
 
 def matchings_grid(x: SimpleGraph) -> SignatureGrid:
-    # arity-0 signatures are scalars with no ports, nothing to close
-    return _star_grid(x, lambda d: f"m{d}", "eq2", 2, close_isolated=False)
+    return _star_grid(x, lambda d: f"m{d}", "eq2", 2)
 
 
 def count_matchings(x: SimpleGraph, perfect: bool = False) -> int:

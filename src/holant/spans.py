@@ -123,9 +123,11 @@ def closed_signature_blocks(grids, *bindings):
     first use), which contracts all of them under all binding sets at
     the same time through this module's gadget_signature, and each loop
     copy is scaled from its structure's values by grids.derives, all
-    copies at once.  The program does the pairwise rows; rows at q = 1
-    and rows whose route eliminates equalities are contracted structure
-    by structure inside the same call.  The stored family keeps its
+    copies at once.  The program batches the pairwise rows at q >= 2 of
+    the structures whose pairwise plan fits the entry cap, and hands
+    every other row (q = 1, a structure over the pairwise cap, a route
+    that eliminates equalities, shapes other than the compiled ones) to
+    grids._contract, structure by structure inside the same call.  The stored family keeps its
     program (grids.family_slot), so a replay of it compiles nothing;
     every other block is compiled afresh.  A block holds the smallest
     even number of grids above FAMILY_MEMO_MAX_GRIDS, so no structure's

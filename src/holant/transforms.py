@@ -130,9 +130,10 @@ def verify_holant_theorem(
     the whole family at once when it fits the memo, else even-sized
     blocks that keep each structure's loop copy beside it, each block's
     loop-free grids compiled into one level-batched program,
-    holant.familyprogram, which the stored family keeps; rows at q = 1
-    and rows that eliminate equalities are contracted structure by
-    structure inside the same replay) and are judged by numpy as a
+    holant.familyprogram, which the stored family keeps; the rows it
+    does not batch, at q = 1, of a structure over the pairwise cap or
+    whose route eliminates equalities, are grids._contract's, structure
+    by structure inside the same replay) and are judged by numpy as a
     loop over the grids in walk order would judge them: moduli by
     np.hypot, which rounds as Python's abs of a complex does, worst_grid
     the first grid of the largest scaled error above 0 (None if every

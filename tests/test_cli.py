@@ -457,6 +457,23 @@ def test_env_tol_is_honored(capsys, tmp_path, monkeypatch):
     assert main(argv) == 2
 
 
+def test_env_tol_nan_is_refused(capsys, tmp_path, monkeypatch):
+    # a NaN tolerance compares false with every difference, so the
+    # distinguished pair would read indistinguishable_at_bound
+    f = write(tmp_path, "f.json", sigset_to_obj({"e": equality_signature(2, 1, 1)}))
+    g = write(tmp_path, "g.json", sigset_to_obj({"e": 3 * equality_signature(2, 1, 1)}))
+    bij = write(tmp_path, "bij.json", {"e": "e"})
+    argv = ["check-indist", "--f", f, "--g", g, "--bijection", bij, "--max-vertices", "2"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    for raw in ("nan", "NaN", "-nan"):
+        monkeypatch.setenv("HOLANT_TOL", raw)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "holant: HOLANT_TOL must be nonnegative\n"
+
+
 def test_config_validation(capsys, tmp_path):
     k4 = write(tmp_path, "k4.json", graph_to_obj(complete_graph(4)))
     code = main(["homdist", "--f", k4, "--g", k4, "--max-degree", "3", "--max-vertices", "0"])

@@ -1126,6 +1126,85 @@ def test_closed_family_memo_skips_a_family_over_the_cap(monkeypatch):
     assert holant.grids._last_family[1] == tuple(expected)
 
 
+# -- closed blocks: the rows a compiled program does not batch ---------------
+
+HANDOVER_FAMILIES = [
+    ([("a", (1, 1)), ("b", (1, 2)), ("c", (2, 1))], 3),
+    ([("a", (2, 0)), ("e", (0, 3)), ("u", (1, 0))], 4),
+    ([("m", (1, 1)), ("s", (2, 2))], 3),
+    SMALL_FAMILY,
+]
+
+
+def handover_case(q, family, kinds, seed, cap):
+    """(sigs, bound, q, binding sets, entry cap) of HANDOVER_FAMILIES[family]:
+    one set per entry of kinds, each id bound to a random tensor, an
+    equality or the identity by the id's letter in that entry (r, e, i)."""
+    sigs, bound = HANDOVER_FAMILIES[family]
+    rng = np.random.default_rng(seed)
+    sets = []
+    for letters in kinds:
+        b = {}
+        for (sig, shape), kind in zip(sigs, letters):
+            if kind == "r":
+                b[sig] = random_tensor(rng, q, *shape)
+            else:
+                b[sig] = equality_signature(q, *shape) if kind == "e" else identity_signature(q)
+        sets.append(b)
+    return sigs, bound, q, sets, cap
+
+
+@st.composite
+def handover_cases(draw):
+    """A small closed family at q in {1, 2, 3}, two or three binding sets
+    that each bind a random subset of its ids to an equality or the
+    identity, and sometimes an entry cap lowered so far that pairwise
+    plans, and some elimination plans, are over it."""
+    q = draw(st.integers(1, 3))
+    family = draw(st.integers(0, len(HANDOVER_FAMILIES) - 1))
+    sigs, _ = HANDOVER_FAMILIES[family]
+    letters = st.tuples(*[st.sampled_from("rei" if sh == (1, 1) else "re") for _, sh in sigs])
+    kinds = draw(st.lists(letters, min_size=2, max_size=3))
+    cap = draw(st.sampled_from([None, q, q**2, q**3]))
+    return handover_case(q, family, kinds, draw(st.integers(0, 2**32 - 1)), cap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=handover_cases())
+# 7 of the 37 structures' pairwise plans are over the cap; every set eliminates
+@example(case=handover_case(3, 0, ["ere", "eee", "ire"], 0, 3))
+# an elimination plan over the cap: m eliminated, s of rank 3 left over
+@example(case=handover_case(2, 2, ["rr", "er"], 0, 4))
+def test_closed_blocks_equal_contracting_each_grid(case):
+    # rows at q = 1, rows of a structure over the pairwise cap and rows
+    # whose route eliminates are grids._contract's inside the compiled
+    # program's replay; every row equals each grid contracted alone, by
+    # its bytes, and a refusal is the lone contraction's
+    sigs, bound, q, sets, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holant.grids, "_last_family", None)
+        if cap is not None:
+            mp.setattr(holant.grids, "MAX_ENTRIES", cap)
+        grids = list(enumerate_grids(sigs, bound, q))
+        slot = holant.grids.family_slot(grids)
+        assert grids and slot == [None]
+        try:
+            want = np.array([row[1:] for row in oracle_signatures(grids, *sets)])
+        except ValueError as exc:
+            want = str(exc)
+        # the first replay compiles the stored family's program, the
+        # second replays the kept program
+        for _ in range(2):
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as refused:
+                    list(spans.closed_signature_blocks(grids, *sets))
+                assert str(refused.value) == want
+            else:
+                [(block, values)] = spans.closed_signature_blocks(grids, *sets)
+                assert block == grids and values.tobytes() == want.tobytes()
+                assert slot[0] is not None
+
+
 # -- polynomial --------------------------------------------------------------
 
 

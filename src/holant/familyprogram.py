@@ -14,7 +14,8 @@ most PART_MAX_ENTRIES entries in all per binding set (a part holds at
 least one structure).  A part keeps every node of its structures in one
 flat buffer of shape (B, size), B the binding sets, each node's entries
 in C order on columns of its own.  Its replay runs, in order:
-- one copy per id of its stacked arrays, and one chain of np.trace calls
+- one copy per id of that id's stack, as grids.BindingStacks bound it
+  for every route of grids._execute, and one chain of np.trace calls
   per (id, self-edge axes) pattern;
 - per group of pairwise steps, one np.take per operand and one
   np.matmul of the (B, G, M, K) and (B, G, K, N) stacks.  A group is
@@ -36,7 +37,8 @@ grids.stacked_signature's.  Two layouts decide that:
   row-major array otherwise; each operand is gathered in that order,
   worked out once here from the step's axes.
 
-The program batches only the pairwise rows at q >= 2 of the structures
+Which rows are batched, for every docstring that refers here: the
+program batches only the pairwise rows at q >= 2 of the structures
 whose pairwise plan fits the entry cap.  A segment (a run of grids with
 one vertex sequence) hands every row of its structures to
 grids._contract, inside the same replay, when it is at q = 1, where
@@ -92,8 +94,8 @@ class FamilyProgram:
     splits the batched structures into parts; a kept program compiles
     each part on its first replay and keeps it, one that is not compiles
     each part whenever a replay reaches it.  replay(stacks) returns a
-    read-only (structures, B) array; the rows it does not batch are
-    grids._contract's.
+    read-only (structures, B) array; the rows it does not batch (see the
+    module docstring) are grids._contract's.
     """
 
     __slots__ = ("runs", "q", "segments", "over_cap", "plans", "arity", "parts", "compiled", "keep")
@@ -249,13 +251,14 @@ class FamilyProgram:
     def replay(self, stacks: _grids.BindingStacks) -> np.ndarray:
         """Every structure's values under every set of stacks, as one
         read-only (structures, B) array, bitwise stacked_signature's."""
-        q, runs, batch = self.q, self.runs, len(stacks.sets)
+        runs, batch = self.runs, len(stacks.sets)
         # the rows this program does not batch, contracted first: under
         # other shapes a segment's grids are invalid, and _contract names
         # the fault in walk order, as a cold walk names it
-        handed = {}
+        handed, stacked = {}, {}  # stacked: each id's stack, as bound
         for start, end, shapes, whole in self.segments:
             bound = stacks.bind(runs[start])
+            stacked.update(zip(dict(bound.shapes), bound.arrays))
             if whole or bound.shapes != shapes or list(bound.routes) != [()]:
                 for i in range(start, end):
                     handed[i] = _grids._contract(runs[i], bound, batch)
@@ -270,15 +273,9 @@ class FamilyProgram:
             size, inputs, traces, steps, products = part
             buf = np.empty((batch, size), dtype=np.complex128)
             for sig, (lo, hi) in inputs.items():
-                stack = stacks.stack(q, sig)
-                # an id that no pairwise route reads feeds only rows
-                # handed to grids._contract
-                buf[:, lo:hi] = 0 if stack is None else stack.reshape(batch, -1)
+                buf[:, lo:hi] = stacked[sig].reshape(batch, -1)
             for (sig, pattern), (lo, hi) in traces.items():
-                node = stacks.stack(q, sig)
-                if node is None:
-                    buf[:, lo:hi] = 0
-                    continue
+                node = stacked[sig]
                 for axis1, axis2 in pattern:
                     node = node.trace(axis1=axis1, axis2=axis2)
                 buf[:, lo:hi] = node.reshape(batch, -1)

@@ -44,9 +44,9 @@ class SignatureGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(self, "left_dangling", tuple(tuple(s) for s in self.left_dangling))
-        object.__setattr__(self, "right_dangling", tuple(tuple(s) for s in self.right_dangling))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "left_dangling", tuple(map(tuple, self.left_dangling)))
+        object.__setattr__(self, "right_dangling", tuple(map(tuple, self.right_dangling)))
         if self.q < 1:
             raise ValueError("domain size must be positive")
         if self.loops < 0:
@@ -114,7 +114,9 @@ def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> d
     """
     out = dict(bindings)
     # in vertex order, so the first fault named does not depend on hashing
-    for sig in dict.fromkeys(s for s in grid.vertices if s != WIRE_ID):
+    for sig in dict.fromkeys(grid.vertices):
+        if sig == WIRE_ID:
+            continue
         if sig not in out:
             raise ValueError(f"missing binding for signature {sig!r}")
         if out[sig].q != grid.q:
@@ -137,34 +139,36 @@ class _Bound(NamedTuple):
     # the sets k grouped by their plan, keyed by the ids that plan takes
     # for exact equalities: () for a pairwise plan
     routes: dict[tuple[str, ...], list[int]]
-    arrays: list[np.ndarray] | None  # per vertex, (B, q, ..., q), if a set replays pairwise
-    rows: list[list[np.ndarray]] | None  # per set, per vertex, if a set eliminates
+    arrays: list[np.ndarray]  # per id, in shapes order, its stack (B, q, ..., q)
 
 
 class BindingStacks:
     """The binding sets of one walk, each id's tensors stacked on a
-    leading batch axis, for stacked_signature.
+    leading batch axis: the one way a grid is bound for contraction.
 
     bind(grid) resolves every set by resolve_bindings once per kind of
     grid the walk meets (its q, vertex sequence and whether it is
     closed), so a fault is named as a lone grid's contraction names it,
     and keeps what stacked_signature reads for that kind: a family has
-    far fewer vertex sequences than structures.  Each set's plan is
-    chosen by _bind, which the lone-set contractions share: a closed
-    grid at q >= 2 under a set that binds some id to an exact equality
-    is eliminated on that set's own arrays, every other grid is replayed
-    pairwise on the stacks.  Each id is stacked
-    once per walk and domain size, the wire identity once some grid has
-    wire vertices.  The sets share each id's shape, as every caller's
-    correspondence checks.  A lone set's stacks are views of its own
-    arrays.
+    far fewer vertex sequences than structures.  Each set takes a route:
+    a closed grid at q >= 2 under a set that binds some id to an exact
+    equality is eliminated, every other grid is contracted pairwise.
+    Every route reads one list of stacked arrays, one per id of the
+    grid (_execute), and the compiled closed family reads the same
+    stacks; an eliminating route reads each of its sets on that set's
+    row.  Each id is stacked once per walk and domain size, the wire
+    identity once some grid has wire vertices.  The sets share each id's
+    shape, as every caller's correspondence checks.  A lone set's stacks
+    are views of its own arrays, so holant_eval_contracted and
+    gadget_signature bind through a one-set BindingStacks at the cost of
+    a view per id.
     """
 
     __slots__ = ("sets", "_stacks", "_bound")
 
     def __init__(self, sets):
         self.sets = tuple(sets)
-        self._stacks: dict[tuple[int, str], np.ndarray] = {}
+        self._stacks: dict[int, dict[str, np.ndarray]] = {}  # q -> id -> stack
         self._bound: dict[tuple[int, tuple[str, ...], bool], _Bound] = {}
 
     def bind(self, grid: SignatureGrid) -> _Bound:
@@ -172,39 +176,21 @@ class BindingStacks:
         bound = self._bound.get(key)
         if bound is None:
             resolved = [resolve_bindings(grid, b) for b in self.sets]
-            bound = self._bound[key] = _bind(grid, resolved, self._stacks)
+            ids = sorted(set(grid.vertices))
+            eliminate = grid.q >= 2 and grid.is_closed()
+            routes, shapes, arrays = {}, [], []
+            for k, b in enumerate(resolved):
+                equal = tuple([sig for sig in ids if eliminate and b[sig].is_equality()])
+                routes.setdefault(equal, []).append(k)
+            stacks = self._stacks.setdefault(grid.q, {})
+            for sig in ids:
+                if sig not in stacks:  # a lone set's stack is a view of its array
+                    stacks[sig] = (np.stack([b[sig].array for b in resolved]) if len(resolved) > 1
+                                   else resolved[0][sig].array[None])
+                shapes.append((sig, resolved[0][sig].shape))
+                arrays.append(stacks[sig])
+            bound = self._bound[key] = _Bound(tuple(shapes), routes, arrays)
         return bound
-
-    def stack(self, q: int, sig: str) -> np.ndarray | None:
-        """sig's arrays at domain size q stacked over the sets, once some
-        grid bound so far replays pairwise under a set; else None."""
-        return self._stacks.get((q, sig))
-
-
-def _bind(grid: SignatureGrid, resolved: list[dict], stacks: dict) -> _Bound:
-    """The _Bound of grid under resolved binding sets: each set's plan
-    route and the arrays or rows those routes read.  stacks keeps each
-    (q, id)'s stacked arrays for later grids; a lone set's are views."""
-    q = grid.q
-    ids = sorted(set(grid.vertices))
-    routes: dict[tuple[str, ...], list[int]] = {}
-    for k, b in enumerate(resolved):
-        equal = ()
-        if q >= 2 and grid.is_closed():
-            equal = tuple([sig for sig in ids if b[sig].is_equality()])
-        routes.setdefault(equal, []).append(k)
-    arrays = rows = None
-    if () in routes:
-        for sig in ids:
-            if (q, sig) not in stacks:
-                if len(resolved) == 1:
-                    stacks[q, sig] = resolved[0][sig].array[None]
-                else:
-                    stacks[q, sig] = np.stack([b[sig].array for b in resolved])
-        arrays = [stacks[q, sig] for sig in grid.vertices]
-    if len(routes) > 1 or () not in routes:
-        rows = [[b[sig].array for sig in grid.vertices] for b in resolved]
-    return _Bound(tuple([(sig, resolved[0][sig].shape) for sig in ids]), routes, arrays, rows)
 
 
 # -- tensor contraction ----------------------------------------------------
@@ -219,9 +205,9 @@ def _bind(grid: SignatureGrid, resolved: list[dict], stacks: dict) -> _Bound:
 # closed block is compiled into one program (holant.familyprogram), which
 # looks each structure's pairwise plan up when it is built and keeps it;
 # the stored closed family keeps its program (family_slot), so a replay of
-# it looks up none, but for the rows it hands to _contract (q = 1, a
-# structure over the pairwise cap, a route that eliminates), which look
-# their plans up on each replay.  The cache keeps a whole family, so that
+# it looks up none, but for the rows it hands to _contract (the module
+# docstring of holant.familyprogram says which), which look their plans
+# up on each replay.  The cache keeps a whole family, so that
 # a later walk of one that is not stored plans nothing:
 # 300 closed structures over three shapes at bound 4, the 877 closed
 # structures of the arity-4 counterexample at bound 6 with ordered ports
@@ -253,6 +239,8 @@ class ContractionPlan(NamedTuple):
     outer_rank: the number of axes of that product.
     left_axis, right_axis: for each dangling (vertex, port), the axis of
         that product that carries it.
+    stack_of: for each vertex, the position of its id among the plan's
+        (id, shape) pairs, which is where _execute's arrays hold its stack.
     eliminations: the steps of holant.elimination.elimination_plan,
         (operands, subscripts, rank), each one np.einsum that sums an
         index class out of the nodes holding it (EINSUM_LOOP_MAX says how
@@ -268,6 +256,7 @@ class ContractionPlan(NamedTuple):
     outer_rank: int
     left_axis: dict[Stub, int]
     right_axis: dict[Stub, int]
+    stack_of: tuple[int, ...]
     eliminations: tuple[tuple[tuple[int, ...], str | None, int], ...] = ()
     free: int = 0
 
@@ -302,10 +291,11 @@ def _contraction_plan(
     """
     shape_of = dict(shapes)
     SignatureGrid(q, vertices, edges, left, right).validate(shape_of)
+    stack_of = tuple(map([sig for sig, _ in shapes].index, vertices))
     if equal:
         steps, outer, free = elimination_plan(vertices, edges, shape_of, set(equal))
         peak_rank = max((rank for *_, rank in steps), default=0)
-        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, steps, free)
+        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, stack_of, steps, free)
     # one int label per vertex port, numbered so each vertex's labels list
     # its axes in order: left ports, then right ports
     start: list[int] = []
@@ -379,7 +369,7 @@ def _contraction_plan(
         raise ValueError("open labels do not match the remaining axes")
     peak_rank = max((rank for *_, rank in steps), default=0)
     return ContractionPlan(
-        tuple(traces), tuple(steps), peak_rank, outer, len(remaining), left_axis, right_axis
+        tuple(traces), tuple(steps), peak_rank, outer, len(remaining), left_axis, right_axis, stack_of
     )
 
 
@@ -412,17 +402,17 @@ EINSUM_LOOP_MAX = 1 << 14
 def _execute(
     plan: ContractionPlan,
     q: int,
-    arrays: list[np.ndarray] | None,
-    rows: list[list[np.ndarray]] | None,
+    arrays: list[np.ndarray],
     perm: tuple[int, ...],
     batch: int,
 ) -> np.ndarray:
-    """Replay a plan at domain size q on the vertex tensors of batch
-    binding sets, in vertex order: a pairwise plan reads arrays, each
-    vertex's tensors stacked on a leading batch axis, and an elimination
-    plan reads rows, each set's own tensors.  perm, unless empty, lists
-    the axes of the stacked outer product in slot order, the batch axis
-    first.  Returns the batch results, stacked on a leading axis.
+    """Replay a plan at domain size q on the tensors of batch binding
+    sets: arrays holds each id's tensors stacked on a leading batch axis,
+    in the order of the plan's (id, shape) pairs, and every plan reads
+    that one list, vertex v at arrays[plan.stack_of[v]].  perm, unless
+    empty, lists the axes of the stacked outer product in slot order,
+    the batch axis first.  Returns the batch results, stacked on a
+    leading axis.
 
     Each step gives every row the bits that row gets alone: a trace runs
     on the plan's batch-shifted axes, a pairwise step is one np.matmul of
@@ -433,24 +423,29 @@ def _execute(
     fused multiply-adds), so there each row takes np.dot and
     np.multiply.outer apart, as a lone set does.  A plan that eliminates
     has no pairwise step; each row runs its np.einsum steps apart, on
-    that row's own tensors, and only the scalars they leave are stacked.
+    its own row of each stack (a lone set's row is its own array), and
+    only the scalars they leave are stacked.
     """
-    nodes = list(arrays) if arrays is not None else []
-    for nid, axis1, axis2 in plan.traces:
-        nodes[nid] = nodes[nid].trace(axis1=axis1, axis2=axis2)
-    for u, axes_u, v, axes_v, shared, rank in plan.steps:
-        m = q**shared
-        a = nodes[u].transpose(axes_u).reshape(batch, -1, m)
-        b = nodes[v].transpose(axes_v).reshape(batch, m, -1)
-        ab = np.matmul(a, b) if q > 1 else np.array([np.dot(x, y) for x, y in zip(a, b)])
-        nodes.append(ab.reshape((batch,) + (q,) * rank))
-    if rows is not None:  # an elimination plan
-        rows = [list(row) for row in rows]
-        for operands, subscripts, rank in plan.eliminations:
-            large = q ** (rank + 1) > EINSUM_LOOP_MAX
-            for row in rows:
-                row.append(np.einsum(subscripts, *[row[k] for k in operands], optimize=large))
+    if plan.eliminations:
+        rows = []
+        for k in range(batch):
+            own = [a[k] for a in arrays]  # set k's row of each stack
+            row = list(map(own.__getitem__, plan.stack_of))
+            for operands, subscripts, rank in plan.eliminations:
+                ops = [row[o] for o in operands]
+                row.append(np.einsum(subscripts, *ops, optimize=q ** (rank + 1) > EINSUM_LOOP_MAX))
+            rows.append(row)
         nodes = {nid: np.array([row[nid] for row in rows]) for nid in plan.outer}
+    else:
+        nodes = [arrays[i] for i in plan.stack_of]
+        for nid, axis1, axis2 in plan.traces:
+            nodes[nid] = nodes[nid].trace(axis1=axis1, axis2=axis2)
+        for u, axes_u, v, axes_v, shared, rank in plan.steps:
+            m = q**shared
+            a = nodes[u].transpose(axes_u).reshape(batch, -1, m)
+            b = nodes[v].transpose(axes_v).reshape(batch, m, -1)
+            ab = np.matmul(a, b) if q > 1 else np.array([np.dot(x, y) for x, y in zip(a, b)])
+            nodes.append(ab.reshape((batch,) + (q,) * rank))
     # the product starts from 1 + 0j, as a lone set's does: a multiply by
     # it can turn -0.0 into 0.0
     out = None
@@ -460,8 +455,6 @@ def _execute(
             out = node * (1 + 0j)
         elif q == 1:
             out = np.array([np.multiply.outer(x, y) for x, y in zip(out, node)])
-        elif out.ndim == node.ndim == 1:
-            out = out * node
         else:
             shifted = (1,) * (out.ndim - 1) + node.shape[1:]
             out = out.reshape(out.shape + (1,) * (node.ndim - 1)) * node.reshape((batch, *shifted))
@@ -505,21 +498,15 @@ def _planned(grid: SignatureGrid, shapes, equal: tuple[str, ...]):
 
 def _contract(grid: SignatureGrid, bound: _Bound, batch: int) -> np.ndarray:
     """stacked_signature on the _Bound of grid under batch binding sets."""
-    q = grid.q
-    shapes, routes, arrays, rows = bound
-    out = None
+    shapes, routes, arrays = bound
+    out = None if len(routes) == 1 else np.empty(batch, dtype=np.complex128)
     for equal, ks in routes.items():
         plan, perm = _planned(grid, shapes, equal)
-        if len(routes) == 1:
-            out = _execute(plan, q, arrays, rows, perm, len(ks))
-        else:  # closed, so each row is one value
-            if out is None:
-                out = np.empty(batch, dtype=np.complex128)
-            if equal:
-                out[ks] = _execute(plan, q, None, [rows[k] for k in ks], perm, len(ks))
-            else:
-                out[ks] = _execute(plan, q, [a[ks] for a in arrays], None, perm, len(ks))
-    out = out * q**grid.loops
+        if out is None:
+            out = _execute(plan, grid.q, arrays, perm, batch)
+        else:  # two routes, so the grid is closed and each row one value
+            out[ks] = _execute(plan, grid.q, [a[ks] for a in arrays], perm, len(ks))
+    out = out * grid.q**grid.loops
     out.setflags(write=False)
     return out
 
@@ -554,11 +541,9 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     perfbench's tracer can count it).  It replays all its structures at
     once and returns a read-only (structures, B) array whose row j is
     bitwise this function's result for its structure j: one
-    level-batched program for the pairwise rows at q >= 2 of structures
-    whose pairwise plan fits the entry cap, and _contract, structure by
-    structure, for every other row (q = 1, a structure over the pairwise
-    cap, a route that eliminates equalities, shapes other than the
-    compiled ones).
+    level-batched program for the rows it batches, and _contract,
+    structure by structure, for the others (the module docstring of
+    holant.familyprogram says which are which).
     """
     if not isinstance(grid, SignatureGrid):
         return grid.replay(stacks)
@@ -582,8 +567,7 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
-    bound = _bind(grid, [resolve_bindings(grid, bindings)], {})
-    return complex(_contract(grid, bound, 1)[0])
+    return complex(_contract(grid, BindingStacks([bindings]).bind(grid), 1)[0])
 
 
 def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> MixedTensor:
@@ -603,8 +587,7 @@ def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> M
     not change the signature.
     """
     l, r = grid.profile
-    bound = _bind(grid, [resolve_bindings(grid, bindings)], {})
-    return MixedTensor(grid.q, l, r, _contract(grid, bound, 1)[0])
+    return MixedTensor(grid.q, l, r, _contract(grid, BindingStacks([bindings]).bind(grid), 1)[0])
 
 
 def derives(grid: SignatureGrid, target: SignatureGrid):
@@ -872,11 +855,10 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
 # replay has compiled it: 0.2 MB of index arrays for the 300 structures
 # of closed-invariance's family, planned and compiled in about 14 ms;
 # {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 4, bound 5, 1729 structures,
-# keep 3.2 MB.  spans.closed_signature_blocks replays any closed walk
-# one way, in blocks of the smallest even size above this cap, each by
-# a compiled program: the stored family whole, by its kept program, and
-# a larger family block by block, each block compiled part by part as
-# its one replay reaches the part, and dropped after.
+# keep 3.2 MB.  spans.closed_signature_blocks replays a closed walk in
+# blocks of the smallest even size above this cap: the stored family
+# whole, by its kept program, and a larger family block by block, each
+# block's program dropped after its one replay.
 FAMILY_MEMO_MAX_GRIDS = 4096
 _last_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
 
@@ -935,8 +917,7 @@ def enumerate_grids(
     and keeps it there, so that every later replay contracts the whole
     family in a few batched numpy calls per binding batch without
     planning or looking up anything again; the rows the program does not
-    batch (q = 1, a structure over the pairwise cap, a route that
-    eliminates equalities) are still _contract's, structure by
+    batch (see holant.familyprogram) are still _contract's, structure by
     structure, inside the same replay.  A walk stopped early, or of a
     larger family, stays lazy and stores nothing.
     """

@@ -24,6 +24,7 @@ ones stand as bases and witnesses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +124,9 @@ def closed_signature_blocks(grids, *bindings):
     first use), which contracts all of them under all binding sets at
     the same time through this module's gadget_signature, and each loop
     copy is scaled from its structure's values by grids.derives, all
-    copies at once.  The program batches the pairwise rows at q >= 2 of
-    the structures whose pairwise plan fits the entry cap, and hands
-    every other row (q = 1, a structure over the pairwise cap, a route
-    that eliminates equalities, shapes other than the compiled ones) to
-    grids._contract, structure by structure inside the same call.  The stored family keeps its
+    copies at once.  Which rows the program batches, and which it hands
+    to grids._contract inside the same call, is said in the module
+    docstring of holant.familyprogram.  The stored family keeps its
     program (grids.family_slot), so a replay of it compiles nothing;
     every other block is compiled afresh.  A block holds the smallest
     even number of grids above FAMILY_MEMO_MAX_GRIDS, so no structure's
@@ -167,17 +166,22 @@ def _symmetric_ids(*binding_sets) -> tuple[str, ...]:
 def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
     """The walk of the spans checkers over fs at the profile: closed grids
     at (0,0), gadgets otherwise, up to port symmetry over the ids bound
-    symmetrically in fs and every other binding set.
+    symmetrically in fs and every other binding set.  All five checkers
+    walk here: build_span, gram_nondegenerate, check_indistinguishable,
+    check_covanishing and transforms.verify_holant_theorem.
 
-    A profile whose signatures would have more than MAX_ENTRIES entries
-    is refused here, before any gadget is enumerated: no signature fits
-    it, and the walk would never end.
+    A negative bound is refused: it walks nothing, and every checker
+    would pass on no grid.  A profile whose signatures would have more
+    than MAX_ENTRIES entries is refused here, before any gadget is
+    enumerated: no signature fits it, and the walk would never end.
     """
     qs = {t.q for t in fs.values()}
     if len(qs) > 1:
         raise ValueError("signatures must share a domain size")
     if not qs:
         raise ValueError("need a signature to fix the domain size")
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be nonnegative, got {max_vertices}")
     q = qs.pop()
     sig_shapes = sorted((name, t.shape) for name, t in fs.items())
     symmetric = _symmetric_ids(fs, *others)
@@ -384,30 +388,40 @@ def check_indistinguishable(
 
     Walks every closed grid over the first set up to the bound and
     evaluates it under both bindings; the first difference above
-    tol * (1 + |value|) is returned as a witness.  When every id is
-    bound symmetrically on both sides, one grid per class of port
-    permutations stands for the class, whose grids all share its values
-    (see the module docstring).
+    tol * (1 + |value|) is returned as a witness.  A NaN or infinite
+    value raises ArithmeticError naming its grid: no difference with it
+    is above the tolerance, so it would pass unseen.  The overflow or
+    invalid operation that makes such a value raises no numpy warning
+    besides.  When every id is bound symmetrically on both sides, one
+    grid per class of port permutations stands for the class, whose
+    grids all share its values (see the module docstring).
     """
     gs_as_f = _check_correspondence(fs, gs, bijection)
     count = 0
     max_diff = 0.0
     grids = _walk((0, 0), max_vertices, fs, gs_as_f)
-    for grid, sf, sg in structure_signatures(grids, fs, gs_as_f):
-        vf, vg = complex(sf), complex(sg)
-        count += 1
-        diff = abs(vf - vg)
-        if diff > tol * (1 + abs(vf)):
-            return IndistinguishabilityReport(
-                verdict="distinguished",
-                max_vertices=max_vertices,
-                grids_checked=count,
-                max_difference=diff,
-                witness_grid=grid,
-                value_f=vf,
-                value_g=vg,
-            )
-        max_diff = max(max_diff, diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for grid, sf, sg in structure_signatures(grids, fs, gs_as_f):
+            vf, vg = complex(sf), complex(sg)
+            count += 1
+            if not all(map(math.isfinite, (vf.real, vf.imag, vg.real, vg.imag))):
+                raise ArithmeticError(
+                    f"grid {count} of the walk (vertices {grid.vertices}, edges {grid.edges}, "
+                    f"loops {grid.loops}) has a non-finite value: {vf} under the first set, "
+                    f"{vg} under the second"
+                )
+            diff = abs(vf - vg)
+            if diff > tol * (1 + abs(vf)):
+                return IndistinguishabilityReport(
+                    verdict="distinguished",
+                    max_vertices=max_vertices,
+                    grids_checked=count,
+                    max_difference=diff,
+                    witness_grid=grid,
+                    value_f=vf,
+                    value_g=vg,
+                )
+            max_diff = max(max_diff, diff)
     return IndistinguishabilityReport(
         verdict="indistinguishable_at_bound",
         max_vertices=max_vertices,

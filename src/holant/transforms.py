@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holant.grids import SignatureGrid, enumerate_grids
+from holant.grids import SignatureGrid
+from holant.grids import enumerate_grids  # unused, but perfbench's tracer wraps this name
 from holant.grids import holant_eval_contracted  # unused, but perfbench's tracer wraps this name
-from holant.spans import _symmetric_ids, closed_signature_blocks
+from holant.spans import _walk, closed_signature_blocks
 from holant.tensors import MixedTensor, equality_signature
 
 COND_WARN_THRESHOLD = 1e8
@@ -115,26 +116,21 @@ def verify_holant_theorem(
 ) -> HolantTheoremReport:
     """Evaluate every closed grid over fs up to the bound, both ways.
 
-    A grid passes when |before - after| <= tol * (1 + |before|).  When
-    every binding of fs is symmetric (MixedTensor.is_symmetric) and some
-    id has two or more ports on a side, the walk takes one grid per class
-    of port permutations, as the spans checkers do (holant.spans).  In
-    exact arithmetic the grids of a class share one value under fs, and
-    one under T·F: T acts on every left slot alike and T inverse on every
-    right slot alike, so T·F is symmetric wherever F is.  Only rounding
-    tells the members of a class apart, so one of them tests what all of
-    them would; grids_checked counts the classes.
+    A grid passes when |before - after| <= tol * (1 + |before|).  The
+    walk is the spans checkers' (spans._walk over fs): when every binding
+    of fs is symmetric (MixedTensor.is_symmetric) and some id has two or
+    more ports on a side, it takes one grid per class of port
+    permutations (holant.spans).  In exact arithmetic the grids of a
+    class share one value under fs, and one under T·F: T acts on every
+    left slot alike and T inverse on every right slot alike, so T·F is
+    symmetric wherever F is.  Only rounding tells the members of a class
+    apart, so one of them tests what all of them would; grids_checked
+    counts the classes.
 
     The values come as one (grids, 2) array per block of the walk
-    (spans.closed_signature_blocks, which replays every block one way:
-    the whole family at once when it fits the memo, else even-sized
-    blocks that keep each structure's loop copy beside it, each block's
-    loop-free grids compiled into one level-batched program,
-    holant.familyprogram, which the stored family keeps; the rows it
-    does not batch, at q = 1, of a structure over the pairwise cap or
-    whose route eliminates equalities, are grids._contract's, structure
-    by structure inside the same replay) and are judged by numpy as a
-    loop over the grids in walk order would judge them: moduli by
+    (spans.closed_signature_blocks; which rows its compiled program
+    batches is said in holant.familyprogram) and are judged by numpy as
+    a loop over the grids in walk order would judge them: moduli by
     np.hypot, which rounds as Python's abs of a complex does, worst_grid
     the first grid of the largest scaled error above 0 (None if every
     error is 0), and NaN errors passed over as x > max and max(a, b)
@@ -150,13 +146,7 @@ def verify_holant_theorem(
     max_abs = 0.0
     max_scaled = 0.0
     count = 0
-    # the walk is this module's enumerate_grids, not spans._walk: perfbench's
-    # tracer wraps transforms.enumerate_grids as its enumeration boundary
-    grids = enumerate_grids(
-        [(name, sig.shape) for name, sig in fs.items()], max_vertices, t.q,
-        symmetric=_symmetric_ids(fs),
-    )
-    for block, values in closed_signature_blocks(grids, fs, transformed):
+    for block, values in closed_signature_blocks(_walk((0, 0), max_vertices, fs), fs, transformed):
         before = values[:, 0]
         diff = before - values[:, 1]
         with np.errstate(over="ignore", invalid="ignore"):

@@ -474,6 +474,23 @@ def test_env_tol_nan_is_refused(capsys, tmp_path, monkeypatch):
         assert captured.err == "holant: HOLANT_TOL must be nonnegative\n"
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_check_indist_refuses_non_finite_values(capsys, tmp_path, bad):
+    # a NaN or infinite value compares false with the tolerance, so the
+    # pair read indistinguishable_at_bound with max_difference 0
+    text = dumps(sigset_to_obj({"e": equality_signature(2, 1, 1)}))
+    f = write(tmp_path, "f.json", text.replace("[[1.0,0.0]", f"[[{bad},0.0]", 1))
+    g = write(tmp_path, "g.json", sigset_to_obj({"e": 3 * equality_signature(2, 1, 1)}))
+    bij = write(tmp_path, "bij.json", {"e": "e"})
+    for tol in ("0", "1e-9"):
+        argv = ["check-indist", "--f", f, "--g", g, "--bijection", bij, "--max-vertices", "2", "--tol", tol]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("holant: grid 3 of the walk (vertices ('e',)")
+        assert "non-finite value" in captured.err and captured.err.count("\n") == 1
+
+
 def test_config_validation(capsys, tmp_path):
     k4 = write(tmp_path, "k4.json", graph_to_obj(complete_graph(4)))
     code = main(["homdist", "--f", k4, "--g", k4, "--max-degree", "3", "--max-vertices", "0"])

@@ -57,3 +57,13 @@ def test_traced_pass_keeps_every_simsim_metric(tmp_path):
     assert all(name in layers for name in simsim)
     assert layers["simsim.closure.calls"] > 0
     assert layers["simsim.trace_words.words"] > 0
+
+
+def test_traced_hom_census_keeps_every_homgraphs_metric(tmp_path):
+    # hom counts contract through homgraphs.holant_eval_contracted, the
+    # name the tracer wraps as their contraction boundary
+    layers = traced_pass(tmp_path, "hom-census")
+    homgraphs = declared_metrics("homgraphs.")
+    assert len(homgraphs) == 5
+    assert all(name in layers for name in homgraphs)
+    assert layers["grids.contract.calls"] > 0

@@ -25,6 +25,7 @@ from holant.tensors import (
     identity_signature,
     pair,
 )
+from holant.transforms import HoloTransform, verify_holant_theorem
 from oracles import brute_holant_eval, oracle_signatures, oracle_verify_holant_theorem
 
 
@@ -295,6 +296,42 @@ def test_empty_sets_are_refused():
         check_indistinguishable({}, {}, {}, 2)
     with pytest.raises(ValueError, match="at least one signature"):
         check_covanishing({}, {}, {}, (1, 1), 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_non_finite_values_are_refused(bad, tol):
+    # a NaN or infinite value compares false with every tolerance, so the
+    # pair would read indistinguishable_at_bound with max_difference 0
+    entries = equality_signature(2, 1, 1).array.copy()
+    entries[0, 0] = bad
+    fs = {"e": MixedTensor(2, 1, 1, entries)}
+    gs = {"e": 3 * equality_signature(2, 1, 1)}
+    with pytest.raises(ArithmeticError, match=r"grid 3 of the walk \(vertices \('e',\).* non-finite"):
+        check_indistinguishable(fs, gs, {"e": "e"}, 2, tol=tol)
+    # the same pair with finite values is told apart at that grid
+    fs["e"] = 2 * equality_signature(2, 1, 1)
+    report = check_indistinguishable(fs, gs, {"e": "e"}, 2, tol=tol)
+    assert (report.verdict, report.grids_checked) == ("distinguished", 3)
+
+
+def test_negative_bound_is_refused_by_every_checker():
+    # a negative bound walks nothing, so every checker would pass on no
+    # grid; the walk they share refuses it
+    fs = {"e": equality_signature(2, 1, 1)}
+    checks = {
+        "verify": lambda: verify_holant_theorem(fs, HoloTransform.diagonal([1.0, 2.0]), -1),
+        "indistinguishable": lambda: check_indistinguishable(fs, fs, {"e": "e"}, -1),
+        "span": lambda: build_span(fs, (1, 1), -1),
+        "gram": lambda: gram_nondegenerate(fs, (1, 1), -1),
+        "covanishing (1,1)": lambda: check_covanishing(fs, fs, {"e": "e"}, (1, 1), -1),
+        "covanishing (0,0)": lambda: check_covanishing(fs, fs, {"e": "e"}, (0, 0), -1),
+    }
+    for name, check in checks.items():
+        with pytest.raises(ValueError, match="max_vertices must be nonnegative, got -1"):
+            check()
+    # bound 0 still walks the vertexless grids
+    assert check_indistinguishable(fs, fs, {"e": "e"}, 0).grids_checked == 2
 
 
 # -- check_covanishing ------------------------------------------------------------

@@ -3,10 +3,17 @@
 A singular value counts toward the numerical rank iff it exceeds
 RANK_TOL * max(sigma_max, 1), and the left singular vectors past the rank
 span the numerical left null space (Golub & Van Loan, Matrix Computations).
+
+A vector is independent of those kept before it iff its residual off their
+span exceeds INDEP_TOL * max(||vec||, 1) (IncrementalBasis, classical
+Gram-Schmidt run twice).  Its callers keep the vectors themselves, raw
+word images and gadget signatures, and never read the orthonormal rows,
+so reports hang on the keep decisions alone, not on the rows' bits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -37,18 +44,56 @@ def numerical_rank(a: np.ndarray) -> NumericalRank:
 
 
 class IncrementalBasis:
-    """Modified Gram-Schmidt; add() keeps vec iff its residual > tol * max(1, ||vec||)."""
+    """Classical Gram-Schmidt run twice (CGS2) on one stacked basis.
+
+    add(vec) projects a copy v of vec off the kept rows U twice,
+    v -= (conj(U) v) U, and keeps v / ||v|| iff ||v|| > tol * max(1, ||vec||).
+    One reorthogonalization makes classical Gram-Schmidt orthogonal to
+    working precision (Giraud, Langou, Rozloznik & van den Eshof, Numer.
+    Math. 2005: "twice is enough"), at two matrix-vector products a pass
+    instead of one vdot per kept row.  The rows and their conjugates are
+    two arrays that double when full, so storage follows the kept count,
+    never len(vec) squared.  A vector whose norm is not a finite float (a
+    NaN or infinite entry, or an overflow) raises ArithmeticError before
+    it is projected: NaN > tol is false, so it would pass as dependent.
+    Below that norm the residual stays finite.
+    """
 
     def __init__(self, tol: float = INDEP_TOL):
         self.tol = tol
-        self.ortho: list[np.ndarray] = []
+        self._dim = 0
+        self._rows = np.zeros((0, 0), dtype=np.complex128)
+        self._conj = self._rows
+
+    @property
+    def ortho(self) -> np.ndarray:
+        """The kept orthonormal rows, in the order kept: a view."""
+        return self._rows[: self._dim]
 
     def add(self, vec: np.ndarray) -> bool:
-        v = vec.copy()
-        for u in self.ortho:
-            v -= np.vdot(u, v) * u
-        res = float(np.linalg.norm(v))
-        if res > self.tol * max(1.0, float(np.linalg.norm(vec))):
-            self.ortho.append(v / res)
-            return True
-        return False
+        v = np.array(vec, dtype=np.complex128)
+        norm = math.sqrt(np.vdot(v, v).real)
+        if not math.isfinite(norm):
+            raise ArithmeticError(f"vector norm {norm} is not finite")
+        if self._dim:
+            # no names for the views, which would keep old arrays alive past _grown
+            for _ in range(2):
+                v -= (self._conj[: self._dim] @ v) @ self.ortho
+        res = math.sqrt(np.vdot(v, v).real)
+        if res <= self.tol * max(1.0, norm):
+            return False
+        if self._dim == len(self._rows):
+            # one array at a time, so the old rows go before the new conjugates come
+            self._rows = self._grown(self._rows, v.size)
+            self._conj = self._grown(self._conj, v.size)
+        np.divide(v, res, out=self._rows[self._dim])
+        np.conjugate(self._rows[self._dim], out=self._conj[self._dim])
+        self._dim += 1
+        return True
+
+    def _grown(self, old: np.ndarray, size: int) -> np.ndarray:
+        """A copy of old's kept rows with room for twice as many."""
+        new = np.empty((max(1, 2 * len(old)), size), dtype=np.complex128)
+        if self._dim:
+            new[: self._dim] = old[: self._dim]
+        return new

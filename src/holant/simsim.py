@@ -107,7 +107,9 @@ def _word_closure(sides, q):
     Yields (word, images), images of shape (len(sides), q, q), for the
     empty word and then for each word independent of those before it.
     Every other word is a combination of yielded words no longer than
-    itself.
+    itself.  The images are the raw products, never the basis's
+    orthonormal rows, so only its keep decisions reach a caller; the
+    next level multiplies the raw images too.
     """
     gens = {name: np.stack([side[name] for side in sides]) for name in sides[0]}
     full = len(sides) * q * q

@@ -206,7 +206,11 @@ def build_span(
     its witness gadget.  Bare wires do not count against max_vertices.
     Over symmetric bindings it walks one gadget per class of port
     permutations, which has the span of the ordered walk (see the module
-    docstring).
+    docstring).  A gadget whose signature is not finite raises
+    ArithmeticError naming its place in the walk: NaN passes no
+    independence cut, so it would be dropped as dependent.  The overflow
+    or invalid operation that makes such a signature raises no numpy
+    warning besides.
     """
     gadgets = _walk(profile, max_vertices, fs)
     q = next(iter(fs.values())).q
@@ -219,13 +223,21 @@ def build_span(
     witnesses: list[SignatureGrid] = []
     independent = IncrementalBasis(indep_tol)
     count = 0
-    for g, sig in structure_signatures(gadgets, fs):
-        count += 1
-        if independent.add(sig.reshape(-1)):
-            basis.append(MixedTensor(q, l, r, sig))
-            witnesses.append(g)
-            if len(basis) == q ** (l + r):
-                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, sig in structure_signatures(gadgets, fs):
+            count += 1
+            try:
+                kept = independent.add(sig.reshape(-1))
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"gadget {count} of the walk (vertices {g.vertices}, edges {g.edges}, "
+                    f"loops {g.loops}) has a non-finite signature: {exc}"
+                ) from None
+            if kept:
+                basis.append(MixedTensor(q, l, r, sig))
+                witnesses.append(g)
+                if len(basis) == q ** (l + r):
+                    break
     return GadgetSpan(
         q=q,
         profile=profile,

@@ -491,6 +491,21 @@ def test_check_indist_refuses_non_finite_values(capsys, tmp_path, bad):
         assert "non-finite value" in captured.err and captured.err.count("\n") == 1
 
 
+def test_vanishing_refuses_a_non_finite_signature(capsys, tmp_path):
+    # a NaN residual passes no independence cut, so the gadget was dropped
+    # and the span read nonvanishing_at_bound with dim 0, exit 0
+    text = dumps(sigset_to_obj({"e": equality_signature(2, 0, 2)}))
+    argv = ["vanishing", "--profile", "0,2", "--max-vertices", "4", "--sigs"]
+    assert main([*argv, write(tmp_path, "fin.json", text)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "vanishing_witness"
+    nan = write(tmp_path, "nan.json", text.replace("[[1.0,0.0]", "[[NaN,0.0]", 1))
+    assert main([*argv, nan]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("holant: gadget 1 of the walk (vertices ('e',)")
+    assert "non-finite" in captured.err and captured.err.count("\n") == 1
+
+
 def test_config_validation(capsys, tmp_path):
     k4 = write(tmp_path, "k4.json", graph_to_obj(complete_graph(4)))
     code = main(["homdist", "--f", k4, "--g", k4, "--max-degree", "3", "--max-vertices", "0"])

@@ -2,11 +2,17 @@
 
 spans and simsim each carried their own copy of the rank cut (five) and of
 the modified Gram-Schmidt loop (two).  The copies below are those, as
-they were; holant.numerics must reproduce every one of them bit for bit,
-since verdicts, witnesses and report bytes hang on them.
+they were.  holant.numerics reproduces every rank cut bit for bit, since
+verdicts, witnesses and report bytes hang on them.  The incremental basis
+is classical Gram-Schmidt run twice, whose rows differ from the loops'
+in their last bits; no caller reads those rows, so reports hang only on
+its keep decisions.  It must make the loops' keep decisions wherever a
+residual sits clear of the cut, and keep rows orthonormal to a stated
+multiple of n * eps that span the loops' space.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +158,26 @@ def vector_streams(draw):
     return q, out
 
 
+@st.composite
+def graded_streams(draw):
+    """Vectors of one length: a combination of the earlier ones plus a
+    fresh part of a drawn size, 1e-16 to 10 times the rest, at scales
+    on both sides of the absolute cut."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    out = []
+    for _ in range(draw(st.integers(1, n + 4))):
+        vec = np.zeros(n, dtype=np.complex128)
+        if out and draw(st.booleans()):
+            c = rng.normal(size=len(out)) + 1j * rng.normal(size=len(out))
+            vec = np.tensordot(c, np.array(out), axes=1)
+            vec /= max(np.linalg.norm(vec), 1e-300)
+        fresh = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vec = vec + fresh / np.linalg.norm(fresh) * 10.0 ** draw(st.integers(-16, 1))
+        out.append(vec * 10.0 ** draw(st.integers(-6, 6)))
+    return out
+
+
 # -- properties --------------------------------------------------------------------
 
 
@@ -183,6 +209,30 @@ def test_rank_cut_matches_every_replaced_copy(a):
             assert np.conj(cut.u[:, -1]).tobytes() == ref.tobytes()
 
 
+# CGS2 keeps I - U U^H at O(eps) while a kept residual is above eps
+# times its norm by a wide margin (Giraud et al. 2005); the cut keeps it
+# at least seven orders above.  The slack covers the constant for these lengths.
+ORTHO_SLACK = 10
+# sines of the principal angles between two computed spans of the same
+# kept vectors: rounding, grown by the conditioning of the kept vectors
+SPAN_BOUND = 1e-10
+
+
+def assert_orthonormal(rows):
+    k, n = rows.shape
+    gap = np.abs(rows @ rows.conj().T - np.eye(k)).max(initial=0.0)
+    assert gap <= ORTHO_SLACK * max(k, n, 1) * np.finfo(float).eps, gap
+
+
+def assert_same_span(rows, ref_rows):
+    assert len(rows) == len(ref_rows)
+    if not len(rows):
+        return
+    q, _ = np.linalg.qr(np.array(ref_rows).T)  # orthonormal columns: the loop's span
+    off = rows.T - q @ (q.conj().T @ rows.T)
+    assert np.linalg.norm(off, 2) <= SPAN_BOUND
+
+
 @settings(max_examples=150, deadline=None)
 @given(stream=vector_streams(), tol=st.sampled_from([INDEP_TOL, RANK_TOL]))
 def test_incremental_basis_matches_the_span_loop(stream, tol):
@@ -191,7 +241,8 @@ def test_incremental_basis_matches_the_span_loop(stream, tol):
     kept = [i for i, v in enumerate(vectors) if basis.add(v)]
     ref_kept, ref_ortho = span_loop(vectors, tol)
     assert kept == ref_kept
-    assert same_bytes(basis.ortho, ref_ortho)
+    assert_orthonormal(basis.ortho)
+    assert_same_span(basis.ortho, ref_ortho)
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,7 +255,36 @@ def test_incremental_basis_matches_the_closure_loop(stream):
     kept = [i for i, m in enumerate(mats) if basis.add(m.ravel())]
     ref_kept, ref_ortho = closure_loop(q, mats)
     assert kept == ref_kept
-    assert same_bytes(basis.ortho, ref_ortho)
+    assert_orthonormal(basis.ortho)
+    assert_same_span(basis.ortho, ref_ortho)
+
+
+def residual_ratios(vectors, tol):
+    """The span loop's residual over its cut, tol * max(1, ||vec||), per vector."""
+    ortho, ratios = [], []
+    for vec in vectors:
+        v = vec.copy()
+        for u in ortho:
+            v -= (u.conj() @ v) * u
+        res = float(np.linalg.norm(v))
+        ratios.append(res / (tol * max(1.0, float(np.linalg.norm(vec)))))
+        if ratios[-1] > 1:
+            ortho.append(v / res)
+    return ratios
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=graded_streams(), tol=st.sampled_from([INDEP_TOL, RANK_TOL]))
+def test_stacked_basis_keeps_what_modified_gram_schmidt_keeps(vectors, tol):
+    # up to the first vector whose residual sits within a factor 100 of
+    # the cut, where the two may round to either side, the keep decisions
+    # are the loop's; the rows are orthonormal on the whole stream
+    ratios = residual_ratios(vectors, tol)
+    clear = next((i for i, r in enumerate(ratios) if 1e-2 < r < 1e2), len(vectors))
+    basis = IncrementalBasis(tol)
+    kept = [basis.add(v) for v in vectors]
+    assert kept[:clear] == [r > 1 for r in ratios[:clear]]
+    assert_orthonormal(basis.ortho)
 
 
 # -- fixed cases -----------------------------------------------------------------------
@@ -233,6 +313,39 @@ def test_left_null_vectors_annihilate_the_matrix():
     assert cut.rank == 2
     for c in cut.left_null():
         assert np.linalg.norm(c @ a) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_basis_storage_grows_with_the_kept_rows():
+    # 4**10-entry vectors: a square buffer would be 4**10 rows.  The third
+    # add peaks at 11: the new rows and conjugates (4 each, doubled past
+    # 2), the old conjugates while the new ones are filled, and its copy
+    rng = np.random.default_rng(0)
+    vectors = [rng.normal(size=4**10) + 1j * rng.normal(size=4**10) for _ in range(3)]
+    row = vectors[0].nbytes
+    basis = IncrementalBasis()
+    tracemalloc.start()
+    try:
+        assert all(basis.add(v) for v in vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.ortho.shape == (3, 4**10)
+    assert peak < 12 * row, peak / row
+    assert_orthonormal(basis.ortho)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_vectors_are_refused(bad):
+    # NaN > tol is false, so a NaN vector would pass as dependent
+    for rows in range(2):
+        basis = IncrementalBasis()
+        for k in range(rows):
+            basis.add(np.eye(3, dtype=np.complex128)[k])
+        vec = np.ones(3, dtype=np.complex128)
+        vec[1] = bad
+        with pytest.raises(ArithmeticError, match="vector norm .* is not finite"):
+            basis.add(vec)
+        assert basis.ortho.shape[0] == rows
 
 
 def test_numerics_is_internal():

@@ -315,6 +315,33 @@ def test_non_finite_values_are_refused(bad, tol):
     assert (report.verdict, report.grids_checked) == ("distinguished", 3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_gadget_signature_is_refused(bad):
+    # a NaN residual passes no independence cut, so the gadget was dropped
+    # as dependent and the span read dim 0
+    entries = equality_signature(2, 0, 2).array.copy()
+    entries[0, 0] = bad
+    fs = {"e": MixedTensor(2, 0, 2, entries)}
+    with pytest.raises(ArithmeticError, match=r"gadget 1 of the walk \(vertices \('e',\).* non-finite"):
+        build_span(fs, (0, 2), 4)
+    assert build_span({"e": equality_signature(2, 0, 2)}, (0, 2), 4).dim == 1
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, -2.5)])
+def test_counterexample_spans_are_pinned(a, b):
+    # every keep decision of the independence cut, at two bounds and for
+    # two (a, b): the walk lengths and the dimension 8 of each span
+    fs = counterexample_set(a, b)
+    walked = {
+        6: {(0, 4): 11, (4, 0): 10, (2, 2): 33},
+        8: {(0, 4): 71, (4, 0): 38, (2, 2): 33},
+    }
+    for bound, counts in walked.items():
+        for profile, count in counts.items():
+            span = build_span(fs, profile, bound)
+            assert (span.dim, span.gadgets_enumerated) == (8, count), (bound, profile)
+
+
 def test_negative_bound_is_refused_by_every_checker():
     # a negative bound walks nothing, so every checker would pass on no
     # grid; the walk they share refuses it

@@ -46,7 +46,21 @@ def elimination_plan(
     that hold no class and the last node of each connected part.  free
     counts the factors q: a class that no tensor holds sums 1 over the
     domain, and an arity-0 equality has the value q.
+
+    The widths live on the interaction graph of the classes (Rose,
+    Tarjan & Lueker, "Algorithmic aspects of vertex elimination on
+    graphs", 1976): adj[x] is the bit mask of the other classes some
+    node holds with x, and x's step would leave popcount(adj[x]) of
+    them.  Only the nodes that hold c take part in c's step, and they
+    hold exactly c and its neighbours N(c), so eliminating c sets
+    adj[x] = (adj[x] & ~c) | (N(c) & ~x) for each x in N(c), and leaves
+    every other class alone.  The next class comes off a heap of
+    (width, class) entries; an entry whose class is gone or whose width
+    has changed since it was pushed is skipped.
     """
+    # imported here, so that `import holant` does not load _heapq's shared library
+    import heapq
+
     start = [0]
     for sig in vertices:
         start.append(start[-1] + sum(shape_of[sig]))
@@ -72,22 +86,35 @@ def elimination_plan(
         for v, sig in enumerate(vertices) if sig not in equal
     }
     holders: dict[int, set[int]] = {}
+    adj: dict[int, int] = {}
     for v, classes in axes.items():
+        mask = 0
+        for c in classes:
+            mask |= 1 << c
         for c in classes:
             holders.setdefault(c, set()).add(v)
+            adj[c] = adj.get(c, 0) | mask
     free = len(number) - len(holders) + sum(
         1 for v, sig in enumerate(vertices) if sig in equal and start[v] == start[v + 1]
     )
 
-    width = {c: len(set().union(*(axes[w] for w in holders[c]))) - 1 for c in holders}
+    width = {}
+    for c in adj:
+        adj[c] &= ~(1 << c)
+        width[c] = adj[c].bit_count()
+    heap = [(w, c) for c, w in width.items()]
+    heapq.heapify(heap)
     steps = []
     node = len(vertices)
-    while width:
-        rank, c = min((w, c) for c, w in width.items())
+    while heap:
+        rank, c = heapq.heappop(heap)
+        if width.get(c) != rank:
+            continue  # c is gone, or its width changed after this entry
         del width[c]
         ops = sorted(holders.pop(c))
-        held = sorted(set().union(*(axes[w] for w in ops)))
-        kept = [x for x in held if x != c]
+        near = adj.pop(c)
+        kept = _bits(near)
+        held = sorted(kept + [c])
         subscripts = None
         if len(held) <= len(_LETTERS):
             letter = dict(zip(held, _LETTERS))
@@ -98,8 +125,21 @@ def elimination_plan(
             del axes[w]
         axes[node] = kept
         # a class's width changes only when a step leaves it on the new node
+        gone = ~(1 << c)
         for x in kept:
             holders[x] = holders[x].difference(ops) | {node}
-            width[x] = len(set().union(*(axes[w] for w in holders[x]))) - 1
+            adj[x] = (adj[x] & gone) | (near & ~(1 << x))
+            width[x] = adj[x].bit_count()
+            heapq.heappush(heap, (width[x], x))
         node += 1
     return tuple(steps), tuple(sorted(axes)), free
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

@@ -67,42 +67,46 @@ class SignatureGrid:
     def validate(self, shapes: dict[str, tuple[int, int]]) -> None:
         """Check every port of every vertex is used exactly once.
 
-        shapes maps signature id to (left, right) slot counts.
+        shapes maps signature id to (left, right) slot counts.  The
+        first fault is named in the order of the edges (left end, then
+        right end), the left stubs and the right stubs, then the first
+        port not used once, vertex by vertex, left ports before right.
         """
-        n = len(self.vertices)
         for sig in self.vertices:
             if sig not in shapes:
                 raise ValueError(f"no shape known for signature {sig!r}")
-        use: dict[tuple[int, str, int], int] = {}
-
-        def touch(v: int, side: str, port: int) -> None:
+        n = len(self.vertices)
+        shape = [shapes[sig] for sig in self.vertices]
+        # port p of side s (0 left, 1 right) of vertex v is counted at
+        # use[start[v] + s * l + p - 1], where (l, r) is v's shape
+        start = []
+        total = 0
+        for l, r in shape:
+            start.append(total)
+            total += l + r
+        use = [0] * total
+        ends = [end for (u, i, v, j) in self.edges for end in ((u, 0, i), (v, 1, j))]
+        ends += [(v, 0, i) for (v, i) in self.left_dangling]
+        ends += [(v, 1, j) for (v, j) in self.right_dangling]
+        for v, side, port in ends:
             if not (0 <= v < n):
                 raise ValueError(f"vertex index {v} out of range")
-            l, r = shapes[self.vertices[v]]
-            limit = l if side == "L" else r
-            if not (1 <= port <= limit):
+            l, r = shape[v]
+            if not (1 <= port <= (r if side else l)):
                 raise ValueError(
-                    f"port {port} out of range for {side} side of vertex {v} "
+                    f"port {port} out of range for {'LR'[side]} side of vertex {v} "
                     f"({self.vertices[v]!r} has shape {(l, r)})"
                 )
-            key = (v, side, port)
-            use[key] = use.get(key, 0) + 1
-
-        for (u, i, v, j) in self.edges:
-            touch(u, "L", i)
-            touch(v, "R", j)
-        for (v, i) in self.left_dangling:
-            touch(v, "L", i)
-        for (v, j) in self.right_dangling:
-            touch(v, "R", j)
-        for v in range(n):
-            l, r = shapes[self.vertices[v]]
+            use[start[v] + side * l + port - 1] += 1
+        if use.count(1) == total:
+            return
+        for v, (l, r) in enumerate(shape):
             for i in range(1, l + 1):
-                if use.get((v, "L", i), 0) != 1:
-                    raise ValueError(f"left port {i} of vertex {v} used {use.get((v,'L',i),0)} times")
+                if use[start[v] + i - 1] != 1:
+                    raise ValueError(f"left port {i} of vertex {v} used {use[start[v] + i - 1]} times")
             for j in range(1, r + 1):
-                if use.get((v, "R", j), 0) != 1:
-                    raise ValueError(f"right port {j} of vertex {v} used {use.get((v,'R',j),0)} times")
+                if use[start[v] + l + j - 1] != 1:
+                    raise ValueError(f"right port {j} of vertex {v} used {use[start[v] + l + j - 1]} times")
 
 
 def resolve_bindings(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> dict[str, MixedTensor]:

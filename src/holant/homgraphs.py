@@ -69,9 +69,9 @@ class SimpleGraph:
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for (u, v) in self.edges:
-            a[u, v] += 1.0
-            a[v, u] += 1.0
+        # edges are distinct pairs u < v: each entry (u, v) and (v, u) is set once
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        a[e, e[:, ::-1]] = 1.0
         return a
 
     def is_connected(self) -> bool:
@@ -306,9 +306,23 @@ def enumerate_connected_graphs(
     """All connected graphs up to isomorphism, smallest first.
 
     Grown by attaching one new vertex to a nonempty subset of an
-    existing representative; every connected graph has a deletable
-    non-cut vertex, so each class is reached.  Order is by vertex count
-    then canonical code.
+    existing representative, among its vertices of degree below the
+    bound.  Order is by vertex count then canonical code, and each class
+    is represented by _graph_of_code of its code.
+
+    A candidate is kept only if no non-cut vertex of it other than the
+    new one has a higher degree than the new vertex (the weak half of
+    canonical augmentation: McKay, "Isomorph-free exhaustive
+    generation", 1998); only the kept ones are canonicalized, and the
+    classes are still told apart by their codes.  Every class C is still
+    reached: delete a non-cut vertex u of largest degree from C.  What
+    is left is connected, within the degree bound and one vertex
+    smaller, so it is isomorphic to a representative h found before;
+    attaching a new vertex to the images of u's neighbours in h, which
+    are below the bound in h, makes a candidate isomorphic to C whose
+    new vertex is u, and it is kept.  The candidates are tested on
+    neighbour bit masks built from the parent's; a SimpleGraph is made
+    only for the ones kept.
     """
     if max_vertices < 1:
         return ()
@@ -316,11 +330,17 @@ def enumerate_connected_graphs(
     for n in range(2, max_vertices + 1):
         found: dict[int, SimpleGraph] = {}
         for h in levels[-1].values():
-            deg = h.degrees()
+            nbrs = [0] * h.n
+            for (u, v) in h.edges:
+                nbrs[u] |= 1 << v
+                nbrs[v] |= 1 << u
+            deg = [m.bit_count() for m in nbrs]
             room = [v for v in range(h.n) if max_degree is None or deg[v] < max_degree]
             top = len(room) if max_degree is None else min(max_degree, len(room))
             for size in range(1, top + 1):
                 for back in itertools.combinations(room, size):
+                    if not _new_vertex_leads(nbrs, deg, back):
+                        continue
                     g = SimpleGraph(n, h.edges + tuple((v, n - 1) for v in back))
                     code = canonical_code(g)
                     if code not in found:
@@ -330,6 +350,38 @@ def enumerate_connected_graphs(
     for level in levels:
         out.extend(level[c] for c in sorted(level))
     return tuple(out)
+
+
+def _new_vertex_leads(nbrs: list[int], deg: list[int], back: tuple[int, ...]) -> bool:
+    """Whether the vertex attached to back has the largest degree among
+    the non-cut vertices of the child, given the parent's neighbour bit
+    masks and degrees.  The parent is connected, so the new vertex is
+    never a cut vertex; a vertex w of higher degree leads instead unless
+    removing it disconnects the child."""
+    size = len(back)
+    new = len(nbrs)
+    mask = 0
+    for v in back:
+        mask |= 1 << v
+    child = nbrs + [mask]
+    for v in back:
+        child[v] |= 1 << new
+    everyone = (1 << (new + 1)) - 1
+    for w in range(new):
+        if deg[w] + (mask >> w & 1) <= size:
+            continue
+        # flood the child without w from the new vertex
+        rest = everyone & ~(1 << w)
+        seen = frontier = 1 << new
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow = child[low.bit_length() - 1] & rest & ~seen
+            seen |= grow
+            frontier |= grow
+        if seen == rest:
+            return False
+    return True
 
 
 # -- indistinguishability experiments ---------------------------------------------

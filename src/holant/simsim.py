@@ -49,6 +49,8 @@ def _as_matrix(value, q=None):
 
 
 def _normalize_sets(fs, gs):
+    """(q, names, f_mats, g_mats) of two signature sets, refusing a
+    non-finite entry by side and id before anything multiplies it."""
     if set(fs) != set(gs):
         raise ValueError("the two sets must use the same signature ids")
     names = list(fs)
@@ -62,6 +64,12 @@ def _normalize_sets(fs, gs):
         g_mats[name] = _as_matrix(gs[name], q)
     if q is None:
         raise ValueError("need at least one matrix to fix the domain size")
+    # one check of every entry at once; the first bad id is looked for only on failure
+    if not np.isfinite([m for name in names for m in (f_mats[name], g_mats[name])]).all():
+        for name in names:
+            for side, mats in (("f", f_mats), ("g", g_mats)):
+                if not np.isfinite(mats[name]).all():
+                    raise ValueError(f"{side}[{name!r}] has a non-finite entry")
     return q, names, f_mats, g_mats
 
 

@@ -209,8 +209,8 @@ def equality_signature(q: int, left: int, right: int) -> MixedTensor:
         out = MixedTensor.scalar(q, q)
     else:
         arr = np.zeros((q,) * n, dtype=np.complex128)
-        for x in range(q):
-            arr[(x,) * n] = 1.0
+        # entry (x, ..., x) sits at flat index x * (1 + q + ... + q**(n-1))
+        arr.reshape(-1)[:: sum(q**k for k in range(n))] = 1.0
         out = MixedTensor(q, left, right, arr)
     object.__setattr__(out, "_equality", True)
     return out

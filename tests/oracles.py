@@ -29,7 +29,12 @@ oracle_port_class is a grid's class under same-id relabelings and
 in-group port permutations, by listing every relabeling: the reference
 for the walk up to port symmetry (holant.portclasses).
 oracle_trace_words compares the traces of every word up to a length,
-the reference for simsim.trace_words_equal.
+the reference for simsim.trace_words_equal.  oracle_validate,
+oracle_elimination_plan and oracle_connected_graphs are the port check,
+the elimination planner and the connected-graph census as they were
+before each was made faster (a dict of port counts, widths recomputed
+from the nodes and found by a scan, every candidate canonicalized): the
+references whose messages, plans and census the library must match.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from holant.grids import (
     gadget_signature,
     resolve_bindings,
 )
-from holant.homgraphs import SimpleGraph, _refine_colors
+from holant.homgraphs import SimpleGraph, _graph_of_code, _refine_colors, canonical_code
 from holant.spans import _symmetric_ids
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature
 from holant.transforms import PREDICATE_TOL, HolantTheoremReport
@@ -518,3 +523,135 @@ def oracle_trace_words(fs, gs, max_len, tol=1e-8):
                 next_level.append((word + (name,), wf, wg, word_scale))
         level = next_level
     return None
+
+
+def oracle_validate(grid: SignatureGrid, shapes: dict[str, tuple[int, int]]) -> None:
+    """SignatureGrid.validate as a closure per port and a dict of counts
+    keyed by (vertex, side, port): the reference for the library's flat
+    count list, which must raise the same first message."""
+    n = len(grid.vertices)
+    for sig in grid.vertices:
+        if sig not in shapes:
+            raise ValueError(f"no shape known for signature {sig!r}")
+    use: dict[tuple[int, str, int], int] = {}
+
+    def touch(v: int, side: str, port: int) -> None:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex index {v} out of range")
+        l, r = shapes[grid.vertices[v]]
+        limit = l if side == "L" else r
+        if not (1 <= port <= limit):
+            raise ValueError(
+                f"port {port} out of range for {side} side of vertex {v} "
+                f"({grid.vertices[v]!r} has shape {(l, r)})"
+            )
+        key = (v, side, port)
+        use[key] = use.get(key, 0) + 1
+
+    for (u, i, v, j) in grid.edges:
+        touch(u, "L", i)
+        touch(v, "R", j)
+    for (v, i) in grid.left_dangling:
+        touch(v, "L", i)
+    for (v, j) in grid.right_dangling:
+        touch(v, "R", j)
+    for v in range(n):
+        l, r = shapes[grid.vertices[v]]
+        for i in range(1, l + 1):
+            if use.get((v, "L", i), 0) != 1:
+                raise ValueError(f"left port {i} of vertex {v} used {use.get((v,'L',i),0)} times")
+        for j in range(1, r + 1):
+            if use.get((v, "R", j), 0) != 1:
+                raise ValueError(f"right port {j} of vertex {v} used {use.get((v,'R',j),0)} times")
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def oracle_elimination_plan(vertices, edges, shape_of, equal):
+    """holant.elimination.elimination_plan with every width recomputed as
+    the classes of the nodes holding a class, and the next class found
+    by a scan of every width: the reference for the library's bit masks
+    and heap, whose (steps, outer, free) must be equal."""
+    start = [0]
+    for sig in vertices:
+        start.append(start[-1] + sum(shape_of[sig]))
+    parent = list(range(start[-1]))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v, sig in enumerate(vertices):
+        if sig in equal:
+            for port in range(start[v] + 1, start[v + 1]):
+                parent[find(port)] = find(start[v])
+    for (u, i, v, j) in edges:
+        parent[find(start[u] + i - 1)] = find(start[v] + shape_of[vertices[v]][0] + j - 1)
+    number: dict[int, int] = {}
+    class_of = [number.setdefault(find(port), len(number)) for port in range(start[-1])]
+
+    axes = {
+        v: class_of[start[v]:start[v + 1]]
+        for v, sig in enumerate(vertices) if sig not in equal
+    }
+    holders: dict[int, set[int]] = {}
+    for v, classes in axes.items():
+        for c in classes:
+            holders.setdefault(c, set()).add(v)
+    free = len(number) - len(holders) + sum(
+        1 for v, sig in enumerate(vertices) if sig in equal and start[v] == start[v + 1]
+    )
+
+    width = {c: len(set().union(*(axes[w] for w in holders[c]))) - 1 for c in holders}
+    steps = []
+    node = len(vertices)
+    while width:
+        rank, c = min((w, c) for c, w in width.items())
+        del width[c]
+        ops = sorted(holders.pop(c))
+        held = sorted(set().union(*(axes[w] for w in ops)))
+        kept = [x for x in held if x != c]
+        subscripts = None
+        if len(held) <= len(_LETTERS):
+            letter = dict(zip(held, _LETTERS))
+            subscripts = ",".join("".join(letter[x] for x in axes[w]) for w in ops)
+            subscripts += "->" + "".join(letter[x] for x in kept)
+        steps.append((tuple(ops), subscripts, rank))
+        for w in ops:
+            del axes[w]
+        axes[node] = kept
+        # a class's width changes only when a step leaves it on the new node
+        for x in kept:
+            holders[x] = holders[x].difference(ops) | {node}
+            width[x] = len(set().union(*(axes[w] for w in holders[x]))) - 1
+        node += 1
+    return tuple(steps), tuple(sorted(axes)), free
+
+
+def oracle_connected_graphs(max_vertices, max_degree=None):
+    """enumerate_connected_graphs with every candidate canonicalized: the
+    reference for the library's census, which canonicalizes only the
+    candidates whose new vertex leads the non-cut vertices by degree."""
+    if max_vertices < 1:
+        return ()
+    levels: list[dict[int, SimpleGraph]] = [{0: SimpleGraph(1, ())}]
+    for n in range(2, max_vertices + 1):
+        found: dict[int, SimpleGraph] = {}
+        for h in levels[-1].values():
+            deg = h.degrees()
+            room = [v for v in range(h.n) if max_degree is None or deg[v] < max_degree]
+            top = len(room) if max_degree is None else min(max_degree, len(room))
+            for size in range(1, top + 1):
+                for back in itertools.combinations(room, size):
+                    g = SimpleGraph(n, h.edges + tuple((v, n - 1) for v in back))
+                    code = canonical_code(g)
+                    if code not in found:
+                        found[code] = _graph_of_code(n, code)
+        levels.append(found)
+    out = []
+    for level in levels:
+        out.extend(level[c] for c in sorted(level))
+    return tuple(out)

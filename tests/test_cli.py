@@ -403,6 +403,18 @@ def test_simsim_round_trip_and_mismatch(capsys, tmp_path):
     assert "(1,1)" in capsys.readouterr().err
 
 
+def test_simsim_names_a_non_finite_entry(capsys, tmp_path):
+    # before, the NaN reached a vector norm: "vector norm nan is not finite"
+    f = write(tmp_path, "f.json", sigset_to_obj({"m": MixedTensor.from_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))}))
+    text = dumps(sigset_to_obj({"m": MixedTensor.from_matrix(np.array([[7.0, 2.0], [3.0, 4.0]]))}))
+    g = write(tmp_path, "g.json", text.replace("[[7.0,0.0]", "[[NaN,0.0]", 1))
+    for argv, side in ((["--f", f, "--g", g], "g"), (["--f", g, "--g", f], "f")):
+        assert main(["simsim", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"holant: {side}['m'] has a non-finite entry\n"
+
+
 def test_counterexample_command(capsys):
     code, rep = run(capsys, ["counterexample", "--a", "1,0", "--b", "1", "--eps", "0.1"])
     assert code == 0

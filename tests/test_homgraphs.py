@@ -33,7 +33,7 @@ from holant.homgraphs import (
     matchings_signatures,
     path_graph,
 )
-from oracles import brute_hom_count, brute_matchings, oracle_canonical_code
+from oracles import brute_hom_count, brute_matchings, oracle_canonical_code, oracle_connected_graphs
 
 # the unique cospectral, nonsingular, non-isomorphic connected pair on
 # six vertices (exhaustive search over the census)
@@ -279,6 +279,31 @@ def test_degree_bounded_enumeration():
         codes = [canonical_code(g) for g in graphs if g.n == n]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
+
+
+@pytest.mark.parametrize("args", [(9, 3), (8, 4), (7, None)])
+def test_census_equals_the_one_that_canonicalizes_every_candidate(args):
+    # __wrapped__ leaves the shared lru_cache alone
+    assert enumerate_connected_graphs.__wrapped__(*args) == oracle_connected_graphs(*args)
+
+
+def test_cubic_census_counts_at_nine_and_ten_vertices():
+    graphs = enumerate_connected_graphs.__wrapped__(10, 3)
+    assert [sum(1 for g in graphs if g.n == n) for n in (9, 10)] == [531, 1733]
+
+
+def test_census_canonicalizes_only_the_candidates_it_keeps(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_code(g)
+
+    monkeypatch.setattr(homgraphs, "canonical_code", counting)
+    graphs = enumerate_connected_graphs.__wrapped__(8, 3)
+    assert len(graphs) == 307
+    # every candidate canonicalized, as before, made 1722 calls
+    assert len(calls) < 1000
 
 
 # -- distinguisher experiments ---------------------------------------------------------

@@ -390,6 +390,19 @@ def test_recover_trace_mismatch():
     assert result.witness["word"] == ["a"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_a_non_finite_entry_is_named_by_side_and_id(monkeypatch, bad):
+    # no closure runs (every one goes through _word_closure): the refusal
+    # comes from the inputs, not from a vector norm inside a closure
+    monkeypatch.setattr(simsim, "_word_closure", None)
+    good = {"k": np.eye(2), "m": np.array([[1.0, 2.0], [3.0, 4.0]])}
+    broken = {"k": np.eye(2), "m": np.array([[bad, 2.0], [3.0, 4.0]])}
+    for fs, gs, side in ((good, broken, "g"), (broken, good, "f")):
+        for check in (recover_transform, trace_words_equal, build_paired_algebra):
+            with pytest.raises(ValueError, match=rf"^{side}\['m'\] has a non-finite entry$"):
+                check(fs, gs)
+
+
 def test_recover_success_flag_invariant_under_conjugation():
     rng = np.random.default_rng(53)
     fs = {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 3))}

@@ -1,9 +1,11 @@
-"""Closed grid families compiled into level-batched programs; internal.
+"""The stored closed family compiled into one level-batched program;
+internal.
 
-spans.closed_signature_blocks replays a closed walk block by block, and
-compiles each block's loop-free grids once into a FamilyProgram.  The
-program replays every structure's pairwise plan (grids.ContractionPlan)
-under every binding set of a walk in a few batched numpy calls, where
+spans.closed_signature_blocks compiles the loop-free grids of the stored
+closed family (grids.family_slot) once, by compile_family, into a
+FamilyProgram that the family keeps.  The program replays every
+structure's pairwise plan (grids.ContractionPlan) under every binding
+set of a walk in a few batched numpy calls, where
 grids._execute would make several small ones per structure (the batched
 layout of Dongarra et al., "A proposed API for batched basic linear
 algebra subprograms", 2016; contraction trees as compiled programs, Gray
@@ -37,15 +39,14 @@ grids.stacked_signature's.  Two layouts decide that:
   row-major array otherwise; each operand is gathered in that order,
   worked out once here from the step's axes.
 
-Which rows are batched, for every docstring that refers here: the
-program batches only the pairwise rows at q >= 2 of the structures
-whose pairwise plan fits the entry cap.  A segment (a run of grids with
-one vertex sequence) hands every row of its structures to
-grids._contract, inside the same replay, when it is at q = 1, where
-numpy rounds a one-entry product by the path it takes, when it holds a
-structure over the pairwise cap, when some binding set's route
-eliminates equalities in it, or when the binding sets' shapes differ
-from those it was compiled for.
+Which rows are batched, for every docstring that refers here: only the
+stored family at q >= 2 whose every structure's pairwise plan fits the
+entry cap has a program (compile_family); every other walk is replayed
+run by run (spans.closed_signature_blocks).  The program batches every
+pairwise row.  A segment (a run of grids with one vertex sequence) hands
+every row of its structures to grids._contract, inside the same replay,
+when some binding set's route eliminates equalities in it, or when the
+binding sets' shapes differ from those it was compiled for.
 """
 
 from __future__ import annotations
@@ -55,16 +56,14 @@ import numpy as np
 from holant import grids as _grids
 
 # The node entries of one part, per binding set.  A replay holds one
-# part's buffer and gathered operands at a time, and its index arrays
-# too unless the program is kept (the stored family's): some 16 * B + 16
-# bytes per entry, so that a replay needs memory of the order of the
-# structure-by-structure replay's, which held one structure's
-# intermediates.  closed-invariance's 300 structures take 5133 entries,
-# one part.  Peak RSS of three verify_holant_theorem calls (B = 2) on
-# {a (2,2), b (1,1)} at q = 5, bound 4, 6300 grids in two streamed
-# blocks (2-CPU host): 48 MB replayed structure by structure, 52 MB at
-# this cap, 64 MB at 1 << 18, 101 MB at 1 << 20 and 143 MB with one
-# part per block; 0.74 s structure by structure, 0.79 s at this cap.
+# part's buffer and gathered operands at a time; every part's index
+# arrays are kept with the stored family.  closed-invariance's 300
+# structures take 5133 entries, one part.  The largest stored family of
+# its shapes, at bound 5 (3458 grids, 1729 structures), replayed warm by
+# verify_holant_theorem (B = 2, 2-CPU host): at q = 3, 7.1 ms at 1 << 12,
+# 4.1 ms at 1 << 14, 3.0 ms at this cap (three parts) and 2.3 ms in one
+# part, with peak RSS 43.8, 43.7, 45.3 and 47.9 MB; at q = 4, 4.2 ms and
+# 46.7 MB at this cap, 4.6 ms and 53.6 MB in one part.
 PART_MAX_ENTRIES = 1 << 16
 
 
@@ -83,65 +82,63 @@ def _column_major(perm: list[int], split: int) -> bool:
     )
 
 
-class FamilyProgram:
-    """The compiled replay of a block of loop-free closed grids, runs,
-    under binding sets whose ids have the shapes it was compiled for.
+def compile_family(runs, stacks: _grids.BindingStacks):
+    """The FamilyProgram of runs, the stored family's loop-free closed
+    grids, under the shapes of stacks, planning each structure pairwise
+    once; None at q = 1, where numpy rounds a one-entry product by the
+    path it takes, or when some pairwise plan is over the entry cap or
+    does not fit the shapes: a replay run by run then names any fault as
+    a cold walk names it."""
+    runs = tuple(runs)
+    q = runs[0].q
+    if q == 1:
+        return None
+    if any(g.q != q or g.loops or not g.is_closed() for g in runs):
+        raise ValueError("a family program holds loop-free closed grids of one q")
+    starts = [i for i, g in enumerate(runs) if i == 0 or g.vertices != runs[i - 1].vertices]
+    # maximal runs of grids with one vertex sequence, so one kind for
+    # BindingStacks.bind: (start, end, (id, shape) pairs)
+    segments, plans = [], []
+    for start, end in zip(starts, starts[1:] + [len(runs)]):
+        shapes = stacks.bind(runs[start]).shapes
+        for g in runs[start:end]:
+            try:
+                plans.append(_grids._plan(g, shapes, ()))
+                _grids._check_cap(plans[-1], q)
+            except ValueError:
+                return None
+        segments.append((start, end, shapes))
+    return FamilyProgram(runs, segments, plans)
 
-    Building one plans every structure pairwise once, validating it and
-    checking the entry cap, and plans each route the stacks it is built
-    with take that eliminates or is pairwise over the cap, raising in
-    walk and route order as a replay structure by structure would.  It
-    splits the batched structures into parts; a kept program compiles
-    each part on its first replay and keeps it, one that is not compiles
-    each part whenever a replay reaches it.  replay(stacks) returns a
-    read-only (structures, B) array; the rows it does not batch (see the
-    module docstring) are grids._contract's.
+
+class FamilyProgram:
+    """The compiled replay of the stored family's loop-free closed grids,
+    runs, at q >= 2, under binding sets whose ids have the shapes it was
+    compiled for (compile_family builds it).  Every part is compiled
+    when it is built.  replay(stacks) returns a read-only (structures, B)
+    array; the rows it hands over (see the module docstring) are
+    grids._contract's.
     """
 
-    __slots__ = ("runs", "q", "segments", "over_cap", "plans", "arity", "parts", "compiled", "keep")
+    __slots__ = ("runs", "segments", "parts")
 
-    def __init__(self, runs, stacks: _grids.BindingStacks, *, keep: bool):
-        self.runs = tuple(runs)
-        q = self.q = self.runs[0].q
-        if any(g.q != q or g.loops or not g.is_closed() for g in self.runs):
-            raise ValueError("a family program holds loop-free closed grids of one q")
-        self.over_cap: set[int] = set()  # structures whose pairwise plan is over the cap
-        # maximal runs of grids with one vertex sequence, so one kind for
-        # BindingStacks.bind: (start, end, (id, shape) pairs, whether its
-        # rows are handed to grids._contract under every binding set)
-        self.segments = []
-        self.parts: list[list[int]] = []  # indices into runs
-        self.compiled: dict[int, tuple] = {}  # part -> its compiled form
-        self.keep = keep
-        starts = [
-            i for i, g in enumerate(self.runs) if i == 0 or g.vertices != self.runs[i - 1].vertices
+    def __init__(self, runs, segments, plans):
+        self.runs = runs
+        self.segments = segments
+        arity = {sig: sum(sh) for _, _, shapes in segments for sig, sh in shapes}
+        self.parts = [
+            self._compile_part(members, plans, arity) for members in self._split(plans, arity)
         ]
-        plans = self.plans = []
-        for start, end in zip(starts, starts[1:] + [len(self.runs)]):
-            bound = stacks.bind(self.runs[start])
-            for i in range(start, end):
-                plans.append(_grids._plan(self.runs[i], bound.shapes, ()))
-                try:
-                    _grids._check_cap(plans[i], q)
-                except ValueError:
-                    self.over_cap.add(i)
-                # raise as grids._contract would, in route order
-                for equal in bound.routes:
-                    if equal or i in self.over_cap:
-                        _grids._planned(self.runs[i], bound.shapes, equal)
-            whole = q == 1 or any(i in self.over_cap for i in range(start, end))
-            self.segments.append((start, end, bound.shapes, whole))
-        self.arity = {sig: sum(sh) for _, _, shapes, _ in self.segments for sig, sh in shapes}
-        self._split()
 
-    def _split(self) -> None:
-        """Split the pairwise plans of the segments not handed over, in
-        walk order, into parts of at most PART_MAX_ENTRIES node entries."""
-        q, arity = self.q, self.arity
+    def _split(self, plans, arity) -> list[list[int]]:
+        """The structures, indices into runs, split in walk order into
+        parts of at most PART_MAX_ENTRIES node entries; a part holds at
+        least one structure."""
+        q = self.runs[0].q
+        parts: list[list[int]] = []
         members: list[int] = []
         entries = 0
-        for i in [i for start, end, _, whole in self.segments if not whole for i in range(start, end)]:
-            g, plan = self.runs[i], self.plans[i]
+        for i, (g, plan) in enumerate(zip(self.runs, plans)):
             traced = [0] * len(g.vertices)
             for nid, _, _ in plan.traces:
                 traced[nid] += 1
@@ -150,17 +147,16 @@ class FamilyProgram:
             need = sum(q ** (arity[sig] - 2 * t) for sig, t in zip(g.vertices, traced))
             need += sum(q**rank for *_, rank in plan.steps)
             if members and entries + need > PART_MAX_ENTRIES:
-                self.parts.append(members)
+                parts.append(members)
                 members, entries = [], 0
             members.append(i)
             entries += need
-        if members:
-            self.parts.append(members)
+        return parts + [members]
 
-    def _compile_part(self, members: list[int]) -> tuple:
+    def _compile_part(self, members: list[int], plans, arity) -> tuple:
         """(size, inputs, traces, steps, products) of the structures
         members, indices into runs, laid out in one buffer."""
-        q, arity = self.q, self.arity
+        q = self.runs[0].q
         size = 0
         inputs: dict[str, tuple[int, int]] = {}  # id -> its columns
         traces: dict[tuple, tuple[int, int]] = {}  # (id, axes pairs) -> columns
@@ -182,7 +178,7 @@ class FamilyProgram:
             return found
 
         for i in members:
-            g, plan = self.runs[i], self.plans[i]
+            g, plan = self.runs[i], plans[i]
             traced: dict[int, list] = {}
             for nid, axis1, axis2 in plan.traces:
                 traced.setdefault(nid, []).append((axis1, axis2))
@@ -252,25 +248,18 @@ class FamilyProgram:
         """Every structure's values under every set of stacks, as one
         read-only (structures, B) array, bitwise stacked_signature's."""
         runs, batch = self.runs, len(stacks.sets)
-        # the rows this program does not batch, contracted first: under
-        # other shapes a segment's grids are invalid, and _contract names
-        # the fault in walk order, as a cold walk names it
+        # the rows handed over, contracted first: under other shapes a
+        # segment's grids are invalid, and _contract names the fault in
+        # walk order, as a cold walk names it
         handed, stacked = {}, {}  # stacked: each id's stack, as bound
-        for start, end, shapes, whole in self.segments:
+        for start, end, shapes in self.segments:
             bound = stacks.bind(runs[start])
             stacked.update(zip(dict(bound.shapes), bound.arrays))
-            if whole or bound.shapes != shapes or list(bound.routes) != [()]:
+            if bound.shapes != shapes or list(bound.routes) != [()]:
                 for i in range(start, end):
                     handed[i] = _grids._contract(runs[i], bound, batch)
-        # zeros: no part writes the columns of a segment handed over whole
-        out = np.zeros((batch, len(runs)), dtype=np.complex128)
-        for j, members in enumerate(self.parts):
-            part = self.compiled.get(j)
-            if part is None:
-                part = self._compile_part(members)
-                if self.keep:
-                    self.compiled[j] = part
-            size, inputs, traces, steps, products = part
+        out = np.empty((batch, len(runs)), dtype=np.complex128)
+        for size, inputs, traces, steps, products in self.parts:
             buf = np.empty((batch, size), dtype=np.complex128)
             for sig, (lo, hi) in inputs.items():
                 buf[:, lo:hi] = stacked[sig].reshape(batch, -1)

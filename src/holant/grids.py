@@ -205,13 +205,12 @@ class BindingStacks:
 # one only in q >= 2, its loop count or the order of its dangling stubs
 # reuses its plan (hom grids built for several target sizes, gadgets in
 # every slot order).  A walk contracts each structure once for all its
-# binding sets (stacked_signature), so it looks each plan up once.  A
-# closed block is compiled into one program (holant.familyprogram), which
-# looks each structure's pairwise plan up when it is built and keeps it;
-# the stored closed family keeps its program (family_slot), so a replay of
-# it looks up none, but for the rows it hands to _contract (the module
-# docstring of holant.familyprogram says which), which look their plans
-# up on each replay.  The cache keeps a whole family, so that
+# binding sets (stacked_signature), so it looks each plan up once.  The
+# stored closed family's program (holant.familyprogram, kept in
+# family_slot) looks each structure's pairwise plan up when it is built,
+# so a replay of it looks up none, but for the rows it hands to _contract
+# (the module docstring of holant.familyprogram says which), which look
+# their plans up on each replay.  The cache keeps a whole family, so that
 # a later walk of one that is not stored plans nothing:
 # 300 closed structures over three shapes at bound 4, the 877 closed
 # structures of the arity-4 counterexample at bound 6 with ordered ports
@@ -540,14 +539,14 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
 
-    grid may also be a compiled block of loop-free closed grids
+    grid may also be the stored closed family's compiled program
     (holant.familyprogram.FamilyProgram, hashed by identity, so that
     perfbench's tracer can count it).  It replays all its structures at
     once and returns a read-only (structures, B) array whose row j is
     bitwise this function's result for its structure j: one
     level-batched program for the rows it batches, and _contract,
-    structure by structure, for the others (the module docstring of
-    holant.familyprogram says which are which).
+    structure by structure, for the rows it hands over (the module
+    docstring of holant.familyprogram says which are which).
     """
     if not isinstance(grid, SignatureGrid):
         return grid.replay(stacks)
@@ -856,13 +855,13 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
 # with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
 # bound 5, 107350 grids in 72 MB, streams.  slot is a one-item list that
 # holds the family's compiled program (holant.familyprogram) once a
-# replay has compiled it: 0.2 MB of index arrays for the 300 structures
-# of closed-invariance's family, planned and compiled in about 14 ms;
-# {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 4, bound 5, 1729 structures,
-# keep 3.2 MB.  spans.closed_signature_blocks replays a closed walk in
-# blocks of the smallest even size above this cap: the stored family
-# whole, by its kept program, and a larger family block by block, each
-# block's program dropped after its one replay.
+# replay has compiled it, None while it has none (and always at q = 1 or
+# with a pairwise plan over the entry cap): 0.2 MB of index arrays for
+# the 300 structures of closed-invariance's family, planned and compiled
+# in about 14 ms; 1.5 MB for {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 3,
+# bound 5, 1729 structures.  spans.closed_signature_blocks replays the
+# stored family whole, by its program, and any other closed walk run by
+# run, in blocks of one grid more than this cap.
 FAMILY_MEMO_MAX_GRIDS = 4096
 _last_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
 
@@ -915,15 +914,16 @@ def enumerate_grids(
     replaces the one stored family, keyed on (sorted (id, shape) pairs,
     max_vertices, q, the ids walked up to port symmetry); a later walk
     with the same key replays it.  The family is stored with a slot for
-    its compiled program (family_slot): the first closed replay of the
-    stored grids (spans.closed_signature_blocks) compiles their
-    pairwise plans into one level-batched program (holant.familyprogram)
-    and keeps it there, so that every later replay contracts the whole
-    family in a few batched numpy calls per binding batch without
-    planning or looking up anything again; the rows the program does not
-    batch (see holant.familyprogram) are still _contract's, structure by
-    structure, inside the same replay.  A walk stopped early, or of a
-    larger family, stays lazy and stores nothing.
+    its compiled program (family_slot): at q >= 2 the first closed
+    replay of the stored grids (spans.closed_signature_blocks) compiles
+    their pairwise plans into one level-batched program
+    (holant.familyprogram) and keeps it there, so that every later
+    replay contracts the whole family in a few batched numpy calls per
+    binding batch without planning or looking up anything again; the
+    rows the program hands over (see holant.familyprogram) are still
+    _contract's, structure by structure, inside the same replay.  A walk
+    stopped early, or of a larger family, stays lazy, stores nothing and
+    is replayed run by run.
     """
     global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)

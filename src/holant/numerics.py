@@ -23,7 +23,9 @@ INDEP_TOL = 1e-9
 
 
 class NumericalRank(NamedTuple):
-    """One full SVD of a matrix and the rank cut on its singular values."""
+    """One SVD of a matrix a and the rank cut on its singular values: u
+    square, for the left null space, and vh of min(a.shape) rows unless a
+    is tall (simsim._intertwine, its one reader, passes a tall or square a)."""
 
     rank: int
     threshold: float
@@ -38,7 +40,7 @@ class NumericalRank(NamedTuple):
 
 
 def numerical_rank(a: np.ndarray) -> NumericalRank:
-    u, sing, vh = np.linalg.svd(a)
+    u, sing, vh = np.linalg.svd(a, full_matrices=a.shape[0] > a.shape[1])
     threshold = RANK_TOL * max(float(sing[0]) if sing.size else 0.0, 1.0)
     return NumericalRank(int(np.sum(sing > threshold)), threshold, u, sing, vh)
 

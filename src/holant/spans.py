@@ -99,8 +99,9 @@ def structure_signatures(grids, *bindings):
     starts a new run; only the current run is kept, so a consumer that
     stops early contracts nothing past the grid it stopped at.
     build_span, check_indistinguishable and check_covanishing take their
-    signatures from here; closed_signature_blocks replays a closed walk
-    block by block instead, with the same bits.
+    signatures from here, and so does closed_signature_blocks for every
+    closed walk but the stored family's, which its compiled program
+    replays with the same bits.
     """
     stacks = BindingStacks(bindings)
     first = stack = None
@@ -119,41 +120,41 @@ def closed_signature_blocks(grids, *bindings):
     blocks, values[k, j] bitwise the value structure_signatures gives
     grids[k] under bindings[j], as one read-only array per block.
 
-    Every block is replayed one way: its loop-free grids are compiled
-    once into a level-batched program (holant.familyprogram, imported on
-    first use), which contracts all of them under all binding sets at
-    the same time through this module's gadget_signature, and each loop
-    copy is scaled from its structure's values by grids.derives, all
-    copies at once.  Which rows the program batches, and which it hands
-    to grids._contract inside the same call, is said in the module
-    docstring of holant.familyprogram.  The stored family keeps its
-    program (grids.family_slot), so a replay of it compiles nothing;
-    every other block is compiled afresh.  A block holds the smallest
-    even number of grids above FAMILY_MEMO_MAX_GRIDS, so no structure's
-    two grids are split across blocks, a walk of a family too large for
-    the memo holds about as many grids at a time as the memo would, and
-    the block that takes a whole family that fits it has run its
-    enumerator to the end, which stores the family.
+    The stored family (grids.family_slot) is one block.  Its first
+    replay compiles its loop-free grids into one level-batched program
+    (holant.familyprogram, imported on first use), kept in the family's
+    slot, which contracts them under all binding sets at the same time
+    through this module's gadget_signature; each loop copy is scaled from
+    its structure's values by grids.derives, all copies at once.  That
+    module's docstring says which families get a program and which rows
+    it hands to grids._contract.  Every other walk is replayed run by run
+    by one structure_signatures pass, in blocks of FAMILY_MEMO_MAX_GRIDS
+    + 1 grids: a family too large for the memo holds about as many grids
+    at a time as the memo would, and the first block of a family that
+    fits it has run its enumerator to the end, which stores the family.
     """
-    from holant.familyprogram import FamilyProgram
-
     stacks = BindingStacks(bindings)
     walk = iter(grids)
-    cap = _grids.FAMILY_MEMO_MAX_GRIDS
-    while block := list(itertools.islice(walk, cap + 2 - cap % 2)):
-        slot = family_slot(block)
-        program = slot[0] if slot else None
-        if program is None:
-            # the stored family's program is kept for later replays;
-            # any other block's is replayed once
-            program = FamilyProgram(block[::2], stacks, keep=slot is not None)
-            if slot is not None:
-                slot[0] = program
-        runs = gadget_signature(program, stacks)
+    size = _grids.FAMILY_MEMO_MAX_GRIDS + 1
+    block = list(itertools.islice(walk, size))
+    slot = family_slot(block)
+    if slot is not None and slot[0] is None:
+        from holant.familyprogram import compile_family
+
+        slot[0] = compile_family(block[::2], stacks)
+    if slot is not None and slot[0] is not None:
+        runs = gadget_signature(slot[0], stacks)
         copies = derived_signature(runs, *derives(block[0], block[1]))
         values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))
         values.setflags(write=False)
         yield block, values
+        return
+    rows = structure_signatures(itertools.chain(block, walk), *bindings)
+    while chunk := list(itertools.islice(rows, size)):
+        values = np.array([row[1:] for row in chunk], dtype=np.complex128)
+        values = values.reshape(len(chunk), len(bindings))
+        values.setflags(write=False)
+        yield [row[0] for row in chunk], values
 
 
 def _symmetric_ids(*binding_sets) -> tuple[str, ...]:

@@ -128,8 +128,9 @@ def verify_holant_theorem(
     counts the classes.
 
     The values come as one (grids, 2) array per block of the walk
-    (spans.closed_signature_blocks; which rows its compiled program
-    batches is said in holant.familyprogram) and are judged by numpy as
+    (spans.closed_signature_blocks: the stored family at q >= 2 by its
+    compiled program, whose batched rows holant.familyprogram names,
+    every other walk run by run) and are judged by numpy as
     a loop over the grids in walk order would judge them: moduli by
     np.hypot, which rounds as Python's abs of a complex does, worst_grid
     the first grid of the largest scaled error above 0 (None if every

@@ -1,10 +1,11 @@
 """The compiled family program against a replay structure by structure.
 
-spans.closed_signature_blocks replays every closed block by one compiled
-program (holant.familyprogram).  Each case compares its values, loop
-copies included, with oracles.oracle_signatures, which contracts every
-grid alone through grids._execute, by the bytes of the arrays: a value
-that rounds differently, or a zero whose sign differs, fails.
+spans.closed_signature_blocks replays the stored closed family at q >= 2
+by one compiled program (holant.familyprogram), and every other walk run
+by run.  Each case compares its values, loop copies included, with
+oracles.oracle_signatures, which contracts every grid alone through
+grids._execute, by the bytes of the arrays: a value that rounds
+differently, or a zero whose sign differs, fails.
 """
 
 import os
@@ -76,15 +77,16 @@ def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
     grids = list(enumerate_grids(sig_shapes, bound, q))
     want = oracle_values(grids, sets)
     # the stored family: compiled by its first replay, replayed by its
-    # kept program after that
+    # kept program after that; at q = 1 it has none, and replays run by run
     for _ in range(2):
         [(block, values)] = spans.closed_signature_blocks(grids, *sets)
         assert block == grids
         assert values.tobytes() == want.tobytes()
     program = grids_module.family_slot(grids)[0]
-    assert program is not None and program.runs == tuple(grids[::2])
-    if q > 1:
-        assert program.compiled
+    if q == 1:
+        assert program is None
+    else:
+        assert program.runs == tuple(grids[::2]) and program.parts
     parts = want.view(np.float64)
     assert np.any((parts == 0) & np.signbit(parts))  # some part is -0.0
     assert {g.loops for g in grids} == {0, 1}
@@ -95,14 +97,25 @@ def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["q2", "mixed"])
-def test_streamed_blocks_are_compiled_alike(monkeypatch, name):
+def test_streamed_blocks_replay_run_by_run(monkeypatch, name):
+    # a walk streamed past the memo cap builds no program, and is yielded
+    # in blocks of one more grid than the cap
     sig_shapes, bound, q, sets = program_case(name)
     grids = list(enumerate_grids(sig_shapes, bound, q))
     want = oracle_values(grids, sets)
-    monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", len(grids) // 4)
+
+    def no_program(*args):
+        raise AssertionError("a streamed walk built a family program")
+
+    cap = len(grids) // 4
+    monkeypatch.setattr(familyprogram, "compile_family", no_program)
+    monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
     monkeypatch.setattr(grids_module, "_last_family", None)
     blocks = list(spans.closed_signature_blocks(enumerate_grids(sig_shapes, bound, q), *sets))
-    assert grids_module._last_family is None and len(blocks) >= 4
+    assert grids_module._last_family is None and len(blocks) >= 3
+    assert [len(block) for block, _ in blocks[:-1]] == [cap + 1] * (len(blocks) - 1)
+    assert [g for block, _ in blocks for g in block] == grids
+    assert all(not v.flags.writeable for _, v in blocks)
     assert np.concatenate([v for _, v in blocks]).tobytes() == want.tobytes()
 
 
@@ -110,9 +123,8 @@ def test_streamed_blocks_are_compiled_alike(monkeypatch, name):
 def test_parts_keep_the_bits(monkeypatch, name):
     # with the part cap lowered below the family's node entries, the
     # program splits into parts of at most PART_MAX_ENTRIES entries per
-    # binding set, but for a part of one structure: the stored family
-    # keeps each part once compiled, a streamed block compiles each part
-    # as its one replay reaches it
+    # binding set, but for a part of one structure, each compiled when
+    # the program is built
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(familyprogram, "PART_MAX_ENTRIES", q**5)
     monkeypatch.setattr(grids_module, "_last_family", None)
@@ -122,25 +134,21 @@ def test_parts_keep_the_bits(monkeypatch, name):
         [(_, values)] = spans.closed_signature_blocks(grids, *sets)
         assert values.tobytes() == want.tobytes()
     program = grids_module.family_slot(grids)[0]
-    assert not program.over_cap and 1 < len(program.parts) < len(grids) // 2
-    assert sorted(i for part in program.parts for i in part) == list(range(len(grids) // 2))
-    assert sorted(program.compiled) == list(range(len(program.parts)))
-    for j, part in enumerate(program.parts):
-        size = program.compiled[j][0]
+    assert 1 < len(program.parts) < len(grids) // 2
+    # each part's structures: the products' rows, by number of scalars
+    members = [np.concatenate([same for same, _ in products]) for *_, products in program.parts]
+    assert sorted(np.concatenate(members)) == list(range(len(grids) // 2))
+    for (size, *_), part in zip(program.parts, members):
         assert size <= q**5 or len(part) == 1
-    assert any(len(part) > 1 for part in program.parts)
-
-    monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", len(grids) // 4)
-    blocks = list(spans.closed_signature_blocks(enumerate_grids(sig_shapes, bound, q), *sets))
-    assert len(blocks) >= 4
-    assert np.concatenate([v for _, v in blocks]).tobytes() == want.tobytes()
+    assert any(len(part) > 1 for part in members)
 
 
 def test_pairwise_plans_over_the_cap(monkeypatch):
     # with the cap lowered, the largest structures' pairwise plans are
-    # over it where their elimination plans are not: sets that eliminate
-    # every structure still get their values, and a set that replays
-    # pairwise is refused as a replay structure by structure refuses it
+    # over it where their elimination plans are not: the family has no
+    # program and replays run by run, so sets that eliminate every
+    # structure still get their values, and a set that replays pairwise
+    # is refused as a replay structure by structure refuses it
     sig_shapes, bound, q, sets = program_case("mixed")
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
     monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
@@ -155,7 +163,7 @@ def test_pairwise_plans_over_the_cap(monkeypatch):
         with pytest.raises(ValueError) as replayed:
             list(spans.closed_signature_blocks(grids, *sets))
         assert str(replayed.value) == str(alone.value)
-    assert grids_module.family_slot(grids)[0].over_cap
+    assert grids_module.family_slot(grids) == [None]
 
 
 def test_import_does_not_load_the_compiler():

@@ -1176,10 +1176,11 @@ def handover_cases(draw):
 # an elimination plan over the cap: m eliminated, s of rank 3 left over
 @example(case=handover_case(2, 2, ["rr", "er"], 0, 4))
 def test_closed_blocks_equal_contracting_each_grid(case):
-    # rows at q = 1, rows of a structure over the pairwise cap and rows
-    # whose route eliminates are grids._contract's inside the compiled
-    # program's replay; every row equals each grid contracted alone, by
-    # its bytes, and a refusal is the lone contraction's
+    # a family at q = 1, or with a structure over the pairwise cap, has
+    # no program and replays run by run; rows whose route eliminates are
+    # grids._contract's inside the compiled program's replay.  Every row
+    # equals each grid contracted alone, by its bytes, and a refusal is
+    # the lone contraction's
     sigs, bound, q, sets, cap = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(holant.grids, "_last_family", None)
@@ -1192,6 +1193,12 @@ def test_closed_blocks_equal_contracting_each_grid(case):
             want = np.array([row[1:] for row in oracle_signatures(grids, *sets)])
         except ValueError as exc:
             want = str(exc)
+        try:
+            for g in grids[::2]:
+                holant.grids._check_cap(holant.grids._plan(g, tuple(sigs), ()), q)
+            compiled = q > 1
+        except ValueError:  # a pairwise plan over the cap
+            compiled = False
         # the first replay compiles the stored family's program, the
         # second replays the kept program
         for _ in range(2):
@@ -1202,7 +1209,7 @@ def test_closed_blocks_equal_contracting_each_grid(case):
             else:
                 [(block, values)] = spans.closed_signature_blocks(grids, *sets)
                 assert block == grids and values.tobytes() == want.tobytes()
-                assert slot[0] is not None
+                assert (slot[0] is not None) == compiled
 
 
 # -- polynomial --------------------------------------------------------------

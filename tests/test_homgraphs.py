@@ -143,13 +143,113 @@ def test_hom_multiplicative_over_disjoint_union():
         assert hom_count(union, g) == hom_count(x1, g) * hom_count(x2, g)
 
 
-def test_hom_invariant_under_target_relabeling():
-    rng = np.random.default_rng(79)
-    g = random_graph(rng, 5)
-    x = cycle_graph(4)
-    base = hom_count(x, g)
-    for perm in ([4, 3, 2, 1, 0], [1, 2, 3, 4, 0], [2, 0, 4, 1, 3]):
-        assert hom_count(x, g.relabel(perm)) == base
+@st.composite
+def relabelled_graphs(draw):
+    """(x, g, pi, sigma): a left graph of at most 6 vertices, a target of
+    at most 10 and a relabelling of each, so that every count and every
+    partial count is at most 10**6, far below 2**53."""
+
+    def graph(n):
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return SimpleGraph(n, tuple(p for p, k in zip(pairs, keep) if k))
+
+    x, g = graph(draw(st.integers(1, 6))), graph(draw(st.integers(1, 10)))
+    return x, g, draw(st.permutations(range(x.n))), draw(st.permutations(range(g.n)))
+
+
+RELABELLED_TARGET = random_graph(np.random.default_rng(79), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=relabelled_graphs())
+@example(case=(cycle_graph(4), RELABELLED_TARGET, [0, 1, 2, 3], [4, 3, 2, 1, 0]))
+@example(case=(cycle_graph(4), RELABELLED_TARGET, [0, 1, 2, 3], [1, 2, 3, 4, 0]))
+@example(case=(cycle_graph(4), RELABELLED_TARGET, [0, 1, 2, 3], [2, 0, 4, 1, 3]))
+def test_counts_invariant_under_relabeling(case):
+    # isomorphic graphs have equal counts: hom(X, G) = hom(pi X, sigma G),
+    # and a graph's matchings are its relabelling's
+    x, g, pi, sigma = case
+    count = hom_count(x, g)
+    assert count < 2**53
+    assert hom_count(x.relabel(pi), g.relabel(sigma)) == count
+    assert count_matchings(x.relabel(pi)) == count_matchings(x)
+    assert count_matchings(g.relabel(sigma)) == count_matchings(g)
+
+
+def dense_relabelled_pair():
+    """(G, pi G): G on 29 vertices with 367 edges, each pair kept with
+    probability 0.9, and a random relabelling, drawn with numpy seed 1.
+    hom(C_12, G) = 70684918287142448 is past 2**53."""
+    rng = np.random.default_rng(1)
+    n = int(rng.integers(20, 40))
+    edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.9]
+    g = SimpleGraph(n, tuple(edges))
+    return g, g.relabel([int(v) for v in rng.permutation(n)])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1A: hom_count rounds through float64, and the count is past 2**53",
+)
+def test_hom_count_past_2_53_is_invariant_under_relabeling():
+    g, h = dense_relabelled_pair()
+    assert (g.n, g.m) == (29, 367)
+    assert hom_count(cycle_graph(12), g) == 70684918287142448
+    # reads 70684918287142456 while counts are rounded float64 values
+    assert hom_count(cycle_graph(12), h) == 70684918287142448
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1A: bounded_degree_distinguisher compares float64 counts "
+    "past 2**53, so it tells two isomorphic graphs apart",
+)
+def test_distinguisher_does_not_separate_isomorphic_graphs():
+    # reads "distinguished" after 21 classes while counts are rounded
+    g, h = dense_relabelled_pair()
+    assert bounded_degree_distinguisher(g, h, 2, 12).verdict == "indist_at_bound"
+
+
+def closed_form_misses(below=None):
+    """The cycle counts that differ from their closed forms, among those
+    whose exact value is below `below` (every case when it is None):
+    hom(C_n, K_k) = (k-1)**n + (-1)**n (k-1) for n = 3..90 and k in
+    {3, 5, 8}, and the matchings of C_n, the Lucas number L_n, for
+    n = 3..90."""
+    lucas = [2, 1]
+    while len(lucas) <= 90:
+        lucas.append(lucas[-1] + lucas[-2])
+    misses = []
+    for n in range(3, 91):
+        for k in (3, 5, 8):
+            want = (k - 1) ** n + (-1) ** n * (k - 1)
+            if below is None or want < below:
+                got = hom_count(cycle_graph(n), complete_graph(k))
+                if got != want:
+                    misses.append((f"hom(C_{n}, K_{k})", got, want))
+        if below is None or lucas[n] < below:
+            got = count_matchings(cycle_graph(n))
+            if got != lucas[n]:
+                misses.append((f"matchings(C_{n})", got, lucas[n]))
+    return misses
+
+
+def test_cycle_counts_below_2_53_equal_their_closed_forms():
+    assert closed_form_misses(below=2**53) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1A: counts pass through float64, so 171 hom counts and 14 "
+    "matchings counts past 2**53 are rounded",
+)
+def test_cycle_counts_equal_their_closed_forms():
+    # not split by the 2**53 threshold: two hom counts above it come out exact
+    assert closed_form_misses() == []
 
 
 # -- matchings ---------------------------------------------------------------------

@@ -5,6 +5,8 @@ powers, so Cayley-Hamilton pins their dimensions exactly; closed-grid
 verdicts are replayed grid by grid with the brute evaluator.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,18 @@ def test_negative_bound_is_refused_by_every_checker():
 # -- check_covanishing ------------------------------------------------------------
 
 
+def test_covanishing_over_no_gadget_is_quick():
+    # one (1,1) id at profile (0,12) walks no gadget, so each side's stack
+    # is 0 x 4096: the SVD computes no 4096 x 4096 vh that nothing reads
+    # (that took 0.4 s and 287 MB)
+    fs = {"m": identity_signature(2)}
+    start = time.perf_counter()
+    report = check_covanishing(fs, fs, {"m": "m"}, (0, 12), 1)
+    elapsed = time.perf_counter() - start
+    assert (report.verdict, report.structures_checked) == ("covanishing_at_bound", 0)
+    assert elapsed < 0.05
+
+
 def test_covanishing_set_with_itself():
     fs = counterexample_set(1.0, 1.0)
     bij = {k: k for k in fs}
@@ -666,11 +680,12 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
         assert block == grids and not values.flags.writeable
         return values
 
-    # the first replay compiles the memo's program, the second replays it
+    # the first replay compiles the memo's program, the second replays
+    # it; at q = 1 there is none, and every replay is run by run
     for _ in range(2):
         assert replayed().tobytes() == cold_values.tobytes()
     program = slot[0]
-    assert program.runs == tuple(grids[::2])
+    assert program.runs == tuple(grids[::2]) if q > 1 else program is None
     assert replayed().tobytes() == cold_values.tobytes() and slot[0] is program
 
     # bindings of other shapes find no plan in the memo, and fail as a
@@ -687,20 +702,15 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
     monkeypatch.setattr(grids_module, "_last_family", None)
     assert grids_module.family_slot(grids) is None
     assert refusal() == replayed_refusal
-    # a family over the memo cap streams, replayed as the stored family
-    # is, in blocks of the smallest even size above the cap, so no block
-    # splits a structure's loop-0 and loop-1 grids
-    def no_fallback(*args):
-        raise AssertionError("closed_signature_blocks called structure_signatures")
-
-    monkeypatch.setattr(spans, "structure_signatures", no_fallback)
+    # a family over the memo cap streams, replayed run by run in blocks
+    # of one more grid than the cap; an odd block size splits some
+    # structure's loop-0 and loop-1 grids across two blocks
     odd = len(grids) // 3 | 1
-    for cap, size in ((odd, odd + 1), (odd + 1, odd + 3)):
+    for cap in (odd, odd + 1):
         monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
         walk = enumerate_grids(sig_shapes, bound, q)
         blocks = list(spans.closed_signature_blocks(walk, *sets))
         assert grids_module._last_family is None
-        assert len(blocks) == -(-len(grids) // size)
-        assert all(len(block) % 2 == 0 and block[0].loops == 0 for block, _ in blocks)
+        assert len(blocks) == -(-len(grids) // (cap + 1))
         assert [g for block, _ in blocks for g in block] == grids
         assert np.concatenate([v for _, v in blocks]).tobytes() == cold_values.tobytes()

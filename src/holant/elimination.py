@@ -25,13 +25,14 @@ def elimination_plan(
 ) -> tuple[tuple[Step, ...], tuple[int, ...], int]:
     """Plan a closed, valid grid structure by eliminating index classes.
 
-    Returns (steps, outer, free).  Union-find merges the ports of each
-    vertex whose id is in equal, and the two ends of each edge, into
-    index classes, numbered by their lowest port (ports numbered vertex
-    by vertex, left ports before right ports).  Every other vertex keeps
-    its axes, each labelled by its class; one tensor may hold a class on
-    several axes, which einsum reads as a diagonal.  Nodes 0..n-1 are the
-    vertex tensors, and step k creates node n+k.
+    Returns (steps, outer, free).  The ports of each vertex whose id is
+    in equal start as one class, and union-find merges the two ends of
+    each edge into index classes, numbered by their lowest port (ports
+    numbered vertex by vertex, left ports before right ports), so the
+    numbers do not depend on which root a union keeps.  Every other
+    vertex keeps its axes, each labelled by its class; one tensor may
+    hold a class on several axes, which einsum reads as a diagonal.
+    Nodes 0..n-1 are the vertex tensors, and step k creates node n+k.
 
     Each step (operands, subscripts, rank) sums one class out of the
     nodes that hold it, by one np.einsum(subscripts, *operands), and
@@ -64,7 +65,11 @@ def elimination_plan(
     start = [0]
     for sig in vertices:
         start.append(start[-1] + sum(shape_of[sig]))
+    # every port of an equality vertex starts in the class of its first port
     parent = list(range(start[-1]))
+    for v, sig in enumerate(vertices):
+        if sig in equal:
+            parent[start[v]:start[v + 1]] = [start[v]] * (start[v + 1] - start[v])
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -72,10 +77,6 @@ def elimination_plan(
             x = parent[x]
         return x
 
-    for v, sig in enumerate(vertices):
-        if sig in equal:
-            for port in range(start[v] + 1, start[v + 1]):
-                parent[find(port)] = find(start[v])
     for (u, i, v, j) in edges:
         parent[find(start[u] + i - 1)] = find(start[v] + shape_of[vertices[v]][0] + j - 1)
     number: dict[int, int] = {}
@@ -118,8 +119,8 @@ def elimination_plan(
         subscripts = None
         if len(held) <= len(_LETTERS):
             letter = dict(zip(held, _LETTERS))
-            subscripts = ",".join("".join(letter[x] for x in axes[w]) for w in ops)
-            subscripts += "->" + "".join(letter[x] for x in kept)
+            subscripts = ",".join(["".join([letter[x] for x in axes[w]]) for w in ops])
+            subscripts += "->" + "".join([letter[x] for x in kept])
         steps.append((tuple(ops), subscripts, rank))
         for w in ops:
             del axes[w]

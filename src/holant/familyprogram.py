@@ -85,10 +85,13 @@ def _column_major(perm: list[int], split: int) -> bool:
 def compile_family(runs, stacks: _grids.BindingStacks):
     """The FamilyProgram of runs, the stored family's loop-free closed
     grids, under the shapes of stacks, planning each structure pairwise
-    once; None at q = 1, where numpy rounds a one-entry product by the
-    path it takes, or when some pairwise plan is over the entry cap or
-    does not fit the shapes: a replay run by run then names any fault as
-    a cold walk names it."""
+    once.  A family with no program is replayed run by run, which names
+    any fault as a cold walk names it.  Returns None at q = 1, where
+    numpy rounds a one-entry product by the path it takes, and when some
+    pairwise plan does not fit the shapes, since bindings of the
+    family's own shapes may still compile it.  Returns grids.NO_PROGRAM,
+    for the family to keep, when some pairwise plan is over the entry
+    cap, as it is under any bindings."""
     runs = tuple(runs)
     q = runs[0].q
     if q == 1:
@@ -104,9 +107,12 @@ def compile_family(runs, stacks: _grids.BindingStacks):
         for g in runs[start:end]:
             try:
                 plans.append(_grids._plan(g, shapes, ()))
-                _grids._check_cap(plans[-1], q)
             except ValueError:
                 return None
+            try:
+                _grids._check_cap(plans[-1], q)
+            except ValueError:
+                return _grids.NO_PROGRAM
         segments.append((start, end, shapes))
     return FamilyProgram(runs, segments, plans)
 

@@ -855,14 +855,18 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
 # with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
 # bound 5, 107350 grids in 72 MB, streams.  slot is a one-item list that
 # holds the family's compiled program (holant.familyprogram) once a
-# replay has compiled it, None while it has none (and always at q = 1 or
-# with a pairwise plan over the entry cap): 0.2 MB of index arrays for
-# the 300 structures of closed-invariance's family, planned and compiled
-# in about 14 ms; 1.5 MB for {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 3,
-# bound 5, 1729 structures.  spans.closed_signature_blocks replays the
-# stored family whole, by its program, and any other closed walk run by
-# run, in blocks of one grid more than this cap.
+# replay has compiled it; NO_PROGRAM once a replay has found a pairwise
+# plan over the entry cap, which no binding set changes, so that no
+# later replay tries to compile the family again; None before either,
+# after a replay under bindings of other shapes, and always at q = 1.
+# A program takes 0.2 MB of index arrays for the 300 structures of
+# closed-invariance's family, planned and compiled in about 14 ms;
+# 1.5 MB for {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 3, bound 5, 1729
+# structures.  spans.closed_signature_blocks replays the stored family
+# whole, by its program, and any other closed walk run by run, in
+# blocks of one grid more than this cap.
 FAMILY_MEMO_MAX_GRIDS = 4096
+NO_PROGRAM = "no program"
 _last_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
 
 

@@ -20,6 +20,7 @@ left graphs up to isomorphism and compare counts against two targets.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,13 +159,33 @@ def _round_count(value: complex, what: str) -> int:
     return int(target)
 
 
+# target graph -> its hom_bindings, held while the caller holds the target
+_target_bindings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
-    """Number of homomorphisms from x into g: the Holant value of hom_grid."""
+    """Number of homomorphisms from x into g: the Holant value of hom_grid.
+
+    The bindings of g, its adjacency "A" and "eq0" up to the largest
+    arity any count into g has needed, are built once per target and
+    reused by every later count into g or into a target equal to it.
+    They are held in a weak-keyed table, so as long as the caller holds
+    g and no longer.  An equality of an arity no count has needed is
+    never built, so a count refused for the entry cap (hom_bindings)
+    leaves the table fit for the counts that fit it.  The arrays are
+    those a fresh binding would build, so every count is unchanged.
+    """
     if g.n < 1:
         return 0 if x.n else 1
     _check_size(g.n, 2)  # refuse a target too large for A before its dense adjacency
     grid = hom_grid(x, g.n)
-    bindings = hom_bindings(g.adjacency(), x.max_degree())
+    arity = x.max_degree()
+    bindings = _target_bindings.get(g)
+    if bindings is None:
+        bindings = _target_bindings[g] = hom_bindings(g.adjacency(), arity)
+    # bindings holds "A" and eq0 .. eq{len(bindings) - 2}
+    for d in range(len(bindings) - 1, arity + 1):
+        bindings[f"eq{d}"] = equality_signature(g.n, d, 0)
     return _round_count(holant_eval_contracted(grid, bindings), "hom count")
 
 

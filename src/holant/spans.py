@@ -31,6 +31,7 @@ import numpy as np
 
 from holant import grids as _grids
 from holant.grids import (
+    NO_PROGRAM,
     BindingStacks,
     QuantumGadget,
     SignatureGrid,
@@ -142,7 +143,7 @@ def closed_signature_blocks(grids, *bindings):
         from holant.familyprogram import compile_family
 
         slot[0] = compile_family(block[::2], stacks)
-    if slot is not None and slot[0] is not None:
+    if slot is not None and slot[0] not in (None, NO_PROGRAM):
         runs = gadget_signature(slot[0], stacks)
         copies = derived_signature(runs, *derives(block[0], block[1]))
         values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))

@@ -163,7 +163,42 @@ def test_pairwise_plans_over_the_cap(monkeypatch):
         with pytest.raises(ValueError) as replayed:
             list(spans.closed_signature_blocks(grids, *sets))
         assert str(replayed.value) == str(alone.value)
+    assert grids_module.family_slot(grids) == [grids_module.NO_PROGRAM]
+
+
+def test_over_cap_family_is_compiled_once(monkeypatch):
+    # the family of test_pairwise_plans_over_the_cap, every set binding
+    # e and m to equalities, so that a replay run by run plans each
+    # structure once: its first replay also tries to compile the family
+    # and marks the slot, and the next one plans nothing more.  Bindings
+    # whose shapes do not fit leave the slot unmarked
+    sig_shapes, bound, q, sets = program_case("mixed")
+    eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
+    monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
+    monkeypatch.setattr(grids_module, "_last_family", None)
+    grids = list(enumerate_grids(sig_shapes, bound, q))
+    want = oracle_values(grids, eliminated)
+    routes = []
+    plan = grids_module._plan
+
+    def counted(grid, shapes, equal):
+        routes.append(equal)
+        return plan(grid, shapes, equal)
+
+    monkeypatch.setattr(grids_module, "_plan", counted)
+    swapped = [dict(b, a=b["u"], u=b["a"]) for b in eliminated]
+    with pytest.raises(ValueError):
+        list(spans.closed_signature_blocks(grids, *swapped))
     assert grids_module.family_slot(grids) == [None]
+    per_replay = []
+    for _ in range(2):
+        routes.clear()
+        [(_, values)] = spans.closed_signature_blocks(grids, *eliminated)
+        assert values.tobytes() == want.tobytes()
+        per_replay.append(list(routes))
+        assert grids_module.family_slot(grids) == [grids_module.NO_PROGRAM]
+    first, second = per_replay
+    assert len(second) == len(grids) // 2 < len(first)
 
 
 def test_import_does_not_load_the_compiler():

@@ -7,8 +7,11 @@ The connected-graph census for small n is cross-checked against a
 from-scratch edge-subset enumeration.
 """
 
+import gc
 import itertools
 import random
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +118,81 @@ def test_hom_grids_share_a_plan_across_target_sizes():
     assert hom_grid(x, 10) != hom_grid(x, 16)
     info = _contraction_plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# -- the per-target bindings of hom_count ------------------------------------------
+
+
+@pytest.fixture
+def fresh_targets(monkeypatch):
+    """hom_count's table of target bindings, emptied for one test."""
+    table = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(homgraphs, "_target_bindings", table)
+    return table
+
+
+def test_interleaved_targets_keep_their_own_bindings(fresh_targets):
+    # two targets on one vertex count, and two equal target objects, so
+    # that a table keyed by n, or by identity, would show
+    rng = np.random.default_rng(5)
+    f, g = random_graph(rng, 5), random_graph(rng, 5)
+    assert f != g
+    g_again = SimpleGraph(g.n, g.edges)
+    xs = [path_graph(3), cycle_graph(4), complete_graph(3), SimpleGraph(2, ())]
+    for x in xs + xs:
+        for target in (f, g, g_again, f):
+            assert hom_count(x, target) == brute_hom_count(x, target)
+    assert len(fresh_targets) == 2
+
+
+def test_target_bindings_grow_to_the_arity_asked(fresh_targets):
+    # a path needs eq0 .. eq2, K4 also eq3, which the path then ignores
+    target = random_graph(np.random.default_rng(6), 6)
+    for x, top in ((path_graph(4), 2), (complete_graph(4), 3), (path_graph(4), 3)):
+        assert hom_count(x, target) == brute_hom_count(x, target)
+        assert sorted(fresh_targets[target]) == ["A"] + [f"eq{d}" for d in range(top + 1)]
+
+
+def test_a_refused_count_leaves_the_target_usable(fresh_targets):
+    # K4 plus isolated vertices, 407 in all: eq3 needs 407**3 entries,
+    # over the cap, while a cycle needs only eq2.  A connected left
+    # graph with an edge maps into K4 alone, so the brute count into K4
+    # is the count
+    target = SimpleGraph(407, complete_graph(4).edges)
+    want = brute_hom_count(cycle_graph(5), complete_graph(4))
+    assert hom_count(cycle_graph(5), target) == want
+    over = "tensor with q=407 and 3 slots needs more than 67108864 entries, over the cap"
+    with pytest.raises(ValueError, match=re.escape(over)):
+        hom_count(complete_graph(4), target)
+    assert hom_count(cycle_graph(5), target) == want
+    assert sorted(fresh_targets[target]) == ["A", "eq0", "eq1", "eq2"]
+
+
+def test_hom_bindings_built_once_per_target(fresh_targets, monkeypatch):
+    calls = []
+
+    def counting(adjacency, max_arity):
+        calls.append(max_arity)
+        return hom_bindings(adjacency, max_arity)
+
+    monkeypatch.setattr(homgraphs, "hom_bindings", counting)
+    rng = np.random.default_rng(8)
+    targets = [random_graph(rng, 4), random_graph(rng, 5)]
+    census = enumerate_connected_graphs(5, 3)
+    for x in census:
+        for target in targets:
+            assert hom_count(x, target) == brute_hom_count(x, target)
+    assert len(calls) == len(targets)
+
+
+def test_a_dropped_target_frees_its_bindings(fresh_targets):
+    target = random_graph(np.random.default_rng(9), 5)
+    assert hom_count(cycle_graph(3), target) == brute_hom_count(cycle_graph(3), target)
+    held = weakref.ref(fresh_targets[target]["A"].array)
+    assert len(fresh_targets) == 1
+    del target
+    gc.collect()
+    assert len(fresh_targets) == 0 and held() is None
 
 
 def test_hom_self_map_counts_automorphisms_at_least():

@@ -1,15 +1,16 @@
 """The stored closed family compiled into one level-batched program;
 internal.
 
-spans.closed_signature_blocks compiles the loop-free grids of the stored
-closed family (grids.family_slot) once, by compile_family, into a
-FamilyProgram that the family keeps.  The program replays every
-structure's pairwise plan (grids.ContractionPlan) under every binding
-set of a walk in a few batched numpy calls, where
-grids._execute would make several small ones per structure (the batched
-layout of Dongarra et al., "A proposed API for batched basic linear
-algebra subprograms", 2016; contraction trees as compiled programs, Gray
-& Kourtis, "Hyper-optimized tensor network contraction", 2021).
+spans._walk stores the last closed family a checker walked, and
+spans.closed_signature_blocks compiles its loop-free grids once, by
+compile_family under the family's own shapes, into a FamilyProgram that
+the stored family keeps.  The program replays every structure's
+pairwise plan (grids.ContractionPlan) under every binding set of a walk
+in a few batched numpy calls, where grids._execute would make several
+small ones per structure (the batched layout of Dongarra et al., "A
+proposed API for batched basic linear algebra subprograms", 2016;
+contraction trees as compiled programs, Gray & Kourtis,
+"Hyper-optimized tensor network contraction", 2021).
 
 The structures are split, in walk order, into parts whose nodes hold at
 most PART_MAX_ENTRIES entries in all per binding set (a part holds at
@@ -46,7 +47,8 @@ run by run (spans.closed_signature_blocks).  The program batches every
 pairwise row.  A segment (a run of grids with one vertex sequence) hands
 every row of its structures to grids._contract, inside the same replay,
 when some binding set's route eliminates equalities in it, or when the
-binding sets' shapes differ from those it was compiled for.
+binding sets' shapes differ from the family's own, for which it was
+compiled.
 """
 
 from __future__ import annotations
@@ -82,16 +84,14 @@ def _column_major(perm: list[int], split: int) -> bool:
     )
 
 
-def compile_family(runs, stacks: _grids.BindingStacks):
+def compile_family(runs, shapes: dict[str, tuple[int, int]]):
     """The FamilyProgram of runs, the stored family's loop-free closed
-    grids, under the shapes of stacks, planning each structure pairwise
-    once.  A family with no program is replayed run by run, which names
-    any fault as a cold walk names it.  Returns None at q = 1, where
-    numpy rounds a one-entry product by the path it takes, and when some
-    pairwise plan does not fit the shapes, since bindings of the
-    family's own shapes may still compile it.  Returns grids.NO_PROGRAM,
-    for the family to keep, when some pairwise plan is over the entry
-    cap, as it is under any bindings."""
+    grids, under shapes, the family's own (id -> shape), planning each
+    structure pairwise once.  Returns None, for the family to keep, when
+    the family has no program under any bindings: at q = 1, where numpy
+    rounds a one-entry product by the path it takes, and when some
+    pairwise plan is over the entry cap.  A family with no program is
+    replayed run by run, which names any fault as a cold walk names it."""
     runs = tuple(runs)
     q = runs[0].q
     if q == 1:
@@ -100,27 +100,24 @@ def compile_family(runs, stacks: _grids.BindingStacks):
         raise ValueError("a family program holds loop-free closed grids of one q")
     starts = [i for i, g in enumerate(runs) if i == 0 or g.vertices != runs[i - 1].vertices]
     # maximal runs of grids with one vertex sequence, so one kind for
-    # BindingStacks.bind: (start, end, (id, shape) pairs)
+    # BindingStacks.bind: (start, end, (id, shape) pairs, as it binds them)
     segments, plans = [], []
     for start, end in zip(starts, starts[1:] + [len(runs)]):
-        shapes = stacks.bind(runs[start]).shapes
+        own = tuple((sig, shapes[sig]) for sig in sorted(set(runs[start].vertices)))
         for g in runs[start:end]:
-            try:
-                plans.append(_grids._plan(g, shapes, ()))
-            except ValueError:
-                return None
+            plans.append(_grids._plan(g, own, ()))
             try:
                 _grids._check_cap(plans[-1], q)
             except ValueError:
-                return _grids.NO_PROGRAM
-        segments.append((start, end, shapes))
+                return None
+        segments.append((start, end, own))
     return FamilyProgram(runs, segments, plans)
 
 
 class FamilyProgram:
     """The compiled replay of the stored family's loop-free closed grids,
-    runs, at q >= 2, under binding sets whose ids have the shapes it was
-    compiled for (compile_family builds it).  Every part is compiled
+    runs, at q >= 2, under binding sets whose ids have the family's own
+    shapes (compile_family builds it).  Every part is compiled
     when it is built.  replay(stacks) returns a read-only (structures, B)
     array; the rows it hands over (see the module docstring) are
     grids._contract's.

@@ -206,12 +206,12 @@ class BindingStacks:
 # reuses its plan (hom grids built for several target sizes, gadgets in
 # every slot order).  A walk contracts each structure once for all its
 # binding sets (stacked_signature), so it looks each plan up once.  The
-# stored closed family's program (holant.familyprogram, kept in
-# family_slot) looks each structure's pairwise plan up when it is built,
-# so a replay of it looks up none, but for the rows it hands to _contract
-# (the module docstring of holant.familyprogram says which), which look
-# their plans up on each replay.  The cache keeps a whole family, so that
-# a later walk of one that is not stored plans nothing:
+# program of the closed family that spans._walk stores
+# (holant.familyprogram) looks each structure's pairwise plan up once,
+# when it is compiled; a replay of it looks up only the plans of the rows
+# it hands to _contract (that module's docstring says which).  The cache
+# keeps a whole family, so that a later walk of one that is not stored
+# plans nothing:
 # 300 closed structures over three shapes at bound 4, the 877 closed
 # structures of the arity-4 counterexample at bound 6 with ordered ports
 # (5 up to port symmetry, which every checker walks over those symmetric
@@ -539,12 +539,13 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
 
-    grid may also be the stored closed family's compiled program
-    (holant.familyprogram.FamilyProgram, hashed by identity, so that
-    perfbench's tracer can count it).  It replays all its structures at
-    once and returns a read-only (structures, B) array whose row j is
-    bitwise this function's result for its structure j: one
-    level-batched program for the rows it batches, and _contract,
+    grid may also be the compiled program of the closed family that
+    spans._walk stores (holant.familyprogram.FamilyProgram, hashed by
+    identity, so that perfbench's tracer can count it), which only
+    spans.closed_signature_blocks passes here.  It replays all its
+    structures at once and returns a read-only (structures, B) array
+    whose row j is bitwise this function's result for its structure j:
+    one level-batched program for the rows it batches, and _contract,
     structure by structure, for the rows it hands over (the module
     docstring of holant.familyprogram says which are which).
     """
@@ -844,41 +845,6 @@ def _port_matchings(sig_list: list[str], free_left, free_right, pretouched=()):
     yield from rec(0)
 
 
-# The last finished closed-grid family, as (key, grids, slot), keyed on
-# (sorted (id, shape) pairs, bound, q, the ids walked up to port
-# symmetry).  Every caller walks one family over and over
-# (verify_holant_theorem walks it on each call), so one family is kept.
-# A family of more than FAMILY_MEMO_MAX_GRIDS grids is never stored; its
-# walk drops what it kept once it passes the cap.  Grids take 230-670
-# bytes each (tracemalloc), so the grids take at most about 3 MB: the
-# arity-4 counterexample's family at bound 6 holds 1754 grids in 1.2 MB
-# with ordered ports and 10 up to port symmetry; {a (1,1), b (2,2)} at
-# bound 5, 107350 grids in 72 MB, streams.  slot is a one-item list that
-# holds the family's compiled program (holant.familyprogram) once a
-# replay has compiled it; NO_PROGRAM once a replay has found a pairwise
-# plan over the entry cap, which no binding set changes, so that no
-# later replay tries to compile the family again; None before either,
-# after a replay under bindings of other shapes, and always at q = 1.
-# A program takes 0.2 MB of index arrays for the 300 structures of
-# closed-invariance's family, planned and compiled in about 14 ms;
-# 1.5 MB for {s0 (1,1), s1 (2,1), s2 (1,2)} at q = 3, bound 5, 1729
-# structures.  spans.closed_signature_blocks replays the stored family
-# whole, by its program, and any other closed walk run by run, in
-# blocks of one grid more than this cap.
-FAMILY_MEMO_MAX_GRIDS = 4096
-NO_PROGRAM = "no program"
-_last_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
-
-
-def family_slot(grids) -> list | None:
-    """The stored family's program slot, if grids, a list or tuple,
-    holds that family's grids in walk order; else None."""
-    if _last_family is None or not isinstance(grids, (list, tuple)):
-        return None
-    _, family, slot = _last_family
-    return slot if len(grids) == len(family) and tuple(grids) == family else None
-
-
 def _port_walk(sigs, symmetric):
     """The ids walked up to port symmetry, and the per-multiset walk.
 
@@ -914,42 +880,18 @@ def enumerate_grids(
     a side, isomorphism also permutes each vertex's left ports and its
     right ports (holant.portclasses).
 
-    A walk that runs to the end, with at most FAMILY_MEMO_MAX_GRIDS grids,
-    replaces the one stored family, keyed on (sorted (id, shape) pairs,
-    max_vertices, q, the ids walked up to port symmetry); a later walk
-    with the same key replays it.  The family is stored with a slot for
-    its compiled program (family_slot): at q >= 2 the first closed
-    replay of the stored grids (spans.closed_signature_blocks) compiles
-    their pairwise plans into one level-batched program
-    (holant.familyprogram) and keeps it there, so that every later
-    replay contracts the whole family in a few batched numpy calls per
-    binding batch without planning or looking up anything again; the
-    rows the program hands over (see holant.familyprogram) are still
-    _contract's, structure by structure, inside the same replay.  A walk
-    stopped early, or of a larger family, stays lazy, stores nothing and
-    is replayed run by run.
+    A plain generator: it keeps nothing between walks, and every walk
+    enumerates.  The spans checkers and verify_holant_theorem walk
+    through spans._walk, which stores the last closed family.
     """
-    global _last_family
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]
     if len(set(ids)) != len(ids):
         raise ValueError("signature ids must be distinct")
-    by_class, per_multiset = _port_walk(sigs, symmetric)
-    key = (tuple(sigs), max_vertices, q, by_class)
-    if _last_family is not None and _last_family[0] == key:
-        yield from _last_family[1]
-        return
-    walked = []
+    per_multiset = _port_walk(sigs, symmetric)[1]
     for vertices, edges, _, _ in _structures(sigs, (0, 0), max_vertices, per_multiset):
         for loops in (0, 1):
-            grid = SignatureGrid(q=q, vertices=vertices, edges=edges, loops=loops)
-            if walked is not None:
-                walked.append(grid)
-                if len(walked) > FAMILY_MEMO_MAX_GRIDS:
-                    walked = None
-            yield grid
-    if walked is not None:
-        _last_family = (key, tuple(walked), [None])
+            yield SignatureGrid(q=q, vertices=vertices, edges=edges, loops=loops)
 
 
 def enumerate_gadgets(

@@ -31,7 +31,6 @@ import numpy as np
 
 from holant import grids as _grids
 from holant.grids import (
-    NO_PROGRAM,
     BindingStacks,
     QuantumGadget,
     SignatureGrid,
@@ -39,7 +38,6 @@ from holant.grids import (
     derives,
     enumerate_gadgets,
     enumerate_grids,
-    family_slot,
     holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
 )
 
@@ -101,8 +99,8 @@ def structure_signatures(grids, *bindings):
     stops early contracts nothing past the grid it stopped at.
     build_span, check_indistinguishable and check_covanishing take their
     signatures from here, and so does closed_signature_blocks for every
-    closed walk but the stored family's, which its compiled program
-    replays with the same bits.
+    closed walk but a stored family with a program, which replays it
+    with the same bits.
     """
     stacks = BindingStacks(bindings)
     first = stack = None
@@ -121,37 +119,33 @@ def closed_signature_blocks(grids, *bindings):
     blocks, values[k, j] bitwise the value structure_signatures gives
     grids[k] under bindings[j], as one read-only array per block.
 
-    The stored family (grids.family_slot) is one block.  Its first
-    replay compiles its loop-free grids into one level-batched program
-    (holant.familyprogram, imported on first use), kept in the family's
-    slot, which contracts them under all binding sets at the same time
-    through this module's gadget_signature; each loop copy is scaled from
-    its structure's values by grids.derives, all copies at once.  That
-    module's docstring says which families get a program and which rows
-    it hands to grids._contract.  Every other walk is replayed run by run
-    by one structure_signatures pass, in blocks of FAMILY_MEMO_MAX_GRIDS
-    + 1 grids: a family too large for the memo holds about as many grids
-    at a time as the memo would, and the first block of a family that
-    fits it has run its enumerator to the end, which stores the family.
+    grids, when it is the family _walk stored (the same tuple), is one
+    block.  Its first replay here compiles its loop-free grids under the
+    family's own shapes (holant.familyprogram.compile_family, imported on
+    first use), and the family keeps the result: a program, or None where
+    it has none (q = 1, or a pairwise plan over the entry cap).  A
+    program contracts the structures under all binding sets at the same
+    time through this module's gadget_signature; each loop copy is
+    scaled from its structure's values by grids.derives, all copies at
+    once.  That module's docstring says which rows it hands to
+    grids._contract.  Every other walk is replayed run by run by one
+    structure_signatures pass, in blocks of FAMILY_MEMO_MAX_GRIDS grids.
     """
-    stacks = BindingStacks(bindings)
-    walk = iter(grids)
-    size = _grids.FAMILY_MEMO_MAX_GRIDS + 1
-    block = list(itertools.islice(walk, size))
-    slot = family_slot(block)
-    if slot is not None and slot[0] is None:
-        from holant.familyprogram import compile_family
+    if _family is not None and grids is _family[1]:
+        key, family, program = _family
+        if not program:
+            from holant.familyprogram import compile_family
 
-        slot[0] = compile_family(block[::2], stacks)
-    if slot is not None and slot[0] not in (None, NO_PROGRAM):
-        runs = gadget_signature(slot[0], stacks)
-        copies = derived_signature(runs, *derives(block[0], block[1]))
-        values = np.stack([runs, copies], axis=1).reshape(len(block), len(bindings))
-        values.setflags(write=False)
-        yield block, values
-        return
-    rows = structure_signatures(itertools.chain(block, walk), *bindings)
-    while chunk := list(itertools.islice(rows, size)):
+            program.append(compile_family(family[::2], dict(key[0])))
+        if program[0] is not None:
+            runs = gadget_signature(program[0], BindingStacks(bindings))
+            copies = derived_signature(runs, *derives(family[0], family[1]))
+            values = np.stack([runs, copies], axis=1).reshape(len(family), len(bindings))
+            values.setflags(write=False)
+            yield family, values
+            return
+    rows = structure_signatures(grids, *bindings)
+    while chunk := list(itertools.islice(rows, FAMILY_MEMO_MAX_GRIDS)):
         values = np.array([row[1:] for row in chunk], dtype=np.complex128)
         values = values.reshape(len(chunk), len(bindings))
         values.setflags(write=False)
@@ -165,12 +159,49 @@ def _symmetric_ids(*binding_sets) -> tuple[str, ...]:
     )
 
 
+# The last closed family _walk enumerated, as (key, grids, program):
+# key is (sorted (id, shape) pairs, bound, q, the ids walked up to port
+# symmetry); grids the tuple _walk returns; program a list, empty until
+# closed_signature_blocks first replays the family, then holding its
+# FamilyProgram or None.  Every caller walks one family over and over
+# (closed-invariance makes 40 verify_holant_theorem queries on one), so
+# one family is kept.  A family of more than FAMILY_MEMO_MAX_GRIDS grids
+# streams and is never stored.  Grids take 230-670 bytes each
+# (tracemalloc): the arity-4 counterexample's family at bound 6 holds
+# 1754 grids in 1.2 MB with ordered ports; {a (1,1), b (2,2)} at bound
+# 5, 107350 grids, streams.  A program takes 0.2 MB of index arrays for
+# closed-invariance's 300 structures, planned and compiled in about 14 ms.
+FAMILY_MEMO_MAX_GRIDS = 4096
+_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
+
+
+def _closed_walk(sig_shapes, max_vertices: int, q: int, symmetric):
+    """The closed grids of enumerate_grids(sig_shapes, max_vertices, q,
+    symmetric): the stored family's tuple when its key matches, which
+    enumerates nothing; else a new family of at most
+    FAMILY_MEMO_MAX_GRIDS grids, enumerated whole and stored in its
+    place; else an iterator over the grids read so far and the rest of
+    the stream, which stores nothing."""
+    global _family
+    key = (tuple(sig_shapes), max_vertices, q, _grids._port_walk(sig_shapes, symmetric)[0])
+    if _family is not None and _family[0] == key:
+        return _family[1]
+    walk = enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
+    head = tuple(itertools.islice(walk, FAMILY_MEMO_MAX_GRIDS + 1))
+    if len(head) > FAMILY_MEMO_MAX_GRIDS:
+        return itertools.chain(head, walk)
+    _family = (key, head, [])
+    return head
+
+
 def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
     """The walk of the spans checkers over fs at the profile: closed grids
-    at (0,0), gadgets otherwise, up to port symmetry over the ids bound
-    symmetrically in fs and every other binding set.  All five checkers
-    walk here: build_span, gram_nondegenerate, check_indistinguishable,
-    check_covanishing and transforms.verify_holant_theorem.
+    at (0,0) (_closed_walk, which keeps the last closed family), gadgets
+    otherwise (a lazy enumerate_gadgets), up to port symmetry over the
+    ids bound symmetrically in fs and every other binding set.  All five
+    checkers walk here: build_span, gram_nondegenerate,
+    check_indistinguishable, check_covanishing and
+    transforms.verify_holant_theorem.
 
     A negative bound is refused: it walks nothing, and every checker
     would pass on no grid.  A profile whose signatures would have more
@@ -189,7 +220,7 @@ def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
     symmetric = _symmetric_ids(fs, *others)
     l, r = profile
     if (l, r) == (0, 0):
-        return enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
+        return _closed_walk(sig_shapes, max_vertices, q, symmetric)
     if l >= 0 and r >= 0:  # enumerate_gadgets names a negative entry
         _check_size(q, l + r)
     return enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
@@ -479,15 +510,28 @@ def check_covanishing(
     When every id is bound symmetrically on both sides, the stacks hold
     one gadget per class of port permutations: the ordered stacks repeat
     those rows, and the null vectors the repeats add vanish on both
-    sides (see the module docstring).
+    sides (see the module docstring).  A gadget whose signature is not
+    finite on either side raises ArithmeticError naming it and the side,
+    before any SVD: the SVD of such a stack does not converge.  The
+    overflow or invalid operation that makes such a signature raises no
+    numpy warning besides.
     """
     gs_as_f = _check_correspondence(fs, gs, bijection)
     structures = list(_walk(profile, max_vertices, fs, gs_as_f))
     q = next(iter(fs.values())).q
     l, r = profile
     shape = (len(structures), q ** (l + r))
-    rows = list(structure_signatures(structures, fs, gs_as_f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = list(structure_signatures(structures, fs, gs_as_f))
     stack_f, stack_g = (np.array([row[k].reshape(-1) for row in rows]).reshape(shape) for k in (1, 2))
+    finite_f, finite_g = (np.isfinite(stack).all(axis=1) for stack in (stack_f, stack_g))
+    if not (finite_f.all() and finite_g.all()):
+        i = int((finite_f & finite_g).argmin())
+        g = structures[i]
+        raise ArithmeticError(
+            f"gadget {i + 1} of the walk (vertices {g.vertices}, edges {g.edges}, loops {g.loops}) "
+            f"has a non-finite signature under the {'second' if finite_f[i] else 'first'} set"
+        )
     worst = (0.0, None, None)
     for direction, a, b in (("first", stack_f, stack_g), ("second", stack_g, stack_f)):
         # left_null() holds this direction's U; nothing else may, so it

@@ -128,14 +128,17 @@ def verify_holant_theorem(
     counts the classes.
 
     The values come as one (grids, 2) array per block of the walk
-    (spans.closed_signature_blocks: the stored family at q >= 2 by its
-    compiled program, whose batched rows holant.familyprogram names,
-    every other walk run by run) and are judged by numpy as
-    a loop over the grids in walk order would judge them: moduli by
-    np.hypot, which rounds as Python's abs of a complex does, worst_grid
-    the first grid of the largest scaled error above 0 (None if every
-    error is 0), and NaN errors passed over as x > max and max(a, b)
-    pass over them.
+    (spans.closed_signature_blocks: the family spans._walk stored, at
+    q >= 2, by its compiled program, whose batched rows
+    holant.familyprogram names; every other walk run by run) and are
+    judged by numpy as a loop over the grids in walk order would judge
+    them: moduli by np.hypot, which rounds as Python's abs of a complex
+    does, and worst_grid the first grid of the largest scaled error above
+    0 (None if every error is 0).  A value that is NaN or infinite on
+    either side raises ArithmeticError naming the first such grid in walk
+    order: its error compares false with every tolerance, so it would
+    pass unseen.  The overflow or invalid operation that makes such a
+    value raises no numpy warning besides.
     """
     if not fs:
         raise ValueError("need at least one signature")
@@ -147,19 +150,29 @@ def verify_holant_theorem(
     max_abs = 0.0
     max_scaled = 0.0
     count = 0
-    for block, values in closed_signature_blocks(_walk((0, 0), max_vertices, fs), fs, transformed):
-        before = values[:, 0]
-        diff = before - values[:, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
+    blocks = closed_signature_blocks(_walk((0, 0), max_vertices, fs), fs, transformed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, values in blocks:
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                k = int(finite.argmin())
+                grid, (vf, vg) = block[k], values[k]
+                raise ArithmeticError(
+                    f"grid {count + k + 1} of the walk (vertices {grid.vertices}, "
+                    f"edges {grid.edges}, loops {grid.loops}) has a non-finite value: "
+                    f"{complex(vf)} before the transformation, {complex(vg)} after it"
+                )
+            before = values[:, 0]
+            diff = before - values[:, 1]
             err = np.hypot(diff.real, diff.imag)
             scaled = err / (1 + np.hypot(before.real, before.imag))
             above = np.where(scaled > max_scaled, scaled, 0.0)
-        k = int(above.argmax())
-        if above[k] > max_scaled:
-            max_scaled = float(above[k])
-            worst = block[k]
-        max_abs = float(np.fmax.reduce(err, initial=max_abs))
-        count += len(block)
+            k = int(above.argmax())
+            if above[k] > max_scaled:
+                max_scaled = float(above[k])
+                worst = block[k]
+            max_abs = float(np.fmax.reduce(err, initial=max_abs))
+            count += len(block)
     return HolantTheoremReport(
         q=t.q,
         max_vertices=max_vertices,

@@ -1,8 +1,8 @@
 """The compiled family program against a replay structure by structure.
 
-spans.closed_signature_blocks replays the stored closed family at q >= 2
-by one compiled program (holant.familyprogram), and every other walk run
-by run.  Each case compares its values, loop copies included, with
+spans.closed_signature_blocks replays the closed family that spans._walk
+stored, at q >= 2, by one compiled program (holant.familyprogram), and
+every other walk run by run.  Each case compares its values, loop copies included, with
 oracles.oracle_signatures, which contracts every grid alone through
 grids._execute, by the bytes of the arrays: a value that rounds
 differently, or a zero whose sign differs, fails.
@@ -19,7 +19,6 @@ import pytest
 from holant import familyprogram
 from holant import grids as grids_module
 from holant import spans
-from holant.grids import enumerate_grids
 from holant.tensors import MixedTensor, equality_signature, identity_signature
 from oracles import oracle_signatures
 
@@ -73,16 +72,16 @@ def oracle_values(grids, sets):
 @pytest.mark.parametrize("name", ["q1", "q2", "q3", "mixed"])
 def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
     sig_shapes, bound, q, sets = program_case(name)
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    grids = list(enumerate_grids(sig_shapes, bound, q))
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
     want = oracle_values(grids, sets)
     # the stored family: compiled by its first replay, replayed by its
     # kept program after that; at q = 1 it has none, and replays run by run
     for _ in range(2):
         [(block, values)] = spans.closed_signature_blocks(grids, *sets)
-        assert block == grids
+        assert tuple(block) == grids
         assert values.tobytes() == want.tobytes()
-    program = grids_module.family_slot(grids)[0]
+    [program] = spans._family[2]
     if q == 1:
         assert program is None
     else:
@@ -99,9 +98,9 @@ def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
 @pytest.mark.parametrize("name", ["q2", "mixed"])
 def test_streamed_blocks_replay_run_by_run(monkeypatch, name):
     # a walk streamed past the memo cap builds no program, and is yielded
-    # in blocks of one more grid than the cap
+    # in blocks of the cap
     sig_shapes, bound, q, sets = program_case(name)
-    grids = list(enumerate_grids(sig_shapes, bound, q))
+    grids = list(grids_module.enumerate_grids(sig_shapes, bound, q))
     want = oracle_values(grids, sets)
 
     def no_program(*args):
@@ -109,11 +108,11 @@ def test_streamed_blocks_replay_run_by_run(monkeypatch, name):
 
     cap = len(grids) // 4
     monkeypatch.setattr(familyprogram, "compile_family", no_program)
-    monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    blocks = list(spans.closed_signature_blocks(enumerate_grids(sig_shapes, bound, q), *sets))
-    assert grids_module._last_family is None and len(blocks) >= 3
-    assert [len(block) for block, _ in blocks[:-1]] == [cap + 1] * (len(blocks) - 1)
+    monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
+    monkeypatch.setattr(spans, "_family", None)
+    blocks = list(spans.closed_signature_blocks(spans._closed_walk(sig_shapes, bound, q, ()), *sets))
+    assert spans._family is None and len(blocks) >= 3
+    assert [len(block) for block, _ in blocks[:-1]] == [cap] * (len(blocks) - 1)
     assert [g for block, _ in blocks for g in block] == grids
     assert all(not v.flags.writeable for _, v in blocks)
     assert np.concatenate([v for _, v in blocks]).tobytes() == want.tobytes()
@@ -127,13 +126,13 @@ def test_parts_keep_the_bits(monkeypatch, name):
     # the program is built
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(familyprogram, "PART_MAX_ENTRIES", q**5)
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    grids = list(enumerate_grids(sig_shapes, bound, q))
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
     want = oracle_values(grids, sets)
     for _ in range(2):
         [(_, values)] = spans.closed_signature_blocks(grids, *sets)
         assert values.tobytes() == want.tobytes()
-    program = grids_module.family_slot(grids)[0]
+    [program] = spans._family[2]
     assert 1 < len(program.parts) < len(grids) // 2
     # each part's structures: the products' rows, by number of scalars
     members = [np.concatenate([same for same, _ in products]) for *_, products in program.parts]
@@ -152,8 +151,8 @@ def test_pairwise_plans_over_the_cap(monkeypatch):
     sig_shapes, bound, q, sets = program_case("mixed")
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
     monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    grids = list(enumerate_grids(sig_shapes, bound, q))
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
     with pytest.raises(ValueError) as alone:
         list(oracle_signatures(grids, *sets))
     want = oracle_values(grids, eliminated)
@@ -163,42 +162,67 @@ def test_pairwise_plans_over_the_cap(monkeypatch):
         with pytest.raises(ValueError) as replayed:
             list(spans.closed_signature_blocks(grids, *sets))
         assert str(replayed.value) == str(alone.value)
-    assert grids_module.family_slot(grids) == [grids_module.NO_PROGRAM]
+    assert spans._family[2] == [None]
 
 
 def test_over_cap_family_is_compiled_once(monkeypatch):
     # the family of test_pairwise_plans_over_the_cap, every set binding
     # e and m to equalities, so that a replay run by run plans each
-    # structure once: its first replay also tries to compile the family
-    # and marks the slot, and the next one plans nothing more.  Bindings
-    # whose shapes do not fit leave the slot unmarked
+    # structure once.  Its first replay, under bindings of other shapes,
+    # tries to compile it under its own shapes and keeps the mark of no
+    # program; later replays compile nothing and plan each structure once
     sig_shapes, bound, q, sets = program_case("mixed")
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
     monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    grids = list(enumerate_grids(sig_shapes, bound, q))
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
     want = oracle_values(grids, eliminated)
-    routes = []
-    plan = grids_module._plan
+    routes, compiled = [], []
+    plan, compile_family = grids_module._plan, familyprogram.compile_family
 
     def counted(grid, shapes, equal):
         routes.append(equal)
         return plan(grid, shapes, equal)
 
     monkeypatch.setattr(grids_module, "_plan", counted)
+    monkeypatch.setattr(familyprogram, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
     swapped = [dict(b, a=b["u"], u=b["a"]) for b in eliminated]
     with pytest.raises(ValueError):
         list(spans.closed_signature_blocks(grids, *swapped))
-    assert grids_module.family_slot(grids) == [None]
-    per_replay = []
+    assert spans._family[2] == [None] and len(compiled) == 1
     for _ in range(2):
         routes.clear()
         [(_, values)] = spans.closed_signature_blocks(grids, *eliminated)
         assert values.tobytes() == want.tobytes()
-        per_replay.append(list(routes))
-        assert grids_module.family_slot(grids) == [grids_module.NO_PROGRAM]
-    first, second = per_replay
-    assert len(second) == len(grids) // 2 < len(first)
+        assert len(routes) == len(grids) // 2
+        assert spans._family[2] == [None] and len(compiled) == 1
+
+
+def test_other_shapes_replay_without_recompiling(monkeypatch):
+    # a compiled family replayed under bindings of other shapes hands
+    # those rows to grids._contract, compiles nothing again, and raises
+    # what a cold walk of the same grids raises
+    sig_shapes, bound, q, sets = program_case("q3")
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
+    swapped = [dict(b, s1=b["s2"], s2=b["s1"]) for b in sets]
+    with pytest.raises(ValueError) as cold:
+        list(spans.structure_signatures(grids, *swapped))
+    [(_, values)] = spans.closed_signature_blocks(grids, *sets)
+    [program] = spans._family[2]
+    assert program is not None
+
+    def no_compile(*args):
+        raise AssertionError("a stored family was compiled twice")
+
+    monkeypatch.setattr(familyprogram, "compile_family", no_compile)
+    for _ in range(2):
+        with pytest.raises(ValueError) as replayed:
+            list(spans.closed_signature_blocks(grids, *swapped))
+        assert str(replayed.value) == str(cold.value)
+        assert spans._family[2] == [program]
+    [(_, again)] = spans.closed_signature_blocks(grids, *sets)
+    assert again.tobytes() == values.tobytes() == oracle_values(grids, sets).tobytes()
 
 
 def test_import_does_not_load_the_compiler():

@@ -811,12 +811,9 @@ def test_enumeration_single_matrix_counts_partitions():
         assert len(got) == sum(partitions[: n + 1])
 
 
-def test_enumeration_yields_valid_distinct_deterministic(monkeypatch):
+def test_enumeration_yields_valid_distinct_deterministic():
     sigs = [("ne", (2, 0)), ("f", (0, 4))]
-    # clear the family memo, so both walks run the generator
-    monkeypatch.setattr("holant.grids._last_family", None)
     run1 = list(enumerate_grids(sigs, 6, q=2))
-    monkeypatch.setattr("holant.grids._last_family", None)
     run2 = list(enumerate_grids(sigs, 6, q=2))
     assert run1 == run2
     seen = set()
@@ -1088,42 +1085,71 @@ def test_canonical_search_orders_a_short_block_after_its_extension():
 SMALL_FAMILY = ([("x", (2, 1)), ("y", (0, 3))], 4)
 
 
+def counted_structures(monkeypatch):
+    """The profiles of every grids._structures walk started from here on."""
+    walks = []
+    real = holant.grids._structures
+
+    def counted(sigs, profile, *rest):
+        walks.append(profile)
+        return real(sigs, profile, *rest)
+
+    monkeypatch.setattr(holant.grids, "_structures", counted)
+    return walks
+
+
+def test_enumerate_grids_keeps_no_state(monkeypatch):
+    # a plain generator: each walk enumerates again, and neither the
+    # checkers' stored family nor any walk before changes what it yields
+    sigs, bound = SMALL_FAMILY
+    walks = counted_structures(monkeypatch)
+    expected = list(oracle_enumerate_grids(sigs, bound, q=2))
+    monkeypatch.setattr(spans, "_family", None)
+    spans._closed_walk(sigs, bound, 2, ())
+    walks.clear()
+    assert list(enumerate_grids(sigs, bound, q=2)) == expected
+    assert list(enumerate_grids(sigs, bound, q=2)) == expected
+    assert walks == [(0, 0), (0, 0)]
+
+
 def test_closed_family_memo_replays_a_finished_walk(monkeypatch):
     sigs, bound = SMALL_FAMILY
-    monkeypatch.setattr("holant.grids._last_family", None)
-    first = list(enumerate_grids(sigs, bound, q=2))
-    assert holant.grids._last_family[1] == tuple(first)
-    assert list(enumerate_grids(sigs, bound, q=2)) == first
+    monkeypatch.setattr(spans, "_family", None)
+    walks = counted_structures(monkeypatch)
+    first = spans._closed_walk(sigs, bound, 2, ())
+    assert first == tuple(oracle_enumerate_grids(sigs, bound, q=2))
+    assert spans._family[1] is first and walks == [(0, 0)]
+    # a hit hands out the stored tuple and enumerates nothing
+    assert spans._closed_walk(sigs, bound, 2, ()) is first and walks == [(0, 0)]
     # the key holds q and the bound; a new key replaces the stored family
-    assert list(enumerate_grids(sigs, bound, q=3)) == [
+    assert list(spans._closed_walk(sigs, bound, 3, ())) == [
         SignatureGrid(3, g.vertices, g.edges, loops=g.loops) for g in first
     ]
-    assert holant.grids._last_family[0][2] == 3
-    assert len(list(enumerate_grids(sigs, bound - 1, q=2))) < len(first)
-    assert holant.grids._last_family[0][1] == bound - 1
+    assert spans._family[0][2] == 3
+    assert len(spans._closed_walk(sigs, bound - 1, 2, ())) < len(first)
+    assert spans._family[0][1] == bound - 1
 
 
-def test_closed_family_memo_skips_a_walk_stopped_early(monkeypatch):
+def test_closed_family_memo_keeps_a_walk_stopped_early(monkeypatch):
+    # a family that fits the cap is enumerated whole before it is handed
+    # out, so a consumer that stops at its first grid still stores it
     sigs, bound = SMALL_FAMILY
-    monkeypatch.setattr("holant.grids._last_family", None)
-    walk = enumerate_grids(sigs, bound, q=2)
+    monkeypatch.setattr(spans, "_family", None)
+    walk = iter(spans._closed_walk(sigs, bound, 2, ()))
     next(walk)
-    walk.close()
-    assert holant.grids._last_family is None
-    assert list(enumerate_grids(sigs, bound, q=2)) == list(oracle_enumerate_grids(sigs, bound, q=2))
-    assert holant.grids._last_family is not None
+    assert spans._family[1] == tuple(oracle_enumerate_grids(sigs, bound, q=2))
 
 
 def test_closed_family_memo_skips_a_family_over_the_cap(monkeypatch):
     sigs, bound = SMALL_FAMILY
     expected = list(oracle_enumerate_grids(sigs, bound, q=2))
-    monkeypatch.setattr("holant.grids.FAMILY_MEMO_MAX_GRIDS", len(expected) - 1)
-    monkeypatch.setattr("holant.grids._last_family", None)
-    assert list(enumerate_grids(sigs, bound, q=2)) == expected
-    assert holant.grids._last_family is None
-    monkeypatch.setattr("holant.grids.FAMILY_MEMO_MAX_GRIDS", len(expected))
-    assert list(enumerate_grids(sigs, bound, q=2)) == expected
-    assert holant.grids._last_family[1] == tuple(expected)
+    monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", len(expected) - 1)
+    monkeypatch.setattr(spans, "_family", None)
+    assert list(spans._closed_walk(sigs, bound, 2, ())) == expected
+    assert spans._family is None
+    monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", len(expected))
+    assert list(spans._closed_walk(sigs, bound, 2, ())) == expected
+    assert spans._family[1] == tuple(expected)
 
 
 # -- closed blocks: the rows a compiled program does not batch ---------------
@@ -1183,12 +1209,13 @@ def test_closed_blocks_equal_contracting_each_grid(case):
     # the lone contraction's
     sigs, bound, q, sets, cap = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(holant.grids, "_last_family", None)
+        mp.setattr(spans, "_family", None)
         if cap is not None:
             mp.setattr(holant.grids, "MAX_ENTRIES", cap)
-        grids = list(enumerate_grids(sigs, bound, q))
-        slot = holant.grids.family_slot(grids)
-        assert grids and slot == [None]
+        grids = spans._closed_walk(sigs, bound, q, ())
+        assert grids == tuple(enumerate_grids(sigs, bound, q))
+        _, family, program = spans._family
+        assert family is grids and program == []
         try:
             want = np.array([row[1:] for row in oracle_signatures(grids, *sets)])
         except ValueError as exc:
@@ -1208,8 +1235,8 @@ def test_closed_blocks_equal_contracting_each_grid(case):
                 assert str(refused.value) == want
             else:
                 [(block, values)] = spans.closed_signature_blocks(grids, *sets)
-                assert block == grids and values.tobytes() == want.tobytes()
-                assert (slot[0] not in (None, holant.grids.NO_PROGRAM)) == compiled
+                assert tuple(block) == grids and values.tobytes() == want.tobytes()
+            assert len(program) == 1 and (program[0] is not None) == compiled
 
 
 # -- polynomial --------------------------------------------------------------

@@ -116,14 +116,16 @@ def test_closed_family_memo_keys_on_the_port_walk(monkeypatch):
     gs = dict(fs, f=MixedTensor(2, 0, 4, arr))
     t = HoloTransform(2, np.array([[1.0, 0.5], [0.25, -1.0]]))
     for theorem_first in (True, False):
-        monkeypatch.setattr(grids, "_last_family", None)
+        monkeypatch.setattr(spans, "_family", None)
         for step in (0, 1):
             if (step == 0) == theorem_first:
                 assert verify_holant_theorem(fs, t, 4).grids_checked == 4
+                assert spans._family[0][3] == ("f", "neq")
             else:
                 # a tolerance wide enough that the walk runs to its end
                 report = check_indistinguishable(fs, gs, {"neq": "neq", "f": "f"}, 4, 1.0)
                 assert (report.verdict, report.grids_checked) == ("indistinguishable_at_bound", 26)
+                assert spans._family[0][3] == ()
 
 
 def random_tensor(rng, q, l, r):

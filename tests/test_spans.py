@@ -6,12 +6,14 @@ verdicts are replayed grid by grid with the brute evaluator.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from holant import grids as grids_module
 from holant import spans
+from holant import transforms as transforms_module
 from holant.grids import QuantumGadget, enumerate_gadgets, enumerate_grids
 from holant.spans import (
     build_span,
@@ -327,6 +329,21 @@ def test_non_finite_gadget_signature_is_refused(bad):
     with pytest.raises(ArithmeticError, match=r"gadget 1 of the walk \(vertices \('e',\).* non-finite"):
         build_span(fs, (0, 2), 4)
     assert build_span({"e": equality_signature(2, 0, 2)}, (0, 2), 4).dim == 1
+    # the covanishing SVD of a non-finite stack does not converge; the
+    # gadget and its side are named before it, with no numpy warning
+    entries = equality_signature(2, 1, 1).array.copy()
+    entries[0, 0] = bad
+    fs, gs = {"e": MixedTensor(2, 1, 1, entries)}, {"e": equality_signature(2, 1, 1)}
+    named = {(1, 1): "gadget 2 of the walk (vertices ('e',), edges (), loops 0)",
+             (0, 0): "gadget 3 of the walk (vertices ('e',), edges ((0, 1, 0, 1),), loops 0)"}
+    for profile, gadget in named.items():
+        for side, pair in (("first", (fs, gs)), ("second", (gs, fs))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ArithmeticError) as refused:
+                    check_covanishing(*pair, {"e": "e"}, profile, 3)
+            assert str(refused.value) == f"{gadget} has a non-finite signature under the {side} set"
+        assert check_covanishing(gs, gs, {"e": "e"}, profile, 3).verdict == "covanishing_at_bound"
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, -2.5)])
@@ -666,10 +683,10 @@ def signature_bytes(rows):
 @pytest.mark.parametrize("name", ["q1", "q2", "q3", "equality", "mixed"])
 def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
     sig_shapes, bound, q, sets = replay_case(name)
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    grids = list(enumerate_grids(sig_shapes, bound, q))
-    slot = grids_module.family_slot(grids)
-    assert {g.loops for g in grids} == {0, 1} and slot == [None]
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
+    _, family, program = spans._family
+    assert {g.loops for g in grids} == {0, 1} and family is grids and program == []
     want = signature_bytes(oracle_signatures(grids, *sets))
     cold = list(spans.structure_signatures(grids, *sets))
     assert signature_bytes(cold) == want
@@ -677,19 +694,18 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
 
     def replayed():
         [(block, values)] = spans.closed_signature_blocks(grids, *sets)
-        assert block == grids and not values.flags.writeable
+        assert tuple(block) == grids and not values.flags.writeable
         return values
 
-    # the first replay compiles the memo's program, the second replays
-    # it; at q = 1 there is none, and every replay is run by run
+    # the first replay compiles the stored family's program, the second
+    # replays it; at q = 1 there is none, and every replay is run by run
     for _ in range(2):
         assert replayed().tobytes() == cold_values.tobytes()
-    program = slot[0]
-    assert program.runs == tuple(grids[::2]) if q > 1 else program is None
-    assert replayed().tobytes() == cold_values.tobytes() and slot[0] is program
+    [compiled] = program
+    assert compiled.runs == tuple(grids[::2]) if q > 1 else compiled is None
+    assert replayed().tobytes() == cold_values.tobytes() and program == [compiled]
 
-    # bindings of other shapes find no plan in the memo, and fail as a
-    # walk with no family stored fails
+    # bindings of other shapes fail as a walk with no family stored fails
     def refusal():
         swapped = [
             dict(b, a=b["u"], u=b["a"]) if "u" in b else dict(b, b=b["c"], c=b["b"]) for b in sets
@@ -699,18 +715,47 @@ def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
         return str(exc.value)
 
     replayed_refusal = refusal()
-    monkeypatch.setattr(grids_module, "_last_family", None)
-    assert grids_module.family_slot(grids) is None
+    monkeypatch.setattr(spans, "_family", None)
     assert refusal() == replayed_refusal
     # a family over the memo cap streams, replayed run by run in blocks
-    # of one more grid than the cap; an odd block size splits some
-    # structure's loop-0 and loop-1 grids across two blocks
+    # of the cap; an odd block size splits some structure's loop-0 and
+    # loop-1 grids across two blocks
     odd = len(grids) // 3 | 1
     for cap in (odd, odd + 1):
-        monkeypatch.setattr(grids_module, "FAMILY_MEMO_MAX_GRIDS", cap)
-        walk = enumerate_grids(sig_shapes, bound, q)
+        monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
+        walk = spans._closed_walk(sig_shapes, bound, q, ())
         blocks = list(spans.closed_signature_blocks(walk, *sets))
-        assert grids_module._last_family is None
-        assert len(blocks) == -(-len(grids) // (cap + 1))
-        assert [g for block, _ in blocks for g in block] == grids
+        assert spans._family is None
+        assert len(blocks) == -(-len(grids) // cap)
+        assert [g for block, _ in blocks for g in block] == list(grids)
         assert np.concatenate([v for _, v in blocks]).tobytes() == cold_values.tobytes()
+
+
+def test_closed_walk_over_the_cap_streams_in_blocks(monkeypatch):
+    # a checker's closed walk over the cap stores nothing, so each query
+    # enumerates it again, and its replay comes in blocks of the cap
+    rng = np.random.default_rng(71)
+    fs = {"a": MixedTensor(2, 1, 1, rng.normal(size=4)), "b": MixedTensor(2, 2, 2, rng.normal(size=16))}
+    t = HoloTransform(2, np.array([[1.0, 0.5], [0.25, -1.0]]))
+    monkeypatch.setattr(spans, "_family", None)
+    want = verify_holant_theorem(fs, t, 3)
+    assert spans._family[0][1] == 3 and len(spans._family[1]) == want.grids_checked
+    cap = want.grids_checked // 4
+    monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
+    monkeypatch.setattr(spans, "_family", None)
+    walks, sizes = [], []
+    real_walk, real_blocks = spans.enumerate_grids, spans.closed_signature_blocks
+
+    def blocks(*args):
+        for block, values in real_blocks(*args):
+            sizes.append(len(block))
+            yield block, values
+
+    monkeypatch.setattr(spans, "enumerate_grids", lambda *a, **k: walks.append(a) or real_walk(*a, **k))
+    monkeypatch.setattr(transforms_module, "closed_signature_blocks", blocks)
+    for k in (1, 2):
+        assert verify_holant_theorem(fs, t, 3) == want
+        assert spans._family is None and len(walks) == k
+    per_query = -(-want.grids_checked // cap)
+    assert len(sizes) == 2 * per_query and sum(sizes) == 2 * want.grids_checked
+    assert sizes[: per_query - 1] == [cap] * (per_query - 1) and sizes[:per_query] == sizes[per_query:]

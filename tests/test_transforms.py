@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holant import (
     MixedTensor,
@@ -12,6 +14,7 @@ from holant import (
     identity_signature,
 )
 from holant.grids import SignatureGrid, gadget_signature
+from holant.spans import check_indistinguishable
 from holant.transforms import (
     DefectiveSpectrumWarning,
     HoloTransform,
@@ -309,8 +312,10 @@ def report_fields(report):
 
 def theorem_cases():
     """(fs, t, bound): closed-invariance's shapes at q = 1, 2 and 3, a
-    random set, a set with a NaN entry, one with an inf entry, and one
-    that T leaves bitwise alone, so that every error is 0."""
+    random set, a set with a NaN entry, one with an inf entry, one that
+    T leaves bitwise alone, so that every error is 0, and one with a
+    1e200 entry, whose products overflow.  NON_FINITE names the cases
+    with some grid value that is not finite."""
     rng = np.random.default_rng(57)
     shapes = {"a": (1, 1), "b": (2, 1), "c": (1, 2)}
     cases = []
@@ -325,33 +330,70 @@ def theorem_cases():
         arr[0, 1, 1] = bad
         cases.append((dict(base, b=MixedTensor(2, 2, 1, arr)), random_transform(rng, 2), 3))
     cases.append((base, HoloTransform(2, np.eye(2)), 3))
+    arr = base["a"].array.copy()
+    arr[0, 0] = 1e200
+    cases.append((dict(base, a=MixedTensor(2, 1, 1, arr)), random_transform(rng, 2), 3))
     return cases
+
+
+NON_FINITE = (4, 5, 7)
+
+
+def first_non_finite(fs, t, bound):
+    """The refusal verify_holant_theorem raises for the first grid of the
+    walk whose value is not finite under fs or T·F, each grid contracted
+    alone (oracles.oracle_signatures); None if every value is finite."""
+    from holant import spans
+    from holant.grids import enumerate_grids
+    from oracles import oracle_signatures
+
+    walk = enumerate_grids(
+        [(name, f.shape) for name, f in fs.items()], bound, t.q, symmetric=spans._symmetric_ids(fs)
+    )
+    for k, (g, before, after) in enumerate(oracle_signatures(walk, fs, t.act_set(fs))):
+        if not np.isfinite([complex(before), complex(after)]).all():
+            return (
+                f"grid {k + 1} of the walk (vertices {g.vertices}, edges {g.edges}, "
+                f"loops {g.loops}) has a non-finite value: {complex(before)} before the "
+                f"transformation, {complex(after)} after it"
+            )
+    return None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", range(len(theorem_cases())))
 def test_theorem_report_equals_the_loop_over_grids(monkeypatch, case):
-    from holant import grids
+    from holant import spans
     from oracles import oracle_verify_holant_theorem
 
     fs, t, bound = theorem_cases()[case]
     want = oracle_verify_holant_theorem(fs, t, bound)
+    refusal = first_non_finite(fs, t, bound)
+    assert (refusal is not None) == (case in NON_FINITE)
+
+    def verified():
+        # a non-finite value is refused at its grid, where the loop over
+        # grids would pass it over
+        if refusal is None:
+            assert report_fields(verify_holant_theorem(fs, t, bound)) == report_fields(want)
+            return
+        with pytest.raises(ArithmeticError) as refused:
+            verify_holant_theorem(fs, t, bound)
+        assert str(refused.value) == refusal
+
     # cold (the family is walked and stored), replayed from the stored
-    # table, and streamed in blocks of a few grids with nothing stored
-    monkeypatch.setattr(grids, "_last_family", None)
-    got = [verify_holant_theorem(fs, t, bound), verify_holant_theorem(fs, t, bound)]
-    monkeypatch.setattr(grids, "FAMILY_MEMO_MAX_GRIDS", max(1, want.grids_checked // 3))
-    monkeypatch.setattr(grids, "_last_family", None)
-    got.append(verify_holant_theorem(fs, t, bound))
-    assert grids._last_family is None
-    for report in got:
-        assert report_fields(report) == report_fields(want)
-    if case == len(theorem_cases()) - 1:
+    # family, and streamed in blocks of a few grids with nothing stored;
+    # blocks of 2 put each first non-finite grid past the first block
+    monkeypatch.setattr(spans, "_family", None)
+    verified()
+    verified()
+    for cap in (max(1, want.grids_checked // 3), 2):
+        monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
+        monkeypatch.setattr(spans, "_family", None)
+        verified()
+        assert spans._family is None
+    if case == 6:
         assert (want.max_abs_error, want.max_scaled_error, want.worst_grid) == (0.0, 0.0, None)
-    elif case >= len(theorem_cases()) - 3:
-        # the NaN and inf sets: some errors are NaN, and they are passed over
-        assert np.isfinite(want.max_scaled_error) or want.max_scaled_error == np.inf
-        assert want.worst_grid is not None
 
 
 def test_theorem_replay_contracts_once_per_structure(monkeypatch):
@@ -375,14 +417,80 @@ def test_theorem_replay_contracts_once_per_structure(monkeypatch):
     planned = []
     real_plan = grids._plan
     monkeypatch.setattr(grids, "_plan", lambda g, *rest: planned.append(g) or real_plan(g, *rest))
-    monkeypatch.setattr(grids, "_last_family", None)
+    monkeypatch.setattr(spans, "_family", None)
     for _ in range(3):
         before = len(contracted)
         assert verify_holant_theorem(fs, t, 4).grids_checked == 600
         assert len(contracted) - before == 1
     program = contracted[0]
     assert contracted == [program] * 3 and len({program}) == 1
-    assert grids._last_family[2] == [program]
-    runs = grids._last_family[1][::2]
+    assert spans._family[2] == [program]
+    runs = spans._family[1][::2]
     assert program.runs == runs and all(g.loops == 0 for g in runs)
     assert planned == list(runs) and len(set(planned)) == 300
+
+
+def test_theorem_walks_and_compiles_the_family_once(monkeypatch):
+    # three queries on one family: the first enumerates it and compiles
+    # its program, the other two replay both from the stored family
+    from holant import familyprogram, spans
+
+    rng = np.random.default_rng(59)
+    shapes = {"s0": (1, 1), "s1": (2, 1), "s2": (1, 2)}
+    fs = {name: random_tensor(rng, 3, l, r) for name, (l, r) in shapes.items()}
+    t = random_transform(rng, 3)
+    walks, compiled = [], []
+    walk, compile_family = spans.enumerate_grids, familyprogram.compile_family
+    monkeypatch.setattr(spans, "enumerate_grids", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    monkeypatch.setattr(familyprogram, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
+    monkeypatch.setattr(spans, "_family", None)
+    reports = [verify_holant_theorem(fs, t, 4) for _ in range(3)]
+    assert reports[0] == reports[1] == reports[2] and reports[0].grids_checked == 600
+    assert len(walks) == 1 and len(compiled) == 1
+    # compiled under the family's own shapes
+    assert compiled[0][1] == shapes
+
+
+# -- metamorphic relations of the Holant theorem --------------------------------
+
+
+@st.composite
+def invariance_cases(draw):
+    """(fs, t, bound): closed-invariance's shapes at q in {2, 3} with
+    random complex entries, bound 1 to 4, and T with cond(T) <= 10.  The
+    cond bound is there because the theorem's tolerance ignores cond(T):
+    an ill-conditioned T rounds T·F's values further from F's than any
+    fixed tolerance allows.  Over 150 such draws at bound 4 the largest
+    scaled error was 7.6e-13, far inside tol = 1e-6."""
+    q = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = {"s0": (1, 1), "s1": (2, 1), "s2": (1, 2)}
+    fs = {name: random_tensor(rng, q, l, r) for name, (l, r) in shapes.items()}
+    return fs, random_transform(rng, q, cond_cap=10.0), draw(st.integers(1, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=invariance_cases())
+def test_transformed_set_is_indistinguishable_until_perturbed(case):
+    # Holant(F) = Holant(T·F) on every grid, so check_indistinguishable
+    # reads F and T·F alike, over the walk verify_holant_theorem checks.
+    # 0.1 more on a diagonal entry of T·F's (1,1) signature changes the
+    # trace of the one-vertex loop grid, the first grid with a vertex.
+    # Each check runs twice, the second time over the stored family
+    from holant import spans
+
+    fs, t, bound = case
+    transformed = t.act_set(fs)
+    identity = {name: name for name in fs}
+    arr = transformed["s0"].array.copy()
+    arr[1, 1] += 0.1
+    perturbed = dict(transformed, s0=MixedTensor(t.q, 1, 1, arr))
+    loop = SignatureGrid(t.q, ("s0",), ((0, 1, 0, 1),))
+    for _ in range(2):
+        theorem = verify_holant_theorem(fs, t, bound)
+        same = check_indistinguishable(fs, transformed, identity, bound, tol=1e-6)
+        assert same.verdict == "indistinguishable_at_bound"
+        assert same.grids_checked == theorem.grids_checked
+        assert spans._family[0][1:3] == (bound, t.q)
+        apart = check_indistinguishable(fs, perturbed, identity, bound, tol=1e-6)
+        assert (apart.verdict, apart.grids_checked, apart.witness_grid) == ("distinguished", 3, loop)

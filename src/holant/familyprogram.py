@@ -40,15 +40,11 @@ grids.stacked_signature's.  Two layouts decide that:
   row-major array otherwise; each operand is gathered in that order,
   worked out once here from the step's axes.
 
-Which rows are batched, for every docstring that refers here: only the
-stored family at q >= 2 whose every structure's pairwise plan fits the
-entry cap has a program (compile_family); every other walk is replayed
-run by run (spans.closed_signature_blocks).  The program batches every
-pairwise row.  A segment (a run of grids with one vertex sequence) hands
-every row of its structures to grids._contract, inside the same replay,
-when some binding set's route eliminates equalities in it, or when the
-binding sets' shapes differ from the family's own, for which it was
-compiled.
+A replay is whole or none: only the stored family at q >= 2 whose every
+structure's pairwise plan fits the entry cap has a program
+(compile_family), and it gives values only when every binding set binds
+every grid pairwise under the family's own shapes.  Every other replay,
+and every other walk, runs run by run (spans.closed_signature_blocks).
 """
 
 from __future__ import annotations
@@ -90,45 +86,42 @@ def compile_family(runs, shapes: dict[str, tuple[int, int]]):
     structure pairwise once.  Returns None, for the family to keep, when
     the family has no program under any bindings: at q = 1, where numpy
     rounds a one-entry product by the path it takes, and when some
-    pairwise plan is over the entry cap.  A family with no program is
-    replayed run by run, which names any fault as a cold walk names it."""
+    pairwise plan is over the entry cap."""
     runs = tuple(runs)
     q = runs[0].q
     if q == 1:
         return None
-    if any(g.q != q or g.loops or not g.is_closed() for g in runs):
-        raise ValueError("a family program holds loop-free closed grids of one q")
-    starts = [i for i, g in enumerate(runs) if i == 0 or g.vertices != runs[i - 1].vertices]
-    # maximal runs of grids with one vertex sequence, so one kind for
-    # BindingStacks.bind: (start, end, (id, shape) pairs, as it binds them)
-    segments, plans = [], []
-    for start, end in zip(starts, starts[1:] + [len(runs)]):
-        own = tuple((sig, shapes[sig]) for sig in sorted(set(runs[start].vertices)))
-        for g in runs[start:end]:
-            plans.append(_grids._plan(g, own, ()))
-            try:
-                _grids._check_cap(plans[-1], q)
-            except ValueError:
-                return None
-        segments.append((start, end, own))
-    return FamilyProgram(runs, segments, plans)
+    # BindingStacks.bind gives every closed grid of one q and one id set
+    # the same shapes, routes and stacks: one grid per id set, and its
+    # (id, shape) pairs as bind sorts them
+    id_sets, plans = {}, []
+    for g in runs:
+        ids = frozenset(g.vertices)
+        if ids not in id_sets:
+            id_sets[ids] = (g, tuple((sig, shapes[sig]) for sig in sorted(ids)))
+        plans.append(_grids._plan(g, id_sets[ids][1], ()))
+        try:
+            _grids._check_cap(plans[-1], q)
+        except ValueError:
+            return None
+    return FamilyProgram(runs, tuple(id_sets.values()), plans)
 
 
 class FamilyProgram:
     """The compiled replay of the stored family's loop-free closed grids,
-    runs, at q >= 2, under binding sets whose ids have the family's own
-    shapes (compile_family builds it).  Every part is compiled
-    when it is built.  replay(stacks) returns a read-only (structures, B)
-    array; the rows it hands over (see the module docstring) are
-    grids._contract's.
+    runs, at q >= 2 (compile_family builds it); id_sets holds the first
+    grid of each id set with its (id, shape) pairs.  Every part is
+    compiled when it is built.  replay(stacks) returns a read-only
+    (structures, B) array, or None when the binding sets do not bind
+    every grid pairwise under the family's own shapes.
     """
 
-    __slots__ = ("runs", "segments", "parts")
+    __slots__ = ("runs", "id_sets", "parts")
 
-    def __init__(self, runs, segments, plans):
+    def __init__(self, runs, id_sets, plans):
         self.runs = runs
-        self.segments = segments
-        arity = {sig: sum(sh) for _, _, shapes in segments for sig, sh in shapes}
+        self.id_sets = id_sets
+        arity = {sig: sum(sh) for _, shapes in id_sets for sig, sh in shapes}
         self.parts = [
             self._compile_part(members, plans, arity) for members in self._split(plans, arity)
         ]
@@ -247,21 +240,19 @@ class FamilyProgram:
             products.append((np.array(same, dtype=np.intp), idx))
         return size, inputs, traces, steps, products
 
-    def replay(self, stacks: _grids.BindingStacks) -> np.ndarray:
+    def replay(self, stacks: _grids.BindingStacks) -> np.ndarray | None:
         """Every structure's values under every set of stacks, as one
-        read-only (structures, B) array, bitwise stacked_signature's."""
-        runs, batch = self.runs, len(stacks.sets)
-        # the rows handed over, contracted first: under other shapes a
-        # segment's grids are invalid, and _contract names the fault in
-        # walk order, as a cold walk names it
-        handed, stacked = {}, {}  # stacked: each id's stack, as bound
-        for start, end, shapes in self.segments:
-            bound = stacks.bind(runs[start])
-            stacked.update(zip(dict(bound.shapes), bound.arrays))
+        read-only (structures, B) array, bitwise stacked_signature's; or
+        None, before any contraction, when some set binds an id set with
+        other shapes or routes it through elimination."""
+        batch = len(stacks.sets)
+        stacked = {}  # each id's stack, as bound
+        for g, shapes in self.id_sets:
+            bound = stacks.bind(g)
             if bound.shapes != shapes or list(bound.routes) != [()]:
-                for i in range(start, end):
-                    handed[i] = _grids._contract(runs[i], bound, batch)
-        out = np.empty((batch, len(runs)), dtype=np.complex128)
+                return None
+            stacked.update(zip(dict(bound.shapes), bound.arrays))
+        out = np.empty((batch, len(self.runs)), dtype=np.complex128)
         for size, inputs, traces, steps, products in self.parts:
             buf = np.empty((batch, size), dtype=np.complex128)
             for sig, (lo, hi) in inputs.items():
@@ -289,9 +280,7 @@ class FamilyProgram:
                     product = product * factors[:, f]
                 out[:, same] = product
         # the factor q**loops of a loop-free grid, multiplied as
-        # grids._contract multiplies it, which multiplied the handed rows
+        # grids._contract multiplies it
         out = (out * 1).T
-        for i, values in handed.items():
-            out[i] = values
         out.setflags(write=False)
         return out

@@ -208,10 +208,9 @@ class BindingStacks:
 # binding sets (stacked_signature), so it looks each plan up once.  The
 # program of the closed family that spans._walk stores
 # (holant.familyprogram) looks each structure's pairwise plan up once,
-# when it is compiled; a replay of it looks up only the plans of the rows
-# it hands to _contract (that module's docstring says which).  The cache
-# keeps a whole family, so that a later walk of one that is not stored
-# plans nothing:
+# when it is compiled, and a replay of it looks up none.  The cache
+# keeps a whole family, so that a later walk of one that is not stored,
+# or a stored one its program gives no values for, plans nothing:
 # 300 closed structures over three shapes at bound 4, the 877 closed
 # structures of the arity-4 counterexample at bound 6 with ordered ports
 # (5 up to port symmetry, which every checker walks over those symmetric
@@ -543,11 +542,10 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     spans._walk stores (holant.familyprogram.FamilyProgram, hashed by
     identity, so that perfbench's tracer can count it), which only
     spans.closed_signature_blocks passes here.  It replays all its
-    structures at once and returns a read-only (structures, B) array
-    whose row j is bitwise this function's result for its structure j:
-    one level-batched program for the rows it batches, and _contract,
-    structure by structure, for the rows it hands over (the module
-    docstring of holant.familyprogram says which are which).
+    structures at once, by one level-batched program, and returns a
+    read-only (structures, B) array whose row j is bitwise this
+    function's result for its structure j, or None when some set binds
+    an id with another shape or routes a grid through elimination.
     """
     if not isinstance(grid, SignatureGrid):
         return grid.replay(stacks)

@@ -127,8 +127,9 @@ def closed_signature_blocks(grids, *bindings):
     program contracts the structures under all binding sets at the same
     time through this module's gadget_signature; each loop copy is
     scaled from its structure's values by grids.derives, all copies at
-    once.  That module's docstring says which rows it hands to
-    grids._contract.  Every other walk is replayed run by run by one
+    once.  A program replays the whole family or gives no values: when
+    some set binds an id with another shape, or to an exact equality,
+    the family is replayed as every other walk is, run by run by one
     structure_signatures pass, in blocks of FAMILY_MEMO_MAX_GRIDS grids.
     """
     if _family is not None and grids is _family[1]:
@@ -137,8 +138,8 @@ def closed_signature_blocks(grids, *bindings):
             from holant.familyprogram import compile_family
 
             program.append(compile_family(family[::2], dict(key[0])))
-        if program[0] is not None:
-            runs = gadget_signature(program[0], BindingStacks(bindings))
+        runs = None if program[0] is None else gadget_signature(program[0], BindingStacks(bindings))
+        if runs is not None:
             copies = derived_signature(runs, *derives(family[0], family[1]))
             values = np.stack([runs, copies], axis=1).reshape(len(family), len(bindings))
             values.setflags(write=False)

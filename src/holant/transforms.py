@@ -129,8 +129,8 @@ def verify_holant_theorem(
 
     The values come as one (grids, 2) array per block of the walk
     (spans.closed_signature_blocks: the family spans._walk stored, at
-    q >= 2, by its compiled program, whose batched rows
-    holant.familyprogram names; every other walk run by run) and are
+    q >= 2, by its compiled program when fs and T·F bind every kind of
+    grid pairwise; every other walk run by run) and are
     judged by numpy as a loop over the grids in walk order would judge
     them: moduli by np.hypot, which rounds as Python's abs of a complex
     does, and worst_grid the first grid of the largest scaled error above

@@ -33,8 +33,9 @@ def program_case(name):
     (traces), vector and matrix steps, and steps whose operands
     _execute sees as column-major views; the last set has zero entries
     of both signs and a zero id, so that -0.0 turns up in the values.
-    mixed: the middle set binds e to an exact equality, so its rows are
-    eliminated while the others' are compiled.
+    mixed: the middle set binds e to an exact equality, so the program
+    gives no values and the family replays run by run, that set's rows
+    eliminated and the others' contracted pairwise.
     """
     rng = np.random.default_rng(61)
     if name == "mixed":
@@ -142,6 +143,42 @@ def test_parts_keep_the_bits(monkeypatch, name):
     assert any(len(part) > 1 for part in members)
 
 
+@pytest.mark.parametrize("name", ["q3", "mixed"])
+def test_program_replays_whole_or_not_at_all(monkeypatch, name):
+    # closed-invariance's shapes at q = 3 (q3): the program replays every
+    # row, binding one grid per id set ({}, {s0}, {s1, s2}, {s0, s1, s2}),
+    # and contracts no grid alone.  mixed: the program gives no values,
+    # and the run-by-run pass contracts each loop-free structure once
+    sig_shapes, bound, q, sets = program_case(name)
+    monkeypatch.setattr(spans, "_family", None)
+    grids = spans._closed_walk(sig_shapes, bound, q, ())
+    want = oracle_values(grids, sets)
+    binds, contracted, replayed = [], [], []
+    bind, contract = grids_module.BindingStacks.bind, grids_module._contract
+    replay = familyprogram.FamilyProgram.replay
+
+    def recorded(self, stacks):
+        replayed.append(replay(self, stacks))
+        return replayed[-1]
+
+    monkeypatch.setattr(grids_module.BindingStacks, "bind", lambda self, g: binds.append(g) or bind(self, g))
+    monkeypatch.setattr(grids_module, "_contract", lambda g, *a: contracted.append(g) or contract(g, *a))
+    monkeypatch.setattr(familyprogram.FamilyProgram, "replay", recorded)
+    # the first replay compiles the program, the second replays it warm
+    for _ in range(2):
+        for log in (binds, contracted, replayed):
+            log.clear()
+        [(_, values)] = spans.closed_signature_blocks(grids, *sets)
+        assert values.tobytes() == want.tobytes()
+        [values] = replayed
+        if name == "q3":
+            assert values is not None and contracted == []
+            ids = [frozenset(g.vertices) for g in binds]
+            assert len(ids) == 4 and set(ids) == {frozenset(g.vertices) for g in grids}
+        else:
+            assert values is None and contracted == list(grids[::2])
+
+
 def test_pairwise_plans_over_the_cap(monkeypatch):
     # with the cap lowered, the largest structures' pairwise plans are
     # over it where their elimination plans are not: the family has no
@@ -199,9 +236,9 @@ def test_over_cap_family_is_compiled_once(monkeypatch):
 
 
 def test_other_shapes_replay_without_recompiling(monkeypatch):
-    # a compiled family replayed under bindings of other shapes hands
-    # those rows to grids._contract, compiles nothing again, and raises
-    # what a cold walk of the same grids raises
+    # a compiled family replayed under bindings of other shapes gets no
+    # values from its program and replays run by run: it compiles
+    # nothing again, and raises what a cold walk of the same grids raises
     sig_shapes, bound, q, sets = program_case("q3")
     monkeypatch.setattr(spans, "_family", None)
     grids = spans._closed_walk(sig_shapes, bound, q, ())

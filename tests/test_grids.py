@@ -1203,10 +1203,10 @@ def handover_cases(draw):
 @example(case=handover_case(2, 2, ["rr", "er"], 0, 4))
 def test_closed_blocks_equal_contracting_each_grid(case):
     # a family at q = 1, or with a structure over the pairwise cap, has
-    # no program and replays run by run; rows whose route eliminates are
-    # grids._contract's inside the compiled program's replay.  Every row
-    # equals each grid contracted alone, by its bytes, and a refusal is
-    # the lone contraction's
+    # no program and replays run by run; so does a compiled family that
+    # some set's route eliminates, for which its program gives no values.
+    # Every row equals each grid contracted alone, by its bytes, and a
+    # refusal is the lone contraction's
     sigs, bound, q, sets, cap = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spans, "_family", None)

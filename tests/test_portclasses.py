@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from holant import grids, spans
 from holant.grids import enumerate_gadgets, enumerate_grids, gadget_signature
-from holant.spans import build_span, check_covanishing, check_indistinguishable
+from holant.spans import build_span, check_covanishing, check_indistinguishable, gram_nondegenerate
 from holant.tensors import (
     MixedTensor,
     SymBoolSignature,
@@ -171,6 +171,40 @@ def test_sets_outside_the_rule_keep_the_ordered_walk(monkeypatch, name):
     mine = reports()
     monkeypatch.setattr(spans, "_symmetric_ids", lambda *sets: ())
     assert mine == reports()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spans_checkers_agree_on_both_walks(monkeypatch, seed):
+    # {neq, f, h} bound symmetrically on both sides: every checker walks
+    # one grid or gadget per port class, and with spans._symmetric_ids
+    # forced empty it walks ordered ports.  Verdicts and span dims are
+    # the same (the module docstring of holant.spans says why); counts,
+    # bases and witnesses may differ
+    rng = np.random.default_rng(seed)
+    fs = {
+        "neq": disequality_signature(2, 2, 0),
+        "f": symmetric_tensor(rng, 2, 0, 4),
+        "h": symmetric_tensor(rng, 2, 2, 0),
+    }
+    gs = dict(fs, f=symmetric_tensor(rng, 2, 0, 4))
+    bij = {k: k for k in fs}
+    bound = 3 + seed % 2
+    assert spans._symmetric_ids(fs, gs) == tuple(fs)
+
+    def verdicts():
+        out = []
+        for other in (fs, gs):
+            out.append(check_indistinguishable(fs, other, bij, bound, 1e-8).verdict)
+            out += [check_covanishing(fs, other, bij, p, bound).verdict for p in [(0, 0), (0, 2), (2, 0), (1, 1)]]
+        for profile in [(0, 0), (0, 2), (2, 0), (1, 1)]:
+            gram = gram_nondegenerate(fs, profile, bound)
+            out.append((build_span(fs, profile, bound).dim, gram.verdict, gram.dim, gram.dim_dual, gram.rank))
+        return out
+
+    classes = verdicts()
+    assert {"distinguished", "counterexample"} <= set(classes)
+    monkeypatch.setattr(spans, "_symmetric_ids", lambda *sets: ())
+    assert verdicts() == classes
 
 
 def test_random_closed_sets_still_check_600_grids():

@@ -133,6 +133,37 @@ def test_gram_square_profile_builds_each_span_once(monkeypatch):
     assert report.max_pairing_residual == 0.0
 
 
+@pytest.mark.parametrize(
+    "scale, off, verdict, dims",
+    [(1.0, 1e-8, "nonvanishing_at_bound", [2, 1]), (10.0, 1e-5, "inconclusive", [2, 2])],
+)
+def test_gram_reprunes_a_numerically_zero_witness(monkeypatch, scale, off, verdict, dims):
+    # a = scale·I + off·E01 at (1,1), bound 1: the span of the wire I and
+    # a is {I, E01}, and E01 pairs to zero against both.  The Gram rank
+    # finds the null combination of I and a, which is off·E01 over about
+    # scale, and it is below RANK_TOL·max(1, |a|), so it may come from a
+    # redundant basis: the span is built again at RANK_TOL.  At off 1e-8
+    # that drops a, and the pairing of {I} is nonvanishing.  At off 1e-5
+    # a stays (its residual is above RANK_TOL·|a|), the same combination
+    # is found again, and the report is inconclusive: the fixed cuts see
+    # no witness above the noise they allow for
+    built = []
+    real = spans.build_span
+
+    def recorded(*args, **kwargs):
+        span = real(*args, **kwargs)
+        built.append((kwargs["indep_tol"], span.dim))
+        return span
+
+    monkeypatch.setattr(spans, "build_span", recorded)
+    a = scale * np.eye(2, dtype=np.complex128)
+    a[0, 1] += off
+    report = gram_nondegenerate({"a": mat_tensor(a, 2)}, (1, 1), 1)
+    assert built == [(spans.INDEP_TOL, dims[0]), (spans.RANK_TOL, dims[1])]
+    assert (report.verdict, report.dim, report.dim_dual, report.rank) == (verdict, dims[1], dims[1], 1)
+    assert (report.witness, np.isnan(report.max_pairing_residual)) == (None, verdict == "inconclusive")
+
+
 def test_gram_equalities_are_nonvanishing():
     fs = {"eq20": equality_signature(2, 2, 0), "eq02": equality_signature(2, 0, 2)}
     for profile in ((1, 1), (2, 0), (0, 2)):

@@ -14,7 +14,7 @@ from holant import (
     identity_signature,
 )
 from holant.grids import SignatureGrid, gadget_signature
-from holant.spans import check_indistinguishable
+from holant.spans import build_span, check_covanishing, check_indistinguishable, gram_nondegenerate
 from holant.transforms import (
     DefectiveSpectrumWarning,
     HoloTransform,
@@ -455,18 +455,19 @@ def test_theorem_walks_and_compiles_the_family_once(monkeypatch):
 
 
 @st.composite
-def invariance_cases(draw):
+def invariance_cases(draw, max_bound=4):
     """(fs, t, bound): closed-invariance's shapes at q in {2, 3} with
-    random complex entries, bound 1 to 4, and T with cond(T) <= 10.  The
-    cond bound is there because the theorem's tolerance ignores cond(T):
-    an ill-conditioned T rounds T·F's values further from F's than any
-    fixed tolerance allows.  Over 150 such draws at bound 4 the largest
-    scaled error was 7.6e-13, far inside tol = 1e-6."""
+    random complex entries, bound 1 to max_bound, and T with
+    cond(T) <= 10.  The cond bound is there because the theorem's
+    tolerance ignores cond(T): an ill-conditioned T rounds T·F's values
+    further from F's than any fixed tolerance allows.  Over 150 such
+    draws at bound 4 the largest scaled error was 7.6e-13, far inside
+    tol = 1e-6."""
     q = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shapes = {"s0": (1, 1), "s1": (2, 1), "s2": (1, 2)}
     fs = {name: random_tensor(rng, q, l, r) for name, (l, r) in shapes.items()}
-    return fs, random_transform(rng, q, cond_cap=10.0), draw(st.integers(1, 4))
+    return fs, random_transform(rng, q, cond_cap=10.0), draw(st.integers(1, max_bound))
 
 
 @settings(max_examples=20, deadline=None)
@@ -494,3 +495,23 @@ def test_transformed_set_is_indistinguishable_until_perturbed(case):
         assert spans._family[0][1:3] == (bound, t.q)
         apart = check_indistinguishable(fs, perturbed, identity, bound, tol=1e-6)
         assert (apart.verdict, apart.grids_checked, apart.witness_grid) == ("distinguished", 3, loop)
+
+
+@settings(max_examples=24, deadline=None)
+@given(case=invariance_cases(max_bound=2))
+def test_transformed_set_keeps_spans_pairings_and_null_combinations(case):
+    # T·F's gadget signatures are T's images of F's, T acting on the
+    # dangling slots alone: a combination of gadgets vanishes under F iff
+    # under T·F, the spans have one dimension, and the pairing of
+    # opposite profiles, a closed grid's value, is the same.  The cuts
+    # deciding these use fixed tolerances that ignore cond(T) (ROADMAP
+    # items 2 and 9), so T is drawn with cond(T) <= 10
+    fs, t, bound = case
+    transformed = t.act_set(fs)
+    identity = {name: name for name in fs}
+    for profile in [(1, 1), (0, 1), (1, 0), (2, 1)]:
+        report = check_covanishing(fs, transformed, identity, profile, bound)
+        assert report.verdict == "covanishing_at_bound"
+        assert build_span(fs, profile, bound).dim == build_span(transformed, profile, bound).dim
+        before, after = (gram_nondegenerate(s, profile, bound) for s in (fs, transformed))
+        assert before.verdict == after.verdict

@@ -6,10 +6,17 @@ not a tensor of the network but one index its ports share (Dechter,
 network contraction", 2021).  A hom(X, G) grid then reads as a sum over
 X's vertices of products of G's adjacency matrix, and a plan sums the
 vertices out one at a time.  grids builds its ContractionPlan from what
-elimination_plan returns and replays it with its one executor.
+elimination_plan returns and replays it with its one executor, which
+looks each step of a lone hom count up in the step memo kept here
+(StepMemo), so that counts into one target share their steps.
 """
 
 from __future__ import annotations
+
+import itertools
+import weakref
+from collections import OrderedDict
+from typing import NamedTuple
 
 # the index letters of np.einsum subscripts
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -144,3 +151,109 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+# -- the step memo ----------------------------------------------------------
+
+# Bytes the step memo keeps, counting each kept result as its nbytes plus
+# STEP_OVERHEAD for its key, its LRU node and its array header (412 bytes
+# a step by tracemalloc); the least recently used step goes first.  A
+# hom-census pass keeps 1452 steps, 0.59 MB of results and 1.2 MB in all;
+# the counts of `holant homdist` on two 16-vertex cubic graphs at degree 3
+# keep 2372 steps in 2.6 MB at bound 9 and 6656 in 8.0 MB at bound 10
+# (5.4 MB of results, peak RSS +6.4 MB), so a bound of 11 or more evicts.
+# A count of entries would not bound the bytes: a target of 512 vertices
+# makes rank-2 results of 4 MB each.
+STEP_MEMO_BYTES = 16 << 20
+STEP_OVERHEAD = 400
+# a step key's tag for an operand that is the memo's bound array itself
+WHOLE = -1
+
+
+class _StepMemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxbytes: int
+    entries: int
+    nbytes: int
+
+
+class StepMemo:
+    """Elimination steps already run on read-only bound arrays, each kept
+    under its bound array, its np.einsum subscripts, whether it runs wide
+    (grids.EINSUM_LOOP_MAX), and its operands' tags: WHOLE for the bound
+    array itself, else the serial number of the kept step that made the
+    operand.  So a key costs O(operands), and names a result by how it was
+    made, never by the id() of a value that eviction could free; serials
+    are never reused.  A step whose operand has no tag is neither looked
+    up nor kept, and nor are the steps after it that read its result.
+
+    Keys start with the bound array's id, which the memo keeps in owned
+    with a weakref.finalize that drops the array's steps when it dies, so
+    the id is never that of another array.  Only results with no more
+    entries than the bound array are kept (rank <= 2 for an adjacency
+    matrix), read-only; no kept result is a view of the bound array, as
+    every step sums one class out.  The total is bounded by
+    STEP_MEMO_BYTES, read at every store.
+    """
+
+    def __init__(self):
+        self.steps: OrderedDict = OrderedDict()  # key -> (serial, result), least recent first
+        self.owned: dict[int, set] = {}  # bound array's id -> the keys of its steps
+        self.serials = itertools.count()
+        self.hits = self.misses = self.nbytes = 0
+
+    def owner(self, stack) -> tuple[int, int] | None:
+        """(id, size) of the read-only array whose whole stack is one row
+        of (a lone set's stack, grids.BindingStacks.bind), its memo set up;
+        None for any other stack."""
+        array = stack.base
+        if (array is None or array.flags.writeable or array.shape != stack.shape[1:]
+                or array.strides != stack.strides[1:]):
+            return None
+        if id(array) not in self.owned:
+            self.owned[id(array)] = set()
+            weakref.finalize(array, self.drop, id(array)).atexit = False
+        return id(array), array.size
+
+    def get(self, key: tuple):
+        """The (serial, result) kept under key, marked most recently used,
+        or None."""
+        hit = self.steps.get(key)
+        if hit is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.steps.move_to_end(key)
+        return hit
+
+    def put(self, key: tuple, result) -> int:
+        """Keep result under key, evicting the least recently used steps
+        past STEP_MEMO_BYTES; result's serial number."""
+        result.setflags(write=False)
+        serial = next(self.serials)
+        self.steps[key] = (serial, result)
+        self.owned[key[0]].add(key)
+        self.nbytes += result.nbytes + STEP_OVERHEAD
+        while self.nbytes > STEP_MEMO_BYTES:
+            old, (_, dropped) = self.steps.popitem(last=False)
+            self.owned[old[0]].discard(old)
+            self.nbytes -= dropped.nbytes + STEP_OVERHEAD
+        return serial
+
+    def drop(self, owner: int) -> None:
+        """Forget every step of a bound array that died."""
+        for key in self.owned.pop(owner, ()):
+            self.nbytes -= self.steps.pop(key)[1].nbytes + STEP_OVERHEAD
+
+
+# the memo grids._execute reads and fills
+step_memo = StepMemo()
+
+
+def _step_memo_info() -> _StepMemoInfo:
+    """The step memo's hits, misses, byte bound, kept steps and their
+    bytes, as grids._contraction_plan.cache_info() reports the plan
+    cache's."""
+    memo = step_memo
+    return _StepMemoInfo(memo.hits, memo.misses, STEP_MEMO_BYTES, len(memo.steps), memo.nbytes)

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from holant.elimination import elimination_plan
+from holant import elimination
+from holant.elimination import WHOLE, elimination_plan
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature
 
 WIRE_ID = "wire"
@@ -249,6 +250,9 @@ class ContractionPlan(NamedTuple):
         einsum runs it).
     free: the number of factors q from index classes that no tensor holds
         and from arity-0 equalities.
+    shared_stack: for an elimination plan whose steps read the tensors of
+        one id only, the position of that id among the plan's (id, shape)
+        pairs, else -1; _execute's step memo keys such a plan's steps.
     """
 
     traces: tuple[tuple[int, int, int], ...]
@@ -261,6 +265,7 @@ class ContractionPlan(NamedTuple):
     stack_of: tuple[int, ...]
     eliminations: tuple[tuple[tuple[int, ...], str | None, int], ...] = ()
     free: int = 0
+    shared_stack: int = -1
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -297,7 +302,9 @@ def _contraction_plan(
     if equal:
         steps, outer, free = elimination_plan(vertices, edges, shape_of, set(equal))
         peak_rank = max((rank for *_, rank in steps), default=0)
-        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, stack_of, steps, free)
+        read = {stack_of[o] for operands, _, _ in steps for o in operands if o < len(vertices)}
+        shared = read.pop() if len(read) == 1 else -1
+        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, stack_of, steps, free, shared)
     # one int label per vertex port, numbered so each vertex's labels list
     # its axes in order: left ports, then right ports
     start: list[int] = []
@@ -401,6 +408,15 @@ def _check_cap(plan: ContractionPlan, q: int) -> None:
 EINSUM_LOOP_MAX = 1 << 14
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
+    """The path np.einsum(subscripts, ..., optimize=True) takes on
+    operands of these shapes: the greedy path depends on the shapes only,
+    and np.einsum given it as optimize runs the same pairs it would find."""
+    dummies = [np.broadcast_to(0j, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+
+
 def _execute(
     plan: ContractionPlan,
     q: int,
@@ -426,16 +442,48 @@ def _execute(
     np.multiply.outer apart, as a lone set does.  A plan that eliminates
     has no pairwise step; each row runs its np.einsum steps apart, on
     its own row of each stack (a lone set's row is its own array), and
-    only the scalars they leave are stacked.
+    only the scalars they leave are stacked.  A wide step passes np.einsum
+    its greedy path, kept per subscripts and shapes (_einsum_path).
+
+    A lone set whose steps read one bound array whole (plan.shared_stack:
+    every hom count, whose only tensor is its target's adjacency) looks
+    each step up in the step memo (holant.elimination.StepMemo) before it
+    runs np.einsum, and keeps what it runs there, so that counts into one
+    target share their steps (A.1, A**2, the A**k chain of every cycle).
+    A hit is the very array an identical np.einsum call on identical
+    operands made, so every value keeps its bits.  The key holds whether
+    the step runs wide, so a test that moves EINSUM_LOOP_MAX runs both.
     """
     if plan.eliminations:
+        memo = elimination.step_memo
+        owner = None
+        if batch == 1 and plan.shared_stack >= 0:
+            owner = memo.owner(arrays[plan.shared_stack])
         rows = []
         for k in range(batch):
             own = [a[k] for a in arrays]  # set k's row of each stack
             row = list(map(own.__getitem__, plan.stack_of))
+            # per node, the memo tag it goes by, None for one not kept
+            tags = [WHOLE] * len(row) if owner else None
             for operands, subscripts, rank in plan.eliminations:
+                wide = q ** (rank + 1) > EINSUM_LOOP_MAX
+                key = None
+                if tags is not None:
+                    key = (owner[0], subscripts, wide, *[tags[o] for o in operands])
+                    if None in key:
+                        key = None
+                    else:
+                        hit = memo.get(key)
+                        if hit is not None:
+                            tags.append(hit[0])
+                            row.append(hit[1])
+                            continue
                 ops = [row[o] for o in operands]
-                row.append(np.einsum(subscripts, *ops, optimize=q ** (rank + 1) > EINSUM_LOOP_MAX))
+                path = _einsum_path(subscripts, *[op.shape for op in ops]) if wide else False
+                out = np.einsum(subscripts, *ops, optimize=path)
+                row.append(out)
+                if tags is not None:
+                    tags.append(memo.put(key, out) if key and out.size <= owner[1] else None)
             rows.append(row)
         nodes = {nid: np.array([row[nid] for row in rows]) for nid in plan.outer}
     else:
@@ -533,7 +581,11 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     entry cap that do not fit it pairwise: hom(K4, G) needs q**3 entries
     by elimination, q**4 pairwise.  Binding sets share a replay when they
     pick one plan, that is, bind the same ids to equalities; a set whose
-    plan differs is replayed apart.
+    plan differs is replayed apart.  A lone set whose elimination steps
+    read one bound array whole looks each step up in the step memo
+    (_execute), keyed by the step's subscripts and how its operands were
+    made, and kept while that array lives; stacked sets, whose rows are
+    not bound arrays, never do.
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
@@ -565,7 +617,12 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     and the loop count: either greedy order compares sizes q**rank, which
     order as the ranks do for every q >= 2.  Each call checks the entry
     cap at its own q and scales by q per loop.  A reused plan replays the
-    same arithmetic, so the value does not depend on the cache.
+    same arithmetic, and a step that the step memo answers (_execute:
+    an earlier count with the same bound array ran it on the same
+    operands) returns the very array that arithmetic made, so the value
+    depends on neither cache.  The memo keeps results no larger than
+    that array, up to holant.elimination.STEP_MEMO_BYTES in all, and
+    drops them when the array dies.
     """
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")

@@ -174,6 +174,9 @@ def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
     never built, so a count refused for the entry cap (hom_bindings)
     leaves the table fit for the counts that fit it.  The arrays are
     those a fresh binding would build, so every count is unchanged.
+    Counts into one target share their elimination steps through the
+    step memo of grids._execute, which keeps them while g's adjacency
+    lives.
     """
     if g.n < 1:
         return 0 if x.n else 1

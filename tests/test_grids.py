@@ -39,6 +39,7 @@ from holant.grids import (
     _check_cap,
     _components_all_dangle,
     _contraction_plan,
+    _einsum_path,
     _id_runs,
     _port_matchings,
     _unpack_edges,
@@ -743,6 +744,24 @@ def test_large_elimination_steps_pair_their_operands(monkeypatch):
             assert paired == looped == complex(oracle_contract(grid, bindings))
     # closed walks of length 4 on a cycle of 40 vertices
     assert hom_count(cycle_graph(4), cycle_graph(n)) == 6 * n
+
+
+def test_kept_einsum_paths_give_the_bits_of_optimize_true():
+    # the wide steps of hom counts at q = 16: np.einsum given the kept
+    # greedy path returns the bytes that optimize=True returns
+    rng = np.random.default_rng(15)
+    cases = (("ac,ad,ab->bcd", 2, 2, 2), ("ab,bc,bd->acd", 2, 2, 2),
+             ("ab,ac,abd->bcd", 2, 2, 3), ("ab,acd,acd->bcd", 2, 3, 3))
+    _einsum_path.cache_clear()
+    for _ in range(2):
+        for subscripts, *ranks in cases:
+            ops = [rng.normal(size=(16,) * r) + 1j * rng.normal(size=(16,) * r) for r in ranks]
+            path = _einsum_path(subscripts, *[op.shape for op in ops])
+            assert path == np.einsum_path(subscripts, *ops, optimize=True)[0]
+            want = np.einsum(subscripts, *ops, optimize=True)
+            assert np.einsum(subscripts, *ops, optimize=path).tobytes() == want.tobytes()
+    info = _einsum_path.cache_info()
+    assert (info.misses, info.hits) == (len(cases), len(cases))
 
 
 # -- enumeration ------------------------------------------------------------

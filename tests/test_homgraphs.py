@@ -7,6 +7,7 @@ The connected-graph census for small n is cross-checked against a
 from-scratch edge-subset enumeration.
 """
 
+import functools
 import gc
 import itertools
 import random
@@ -18,8 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holant import homgraphs
-from holant.grids import _contraction_plan, holant_eval_contracted
+from holant import elimination, homgraphs
+from holant.elimination import _step_memo_info
+from holant.grids import (
+    BindingStacks,
+    _contraction_plan,
+    gadget_signature,
+    holant_eval_contracted,
+    stacked_signature,
+)
 from holant.homgraphs import (
     SimpleGraph,
     are_isomorphic,
@@ -36,6 +44,7 @@ from holant.homgraphs import (
     matchings_signatures,
     path_graph,
 )
+from holant.tensors import MixedTensor, equality_signature
 from oracles import brute_hom_count, brute_matchings, oracle_canonical_code, oracle_connected_graphs
 
 # the unique cospectral, nonsingular, non-isomorphic connected pair on
@@ -189,10 +198,165 @@ def test_a_dropped_target_frees_its_bindings(fresh_targets):
     target = random_graph(np.random.default_rng(9), 5)
     assert hom_count(cycle_graph(3), target) == brute_hom_count(cycle_graph(3), target)
     held = weakref.ref(fresh_targets[target]["A"].array)
+    owner = id(held())
+    assert any(key[0] == owner for key in elimination.step_memo.steps)
     assert len(fresh_targets) == 1
     del target
     gc.collect()
     assert len(fresh_targets) == 0 and held() is None
+    # the step memo dropped the steps kept on the target's adjacency
+    assert owner not in elimination.step_memo.owned
+    assert not any(key[0] == owner for key in elimination.step_memo.steps)
+
+
+# -- the elimination step memo ------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """The elimination step memo, emptied for one test."""
+    memo = elimination.StepMemo()
+    monkeypatch.setattr(elimination, "step_memo", memo)
+    return memo
+
+
+def counted_values(pairs, patch):
+    """hom_count(x, g) for each (x, g) of pairs, in order, and the bytes of
+    the complex values holant_eval_contracted gave for them."""
+    values = []
+
+    def recording(grid, bindings):
+        values.append(holant_eval_contracted(grid, bindings))
+        return values[-1]
+
+    patch.setattr(homgraphs, "holant_eval_contracted", recording)
+    counts = [hom_count(x, g) for x, g in pairs]
+    return counts, np.array(values).tobytes()
+
+
+def counted_without_memo(pairs, patch):
+    """counted_values under an empty step memo that keeps nothing."""
+    patch.setattr(elimination, "step_memo", elimination.StepMemo())
+    patch.setattr(elimination, "STEP_MEMO_BYTES", 0)
+    out = counted_values(pairs, patch)
+    assert _step_memo_info().entries == 0
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_hom_count(x, g):
+    """brute_hom_count, or for a cycle past six vertices, beyond its
+    reach, the trace of the adjacency's power in integers."""
+    if x.n <= 6:
+        return brute_hom_count(x, g)
+    assert x == cycle_graph(x.n)
+    return int(np.trace(np.linalg.matrix_power(g.adjacency().astype(np.int64), x.n)))
+
+
+@st.composite
+def small_targets(draw):
+    n = draw(st.integers(3, 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return SimpleGraph(n, tuple(p for i, p in enumerate(pairs) if bits >> i & 1))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(small_targets(), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+def test_step_memo_keeps_every_count_and_its_bits(targets, seed):
+    # the degree-3 census to six vertices and the cycles C_3 .. C_20 into
+    # two or three targets, interleaved, so that counts into one target
+    # share steps between counts into the others
+    xs = [*enumerate_connected_graphs(6, 3), *map(cycle_graph, range(3, 21))]
+    pairs = [(x, g) for g in targets for x in xs]
+    random.Random(seed).shuffle(pairs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homgraphs, "_target_bindings", weakref.WeakKeyDictionary())
+        m.setattr(elimination, "step_memo", elimination.StepMemo())
+        counts, bits = counted_values(pairs, m)
+        assert _step_memo_info().hits > 0
+        assert (counts, bits) == counted_without_memo(pairs, m)
+    assert counts == [oracle_hom_count(x, g) for x, g in pairs]
+
+
+def test_stacked_sets_that_eliminate_keep_their_bits(fresh_memo):
+    # two sets whose "A" are random tensors of one shape, so their rows
+    # of one stack differ only in their values: each set's row of the
+    # stacked walk is its lone value, with the memo warm and emptied
+    q = 4
+    rng = np.random.default_rng(11)
+    eqs = {f"eq{d}": equality_signature(q, d, 0) for d in range(4)}
+    sets = [{"A": MixedTensor(q, 0, 2, rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))), **eqs}
+            for _ in range(2)]
+    xs = [path_graph(3), cycle_graph(4), complete_graph(4), cycle_graph(4), path_graph(3)]
+    lone = [[gadget_signature(hom_grid(x, q), b).array.tobytes() for b in sets] for x in xs]
+    assert fresh_memo.hits > 0
+    stacks = BindingStacks(sets)
+    for x, want in zip(xs, lone):
+        rows = stacked_signature(hom_grid(x, q), stacks)
+        assert [row.tobytes() for row in rows] == want
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(elimination, "step_memo", elimination.StepMemo())
+        m.setattr(elimination, "STEP_MEMO_BYTES", 0)
+        for x, want in zip(xs, lone):
+            assert [gadget_signature(hom_grid(x, q), b).array.tobytes() for b in sets] == want
+
+
+def test_step_memo_evicts_within_its_bound(fresh_memo, fresh_targets, monkeypatch):
+    # room for a few steps only: eviction drops the least recently used,
+    # each count keeps its bits, and the memo never passes its bound
+    rng = np.random.default_rng(12)
+    targets = [random_graph(rng, 4), random_graph(rng, 5)]
+    xs = [*enumerate_connected_graphs(5, 3), *map(cycle_graph, range(3, 12))]
+    pairs = [(x, g) for x in xs for g in targets for _ in range(2)]
+    bound = 6 * elimination.STEP_OVERHEAD
+    monkeypatch.setattr(elimination, "STEP_MEMO_BYTES", bound)
+    counts, bits = [], []
+    for pair in pairs:
+        count, value = counted_values([pair], monkeypatch)
+        counts += count
+        bits.append(value)
+        info = _step_memo_info()
+        assert info.nbytes <= bound and info.entries < 6
+        assert info.nbytes == sum(r.nbytes + elimination.STEP_OVERHEAD for _, r in fresh_memo.steps.values())
+    info = _step_memo_info()
+    assert info.hits > 0 and info.misses > 2 * len(pairs)
+    assert (counts, b"".join(bits)) == counted_without_memo(pairs, monkeypatch)
+    assert counts == [oracle_hom_count(x, g) for x, g in pairs]
+
+
+def test_step_memo_keeps_no_result_larger_than_its_array(fresh_memo, fresh_targets):
+    # at q = 16 the wide steps of K4 leave rank-3 results of 16**3
+    # entries, more than the adjacency's 256: they are never kept
+    target = random_graph(np.random.default_rng(13), 16)
+    for x in (complete_graph(4), complete_graph(4), cycle_graph(5)):
+        hom_count(x, target)
+    size = fresh_targets[target]["A"].array.size
+    assert fresh_memo.steps
+    assert all(r.size <= size and not r.flags.writeable for _, r in fresh_memo.steps.values())
+
+
+def test_step_memo_removes_most_einsum_calls(fresh_memo, fresh_targets, monkeypatch):
+    # the guard: the degree-3 census to six vertices into two targets runs
+    # np.einsum for fewer than half of its elimination steps, and every
+    # step the memo answers is one np.einsum call less
+    rng = np.random.default_rng(14)
+    pairs = [(x, g) for g in (random_graph(rng, 10), random_graph(rng, 16))
+             for x in enumerate_connected_graphs(6, 3)]
+    einsum = np.einsum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    counts, bits = counted_values(pairs, monkeypatch)
+    with_memo, hits = len(calls), _step_memo_info().hits
+    calls.clear()
+    assert (counts, bits) == counted_without_memo(pairs, monkeypatch)
+    assert with_memo + hits == len(calls)
+    assert 2 * with_memo < len(calls)
 
 
 def test_hom_self_map_counts_automorphisms_at_least():

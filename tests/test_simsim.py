@@ -384,6 +384,30 @@ def test_recover_vanishing_jordan_vs_diagonal():
     assert np.linalg.norm(radical - coeff * direction) < 1e-8
 
 
+def test_recovery_converts_its_sets_once(monkeypatch):
+    # an uncertified pair passes through trace_words_equal and
+    # build_paired_algebra, which take recover_transform's converted sets
+    # as they are; trace_words_equal rescales copies, not the sets
+    converted = []
+    normalize = simsim._normalize_sets
+
+    def recording(fs, gs):
+        out = normalize(fs, gs)
+        converted.append(out[2] is not fs)
+        return out
+
+    monkeypatch.setattr(simsim, "_normalize_sets", recording)
+    jordan = {"a": np.array([[0.6, 1.0], [0.0, 0.6]]), "b": 5 * np.eye(2)}
+    diagonal = {"a": np.diag([0.6, 0.6]), "b": 5 * np.eye(2)}
+    assert recover_transform(jordan, diagonal).verdict == "vanishing"
+    assert converted == [True, False, False]
+    q, names, f_mats, g_mats = normalize(jordan, diagonal)
+    before = [m.tobytes() for m in (*f_mats.values(), *g_mats.values())]
+    assert trace_words_equal(f_mats, g_mats).verdict == "equal"
+    assert [m.tobytes() for m in (*f_mats.values(), *g_mats.values())] == before
+    assert type(build_paired_algebra(f_mats, g_mats).f_generators) is dict
+
+
 def test_recover_trace_mismatch():
     result = recover_transform({"a": np.diag([1.0, 2.0])}, {"a": np.diag([1.0, 3.0])})
     assert result.verdict == "trace_mismatch"

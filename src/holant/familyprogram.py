@@ -1,16 +1,16 @@
 """The stored closed family compiled into one level-batched program;
 internal.
 
-spans._walk stores the last closed family a checker walked, and
-spans.closed_signature_blocks compiles its loop-free grids once, by
-compile_family under the family's own shapes, into a FamilyProgram that
-the stored family keeps.  The program replays every structure's
-pairwise plan (grids.ContractionPlan) under every binding set of a walk
-in a few batched numpy calls, where grids._execute would make several
-small ones per structure (the batched layout of Dongarra et al., "A
-proposed API for batched basic linear algebra subprograms", 2016;
-contraction trees as compiled programs, Gray & Kourtis,
-"Hyper-optimized tensor network contraction", 2021).
+spans.closed_signature_blocks, the walk of verify_holant_theorem, stores
+the last closed family it walked, and compiles its loop-free grids once,
+when it stores it, by compile_family under the family's own shapes, into
+a FamilyProgram that the stored family keeps.  The program replays
+every structure's pairwise plan (grids.ContractionPlan) under every
+binding set of a walk in a few batched numpy calls, where
+grids._execute would make several small ones per structure (the batched
+layout of Dongarra et al., "A proposed API for batched basic linear
+algebra subprograms", 2016; contraction trees as compiled programs,
+Gray & Kourtis, "Hyper-optimized tensor network contraction", 2021).
 
 The structures are split, in walk order, into parts whose nodes hold at
 most PART_MAX_ENTRIES entries in all per binding set (a part holds at

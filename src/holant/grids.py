@@ -207,7 +207,7 @@ class BindingStacks:
 # reuses its plan (hom grids built for several target sizes, gadgets in
 # every slot order).  A walk contracts each structure once for all its
 # binding sets (stacked_signature), so it looks each plan up once.  The
-# program of the closed family that spans._walk stores
+# program of the closed family that spans.closed_signature_blocks stores
 # (holant.familyprogram) looks each structure's pairwise plan up once,
 # when it is compiled, and a replay of it looks up none.  The cache
 # keeps a whole family, so that a later walk of one that is not stored,
@@ -591,9 +591,9 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     its free axes by its stubs, and the factor q per vertexless loop.
 
     grid may also be the compiled program of the closed family that
-    spans._walk stores (holant.familyprogram.FamilyProgram, hashed by
-    identity, so that perfbench's tracer can count it), which only
-    spans.closed_signature_blocks passes here.  It replays all its
+    spans.closed_signature_blocks stores and alone passes here
+    (holant.familyprogram.FamilyProgram, hashed by identity, so that
+    perfbench's tracer can count it).  It replays all its
     structures at once, by one level-batched program, and returns a
     read-only (structures, B) array whose row j is bitwise this
     function's result for its structure j, or None when some set binds
@@ -936,8 +936,9 @@ def enumerate_grids(
     right ports (holant.portclasses).
 
     A plain generator: it keeps nothing between walks, and every walk
-    enumerates.  The spans checkers and verify_holant_theorem walk
-    through spans._walk, which stores the last closed family.
+    enumerates only what its consumer reads.  The spans checkers walk it
+    lazily through spans._walk; verify_holant_theorem walks it through
+    spans.closed_signature_blocks, which stores the last closed family.
     """
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]

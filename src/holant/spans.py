@@ -113,37 +113,47 @@ def structure_signatures(grids, *bindings):
         yield (g, *(arrays[k, ...] for k in range(len(bindings))))
 
 
-def closed_signature_blocks(grids, *bindings):
-    """Yield (grids, values): a walk of closed grids (enumerate_grids,
-    each structure at loop counts 0 and 1, back to back) in consecutive
-    blocks, values[k, j] bitwise the value structure_signatures gives
-    grids[k] under bindings[j], as one read-only array per block.
+def closed_signature_blocks(max_vertices: int, fs, *others):
+    """Yield (grids, values): the closed grids over fs up to the bound,
+    as verify_holant_theorem walks them (enumerate_grids, by port classes
+    over the ids fs binds symmetrically), in consecutive blocks;
+    values[k, j] is bitwise the value structure_signatures gives grids[k]
+    under (fs, *others)[j], one read-only array per block.
 
-    grids, when it is the family _walk stored (the same tuple), is one
-    block.  Its first replay here compiles its loop-free grids under the
-    family's own shapes (holant.familyprogram.compile_family, imported on
-    first use), and the family keeps the result: a program, or None where
-    it has none (q = 1, or a pairwise plan over the entry cap).  A
-    program contracts the structures under all binding sets at the same
-    time through this module's gadget_signature; each loop copy is
-    scaled from its structure's values by grids.derives, all copies at
-    once.  A program replays the whole family or gives no values: when
-    some set binds an id with another shape, or to an exact equality,
-    the family is replayed as every other walk is, run by run by one
-    structure_signatures pass, in blocks of FAMILY_MEMO_MAX_GRIDS grids.
+    Only this function keeps a closed family, _family.  A family of at
+    most FAMILY_MEMO_MAX_GRIDS grids is read whole and stored with what
+    holant.familyprogram.compile_family (imported on first use) makes of
+    it under its own shapes: a program, or None (q = 1, or a pairwise
+    plan over the entry cap).  A later call with its key enumerates and
+    compiles nothing.  A program contracts every structure under all
+    sets at once through this module's gadget_signature, and scales the
+    loop copies by grids.derives; it replays the whole family or gives no
+    values (a set binds an id with another shape, or to an exact
+    equality).  Then, and for a larger walk, which streams, the grids go
+    run by run through one structure_signatures pass, in blocks of
+    FAMILY_MEMO_MAX_GRIDS grids.
     """
-    if _family is not None and grids is _family[1]:
-        key, family, program = _family
-        if not program:
+    global _family
+    sig_shapes, q, symmetric = _walk_shapes(max_vertices, fs)
+    key = (tuple(sig_shapes), max_vertices, q, _grids._port_walk(sig_shapes, symmetric)[0])
+    bindings = (fs, *others)
+    stored = _family if _family is not None and _family[0] == key else None
+    if stored is None:
+        walk = enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
+        head = tuple(itertools.islice(walk, FAMILY_MEMO_MAX_GRIDS + 1))
+        grids = itertools.chain(head, walk)
+        if len(head) <= FAMILY_MEMO_MAX_GRIDS:
             from holant.familyprogram import compile_family
 
-            program.append(compile_family(family[::2], dict(key[0])))
-        runs = None if program[0] is None else gadget_signature(program[0], BindingStacks(bindings))
+            stored = _family = (key, head, compile_family(head[::2], dict(sig_shapes)))
+    if stored is not None:
+        _, grids, program = stored
+        runs = None if program is None else gadget_signature(program, BindingStacks(bindings))
         if runs is not None:
-            copies = derived_signature(runs, *derives(family[0], family[1]))
-            values = np.stack([runs, copies], axis=1).reshape(len(family), len(bindings))
+            copies = derived_signature(runs, *derives(grids[0], grids[1]))
+            values = np.stack([runs, copies], axis=1).reshape(len(grids), len(bindings))
             values.setflags(write=False)
-            yield family, values
+            yield grids, values
             return
     rows = structure_signatures(grids, *bindings)
     while chunk := list(itertools.islice(rows, FAMILY_MEMO_MAX_GRIDS)):
@@ -160,55 +170,25 @@ def _symmetric_ids(*binding_sets) -> tuple[str, ...]:
     )
 
 
-# The last closed family _walk enumerated, as (key, grids, program):
-# key is (sorted (id, shape) pairs, bound, q, the ids walked up to port
-# symmetry); grids the tuple _walk returns; program a list, empty until
-# closed_signature_blocks first replays the family, then holding its
-# FamilyProgram or None.  Every caller walks one family over and over
-# (closed-invariance makes 40 verify_holant_theorem queries on one), so
-# one family is kept.  A family of more than FAMILY_MEMO_MAX_GRIDS grids
-# streams and is never stored.  Grids take 230-670 bytes each
-# (tracemalloc): the arity-4 counterexample's family at bound 6 holds
-# 1754 grids in 1.2 MB with ordered ports; {a (1,1), b (2,2)} at bound
-# 5, 107350 grids, streams.  A program takes 0.2 MB of index arrays for
-# closed-invariance's 300 structures, planned and compiled in about 14 ms.
+# The last closed family closed_signature_blocks walked, as (key, grids,
+# program): key is (sorted (id, shape) pairs, bound, q, the ids walked up
+# to port symmetry); grids the family's tuple; program its FamilyProgram
+# or None.  Only verify_holant_theorem replays a family (closed-invariance
+# makes 40 queries on one), so one family is kept; the other checkers
+# walk lazily and stop at what they read.  A family of more than
+# FAMILY_MEMO_MAX_GRIDS grids streams and is never stored.  Grids take
+# 230-670 bytes each (tracemalloc): closed-invariance's family holds 600
+# grids in 0.29 MB; {a (1,1), b (2,2)} at bound 5, 107350 grids, streams.
+# A program takes 0.2 MB of index arrays for closed-invariance's 300
+# structures, planned and compiled in about 14 ms.
 FAMILY_MEMO_MAX_GRIDS = 4096
-_family: tuple[tuple, tuple[SignatureGrid, ...], list] | None = None
+_family: tuple[tuple, tuple[SignatureGrid, ...], object] | None = None
 
 
-def _closed_walk(sig_shapes, max_vertices: int, q: int, symmetric):
-    """The closed grids of enumerate_grids(sig_shapes, max_vertices, q,
-    symmetric): the stored family's tuple when its key matches, which
-    enumerates nothing; else a new family of at most
-    FAMILY_MEMO_MAX_GRIDS grids, enumerated whole and stored in its
-    place; else an iterator over the grids read so far and the rest of
-    the stream, which stores nothing."""
-    global _family
-    key = (tuple(sig_shapes), max_vertices, q, _grids._port_walk(sig_shapes, symmetric)[0])
-    if _family is not None and _family[0] == key:
-        return _family[1]
-    walk = enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
-    head = tuple(itertools.islice(walk, FAMILY_MEMO_MAX_GRIDS + 1))
-    if len(head) > FAMILY_MEMO_MAX_GRIDS:
-        return itertools.chain(head, walk)
-    _family = (key, head, [])
-    return head
-
-
-def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
-    """The walk of the spans checkers over fs at the profile: closed grids
-    at (0,0) (_closed_walk, which keeps the last closed family), gadgets
-    otherwise (a lazy enumerate_gadgets), up to port symmetry over the
-    ids bound symmetrically in fs and every other binding set.  All five
-    checkers walk here: build_span, gram_nondegenerate,
-    check_indistinguishable, check_covanishing and
-    transforms.verify_holant_theorem.
-
-    A negative bound is refused: it walks nothing, and every checker
-    would pass on no grid.  A profile whose signatures would have more
-    than MAX_ENTRIES entries is refused here, before any gadget is
-    enumerated: no signature fits it, and the walk would never end.
-    """
+def _walk_shapes(max_vertices: int, fs, *others):
+    """(sorted (id, shape) pairs, q, ids symmetric in fs and every other
+    set) of the walk over fs.  A negative bound is refused: it walks
+    nothing, and every checker would pass on no grid."""
     qs = {t.q for t in fs.values()}
     if len(qs) > 1:
         raise ValueError("signatures must share a domain size")
@@ -216,12 +196,25 @@ def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
         raise ValueError("need a signature to fix the domain size")
     if max_vertices < 0:
         raise ValueError(f"max_vertices must be nonnegative, got {max_vertices}")
-    q = qs.pop()
-    sig_shapes = sorted((name, t.shape) for name, t in fs.items())
-    symmetric = _symmetric_ids(fs, *others)
+    return sorted((name, t.shape) for name, t in fs.items()), qs.pop(), _symmetric_ids(fs, *others)
+
+
+def _walk(profile: tuple[int, int], max_vertices: int, fs, *others):
+    """The lazy walk over fs at the profile of build_span,
+    gram_nondegenerate, check_indistinguishable and check_covanishing:
+    closed grids at (0,0) (enumerate_grids), gadgets otherwise
+    (enumerate_gadgets), up to port symmetry over the ids bound
+    symmetrically in fs and every other binding set.  It stores nothing,
+    and a checker that stops early enumerates nothing past its stop.
+
+    A profile whose signatures would have more than MAX_ENTRIES entries
+    is refused here, before any gadget is enumerated: no signature fits
+    it, and the walk would never end.
+    """
+    sig_shapes, q, symmetric = _walk_shapes(max_vertices, fs, *others)
     l, r = profile
     if (l, r) == (0, 0):
-        return _closed_walk(sig_shapes, max_vertices, q, symmetric)
+        return enumerate_grids(sig_shapes, max_vertices, q, symmetric=symmetric)
     if l >= 0 and r >= 0:  # enumerate_gadgets names a negative entry
         _check_size(q, l + r)
     return enumerate_gadgets(sig_shapes, profile, max_vertices, q, symmetric=symmetric)
@@ -252,7 +245,7 @@ def build_span(
     if (l, r) == (0, 0):
         # vertexless grids contribute bare constants (1 and powers of q), so
         # the interesting (0,0) span is what the vertex-bearing grids add
-        gadgets = [g for g in gadgets if g.vertices]
+        gadgets = (g for g in gadgets if g.vertices)
     basis: list[MixedTensor] = []
     witnesses: list[SignatureGrid] = []
     independent = IncrementalBasis(indep_tol)

@@ -17,7 +17,7 @@ import numpy as np
 from holant.grids import SignatureGrid
 from holant.grids import enumerate_grids  # unused, but perfbench's tracer wraps this name
 from holant.grids import holant_eval_contracted  # unused, but perfbench's tracer wraps this name
-from holant.spans import _walk, closed_signature_blocks
+from holant.spans import closed_signature_blocks
 from holant.tensors import MixedTensor, equality_signature
 
 COND_WARN_THRESHOLD = 1e8
@@ -117,8 +117,8 @@ def verify_holant_theorem(
     """Evaluate every closed grid over fs up to the bound, both ways.
 
     A grid passes when |before - after| <= tol * (1 + |before|).  The
-    walk is the spans checkers' (spans._walk over fs): when every binding
-    of fs is symmetric (MixedTensor.is_symmetric) and some id has two or
+    walk is the spans checkers' over fs alone: when every binding of fs
+    is symmetric (MixedTensor.is_symmetric) and some id has two or
     more ports on a side, it takes one grid per class of port
     permutations (holant.spans).  In exact arithmetic the grids of a
     class share one value under fs, and one under T·F: T acts on every
@@ -127,14 +127,15 @@ def verify_holant_theorem(
     apart, so one of them tests what all of them would; grids_checked
     counts the classes.
 
-    The values come as one (grids, 2) array per block of the walk
-    (spans.closed_signature_blocks: the family spans._walk stored, at
-    q >= 2, by its compiled program when fs and T·F bind every kind of
-    grid pairwise; every other walk run by run) and are
-    judged by numpy as a loop over the grids in walk order would judge
-    them: moduli by np.hypot, which rounds as Python's abs of a complex
-    does, and worst_grid the first grid of the largest scaled error above
-    0 (None if every error is 0).  A value that is NaN or infinite on
+    The values come as one (grids, 2) array per block of the walk from
+    spans.closed_signature_blocks, which keeps the last family walked
+    here: a later query on it enumerates and compiles nothing, and at
+    q >= 2 its program replays it when fs and T·F bind every kind of
+    grid pairwise; every other walk goes run by run.  They are judged by
+    numpy as a loop over the grids in walk order would judge them:
+    moduli by np.hypot, which rounds as Python's abs of a complex does,
+    and worst_grid the first grid of the largest scaled error above 0
+    (None if every error is 0).  A value that is NaN or infinite on
     either side raises ArithmeticError naming the first such grid in walk
     order: its error compares false with every tolerance, so it would
     pass unseen.  The overflow or invalid operation that makes such a
@@ -150,7 +151,7 @@ def verify_holant_theorem(
     max_abs = 0.0
     max_scaled = 0.0
     count = 0
-    blocks = closed_signature_blocks(_walk((0, 0), max_vertices, fs), fs, transformed)
+    blocks = closed_signature_blocks(max_vertices, fs, transformed)
     with np.errstate(over="ignore", invalid="ignore"):
         for block, values in blocks:
             finite = np.isfinite(values).all(axis=1)

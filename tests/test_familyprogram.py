@@ -1,11 +1,12 @@
 """The compiled family program against a replay structure by structure.
 
-spans.closed_signature_blocks replays the closed family that spans._walk
-stored, at q >= 2, by one compiled program (holant.familyprogram), and
-every other walk run by run.  Each case compares its values, loop copies included, with
-oracles.oracle_signatures, which contracts every grid alone through
-grids._execute, by the bytes of the arrays: a value that rounds
-differently, or a zero whose sign differs, fails.
+spans.closed_signature_blocks stores the closed family it walks, at
+q >= 2 with one compiled program (holant.familyprogram), and replays it
+by that program; every other walk goes run by run.  Each case compares
+its values, loop copies included, with oracles.oracle_signatures, which
+contracts every grid alone through grids._execute, by the bytes of the
+arrays: a value that rounds differently, or a zero whose sign differs,
+fails.
 """
 
 import os
@@ -70,19 +71,31 @@ def oracle_values(grids, sets):
     return np.array([row[1:] for row in oracle_signatures(grids, *sets)])
 
 
+def replayed(bound, sets):
+    """The one block of the stored family walked over sets[0], and its
+    values under every set."""
+    [(block, values)] = spans.closed_signature_blocks(bound, *sets)
+    return tuple(block), values
+
+
 @pytest.mark.parametrize("name", ["q1", "q2", "q3", "mixed"])
 def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
+    # the stored family: walked and compiled by the first call, replayed
+    # by its kept program after that; at q = 1 it has none, and replays
+    # run by run
+    # at q = 1 every binding is symmetric, so the walk takes port classes
+    grids, values = replayed(bound, sets)
+    symmetric = spans._symmetric_ids(sets[0])
+    assert grids == tuple(grids_module.enumerate_grids(sig_shapes, bound, q, symmetric=symmetric))
     want = oracle_values(grids, sets)
-    # the stored family: compiled by its first replay, replayed by its
-    # kept program after that; at q = 1 it has none, and replays run by run
-    for _ in range(2):
-        [(block, values)] = spans.closed_signature_blocks(grids, *sets)
-        assert tuple(block) == grids
-        assert values.tobytes() == want.tobytes()
-    [program] = spans._family[2]
+    assert values.tobytes() == want.tobytes()
+    _, family, program = spans._family
+    assert family == grids
+    again = replayed(bound, sets)
+    assert again[0] == grids and again[1].tobytes() == want.tobytes()
+    assert spans._family[2] is program
     if q == 1:
         assert program is None
     else:
@@ -111,7 +124,7 @@ def test_streamed_blocks_replay_run_by_run(monkeypatch, name):
     monkeypatch.setattr(familyprogram, "compile_family", no_program)
     monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
     monkeypatch.setattr(spans, "_family", None)
-    blocks = list(spans.closed_signature_blocks(spans._closed_walk(sig_shapes, bound, q, ()), *sets))
+    blocks = list(spans.closed_signature_blocks(bound, *sets))
     assert spans._family is None and len(blocks) >= 3
     assert [len(block) for block, _ in blocks[:-1]] == [cap] * (len(blocks) - 1)
     assert [g for block, _ in blocks for g in block] == grids
@@ -128,12 +141,11 @@ def test_parts_keep_the_bits(monkeypatch, name):
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(familyprogram, "PART_MAX_ENTRIES", q**5)
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
+    grids, values = replayed(bound, sets)
     want = oracle_values(grids, sets)
-    for _ in range(2):
-        [(_, values)] = spans.closed_signature_blocks(grids, *sets)
-        assert values.tobytes() == want.tobytes()
-    [program] = spans._family[2]
+    assert values.tobytes() == want.tobytes()
+    assert replayed(bound, sets)[1].tobytes() == want.tobytes()
+    program = spans._family[2]
     assert 1 < len(program.parts) < len(grids) // 2
     # each part's structures: the products' rows, by number of scalars
     members = [np.concatenate([same for same, _ in products]) for *_, products in program.parts]
@@ -151,32 +163,31 @@ def test_program_replays_whole_or_not_at_all(monkeypatch, name):
     # and the run-by-run pass contracts each loop-free structure once
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
-    want = oracle_values(grids, sets)
-    binds, contracted, replayed = [], [], []
+    binds, contracted, replays = [], [], []
     bind, contract = grids_module.BindingStacks.bind, grids_module._contract
     replay = familyprogram.FamilyProgram.replay
 
     def recorded(self, stacks):
-        replayed.append(replay(self, stacks))
-        return replayed[-1]
+        replays.append(replay(self, stacks))
+        return replays[-1]
 
     monkeypatch.setattr(grids_module.BindingStacks, "bind", lambda self, g: binds.append(g) or bind(self, g))
     monkeypatch.setattr(grids_module, "_contract", lambda g, *a: contracted.append(g) or contract(g, *a))
     monkeypatch.setattr(familyprogram.FamilyProgram, "replay", recorded)
-    # the first replay compiles the program, the second replays it warm
+    # the first call walks and compiles the family and replays its
+    # program, the second replays it warm
     for _ in range(2):
-        for log in (binds, contracted, replayed):
+        for log in (binds, contracted, replays):
             log.clear()
-        [(_, values)] = spans.closed_signature_blocks(grids, *sets)
-        assert values.tobytes() == want.tobytes()
-        [values] = replayed
+        grids, values = replayed(bound, sets)
+        [program_values] = replays
         if name == "q3":
-            assert values is not None and contracted == []
+            assert program_values is not None and contracted == []
             ids = [frozenset(g.vertices) for g in binds]
             assert len(ids) == 4 and set(ids) == {frozenset(g.vertices) for g in grids}
         else:
-            assert values is None and contracted == list(grids[::2])
+            assert program_values is None and contracted == list(grids[::2])
+        assert values.tobytes() == oracle_values(grids, sets).tobytes()
 
 
 def test_pairwise_plans_over_the_cap(monkeypatch):
@@ -189,31 +200,29 @@ def test_pairwise_plans_over_the_cap(monkeypatch):
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
     monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
-    with pytest.raises(ValueError) as alone:
-        list(oracle_signatures(grids, *sets))
-    want = oracle_values(grids, eliminated)
     for _ in range(2):
-        [(_, values)] = spans.closed_signature_blocks(grids, *eliminated)
-        assert values.tobytes() == want.tobytes()
-        with pytest.raises(ValueError) as replayed:
-            list(spans.closed_signature_blocks(grids, *sets))
-        assert str(replayed.value) == str(alone.value)
-    assert spans._family[2] == [None]
+        grids, values = replayed(bound, eliminated)
+        assert values.tobytes() == oracle_values(grids, eliminated).tobytes()
+        with pytest.raises(ValueError) as alone:
+            list(oracle_signatures(grids, *sets))
+        with pytest.raises(ValueError) as refused:
+            list(spans.closed_signature_blocks(bound, *sets))
+        assert str(refused.value) == str(alone.value)
+        assert spans._family[1] == grids
+    assert spans._family[2] is None
 
 
 def test_over_cap_family_is_compiled_once(monkeypatch):
     # the family of test_pairwise_plans_over_the_cap, every set binding
     # e and m to equalities, so that a replay run by run plans each
-    # structure once.  Its first replay, under bindings of other shapes,
-    # tries to compile it under its own shapes and keeps the mark of no
-    # program; later replays compile nothing and plan each structure once
+    # structure once.  Its first walk, with the later sets binding ids
+    # with other shapes, tries to compile it under its own shapes and
+    # keeps the mark of no program; later replays compile nothing and
+    # plan each structure once
     sig_shapes, bound, q, sets = program_case("mixed")
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
     monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
-    want = oracle_values(grids, eliminated)
     routes, compiled = [], []
     plan, compile_family = grids_module._plan, familyprogram.compile_family
 
@@ -223,42 +232,47 @@ def test_over_cap_family_is_compiled_once(monkeypatch):
 
     monkeypatch.setattr(grids_module, "_plan", counted)
     monkeypatch.setattr(familyprogram, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
-    swapped = [dict(b, a=b["u"], u=b["a"]) for b in eliminated]
+    swapped = eliminated[:1] + [dict(b, a=b["u"], u=b["a"]) for b in eliminated[1:]]
     with pytest.raises(ValueError):
-        list(spans.closed_signature_blocks(grids, *swapped))
-    assert spans._family[2] == [None] and len(compiled) == 1
+        list(spans.closed_signature_blocks(bound, *swapped))
+    assert spans._family[2] is None and len(compiled) == 1
+    grids = spans._family[1]
+    want = oracle_values(grids, eliminated)
     for _ in range(2):
         routes.clear()
-        [(_, values)] = spans.closed_signature_blocks(grids, *eliminated)
-        assert values.tobytes() == want.tobytes()
+        block, values = replayed(bound, eliminated)
+        assert block == grids and values.tobytes() == want.tobytes()
         assert len(routes) == len(grids) // 2
-        assert spans._family[2] == [None] and len(compiled) == 1
+        assert spans._family[2] is None and len(compiled) == 1
 
 
 def test_other_shapes_replay_without_recompiling(monkeypatch):
-    # a compiled family replayed under bindings of other shapes gets no
-    # values from its program and replays run by run: it compiles
-    # nothing again, and raises what a cold walk of the same grids raises
+    # a compiled family replayed with later sets binding s0 and s1 with
+    # each other's shapes compiles nothing again, and raises what a cold
+    # walk of the same grids raises.  Its program gives no values for
+    # sets that bind an id with another shape
     sig_shapes, bound, q, sets = program_case("q3")
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
-    swapped = [dict(b, s1=b["s2"], s2=b["s1"]) for b in sets]
+    grids, values = replayed(bound, sets)
+    program = spans._family[2]
+    assert program is not None
+    moved = [dict(b, s1=b["s2"], s2=b["s1"]) for b in sets]
+    assert program.replay(grids_module.BindingStacks(moved)) is None
+    swapped = sets[:1] + [dict(b, s0=b["s1"], s1=b["s0"]) for b in sets[1:]]
     with pytest.raises(ValueError) as cold:
         list(spans.structure_signatures(grids, *swapped))
-    [(_, values)] = spans.closed_signature_blocks(grids, *sets)
-    [program] = spans._family[2]
-    assert program is not None
 
     def no_compile(*args):
         raise AssertionError("a stored family was compiled twice")
 
     monkeypatch.setattr(familyprogram, "compile_family", no_compile)
     for _ in range(2):
-        with pytest.raises(ValueError) as replayed:
-            list(spans.closed_signature_blocks(grids, *swapped))
-        assert str(replayed.value) == str(cold.value)
-        assert spans._family[2] == [program]
-    [(_, again)] = spans.closed_signature_blocks(grids, *sets)
+        with pytest.raises(ValueError) as refused:
+            list(spans.closed_signature_blocks(bound, *swapped))
+        assert str(refused.value) == str(cold.value)
+        assert spans._family[2] is program
+    block, again = replayed(bound, sets)
+    assert block is grids
     assert again.tobytes() == values.tobytes() == oracle_values(grids, sets).tobytes()
 
 

@@ -1104,6 +1104,13 @@ def test_canonical_search_orders_a_short_block_after_its_extension():
 SMALL_FAMILY = ([("x", (2, 1)), ("y", (0, 3))], 4)
 
 
+def small_family_set(q):
+    """Random bindings of SMALL_FAMILY's ids at q, which are not
+    symmetric, so that its closed walk takes ordered ports."""
+    rng = np.random.default_rng(q)
+    return {sig: random_tensor(rng, q, *shape) for sig, shape in SMALL_FAMILY[0]}
+
+
 def counted_structures(monkeypatch):
     """The profiles of every grids._structures walk started from here on."""
     walks = []
@@ -1119,12 +1126,13 @@ def counted_structures(monkeypatch):
 
 def test_enumerate_grids_keeps_no_state(monkeypatch):
     # a plain generator: each walk enumerates again, and neither the
-    # checkers' stored family nor any walk before changes what it yields
+    # theorem's stored family nor any walk before changes what it yields
     sigs, bound = SMALL_FAMILY
     walks = counted_structures(monkeypatch)
     expected = list(oracle_enumerate_grids(sigs, bound, q=2))
     monkeypatch.setattr(spans, "_family", None)
-    spans._closed_walk(sigs, bound, 2, ())
+    list(spans.closed_signature_blocks(bound, small_family_set(2)))
+    assert spans._family[1] == tuple(expected)
     walks.clear()
     assert list(enumerate_grids(sigs, bound, q=2)) == expected
     assert list(enumerate_grids(sigs, bound, q=2)) == expected
@@ -1133,42 +1141,51 @@ def test_enumerate_grids_keeps_no_state(monkeypatch):
 
 def test_closed_family_memo_replays_a_finished_walk(monkeypatch):
     sigs, bound = SMALL_FAMILY
+    fs = small_family_set(2)
     monkeypatch.setattr(spans, "_family", None)
     walks = counted_structures(monkeypatch)
-    first = spans._closed_walk(sigs, bound, 2, ())
+    [(first, _)] = spans.closed_signature_blocks(bound, fs)
     assert first == tuple(oracle_enumerate_grids(sigs, bound, q=2))
     assert spans._family[1] is first and walks == [(0, 0)]
     # a hit hands out the stored tuple and enumerates nothing
-    assert spans._closed_walk(sigs, bound, 2, ()) is first and walks == [(0, 0)]
+    [(again, _)] = spans.closed_signature_blocks(bound, fs)
+    assert again is first and walks == [(0, 0)]
     # the key holds q and the bound; a new key replaces the stored family
-    assert list(spans._closed_walk(sigs, bound, 3, ())) == [
-        SignatureGrid(3, g.vertices, g.edges, loops=g.loops) for g in first
-    ]
+    [(other_q, _)] = spans.closed_signature_blocks(bound, small_family_set(3))
+    assert other_q == tuple(SignatureGrid(3, g.vertices, g.edges, loops=g.loops) for g in first)
     assert spans._family[0][2] == 3
-    assert len(spans._closed_walk(sigs, bound - 1, 2, ())) < len(first)
-    assert spans._family[0][1] == bound - 1
+    [(smaller, _)] = spans.closed_signature_blocks(bound - 1, fs)
+    assert len(smaller) < len(first)
+    assert spans._family[0][1] == bound - 1 and walks == [(0, 0)] * 3
 
 
-def test_closed_family_memo_keeps_a_walk_stopped_early(monkeypatch):
-    # a family that fits the cap is enumerated whole before it is handed
-    # out, so a consumer that stops at its first grid still stores it
+def test_closed_walk_stopped_early_stores_nothing(monkeypatch):
+    # a checker's closed walk is lazy: a consumer that stops at its first
+    # grid stores nothing, so the next walk enumerates again, and the
+    # theorem's walk reads the family whole and stores it
     sigs, bound = SMALL_FAMILY
+    fs = small_family_set(2)
+    expected = tuple(oracle_enumerate_grids(sigs, bound, q=2))
     monkeypatch.setattr(spans, "_family", None)
-    walk = iter(spans._closed_walk(sigs, bound, 2, ()))
-    next(walk)
-    assert spans._family[1] == tuple(oracle_enumerate_grids(sigs, bound, q=2))
+    walk = spans._walk((0, 0), bound, fs)
+    assert next(walk) == expected[0]
+    assert spans._family is None
+    [(family, _)] = spans.closed_signature_blocks(bound, fs)
+    assert family == expected and spans._family[1] is family
 
 
 def test_closed_family_memo_skips_a_family_over_the_cap(monkeypatch):
     sigs, bound = SMALL_FAMILY
+    fs = small_family_set(2)
     expected = list(oracle_enumerate_grids(sigs, bound, q=2))
     monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", len(expected) - 1)
     monkeypatch.setattr(spans, "_family", None)
-    assert list(spans._closed_walk(sigs, bound, 2, ())) == expected
-    assert spans._family is None
+    blocks = list(spans.closed_signature_blocks(bound, fs))
+    assert [g for block, _ in blocks for g in block] == expected
+    assert len(blocks) == 2 and spans._family is None
     monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", len(expected))
-    assert list(spans._closed_walk(sigs, bound, 2, ())) == expected
-    assert spans._family[1] == tuple(expected)
+    [(family, _)] = spans.closed_signature_blocks(bound, fs)
+    assert family == tuple(expected) and spans._family[1] is family
 
 
 # -- closed blocks: the rows a compiled program does not batch ---------------
@@ -1225,16 +1242,14 @@ def test_closed_blocks_equal_contracting_each_grid(case):
     # no program and replays run by run; so does a compiled family that
     # some set's route eliminates, for which its program gives no values.
     # Every row equals each grid contracted alone, by its bytes, and a
-    # refusal is the lone contraction's
+    # refusal is the lone contraction's.  The walk is over the first set,
+    # by port classes when that set binds every id symmetrically
     sigs, bound, q, sets, cap = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spans, "_family", None)
         if cap is not None:
             mp.setattr(holant.grids, "MAX_ENTRIES", cap)
-        grids = spans._closed_walk(sigs, bound, q, ())
-        assert grids == tuple(enumerate_grids(sigs, bound, q))
-        _, family, program = spans._family
-        assert family is grids and program == []
+        grids = tuple(enumerate_grids(sigs, bound, q, symmetric=spans._symmetric_ids(sets[0])))
         try:
             want = np.array([row[1:] for row in oracle_signatures(grids, *sets)])
         except ValueError as exc:
@@ -1245,17 +1260,18 @@ def test_closed_blocks_equal_contracting_each_grid(case):
             compiled = q > 1
         except ValueError:  # a pairwise plan over the cap
             compiled = False
-        # the first replay compiles the stored family's program, the
+        # the first call walks the family and compiles its program, the
         # second replays the kept program
         for _ in range(2):
             if isinstance(want, str):
                 with pytest.raises(ValueError) as refused:
-                    list(spans.closed_signature_blocks(grids, *sets))
+                    list(spans.closed_signature_blocks(bound, *sets))
                 assert str(refused.value) == want
             else:
-                [(block, values)] = spans.closed_signature_blocks(grids, *sets)
+                [(block, values)] = spans.closed_signature_blocks(bound, *sets)
                 assert tuple(block) == grids and values.tobytes() == want.tobytes()
-            assert len(program) == 1 and (program[0] is not None) == compiled
+            _, family, program = spans._family
+            assert family == grids and (program is not None) == compiled
 
 
 # -- polynomial --------------------------------------------------------------

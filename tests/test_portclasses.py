@@ -108,24 +108,23 @@ def test_every_ordered_grid_has_its_class_value(case):
 
 def test_closed_family_memo_keys_on_the_port_walk(monkeypatch):
     # verify_holant_theorem walks classes over the symmetric F, and
-    # check_indistinguishable walks ordered ports over the same shapes
-    # since G is not symmetric; neither replays the other's family
+    # ordered ports over G of the same shapes, which is not symmetric;
+    # neither replays the other's family.  check_indistinguishable walks
+    # ordered ports since G is not symmetric, and keeps no family
     fs = counterexample_set(0.5, -2.0)
     arr = fs["f"].array.copy()
     arr[0, 0, 1, 1] += 1e-3
     gs = dict(fs, f=MixedTensor(2, 0, 4, arr))
     t = HoloTransform(2, np.array([[1.0, 0.5], [0.25, -1.0]]))
-    for theorem_first in (True, False):
-        monkeypatch.setattr(spans, "_family", None)
-        for step in (0, 1):
-            if (step == 0) == theorem_first:
-                assert verify_holant_theorem(fs, t, 4).grids_checked == 4
-                assert spans._family[0][3] == ("f", "neq")
-            else:
-                # a tolerance wide enough that the walk runs to its end
-                report = check_indistinguishable(fs, gs, {"neq": "neq", "f": "f"}, 4, 1.0)
-                assert (report.verdict, report.grids_checked) == ("indistinguishable_at_bound", 26)
-                assert spans._family[0][3] == ()
+    monkeypatch.setattr(spans, "_family", None)
+    for theorem_set, grids_checked, walked_by_class in ((fs, 4, ("f", "neq")), (gs, 26, ()), (fs, 4, ("f", "neq"))):
+        assert verify_holant_theorem(theorem_set, t, 4).grids_checked == grids_checked
+        stored = spans._family
+        assert stored[0][3] == walked_by_class and len(stored[1]) == grids_checked
+        # a tolerance wide enough that the walk runs to its end
+        report = check_indistinguishable(fs, gs, {"neq": "neq", "f": "f"}, 4, 1.0)
+        assert (report.verdict, report.grids_checked) == ("indistinguishable_at_bound", 26)
+        assert spans._family is stored
 
 
 def random_tensor(rng, q, l, r):

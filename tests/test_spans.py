@@ -682,9 +682,10 @@ def test_batched_rows_equal_each_set_alone(name):
 def replay_case(name):
     """(sig_shapes, bound, q, three binding sets) of a closed family: the
     same shapes at q = 1, 2 and 3, with the wire identity bound in the
-    first set; every set binding one id to an exact equality (each
-    structure eliminated); only the middle set doing so (mixed routes).
-    The last set carries signed zeros."""
+    second set (the walk is over the first set's ids); every set binding
+    one id to an exact equality (each structure eliminated); only the
+    middle set doing so (mixed routes).  The last set carries signed
+    zeros."""
     rng = np.random.default_rng(47)
     if name in ("equality", "mixed"):
         shapes, bound, q = {"e": (0, 3), "a": (2, 0), "u": (1, 0)}, 4, 3
@@ -700,7 +701,7 @@ def replay_case(name):
                 x[1::4] = complex(0.0, -0.0)
             b[sig] = MixedTensor(q, l, r, x)
         sets.append(b)
-    sets[0]["wire"] = identity_signature(q)
+    sets[1]["wire"] = identity_signature(q)
     if name in ("equality", "mixed"):
         for k in (1,) if name == "mixed" else (0, 1, 2):
             sets[k]["e"] = equality_signature(q, 0, 3)
@@ -715,47 +716,47 @@ def signature_bytes(rows):
 def test_family_replay_equals_cold_walk_and_oracle(monkeypatch, name):
     sig_shapes, bound, q, sets = replay_case(name)
     monkeypatch.setattr(spans, "_family", None)
-    grids = spans._closed_walk(sig_shapes, bound, q, ())
+
+    def replayed():
+        [(block, values)] = spans.closed_signature_blocks(bound, *sets)
+        assert not values.flags.writeable
+        return tuple(block), values
+
+    # the first call walks the family and compiles its program, the later
+    # ones replay it; at q = 1 there is none, and every replay is run by run
+    grids, first = replayed()
     _, family, program = spans._family
-    assert {g.loops for g in grids} == {0, 1} and family is grids and program == []
+    assert {g.loops for g in grids} == {0, 1} and family == grids
+    assert grids == tuple(enumerate_grids(sig_shapes, bound, q, symmetric=spans._symmetric_ids(sets[0])))
     want = signature_bytes(oracle_signatures(grids, *sets))
     cold = list(spans.structure_signatures(grids, *sets))
     assert signature_bytes(cold) == want
     cold_values = np.array([row[1:] for row in cold])
-
-    def replayed():
-        [(block, values)] = spans.closed_signature_blocks(grids, *sets)
-        assert tuple(block) == grids and not values.flags.writeable
-        return values
-
-    # the first replay compiles the stored family's program, the second
-    # replays it; at q = 1 there is none, and every replay is run by run
+    assert first.tobytes() == cold_values.tobytes()
+    assert program.runs == grids[::2] if q > 1 else program is None
     for _ in range(2):
-        assert replayed().tobytes() == cold_values.tobytes()
-    [compiled] = program
-    assert compiled.runs == tuple(grids[::2]) if q > 1 else compiled is None
-    assert replayed().tobytes() == cold_values.tobytes() and program == [compiled]
+        block, values = replayed()
+        assert block == grids and values.tobytes() == cold_values.tobytes()
+        assert spans._family[2] is program
 
-    # bindings of other shapes fail as a walk with no family stored fails
-    def refusal():
-        swapped = [
-            dict(b, a=b["u"], u=b["a"]) if "u" in b else dict(b, b=b["c"], c=b["b"]) for b in sets
-        ]
-        with pytest.raises(ValueError) as exc:
-            list(spans.closed_signature_blocks(grids, *swapped))
-        return str(exc.value)
-
-    replayed_refusal = refusal()
-    monkeypatch.setattr(spans, "_family", None)
-    assert refusal() == replayed_refusal
+    # later sets binding ids with other shapes fail as a cold walk of the
+    # same grids fails
+    swapped = sets[:1] + [
+        dict(b, a=b["u"], u=b["a"]) if "u" in b else dict(b, a=b["b"], b=b["a"]) for b in sets[1:]
+    ]
+    with pytest.raises(ValueError) as refused:
+        list(spans.closed_signature_blocks(bound, *swapped))
+    with pytest.raises(ValueError) as alone:
+        list(spans.structure_signatures(grids, *swapped))
+    assert str(refused.value) == str(alone.value) and spans._family[2] is program
     # a family over the memo cap streams, replayed run by run in blocks
     # of the cap; an odd block size splits some structure's loop-0 and
     # loop-1 grids across two blocks
     odd = len(grids) // 3 | 1
     for cap in (odd, odd + 1):
         monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
-        walk = spans._closed_walk(sig_shapes, bound, q, ())
-        blocks = list(spans.closed_signature_blocks(walk, *sets))
+        monkeypatch.setattr(spans, "_family", None)
+        blocks = list(spans.closed_signature_blocks(bound, *sets))
         assert spans._family is None
         assert len(blocks) == -(-len(grids) // cap)
         assert [g for block, _ in blocks for g in block] == list(grids)
@@ -790,3 +791,74 @@ def test_closed_walk_over_the_cap_streams_in_blocks(monkeypatch):
     per_query = -(-want.grids_checked // cap)
     assert len(sizes) == 2 * per_query and sum(sizes) == 2 * want.grids_checked
     assert sizes[: per_query - 1] == [cap] * (per_query - 1) and sizes[:per_query] == sizes[per_query:]
+
+
+# -- early stops ------------------------------------------------------------------
+
+
+def pulled_grids(monkeypatch):
+    """Every closed grid that walks through spans.enumerate_grids hand
+    out from here on, in order."""
+    pulled = []
+    real = spans.enumerate_grids
+
+    def counted(*args, **kwargs):
+        for g in real(*args, **kwargs):
+            pulled.append(g)
+            yield g
+
+    monkeypatch.setattr(spans, "enumerate_grids", counted)
+    return pulled
+
+
+def test_early_witness_stops_the_closed_walk(monkeypatch):
+    # the arity-4 counterexample against a copy with f[0,0,1,1] moved by
+    # 1e-3: G is not symmetric, so the walk takes ordered ports, 1754
+    # grids at bound 6, and the seventh tells the sets apart
+    fs = counterexample_set(0.0, 0.0)
+    arr = fs["f"].array.copy()
+    arr[0, 0, 1, 1] += 1e-3
+    gs = dict(fs, f=MixedTensor(2, 0, 4, arr))
+    pulled = pulled_grids(monkeypatch)
+    report = check_indistinguishable(fs, gs, {"neq": "neq", "f": "f"}, 6)
+    assert (report.verdict, report.grids_checked) == ("distinguished", 7)
+    assert len(pulled) <= 7 and report.witness_grid is pulled[-1]
+
+
+def test_closed_span_stops_at_its_first_vertex_grid(monkeypatch):
+    # a (0,0) span has dimension 1, full at the first vertex-bearing grid
+    # of nonzero value: gram_nondegenerate reads no grid past it
+    rng = np.random.default_rng(83)
+    f = MixedTensor(2, 0, 4, rng.normal(size=16) + 1j * rng.normal(size=16))
+    fs = {"neq": disequality_signature(2, 2, 0), "f": f}
+    walk = enumerate_grids(sorted((k, t.shape) for k, t in fs.items()), 6, 2)
+    first = next(i for i, g in enumerate(walk) if g.vertices)
+    pulled = pulled_grids(monkeypatch)
+    report = gram_nondegenerate(fs, (0, 0), 6)
+    assert (report.verdict, report.dim) == ("nonvanishing_at_bound", 1)
+    assert len(pulled) == first + 1 and pulled[-1].vertices
+
+
+def test_only_the_theorem_keeps_a_closed_family(monkeypatch):
+    # build_span, gram_nondegenerate, check_indistinguishable and
+    # check_covanishing at (0,0) leave the stored family as it was: none,
+    # or the theorem's family of the same shapes, bound and q
+    fs = counterexample_set(0.5, -2.0)
+    gs = counterexample_set(0.0, 0.0)
+    bij = {"neq": "neq", "f": "f"}
+    t = HoloTransform(2, np.array([[1.0, 0.5], [0.25, -1.0]]))
+    checkers = [
+        lambda: build_span(fs, (0, 0), 4),
+        lambda: gram_nondegenerate(fs, (0, 0), 4),
+        lambda: check_indistinguishable(fs, gs, bij, 4),
+        lambda: check_covanishing(fs, gs, bij, (0, 0), 4),
+    ]
+    monkeypatch.setattr(spans, "_family", None)
+    for theorem_first in (False, True):
+        if theorem_first:
+            verify_holant_theorem(fs, t, 4)
+        stored = spans._family
+        assert (stored is None) != theorem_first
+        for check in checkers:
+            check()
+            assert spans._family is stored

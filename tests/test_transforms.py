@@ -424,7 +424,7 @@ def test_theorem_replay_contracts_once_per_structure(monkeypatch):
         assert len(contracted) - before == 1
     program = contracted[0]
     assert contracted == [program] * 3 and len({program}) == 1
-    assert spans._family[2] == [program]
+    assert spans._family[2] is program
     runs = spans._family[1][::2]
     assert program.runs == runs and all(g.loops == 0 for g in runs)
     assert planned == list(runs) and len(set(planned)) == 300
@@ -477,7 +477,8 @@ def test_transformed_set_is_indistinguishable_until_perturbed(case):
     # reads F and T·F alike, over the walk verify_holant_theorem checks.
     # 0.1 more on a diagonal entry of T·F's (1,1) signature changes the
     # trace of the one-vertex loop grid, the first grid with a vertex.
-    # Each check runs twice, the second time over the stored family
+    # Each check runs twice: the theorem's second query replays the family
+    # it stored, and check_indistinguishable walks again and keeps nothing
     from holant import spans
 
     fs, t, bound = case

@@ -83,9 +83,9 @@ def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(spans, "_family", None)
     # the stored family: walked and compiled by the first call, replayed
-    # by its kept program after that; at q = 1 it has none, and replays
-    # run by run
-    # at q = 1 every binding is symmetric, so the walk takes port classes
+    # by its kept program after that.  At q = 1 it has none, and replays
+    # run by run; there every binding is symmetric, so the walk takes
+    # port classes
     grids, values = replayed(bound, sets)
     symmetric = spans._symmetric_ids(sets[0])
     assert grids == tuple(grids_module.enumerate_grids(sig_shapes, bound, q, symmetric=symmetric))
@@ -93,8 +93,8 @@ def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
     assert values.tobytes() == want.tobytes()
     _, family, program = spans._family
     assert family == grids
-    again = replayed(bound, sets)
-    assert again[0] == grids and again[1].tobytes() == want.tobytes()
+    block, again = replayed(bound, sets)
+    assert block == grids and again.tobytes() == want.tobytes()
     assert spans._family[2] is program
     if q == 1:
         assert program is None

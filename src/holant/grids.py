@@ -163,7 +163,9 @@ class BindingStacks:
     stacks; an eliminating route reads each of its sets on that set's
     row.  Each id is stacked once per walk and domain size, the wire
     identity once some grid has wire vertices.  The sets share each id's
-    shape, as every caller's correspondence checks.  A lone set's stacks
+    shape, as every caller's correspondence checks; a set that binds an
+    id with another shape than the first set's is refused by id and set
+    when that id is first stacked.  A lone set's stacks
     are views of its own arrays, so holant_eval_contracted and
     gadget_signature bind through a one-set BindingStacks at the cost of
     a view per id.
@@ -189,9 +191,17 @@ class BindingStacks:
                 routes.setdefault(equal, []).append(k)
             stacks = self._stacks.setdefault(grid.q, {})
             for sig in ids:
-                if sig not in stacks:  # a lone set's stack is a view of its array
+                if sig not in stacks:
+                    first = resolved[0][sig]
+                    for k, b in enumerate(resolved[1:], 1):
+                        if b[sig].shape != first.shape:
+                            raise ValueError(
+                                f"binding set {k} binds {sig!r} with shape {b[sig].shape},"
+                                f" set 0 with {first.shape}"
+                            )
+                    # a lone set's stack is a view of its array
                     stacks[sig] = (np.stack([b[sig].array for b in resolved]) if len(resolved) > 1
-                                   else resolved[0][sig].array[None])
+                                   else first.array[None])
                 shapes.append((sig, resolved[0][sig].shape))
                 arrays.append(stacks[sig])
             bound = self._bound[key] = _Bound(tuple(shapes), routes, arrays)

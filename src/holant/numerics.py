@@ -3,6 +3,10 @@
 A singular value counts toward the numerical rank iff it exceeds
 RANK_TOL * max(sigma_max, 1), and the left singular vectors past the rank
 span the numerical left null space (Golub & Van Loan, Matrix Computations).
+Each caller names the factors it reads, and numerical_rank computes only
+those (LAPACK xGESDD with JOBZ = 'A', 'S' or 'N'): u for the left null
+space, vh from a thin SVD, or the singular values alone for a verdict
+that reads only the rank.  The cut is one formula for all three.
 
 A vector is independent of those kept before it iff its residual off their
 span exceeds INDEP_TOL * max(||vec||, 1) (IncrementalBasis, classical
@@ -23,15 +27,19 @@ INDEP_TOL = 1e-9
 
 
 class NumericalRank(NamedTuple):
-    """One SVD of a matrix a and the rank cut on its singular values: u
-    square, for the left null space, and vh of min(a.shape) rows unless a
-    is tall (simsim._intertwine, its one reader, passes a tall or square a)."""
+    """One SVD of a matrix a and the rank cut on its singular values.
+
+    u is square, for the left null space, and vh has min(a.shape) rows
+    under factors="left"; vh alone, from the thin SVD, under "right"
+    (simsim._intertwine, its one reader, passes a tall or square a);
+    neither under "values".  A factor not computed is None.
+    """
 
     rank: int
     threshold: float
-    u: np.ndarray
+    u: np.ndarray | None
     singular_values: np.ndarray
-    vh: np.ndarray
+    vh: np.ndarray | None
 
     def left_null(self) -> Iterator[np.ndarray]:
         """Conjugated left singular vectors c past the rank; c @ a is ~0."""
@@ -39,8 +47,28 @@ class NumericalRank(NamedTuple):
             yield np.conj(self.u[:, k])
 
 
-def numerical_rank(a: np.ndarray) -> NumericalRank:
-    u, sing, vh = np.linalg.svd(a, full_matrices=a.shape[0] > a.shape[1])
+def numerical_rank(a: np.ndarray, factors: str = "left") -> NumericalRank:
+    """The rank cut of a, with the factors its caller reads.
+
+    "left" takes the full SVD of a tall a and the thin SVD otherwise, so
+    u is square: the left null space that spans and
+    simsim.is_11_nonvanishing read.  "right" takes the thin SVD and keeps
+    vh alone.  "values" computes no singular vectors, for a caller that
+    reads nothing but the rank.  LAPACK takes other paths for these two,
+    so their singular values may differ from "left"'s in the last bits:
+    under "values" on any matrix, under "right" only on large tall ones
+    (tests/test_numerics.py says where).
+    """
+    if factors == "values":
+        u = vh = None
+        sing = np.linalg.svd(a, compute_uv=False)
+    elif factors in ("left", "right"):
+        full = factors == "left" and a.shape[0] > a.shape[1]
+        u, sing, vh = np.linalg.svd(a, full_matrices=full)
+        if factors == "right":
+            u = None
+    else:
+        raise ValueError(f"unknown factors {factors!r}")
     threshold = RANK_TOL * max(float(sing[0]) if sing.size else 0.0, 1.0)
     return NumericalRank(int(np.sum(sing > threshold)), threshold, u, sing, vh)
 

@@ -326,9 +326,17 @@ def build_paired_algebra(fs, gs) -> PairedAlgebra:
 
 
 def _nondegenerate(f_images, g_images) -> bool:
-    """Both sides' trace Grams on the basis have full rank."""
+    """Both sides' trace Grams on the basis have full rank.
+
+    Only the rank is read, so the cut takes the singular values alone;
+    they may differ from a full SVD's in the last bits, and nothing
+    reports them.
+    """
     n = len(f_images)
-    return all(numerical_rank(_trace_gram(images)).rank == n for images in (f_images, g_images))
+    return all(
+        numerical_rank(_trace_gram(images), factors="values").rank == n
+        for images in (f_images, g_images)
+    )
 
 
 def _stack(mats):
@@ -445,14 +453,27 @@ def _explain(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
     return _intertwine(q, names, f_mats, g_mats, tol, seed)
 
 
-def _intertwine(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
-    """Solve T F_i = G_i T for a seeded null-space member and check it."""
-    # T.ravel() -> (T F_i - G_i T).ravel(), stacked over the ids
+def _intertwiner_stack(q, names, f_mats, g_mats) -> np.ndarray:
+    """The map T.ravel() -> (T F_i - G_i T).ravel(), stacked over the ids:
+    kron(I, F_i^T) - kron(G_i, I), built as the broadcast products that
+    np.kron reshapes, so its entries are bitwise np.kron's."""
     eye = np.eye(q)
-    stack = np.concatenate(
-        [np.kron(eye, f_mats[name].T) - np.kron(g_mats[name], eye) for name in names]
-    )
-    rank_cut = numerical_rank(stack)
+    f_t = np.array([f_mats[name].T for name in names])
+    g = np.array([g_mats[name] for name in names])
+    return (
+        eye[None, :, None, :, None] * f_t[:, None, :, None, :]
+        - g[:, :, None, :, None] * eye[None, None, :, None, :]
+    ).reshape(len(names) * q * q, q * q)
+
+
+def _intertwine(q, names, f_mats, g_mats, tol, seed) -> RecoveryResult:
+    """Solve T F_i = G_i T for a seeded null-space member and check it.
+
+    The null space is read from the right singular vectors of the
+    stack, which is tall or square, so the SVD is thin: vh is square
+    either way, and u's columns past q^2 would go unread.
+    """
+    rank_cut = numerical_rank(_intertwiner_stack(q, names, f_mats, g_mats), factors="right")
     sing, vh, thresh = rank_cut.singular_values, rank_cut.vh, rank_cut.threshold
     dim = max(sing.size - rank_cut.rank, 1)
     cut = {

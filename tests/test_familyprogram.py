@@ -276,6 +276,27 @@ def test_other_shapes_replay_without_recompiling(monkeypatch):
     assert again.tobytes() == values.tobytes() == oracle_values(grids, sets).tobytes()
 
 
+def test_a_later_set_of_other_shapes_is_refused(monkeypatch):
+    # at q = 3, s1 (2,1) and s2 (1,2) have arrays of one shape, so only
+    # the shapes tell later sets that swap them from the first; every
+    # route refuses them by id and set before contracting, the stored
+    # program's replay as a cold walk does
+    sig_shapes, bound, q, sets = program_case("q3")
+    monkeypatch.setattr(spans, "_family", None)
+    grids, _ = replayed(bound, sets)
+    swapped = sets[:1] + [dict(b, s1=b["s2"], s2=b["s1"]) for b in sets[1:]]
+    assert swapped[1]["s1"].array.shape == sets[0]["s1"].array.shape
+    with pytest.raises(ValueError, match=r"^binding set 1 binds 's[12]' with shape") as cold:
+        list(spans.structure_signatures(grids, *swapped))
+    messages = []
+    for family in (spans._family, None):  # replayed by the program, then walked cold
+        monkeypatch.setattr(spans, "_family", family)
+        with pytest.raises(ValueError) as refused:
+            list(spans.closed_signature_blocks(bound, *swapped))
+        messages.append(str(refused.value))
+    assert messages == [str(cold.value)] * 2
+
+
 def test_import_does_not_load_the_compiler():
     # every CLI call and perfbench's setup_s pay for a cold import; the
     # compiler is imported by the first closed replay

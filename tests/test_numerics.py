@@ -3,7 +3,11 @@
 spans and simsim each carried their own copy of the rank cut (five) and of
 the modified Gram-Schmidt loop (two).  The copies below are those, as
 they were.  holant.numerics reproduces every rank cut bit for bit, since
-verdicts, witnesses and report bytes hang on them.  The incremental basis
+verdicts, witnesses and report bytes hang on them.  A caller that reads
+fewer factors takes another LAPACK path: the thin SVD keeps the
+intertwiner's singular values and vh bit for bit on stacks of up to 108
+rows, and the values-only cut keeps the rank wherever the singular
+values sit clear of the cut by more than rounding.  The incremental basis
 is classical Gram-Schmidt run twice, whose rows differ from the loops'
 in their last bits; no caller reads those rows, so reports hang only on
 its keep decisions.  It must make the loops' keep decisions wherever a
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holant import numerics
+from holant import numerics, simsim
 from holant.cli import main
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
 from holant.serialize import sigset_to_obj
@@ -74,6 +78,12 @@ def intertwiner_cut(stack):
         float(sing[-dim - 1]) / thresh if dim < sing.size else None,
     ]
     return dim, thresh, vh[-dim:], margin
+
+
+def kron_stack(q, fs, gs):
+    """simsim._intertwine's stack, kron(I, F_i^T) - kron(G_i, I) over the ids."""
+    eye = np.eye(q)
+    return np.concatenate([np.kron(eye, f.T) - np.kron(g, eye) for f, g in zip(fs, gs)])
 
 
 def span_loop(vectors, indep_tol):
@@ -178,6 +188,82 @@ def graded_streams(draw):
     return out
 
 
+@st.composite
+def intertwiner_cases(draw):
+    """(q, fs, gs) for k = 1..4 ids at q = 1..6: gs random (a stack of
+    full rank), conjugate to fs (a null space of dimension >= 1), or fs
+    itself."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+    def gaussian():
+        return rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+
+    fs = [gaussian() for _ in range(k)]
+    kind = draw(st.sampled_from(["other", "similar", "same"]))
+    if kind == "other":
+        return q, fs, [gaussian() for _ in range(k)]
+    if kind == "similar":
+        s = gaussian()
+        return q, fs, [s @ f @ np.linalg.inv(s) for f in fs]
+    return q, fs, fs
+
+
+# real and imaginary parts of both signs, ±0.0 among them
+signed_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -0.5, 1e-300, -3e200])
+
+
+@st.composite
+def signed_cases(draw):
+    """(q, fs, gs) whose entries have parts of both signs, ±0.0 included."""
+    q, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.lists(st.builds(complex, signed_parts, signed_parts), min_size=q * q,
+                       max_size=q * q)
+
+    def matrix():
+        return np.array(draw(entries), dtype=np.complex128).reshape(q, q)
+
+    return q, [matrix() for _ in range(k)], [matrix() for _ in range(k)]
+
+
+@st.composite
+def near_cut_matrices(draw):
+    """U diag(sigma) V^H with sigma_max at 1e-2..1e3 and the other singular
+    values anywhere below it or within 1e-12..1e-9 of the cut, on either
+    side, in units of max(sigma_max, 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = min(rows, cols)
+    top = 10.0 ** draw(st.floats(-2, 3))
+    scale = max(top, 1.0)
+    sing = [top]
+    for _ in range(n - 1):
+        if draw(st.booleans()):
+            sing.append(top * 10.0 ** draw(st.floats(-14, 0)))
+        else:
+            offset = draw(st.sampled_from([-1, 1])) * 10.0 ** draw(st.floats(-12, -9))
+            sing.append(RANK_TOL * scale + offset * scale)
+
+    def unitary(m):
+        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        return np.linalg.qr(z)[0]
+
+    return (unitary(rows)[:, :n] * np.array(sing)) @ unitary(cols)[:, :n].conj().T
+
+
+# A backward-stable SVD moves each singular value by a small multiple of
+# eps * ||a|| (Golub & Van Loan, Matrix Computations, §8.6), so two LAPACK
+# paths agree on the rank wherever every singular value is this far from
+# the cut, in units of max(sigma_max, 1), the cut's own scale.
+CUT_CLEARANCE = 1e-12
+
+
+def clear_of_cut(cut):
+    sing = cut.singular_values
+    scale = max(float(sing[0]) if sing.size else 0.0, 1.0)
+    return bool(np.all(np.abs(sing - cut.threshold) >= CUT_CLEARANCE * scale))
+
+
 # -- properties --------------------------------------------------------------------
 
 
@@ -210,6 +296,78 @@ def test_rank_cut_matches_every_replaced_copy(a):
         assert (cut.rank < a.shape[0]) == (ref is not None)
         if ref is not None:
             assert np.conj(cut.u[:, -1]).tobytes() == ref.tobytes()
+    # the thin SVD that simsim._intertwine takes: the same cut, and vh
+    # without u on the tall and square stacks it passes
+    right = numerical_rank(a, factors="right")
+    assert right.u is None
+    assert (right.rank, right.threshold) == (cut.rank, cut.threshold)
+    assert right.singular_values.tobytes() == sing.tobytes()
+    if a.shape[0] >= a.shape[1]:
+        assert right.vh[-dim:].tobytes() == null_rows.tobytes()
+    # the values-only cut that simsim._nondegenerate takes: the trace
+    # form's rank wherever the singular values sit clear of the cut
+    values = numerical_rank(a, factors="values")
+    assert values.u is None and values.vh is None
+    scale = max(float(sing[0]), 1.0)
+    assert np.abs(values.singular_values - sing).max() <= 64 * np.finfo(float).eps * scale
+    if clear_of_cut(cut):
+        assert values.rank == trace_form_cut(a)[1]
+
+
+# simsim._intertwine's stacks have at most 108 rows at the sizes the
+# simsim-recovery benchmark draws (q <= 6, k <= 3).  From 134 x 34 up,
+# OpenBLAS 0.3.31's zgesdd takes another path for the full SVD than for
+# the thin one, and their singular values and vh differ in the last
+# bits: q = 6 with four ids (144 x 36), q = 7 with three.
+THIN_EQUALS_FULL_ROWS = 108
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=intertwiner_cases())
+def test_thin_svd_keeps_the_intertwiner_bits(case):
+    q, fs, gs = case
+    a = kron_stack(q, fs, gs)
+    _, sing, vh = np.linalg.svd(a)  # the full SVD that simsim._intertwine took
+    right = numerical_rank(a, factors="right")
+    full = numerical_rank(a)
+    assert right.rank == full.rank
+    if len(a) <= THIN_EQUALS_FULL_ROWS:
+        assert right.singular_values.tobytes() == sing.tobytes()
+        assert right.vh.tobytes() == vh.tobytes()
+    else:  # one rounding apart, and the same null space
+        scale = max(float(sing[0]), 1.0)
+        assert np.abs(right.singular_values - sing).max() <= 64 * np.finfo(float).eps * scale
+        dim = a.shape[1] - right.rank
+        if dim:
+            null = vh[-dim:].conj().T
+            off = right.vh[-dim:].conj().T - null @ (null.conj().T @ right.vh[-dim:].conj().T)
+            assert np.linalg.norm(off, 2) <= SPAN_BOUND
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(signed_cases(), intertwiner_cases()))
+def test_broadcast_stack_is_the_kron_stack(case):
+    # bitwise, signed zeros included: eye's 0.0 times a negative part is -0.0
+    q, fs, gs = case
+    names = [f"m{i}" for i in range(len(fs))]
+    stack = simsim._intertwiner_stack(q, names, dict(zip(names, fs)), dict(zip(names, gs)))
+    want = kron_stack(q, fs, gs)
+    assert stack.shape == want.shape and stack.dtype == want.dtype
+    assert stack.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(near_cut_matrices(), matrices()))
+def test_values_only_rank_is_the_full_rank_clear_of_the_cut(a):
+    full = numerical_rank(a)
+    values = numerical_rank(a, factors="values")
+    if clear_of_cut(full):
+        assert values.rank == full.rank
+
+
+def test_unknown_factors_are_refused():
+    with pytest.raises(ValueError, match="unknown factors 'vh'"):
+        numerical_rank(np.eye(2, dtype=complex), factors="vh")
 
 
 # CGS2 keeps I - U U^H at O(eps) while a kept residual is above eps
@@ -303,6 +461,9 @@ def test_threshold_is_relative_above_one_and_absolute_below():
 
 
 def test_empty_matrix_has_rank_zero_and_absolute_threshold():
+    for factors in ("right", "values"):
+        cut = numerical_rank(np.zeros((3, 0), dtype=complex), factors=factors)
+        assert (cut.rank, cut.threshold, cut.singular_values.size) == (0, RANK_TOL, 0)
     tall = numerical_rank(np.zeros((3, 0), dtype=complex))
     assert (tall.rank, tall.threshold) == (0, RANK_TOL)
     assert len(list(tall.left_null())) == 3

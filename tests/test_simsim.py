@@ -683,3 +683,64 @@ def test_certified_pair_skips_the_sweep(monkeypatch):
 
     monkeypatch.setattr(simsim, "trace_words_equal", forbidden)
     assert_conjugates(recover_transform(fs, gs), fs, gs)
+
+
+def test_explained_similar_pair_matches_the_certified_one(monkeypatch):
+    # _explain ends in the intertwiner when the certificate turns down a
+    # pair whose traces agree and whose sides are nonvanishing; it solves
+    # the same stack by the same thin SVD, so it gives the certified
+    # route's transform bit for bit.  k = 1 stacks are square, k >= 2 tall
+    rng = np.random.default_rng(83)
+    intertwine = simsim._intertwine
+    solved = []
+
+    def recording(*args):
+        solved.append(intertwine(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(simsim, "_intertwine", recording)
+    for q, k in ((2, 1), (3, 2), (4, 3)):
+        fs = random_nonvanishing_set(rng, q, k)
+        gs = conjugate_set(fs, random_well_conditioned(rng, q))
+        solved.clear()
+        certified = recover_transform(fs, gs, seed=5)
+        with monkeypatch.context() as m:
+            m.setattr(simsim, "_certify", lambda *args: None)
+            explained = recover_transform(fs, gs, seed=5)
+        # each route solved once, and returned what it solved
+        assert len(solved) == 2 and solved[0] is certified and solved[1] is explained
+        assert explained.verdict == certified.verdict == "similar"
+        assert explained.transform.matrix.tobytes() == certified.transform.matrix.tobytes()
+        assert repr(explained.residual) == repr(certified.residual)
+
+
+def test_a_refused_correspondence_is_not_covanishing(monkeypatch):
+    # the paired algebra's rank decisions (its images' independence) can
+    # refuse a pair whose trace Grams and side checks pass; recover_transform
+    # then answers not_covanishing with the paired algebra's witness.
+    # Forced here: the certificate's Grams read degenerate and the first
+    # side's last basis word reads dependent on the words before it
+    rng = np.random.default_rng(89)
+    fs = random_nonvanishing_set(rng, 3, 2)
+    gs = conjugate_set(fs, random_well_conditioned(rng, 3))
+    words = build_paired_algebra(fs, gs).words
+    n = len(words)
+    image_rank = simsim._image_rank
+    sides = []
+
+    def first_side_collapses(images):
+        sides.append(len(images))
+        return (n - 1, n - 1) if len(sides) == 1 else image_rank(images)
+
+    monkeypatch.setattr(simsim, "_nondegenerate", lambda *args: False)
+    monkeypatch.setattr(simsim, "_image_rank", first_side_collapses)
+    result = recover_transform(fs, gs)
+    assert sides == [n, n]
+    assert (result.verdict, result.transform, result.residual) == ("not_covanishing", None, None)
+    witness = result.witness
+    assert set(witness) == {"direction", "word", "words", "coefficients", "residual", "dims"}
+    assert witness["direction"] == "first"
+    assert (witness["word"], witness["words"]) == (words[-1], words[:-1])
+    assert len(witness["coefficients"]) == n - 1
+    assert witness["dims"] == [n, n - 1, n]
+    assert np.isfinite(witness["residual"])

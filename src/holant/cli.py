@@ -25,11 +25,8 @@ import warnings
 import numpy as np
 
 from . import serialize as sz
-from .grids import (
-    SignatureGrid,
-    holant_eval_contracted,
-    holant_polynomial,
-)
+from .contraction import holant_eval_contracted
+from .grids import SignatureGrid, holant_polynomial
 from .homgraphs import bounded_degree_distinguisher, complete_graph, cycle_graph, hom_count
 from .simsim import recover_transform
 from .spans import check_indistinguishable, gram_nondegenerate
@@ -87,6 +84,15 @@ def _load(path: str, parse):
         return parse(_load_json(path))
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise CliError(f"{path}: {exc}")
+
+
+def _bijection(obj) -> dict[str, str]:
+    if not isinstance(obj, dict):
+        raise ValueError("bijection file must be a JSON object of id pairs")
+    for fid, gid in obj.items():
+        if not isinstance(gid, str):
+            raise ValueError(f"bijection maps {fid!r} to {gid!r}, not to an id")
+    return obj
 
 
 def _sigset(obj) -> dict[str, MixedTensor]:
@@ -201,9 +207,7 @@ def _cmd_transform(args) -> dict:
 def _cmd_check_indist(args) -> dict:
     fs = _load(args.f, _sigset)
     gs = _load(args.g, _sigset)
-    bijection = _load_json(args.bijection)
-    if not isinstance(bijection, dict):
-        raise CliError("bijection file must be a JSON object of id pairs")
+    bijection = _load(args.bijection, _bijection)
     report = check_indistinguishable(
         fs, gs, bijection, args.max_vertices, tol=_resolve_tol(args.tol, 0.0)
     )

@@ -8,7 +8,7 @@ The same wiring with "at most one" / "exactly one" vertex signatures
 and a binary equality on the edges counts matchings and perfect
 matchings.
 
-The grids module sees the equality bindings and treats each equality
+holant.contraction sees the equality bindings and treats each equality
 vertex as one index its ports share, so hom(X, G) is contracted as a sum
 over X's vertices of products of adjacency matrices, one vertex
 eliminated per step, and a matchings count as a sum over X's edges.
@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import SignatureGrid, holant_eval_contracted
+from .contraction import holant_eval_contracted
+from .grids import SignatureGrid
 from .tensors import MixedTensor, SymBoolSignature, _check_size, equality_signature
 
 # Holant values for counting problems must sit this close to an integer.
@@ -175,7 +176,7 @@ def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
     leaves the table fit for the counts that fit it.  The arrays are
     those a fresh binding would build, so every count is unchanged.
     Counts into one target share their elimination steps through the
-    step memo of grids._execute, which keeps them while g's adjacency
+    step memo of holant.contraction, which keeps them while g's adjacency
     lives.
     """
     if g.n < 1:

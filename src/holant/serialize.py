@@ -11,7 +11,8 @@ import json
 
 import numpy as np
 
-from .grids import QuantumGadget, SignatureGrid
+from .contraction import QuantumGadget
+from .grids import SignatureGrid
 from .homgraphs import SimpleGraph
 from .tensors import MixedTensor, SymBoolSignature
 from .transforms import HoloTransform

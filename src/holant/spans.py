@@ -30,20 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from holant import grids as _grids
-from holant.grids import (
+from holant.contraction import (
     BindingStacks,
     QuantumGadget,
-    SignatureGrid,
+    compile_family,
     derived_signature,
     derives,
-    enumerate_gadgets,
-    enumerate_grids,
     holant_eval_contracted,  # unused, but perfbench's tracer wraps this name
 )
 
 # structure_signatures and closed_signature_blocks contract through this
 # name, which perfbench's tracer wraps as its grid contraction boundary
-from holant.grids import stacked_signature as gadget_signature
+from holant.contraction import stacked_signature as gadget_signature
+from holant.grids import SignatureGrid, enumerate_gadgets, enumerate_grids
 from holant.numerics import INDEP_TOL, RANK_TOL, IncrementalBasis, numerical_rank
 from holant.tensors import MixedTensor, _check_size, pair
 
@@ -89,11 +88,11 @@ def structure_signatures(grids, *bindings):
     of a gadget structure so, and a closed structure at loop counts 0
     and 1.  The first grid of a run is contracted once, under every
     binding set at the same time, through this module's gadget_signature
-    (grids.stacked_signature), so perfbench's tracer sees each run; the
-    bindings are checked and stacked once per walk (grids.BindingStacks).
+    (contraction.stacked_signature), so perfbench's tracer sees each run;
+    the bindings are checked and stacked once per walk (BindingStacks).
     Every other grid of the run takes its arrays from that read-only
     stack, bitwise the same as its own contraction: a transposed view
-    for another slot order, a scaled copy for a loop copy.  grids.derives
+    for another slot order, a scaled copy for a loop copy.  derives
     checks each grid against its run's first, and a grid it refuses
     starts a new run; only the current run is kept, so a consumer that
     stops early contracts nothing past the grid it stopped at.
@@ -122,16 +121,15 @@ def closed_signature_blocks(max_vertices: int, fs, *others):
 
     Only this function keeps a closed family, _family.  A family of at
     most FAMILY_MEMO_MAX_GRIDS grids is read whole and stored with what
-    holant.familyprogram.compile_family (imported on first use) makes of
-    it under its own shapes: a program, or None (q = 1, or a pairwise
-    plan over the entry cap).  A later call with its key enumerates and
-    compiles nothing.  A program contracts every structure under all
-    sets at once through this module's gadget_signature, and scales the
-    loop copies by grids.derives; it replays the whole family or gives no
-    values (a set binds an id with another shape, or to an exact
-    equality).  Then, and for a larger walk, which streams, the grids go
-    run by run through one structure_signatures pass, in blocks of
-    FAMILY_MEMO_MAX_GRIDS grids.
+    compile_family makes of it under its own shapes, which are the first
+    set's: a program, or None (q = 1, or a pairwise plan over the entry
+    cap).  A later call with its key enumerates and compiles nothing.  A
+    program contracts every structure under all sets at once through
+    this module's gadget_signature, and scales the loop copies by
+    derives; it replays the whole family or gives no values (a set binds
+    an id to an exact equality).  Then, and for a larger walk, which
+    streams, the grids go run by run through one structure_signatures
+    pass, in blocks of FAMILY_MEMO_MAX_GRIDS grids.
     """
     global _family
     sig_shapes, q, symmetric = _walk_shapes(max_vertices, fs)
@@ -143,8 +141,6 @@ def closed_signature_blocks(max_vertices: int, fs, *others):
         head = tuple(itertools.islice(walk, FAMILY_MEMO_MAX_GRIDS + 1))
         grids = itertools.chain(head, walk)
         if len(head) <= FAMILY_MEMO_MAX_GRIDS:
-            from holant.familyprogram import compile_family
-
             stored = _family = (key, head, compile_family(head[::2], dict(sig_shapes)))
     if stored is not None:
         _, grids, program = stored
@@ -402,6 +398,9 @@ class IndistinguishabilityReport:
 def _check_correspondence(fs, gs, bijection):
     if not fs:
         raise ValueError("need at least one signature")
+    for fid, gid in bijection.items():
+        if not isinstance(gid, str):
+            raise ValueError(f"bijection maps {fid!r} to {gid!r}, not to an id")
     if set(bijection) != set(fs) or set(bijection.values()) != set(gs):
         raise ValueError("bijection must map the first id set onto the second")
     if len(set(bijection.values())) != len(bijection):

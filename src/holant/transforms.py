@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from holant.contraction import holant_eval_contracted  # unused, but perfbench's tracer wraps this name
 from holant.grids import SignatureGrid
 from holant.grids import enumerate_grids  # unused, but perfbench's tracer wraps this name
-from holant.grids import holant_eval_contracted  # unused, but perfbench's tracer wraps this name
 from holant.spans import closed_signature_blocks
 from holant.tensors import MixedTensor, equality_signature
 

@@ -44,13 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from holant.grids import (
-    WIRE_ID,
-    SignatureGrid,
-    enumerate_grids,
-    gadget_signature,
-    resolve_bindings,
-)
+from holant.contraction import gadget_signature, resolve_bindings
+from holant.grids import WIRE_ID, SignatureGrid, enumerate_grids
 from holant.homgraphs import SimpleGraph, _graph_of_code, _refine_colors, canonical_code
 from holant.spans import _symmetric_ids
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature

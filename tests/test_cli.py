@@ -26,7 +26,8 @@ from holant.serialize import (
     signature_from_obj,
     transform_to_obj,
 )
-from holant.grids import SignatureGrid, holant_eval_contracted
+from holant.contraction import holant_eval_contracted
+from holant.grids import SignatureGrid
 from holant.homgraphs import complete_graph, cycle_graph, hom_grid
 from holant.tensors import (
     MixedTensor,
@@ -541,6 +542,7 @@ def strict_loads(text):
         "homdist-degree-0",
         "poly-30-edges",
         "bijection-list-value",
+        "bijection-dict-value",
         "bijection-many-to-one",
         "check-indist-empty-sets",
         "entry-overflows-float",
@@ -564,6 +566,7 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
         tmp_path, "huge.json", '{"a":{"q":2,"left":1,"right":1,"entries":[[1' + "0" * 400 + ',0]]}}'
     )
     bij = write(tmp_path, "bij.json", {"a": ["a"]})
+    bij_dict = write(tmp_path, "bij_dict.json", {"a": {"a": "a"}})
     ab = write(tmp_path, "ab.json", sigset_to_obj({"a": MixedTensor(2, 1, 1, np.eye(2)),
                                                    "b": MixedTensor(2, 1, 1, np.eye(2))}))
     c = write(tmp_path, "c.json", sigset_to_obj({"c": MixedTensor(2, 1, 1, np.eye(2))}))
@@ -589,6 +592,8 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
         "homdist-degree-0": ["homdist", "--f", k3, "--g", k3, "--max-degree", "0", "--max-vertices", "3"],
         "poly-30-edges": ["poly", ring],
         "bijection-list-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij, "--max-vertices", "2"],
+        "bijection-dict-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij_dict,
+                                 "--max-vertices", "2"],
         "bijection-many-to-one": ["check-indist", "--f", ab, "--g", c, "--bijection", onto_c,
                                   "--max-vertices", "2"],
         "check-indist-empty-sets": ["check-indist", "--f", empty, "--g", empty, "--bijection", empty,
@@ -600,6 +605,8 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
         "fractional-graph-counts": ["hom", "--x", frac_graph, "--g", k3],
     }[case]
     message = {
+        "bijection-list-value": f"holant: {bij}: bijection maps 'a' to ['a'], not to an id",
+        "bijection-dict-value": f"holant: {bij_dict}: bijection maps 'a' to {{'a': 'a'}}, not to an id",
         "negative-slot-count": "slot counts must be nonnegative, got (2,-1)",
         "fractional-signature-counts": "signature 'q' must be an integer, got 2.9",
         "fractional-grid-counts": "grid 'q' must be an integer, got 2.5",

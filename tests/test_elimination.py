@@ -12,7 +12,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holant.elimination import elimination_plan
+from holant.contraction import elimination_plan
 from holant.grids import SignatureGrid
 from holant.homgraphs import SimpleGraph, complete_graph, cycle_graph, hom_grid, matchings_grid
 from oracles import oracle_elimination_plan, oracle_validate

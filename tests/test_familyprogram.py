@@ -1,23 +1,18 @@
 """The compiled family program against a replay structure by structure.
 
 spans.closed_signature_blocks stores the closed family it walks, at
-q >= 2 with one compiled program (holant.familyprogram), and replays it
-by that program; every other walk goes run by run.  Each case compares
-its values, loop copies included, with oracles.oracle_signatures, which
-contracts every grid alone through grids._execute, by the bytes of the
-arrays: a value that rounds differently, or a zero whose sign differs,
-fails.
+q >= 2 with one compiled program (contraction.FamilyProgram), and
+replays it by that program; every other walk goes run by run.  Each
+case compares its values, loop copies included, with
+oracles.oracle_signatures, which contracts every grid alone through
+contraction._execute, by the bytes of the arrays: a value that rounds
+differently, or a zero whose sign differs, fails.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holant import familyprogram
+from holant import contraction
 from holant import grids as grids_module
 from holant import spans
 from holant.tensors import MixedTensor, equality_signature, identity_signature
@@ -121,7 +116,7 @@ def test_streamed_blocks_replay_run_by_run(monkeypatch, name):
         raise AssertionError("a streamed walk built a family program")
 
     cap = len(grids) // 4
-    monkeypatch.setattr(familyprogram, "compile_family", no_program)
+    monkeypatch.setattr(spans, "compile_family", no_program)
     monkeypatch.setattr(spans, "FAMILY_MEMO_MAX_GRIDS", cap)
     monkeypatch.setattr(spans, "_family", None)
     blocks = list(spans.closed_signature_blocks(bound, *sets))
@@ -139,7 +134,7 @@ def test_parts_keep_the_bits(monkeypatch, name):
     # binding set, but for a part of one structure, each compiled when
     # the program is built
     sig_shapes, bound, q, sets = program_case(name)
-    monkeypatch.setattr(familyprogram, "PART_MAX_ENTRIES", q**5)
+    monkeypatch.setattr(contraction, "PART_MAX_ENTRIES", q**5)
     monkeypatch.setattr(spans, "_family", None)
     grids, values = replayed(bound, sets)
     want = oracle_values(grids, sets)
@@ -164,16 +159,16 @@ def test_program_replays_whole_or_not_at_all(monkeypatch, name):
     sig_shapes, bound, q, sets = program_case(name)
     monkeypatch.setattr(spans, "_family", None)
     binds, contracted, replays = [], [], []
-    bind, contract = grids_module.BindingStacks.bind, grids_module._contract
-    replay = familyprogram.FamilyProgram.replay
+    bind, contract = contraction.BindingStacks.bind, contraction._contract
+    replay = contraction.FamilyProgram.replay
 
     def recorded(self, stacks):
         replays.append(replay(self, stacks))
         return replays[-1]
 
-    monkeypatch.setattr(grids_module.BindingStacks, "bind", lambda self, g: binds.append(g) or bind(self, g))
-    monkeypatch.setattr(grids_module, "_contract", lambda g, *a: contracted.append(g) or contract(g, *a))
-    monkeypatch.setattr(familyprogram.FamilyProgram, "replay", recorded)
+    monkeypatch.setattr(contraction.BindingStacks, "bind", lambda self, g: binds.append(g) or bind(self, g))
+    monkeypatch.setattr(contraction, "_contract", lambda g, *a: contracted.append(g) or contract(g, *a))
+    monkeypatch.setattr(contraction.FamilyProgram, "replay", recorded)
     # the first call walks and compiles the family and replays its
     # program, the second replays it warm
     for _ in range(2):
@@ -198,7 +193,7 @@ def test_pairwise_plans_over_the_cap(monkeypatch):
     # is refused as a replay structure by structure refuses it
     sig_shapes, bound, q, sets = program_case("mixed")
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
-    monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
+    monkeypatch.setattr(contraction, "MAX_ENTRIES", q)
     monkeypatch.setattr(spans, "_family", None)
     for _ in range(2):
         grids, values = replayed(bound, eliminated)
@@ -221,17 +216,17 @@ def test_over_cap_family_is_compiled_once(monkeypatch):
     # plan each structure once
     sig_shapes, bound, q, sets = program_case("mixed")
     eliminated = [dict(b, e=equality_signature(q, 0, 3), m=identity_signature(q)) for b in sets]
-    monkeypatch.setattr(grids_module, "MAX_ENTRIES", q)
+    monkeypatch.setattr(contraction, "MAX_ENTRIES", q)
     monkeypatch.setattr(spans, "_family", None)
     routes, compiled = [], []
-    plan, compile_family = grids_module._plan, familyprogram.compile_family
+    plan, compile_family = contraction._plan, spans.compile_family
 
     def counted(grid, shapes, equal):
         routes.append(equal)
         return plan(grid, shapes, equal)
 
-    monkeypatch.setattr(grids_module, "_plan", counted)
-    monkeypatch.setattr(familyprogram, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
+    monkeypatch.setattr(contraction, "_plan", counted)
+    monkeypatch.setattr(spans, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
     swapped = eliminated[:1] + [dict(b, a=b["u"], u=b["a"]) for b in eliminated[1:]]
     with pytest.raises(ValueError):
         list(spans.closed_signature_blocks(bound, *swapped))
@@ -249,15 +244,12 @@ def test_over_cap_family_is_compiled_once(monkeypatch):
 def test_other_shapes_replay_without_recompiling(monkeypatch):
     # a compiled family replayed with later sets binding s0 and s1 with
     # each other's shapes compiles nothing again, and raises what a cold
-    # walk of the same grids raises.  Its program gives no values for
-    # sets that bind an id with another shape
+    # walk of the same grids raises
     sig_shapes, bound, q, sets = program_case("q3")
     monkeypatch.setattr(spans, "_family", None)
     grids, values = replayed(bound, sets)
     program = spans._family[2]
     assert program is not None
-    moved = [dict(b, s1=b["s2"], s2=b["s1"]) for b in sets]
-    assert program.replay(grids_module.BindingStacks(moved)) is None
     swapped = sets[:1] + [dict(b, s0=b["s1"], s1=b["s0"]) for b in sets[1:]]
     with pytest.raises(ValueError) as cold:
         list(spans.structure_signatures(grids, *swapped))
@@ -265,7 +257,7 @@ def test_other_shapes_replay_without_recompiling(monkeypatch):
     def no_compile(*args):
         raise AssertionError("a stored family was compiled twice")
 
-    monkeypatch.setattr(familyprogram, "compile_family", no_compile)
+    monkeypatch.setattr(spans, "compile_family", no_compile)
     for _ in range(2):
         with pytest.raises(ValueError) as refused:
             list(spans.closed_signature_blocks(bound, *swapped))
@@ -296,12 +288,3 @@ def test_a_later_set_of_other_shapes_is_refused(monkeypatch):
         messages.append(str(refused.value))
     assert messages == [str(cold.value)] * 2
 
-
-def test_import_does_not_load_the_compiler():
-    # every CLI call and perfbench's setup_s pay for a cold import; the
-    # compiler is imported by the first closed replay
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, holant; print('holant.familyprogram' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"

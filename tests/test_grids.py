@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import holant.contraction
 import holant.grids
 from holant import spans
 from holant.homgraphs import (
@@ -31,24 +32,26 @@ from holant import (
     identity_signature,
     pair,
 )
-from holant.grids import (
-    WIRE_ID,
+from holant.contraction import (
     QuantumGadget,
-    SignatureGrid,
-    _canonical_search,
     _check_cap,
-    _components_all_dangle,
     _contraction_plan,
     _einsum_path,
+    derived_signature,
+    derives,
+    gadget_signature,
+    holant_eval_contracted,
+)
+from holant.grids import (
+    WIRE_ID,
+    SignatureGrid,
+    _canonical_search,
+    _components_all_dangle,
     _id_runs,
     _port_matchings,
     _unpack_edges,
-    derived_signature,
-    derives,
     enumerate_gadgets,
     enumerate_grids,
-    gadget_signature,
-    holant_eval_contracted,
     holant_polynomial,
 )
 from oracles import (
@@ -666,8 +669,8 @@ def test_equality_mixes_match_brute_force(spec):
         grid, {sid: MixedTensor(t.q, t.left, t.right, np.abs(t.array)) for sid, t in bindings.items()}
     ).real
     # every step in einsum's loop, then every step with its operands paired
-    for loop_max in (holant.grids.EINSUM_LOOP_MAX, 0):
-        with mock.patch.object(holant.grids, "EINSUM_LOOP_MAX", loop_max):
+    for loop_max in (holant.contraction.EINSUM_LOOP_MAX, 0):
+        with mock.patch.object(holant.contraction, "EINSUM_LOOP_MAX", loop_max):
             got = holant_eval_contracted(grid, bindings)
         assert abs(got - want) <= 1e-9 * scale
 
@@ -729,7 +732,7 @@ def test_large_elimination_steps_pair_their_operands(monkeypatch):
     cubic = [(v, (v + 1) % n) for v in range(n)] + [(v, v + n // 2) for v in range(n // 2)]
     targets = [cycle_graph(n), SimpleGraph(n, tuple(cubic))]
     xs = [cycle_graph(4), complete_graph(4), path_graph(5), SimpleGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3)))]
-    assert n**3 > holant.grids.EINSUM_LOOP_MAX
+    assert n**3 > holant.contraction.EINSUM_LOOP_MAX
     for g in targets:
         a = np.zeros((n, n))
         for u, v in g.edges:
@@ -739,7 +742,7 @@ def test_large_elimination_steps_pair_their_operands(monkeypatch):
             bindings = hom_bindings(a, x.max_degree())
             paired = holant_eval_contracted(grid, bindings)
             with monkeypatch.context() as m:
-                m.setattr(holant.grids, "EINSUM_LOOP_MAX", n ** 8)
+                m.setattr(holant.contraction, "EINSUM_LOOP_MAX", n ** 8)
                 looped = holant_eval_contracted(grid, bindings)
             assert paired == looped == complex(oracle_contract(grid, bindings))
     # closed walks of length 4 on a cycle of 40 vertices
@@ -1248,7 +1251,7 @@ def test_closed_blocks_equal_contracting_each_grid(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spans, "_family", None)
         if cap is not None:
-            mp.setattr(holant.grids, "MAX_ENTRIES", cap)
+            mp.setattr(holant.contraction, "MAX_ENTRIES", cap)
         grids = tuple(enumerate_grids(sigs, bound, q, symmetric=spans._symmetric_ids(sets[0])))
         try:
             want = np.array([row[1:] for row in oracle_signatures(grids, *sets)])
@@ -1256,7 +1259,7 @@ def test_closed_blocks_equal_contracting_each_grid(case):
             want = str(exc)
         try:
             for g in grids[::2]:
-                holant.grids._check_cap(holant.grids._plan(g, tuple(sigs), ()), q)
+                holant.contraction._check_cap(holant.contraction._plan(g, tuple(sigs), ()), q)
             compiled = q > 1
         except ValueError:  # a pairwise plan over the cap
             compiled = False

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holant import elimination, homgraphs
-from holant.elimination import _step_memo_info
-from holant.grids import (
+from holant import contraction, homgraphs
+from holant.contraction import (
     BindingStacks,
     _contraction_plan,
+    _step_memo_info,
     gadget_signature,
     holant_eval_contracted,
     stacked_signature,
@@ -199,14 +199,14 @@ def test_a_dropped_target_frees_its_bindings(fresh_targets):
     assert hom_count(cycle_graph(3), target) == brute_hom_count(cycle_graph(3), target)
     held = weakref.ref(fresh_targets[target]["A"].array)
     owner = id(held())
-    assert any(key[0] == owner for key in elimination.step_memo.steps)
+    assert any(key[0] == owner for key in contraction.step_memo.steps)
     assert len(fresh_targets) == 1
     del target
     gc.collect()
     assert len(fresh_targets) == 0 and held() is None
     # the step memo dropped the steps kept on the target's adjacency
-    assert owner not in elimination.step_memo.owned
-    assert not any(key[0] == owner for key in elimination.step_memo.steps)
+    assert owner not in contraction.step_memo.owned
+    assert not any(key[0] == owner for key in contraction.step_memo.steps)
 
 
 # -- the elimination step memo ------------------------------------------------------
@@ -215,8 +215,8 @@ def test_a_dropped_target_frees_its_bindings(fresh_targets):
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """The elimination step memo, emptied for one test."""
-    memo = elimination.StepMemo()
-    monkeypatch.setattr(elimination, "step_memo", memo)
+    memo = contraction.StepMemo()
+    monkeypatch.setattr(contraction, "step_memo", memo)
     return memo
 
 
@@ -236,8 +236,8 @@ def counted_values(pairs, patch):
 
 def counted_without_memo(pairs, patch):
     """counted_values under an empty step memo that keeps nothing."""
-    patch.setattr(elimination, "step_memo", elimination.StepMemo())
-    patch.setattr(elimination, "STEP_MEMO_BYTES", 0)
+    patch.setattr(contraction, "step_memo", contraction.StepMemo())
+    patch.setattr(contraction, "STEP_MEMO_BYTES", 0)
     out = counted_values(pairs, patch)
     assert _step_memo_info().entries == 0
     return out
@@ -272,7 +272,7 @@ def test_step_memo_keeps_every_count_and_its_bits(targets, seed):
     random.Random(seed).shuffle(pairs)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(homgraphs, "_target_bindings", weakref.WeakKeyDictionary())
-        m.setattr(elimination, "step_memo", elimination.StepMemo())
+        m.setattr(contraction, "step_memo", contraction.StepMemo())
         counts, bits = counted_values(pairs, m)
         assert _step_memo_info().hits > 0
         assert (counts, bits) == counted_without_memo(pairs, m)
@@ -296,8 +296,8 @@ def test_stacked_sets_that_eliminate_keep_their_bits(fresh_memo):
         rows = stacked_signature(hom_grid(x, q), stacks)
         assert [row.tobytes() for row in rows] == want
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(elimination, "step_memo", elimination.StepMemo())
-        m.setattr(elimination, "STEP_MEMO_BYTES", 0)
+        m.setattr(contraction, "step_memo", contraction.StepMemo())
+        m.setattr(contraction, "STEP_MEMO_BYTES", 0)
         for x, want in zip(xs, lone):
             assert [gadget_signature(hom_grid(x, q), b).array.tobytes() for b in sets] == want
 
@@ -309,8 +309,8 @@ def test_step_memo_evicts_within_its_bound(fresh_memo, fresh_targets, monkeypatc
     targets = [random_graph(rng, 4), random_graph(rng, 5)]
     xs = [*enumerate_connected_graphs(5, 3), *map(cycle_graph, range(3, 12))]
     pairs = [(x, g) for x in xs for g in targets for _ in range(2)]
-    bound = 6 * elimination.STEP_OVERHEAD
-    monkeypatch.setattr(elimination, "STEP_MEMO_BYTES", bound)
+    bound = 6 * contraction.STEP_OVERHEAD
+    monkeypatch.setattr(contraction, "STEP_MEMO_BYTES", bound)
     counts, bits = [], []
     for pair in pairs:
         count, value = counted_values([pair], monkeypatch)
@@ -318,7 +318,7 @@ def test_step_memo_evicts_within_its_bound(fresh_memo, fresh_targets, monkeypatc
         bits.append(value)
         info = _step_memo_info()
         assert info.nbytes <= bound and info.entries < 6
-        assert info.nbytes == sum(r.nbytes + elimination.STEP_OVERHEAD for _, r in fresh_memo.steps.values())
+        assert info.nbytes == sum(r.nbytes + contraction.STEP_OVERHEAD for _, r in fresh_memo.steps.values())
     info = _step_memo_info()
     assert info.hits > 0 and info.misses > 2 * len(pairs)
     assert (counts, b"".join(bits)) == counted_without_memo(pairs, monkeypatch)

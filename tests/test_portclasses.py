@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holant import grids, spans
-from holant.grids import enumerate_gadgets, enumerate_grids, gadget_signature
+from holant import contraction, spans
+from holant.contraction import gadget_signature
+from holant.grids import enumerate_gadgets, enumerate_grids
 from holant.spans import build_span, check_covanishing, check_indistinguishable, gram_nondegenerate
 from holant.tensors import (
     MixedTensor,
@@ -233,7 +234,7 @@ def test_slot_orders_of_a_matrix_share_its_edges():
     gadgets = walk(COUNTEREXAMPLE, (4, 0), 6, 2, ("f", "neq"))
     runs = []
     for g in gadgets:
-        if runs and grids.derives(runs[-1][0], g):
+        if runs and contraction.derives(runs[-1][0], g):
             runs[-1].append(g)
         else:
             runs.append([g])

@@ -1,5 +1,6 @@
 """Every name in holant.__all__ has a caller outside the tests, every
-name perfbench's tracer wraps exists, and importing holant stays cheap.
+name perfbench's tracer wraps exists, the private names one library
+module reads from another are listed, and importing holant stays cheap.
 
 A caller is a use in the library (src/holant, apart from __init__.py),
 the demos or perfbench: a name or attribute in code, or an import.
@@ -19,8 +20,9 @@ from pathlib import Path
 import holant
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "holant").glob("*.py"))
 CONSUMERS = [
-    p for p in sorted((ROOT / "src" / "holant").glob("*.py")) if p.name != "__init__.py"
+    p for p in LIBRARY if p.name != "__init__.py"
 ] + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -82,3 +84,42 @@ def test_import_does_not_load_scipy():
     probe = "import sys, holant; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+# (reader, owner, name): each private name one library module imports or
+# reads from another.  A new entry is a decision to share a helper
+# across a module boundary; holant.contraction shares none.
+PRIVATE_READS = {
+    ("homgraphs", "tensors", "_check_size"),
+    ("portclasses", "grids", "_components_all_dangle"),
+    ("portclasses", "grids", "_id_runs"),
+    ("spans", "grids", "_port_walk"),
+    ("spans", "tensors", "_check_size"),
+}
+
+
+def _private_reads(path):
+    """(owner, name) for each _-prefixed name that path imports from a
+    holant module or reads as an attribute of one it imported."""
+    modules = {}  # local name -> the holant module it is bound to
+    reads = set()
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("holant")):
+            owner = (node.module or "").removeprefix("holant").lstrip(".")
+            for alias in node.names:
+                if not owner:  # from holant import grids, from . import serialize
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.add((owner, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            reads.add((modules[node.value.id], node.attr))
+    return {(owner, name) for owner, name in reads if not name.startswith("__")}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {(p.stem, owner, name) for p in LIBRARY for owner, name in _private_reads(p) if owner != p.stem}
+    assert found == PRIVATE_READS
+    assert not any(owner == "contraction" for _, owner, _ in found)

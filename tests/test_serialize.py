@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from holant.grids import QuantumGadget, SignatureGrid
+from holant.contraction import QuantumGadget
+from holant.grids import SignatureGrid
 from holant.homgraphs import SimpleGraph, cycle_graph
 from holant.serialize import (
     dumps,

@@ -11,10 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from holant import contraction
 from holant import grids as grids_module
 from holant import spans
 from holant import transforms as transforms_module
-from holant.grids import QuantumGadget, enumerate_gadgets, enumerate_grids
+from holant.contraction import QuantumGadget
+from holant.grids import enumerate_gadgets, enumerate_grids
 from holant.spans import (
     build_span,
     check_covanishing,
@@ -86,7 +88,7 @@ def test_span_is_deterministic():
 
 
 def test_span_witness_gadgets_reproduce_basis():
-    from holant.grids import gadget_signature
+    from holant.contraction import gadget_signature
 
     fs = counterexample_set(0.0, 0.0)
     span = build_span(fs, (2, 0), 4)
@@ -291,6 +293,19 @@ def test_many_to_one_map_is_not_a_bijection():
         check_indistinguishable(fs, gs, bij, 2)
     with pytest.raises(ValueError, match="one-to-one"):
         check_covanishing(fs, gs, bij, (1, 0), 2)
+
+
+@pytest.mark.parametrize("image", [["u"], {"u": "u"}])
+def test_a_bijection_value_that_is_not_an_id_is_refused(image):
+    # an unhashable image once failed inside set() with a TypeError that
+    # named neither the id nor the bijection
+    u = unary_pair_sets()[0]["u"]
+    message = f"bijection maps 'u' to {image!r}, not to an id"
+    with pytest.raises(ValueError) as indist:
+        check_indistinguishable({"u": u}, {"u": u}, {"u": image}, 2)
+    with pytest.raises(ValueError) as covanishing:
+        check_covanishing({"u": u}, {"u": u}, {"u": image}, (1, 0), 2)
+    assert str(indist.value) == str(covanishing.value) == message
 
 
 def test_over_cap_profiles_are_refused_before_enumerating(monkeypatch):
@@ -536,7 +551,7 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
     # every signature byte under both binding sets, as check_covanishing
     # stacks them; a closed grid's loop copy takes its value from here.
     # derives is counted through both modules, so a call from inside
-    # grids would show
+    # contraction would show
     targets = []
     real_derives = spans.derives
 
@@ -546,7 +561,7 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
 
     with monkeypatch.context() as m:
         m.setattr(spans, "derives", counted_derives)
-        m.setattr(grids_module, "derives", counted_derives)
+        m.setattr(contraction, "derives", counted_derives)
         got = list(spans.structure_signatures(grids, fs, gs))
     want = list(oracle_signatures(grids, fs, gs))
     assert [row[0] for row in got] == grids
@@ -618,7 +633,7 @@ def test_span_checkers_equal_contracting_every_gadget(monkeypatch, case):
     monkeypatch.setattr(spans, "structure_signatures", oracle_signatures)
     monkeypatch.setattr(transforms, "verify_holant_theorem", oracle_verify_holant_theorem)
     ref = reports()
-    assert ref["span_contracted"] == 0  # the oracle calls grids.gadget_signature
+    assert ref["span_contracted"] == 0  # the oracle calls contraction.gadget_signature
     for out in (mine, ref):
         for key in ("closed_contracted", "span_contracted", "cov_contracted"):
             out.pop(key, None)

@@ -13,7 +13,8 @@ from holant import (
     equality_signature,
     identity_signature,
 )
-from holant.grids import SignatureGrid, gadget_signature
+from holant.contraction import gadget_signature
+from holant.grids import SignatureGrid
 from holant.spans import build_span, check_covanishing, check_indistinguishable, gram_nondegenerate
 from holant.transforms import (
     DefectiveSpectrumWarning,
@@ -138,7 +139,8 @@ def test_holant_theorem_detects_non_transform():
     assert report.passed
     tweaked = {"f": f + 0.1 * identity_signature(q)}
     # evaluate the tweaked set against the original by hand
-    from holant.grids import enumerate_grids, holant_eval_contracted
+    from holant.contraction import holant_eval_contracted
+    from holant.grids import enumerate_grids
 
     diffs = []
     for grid in enumerate_grids([("f", (1, 1))], 3, q):
@@ -403,7 +405,7 @@ def test_theorem_replay_contracts_once_per_structure(monkeypatch):
     # perfbench's tracer wraps, with a hashable first argument: the
     # family's compiled program, kept with the stored family, which
     # planned each structure once for all three queries
-    from holant import grids, spans
+    from holant import contraction, spans
 
     rng = np.random.default_rng(59)
     shapes = {"s0": (1, 1), "s1": (2, 1), "s2": (1, 2)}
@@ -415,8 +417,8 @@ def test_theorem_replay_contracts_once_per_structure(monkeypatch):
         spans, "gadget_signature", lambda g, *rest: contracted.append(g) or real(g, *rest)
     )
     planned = []
-    real_plan = grids._plan
-    monkeypatch.setattr(grids, "_plan", lambda g, *rest: planned.append(g) or real_plan(g, *rest))
+    real_plan = contraction._plan
+    monkeypatch.setattr(contraction, "_plan", lambda g, *rest: planned.append(g) or real_plan(g, *rest))
     monkeypatch.setattr(spans, "_family", None)
     for _ in range(3):
         before = len(contracted)
@@ -433,16 +435,16 @@ def test_theorem_replay_contracts_once_per_structure(monkeypatch):
 def test_theorem_walks_and_compiles_the_family_once(monkeypatch):
     # three queries on one family: the first enumerates it and compiles
     # its program, the other two replay both from the stored family
-    from holant import familyprogram, spans
+    from holant import spans
 
     rng = np.random.default_rng(59)
     shapes = {"s0": (1, 1), "s1": (2, 1), "s2": (1, 2)}
     fs = {name: random_tensor(rng, 3, l, r) for name, (l, r) in shapes.items()}
     t = random_transform(rng, 3)
     walks, compiled = [], []
-    walk, compile_family = spans.enumerate_grids, familyprogram.compile_family
+    walk, compile_family = spans.enumerate_grids, spans.compile_family
     monkeypatch.setattr(spans, "enumerate_grids", lambda *a, **k: walks.append(a) or walk(*a, **k))
-    monkeypatch.setattr(familyprogram, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
+    monkeypatch.setattr(spans, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
     monkeypatch.setattr(spans, "_family", None)
     reports = [verify_holant_theorem(fs, t, 4) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2] and reports[0].grids_checked == 600

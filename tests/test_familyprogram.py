@@ -9,6 +9,11 @@ contraction._execute, by the bytes of the arrays: a value that rounds
 differently, or a zero whose sign differs, fails.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -288,3 +293,17 @@ def test_a_later_set_of_other_shapes_is_refused(monkeypatch):
         messages.append(str(refused.value))
     assert messages == [str(cold.value)] * 2
 
+
+def test_import_does_not_load_the_compiler():
+    # every CLI call and perfbench's setup_s pay for a cold import; the
+    # compiler's module comes with holant, but no family is compiled, no
+    # plan is made and the step memo is untouched until the first query
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import holant; from holant import contraction as c, spans as s; "
+        "print(s._family, c._contraction_plan.cache_info().currsize, "
+        "c._einsum_path.cache_info().currsize, c.step_memo.hits + c.step_memo.misses)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "None 0 0 0\n"

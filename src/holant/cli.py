@@ -2,6 +2,14 @@
 
 Every subcommand prints one canonical JSON report with a "verdict"
 field; it is strict JSON, with any non-finite number reported as null.
+A command that asks one library question reports that question's
+report dataclass: its fields by name, with the fields whose value is
+None left out, and grids, graphs, gadgets, signatures and transforms in
+their holant.serialize forms.  homdist reports max_left_vertices as
+max_vertices, and counterexample leaves out its two transformed
+tensors; a field added to a report dataclass reaches the CLI with no
+handler edit.
+
 Exit code 0 means the verdict is a pass or a success, 1 means a
 mathematical failure verdict (distinguisher found, vanishing, not
 similar), 2 means a usage or input-format problem, including any input
@@ -16,6 +24,7 @@ Environment: HOLANT_TOL overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,13 +34,13 @@ import warnings
 import numpy as np
 
 from . import serialize as sz
-from .contraction import holant_eval_contracted
+from .contraction import QuantumGadget, holant_eval_contracted
 from .grids import SignatureGrid, holant_polynomial
-from .homgraphs import bounded_degree_distinguisher, complete_graph, cycle_graph, hom_count
+from .homgraphs import SimpleGraph, bounded_degree_distinguisher, complete_graph, cycle_graph, hom_count
 from .simsim import recover_transform
 from .spans import check_indistinguishable, gram_nondegenerate
 from .tensors import MixedTensor, SymBoolSignature
-from .transforms import epsilon_family_counterexample, epsilon_family_jordan
+from .transforms import HoloTransform, epsilon_family_counterexample, epsilon_family_jordan
 
 PASS_VERDICTS = {
     "ok",
@@ -102,11 +111,33 @@ def _sigset(obj) -> dict[str, MixedTensor]:
     }
 
 
-def _jsonify(value):
-    """Reports carry numpy scalars, arrays, complex numbers, tuples.
+def _fields(report) -> dict:
+    """A dataclass's fields by name, leaving out those whose value is None."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: value for name, value in values.items() if value is not None}
 
-    A non-finite float becomes None, so the encoded report is strict JSON.
+
+def _jsonify(value):
+    """The one encoding of a report: every handler's value passes through it.
+
+    Grids, graphs, gadgets, signatures and transforms take their
+    holant.serialize forms; any other dataclass is _fields() of it.
+    Numpy scalars and arrays, tuples and complex numbers become JSON
+    values, and a non-finite float becomes None, so the encoded report is
+    strict JSON.
     """
+    if isinstance(value, SignatureGrid):
+        return _jsonify(sz.grid_to_obj(value))
+    if isinstance(value, SimpleGraph):
+        return _jsonify(sz.graph_to_obj(value))
+    if isinstance(value, QuantumGadget):
+        return _jsonify(sz.gadget_to_obj(value))
+    if isinstance(value, MixedTensor):
+        return _jsonify(sz.signature_to_obj(value))
+    if isinstance(value, HoloTransform):
+        return _jsonify(sz.transform_to_obj(value))
+    if dataclasses.is_dataclass(value):
+        return _jsonify(_fields(value))
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -175,17 +206,8 @@ def _cmd_hom(args) -> dict:
 def _cmd_homdist(args) -> dict:
     f = _load(args.f, sz.graph_from_obj)
     g = _load(args.g, sz.graph_from_obj)
-    report = bounded_degree_distinguisher(f, g, args.max_degree, args.max_vertices)
-    out = {
-        "verdict": report.verdict,
-        "max_degree": report.max_degree,
-        "max_vertices": report.max_left_vertices,
-        "graphs_checked": report.graphs_checked,
-    }
-    if report.distinguisher is not None:
-        out["distinguisher"] = sz.graph_to_obj(report.distinguisher)
-        out["count_f"] = report.count_f
-        out["count_g"] = report.count_g
+    out = _fields(bounded_degree_distinguisher(f, g, args.max_degree, args.max_vertices))
+    out["max_vertices"] = out.pop("max_left_vertices")
     return out
 
 
@@ -193,7 +215,7 @@ def _cmd_transform(args) -> dict:
     sigs = _load(args.sigs, _sigset)
     t = _load(args.matrix, sz.transform_from_obj)
     moved = t.act_set(sigs)
-    out = {"verdict": "ok", "q": t.q, "signatures": sz.sigset_to_obj(moved)}
+    out = {"verdict": "ok", "q": t.q, "signatures": moved}
     if args.inverse_check:
         back = t.inverse_transform().act_set(moved)
         tol = _resolve_tol(args.tol, 1e-9)
@@ -204,61 +226,28 @@ def _cmd_transform(args) -> dict:
     return out
 
 
-def _cmd_check_indist(args) -> dict:
+def _cmd_check_indist(args):
     fs = _load(args.f, _sigset)
     gs = _load(args.g, _sigset)
     bijection = _load(args.bijection, _bijection)
-    report = check_indistinguishable(
+    return check_indistinguishable(
         fs, gs, bijection, args.max_vertices, tol=_resolve_tol(args.tol, 0.0)
     )
-    out = {
-        "verdict": report.verdict,
-        "max_vertices": report.max_vertices,
-        "grids_checked": report.grids_checked,
-        "max_difference": report.max_difference,
-    }
-    if report.witness_grid is not None:
-        out["witness_grid"] = sz.grid_to_obj(report.witness_grid)
-        out["value_f"] = report.value_f
-        out["value_g"] = report.value_g
-    return out
 
 
-def _cmd_vanishing(args) -> dict:
+def _cmd_vanishing(args):
     fs = _load(args.sigs, _sigset)
-    report = gram_nondegenerate(fs, args.profile, args.max_vertices)
-    out = {
-        "verdict": report.verdict,
-        "profile": report.profile,
-        "max_vertices": report.max_vertices,
-        "dim": report.dim,
-        "dim_dual": report.dim_dual,
-        "rank": report.rank,
-        "singular_values": report.singular_values,
-        "max_pairing_residual": report.max_pairing_residual,
-    }
-    if report.witness is not None:
-        out["witness"] = sz.gadget_to_obj(report.witness)
-        out["witness_signature"] = sz.signature_to_obj(report.witness_signature)
-    return out
+    return gram_nondegenerate(fs, args.profile, args.max_vertices)
 
 
-def _cmd_simsim(args) -> dict:
+def _cmd_simsim(args):
     fs = _load(args.f, _sigset)
     gs = _load(args.g, _sigset)
     for name, sets in (("f", fs), ("g", gs)):
         bad = [k for k, t in sets.items() if t.shape != (1, 1)]
         if bad:
             raise CliError(f"--{name} signatures must have shape (1,1); bad ids: {bad}")
-    result = recover_transform(fs, gs, tol=_resolve_tol(args.tol, 1e-6), seed=args.seed)
-    out = {"verdict": result.verdict, "q": result.q}
-    if result.transform is not None:
-        out["transform"] = sz.transform_to_obj(result.transform)
-    if result.witness is not None:
-        out["witness"] = result.witness
-    if result.residual is not None:
-        out["residual"] = result.residual
-    return out
+    return recover_transform(fs, gs, tol=_resolve_tol(args.tol, 1e-6), seed=args.seed)
 
 
 def _parse_complex(raw: str) -> complex:
@@ -271,19 +260,10 @@ def _parse_complex(raw: str) -> complex:
 
 
 def _cmd_counterexample(args) -> dict:
-    report = epsilon_family_counterexample(args.a, args.b, args.eps)
-    return {
-        "verdict": "ok",
-        "a": report.a,
-        "b": report.b,
-        "eps": report.eps,
-        "transform": sz.transform_to_obj(report.transform),
-        "transformed_values": report.transformed_values,
-        "target_values": report.target_values,
-        "distance": report.distance,
-        "expected_distance": report.expected_distance,
-        "disequality_fixed": report.disequality_fixed,
-    }
+    out = _fields(epsilon_family_counterexample(args.a, args.b, args.eps))
+    # transformed_values reports the moved signature; its tensors stay out
+    del out["transformed_disequality"], out["transformed_signature"]
+    return {"verdict": "ok", **out}
 
 
 # -- selftest fixtures --------------------------------------------------------------

@@ -442,6 +442,101 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     assert capsys.readouterr().out == first
 
 
+# Each command's report keys, sorted: a report is its library report's
+# fields with the None ones left out, so a field added to a report
+# dataclass, or a None field kept, shows here
+CHECK_KEYS = ["grids_checked", "max_difference", "max_vertices", "verdict"]
+GRAM_KEYS = ["dim", "dim_dual", "max_pairing_residual", "max_vertices", "profile", "rank",
+             "singular_values", "verdict"]
+HOMDIST_KEYS = ["graphs_checked", "max_degree", "max_vertices", "verdict"]
+TRANSFORM_KEYS = ["q", "signatures", "verdict"]
+REPORT_KEYS = [
+    ("eval", "ok", ["q", "value", "verdict"]),
+    ("poly", "ok", ["monomials", "num_monomials", "q", "verdict"]),
+    ("hom", "ok", ["count", "verdict"]),
+    ("transform", "ok", TRANSFORM_KEYS),
+    ("transform-inverse", "ok", ["inverse_round_trip"] + TRANSFORM_KEYS),
+    ("transform-inverse-mismatch", "inverse_mismatch", ["inverse_round_trip"] + TRANSFORM_KEYS),
+    ("check-indist-pass", "indistinguishable_at_bound", CHECK_KEYS),
+    ("check-indist-witness", "distinguished",
+     sorted(CHECK_KEYS + ["value_f", "value_g", "witness_grid"])),
+    ("vanishing-nonvanishing", "nonvanishing_at_bound", GRAM_KEYS),
+    ("vanishing-witness", "vanishing_witness", GRAM_KEYS + ["witness", "witness_signature"]),
+    ("vanishing-inconclusive", "inconclusive", GRAM_KEYS),
+    ("simsim-similar", "similar", ["q", "residual", "transform", "verdict"]),
+    ("simsim-trace-mismatch", "trace_mismatch", ["q", "verdict", "witness"]),
+    ("simsim-vanishing", "vanishing", ["q", "verdict", "witness"]),
+    ("homdist-indist", "indist_at_bound", HOMDIST_KEYS),
+    ("homdist-distinguished", "distinguished",
+     sorted(HOMDIST_KEYS + ["count_f", "count_g", "distinguisher"])),
+    ("counterexample", "ok",
+     ["a", "b", "disequality_fixed", "distance", "eps", "expected_distance", "target_values",
+      "transform", "transformed_values", "verdict"]),
+    ("selftest", "pass", ["fixtures", "verdict"]),
+]
+
+
+@pytest.mark.parametrize("case, verdict, keys", REPORT_KEYS, ids=[case for case, *_ in REPORT_KEYS])
+def test_report_keys(capsys, tmp_path, monkeypatch, case, verdict, keys):
+    from holant import cli
+
+    def sigs(name, obj):
+        return write(tmp_path, name + ".json", sigset_to_obj(obj))
+
+    def matrices(name, m):
+        return sigs(name, {"m": MixedTensor.from_matrix(np.asarray(m, dtype=float))})
+
+    eq = sigs("eq", {"eq": equality_signature(2, 1, 1)})
+    grid = write(tmp_path, "grid.json", {"q": 2, "vertices": [{"sig": "eq"}] * 2,
+                                         "edges": [[0, 1, 1, 1], [1, 1, 0, 1]]})
+    k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
+    k4 = write(tmp_path, "k4.json", graph_to_obj(complete_graph(4)))
+    c4 = write(tmp_path, "c4.json", graph_to_obj(cycle_graph(4)))
+    c4b = write(tmp_path, "c4b.json", graph_to_obj(cycle_graph(4).relabel([2, 0, 3, 1])))
+    shear = write(tmp_path, "shear.json", transform_to_obj(HoloTransform(2, [[1.0, 1.0], [0.0, 1.0]])))
+    with pytest.warns(UserWarning, match="condition number"):
+        ill = write(tmp_path, "ill.json", transform_to_obj(HoloTransform.diagonal([1e5, 1e-5])))
+    one = sigs("one", {"e": equality_signature(2, 1, 1)})
+    two = sigs("two", {"e": 2.0 * equality_signature(2, 1, 1)})
+    ebij = write(tmp_path, "ebij.json", {"e": "e"})
+    lonely = sigs("lonely", {"u": MixedTensor(2, 0, 1, [1, 1j])})
+    rng = np.random.default_rng(97)
+    a, s = rng.normal(size=(3, 3)), np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    similar = matrices("a", a), matrices("sas", s @ a @ np.linalg.inv(s))
+    check = ["check-indist", "--bijection", ebij, "--max-vertices", "3"]
+    homdist = ["homdist", "--max-degree", "2", "--max-vertices", "4"]
+    argv = {
+        "eval": ["eval", grid, "--sigs", eq],
+        "poly": ["poly", grid],
+        "hom": ["hom", "--x", k3, "--g", k3],
+        "transform": ["transform", "--sigs", eq, "--matrix", shear],
+        "transform-inverse": ["transform", "--sigs", eq, "--matrix", shear, "--inverse-check"],
+        "transform-inverse-mismatch": ["transform", "--sigs", eq, "--matrix", ill, "--inverse-check",
+                                       "--tol", "0"],
+        "check-indist-pass": check + ["--f", one, "--g", one],
+        "check-indist-witness": check + ["--f", one, "--g", two],
+        "vanishing-nonvanishing": ["vanishing", "--sigs", eq, "--profile", "1,1", "--max-vertices", "2"],
+        "vanishing-witness": ["vanishing", "--sigs", lonely, "--profile", "0,1", "--max-vertices", "2"],
+        "vanishing-inconclusive": ["vanishing", "--sigs", eq, "--profile", "1,1", "--max-vertices", "2"],
+        "simsim-similar": ["simsim", "--f", similar[0], "--g", similar[1]],
+        "simsim-trace-mismatch": ["simsim", "--f", matrices("d12", np.diag([1.0, 2.0])),
+                                  "--g", matrices("d13", np.diag([1.0, 3.0]))],
+        # a Jordan block against the scalar matrix of its eigenvalue
+        "simsim-vanishing": ["simsim", "--f", matrices("jordan", [[0.6, 1.0], [0.0, 0.6]]),
+                             "--g", matrices("scalar", np.diag([0.6, 0.6]))],
+        "homdist-indist": homdist + ["--f", c4, "--g", c4b],
+        "homdist-distinguished": homdist + ["--f", k4, "--g", c4],
+        "counterexample": ["counterexample", "--a", "1,0", "--b", "1", "--eps", "0.1"],
+        "selftest": ["selftest"],
+    }[case]
+    if case == "vanishing-inconclusive":
+        monkeypatch.setattr(cli, "gram_nondegenerate", inconclusive)
+    code = main(argv)
+    report = strict_loads(capsys.readouterr().out)
+    assert code == (0 if verdict in cli.PASS_VERDICTS else 1)
+    assert (report["verdict"], sorted(report)) == (verdict, keys)
+
+
 def test_output_flag_writes_report(capsys, tmp_path):
     k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
     out = tmp_path / "report.json"
@@ -541,6 +636,7 @@ def strict_loads(text):
     [
         "homdist-degree-0",
         "poly-30-edges",
+        "poly-two-arities",
         "bijection-list-value",
         "bijection-dict-value",
         "bijection-many-to-one",
@@ -588,9 +684,15 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
         "q": 2.5, "loops": 0.9, "vertices": [{"sig": "a"}], "edges": [[0, 1.9, 0.2, 1]],
     })
     frac_graph = write(tmp_path, "frac_graph.json", {"n": 3.7, "edges": [[0, 1.2]]})
+    # one id at two arities: "a" is (1,1) at vertex 0 and (2,2) at vertex 1
+    two_arities = write(tmp_path, "two_arities.json", {
+        "q": 2, "vertices": [{"sig": "a"}, {"sig": "a"}],
+        "edges": [[0, 1, 1, 1], [1, 1, 0, 1], [1, 2, 1, 2]],
+    })
     argv = {
         "homdist-degree-0": ["homdist", "--f", k3, "--g", k3, "--max-degree", "0", "--max-vertices", "3"],
         "poly-30-edges": ["poly", ring],
+        "poly-two-arities": ["poly", two_arities],
         "bijection-list-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij, "--max-vertices", "2"],
         "bijection-dict-value": ["check-indist", "--f", a, "--g", a, "--bijection", bij_dict,
                                  "--max-vertices", "2"],
@@ -607,6 +709,7 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
     message = {
         "bijection-list-value": f"holant: {bij}: bijection maps 'a' to ['a'], not to an id",
         "bijection-dict-value": f"holant: {bij_dict}: bijection maps 'a' to {{'a': 'a'}}, not to an id",
+        "poly-two-arities": "holant: signature 'a' is used with inconsistent arities",
         "negative-slot-count": "slot counts must be nonnegative, got (2,-1)",
         "fractional-signature-counts": "signature 'q' must be an integer, got 2.9",
         "fractional-grid-counts": "grid 'q' must be an integer, got 2.5",
@@ -618,6 +721,32 @@ def test_library_rejections_exit_2_without_traceback(capsys, tmp_path, case):
     assert captured.err.startswith("holant: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert message in captured.err
+
+
+@pytest.mark.parametrize("case", ["profile-1", "a-3-parts", "output-missing-dir"])
+def test_cli_refusals_exit_2(capsys, tmp_path, case):
+    eq = write(tmp_path, "eq.json", sigset_to_obj({"eq": equality_signature(2, 1, 1)}))
+    k3 = write(tmp_path, "k3.json", graph_to_obj(complete_graph(3)))
+    missing = str(tmp_path / "no" / "report.json")
+    argv, out, err = {
+        "profile-1": (["vanishing", "--sigs", eq, "--profile", "1", "--max-vertices", "2"], "",
+                      "holant vanishing: error: argument --profile: profile must be L,R\n"),
+        "a-3-parts": (["counterexample", "--a", "1,2,3", "--b", "1", "--eps", "0.1"], "",
+                      "holant counterexample: error: argument --a: expected RE or RE,IM, got '1,2,3'\n"),
+        # the report reaches stdout before the write fails
+        "output-missing-dir": (["--output", missing, "hom", "--x", k3, "--g", k3],
+                               '{"count":6,"verdict":"ok"}\n',
+                               f"holant: cannot write {missing}: [Errno 2] No such file or directory: "
+                               f"{missing!r}\n"),
+    }[case]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses its own arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == out
+    assert captured.err.endswith(err) and "Traceback" not in captured.err
 
 
 def test_selftest_has_no_seed_flag():
@@ -647,16 +776,19 @@ def test_there_is_no_method_flag(capsys, argv):
     assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
-def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch):
-    from holant import cli
+def inconclusive(fs, profile, max_vertices):
+    """A stand-in for gram_nondegenerate: the inconclusive report."""
     from holant.spans import GramReport
 
-    def inconclusive(fs, profile, max_vertices):
-        return GramReport(
-            verdict="inconclusive", profile=profile, max_vertices=max_vertices, dim=1,
-            dim_dual=1, rank=0, singular_values=np.array([0.0]), witness=None,
-            witness_signature=None, max_pairing_residual=float("nan"),
-        )
+    return GramReport(
+        verdict="inconclusive", profile=profile, max_vertices=max_vertices, dim=1,
+        dim_dual=1, rank=0, singular_values=np.array([0.0]), witness=None,
+        witness_signature=None, max_pairing_residual=float("nan"),
+    )
+
+
+def test_inconclusive_residual_is_reported_as_null(capsys, tmp_path, monkeypatch):
+    from holant import cli
 
     monkeypatch.setattr(cli, "gram_nondegenerate", inconclusive)
     sigs = write(tmp_path, "eq.json", sigset_to_obj({"eq": equality_signature(2, 1, 1)}))

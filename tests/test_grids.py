@@ -204,6 +204,9 @@ def test_validation_rejects_bad_port_usage():
     g2 = SignatureGrid(q=2, vertices=("e",), edges=())
     with pytest.raises(ValueError):
         holant_eval_contracted(g2, {"e": equality_signature(2, 1, 1)})
+    stub = SignatureGrid(q=2, vertices=("e",), edges=(), left_dangling=((0, 1),), right_dangling=((0, 1),))
+    with pytest.raises(ValueError, match="holant_eval_contracted needs a closed grid"):
+        holant_eval_contracted(stub, {"e": equality_signature(2, 1, 1)})
 
 
 def test_missing_binding_and_domain_mismatch():
@@ -212,6 +215,9 @@ def test_missing_binding_and_domain_mismatch():
         holant_eval_contracted(g, {})
     with pytest.raises(ValueError):
         holant_eval_contracted(g, {"e": identity_signature(3)})
+    wire = SignatureGrid(q=2, vertices=(WIRE_ID,), edges=((0, 1, 0, 1),))
+    with pytest.raises(ValueError, match="'wire' is reserved for the identity signature"):
+        holant_eval_contracted(wire, {WIRE_ID: 2 * identity_signature(2)})
 
 
 # -- contraction engine agrees with the definition -------------------------
@@ -898,6 +904,25 @@ def test_gadget_enumeration_no_closed_components():
     assert all("s" not in g.vertices for g in gs)
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: SignatureGrid(q=0, vertices=(), edges=()), "domain size must be positive"),
+        (lambda: SignatureGrid(q=2, vertices=(), edges=(), loops=-1), "loop count must be nonnegative"),
+        (lambda: next(enumerate_gadgets([("s", (1, 1))], (0, 0), 2, q=2)),
+         "use enumerate_grids for closed profiles"),
+        (lambda: holant_polynomial(
+            SignatureGrid(q=2, vertices=("e",), edges=(), left_dangling=((0, 1),), right_dangling=((0, 1),)),
+            {"e": (1, 1)},
+        ), "holant_polynomial needs a closed grid"),
+    ],
+    ids=["q-0", "loops-negative", "gadgets-at-closed-profile", "polynomial-of-a-gadget"],
+)
+def test_grid_refusals(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
+
+
 def test_gadget_enumeration_rejects_negative_profile():
     with pytest.raises(ValueError, match="nonnegative"):
         list(enumerate_gadgets([("s", (1, 2))], (-1, 2), 2, q=2))
@@ -1257,12 +1282,15 @@ def test_closed_blocks_equal_contracting_each_grid(case):
             want = np.array([row[1:] for row in oracle_signatures(grids, *sets)])
         except ValueError as exc:
             want = str(exc)
-        try:
-            for g in grids[::2]:
-                holant.contraction._check_cap(holant.contraction._plan(g, tuple(sigs), ()), q)
-            compiled = q > 1
-        except ValueError:  # a pairwise plan over the cap
-            compiled = False
+        # the family compiles unless some structure's pairwise plan has a
+        # step over the patched cap; the oracle plans at its own cap, so its
+        # step shapes are read against the patched one
+        compiled = q > 1 and all(
+            np.prod(step[-1]) <= holant.contraction.MAX_ENTRIES
+            for g in grids
+            if g.loops == 0
+            for step in oracle_contraction_plan(g, tuple(sigs)).steps
+        )
         # the first call walks the family and compiles its program, the
         # second replays the kept program
         for _ in range(2):
@@ -1311,6 +1339,14 @@ def test_polynomial_evaluation_matches_holant():
         v1 = poly.evaluate(b)
         v2 = brute_holant_eval(g, b)
         assert abs(v1 - v2) <= 1e-8 * (1 + abs(v2))
+    # a bare wire is the identity, not a symbol: f is read on its diagonal
+    g = SignatureGrid(2, ("f", WIRE_ID), ((0, 1, 1, 1), (1, 1, 0, 1)))
+    f = MixedTensor(2, 1, 1, np.array([[1.5, 2.0], [-3.0, 0.25j]]))
+    poly = holant_polynomial(g, {"f": (1, 1)})
+    assert sorted(poly.monomials) == [(("f", (0, 0)),), (("f", (1, 1)),)]
+    value = holant_eval_contracted(g, {"f": f})
+    assert value == np.trace(f.matrix())
+    assert abs(poly.evaluate({"f": f}) - value) <= 1e-12
 
 
 def test_polynomial_merges_coefficients():

@@ -86,6 +86,19 @@ def test_graph_validation():
         SimpleGraph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="loop"):
         SimpleGraph(3, ((1, 1),))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        SimpleGraph(-1, ())
+    with pytest.raises(ValueError, match="cycles need at least 3 vertices"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="adjacency must be a square matrix"):
+        hom_bindings(np.ones((2, 3)), 1)
+
+
+def test_a_count_off_an_integer_is_refused(fresh_targets, monkeypatch):
+    monkeypatch.setattr(homgraphs, "holant_eval_contracted", lambda grid, bindings: 2.5)
+    message = "hom count value 2.5 strayed more than 1e-06 from an integer"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        hom_count(path_graph(2), complete_graph(3))
 
 
 def test_graph_basics():

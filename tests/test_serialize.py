@@ -60,6 +60,8 @@ def test_signature_object_shape():
 
 
 def test_signature_errors():
+    with pytest.raises(TypeError, match="not a signature: int"):
+        signature_to_obj(3)
     with pytest.raises(ValueError, match="missing"):
         signature_from_obj({"q": 2, "left": 1, "right": 1})
     with pytest.raises(ValueError, match="pair"):

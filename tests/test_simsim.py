@@ -6,6 +6,8 @@ generator.  Frozen small cases (nilpotent Gram, elementary matrix
 closure) are worked out by hand.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from holant.simsim import (
     recover_transform,
     trace_words_equal,
 )
+from holant.tensors import MixedTensor
 from holant.transforms import HoloTransform
 from oracles import oracle_trace_words
 
@@ -384,23 +387,24 @@ def test_recover_vanishing_jordan_vs_diagonal():
     assert np.linalg.norm(radical - coeff * direction) < 1e-8
 
 
-def test_recovery_converts_its_sets_once(monkeypatch):
+def test_recovery_stages_convert_equal_sets(monkeypatch):
     # an uncertified pair passes through trace_words_equal and
-    # build_paired_algebra, which take recover_transform's converted sets
-    # as they are; trace_words_equal rescales copies, not the sets
+    # build_paired_algebra; each converts and checks again the sets that
+    # recover_transform hands it, to the same matrices, and
+    # trace_words_equal rescales copies, not the sets
     converted = []
     normalize = simsim._normalize_sets
 
     def recording(fs, gs):
         out = normalize(fs, gs)
-        converted.append(out[2] is not fs)
+        converted.append([m.tobytes() for m in (*out[2].values(), *out[3].values())])
         return out
 
     monkeypatch.setattr(simsim, "_normalize_sets", recording)
     jordan = {"a": np.array([[0.6, 1.0], [0.0, 0.6]]), "b": 5 * np.eye(2)}
     diagonal = {"a": np.diag([0.6, 0.6]), "b": 5 * np.eye(2)}
     assert recover_transform(jordan, diagonal).verdict == "vanishing"
-    assert converted == [True, False, False]
+    assert len(converted) == 3 and converted[1] == converted[0] == converted[2]
     q, names, f_mats, g_mats = normalize(jordan, diagonal)
     before = [m.tobytes() for m in (*f_mats.values(), *g_mats.values())]
     assert trace_words_equal(f_mats, g_mats).verdict == "equal"
@@ -412,6 +416,25 @@ def test_recover_trace_mismatch():
     result = recover_transform({"a": np.diag([1.0, 2.0])}, {"a": np.diag([1.0, 3.0])})
     assert result.verdict == "trace_mismatch"
     assert result.witness["word"] == ["a"]
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: algebra_closure({"a": MixedTensor(2, 2, 1, np.zeros(8))}),
+         "need a (1,1) signature, got shape (2, 1)"),
+        (lambda: algebra_closure({"a": np.zeros((2, 3))}), "matrices must be square"),
+        (lambda: algebra_closure({"a": np.eye(2), "b": np.eye(3)}), "matrices must share one domain size"),
+        (lambda: trace_words_equal({"a": np.eye(2)}, {"b": np.eye(2)}),
+         "the two sets must use the same signature ids"),
+        (lambda: recover_transform({}, {}), "need at least one matrix to fix the domain size"),
+        (lambda: algebra_closure({}), "empty generator set needs an explicit domain size"),
+    ],
+    ids=["shape-2-1", "non-square", "two-sizes", "different-ids", "empty-sets", "empty-closure"],
+)
+def test_matrix_set_refusals(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])

@@ -282,6 +282,10 @@ def test_correspondence_validation():
         check_indistinguishable(mixed, mixed, {"a": "a", "b": "b"}, 2)
     with pytest.raises(ValueError, match="signatures must share a domain size"):
         check_covanishing(mixed, mixed, {"a": "a", "b": "b"}, (1, 0), 2)
+    # each side has one domain size and the shapes agree, but not the sizes
+    q2, q3 = {"u": MixedTensor(2, 1, 0, np.ones(2))}, {"u": MixedTensor(3, 1, 0, np.ones(3))}
+    with pytest.raises(ValueError, match="domain sizes differ across the correspondence"):
+        check_indistinguishable(q2, q3, {"u": "u"}, 2)
 
 
 def test_many_to_one_map_is_not_a_bijection():

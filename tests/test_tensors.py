@@ -104,6 +104,26 @@ def test_shape_validation():
             build()
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: MixedTensor.from_matrix(np.zeros((2, 2, 2))), "matrix form must be 2-dimensional"),
+        (lambda: MixedTensor.from_matrix(np.zeros((3, 5))), "matrix shape (3, 5) is not q**1 x q**1 for any q"),
+        (lambda: identity_signature(2).entry((0,), (0, 1)), "index tuple lengths must match the slot counts"),
+        (lambda: identity_signature(2) + MixedTensor.zeros(2, 1, 2),
+         "incompatible tensors: q/shape (2, (1, 1)) vs (2, (1, 2))"),
+        (lambda: disequality_signature(2, 1, 0), "disequality is binary"),
+        (lambda: symmetric_values(equality_signature(3, 1, 1)), "symmetric value extraction needs q = 2"),
+        (lambda: pair(identity_signature(2), identity_signature(3)), "domain mismatch: 2 vs 3"),
+    ],
+    ids=["from-3d-array", "from-3x5", "entry-index-lengths", "add-shapes", "unary-disequality",
+         "symmetric-values-q3", "pair-domains"],
+)
+def test_tensor_refusals(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
+
+
 def test_from_matrix_refuses_zero_slots():
     # a 1 x 1 matrix is a (0,0) form at every q, so none can be chosen
     with pytest.raises(ValueError, match="domain size"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,22 @@ def test_domain_mismatch_rejected():
     t = HoloTransform(2, np.eye(2))
     with pytest.raises(ValueError):
         t.act(identity_signature(3))
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: verify_holant_theorem({}, HoloTransform(2, np.eye(2)), 2),
+         "need at least one signature"),
+        (lambda: verify_holant_theorem({"e": equality_signature(2, 1, 1)}, HoloTransform(3, np.eye(3)), 2),
+         "signatures and transform must share one domain size"),
+        (lambda: HoloTransform(2, np.eye(3)), "transform must be 2x2, got (3, 3)"),
+    ],
+    ids=["empty-set", "set-q2-transform-q3", "matrix-3x3-at-q2"],
+)
+def test_theorem_and_transform_refusals(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
 
 
 # -- invariance of closed grid values ----------------------------------------

@@ -13,10 +13,11 @@ handler edit.
 Exit code 0 means the verdict is a pass or a success, 1 means a
 mathematical failure verdict (distinguisher found, vanishing, not
 similar), 2 means a usage or input-format problem, including any input
-the library rejects, or a stdout that cannot be written.  main() is the
-one place that maps exceptions to exit 2 and the one place that encodes
-reports; stderr carries only its "holant:" lines, library warnings
-included.
+the library rejects and any argument the parser refuses, or an --output
+file or a stdout that cannot be written; exit 2 prints no report.
+main() is the one place that maps exceptions to exit 2 and the one
+place that encodes reports; stderr carries only its "holant:" lines,
+library warnings included.
 
 Environment: HOLANT_TOL overrides the default tolerance.
 """
@@ -375,8 +376,9 @@ def _checked(convert, ok, message):
     """An argparse type: convert, then raise CliError unless ok(value).
 
     argparse lets CliError through, so main() reports it and returns 2;
-    a value convert() rejects gets argparse's own exit 2, whose message
-    names the type by convert's name.
+    a value convert() rejects is argparse's own refusal, whose message
+    names the type by convert's name, and reaches main() as a CliError
+    too (_Parser).
     """
 
     def parse(raw: str):
@@ -394,10 +396,19 @@ _bound_arg = _checked(int, lambda v: v >= 1, "--max-vertices must be positive")
 _seed_arg = _checked(int, lambda v: 0 <= v < 2**64, "--seed must fit in 64 bits")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals (an unknown flag, a missing
+    argument, a value its type= rejects) raise CliError, so that main()
+    reports each as one holant: line and returns 2, with no usage block.
+    add_subparsers makes every subcommand's parser of this class too;
+    --help still prints and exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holant", description="Tensor network Holant workbench"
-    )
+    parser = _Parser(prog="holant", description="Tensor network Holant workbench")
     parser.add_argument("--output", help="also write the JSON report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -488,13 +499,14 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             report = _jsonify(args.fn(args))
             text = sz.dumps(report)
-            _print_report(text)
+            # the file first, so that a report on stdout means exit 0 or 1
             if args.output:
                 try:
                     with open(args.output, "w", encoding="utf-8") as fh:
                         fh.write(text + "\n")
                 except OSError as exc:
                     raise CliError(f"cannot write {args.output}: {exc}")
+            _print_report(text)
             return 0 if report["verdict"] in PASS_VERDICTS else 1
         except (CliError, ValueError, TypeError, ArithmeticError, MemoryError) as exc:
             # numpy's LinAlgError is a ValueError, OverflowError an

@@ -12,9 +12,14 @@ result is bitwise binding set k's contraction alone.
   elimination_plan sums such index classes out one np.einsum at a time
   (Dechter, "Bucket elimination", 1999): a hom(X, G) grid reads as a sum
   over X's vertices of products of G's adjacency matrix.
-- _execute replays a plan on the stacks.  A lone hom count looks each
-  elimination step up in the step memo (StepMemo) first, so that counts
-  into one target share their steps.
+- _execute replays a plan on the stacks.  Each step of an elimination
+  plan that reads one bound array only, as every hom count does, has a
+  structural step id, interned by its subscripts and its operands' ids
+  (hash-consing: Filliatre & Conchon, "Type-safe modular hash-consing",
+  2006), so that equal sub-computations of any two plans share one id.
+  A lone count asks the step memo (StepMemo) for the steps it needs top
+  down, from the plan's last nodes, and runs only the steps under its
+  misses: counts into one target share whole subtrees of steps.
 - compile_family compiles the closed family that
   spans.closed_signature_blocks stores into one FamilyProgram, which
   replays every structure's pairwise plan under every binding set in a
@@ -161,6 +166,13 @@ class BindingStacks:
 # holding 12 plans on counterexample-spans, and 364 elimination plans in
 # about 1.8 MB on hom-census (2.3 MB as pairwise plans).
 PLAN_CACHE_SIZE = 4096
+# The step-id table is emptied when an intern would take it past
+# 4 * PLAN_CACHE_SIZE ids, and ids go on counting from where they were, so
+# no id is reused: an id that a cached plan or the step memo still holds
+# names one structure, and a step planned after a reset takes a fresh id,
+# which at worst misses the memo once.  The degree-3 census to 10
+# vertices interns 7158 ids for its 2571 classes' hom counts.
+_STEP_IDS_MAX = 4 * PLAN_CACHE_SIZE
 
 
 class ContractionPlan(NamedTuple):
@@ -194,7 +206,10 @@ class ContractionPlan(NamedTuple):
         and from arity-0 equalities.
     shared_stack: for an elimination plan whose steps read the tensors of
         one id only, the position of that id among the plan's (id, shape)
-        pairs, else -1; _execute's step memo keys such a plan's steps.
+        pairs, else -1.
+    step_ids: for such a shared-stack plan, each elimination step's
+        structural id (_step_ids), by which _execute's step memo keys it;
+        () for every other plan.
     """
 
     traces: tuple[tuple[int, int, int], ...]
@@ -208,6 +223,7 @@ class ContractionPlan(NamedTuple):
     eliminations: tuple[tuple[tuple[int, ...], str | None, int], ...] = ()
     free: int = 0
     shared_stack: int = -1
+    step_ids: tuple[int, ...] = ()
 
 
 def _ports(vertices: tuple[str, ...], shape_of: dict[str, tuple[int, int]]):
@@ -261,7 +277,8 @@ def _contraction_plan(
         peak_rank = max((rank for *_, rank in steps), default=0)
         read = {stack_of[o] for operands, _, _ in steps for o in operands if o < len(vertices)}
         shared = read.pop() if len(read) == 1 else -1
-        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, stack_of, steps, free, shared)
+        ids = _step_ids(steps, len(vertices)) if shared >= 0 else ()
+        return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, stack_of, steps, free, shared, ids)
     # one int label per vertex port, its number, so each vertex's labels
     # list its axes in order: left ports, then right ports
     start, right_label = _ports(vertices, shape_of)
@@ -331,6 +348,31 @@ def _contraction_plan(
     )
 
 
+# the operand id of a shared-stack plan's one bound array, read whole
+WHOLE = -1
+# (subscripts, *operand ids) -> structural step id; bounded by _STEP_IDS_MAX
+_step_table: dict[tuple, int] = {}
+_step_serials = itertools.count()
+
+
+def _step_ids(steps, n: int) -> tuple[int, ...]:
+    """The structural id of each step of a shared-stack elimination plan
+    of n vertices: its subscripts and its operands' ids, WHOLE for a
+    vertex (every vertex a step reads is the one bound array), interned
+    in _step_table.  Equal ids name equal np.einsum calls on equal
+    operands, whichever plans they come from."""
+    ids: list[int] = []
+    for operands, subscripts, _ in steps:
+        key = (subscripts, *[WHOLE if o < n else ids[o - n] for o in operands])
+        sid = _step_table.get(key)
+        if sid is None:
+            if len(_step_table) >= _STEP_IDS_MAX:
+                _step_table.clear()
+            sid = _step_table[key] = next(_step_serials)
+        ids.append(sid)
+    return tuple(ids)
+
+
 # the index letters of np.einsum subscripts
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -375,9 +417,11 @@ def elimination_plan(
     them.  Only the nodes that hold c take part in c's step, and they
     hold exactly c and its neighbours N(c), so eliminating c sets
     adj[x] = (adj[x] & ~c) | (N(c) & ~x) for each x in N(c), and leaves
-    every other class alone.  The next class comes off a heap of
-    (width, class) entries; an entry whose class is gone or whose width
-    has changed since it was pushed is skipped.
+    every other class alone.  The nodes that hold each class are a bit
+    mask too.  The next class comes off a heap of (width, class)
+    entries, and a class goes on it again only when its width changes;
+    an entry whose class is gone or whose width has changed since it
+    was pushed is skipped.
     """
     # imported here, so that `import holant` does not load _heapq's shared library
     import heapq
@@ -404,14 +448,14 @@ def elimination_plan(
         v: class_of[start[v]:start[v + 1]]
         for v, sig in enumerate(vertices) if sig not in equal
     }
-    holders: dict[int, set[int]] = {}
+    holders: dict[int, int] = {}  # class -> bit mask of the nodes holding it
     adj: dict[int, int] = {}
     for v, classes in axes.items():
         mask = 0
         for c in classes:
             mask |= 1 << c
         for c in classes:
-            holders.setdefault(c, set()).add(v)
+            holders[c] = holders.get(c, 0) | 1 << v
             adj[c] = adj.get(c, 0) | mask
     free = len(number) - len(holders) + sum(
         1 for v, sig in enumerate(vertices) if sig in equal and start[v] == start[v + 1]
@@ -430,7 +474,8 @@ def elimination_plan(
         if width.get(c) != rank:
             continue  # c is gone, or its width changed after this entry
         del width[c]
-        ops = sorted(holders.pop(c))
+        took = holders.pop(c)
+        ops = _bits(took)
         near = adj.pop(c)
         kept = _bits(near)
         held = sorted(kept + [c])
@@ -444,12 +489,14 @@ def elimination_plan(
             del axes[w]
         axes[node] = kept
         # a class's width changes only when a step leaves it on the new node
-        gone = ~(1 << c)
+        gone, left, new = ~(1 << c), ~took, 1 << node
         for x in kept:
-            holders[x] = holders[x].difference(ops) | {node}
+            holders[x] = holders[x] & left | new
             adj[x] = (adj[x] & gone) | (near & ~(1 << x))
-            width[x] = adj[x].bit_count()
-            heapq.heappush(heap, (width[x], x))
+            w = adj[x].bit_count()
+            if w != width[x]:
+                width[x] = w
+                heapq.heappush(heap, (w, x))
         node += 1
     return tuple(steps), tuple(sorted(axes)), free
 
@@ -513,8 +560,6 @@ def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
 # makes rank-2 results of 4 MB each.
 STEP_MEMO_BYTES = 16 << 20
 STEP_OVERHEAD = 400
-# a step key's tag for an operand that is the memo's bound array itself
-WHOLE = -1
 
 
 class _StepMemoInfo(NamedTuple):
@@ -527,13 +572,12 @@ class _StepMemoInfo(NamedTuple):
 
 class StepMemo:
     """Elimination steps already run on read-only bound arrays, each kept
-    under its bound array, its np.einsum subscripts, whether it runs wide
-    (EINSUM_LOOP_MAX), and its operands' tags: WHOLE for the bound
-    array itself, else the serial number of the kept step that made the
-    operand.  So a key costs O(operands), and names a result by how it was
-    made, never by the id() of a value that eviction could free; serials
-    are never reused.  A step whose operand has no tag is neither looked
-    up nor kept, and nor are the steps after it that read its result.
+    under (bound array's id, structural step id, wide): the step's id in
+    the step-id table (_step_ids), which names the step by how it was
+    made, never by the id() of a value that eviction could free, and
+    whether it runs wide (EINSUM_LOOP_MAX).  A key costs three slots
+    whatever the step's depth, and a hit answers the step's whole
+    subtree: _execute looks up nothing below it.
 
     Keys start with the bound array's id, which the memo keeps in owned
     with a weakref.finalize that drops the array's steps when it dies, so
@@ -545,9 +589,8 @@ class StepMemo:
     """
 
     def __init__(self):
-        self.steps: OrderedDict = OrderedDict()  # key -> (serial, result), least recent first
+        self.steps: OrderedDict = OrderedDict()  # key -> result, least recent first
         self.owned: dict[int, set] = {}  # bound array's id -> the keys of its steps
-        self.serials = itertools.count()
         self.hits = self.misses = self.nbytes = 0
 
     def owner(self, stack) -> tuple[int, int] | None:
@@ -564,8 +607,7 @@ class StepMemo:
         return id(array), array.size
 
     def get(self, key: tuple):
-        """The (serial, result) kept under key, marked most recently used,
-        or None."""
+        """The result kept under key, marked most recently used, or None."""
         hit = self.steps.get(key)
         if hit is None:
             self.misses += 1
@@ -574,24 +616,22 @@ class StepMemo:
             self.steps.move_to_end(key)
         return hit
 
-    def put(self, key: tuple, result) -> int:
+    def put(self, key: tuple, result) -> None:
         """Keep result under key, evicting the least recently used steps
-        past STEP_MEMO_BYTES; result's serial number."""
+        past STEP_MEMO_BYTES."""
         result.setflags(write=False)
-        serial = next(self.serials)
-        self.steps[key] = (serial, result)
+        self.steps[key] = result
         self.owned[key[0]].add(key)
         self.nbytes += result.nbytes + STEP_OVERHEAD
         while self.nbytes > STEP_MEMO_BYTES:
-            old, (_, dropped) = self.steps.popitem(last=False)
+            old, dropped = self.steps.popitem(last=False)
             self.owned[old[0]].discard(old)
             self.nbytes -= dropped.nbytes + STEP_OVERHEAD
-        return serial
 
     def drop(self, owner: int) -> None:
         """Forget every step of a bound array that died."""
         for key in self.owned.pop(owner, ()):
-            self.nbytes -= self.steps.pop(key)[1].nbytes + STEP_OVERHEAD
+            self.nbytes -= self.steps.pop(key).nbytes + STEP_OVERHEAD
 
 
 # the memo _execute reads and fills
@@ -604,6 +644,61 @@ def _step_memo_info() -> _StepMemoInfo:
     cache's."""
     memo = step_memo
     return _StepMemoInfo(memo.hits, memo.misses, STEP_MEMO_BYTES, len(memo.steps), memo.nbytes)
+
+
+def _eliminate(plan: ContractionPlan, q: int, own: list[np.ndarray], owner) -> list:
+    """The values of plan.outer under one binding set, own holding its
+    row of each stack: the plan's np.einsum steps, run in plan order, a
+    wide one given its greedy path (_einsum_path).
+
+    With owner, the (id, size) of the bound array that is the shared
+    stack's row, the steps go through the step memo in two phases.  The
+    walk goes down from the plan's outer nodes and asks the memo for
+    each step it meets that the memo could keep, once per step id: a hit
+    answers that step's whole subtree, a miss puts the step on the list
+    to run and its operands on the walk.  Then only the listed steps
+    run, in plan order, so each finds its operands made: an operand is a
+    listed step, which comes before it, or a hit.  A listed step whose
+    id has already run in this count asks the memo again first, so two
+    equal steps of one count are one np.einsum call and one memo entry
+    while the memo keeps the first.
+    """
+    n, steps, ids = len(plan.stack_of), plan.eliminations, plan.step_ids
+    array_id, size = owner or (None, 0)
+    value: dict[int, np.ndarray] = {}  # step -> its result
+    run = range(len(steps))
+    if owner:
+        hits: dict[int, np.ndarray | None] = {}  # step id -> the memo's answer
+        run, walk = [], [nid - n for nid in plan.outer if nid >= n]
+        while walk:
+            k = walk.pop()
+            operands, _, rank = steps[k]
+            if ids[k] not in hits:
+                keep = q**rank <= size
+                hits[ids[k]] = step_memo.get((array_id, ids[k], q ** (rank + 1) > EINSUM_LOOP_MAX)) if keep else None
+            if hits[ids[k]] is not None:
+                value[k] = hits[ids[k]]
+            else:
+                run.append(k)
+                walk.extend([o - n for o in operands if o >= n])
+        run.sort()
+    ran = set()
+    for k in run:
+        operands, subscripts, rank = steps[k]
+        wide = q ** (rank + 1) > EINSUM_LOOP_MAX
+        key = owner and (array_id, ids[k], wide)
+        if key in ran:
+            hit = step_memo.get(key)
+            if hit is not None:
+                value[k] = hit
+                continue
+        ops = [value[o - n] if o >= n else own[plan.stack_of[o]] for o in operands]
+        path = _einsum_path(subscripts, *[op.shape for op in ops]) if wide else False
+        out = value[k] = np.einsum(subscripts, *ops, optimize=path)
+        if key and q**rank <= size:
+            ran.add(key)
+            step_memo.put(key, out)
+    return [value[nid - n] if nid >= n else own[plan.stack_of[nid]] for nid in plan.outer]
 
 
 def _execute(
@@ -631,50 +726,21 @@ def _execute(
     np.multiply.outer apart, as a lone set does.  A plan that eliminates
     has no pairwise step; each row runs its np.einsum steps apart, on
     its own row of each stack (a lone set's row is its own array), and
-    only the scalars they leave are stacked.  A wide step passes np.einsum
-    its greedy path, kept per subscripts and shapes (_einsum_path).
+    only the scalars they leave are stacked (_eliminate).
 
-    A lone set whose steps read one bound array whole (plan.shared_stack:
-    every hom count, whose only tensor is its target's adjacency) looks
-    each step up in the step memo (StepMemo) before it
-    runs np.einsum, and keeps what it runs there, so that counts into one
-    target share their steps (A.1, A**2, the A**k chain of every cycle).
-    A hit is the very array an identical np.einsum call on identical
-    operands made, so every value keeps its bits.  The key holds whether
-    the step runs wide, so a test that moves EINSUM_LOOP_MAX runs both.
+    A lone set whose steps read one bound array whole (plan.step_ids:
+    every hom count, whose only tensor is its target's adjacency) replays
+    through the step memo, top down, and keeps what it runs there, so
+    that counts into one target share their steps (A.1, A**2, the A**k
+    chain of every cycle).  A hit is the very array an identical
+    np.einsum call on identical operands made, so every value keeps its
+    bits.  The key holds whether the step runs wide, so a test that moves
+    EINSUM_LOOP_MAX runs both.
     """
     if plan.eliminations:
-        memo = step_memo
-        owner = None
-        if batch == 1 and plan.shared_stack >= 0:
-            owner = memo.owner(arrays[plan.shared_stack])
-        rows = []
-        for k in range(batch):
-            own = [a[k] for a in arrays]  # set k's row of each stack
-            row = list(map(own.__getitem__, plan.stack_of))
-            # per node, the memo tag it goes by, None for one not kept
-            tags = [WHOLE] * len(row) if owner else None
-            for operands, subscripts, rank in plan.eliminations:
-                wide = q ** (rank + 1) > EINSUM_LOOP_MAX
-                key = None
-                if tags is not None:
-                    key = (owner[0], subscripts, wide, *[tags[o] for o in operands])
-                    if None in key:
-                        key = None
-                    else:
-                        hit = memo.get(key)
-                        if hit is not None:
-                            tags.append(hit[0])
-                            row.append(hit[1])
-                            continue
-                ops = [row[o] for o in operands]
-                path = _einsum_path(subscripts, *[op.shape for op in ops]) if wide else False
-                out = np.einsum(subscripts, *ops, optimize=path)
-                row.append(out)
-                if tags is not None:
-                    tags.append(memo.put(key, out) if key and out.size <= owner[1] else None)
-            rows.append(row)
-        nodes = {nid: np.array([row[nid] for row in rows]) for nid in plan.outer}
+        owner = step_memo.owner(arrays[plan.shared_stack]) if batch == 1 and plan.step_ids else None
+        rows = [_eliminate(plan, q, [a[k] for a in arrays], owner) for k in range(batch)]
+        nodes = {nid: np.array([row[i] for row in rows]) for i, nid in enumerate(plan.outer)}
     else:
         nodes = [arrays[i] for i in plan.stack_of]
         for nid, axis1, axis2 in plan.traces:
@@ -766,10 +832,10 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     by elimination, q**4 pairwise.  Binding sets share a replay when they
     pick one plan, that is, bind the same ids to equalities; a set whose
     plan differs is replayed apart.  A lone set whose elimination steps
-    read one bound array whole looks each step up in the step memo
-    (_execute), keyed by the step's subscripts and how its operands were
-    made, and kept while that array lives; stacked sets, whose rows are
-    not bound arrays, never do.
+    read one bound array whole looks its steps up in the step memo top
+    down (_execute), each keyed by its structural step id and kept while
+    that array lives; stacked sets, whose rows are not bound arrays,
+    never do.
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.

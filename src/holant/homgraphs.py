@@ -335,19 +335,22 @@ def enumerate_connected_graphs(
     bound.  Order is by vertex count then canonical code, and each class
     is represented by _graph_of_code of its code.
 
-    A candidate is kept only if no non-cut vertex of it other than the
-    new one has a higher degree than the new vertex (the weak half of
-    canonical augmentation: McKay, "Isomorph-free exhaustive
-    generation", 1998); only the kept ones are canonicalized, and the
-    classes are still told apart by their codes.  Every class C is still
-    reached: delete a non-cut vertex u of largest degree from C.  What
-    is left is connected, within the degree bound and one vertex
-    smaller, so it is isomorphic to a representative h found before;
-    attaching a new vertex to the images of u's neighbours in h, which
-    are below the bound in h, makes a candidate isomorphic to C whose
-    new vertex is u, and it is kept.  The candidates are tested on
-    neighbour bit masks built from the parent's; a SimpleGraph is made
-    only for the ones kept.
+    Each vertex has the key (degree, sorted degrees of its neighbours),
+    compared as tuples.  A candidate is kept only if no non-cut vertex
+    of it other than the new one has a larger key than the new vertex
+    (the weak half of canonical augmentation: McKay, "Isomorph-free
+    exhaustive generation", 1998); only the kept ones are
+    canonicalized, and the classes are still told apart by their codes.
+    Every class C is still reached: delete a non-cut vertex u of largest
+    key from C.  What is left is connected, within the degree bound and
+    one vertex smaller, so it is isomorphic to a representative h found
+    before; attaching a new vertex to the images of u's neighbours in h,
+    which are below the bound in h, makes a candidate isomorphic to C
+    whose new vertex is u.  The key is an isomorphism invariant, so in
+    that candidate the new vertex, the image of u, has the largest key
+    among the non-cut vertices, and it is kept.  The candidates are
+    tested on neighbour bit masks built from the parent's; a
+    SimpleGraph is made only for the ones kept.
     """
     if max_vertices < 1:
         return ()
@@ -378,11 +381,13 @@ def enumerate_connected_graphs(
 
 
 def _new_vertex_leads(nbrs: list[int], deg: list[int], back: tuple[int, ...]) -> bool:
-    """Whether the vertex attached to back has the largest degree among
-    the non-cut vertices of the child, given the parent's neighbour bit
-    masks and degrees.  The parent is connected, so the new vertex is
-    never a cut vertex; a vertex w of higher degree leads instead unless
-    removing it disconnects the child."""
+    """Whether the vertex attached to back has the largest key (degree,
+    sorted neighbour degrees) among the non-cut vertices of the child,
+    given the parent's neighbour bit masks and degrees.  The parent is
+    connected, so the new vertex is never a cut vertex; a vertex w of
+    higher key leads instead unless removing it disconnects the child.
+    A neighbour degree list is built only for a vertex whose degree ties
+    the new vertex's."""
     size = len(back)
     new = len(nbrs)
     mask = 0
@@ -391,10 +396,19 @@ def _new_vertex_leads(nbrs: list[int], deg: list[int], back: tuple[int, ...]) ->
     child = nbrs + [mask]
     for v in back:
         child[v] |= 1 << new
+    child_deg = deg + [size]
+    for v in back:
+        child_deg[v] += 1
+    own = None  # the new vertex's sorted neighbour degrees, once needed
     everyone = (1 << (new + 1)) - 1
     for w in range(new):
-        if deg[w] + (mask >> w & 1) <= size:
+        if child_deg[w] < size:
             continue
+        if child_deg[w] == size:
+            if own is None:
+                own = sorted([child_deg[v] for v in back])
+            if sorted([child_deg[x] for x in range(new + 1) if child[w] >> x & 1]) <= own:
+                continue
         # flood the child without w from the new vertex
         rest = everyone & ~(1 << w)
         seen = frontier = 1 << new

@@ -629,7 +629,8 @@ def oracle_elimination_plan(vertices, edges, shape_of, equal):
 def oracle_connected_graphs(max_vertices, max_degree=None):
     """enumerate_connected_graphs with every candidate canonicalized: the
     reference for the library's census, which canonicalizes only the
-    candidates whose new vertex leads the non-cut vertices by degree."""
+    candidates whose new vertex leads the non-cut vertices by (degree,
+    sorted neighbour degrees)."""
     if max_vertices < 1:
         return ()
     levels: list[dict[int, SimpleGraph]] = [{0: SimpleGraph(1, ())}]

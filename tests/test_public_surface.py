@@ -86,6 +86,15 @@ def test_import_does_not_load_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_import_does_not_load_heapq():
+    # elimination_plan imports heapq where it plans, so a cold import, and
+    # every setup_s, does not load _heapq's shared library
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, holant; print(sorted(m for m in sys.modules if m in ('heapq', '_heapq')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 # (reader, owner, name): each private name one library module imports or
 # reads from another.  A new entry is a decision to share a helper
 # across a module boundary; holant.contraction shares none.

@@ -65,12 +65,9 @@ def _resolve_tol(flag_value: float | None, fallback: float) -> float:
     if raw is None:
         return fallback
     try:
-        value = float(raw)
+        return _env_tol(raw)
     except ValueError:
         raise CliError(f"HOLANT_TOL is not a number: {raw!r}")
-    if not value >= 0:  # NaN too: every check would pass under it
-        raise CliError("HOLANT_TOL must be nonnegative")
-    return value
 
 
 def _load_json(path: str):
@@ -162,10 +159,6 @@ def _infer_shapes(grid) -> dict[str, tuple[int, int]]:
     for (u, i, v, j) in grid.edges:
         left[u] = max(left[u], i)
         right[v] = max(right[v], j)
-    for (v, i) in grid.left_dangling:
-        left[v] = max(left[v], i)
-    for (v, j) in grid.right_dangling:
-        right[v] = max(right[v], j)
     shapes: dict[str, tuple[int, int]] = {}
     for v, sid in enumerate(grid.vertices):
         sh = (left[v], right[v])
@@ -187,6 +180,8 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_poly(args) -> dict:
     grid = _load(args.grid, sz.grid_from_obj)
+    if not grid.is_closed():
+        raise CliError("poly needs a closed grid (no dangling ports)")
     poly = holant_polynomial(grid, _infer_shapes(grid))
     return {
         "verdict": "ok",
@@ -372,8 +367,9 @@ def _complex_arg(raw: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _checked(convert, ok, message):
-    """An argparse type: convert, then raise CliError unless ok(value).
+def _checked(convert, *rules):
+    """An argparse type: convert, then raise CliError with the message of
+    the first (ok, message) rule whose ok(value) is false.
 
     argparse lets CliError through, so main() reports it and returns 2;
     a value convert() rejects is argparse's own refusal, whose message
@@ -383,17 +379,28 @@ def _checked(convert, ok, message):
 
     def parse(raw: str):
         value = convert(raw)
-        if not ok(value):
-            raise CliError(message)
+        for ok, message in rules:
+            if not ok(value):
+                raise CliError(message)
         return value
 
     parse.__name__ = convert.__name__
     return parse
 
 
-_tol_arg = _checked(float, lambda v: v >= 0, "--tol must be nonnegative")
-_bound_arg = _checked(int, lambda v: v >= 1, "--max-vertices must be positive")
-_seed_arg = _checked(int, lambda v: 0 <= v < 2**64, "--seed must fit in 64 bits")
+def _tol_type(name: str):
+    """The type of a tolerance that name sets.  A NaN compares false with
+    every difference and an infinity exceeds every one, so every check
+    would pass under either: NaN is refused with the negative values,
+    an infinity as not finite."""
+    return _checked(float, (lambda v: v >= 0, f"{name} must be nonnegative"),
+                    (math.isfinite, f"{name} must be finite"))
+
+
+_tol_arg = _tol_type("--tol")
+_env_tol = _tol_type("HOLANT_TOL")
+_bound_arg = _checked(int, (lambda v: v >= 1, "--max-vertices must be positive"))
+_seed_arg = _checked(int, (lambda v: 0 <= v < 2**64, "--seed must fit in 64 bits"))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,8 +17,9 @@ result is bitwise binding set k's contraction alone.
   structural step id, interned by its subscripts and its operands' ids
   (hash-consing: Filliatre & Conchon, "Type-safe modular hash-consing",
   2006), so that equal sub-computations of any two plans share one id.
-  A lone count asks the step memo (StepMemo) for the steps it needs top
-  down, from the plan's last nodes, and runs only the steps under its
+  A lone count, whose bound array _contract hands on, asks the step
+  memo (StepMemo) for the steps it needs under (array id, step id), top
+  down from the plan's last nodes, and runs only the steps under its
   misses: counts into one target share whole subtrees of steps.
 - compile_family compiles the closed family that
   spans.closed_signature_blocks stores into one FamilyProgram, which
@@ -208,8 +209,8 @@ class ContractionPlan(NamedTuple):
         one id only, the position of that id among the plan's (id, shape)
         pairs, else -1.
     step_ids: for such a shared-stack plan, each elimination step's
-        structural id (_step_ids), by which _execute's step memo keys it;
-        () for every other plan.
+        structural id (_step_ids), by which _eliminate keys it in the
+        step memo; () for every other plan.
     """
 
     traces: tuple[tuple[int, int, int], ...]
@@ -537,6 +538,8 @@ def _check_cap(plan: ContractionPlan, q: int) -> None:
 # q = 32; "ab,ac,ad->bcd" 25 against 81 us at q = 8 and 450 against 98 us
 # at q = 16.  A hom-census pass, plans cached, ran in 0.22 s with
 # thresholds from 2**13 to 2**15 and 0.28 s with every step in the loop.
+# The step memo's keys do not hold which way a step ran, so code that
+# moves this constant runs under an empty memo of its own.
 EINSUM_LOOP_MAX = 1 << 14
 
 
@@ -562,26 +565,20 @@ STEP_MEMO_BYTES = 16 << 20
 STEP_OVERHEAD = 400
 
 
-class _StepMemoInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxbytes: int
-    entries: int
-    nbytes: int
-
-
 class StepMemo:
     """Elimination steps already run on read-only bound arrays, each kept
-    under (bound array's id, structural step id, wide): the step's id in
-    the step-id table (_step_ids), which names the step by how it was
-    made, never by the id() of a value that eviction could free, and
-    whether it runs wide (EINSUM_LOOP_MAX).  A key costs three slots
-    whatever the step's depth, and a hit answers the step's whole
-    subtree: _execute looks up nothing below it.
+    under (bound array's id, structural step id): the step's id in the
+    step-id table (_step_ids), which names the step by how it was made,
+    never by the id() of a value that eviction could free.  A key costs
+    two slots whatever the step's depth, and a hit answers the step's
+    whole subtree: _eliminate looks up nothing below it.  The array's q
+    and the step's subscripts decide whether the step runs wide
+    (EINSUM_LOOP_MAX), so one key is one np.einsum call while that
+    constant stands.
 
-    Keys start with the bound array's id, which the memo keeps in owned
-    with a weakref.finalize that drops the array's steps when it dies, so
-    the id is never that of another array.  Only results with no more
+    Keys start with the bound array's id, which own registers with a
+    weakref.finalize that drops the array's steps when it dies, so the
+    id is never that of another array.  Only results with no more
     entries than the bound array are kept (rank <= 2 for an adjacency
     matrix), read-only; no kept result is a view of the bound array, as
     every step sums one class out.  The total is bounded by
@@ -593,18 +590,13 @@ class StepMemo:
         self.owned: dict[int, set] = {}  # bound array's id -> the keys of its steps
         self.hits = self.misses = self.nbytes = 0
 
-    def owner(self, stack) -> tuple[int, int] | None:
-        """(id, size) of the read-only array whose whole stack is one row
-        of (a lone set's stack, BindingStacks.bind), its memo set up;
-        None for any other stack."""
-        array = stack.base
-        if (array is None or array.flags.writeable or array.shape != stack.shape[1:]
-                or array.strides != stack.strides[1:]):
-            return None
+    def own(self, array: np.ndarray) -> int:
+        """The id of a read-only bound array, its steps dropped when it
+        dies."""
         if id(array) not in self.owned:
             self.owned[id(array)] = set()
             weakref.finalize(array, self.drop, id(array)).atexit = False
-        return id(array), array.size
+        return id(array)
 
     def get(self, key: tuple):
         """The result kept under key, marked most recently used, or None."""
@@ -634,70 +626,62 @@ class StepMemo:
             self.nbytes -= self.steps.pop(key).nbytes + STEP_OVERHEAD
 
 
-# the memo _execute reads and fills
+# the memo _eliminate reads and fills
 step_memo = StepMemo()
 
 
-def _step_memo_info() -> _StepMemoInfo:
-    """The step memo's hits, misses, byte bound, kept steps and their
-    bytes, as _contraction_plan.cache_info() reports the plan
-    cache's."""
-    memo = step_memo
-    return _StepMemoInfo(memo.hits, memo.misses, STEP_MEMO_BYTES, len(memo.steps), memo.nbytes)
-
-
-def _eliminate(plan: ContractionPlan, q: int, own: list[np.ndarray], owner) -> list:
+def _eliminate(plan: ContractionPlan, q: int, own: list[np.ndarray], owner: int | None) -> list:
     """The values of plan.outer under one binding set, own holding its
-    row of each stack: the plan's np.einsum steps, run in plan order, a
-    wide one given its greedy path (_einsum_path).
+    row of each stack: the plan's np.einsum steps that the values need,
+    run in plan order, a wide one given its greedy path (_einsum_path).
 
-    With owner, the (id, size) of the bound array that is the shared
-    stack's row, the steps go through the step memo in two phases.  The
-    walk goes down from the plan's outer nodes and asks the memo for
-    each step it meets that the memo could keep, once per step id: a hit
-    answers that step's whole subtree, a miss puts the step on the list
-    to run and its operands on the walk.  Then only the listed steps
+    One walk goes down from the plan's outer nodes and puts each step it
+    meets on the list to run, and that step's operands on the walk.
+    With owner, the id of the bound array that is the shared stack's
+    row (StepMemo.own), the walk first asks the step memo for each step
+    the memo could keep, once per step id: a hit answers that step's
+    whole subtree, which the walk does not enter.  Then the listed steps
     run, in plan order, so each finds its operands made: an operand is a
-    listed step, which comes before it, or a hit.  A listed step whose
-    id has already run in this count asks the memo again first, so two
-    equal steps of one count are one np.einsum call and one memo entry
-    while the memo keeps the first.
+    listed step, which comes before it, or a hit.  Without owner every
+    step is listed.  A kept step whose id has already run in this count
+    asks the memo again first, so two equal steps of one count are one
+    np.einsum call and one memo entry while the memo keeps the first.
     """
     n, steps, ids = len(plan.stack_of), plan.eliminations, plan.step_ids
-    array_id, size = owner or (None, 0)
+    size = 0 if owner is None else own[plan.shared_stack].size
     value: dict[int, np.ndarray] = {}  # step -> its result
-    run = range(len(steps))
-    if owner:
-        hits: dict[int, np.ndarray | None] = {}  # step id -> the memo's answer
-        run, walk = [], [nid - n for nid in plan.outer if nid >= n]
-        while walk:
-            k = walk.pop()
-            operands, _, rank = steps[k]
-            if ids[k] not in hits:
-                keep = q**rank <= size
-                hits[ids[k]] = step_memo.get((array_id, ids[k], q ** (rank + 1) > EINSUM_LOOP_MAX)) if keep else None
-            if hits[ids[k]] is not None:
-                value[k] = hits[ids[k]]
-            else:
-                run.append(k)
-                walk.extend([o - n for o in operands if o >= n])
-        run.sort()
-    ran = set()
+    asked: dict[int, np.ndarray | None] = {}  # step id -> the memo's answer
+    run, walk = [], [nid - n for nid in plan.outer if nid >= n]
+    while walk:
+        k = walk.pop()
+        operands, _, rank = steps[k]
+        hit = None
+        if q**rank <= size:
+            if ids[k] not in asked:
+                asked[ids[k]] = step_memo.get((owner, ids[k]))
+            hit = asked[ids[k]]
+        if hit is not None:
+            value[k] = hit
+        else:
+            run.append(k)
+            walk.extend([o - n for o in operands if o >= n])
+    run.sort()
+    ran = set()  # the step ids this count has run and kept
     for k in run:
         operands, subscripts, rank = steps[k]
-        wide = q ** (rank + 1) > EINSUM_LOOP_MAX
-        key = owner and (array_id, ids[k], wide)
-        if key in ran:
-            hit = step_memo.get(key)
+        keep = q**rank <= size
+        if keep and ids[k] in ran:
+            hit = step_memo.get((owner, ids[k]))
             if hit is not None:
                 value[k] = hit
                 continue
         ops = [value[o - n] if o >= n else own[plan.stack_of[o]] for o in operands]
+        wide = q ** (rank + 1) > EINSUM_LOOP_MAX
         path = _einsum_path(subscripts, *[op.shape for op in ops]) if wide else False
         out = value[k] = np.einsum(subscripts, *ops, optimize=path)
-        if key and q**rank <= size:
-            ran.add(key)
-            step_memo.put(key, out)
+        if keep:
+            ran.add(ids[k])
+            step_memo.put((owner, ids[k]), out)
     return [value[nid - n] if nid >= n else own[plan.stack_of[nid]] for nid in plan.outer]
 
 
@@ -707,6 +691,7 @@ def _execute(
     arrays: list[np.ndarray],
     perm: tuple[int, ...],
     batch: int,
+    owner: int | None = None,
 ) -> np.ndarray:
     """Replay a plan at domain size q on the tensors of batch binding
     sets: arrays holds each id's tensors stacked on a leading batch axis,
@@ -728,17 +713,16 @@ def _execute(
     its own row of each stack (a lone set's row is its own array), and
     only the scalars they leave are stacked (_eliminate).
 
-    A lone set whose steps read one bound array whole (plan.step_ids:
-    every hom count, whose only tensor is its target's adjacency) replays
-    through the step memo, top down, and keeps what it runs there, so
+    owner, given only for one set whose steps read one bound array
+    whole (plan.step_ids: every hom count, whose only tensor is its
+    target's adjacency), is that array's id in the step memo: the set
+    replays through the memo, top down, and keeps what it runs there, so
     that counts into one target share their steps (A.1, A**2, the A**k
     chain of every cycle).  A hit is the very array an identical
     np.einsum call on identical operands made, so every value keeps its
-    bits.  The key holds whether the step runs wide, so a test that moves
-    EINSUM_LOOP_MAX runs both.
+    bits.
     """
     if plan.eliminations:
-        owner = step_memo.owner(arrays[plan.shared_stack]) if batch == 1 and plan.step_ids else None
         rows = [_eliminate(plan, q, [a[k] for a in arrays], owner) for k in range(batch)]
         nodes = {nid: np.array([row[i] for row in rows]) for i, nid in enumerate(plan.outer)}
     else:
@@ -803,7 +787,9 @@ def _contract(grid: SignatureGrid, bound: _Bound, batch: int) -> np.ndarray:
                 + [plan.right_axis[s] + 1 for s in grid.right_dangling]
             )
         if out is None:
-            out = _execute(plan, grid.q, arrays, perm, batch)
+            # a lone set's stack is a view of its read-only array (BindingStacks.bind)
+            owner = step_memo.own(arrays[plan.shared_stack].base) if batch == 1 and plan.step_ids else None
+            out = _execute(plan, grid.q, arrays, perm, batch, owner)
         else:  # two routes, so the grid is closed and each row one value
             out[ks] = _execute(plan, grid.q, [a[ks] for a in arrays], perm, len(ks))
     out = out * grid.q**grid.loops
@@ -833,9 +819,9 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     pick one plan, that is, bind the same ids to equalities; a set whose
     plan differs is replayed apart.  A lone set whose elimination steps
     read one bound array whole looks its steps up in the step memo top
-    down (_execute), each keyed by its structural step id and kept while
-    that array lives; stacked sets, whose rows are not bound arrays,
-    never do.
+    down (_eliminate), each keyed by that array's id and its structural
+    step id and kept while that array lives; stacked sets, whose rows
+    are not bound arrays, never do.
     The plan is shared by the grid's whole structure; what depends on
     this grid alone is done here: the cap check at its q, the order of
     its free axes by its stubs, and the factor q per vertexless loop.
@@ -861,7 +847,7 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     in one least-recently-used cache of PLAN_CACHE_SIZE entries shared
     with gadget_signature; each call checks the entry cap at its own q
     and scales by q per loop.  A reused plan replays the same arithmetic,
-    and a step the step memo answers (_execute) returns the very array
+    and a step the step memo answers (_eliminate) returns the very array
     that arithmetic made, so the value depends on neither cache.  The
     memo keeps results no larger than the bound array, up to
     STEP_MEMO_BYTES in all, and drops them when the array dies.

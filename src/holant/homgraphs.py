@@ -228,8 +228,7 @@ def count_matchings(x: SimpleGraph, perfect: bool = False) -> int:
 
 
 def _edge_bit(n: int, u: int, v: int) -> int:
-    if u > v:
-        u, v = v, u
+    """The bit of the pair u < v in an n-vertex adjacency code."""
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 

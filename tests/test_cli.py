@@ -175,6 +175,20 @@ def test_eval_rejects_open_grid(capsys, tmp_path):
     assert "closed" in capsys.readouterr().err
 
 
+def test_poly_rejects_open_grid(capsys, tmp_path):
+    # "u" reads as (1,2) at vertex 0, its stub counted, and (0,1) at
+    # vertex 1, but the fault is the stub, as eval names it
+    grid = write(
+        tmp_path,
+        "open.json",
+        {"q": 2, "vertices": [{"sig": "u"}, {"sig": "u"}], "edges": [[0, 1, 1, 1]],
+         "left_dangling": [], "right_dangling": [[0, 2]]},
+    )
+    assert main(["poly", grid]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "holant: poly needs a closed grid (no dangling ports)\n")
+
+
 def test_malformed_json_gives_position(capsys, tmp_path):
     bad = write(tmp_path, "bad.json", "{\"q\": 2,,}")
     sigs = write(tmp_path, "sigs.json", {})
@@ -577,6 +591,35 @@ def test_env_tol_nan_is_refused(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "holant: HOLANT_TOL must be nonnegative\n"
+
+
+def test_infinite_tol_is_refused(capsys, tmp_path, monkeypatch):
+    # an infinite tolerance exceeds every difference, so the distinguished
+    # pair would read indistinguishable_at_bound with max_difference 74.0
+    f = write(tmp_path, "f.json", sigset_to_obj({"m": MixedTensor.from_matrix(np.diag([1.0, 2.0]))}))
+    g = write(tmp_path, "g.json", sigset_to_obj({"m": MixedTensor.from_matrix(np.diag([1.0, 3.0]))}))
+    bij = write(tmp_path, "bij.json", {"m": "m"})
+    argv = ["check-indist", "--f", f, "--g", g, "--bijection", bij, "--max-vertices", "3"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "distinguished"
+    sigs = write(tmp_path, "sigs.json", sigset_to_obj({"eq": equality_signature(2, 1, 1)}))
+    mat = write(tmp_path, "t.json", transform_to_obj(HoloTransform(2, np.array([[1.0, 1.0], [0.0, 1.0]]))))
+    transform = ["transform", "--sigs", sigs, "--matrix", mat, "--inverse-check"]
+    for command in (argv, transform):
+        for raw in ("inf", "Infinity", "1e999"):
+            assert main(command + ["--tol", raw]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "holant: --tol must be finite\n")
+            monkeypatch.setenv("HOLANT_TOL", raw)
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "holant: HOLANT_TOL must be finite\n")
+            monkeypatch.delenv("HOLANT_TOL")
+        # -inf is refused as negative, as NaN is
+        assert main(command + ["--tol=-inf"]) == 2
+        assert capsys.readouterr().err == "holant: --tol must be nonnegative\n"
+        assert main(command + ["--tol", "nan"]) == 2
+        assert capsys.readouterr().err == "holant: --tol must be nonnegative\n"
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])

@@ -674,9 +674,12 @@ def test_equality_mixes_match_brute_force(spec):
     scale = brute_holant_eval(
         grid, {sid: MixedTensor(t.q, t.left, t.right, np.abs(t.array)) for sid, t in bindings.items()}
     ).real
-    # every step in einsum's loop, then every step with its operands paired
+    # every step in einsum's loop, then every step with its operands
+    # paired, each under an empty step memo: its keys do not hold which
+    # way a step ran, so a shared memo would answer the second setting
     for loop_max in (holant.contraction.EINSUM_LOOP_MAX, 0):
-        with mock.patch.object(holant.contraction, "EINSUM_LOOP_MAX", loop_max):
+        with (mock.patch.object(holant.contraction, "EINSUM_LOOP_MAX", loop_max),
+              mock.patch.object(holant.contraction, "step_memo", holant.contraction.StepMemo())):
             got = holant_eval_contracted(grid, bindings)
         assert abs(got - want) <= 1e-9 * scale
 
@@ -733,24 +736,38 @@ def test_equality_verdict_is_kept_on_the_tensor():
 def test_large_elimination_steps_pair_their_operands(monkeypatch):
     # at q = 40 a width-2 step sums over 40**3 > EINSUM_LOOP_MAX value
     # tuples, so einsum pairs its operands through BLAS; the counts equal
-    # those of the einsum loop and of the pairwise plan
+    # those of the einsum loop and of the pairwise plan.  Each setting
+    # runs under an empty step memo, so the looped one runs its own steps
     n = 40
     cubic = [(v, (v + 1) % n) for v in range(n)] + [(v, v + n // 2) for v in range(n // 2)]
     targets = [cycle_graph(n), SimpleGraph(n, tuple(cubic))]
     xs = [cycle_graph(4), complete_graph(4), path_graph(5), SimpleGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3)))]
     assert n**3 > holant.contraction.EINSUM_LOOP_MAX
+    cases = []
     for g in targets:
         a = np.zeros((n, n))
         for u, v in g.edges:
             a[u, v] = a[v, u] = 1
-        for x in xs:
-            grid = hom_grid(x, n)
-            bindings = hom_bindings(a, x.max_degree())
-            paired = holant_eval_contracted(grid, bindings)
-            with monkeypatch.context() as m:
-                m.setattr(holant.contraction, "EINSUM_LOOP_MAX", n ** 8)
-                looped = holant_eval_contracted(grid, bindings)
-            assert paired == looped == complex(oracle_contract(grid, bindings))
+        cases += [(hom_grid(x, n), hom_bindings(a, x.max_degree())) for x in xs]
+    einsum = np.einsum
+    runs = []
+    for loop_max in (holant.contraction.EINSUM_LOOP_MAX, n**8):
+        paths = []
+
+        def recording(*args, **kwargs):
+            paths.append(kwargs.get("optimize", False))
+            return einsum(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(holant.contraction, "EINSUM_LOOP_MAX", loop_max)
+            m.setattr(holant.contraction, "step_memo", holant.contraction.StepMemo())
+            m.setattr(np, "einsum", recording)
+            runs.append(([holant_eval_contracted(grid, bindings) for grid, bindings in cases], paths))
+    (paired, paired_paths), (looped, looped_paths) = runs
+    # some paired step is given a path; every looped step runs in einsum's loop
+    assert any(path is not False for path in paired_paths)
+    assert looped_paths and all(path is False for path in looped_paths)
+    assert paired == looped == [complex(oracle_contract(grid, bindings)) for grid, bindings in cases]
     # closed walks of length 4 on a cycle of 40 vertices
     assert hom_count(cycle_graph(4), cycle_graph(n)) == 6 * n
 

@@ -25,7 +25,6 @@ from holant import contraction, homgraphs
 from holant.contraction import (
     BindingStacks,
     _contraction_plan,
-    _step_memo_info,
     gadget_signature,
     holant_eval_contracted,
     stacked_signature,
@@ -254,7 +253,7 @@ def counted_without_memo(pairs, patch):
     patch.setattr(contraction, "step_memo", contraction.StepMemo())
     patch.setattr(contraction, "STEP_MEMO_BYTES", 0)
     out = counted_values(pairs, patch)
-    assert _step_memo_info().entries == 0
+    assert not contraction.step_memo.steps
     return out
 
 
@@ -289,7 +288,7 @@ def test_step_memo_keeps_every_count_and_its_bits(targets, seed):
         m.setattr(homgraphs, "_target_bindings", weakref.WeakKeyDictionary())
         m.setattr(contraction, "step_memo", contraction.StepMemo())
         counts, bits = counted_values(pairs, m)
-        assert _step_memo_info().hits > 0
+        assert contraction.step_memo.hits > 0
         assert (counts, bits) == counted_without_memo(pairs, m)
     assert counts == [oracle_hom_count(x, g) for x, g in pairs]
 
@@ -331,11 +330,9 @@ def test_step_memo_evicts_within_its_bound(fresh_memo, fresh_targets, monkeypatc
         count, value = counted_values([pair], monkeypatch)
         counts += count
         bits.append(value)
-        info = _step_memo_info()
-        assert info.nbytes <= bound and info.entries < 6
-        assert info.nbytes == sum(r.nbytes + contraction.STEP_OVERHEAD for r in fresh_memo.steps.values())
-    info = _step_memo_info()
-    assert info.hits > 0 and info.misses > 2 * len(pairs)
+        assert fresh_memo.nbytes <= bound and len(fresh_memo.steps) < 6
+        assert fresh_memo.nbytes == sum(r.nbytes + contraction.STEP_OVERHEAD for r in fresh_memo.steps.values())
+    assert fresh_memo.hits > 0 and fresh_memo.misses > 2 * len(pairs)
     assert (counts, b"".join(bits)) == counted_without_memo(pairs, monkeypatch)
     assert counts == [oracle_hom_count(x, g) for x, g in pairs]
 
@@ -713,6 +710,12 @@ CENSUS_DIGESTS = {
 def test_census_returns_the_pinned_tuple(n, d):
     graphs = enumerate_connected_graphs.__wrapped__(n, d)
     assert (len(graphs), hashlib.sha256(repr(graphs).encode()).hexdigest()) == CENSUS_DIGESTS[n, d]
+
+
+def test_census_below_one_vertex_is_empty():
+    assert enumerate_connected_graphs(0) == ()
+    assert enumerate_connected_graphs(0, 3) == ()
+    assert enumerate_connected_graphs(1) == (SimpleGraph(1, ()),)
 
 
 def test_census_canonicalizes_only_the_candidates_it_keeps(monkeypatch):

@@ -105,6 +105,17 @@ def test_closed_profile_span_collects_scalar():
     assert abs(span.basis[0].entry((), ()) - 2.0) < 1e-12  # two-vertex equality loop
 
 
+def test_empty_span_contains_only_zero():
+    # every gadget of {z} at (2,0) has the zero signature: the span is {0}
+    span = build_span({"z": MixedTensor.zeros(2, 2, 0)}, (2, 0), 1)
+    assert span.dim == 0 and span.gadgets_enumerated == 1
+    eq = equality_signature(2, 2, 0)
+    coeffs, residual = span.coefficients_for(eq)
+    assert coeffs.shape == (0,) and residual == eq.norm()
+    assert span.contains(MixedTensor.zeros(2, 2, 0))
+    assert not span.contains(eq)
+
+
 # -- gram_nondegenerate ---------------------------------------------------------
 
 

@@ -86,6 +86,15 @@ def test_immutability():
         t.array[0, 0] = 5
 
 
+def test_allclose_needs_one_domain_and_shape():
+    # (2,0), (0,2) and (1,1) tensors at q = 2 hold arrays of one shape;
+    # no tolerance makes tensors of another domain or shape close
+    t = MixedTensor.zeros(2, 1, 1)
+    assert t.allclose(MixedTensor.zeros(2, 1, 1), 0)
+    for other in (MixedTensor.zeros(2, 2, 0), MixedTensor.zeros(2, 0, 2), MixedTensor.zeros(4, 0, 1)):
+        assert not t.allclose(other, np.inf)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         MixedTensor(2, 1, 1, np.zeros(3))
@@ -115,9 +124,11 @@ def test_shape_validation():
         (lambda: disequality_signature(2, 1, 0), "disequality is binary"),
         (lambda: symmetric_values(equality_signature(3, 1, 1)), "symmetric value extraction needs q = 2"),
         (lambda: pair(identity_signature(2), identity_signature(3)), "domain mismatch: 2 vs 3"),
+        # the slot count is refused before the counts it sums
+        (lambda: MixedTensor.zeros(2, -1, 0), "slot count must be nonnegative, got -1"),
     ],
     ids=["from-3d-array", "from-3x5", "entry-index-lengths", "add-shapes", "unary-disequality",
-         "symmetric-values-q3", "pair-domains"],
+         "symmetric-values-q3", "pair-domains", "zeros-negative-slots"],
 )
 def test_tensor_refusals(refused, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -95,6 +95,17 @@ def test_act_is_multiplicative_in_t():
     assert combined.act(f).allclose(t1.act(t2.act(f)), 1e-7)
 
 
+def test_transform_is_immutable_and_names_its_condition():
+    t = HoloTransform(2, [[2, 0], [0, 1]])
+    with pytest.raises(AttributeError, match="HoloTransform is immutable"):
+        t.q = 3
+    with pytest.raises(ValueError):
+        t.matrix[0, 0] = 5
+    with pytest.raises(ValueError):
+        t.inverse[0, 0] = 5
+    assert repr(t) == "HoloTransform(q=2, cond=2.00e+00)"
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         HoloTransform(2, [[1, 1], [1, 1]])

@@ -23,8 +23,15 @@ k above row k.  The first k shells depend only on the first k labels,
 so the canonical form of a matrix restricts to the canonical form of
 its leading vertices, and pruning a partial matrix that is not
 canonical loses no class (orderly generation: Read 1978; Faradzev
-1978).  The stub part of a class is minimized over the automorphisms of
-its matrix, which the last canonicity test returns.
+1978).  Each canonicity test starts from its parent's, the test of the
+leading vertices it extends: it keeps the parent's tied prefixes,
+labelings of the first labels whose shells tie with the identity's,
+and searches only those that hold the new vertex.  A prefix without it
+reads only entries the parent read, and none of them fell below there,
+so the kept ones lose no class and hide no "below" verdict
+(_automorphisms says why).  The stub part of a class is minimized over
+the automorphisms of its matrix, which the last canonicity test
+returns.
 
 Imported on first use by grids.enumerate_grids and enumerate_gadgets.
 """
@@ -105,51 +112,79 @@ def _matrices(sigs, shapes, edge_count):
             in_free[v] += x
         m[u][v] = 0
 
-    def extend(k, budget):
+    def extend(k, budget, parent):
         for left in fill(shell_entries(k), 0, budget):
-            automorphisms = _automorphisms(m, run, k + 1)
-            if automorphisms is None:
+            tied = _automorphisms(m, run, k + 1, parent)
+            if tied is None:
                 continue
             if k + 1 < n:
-                yield from extend(k + 1, left)
+                yield from extend(k + 1, left, tied)
             elif left == 0:
-                yield [row[:] for row in m], automorphisms
+                yield [row[:] for row in m], tied[-1]
 
     if n == 0:
         if edge_count == 0:
             yield [], [()]
     elif edge_count >= 0:
-        yield from extend(0, edge_count)
+        yield from extend(0, edge_count, [])
 
 
-def _automorphisms(m, run, size):
+def _automorphisms(m, run, size, parent):
     """None if the leading size vertices of m are not their own canonical
-    form; else every same-id relabeling that maps them onto themselves,
-    as tuples listing the vertex of each label.
+    form; else the tied prefixes of each length t + 1 <= size, level by
+    level.  A tied prefix is a tuple listing the vertex of each label
+    0..t, each vertex of its label's id, whose shells 0..t tie with the
+    identity's; the last level holds every same-id relabeling that maps
+    the leading size vertices onto themselves.
 
     A search over tied prefixes: labels go out 0, 1, ... each to a free
     vertex of its id, and a labeling survives while its shells tie with
     the identity's.  One that falls below the identity shows the
-    identity is not the minimum.
+    identity is not the minimum.  parent is this list for the leading
+    size - 1 vertices, which passed the test.  A prefix that avoids the
+    new vertex k = size - 1 reads only entries among the first k
+    vertices, so it has the shells it had there: it tied there, and none
+    fell below or the parent would have failed.  So the prefixes that
+    avoid k are the parent's, and only those that hold k are searched:
+    the parent's prefixes with k appended, and these extended.  Every
+    candidate of a search from scratch either was one of the parent's
+    or is one of these two kinds, so no tied prefix and no "below"
+    verdict is lost.  Vertex k takes only
+    labels of its own run, from run[k] on; below that the levels are
+    the parent's as they stand.
     """
-    states = [()]
-    for t in range(size):
-        own = [m[t][s] for s in range(t + 1)] + [m[s][t] for s in range(t)]
-        tied = []
-        for lab in states:
-            for v in range(run[t], size):
-                if run[v] != run[t]:
-                    break
-                if v in lab:
-                    continue
-                order = lab + (v,)
-                shell = [m[v][order[s]] for s in range(t + 1)] + [m[order[s]][v] for s in range(t)]
-                if shell < own:
-                    return None
-                if shell == own:
-                    tied.append(order)
-        states = tied
-    return states
+    k = size - 1
+    levels = parent[:run[k]]
+    fresh: list[tuple[int, ...]] = []  # the tied prefixes of length t that hold k
+    for t in range(run[k], size):
+        orders = [lab + (k,) for lab in (parent[t - 1] if t else [()])]
+        orders += [lab + (v,) for lab in fresh for v in range(run[k], size) if v not in lab]
+        fresh = []
+        for order in orders:
+            d = _shell_difference(m, order, t)
+            if d < 0:
+                return None
+            if d == 0:
+                fresh.append(order)
+        levels.append(parent[t] + fresh if t < k else fresh)
+    return levels
+
+
+def _shell_difference(m, order, t):
+    """The first nonzero difference, in code order, between shell t of m
+    relabeled by order (label s to vertex order[s]) and the identity's
+    shell t; 0 if the two tie."""
+    v = order[t]
+    row, own = m[v], m[t]
+    for s in range(t + 1):
+        d = row[order[s]] - own[s]
+        if d:
+            return d
+    for s in range(t):
+        d = m[order[s]][v] - m[s][t]
+        if d:
+            return d
+    return 0
 
 
 def _slot_orders(left_free, right_free, w, automorphisms):

@@ -70,8 +70,9 @@ class GadgetSpan:
         """Least-squares expansion of t over the basis; (coeffs, residual)."""
         if not self.basis:
             return np.zeros(0, dtype=np.complex128), float(t.norm())
-        sol, *_ = np.linalg.lstsq(self.stack().T, t.entries, rcond=None)
-        res = float(np.linalg.norm(self.stack().T @ sol - t.entries))
+        a = self.stack().T
+        sol, *_ = np.linalg.lstsq(a, t.entries, rcond=None)
+        res = float(np.linalg.norm(a @ sol - t.entries))
         return sol, res
 
     def contains(self, t: MixedTensor) -> bool:

@@ -70,6 +70,7 @@ class MixedTensor:
 
     @classmethod
     def zeros(cls, q: int, left: int, right: int) -> "MixedTensor":
+        _check_counts(left, right)
         _check_size(q, left + right)
         return cls(q, left, right, np.zeros((q,) * (left + right)))
 

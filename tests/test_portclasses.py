@@ -7,6 +7,7 @@ class alike.  Sets outside the selection rule keep the ordered walk,
 report for report.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holant import contraction, spans
+from holant import contraction, portclasses, spans
 from holant.contraction import gadget_signature
-from holant.grids import enumerate_gadgets, enumerate_grids
+from holant.grids import _id_runs, enumerate_gadgets, enumerate_grids
 from holant.spans import build_span, check_covanishing, check_indistinguishable, gram_nondegenerate
 from holant.tensors import (
     MixedTensor,
@@ -253,6 +254,140 @@ def test_counterexample_covanishing_at_bound_6():
     assert report.direction == "second"
     assert small.norm() < 1e-6 < large.norm()
     assert report.witness.signature(fs).allclose(large, 1e-9)
+
+
+def oracle_automorphisms(m, run, size):
+    """The canonicity test from scratch: None if the leading size
+    vertices of m are not their own canonical form, else their
+    automorphisms, by a search over tied prefixes from label 0 that
+    compares whole shells."""
+    states = [()]
+    for t in range(size):
+        own = [m[t][s] for s in range(t + 1)] + [m[s][t] for s in range(t)]
+        tied = []
+        for lab in states:
+            for v in range(run[t], size):
+                if run[v] != run[t]:
+                    break
+                if v in lab:
+                    continue
+                order = lab + (v,)
+                shell = [m[v][order[s]] for s in range(t + 1)] + [m[order[s]][v] for s in range(t)]
+                if shell < own:
+                    return None
+                if shell == own:
+                    tied.append(order)
+        states = tied
+    return states
+
+
+def oracle_matrices(sigs, shapes, edge_count, log):
+    """portclasses._matrices with every canonicity test from scratch;
+    each test goes to log as (size, leading rows, None or the set of
+    automorphisms)."""
+    n = len(sigs)
+    run = _id_runs(list(sigs))
+    m = [[0] * n for _ in range(n)]
+    out_free = [l for l, _ in shapes]
+    in_free = [r for _, r in shapes]
+
+    def fill(cells, pos, budget):
+        if pos == len(cells):
+            yield budget
+            return
+        u, v = cells[pos]
+        for x in range(min(out_free[u], in_free[v], budget) + 1):
+            m[u][v] = x
+            out_free[u] -= x
+            in_free[v] -= x
+            yield from fill(cells, pos + 1, budget - x)
+            out_free[u] += x
+            in_free[v] += x
+        m[u][v] = 0
+
+    def extend(k, budget):
+        shell = [(k, j) for j in range(k + 1)] + [(i, k) for i in range(k)]
+        for left in fill(shell, 0, budget):
+            automorphisms = oracle_automorphisms(m, run, k + 1)
+            log.append(canonicity_record(m, k + 1, automorphisms))
+            if automorphisms is None:
+                continue
+            if k + 1 < n:
+                yield from extend(k + 1, left)
+            elif left == 0:
+                yield [row[:] for row in m], automorphisms
+
+    if n == 0:
+        if edge_count == 0:
+            yield [], [()]
+    elif edge_count >= 0:
+        yield from extend(0, edge_count)
+
+
+def canonicity_record(m, size, automorphisms):
+    rows = tuple(tuple(row[:size]) for row in m[:size])
+    return size, rows, None if automorphisms is None else frozenset(automorphisms)
+
+
+@st.composite
+def id_multisets(draw):
+    """Sorted ids of one to three kinds, each of shape (2,0), (0,4), (1,1)
+    or (2,2), six vertices and six possible edges at most, and an edge
+    count up to one more than the ports allow."""
+    kinds = draw(st.lists(st.sampled_from([(2, 0), (0, 4), (1, 1), (2, 2)]), min_size=1, max_size=3))
+
+    def ports(counts, side):
+        return sum(c * shape[side] for c, shape in zip(counts, kinds))
+
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(kinds), max_size=len(kinds)).filter(
+        lambda c: sum(c) <= 6 and min(ports(c, 0), ports(c, 1)) <= 6
+    ))
+    sigs = [f"s{k}" for k, c in enumerate(counts) for _ in range(c)]
+    shapes = [shape for c, shape in zip(counts, kinds) for _ in range(c)]
+    most = min(ports(counts, 0), ports(counts, 1))
+    return sigs, shapes, draw(st.integers(0, most + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=id_multisets())
+def test_incremental_canonicity_equals_the_search_from_scratch(case):
+    # the incremental test reuses its parent's tied prefixes; against a
+    # search from scratch at every call it takes the same None decisions
+    # on the same partial matrices, in the same order, and yields the
+    # same matrices in the same order with the same automorphism sets
+    sigs, shapes, edge_count = case
+    want_log, got_log = [], []
+    want = list(oracle_matrices(sigs, shapes, edge_count, want_log))
+    incremental = portclasses._automorphisms
+
+    def logged(m, run, size, parent):
+        tied = incremental(m, run, size, parent)
+        got_log.append(canonicity_record(m, size, None if tied is None else tied[-1]))
+        return tied
+
+    portclasses._automorphisms = logged
+    try:
+        got = list(portclasses._matrices(sigs, shapes, edge_count))
+    finally:
+        portclasses._automorphisms = incremental
+    assert got_log == want_log
+    assert [m for m, _ in got] == [m for m, _ in want]
+    for (_, mine), (_, theirs) in zip(got, want):
+        assert len(set(mine)) == len(mine) and set(mine) == set(theirs)
+
+
+@pytest.mark.parametrize("profile, count, digest", [
+    ((0, 0), 10, "a2426bdb8770b0378067b2dfb693fb393f9a72bab1d9215197dee41786138cc9"),
+    ((0, 4), 71, "1f2ae0bb2050c877a69e7f4a5842942086470870152800dd60dcc6582d66c559"),
+    ((4, 0), 38, "a0586ded7f45ca51e3691361c687f74df6f1f8925d7adf91583e6539f002260e"),
+], ids=["closed", "0-4", "4-0"])
+def test_counterexample_representatives_at_bound_8(profile, count, digest):
+    # pinned from the search from scratch: the same representatives in
+    # the same order
+    classes = walk(COUNTEREXAMPLE, profile, 8, 2, ("f", "neq"))
+    key = [(g.q, g.vertices, g.edges, g.left_dangling, g.right_dangling, g.loops) for g in classes]
+    assert len(classes) == count
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
 
 def test_import_does_not_load_the_class_walk():

@@ -116,6 +116,28 @@ def test_empty_span_contains_only_zero():
     assert not span.contains(eq)
 
 
+def test_coefficients_build_the_stack_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    span = build_span({"m": mat_tensor(m, 3)}, (1, 1), 4)
+    inside = mat_tensor(np.linalg.matrix_power(m, 2), 3)
+    outside = mat_tensor(rng.normal(size=(3, 3)), 3)
+    wanted = []
+    for t in (inside, outside):
+        # the expansion as it was, building the stack for lstsq and again
+        # for the residual
+        sol, *_ = np.linalg.lstsq(span.stack().T, t.entries, rcond=None)
+        wanted.append((sol, float(np.linalg.norm(span.stack().T @ sol - t.entries))))
+    calls = []
+    stack = spans.GadgetSpan.stack
+    monkeypatch.setattr(spans.GadgetSpan, "stack", lambda self: calls.append(1) or stack(self))
+    for t, (want_sol, want_res), inside_span in zip((inside, outside), wanted, (True, False)):
+        sol, res = span.coefficients_for(t)
+        assert sol.tobytes() == want_sol.tobytes() and res == want_res
+        assert span.contains(t) is inside_span
+    assert len(calls) == 4  # one per coefficients_for, one per contains
+
+
 # -- gram_nondegenerate ---------------------------------------------------------
 
 

@@ -125,7 +125,7 @@ def test_shape_validation():
         (lambda: symmetric_values(equality_signature(3, 1, 1)), "symmetric value extraction needs q = 2"),
         (lambda: pair(identity_signature(2), identity_signature(3)), "domain mismatch: 2 vs 3"),
         # the slot count is refused before the counts it sums
-        (lambda: MixedTensor.zeros(2, -1, 0), "slot count must be nonnegative, got -1"),
+        (lambda: MixedTensor.zeros(2, -1, 0), "slot counts must be nonnegative, got (-1,0)"),
     ],
     ids=["from-3d-array", "from-3x5", "entry-index-lengths", "add-shapes", "unary-disequality",
          "symmetric-values-q3", "pair-domains", "zeros-negative-slots"],

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from holant.grids import WIRE_ID, Edge, SignatureGrid, Stub
+from holant.grids import WIRE_ID, Edge, SignatureGrid, Stub, port_offsets
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature
 
 
@@ -90,23 +90,23 @@ class BindingStacks:
     leading batch axis: the one way a grid is bound for contraction.
 
     bind(grid) resolves every set by resolve_bindings once per kind of
-    grid the walk meets (its q, vertex sequence and whether it is
-    closed), so a fault is named as a lone grid's contraction names it,
-    and keeps what stacked_signature reads for that kind: a family has
-    far fewer vertex sequences than structures.  Each set takes a route:
-    a closed grid at q >= 2 under a set that binds some id to an exact
-    equality is eliminated, every other grid is contracted pairwise.
-    Every route reads one list of stacked arrays, one per id of the
-    grid (_execute), and the compiled closed family reads the same
-    stacks; an eliminating route reads each of its sets on that set's
-    row.  Each id is stacked once per walk and domain size, the wire
-    identity once some grid has wire vertices.  The sets share each id's
-    shape, as every caller's correspondence checks; a set that binds an
-    id with another shape than the first set's is refused by id and set
-    when that id is first stacked.  A lone set's stacks
-    are views of its own arrays, so holant_eval_contracted and
-    gadget_signature bind through a one-set BindingStacks at the cost of
-    a view per id.
+    grid the walk meets (its q, id set and whether it is closed: what
+    bind keeps depends on no more), and keeps a kind only once every set
+    resolved, so a fault is named as a lone grid's contraction names it,
+    in the grid's own vertex order.  Each set takes a route: a closed
+    grid at q >= 2 under a set that binds some id to an exact equality
+    is eliminated, every other grid is contracted pairwise.  Every route
+    reads one list of stacked arrays, one per id of the grid (_execute),
+    and the compiled closed family reads the same stacks; an eliminating
+    route reads each of its sets on that set's row.  Each id is stacked
+    once per walk and domain size, the wire identity once some grid has
+    wire vertices.  The sets share each id's shape, as every caller's
+    correspondence checks; a set that binds an id with another shape
+    than the first set's is refused by id and set when that id is first
+    stacked.  The sets are never changed.  A lone set's stacks are views
+    of its own arrays, so holant_eval_contracted and gadget_signature
+    bind through a one-set BindingStacks at the cost of a view per id;
+    hom_count keeps one per target, grown by extended, across counts.
     """
 
     __slots__ = ("sets", "_stacks", "_bound")
@@ -114,10 +114,21 @@ class BindingStacks:
     def __init__(self, sets):
         self.sets = tuple(sets)
         self._stacks: dict[int, dict[str, np.ndarray]] = {}  # q -> id -> stack
-        self._bound: dict[tuple[int, tuple[str, ...], bool], _Bound] = {}
+        self._bound: dict[tuple[int, frozenset[str], bool], _Bound] = {}
+
+    def extended(self, more: dict[str, MixedTensor]) -> BindingStacks:
+        """A one-set stacks over this one's set and more, new ids other
+        than the wire id, keeping every kind and stack bound so far: a
+        kind reads only its ids' bindings and the set's wire binding."""
+        (bindings,) = self.sets
+        if WIRE_ID in more or bindings.keys() & more.keys():
+            raise ValueError("extended binds only ids the set leaves unbound, never the wire id")
+        out = BindingStacks([{**bindings, **more}])
+        out._stacks, out._bound = {q: dict(st) for q, st in self._stacks.items()}, dict(self._bound)
+        return out
 
     def bind(self, grid: SignatureGrid) -> _Bound:
-        key = (grid.q, grid.vertices, grid.is_closed())
+        key = (grid.q, frozenset(grid.vertices), grid.is_closed())
         bound = self._bound.get(key)
         if bound is None:
             resolved = [resolve_bindings(grid, b) for b in self.sets]
@@ -227,21 +238,6 @@ class ContractionPlan(NamedTuple):
     step_ids: tuple[int, ...] = ()
 
 
-def _ports(vertices: tuple[str, ...], shape_of: dict[str, tuple[int, int]]):
-    """(start, right) numbering a structure's ports vertex by vertex,
-    left ports before right ports: vertex v's are start[v] up to
-    start[v + 1], its left port i is start[v] + i - 1 and its right port
-    j is right(v, j)."""
-    start = [0]
-    for sig in vertices:
-        start.append(start[-1] + sum(shape_of[sig]))
-
-    def right(v: int, j: int) -> int:
-        return start[v] + shape_of[vertices[v]][0] + j - 1
-
-    return start, right
-
-
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _contraction_plan(
     vertices: tuple[str, ...],
@@ -253,7 +249,7 @@ def _contraction_plan(
     equal: tuple[str, ...] = (),
 ) -> ContractionPlan:
     """Validate a grid structure against its (id, shape) pairs and plan
-    its contraction.
+    its contraction; port_offsets validates it and numbers its ports.
 
     left and right are the dangling stubs in any fixed order (callers
     pass them sorted); q is 1 or 2.  equal lists the ids bound to an
@@ -271,10 +267,10 @@ def _contraction_plan(
     carries which slot, so neither changes the plan.
     """
     shape_of = dict(shapes)
-    SignatureGrid(q, vertices, edges, left, right).validate(shape_of)
+    start, split = offsets = port_offsets(vertices, edges, left, right, shape_of)
     stack_of = tuple(map([sig for sig, _ in shapes].index, vertices))
     if equal:
-        steps, outer, free = elimination_plan(vertices, edges, shape_of, set(equal))
+        steps, outer, free = elimination_plan(vertices, edges, shape_of, set(equal), offsets)
         peak_rank = max((rank for *_, rank in steps), default=0)
         read = {stack_of[o] for operands, _, _ in steps for o in operands if o < len(vertices)}
         shared = read.pop() if len(read) == 1 else -1
@@ -282,7 +278,6 @@ def _contraction_plan(
         return ContractionPlan((), (), peak_rank, outer, 0, {}, {}, stack_of, steps, free, shared, ids)
     # one int label per vertex port, its number, so each vertex's labels
     # list its axes in order: left ports, then right ports
-    start, right_label = _ports(vertices, shape_of)
     n = len(vertices)
     labels: list[list[int] | None] = [list(range(start[v], start[v + 1])) for v in range(n)]
     owner = [v for v in range(n) for _ in range(start[v], start[v + 1])]
@@ -290,7 +285,7 @@ def _contraction_plan(
     pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     self_edges = []
     for k, (u, i, v, j) in enumerate(edges):
-        e = (k, start[u] + i - 1, right_label(v, j))
+        e = (k, start[u] + i - 1, split[v] + j - 1)
         if u == v:
             self_edges.append(e)
         else:
@@ -340,7 +335,7 @@ def _contraction_plan(
     remaining = [lbl for nid in outer for lbl in labels[nid]]
     position = {lbl: k for k, lbl in enumerate(remaining)}
     left_axis = {(v, i): position[start[v] + i - 1] for (v, i) in left}
-    right_axis = {(v, j): position[right_label(v, j)] for (v, j) in right}
+    right_axis = {(v, j): position[split[v] + j - 1] for (v, j) in right}
     if sorted([*left_axis.values(), *right_axis.values()]) != list(range(len(remaining))):
         raise ValueError("open labels do not match the remaining axes")
     peak_rank = max((rank for *_, rank in steps), default=0)
@@ -385,26 +380,27 @@ def elimination_plan(
     edges: tuple[Edge, ...],
     shape_of: dict[str, tuple[int, int]],
     equal: set[str],
+    offsets: tuple[list[int], list[int]] | None = None,
 ) -> tuple[tuple[Step, ...], tuple[int, ...], int]:
     """Plan a closed, valid grid structure by eliminating index classes.
 
-    Returns (steps, outer, free).  The ports of each vertex whose id is
-    in equal start as one class, and union-find merges the two ends of
-    each edge into index classes, numbered by their lowest port
-    (_ports), so the
-    numbers do not depend on which root a union keeps.  Every other
-    vertex keeps its axes, each labelled by its class; one tensor may
-    hold a class on several axes, which einsum reads as a diagonal.
-    Nodes 0..n-1 are the vertex tensors, and step k creates node n+k.
+    Returns (steps, outer, free), node ids as ContractionPlan's;
+    offsets are port_offsets', worked out when not given.  The ports of
+    each vertex whose id is in equal start as one class, and union-find
+    merges the two ends of each edge into index classes, numbered by
+    their lowest port, so no number depends on which root a union keeps.
+    Every other vertex keeps its axes, each labelled by its class; one
+    tensor may hold a class on several axes, read as a diagonal.
 
     Each step (operands, subscripts, rank) sums one class out of the
     nodes that hold it, by one np.einsum(subscripts, *operands), and
     leaves a node of rank axes, one per class those nodes still hold, in
     class order.  The class taken is the one whose output holds the
-    fewest classes, the lowest such class on ties (min-width order); the
-    count of classes orders the output sizes q**rank alike for every
-    q >= 2.  subscripts is None for a step with more classes than einsum
-    has letters, which no q >= 2 runs under the entry cap.
+    fewest classes, the lowest such class on ties (min-width order),
+    which orders the output sizes q**rank alike for every q >= 2.  A
+    step's classes take letters in class order; subscripts is None for a
+    step with more classes than einsum has letters, which no q >= 2 runs
+    under the entry cap.
 
     Every class is eliminated, so outer lists scalar nodes: the vertices
     that hold no class and the last node of each connected part.  free
@@ -419,15 +415,15 @@ def elimination_plan(
     hold exactly c and its neighbours N(c), so eliminating c sets
     adj[x] = (adj[x] & ~c) | (N(c) & ~x) for each x in N(c), and leaves
     every other class alone.  The nodes that hold each class are a bit
-    mask too.  The next class comes off a heap of (width, class)
-    entries, and a class goes on it again only when its width changes;
-    an entry whose class is gone or whose width has changed since it
-    was pushed is skipped.
+    mask too, and each table is a list indexed by class (axes by node).
+    The next class comes off a heap of (width, class) entries, and a
+    class goes on it again only when its width changes; an entry whose
+    class is gone (width -1) or whose width has changed is skipped.
     """
     # imported here, so that `import holant` does not load _heapq's shared library
     import heapq
 
-    start, right = _ports(vertices, shape_of)
+    start, split = offsets or port_offsets(vertices, edges, (), (), shape_of)
     # every port of an equality vertex starts in the class of its first port
     parent = list(range(start[-1]))
     for v, sig in enumerate(vertices):
@@ -440,55 +436,61 @@ def elimination_plan(
             x = parent[x]
         return x
 
-    for (u, i, v, j) in edges:
-        parent[find(start[u] + i - 1)] = find(right(v, j))
-    number: dict[int, int] = {}
+    for u, i, v, j in edges:
+        parent[find(start[u] + i - 1)] = find(split[v] + j - 1)
+    number: dict[int, int] = {}  # root -> its class
     class_of = [number.setdefault(find(port), len(number)) for port in range(start[-1])]
 
-    axes = {
-        v: class_of[start[v]:start[v + 1]]
-        for v, sig in enumerate(vertices) if sig not in equal
-    }
-    holders: dict[int, int] = {}  # class -> bit mask of the nodes holding it
-    adj: dict[int, int] = {}
-    for v, classes in axes.items():
+    k = len(number)
+    holders = [0] * k  # class -> bit mask of the nodes holding it
+    adj = [0] * k
+    axes: list[list[int] | None] = []  # node -> the classes on its axes
+    free = k
+    for v, sig in enumerate(vertices):
+        if sig in equal:
+            axes.append(None)
+            free += start[v] == start[v + 1]
+            continue
+        classes = class_of[start[v]:start[v + 1]]
+        axes.append(classes)
         mask = 0
         for c in classes:
             mask |= 1 << c
         for c in classes:
-            holders[c] = holders.get(c, 0) | 1 << v
-            adj[c] = adj.get(c, 0) | mask
-    free = len(number) - len(holders) + sum(
-        1 for v, sig in enumerate(vertices) if sig in equal and start[v] == start[v + 1]
-    )
-
-    width = {}
-    for c in adj:
-        adj[c] &= ~(1 << c)
-        width[c] = adj[c].bit_count()
-    heap = [(w, c) for c, w in width.items()]
+            holders[c] |= 1 << v
+            adj[c] |= mask
+    width = [-1] * k
+    for c in range(k):
+        if holders[c]:
+            adj[c] &= ~(1 << c)
+            width[c] = adj[c].bit_count()
+    heap = [(w, c) for c, w in enumerate(width) if w >= 0]
+    free -= len(heap)
     heapq.heapify(heap)
     steps = []
     node = len(vertices)
     while heap:
         rank, c = heapq.heappop(heap)
-        if width.get(c) != rank:
+        if width[c] != rank:
             continue  # c is gone, or its width changed after this entry
-        del width[c]
-        took = holders.pop(c)
-        ops = _bits(took)
-        near = adj.pop(c)
-        kept = _bits(near)
-        held = sorted(kept + [c])
+        width[c] = -1
+        took, near = holders[c], adj[c]
+        ops, kept = [], []  # the set bits of took and of near, lowest first
+        for mask, bits in ((took, ops), (near, kept)):
+            while mask:
+                low = mask & -mask
+                bits.append(low.bit_length() - 1)
+                mask ^= low
         subscripts = None
-        if len(held) <= len(_LETTERS):
-            letter = dict(zip(held, _LETTERS))
+        if rank < len(_LETTERS):
+            below = (near & ((1 << c) - 1)).bit_count()  # c's place among its step's classes
+            letter = dict(zip(kept[:below] + [c] + kept[below:], _LETTERS))
             subscripts = ",".join(["".join([letter[x] for x in axes[w]]) for w in ops])
-            subscripts += "->" + "".join([letter[x] for x in kept])
+            subscripts += "->" + _LETTERS[:below] + _LETTERS[below + 1:rank + 1]
         steps.append((tuple(ops), subscripts, rank))
         for w in ops:
-            del axes[w]
-        axes[node] = kept
+            axes[w] = None
+        axes.append(kept)
         # a class's width changes only when a step leaves it on the new node
         gone, left, new = ~(1 << c), ~took, 1 << node
         for x in kept:
@@ -499,17 +501,7 @@ def elimination_plan(
                 width[x] = w
                 heapq.heappush(heap, (w, x))
         node += 1
-    return tuple(steps), tuple(sorted(axes)), free
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return tuple(steps), tuple([w for w, held in enumerate(axes) if held is not None]), free
 
 
 # -- execution --------------------------------------------------------------
@@ -839,10 +831,12 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     return _contract(grid, stacks.bind(grid), len(stacks.sets))
 
 
-def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> complex:
+def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor] | BindingStacks) -> complex:
     """Holant value of a closed grid via tensor contraction:
     stacked_signature under one binding set.
 
+    bindings is that set or a one-set BindingStacks, which keeps its
+    kinds for later grids (hom_count keeps one per target).
     Plans are cached per structure, ignoring q >= 2 and the loop count,
     in one least-recently-used cache of PLAN_CACHE_SIZE entries shared
     with gadget_signature; each call checks the entry cap at its own q
@@ -852,9 +846,12 @@ def holant_eval_contracted(grid: SignatureGrid, bindings: dict[str, MixedTensor]
     memo keeps results no larger than the bound array, up to
     STEP_MEMO_BYTES in all, and drops them when the array dies.
     """
+    stacks = bindings if isinstance(bindings, BindingStacks) else BindingStacks([bindings])
+    if len(stacks.sets) != 1:
+        raise ValueError(f"holant_eval_contracted takes one binding set, not {len(stacks.sets)}")
     if not grid.is_closed():
         raise ValueError("holant_eval_contracted needs a closed grid")
-    return complex(_contract(grid, BindingStacks([bindings]).bind(grid), 1)[0])
+    return complex(_contract(grid, stacks.bind(grid), 1)[0])
 
 
 def gadget_signature(grid: SignatureGrid, bindings: dict[str, MixedTensor]) -> MixedTensor:
@@ -1005,8 +1002,8 @@ def compile_family(runs, shapes: dict[str, tuple[int, int]]):
     q = runs[0].q
     if q == 1:
         return None
-    # BindingStacks.bind gives every closed grid of one q and one id set
-    # the same shapes, routes and stacks: one grid per id set, and its
+    # BindingStacks.bind keys its kinds by q and id set, so every closed
+    # grid of one id set gets one kind: one grid per id set, and its
     # (id, shape) pairs as bind sorts them
     id_sets, plans = {}, []
     for g in runs:

@@ -62,48 +62,71 @@ class SignatureGrid:
         return not self.left_dangling and not self.right_dangling
 
     def validate(self, shapes: dict[str, tuple[int, int]]) -> None:
-        """Check every port of every vertex is used exactly once.
+        """Check every port of every vertex is used exactly once
+        (port_offsets)."""
+        port_offsets(self.vertices, self.edges, self.left_dangling, self.right_dangling, shapes)
 
-        shapes maps signature id to (left, right) slot counts.  The
-        first fault is named in the order of the edges (left end, then
-        right end), the left stubs and the right stubs, then the first
-        port not used once, vertex by vertex, left ports before right.
-        """
-        for sig in self.vertices:
-            if sig not in shapes:
-                raise ValueError(f"no shape known for signature {sig!r}")
-        n = len(self.vertices)
-        shape = [shapes[sig] for sig in self.vertices]
-        # port p of side s (0 left, 1 right) of vertex v is counted at
-        # use[start[v] + s * l + p - 1], where (l, r) is v's shape
-        start = []
-        total = 0
-        for l, r in shape:
-            start.append(total)
-            total += l + r
-        use = [0] * total
-        ends = [end for (u, i, v, j) in self.edges for end in ((u, 0, i), (v, 1, j))]
-        ends += [(v, 0, i) for (v, i) in self.left_dangling]
-        ends += [(v, 1, j) for (v, j) in self.right_dangling]
-        for v, side, port in ends:
-            if not (0 <= v < n):
-                raise ValueError(f"vertex index {v} out of range")
-            l, r = shape[v]
-            if not (1 <= port <= (r if side else l)):
-                raise ValueError(
-                    f"port {port} out of range for {'LR'[side]} side of vertex {v} "
-                    f"({self.vertices[v]!r} has shape {(l, r)})"
-                )
-            use[start[v] + side * l + port - 1] += 1
-        if use.count(1) == total:
-            return
-        for v, (l, r) in enumerate(shape):
-            for i in range(1, l + 1):
-                if use[start[v] + i - 1] != 1:
-                    raise ValueError(f"left port {i} of vertex {v} used {use[start[v] + i - 1]} times")
-            for j in range(1, r + 1):
-                if use[start[v] + l + j - 1] != 1:
-                    raise ValueError(f"right port {j} of vertex {v} used {use[start[v] + l + j - 1]} times")
+
+def port_offsets(
+    vertices: tuple[str, ...],
+    edges: tuple[Edge, ...],
+    left: tuple[Stub, ...],
+    right: tuple[Stub, ...],
+    shapes: dict[str, tuple[int, int]],
+) -> tuple[list[int], list[int]]:
+    """Check that the edges and stubs of a grid structure use every port
+    of every vertex exactly once, and return the port numbers it counted
+    them by: (start, split), vertex v's left port i numbered
+    start[v] + i - 1 and its right port j split[v] + j - 1, so that its
+    ports are start[v] up to start[v + 1].
+
+    shapes maps signature id to (left, right) slot counts.  The first
+    fault is named in the order of the edges (left end, then right end),
+    the left stubs and the right stubs, then the first port not used
+    once, vertex by vertex, left ports before right.
+    """
+    start, split = [0], []
+    for sig in vertices:
+        if sig not in shapes:
+            raise ValueError(f"no shape known for signature {sig!r}")
+        l, r = shapes[sig]
+        split.append(start[-1] + l)
+        start.append(start[-1] + l + r)
+    n = len(vertices)
+
+    def fault(v: int, side: int, port: int):
+        # the end (v, side, port) is out of range: name how
+        if not (0 <= v < n):
+            raise ValueError(f"vertex index {v} out of range")
+        l, r = shapes[vertices[v]]
+        raise ValueError(
+            f"port {port} out of range for {'LR'[side]} side of vertex {v} "
+            f"({vertices[v]!r} has shape {(l, r)})"
+        )
+
+    use = [0] * start[-1]
+    for u, i, v, j in edges:
+        if not (0 <= u < n and 0 < i <= split[u] - start[u]):
+            fault(u, 0, i)
+        if not (0 <= v < n and 0 < j <= start[v + 1] - split[v]):
+            fault(v, 1, j)
+        use[start[u] + i - 1] += 1
+        use[split[v] + j - 1] += 1
+    for v, i in left:
+        if not (0 <= v < n and 0 < i <= split[v] - start[v]):
+            fault(v, 0, i)
+        use[start[v] + i - 1] += 1
+    for v, j in right:
+        if not (0 <= v < n and 0 < j <= start[v + 1] - split[v]):
+            fault(v, 1, j)
+        use[split[v] + j - 1] += 1
+    if use.count(1) != len(use):
+        for v in range(n):
+            for port in range(start[v], start[v + 1]):
+                if use[port] != 1:
+                    side, k = ("left", port - start[v]) if port < split[v] else ("right", port - split[v])
+                    raise ValueError(f"{side} port {k + 1} of vertex {v} used {use[port]} times")
+    return start, split
 
 
 # -- enumeration of closed grids and gadgets -------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .contraction import holant_eval_contracted
+from .contraction import BindingStacks, holant_eval_contracted
 from .grids import SignatureGrid
 from .tensors import MixedTensor, SymBoolSignature, _check_size, equality_signature
 
@@ -114,11 +114,12 @@ def path_graph(n: int) -> SimpleGraph:
 # -- grid constructions --------------------------------------------------------
 
 
-def _star_grid(x: SimpleGraph, vertex_id, edge_id: str, q: int) -> SignatureGrid:
+def _star_grid(x: SimpleGraph, degrees: list[int], prefix: str, edge_id: str, q: int) -> SignatureGrid:
     """Common wiring: a vertex signature per x-vertex, a 2-port edge
-    signature per x-edge.  vertex_id maps a degree to a binding name; an
-    isolated vertex gets an arity-0 signature, a scalar with no ports."""
-    vertices = [vertex_id(d) for d in x.degrees()]
+    signature per x-edge.  A vertex of degree d, degrees[v], gets the
+    binding name prefix + str(d); an isolated vertex gets an arity-0
+    signature, a scalar with no ports."""
+    vertices = [f"{prefix}{d}" for d in degrees]
     edge_base = len(vertices)
     for _ in x.edges:
         vertices.append(edge_id)
@@ -132,12 +133,13 @@ def _star_grid(x: SimpleGraph, vertex_id, edge_id: str, q: int) -> SignatureGrid
     return SignatureGrid(q, tuple(vertices), tuple(grid_edges))
 
 
-def hom_grid(x: SimpleGraph, q: int) -> SignatureGrid:
+def hom_grid(x: SimpleGraph, q: int, degrees: list[int] | None = None) -> SignatureGrid:
     """Closed grid whose Holant value is hom(x, G) for any target G on
     [q], once "A" is bound to the adjacency of G and each "eq{d}" to the
     equality of arity d (hom_bindings): a degree-d vertex of x is an
-    "eq{d}" vertex, an isolated one "eq0", the scalar q."""
-    return _star_grid(x, lambda d: f"eq{d}", "A", q)
+    "eq{d}" vertex, an isolated one "eq0", the scalar q.  degrees is
+    x.degrees(), for a caller that has them."""
+    return _star_grid(x, x.degrees() if degrees is None else degrees, "eq", "A", q)
 
 
 def hom_bindings(adjacency, max_arity: int) -> dict[str, MixedTensor]:
@@ -160,37 +162,46 @@ def _round_count(value: complex, what: str) -> int:
     return int(target)
 
 
-# target graph -> its hom_bindings, held while the caller holds the target
+# target graph -> a one-set BindingStacks of its hom_bindings, held while
+# the caller holds the target
 _target_bindings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def hom_count(x: SimpleGraph, g: SimpleGraph) -> int:
-    """Number of homomorphisms from x into g: the Holant value of hom_grid.
+    """Number of homomorphisms from x into g: the Holant value of
+    hom_grid, by holant_eval_contracted.
 
     The bindings of g, its adjacency "A" and "eq0" up to the largest
     arity any count into g has needed, are built once per target and
-    reused by every later count into g or into a target equal to it.
-    They are held in a weak-keyed table, so as long as the caller holds
-    g and no longer.  An equality of an arity no count has needed is
-    never built, so a count refused for the entry cap (hom_bindings)
-    leaves the table fit for the counts that fit it.  The arrays are
-    those a fresh binding would build, so every count is unchanged.
-    Counts into one target share their elimination steps through the
-    step memo of holant.contraction, which keeps them while g's adjacency
-    lives.
+    reused by every later count into g or into a target equal to it,
+    through one one-set BindingStacks, so each id set of hom grids is
+    bound once per target.  A count that needs a new arity replaces that
+    BindingStacks by one extended by the new equalities, which keeps
+    what it bound; the sets of a BindingStacks never change.  The table
+    of these is weak-keyed, so it holds g's bindings as long as the
+    caller holds g and no longer.  An equality of an arity no count has
+    needed is never built, so a count refused for the entry cap
+    (hom_bindings) leaves the table fit for the counts that fit it.  The
+    arrays are those a fresh binding would build, so every count is
+    unchanged.  Counts into one target share their elimination steps
+    through the step memo of holant.contraction, which keeps them while
+    g's adjacency lives.
     """
     if g.n < 1:
         return 0 if x.n else 1
     _check_size(g.n, 2)  # refuse a target too large for A before its dense adjacency
-    grid = hom_grid(x, g.n)
-    arity = x.max_degree()
-    bindings = _target_bindings.get(g)
-    if bindings is None:
-        bindings = _target_bindings[g] = hom_bindings(g.adjacency(), arity)
-    # bindings holds "A" and eq0 .. eq{len(bindings) - 2}
-    for d in range(len(bindings) - 1, arity + 1):
-        bindings[f"eq{d}"] = equality_signature(g.n, d, 0)
-    return _round_count(holant_eval_contracted(grid, bindings), "hom count")
+    degrees = x.degrees()
+    grid = hom_grid(x, g.n, degrees)
+    arity = max(degrees, default=0)
+    stacks = _target_bindings.get(g)
+    if stacks is None:
+        stacks = _target_bindings[g] = BindingStacks([hom_bindings(g.adjacency(), arity)])
+    # the set holds "A" and eq0 .. eq{len(set) - 2}
+    top = len(stacks.sets[0]) - 2
+    if arity > top:
+        more = {f"eq{d}": equality_signature(g.n, d, 0) for d in range(top + 1, arity + 1)}
+        stacks = _target_bindings[g] = stacks.extended(more)
+    return _round_count(holant_eval_contracted(grid, stacks), "hom count")
 
 
 def matchings_signatures(max_arity: int, perfect: bool = False) -> dict[int, MixedTensor]:
@@ -213,7 +224,7 @@ def matchings_signatures(max_arity: int, perfect: bool = False) -> dict[int, Mix
 
 
 def matchings_grid(x: SimpleGraph) -> SignatureGrid:
-    return _star_grid(x, lambda d: f"m{d}", "eq2", 2)
+    return _star_grid(x, x.degrees(), "m", "eq2", 2)
 
 
 def count_matchings(x: SimpleGraph, perfect: bool = False) -> int:

@@ -1,10 +1,12 @@
 """The elimination planner and the port check against their oracles.
 
-elimination_plan keeps each index class's neighbours as a bit mask and
-takes the next class off a heap; oracle_elimination_plan recomputes every
-width from the nodes and scans them all.  SignatureGrid.validate counts
-ports in one flat list; oracle_validate keeps a dict of counts.  Each pair
-must agree exactly: the same (steps, outer, free), the same first message.
+elimination_plan keeps each index class's neighbours as a bit mask in a
+list indexed by class and takes the next class off a heap;
+oracle_elimination_plan recomputes every width from the nodes and scans
+them all.  grids.port_offsets, which SignatureGrid.validate and
+_contraction_plan call, counts ports in one flat list; oracle_validate
+keeps a dict of counts.  Each pair must agree exactly: the same (steps,
+outer, free), the same first message, on both routes of the planner.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holant.contraction import elimination_plan
+from holant.contraction import _contraction_plan, elimination_plan
 from holant.grids import SignatureGrid
 from holant.homgraphs import SimpleGraph, complete_graph, cycle_graph, hom_grid, matchings_grid
 from oracles import oracle_elimination_plan, oracle_validate
@@ -131,6 +133,25 @@ def corrupted(draw):
 def test_validate_names_the_fault_the_oracle_names(case):
     grid, shapes = case
     assert _message(SignatureGrid.validate, grid, shapes) == _message(oracle_validate, grid, shapes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted(), st.booleans())
+def test_the_plan_names_the_fault_the_oracle_names(case, eliminate):
+    # _contraction_plan validates as it plans, on the pairwise route and
+    # on the eliminating one, and keeps no plan of a grid it refuses
+    grid, shapes = case
+    equal = tuple(sorted(shapes)) if eliminate else ()
+
+    def plan(grid, shapes):
+        _contraction_plan(grid.vertices, grid.edges, grid.left_dangling, grid.right_dangling,
+                          tuple(sorted(shapes.items())), 2, equal)
+
+    kept = _contraction_plan.cache_info().currsize
+    want = _message(oracle_validate, grid, shapes)
+    assert _message(plan, grid, shapes) == want
+    if want is not None:
+        assert _contraction_plan.cache_info().currsize == kept
 
 
 def test_validate_messages_in_order():

@@ -29,6 +29,7 @@ from holant.contraction import (
     holant_eval_contracted,
     stacked_signature,
 )
+from holant.grids import SignatureGrid
 from holant.homgraphs import (
     SimpleGraph,
     are_isomorphic,
@@ -148,7 +149,8 @@ def test_hom_grids_share_a_plan_across_target_sizes():
 
 @pytest.fixture
 def fresh_targets(monkeypatch):
-    """hom_count's table of target bindings, emptied for one test."""
+    """hom_count's table of target bindings, emptied for one test: each
+    target's one-set BindingStacks, its bindings at .sets[0]."""
     table = weakref.WeakKeyDictionary()
     monkeypatch.setattr(homgraphs, "_target_bindings", table)
     return table
@@ -173,7 +175,7 @@ def test_target_bindings_grow_to_the_arity_asked(fresh_targets):
     target = random_graph(np.random.default_rng(6), 6)
     for x, top in ((path_graph(4), 2), (complete_graph(4), 3), (path_graph(4), 3)):
         assert hom_count(x, target) == brute_hom_count(x, target)
-        assert sorted(fresh_targets[target]) == ["A"] + [f"eq{d}" for d in range(top + 1)]
+        assert sorted(fresh_targets[target].sets[0]) == ["A"] + [f"eq{d}" for d in range(top + 1)]
 
 
 def test_a_refused_count_leaves_the_target_usable(fresh_targets):
@@ -188,7 +190,7 @@ def test_a_refused_count_leaves_the_target_usable(fresh_targets):
     with pytest.raises(ValueError, match=re.escape(over)):
         hom_count(complete_graph(4), target)
     assert hom_count(cycle_graph(5), target) == want
-    assert sorted(fresh_targets[target]) == ["A", "eq0", "eq1", "eq2"]
+    assert sorted(fresh_targets[target].sets[0]) == ["A", "eq0", "eq1", "eq2"]
 
 
 def test_hom_bindings_built_once_per_target(fresh_targets, monkeypatch):
@@ -208,10 +210,62 @@ def test_hom_bindings_built_once_per_target(fresh_targets, monkeypatch):
     assert len(calls) == len(targets)
 
 
+def test_hom_count_contracts_through_holant_eval_contracted_once(fresh_targets, monkeypatch):
+    # perfbench's tracer times hom counts at this name (its grids.contract
+    # boundary): a count routed around it would leave every traced
+    # hom-census run reporting grids.contract missing
+    contracted = []
+
+    def counting(grid, bindings):
+        contracted.append(grid)
+        return holant_eval_contracted(grid, bindings)
+
+    monkeypatch.setattr(homgraphs, "holant_eval_contracted", counting)
+    rng = np.random.default_rng(10)
+    targets = [random_graph(rng, 4), random_graph(rng, 5), complete_graph(3)]
+    # arities 0 to 3 in an order that grows each target's bindings twice
+    xs = [SimpleGraph(1, ()), path_graph(3), complete_graph(4), path_graph(2), cycle_graph(5)]
+    for k, (x, target) in enumerate([(x, t) for x in xs for t in targets], 1):
+        assert hom_count(x, target) == brute_hom_count(x, target)
+        assert len(contracted) == k and contracted[-1] == hom_grid(x, target.n)
+
+
+def test_each_target_resolves_once_per_id_set(fresh_targets, monkeypatch):
+    # the degree-3 census to seven vertices into two targets, interleaved:
+    # each (target, id set) is resolved once, however many grids and
+    # arities share it
+    resolved = collections.Counter()
+
+    def counting(grid, bindings):
+        resolved[id(bindings["A"]), frozenset(grid.vertices)] += 1
+        return resolve(grid, bindings)
+
+    resolve = contraction.resolve_bindings
+    monkeypatch.setattr(contraction, "resolve_bindings", counting)
+    rng = np.random.default_rng(16)
+    targets = [random_graph(rng, 3), random_graph(rng, 4)]
+    census = enumerate_connected_graphs(7, 3)
+    for x in census:
+        for target in targets:
+            assert hom_count(x, target) == brute_hom_count(x, target)
+    id_sets = {frozenset(hom_grid(x, 1).vertices) for x in census}
+    assert set(resolved.values()) == {1} and len(resolved) == 2 * len(id_sets)
+    # a grid with an unbound id is refused whatever kinds are kept, by its
+    # own first fault, and is never kept
+    stacks = fresh_targets[targets[1]]
+    for ids, first in ((("eq7", "eq1", "eq5"), "eq7"), (("eq5", "eq1", "eq7"), "eq5")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"missing binding for signature {first!r}")):
+                holant_eval_contracted(SignatureGrid(4, ids, ()), stacks)
+    assert hom_count(census[-1], targets[1]) == brute_hom_count(census[-1], targets[1])
+    with pytest.raises(ValueError, match="takes one binding set, not 2"):
+        holant_eval_contracted(hom_grid(path_graph(2), 4), BindingStacks([stacks.sets[0]] * 2))
+
+
 def test_a_dropped_target_frees_its_bindings(fresh_targets):
     target = random_graph(np.random.default_rng(9), 5)
     assert hom_count(cycle_graph(3), target) == brute_hom_count(cycle_graph(3), target)
-    held = weakref.ref(fresh_targets[target]["A"].array)
+    held = weakref.ref(fresh_targets[target].sets[0]["A"].array)
     owner = id(held())
     assert any(key[0] == owner for key in contraction.step_memo.steps)
     assert len(fresh_targets) == 1
@@ -343,7 +397,7 @@ def test_step_memo_keeps_no_result_larger_than_its_array(fresh_memo, fresh_targe
     target = random_graph(np.random.default_rng(13), 16)
     for x in (complete_graph(4), complete_graph(4), cycle_graph(5)):
         hom_count(x, target)
-    size = fresh_targets[target]["A"].array.size
+    size = fresh_targets[target].sets[0]["A"].array.size
     assert fresh_memo.steps
     assert all(r.size <= size and not r.flags.writeable for r in fresh_memo.steps.values())
 

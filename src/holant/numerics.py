@@ -10,9 +10,12 @@ that reads only the rank.  The cut is one formula for all three.
 
 A vector is independent of those kept before it iff its residual off their
 span exceeds INDEP_TOL * max(||vec||, 1) (IncrementalBasis, classical
-Gram-Schmidt run twice).  Its callers keep the vectors themselves, raw
-word images and gadget signatures, and never read the orthonormal rows,
-so reports hang on the keep decisions alone, not on the rows' bits.
+Gram-Schmidt with a second pass only where the first cancels, by the
+criterion of Daniel, Gragg, Kaufman & Stewart).  all_dependent asks the
+same question of a block of vectors at once, against the rows kept so
+far.  Its callers keep the vectors themselves, raw word images and
+gadget signatures, and never read the orthonormal rows, so reports hang
+on the keep decisions alone, not on the rows' bits.
 """
 
 from __future__ import annotations
@@ -74,19 +77,28 @@ def numerical_rank(a: np.ndarray, factors: str = "left") -> NumericalRank:
 
 
 class IncrementalBasis:
-    """Classical Gram-Schmidt run twice (CGS2) on one stacked basis.
+    """Classical Gram-Schmidt with selective reorthogonalization on one stacked basis.
 
-    add(vec) projects a copy v of vec off the kept rows U twice,
+    add(vec) projects a copy v of vec off the kept rows U,
     v -= (conj(U) v) U, and keeps v / ||v|| iff ||v|| > tol * max(1, ||vec||).
-    One reorthogonalization makes classical Gram-Schmidt orthogonal to
-    working precision (Giraud, Langou, Rozloznik & van den Eshof, Numer.
-    Math. 2005: "twice is enough"), at two matrix-vector products a pass
-    instead of one vdot per kept row.  The rows and their conjugates are
-    two arrays that double when full, so storage follows the kept count,
-    never len(vec) squared.  A vector whose norm is not a finite float (a
-    NaN or infinite entry, or an overflow) raises ArithmeticError before
-    it is projected: NaN > tol is false, so it would pass as dependent.
-    Below that norm the residual stays finite.
+    A residual at or under that cut is dependent after one pass.  One
+    above it but under ||vec|| / sqrt(2) has lost more than half its
+    norm to cancellation, so it is projected a second time before the cut
+    is read again (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976);
+    one above ||vec|| / sqrt(2) is kept after one pass.  Two passes make
+    classical Gram-Schmidt orthogonal to working precision (Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 2005: "twice is
+    enough"), at two matrix-vector products a pass instead of one vdot
+    per kept row.  The rows and their conjugates are two arrays that
+    double when full, so storage follows the kept count, never len(vec)
+    squared.  A vector whose norm is not a finite float (a NaN or
+    infinite entry, or an overflow) raises ArithmeticError before it is
+    projected: NaN > tol is false, so it would pass as dependent.  Below
+    that norm the residual stays finite.
+
+    all_dependent(block) asks of every row of a block at once whether add
+    would find it dependent on the rows kept so far, with two block
+    projections and each row's own cut.
     """
 
     def __init__(self, tol: float = INDEP_TOL):
@@ -105,12 +117,15 @@ class IncrementalBasis:
         norm = math.sqrt(np.vdot(v, v).real)
         if not math.isfinite(norm):
             raise ArithmeticError(f"vector norm {norm} is not finite")
-        if self._dim:
+        cut = self.tol * max(1.0, norm)
+        res = norm
+        for _ in range(2 if self._dim else 0):
             # no names for the views, which would keep old arrays alive past _grown
-            for _ in range(2):
-                v -= (self._conj[: self._dim] @ v) @ self.ortho
-        res = math.sqrt(np.vdot(v, v).real)
-        if res <= self.tol * max(1.0, norm):
+            v -= (self._conj[: self._dim] @ v) @ self.ortho
+            res = math.sqrt(np.vdot(v, v).real)
+            if res <= cut or res * math.sqrt(2.0) > norm:
+                break
+        if res <= cut:
             return False
         if self._dim == len(self._rows):
             # one array at a time, so the old rows go before the new conjugates come
@@ -120,6 +135,25 @@ class IncrementalBasis:
         np.conjugate(self._rows[self._dim], out=self._conj[self._dim])
         self._dim += 1
         return True
+
+    def all_dependent(self, block: np.ndarray) -> bool:
+        """True iff every row of block is within its cut of the kept rows' span.
+
+        Each row is projected off the kept rows twice, as one matrix
+        product a pass, and its residual is read against its own cut,
+        tol * max(1, ||row||).  Nothing is kept.  A row that is not
+        finite answers False, so that a caller that then adds the rows
+        one by one meets add's ArithmeticError.
+        """
+        v = np.array(block, dtype=np.complex128)
+        norms = np.sqrt(np.einsum("ij,ij->i", v.conj(), v).real)
+        if not np.isfinite(norms).all():
+            return False
+        if self._dim:
+            for _ in range(2):
+                v -= (v @ self._conj[: self._dim].T) @ self.ortho
+        res = np.sqrt(np.einsum("ij,ij->i", v.conj(), v).real)
+        return bool((res <= self.tol * np.maximum(1.0, norms)).all())
 
     def _grown(self, old: np.ndarray, size: int) -> np.ndarray:
         """A copy of old's kept rows with room for twice as many."""

@@ -43,6 +43,8 @@ def _as_matrix(value, q=None):
         m = np.asarray(value, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrices must be square")
+    if m.shape[0] == 0:
+        raise ValueError("domain size must be positive, got 0")
     if q is not None and m.shape[0] != q:
         raise ValueError("matrices must share one domain size")
     return m.astype(np.complex128)
@@ -111,33 +113,57 @@ def _word_closure(sides, q):
     sides is a list of dicts with the same ids, one q x q matrix each: one
     dict for a matrix set's own algebra, [F, G] for the algebra of the
     pairs F_i (+) G_i.  Breadth-first by word length with generators in
-    the given order, on one IncrementalBasis of the concatenated images.
+    the given order, on one IncrementalBasis of the concatenated images;
+    a parent word's images times every generator is one stacked product.
     Yields (word, images), images of shape (len(sides), q, q), for the
     empty word and then for each word independent of those before it.
     Every other word is a combination of yielded words no longer than
     itself.  The images are the raw products, never the basis's
     orthonormal rows, so only its keep decisions reach a caller; the
     next level multiplies the raw images too.
+
+    The closure ends when a level adds no word, or at len(sides) q^2
+    words, the span of every image.  A pair closure that reaches q^2
+    words, as many as one side's algebra can span, is usually closed
+    there: when a consumer asks for more, every product not yet tested
+    (the current parent's remaining generators, then every later word
+    times each generator) is tested as one block, and if none is
+    independent the closure ends.  Otherwise it goes on word by word, as
+    if the block had not been tested.
     """
-    gens = {name: np.stack([side[name] for side in sides]) for name in sides[0]}
+    names = list(sides[0])
+    gens = np.array([[side[name] for side in sides] for name in names], dtype=np.complex128)
+    gens = gens.reshape(len(names), len(sides), q, q)  # the empty set's shape too
     full = len(sides) * q * q
     eye = np.stack([np.eye(q, dtype=np.complex128)] * len(sides))
     basis = [((), eye)]
     independent = IncrementalBasis()
     independent.add(eye.ravel())
     yield basis[0]
-    start = 0
-    while start < len(basis) < full:
-        end = len(basis)
-        for word, images in basis[start:end]:
-            for name, gen in gens.items():
-                cand = images @ gen
-                if independent.add(cand.ravel()):
-                    basis.append((word + (name,), cand))
-                    yield basis[-1]
-                    if len(basis) == full:
+    parent = 0
+    while parent < len(basis) < full:
+        word, images = basis[parent]
+        cands = images @ gens
+        for i, (name, cand) in enumerate(zip(names, cands)):
+            if independent.add(cand.ravel()):
+                basis.append((word + (name,), cand))
+                yield basis[-1]
+                if len(basis) == full:
+                    return
+                if len(basis) == q * q:
+                    if _closed(independent, cands[i + 1 :], basis[parent + 1 :], gens):
                         return
-        start = end
+        parent += 1
+
+
+def _closed(independent, rest, later, gens):
+    """Every product not yet tested depends on the basis: rest, the current
+    parent's remaining candidates, and each later word (the word just kept
+    among them) times each generator."""
+    size = gens[0].size
+    later_images = np.array([images for _, images in later])
+    products = (later_images[:, None] @ gens).reshape(-1, size)
+    return independent.all_dependent(np.concatenate([rest.reshape(-1, size), products]))
 
 
 def algebra_closure(gens: dict[str, np.ndarray], q: int | None = None) -> MatrixAlgebra:
@@ -153,6 +179,8 @@ def algebra_closure(gens: dict[str, np.ndarray], q: int | None = None) -> Matrix
         mats[name] = mm
     if q is None:
         raise ValueError("empty generator set needs an explicit domain size")
+    if q < 1:
+        raise ValueError(f"domain size must be positive, got {q}")
     words, basis = [], []
     for word, images in _word_closure([mats], q):
         words.append(word)

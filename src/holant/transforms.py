@@ -38,6 +38,8 @@ class HoloTransform:
     __slots__ = ("q", "matrix", "inverse", "cond")
 
     def __init__(self, q: int, matrix):
+        if q < 1:
+            raise ValueError(f"domain size must be positive, got {q}")
         m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (q, q):
             raise ValueError(f"transform must be {q}x{q}, got {m.shape}")
@@ -71,17 +73,25 @@ class HoloTransform:
         return HoloTransform(self.q, self.inverse)
 
     def act(self, t: MixedTensor) -> MixedTensor:
-        """Apply slot by slot; never materializes a Kronecker power."""
+        """Apply slot by slot; never materializes a Kronecker power.
+
+        Each slot is the one np.dot that np.tensordot would make, on the
+        array with that slot moved first (T) or last (T inverse), so the
+        values are tensordot's bits without its per-call overhead.
+        """
         if t.q != self.q:
             raise ValueError(f"tensor domain {t.q} does not match transform domain {self.q}")
         arr = t.array
-        for ax in range(t.left):
-            arr = np.tensordot(self.matrix, arr, axes=([1], [ax]))
-            arr = np.moveaxis(arr, 0, ax)
-        for k in range(t.right):
-            ax = t.left + k
-            arr = np.tensordot(arr, self.inverse, axes=([ax], [0]))
-            arr = np.moveaxis(arr, -1, ax)
+        q, n = self.q, arr.ndim
+        for ax in range(n):
+            others = [a for a in range(n) if a != ax]
+            if ax < t.left:
+                order = [ax, *others]
+                arr = np.dot(self.matrix, arr.transpose(order).reshape(q, -1))
+            else:
+                order = [*others, ax]
+                arr = np.dot(arr.transpose(order).reshape(-1, q), self.inverse)
+            arr = arr.reshape((q,) * n).transpose([order.index(a) for a in range(n)])
         return MixedTensor(t.q, t.left, t.right, arr)
 
     def act_set(self, fs: dict[str, MixedTensor]) -> dict[str, MixedTensor]:

@@ -35,6 +35,9 @@ the elimination planner and the connected-graph census as they were
 before each was made faster (a dict of port counts, widths recomputed
 from the nodes and found by a scan, every candidate canonicalized): the
 references whose messages, plans and census the library must match.
+oracle_slotwise_act is HoloTransform.act as np.tensordot and np.moveaxis
+slot by slot, as it was before act made tensordot's np.dot call itself:
+the reference whose bits act must keep.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from holant.grids import WIRE_ID, SignatureGrid, enumerate_grids
 from holant.homgraphs import SimpleGraph, _graph_of_code, _refine_colors, canonical_code
 from holant.spans import _symmetric_ids
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature
-from holant.transforms import PREDICATE_TOL, HolantTheoremReport
+from holant.transforms import PREDICATE_TOL, HolantTheoremReport, HoloTransform
 
 # brute_hom_count refuses to walk more maps than this
 BRUTE_CAP = 10**8
@@ -485,6 +488,20 @@ def oracle_verify_holant_theorem(fs, t, max_vertices, tol=PREDICATE_TOL):
         tol=tol,
         passed=max_scaled <= tol,
     )
+
+
+def oracle_slotwise_act(t: HoloTransform, f: MixedTensor) -> MixedTensor:
+    """T on every left slot and T inverse on every right slot, one
+    np.tensordot and np.moveaxis a slot."""
+    arr = f.array
+    for ax in range(f.left):
+        arr = np.tensordot(t.matrix, arr, axes=([1], [ax]))
+        arr = np.moveaxis(arr, 0, ax)
+    for k in range(f.right):
+        ax = f.left + k
+        arr = np.tensordot(arr, t.inverse, axes=([ax], [0]))
+        arr = np.moveaxis(arr, -1, ax)
+    return MixedTensor(f.q, f.left, f.right, arr)
 
 
 def oracle_trace_words(fs, gs, max_len, tol=1e-8):

@@ -8,11 +8,13 @@ fewer factors takes another LAPACK path: the thin SVD keeps the
 intertwiner's singular values and vh bit for bit on stacks of up to 108
 rows, and the values-only cut keeps the rank wherever the singular
 values sit clear of the cut by more than rounding.  The incremental basis
-is classical Gram-Schmidt run twice, whose rows differ from the loops'
-in their last bits; no caller reads those rows, so reports hang only on
+is classical Gram-Schmidt with a second pass wherever the first cancels
+more than half a vector's norm, whose rows differ from the loops' in
+their last bits; no caller reads those rows, so reports hang only on
 its keep decisions.  It must make the loops' keep decisions wherever a
 residual sits clear of the cut, and keep rows orthonormal to a stated
-multiple of n * eps that span the loops' space.
+multiple of n * eps that span the loops' space.  Its block test must
+answer as adds of the block's rows would.
 """
 
 import json
@@ -370,9 +372,11 @@ def test_unknown_factors_are_refused():
         numerical_rank(np.eye(2, dtype=complex), factors="vh")
 
 
-# CGS2 keeps I - U U^H at O(eps) while a kept residual is above eps
-# times its norm by a wide margin (Giraud et al. 2005); the cut keeps it
-# at least seven orders above.  The slack covers the constant for these lengths.
+# CGS2, and CGS with the second pass only where the first loses more than
+# half the norm (Daniel et al. 1976), keep I - U U^H at O(eps) while a
+# kept residual is above eps times its norm by a wide margin (Giraud et
+# al. 2005); the cut keeps it at least seven orders above.  The slack
+# covers the constant for these lengths.
 ORTHO_SLACK = 10
 # sines of the principal angles between two computed spans of the same
 # kept vectors: rounding, grown by the conditioning of the kept vectors
@@ -446,6 +450,54 @@ def test_stacked_basis_keeps_what_modified_gram_schmidt_keeps(vectors, tol):
     kept = [basis.add(v) for v in vectors]
     assert kept[:clear] == [r > 1 for r in ratios[:clear]]
     assert_orthonormal(basis.ortho)
+
+
+def adds_find_all_dependent(prefix, block, tol):
+    """Whether add, called on each row of block after the rows of prefix,
+    would keep none of them."""
+    basis = IncrementalBasis(tol)
+    for vec in prefix:
+        basis.add(vec)
+    return not any(basis.add(vec) for vec in block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=st.one_of(vector_streams().map(lambda s: s[1]), graded_streams()),
+       split=st.integers(0, 40), tol=st.sampled_from([INDEP_TOL, RANK_TOL]))
+def test_block_test_answers_as_adds_would(stream, split, tol):
+    # a block is tested against the rows kept from the prefix alone, as
+    # adds that keep nothing would test each row; wherever every row's
+    # residual sits clear of its cut by a factor 100 the answers agree
+    if not stream:
+        return
+    split = min(split, len(stream) - 1)
+    prefix, block = stream[:split], stream[split:]
+    basis = IncrementalBasis(tol)
+    for vec in prefix:
+        basis.add(vec)
+    ratios = [residual_ratios(prefix + [vec], tol)[-1] for vec in block]
+    if any(1e-2 < r < 1e2 for r in ratios):
+        return
+    assert basis.all_dependent(np.array(block)) == adds_find_all_dependent(prefix, block, tol)
+    # and each row alone, which is the answer's dependent half
+    for vec, ratio in zip(block, ratios):
+        assert basis.all_dependent(vec[None]) == (ratio <= 1)
+    assert basis.all_dependent(np.zeros((0, len(block[0])), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_row_is_not_called_dependent(bad):
+    # a block with a non-finite row answers False, so that a caller that
+    # then adds its rows one by one meets add's ArithmeticError
+    basis = IncrementalBasis()
+    for k in range(2):
+        basis.add(np.eye(3, dtype=np.complex128)[k])
+    block = np.array([[1.0, 2.0, 0.0], [1.0, bad, 0.0]], dtype=np.complex128)
+    assert basis.all_dependent(block[:1])
+    assert not basis.all_dependent(block)
+    assert basis.ortho.shape[0] == 2
+    with pytest.raises(ArithmeticError, match="vector norm .* is not finite"):
+        basis.add(block[1])
 
 
 # -- fixed cases -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ generator.  Frozen small cases (nilpotent Gram, elementary matrix
 closure) are worked out by hand.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holant import simsim
-from holant.numerics import RANK_TOL
+from holant.numerics import RANK_TOL, IncrementalBasis
 from holant.simsim import (
     MatrixAlgebra,
     RecoveryResult,
@@ -246,6 +247,120 @@ def test_trace_words_agree_with_the_complete_sweep(pair):
         assert report.trace_g == pytest.approx(tg, rel=1e-9)
 
 
+# -- the word closure -----------------------------------------------------------------
+
+
+def word_by_word_closure(sides, q):
+    """simsim._word_closure as it was before its block test at q^2 words:
+    one candidate at a time, one product per generator."""
+    gens = {name: np.stack([side[name] for side in sides]) for name in sides[0]}
+    full = len(sides) * q * q
+    eye = np.stack([np.eye(q, dtype=np.complex128)] * len(sides))
+    basis = [((), eye)]
+    independent = IncrementalBasis()
+    independent.add(eye.ravel())
+    yield basis[0]
+    start = 0
+    while start < len(basis) < full:
+        end = len(basis)
+        for word, images in basis[start:end]:
+            for name, gen in gens.items():
+                cand = images @ gen
+                if independent.add(cand.ravel()):
+                    basis.append((word + (name,), cand))
+                    yield basis[-1]
+                    if len(basis) == full:
+                        return
+        start = end
+
+
+@st.composite
+def closure_cases(draw):
+    """(kind, sides, q): a matrix set and its conjugate; two unrelated sets,
+    whose pair algebra passes q^2 words; nilpotent or block-triangular
+    sets beside a conjugate; or a set beside itself whose products past
+    its q^2 words overflow to inf."""
+    kind = draw(st.sampled_from(["similar", "unrelated", "nilpotent", "reducible", "overflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(2, 4 if kind == "unrelated" else 6))
+    k = draw(st.integers(2 if kind in ("unrelated", "overflow") else 1, 3))
+
+    def gaussian():
+        return rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+
+    fs = {f"m{i}": gaussian() for i in range(k)}
+    if kind == "unrelated":
+        return kind, [fs, {name: gaussian() for name in fs}], q
+    if kind == "overflow":
+        # scaled so that the words up to the q^2-th have norms near 1e148
+        # and their products with a generator have norms whose squares
+        # overflow to inf
+        *_, (last, _) = word_by_word_closure([fs], q)
+        big = {name: m * 10.0 ** (148 / len(last)) for name, m in fs.items()}
+        return kind, [big, big], q
+    if kind == "nilpotent":
+        fs = {name: np.triu(m, 1) for name, m in fs.items()}
+    elif kind == "reducible":
+        p = draw(st.integers(1, q - 1))
+        for m in fs.values():
+            m[p:, :p] = 0
+    return kind, [fs, conjugate_set(fs, random_well_conditioned(rng, q))], q
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=closure_cases())
+def test_word_closure_is_the_word_by_word_closure(case):
+    kind, sides, q = case
+    if kind == "overflow":
+        # q^2 words are finite, and the block test past them meets an inf
+        # product: it must hand it to the word-by-word closure, which raises
+        for closure in (word_by_word_closure, simsim._word_closure):
+            with pytest.raises(ArithmeticError, match="vector norm .* is not finite"):
+                list(closure(sides, q))
+        return
+    want = list(word_by_word_closure(sides, q))
+    got = list(simsim._word_closure(sides, q))
+    assert [word for word, _ in got] == [word for word, _ in want]
+    assert all(g.tobytes() == w.tobytes() for (_, g), (_, w) in zip(got, want))
+    if kind == "unrelated":
+        assert len(got) > q * q  # the block test found an independent product
+
+
+def test_an_overflow_past_q_squared_words_is_refused():
+    # I, a, b and ab span all 2 x 2 matrices; b b is 1e200 * I, whose
+    # norm squared overflows to inf.  The block test past those four words
+    # must not call it dependent, or the closure would end without
+    # refusing it
+    a = np.diag([1.0, 2.0]).astype(complex)
+    b = 1e100 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sides = [{"a": a, "b": b}] * 2
+    closure = simsim._word_closure(sides, 2)
+    assert [word for word, _ in itertools.islice(closure, 4)] == [(), ("a",), ("b",), ("a", "b")]
+    with pytest.raises(ArithmeticError, match="vector norm inf is not finite"):
+        next(closure)
+
+
+def test_a_certified_pair_proves_its_closure_in_one_block(monkeypatch):
+    # q = 6, k = 3: the identity and 35 candidates reach q^2 = 36 words,
+    # and one block shows that the 73 products left add none; word by
+    # word, those were 73 more adds, 109 in all
+    rng = np.random.default_rng(6)
+    fs = {f"m{i}": rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for i in range(3)}
+    gs = conjugate_set(fs, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    adds, blocks = [], []
+    add, all_dependent = IncrementalBasis.add, IncrementalBasis.all_dependent
+    monkeypatch.setattr(IncrementalBasis, "add", lambda self, v: adds.append(1) or add(self, v))
+    monkeypatch.setattr(IncrementalBasis, "all_dependent",
+                        lambda self, block: blocks.append(len(block)) or all_dependent(self, block))
+    result = recover_transform(fs, gs)
+    assert result.similar and result.residual <= 1e-12
+    assert (len(adds), blocks) == (36, [73])
+    adds.clear()
+    monkeypatch.setattr(simsim, "_word_closure", word_by_word_closure)
+    assert recover_transform(fs, gs).transform.matrix.tobytes() == result.transform.matrix.tobytes()
+    assert len(adds) == 109
+
+
 # -- build_paired_algebra -----------------------------------------------------------
 
 
@@ -429,8 +544,17 @@ def test_recover_trace_mismatch():
          "the two sets must use the same signature ids"),
         (lambda: recover_transform({}, {}), "need at least one matrix to fix the domain size"),
         (lambda: algebra_closure({}), "empty generator set needs an explicit domain size"),
+        (lambda: algebra_closure({"a": np.zeros((0, 0))}), "domain size must be positive, got 0"),
+        (lambda: algebra_closure({}, q=0), "domain size must be positive, got 0"),
+        (lambda: trace_words_equal({"a": np.zeros((0, 0))}, {"a": np.zeros((0, 0))}),
+         "domain size must be positive, got 0"),
+        (lambda: build_paired_algebra({"a": np.zeros((0, 0))}, {"a": np.zeros((0, 0))}),
+         "domain size must be positive, got 0"),
+        (lambda: recover_transform({"a": np.zeros((0, 0))}, {"a": np.zeros((0, 0))}),
+         "domain size must be positive, got 0"),
     ],
-    ids=["shape-2-1", "non-square", "two-sizes", "different-ids", "empty-sets", "empty-closure"],
+    ids=["shape-2-1", "non-square", "two-sizes", "different-ids", "empty-sets", "empty-closure",
+         "closure-size-0", "closure-q-0", "traces-size-0", "paired-size-0", "recover-size-0"],
 )
 def test_matrix_set_refusals(refused, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -28,6 +28,7 @@ from holant.transforms import (
     is_permutation_preserver,
     verify_holant_theorem,
 )
+from oracles import oracle_slotwise_act
 
 
 def random_tensor(rng, q, left, right):
@@ -72,6 +73,20 @@ def test_act_matches_kronecker_oracle():
         assert np.allclose(got.array, oracle_act(t, f), atol=1e-9)
 
 
+def test_act_is_bitwise_the_slotwise_tensordot():
+    # q 1..4, l and r 0..3: act makes tensordot's np.dot per slot itself
+    rng = np.random.default_rng(57)
+    for q in range(1, 5):
+        for left in range(4):
+            for right in range(4):
+                for _ in range(5):
+                    t = random_transform(rng, q)
+                    f = random_tensor(rng, q, left, right)
+                    got, want = t.act(f), oracle_slotwise_act(t, f)
+                    assert got.shape == want.shape
+                    assert got.array.tobytes() == want.array.tobytes()
+
+
 def test_act_scalar_unchanged():
     t = HoloTransform(2, [[1, 2], [3, 4]])
     s = MixedTensor.scalar(2, 5 - 2j)
@@ -109,6 +124,16 @@ def test_transform_is_immutable_and_names_its_condition():
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         HoloTransform(2, [[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [lambda: HoloTransform(0, np.zeros((0, 0))), lambda: HoloTransform.diagonal([])],
+    ids=["empty-matrix", "empty-diagonal"],
+)
+def test_domain_size_zero_is_refused(refused):
+    with pytest.raises(ValueError, match="^domain size must be positive, got 0$"):
+        refused()
 
 
 def test_ill_conditioned_warning():

@@ -971,8 +971,11 @@ class QuantumGadget:
 # its shapes, at bound 5 (3458 grids, 1729 structures), replayed warm by
 # verify_holant_theorem (B = 2, 2-CPU host): at q = 3, 7.1 ms at 1 << 12,
 # 4.1 ms at 1 << 14, 3.0 ms at this cap (three parts) and 2.3 ms in one
-# part, with peak RSS 43.8, 43.7, 45.3 and 47.9 MB; at q = 4, 4.2 ms and
-# 46.7 MB at this cap, 4.6 ms and 53.6 MB in one part.
+# part, with peak RSS 43.8, 43.7, 45.3 and 47.9 MB.  At q = 4 the two
+# overlap: 5.2-8.5 ms (46.8 MB) at this cap, seven parts, and 3.8-9.4 ms
+# (53.7 MB) in one part, eight processes each.  At q = 5 and 6 one part
+# is faster, 7.4-7.6 against 9.4-9.7 ms and 10.6-11.5 against 14-23 ms
+# (two processes each), for 12 and 21 MB more peak RSS.
 PART_MAX_ENTRIES = 1 << 16
 
 

@@ -335,8 +335,8 @@ def enumerate_grids(
     """
     sigs = sorted((s, tuple(sh)) for s, sh in sigs)
     ids = [s for s, _ in sigs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("signature ids must be distinct")
+    if len(set(ids)) != len(ids) or WIRE_ID in ids:
+        raise ValueError("signature ids must be distinct and not the reserved wire id")
     per_multiset = _port_walk(sigs, symmetric)[1]
     for vertices, edges, _, _ in _structures(sigs, (0, 0), max_vertices, per_multiset):
         for loops in (0, 1):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,10 +78,7 @@ class SimpleGraph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        adj = [[] for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = _neighbour_lists(self)
         seen = {0}
         stack = [0]
         while stack:
@@ -243,19 +239,24 @@ def _edge_bit(n: int, u: int, v: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-def _refine_colors(g: SimpleGraph) -> list[int]:
-    """Iterated neighborhood refinement.  A color is the rank of the key
-    (color, sorted neighbor colors) among all keys, so isomorphic graphs
-    get the same classes; canonical_code labels them in color order."""
-    adj = [[] for _ in range(g.n)]
+def _neighbour_lists(g: SimpleGraph) -> list[list[int]]:
+    """Each vertex's neighbours, in the order of g.edges."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for (u, v) in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    colors = [len(adj[v]) for v in range(g.n)]
-    for _ in range(g.n):
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(g.n)
-        ]
+    return adj
+
+
+def _refine_colors(adj: list[list[int]]) -> list[int]:
+    """Iterated neighborhood refinement of the graph with neighbour lists
+    adj.  A color is the rank of the key (color, sorted neighbor colors)
+    among all keys, so isomorphic graphs get the same classes;
+    canonical_code labels them in color order."""
+    n = len(adj)
+    colors = [len(adj[v]) for v in range(n)]
+    for _ in range(n):
+        keys = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [order[k] for k in keys]
         if new == colors:
@@ -284,11 +285,8 @@ def canonical_code(g: SimpleGraph) -> int:
     n = g.n
     if n <= 1:
         return 0
-    colors = _refine_colors(g)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = _neighbour_lists(g)
+    colors = _refine_colors(nbrs)
     members: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         members.setdefault(c, []).append(v)
@@ -334,16 +332,36 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
-@lru_cache(maxsize=None)
 def enumerate_connected_graphs(
     max_vertices: int, max_degree: int | None = None
 ) -> tuple[SimpleGraph, ...]:
-    """All connected graphs up to isomorphism, smallest first.
+    """All connected graphs up to isomorphism, smallest first: the levels
+    of 1 .. max_vertices vertices of _census_level, joined.
 
-    Grown by attaching one new vertex to a nonempty subset of an
-    existing representative, among its vertices of degree below the
-    bound.  Order is by vertex count then canonical code, and each class
-    is represented by _graph_of_code of its code.
+    Order is by vertex count then canonical code, and each class is
+    represented by _graph_of_code of its code.  Each level is built once
+    per process and degree bound and kept (_census_levels), so a later
+    call with a larger bound grows only the levels it adds.
+    """
+    return tuple(g for n in range(1, max_vertices + 1) for g in _census_level(n, max_degree))
+
+
+# Finished census levels per degree bound: _census_levels[d][n - 1] holds
+# the connected n-vertex classes of max degree d, in code order.  Kept:
+# every level up to the largest vertex count asked, per bound.  That is
+# never more than one cached census of that size would hold, since a
+# census holds every smaller level.
+_census_levels: dict[int | None, list[tuple[SimpleGraph, ...]]] = {}
+
+
+def _census_level(n: int, max_degree: int | None) -> tuple[SimpleGraph, ...]:
+    """The connected n-vertex graphs of max degree max_degree (None: no
+    bound) up to isomorphism, in canonical code order; n >= 1.
+
+    Level n grows from level n - 1 alone, by attaching one new vertex to
+    a nonempty subset of a representative's vertices of degree below the
+    bound.  The store is grown level by level up to n, iteratively, so
+    no bound reaches a recursion limit.
 
     Each vertex has the key (degree, sorted degrees of its neighbours),
     compared as tuples.  A candidate is kept only if no non-cut vertex
@@ -362,12 +380,12 @@ def enumerate_connected_graphs(
     tested on neighbour bit masks built from the parent's; a
     SimpleGraph is made only for the ones kept.
     """
-    if max_vertices < 1:
-        return ()
-    levels: list[dict[int, SimpleGraph]] = [{0: SimpleGraph(1, ())}]
-    for n in range(2, max_vertices + 1):
+    levels = _census_levels.get(max_degree)
+    if levels is None:
+        levels = _census_levels[max_degree] = [(SimpleGraph(1, ()),)]
+    for k in range(len(levels) + 1, n + 1):
         found: dict[int, SimpleGraph] = {}
-        for h in levels[-1].values():
+        for h in levels[-1]:
             nbrs = [0] * h.n
             for (u, v) in h.edges:
                 nbrs[u] |= 1 << v
@@ -379,15 +397,12 @@ def enumerate_connected_graphs(
                 for back in itertools.combinations(room, size):
                     if not _new_vertex_leads(nbrs, deg, back):
                         continue
-                    g = SimpleGraph(n, h.edges + tuple((v, n - 1) for v in back))
+                    g = SimpleGraph(k, h.edges + tuple((v, k - 1) for v in back))
                     code = canonical_code(g)
                     if code not in found:
-                        found[code] = _graph_of_code(n, code)
-        levels.append(found)
-    out = []
-    for level in levels:
-        out.extend(level[c] for c in sorted(level))
-    return tuple(out)
+                        found[code] = _graph_of_code(k, code)
+        levels.append(tuple(found[c] for c in sorted(found)))
+    return levels[n - 1]
 
 
 def _new_vertex_leads(nbrs: list[int], deg: list[int], back: tuple[int, ...]) -> bool:
@@ -451,11 +466,17 @@ def bounded_degree_distinguisher(
     f: SimpleGraph, g: SimpleGraph, d: int, max_left_vertices: int
 ) -> DistinguisherReport:
     """Search connected left graphs of max degree d for one with
-    different hom counts into f and into g."""
+    different hom counts into f and into g, in the order of
+    enumerate_connected_graphs.  The census levels are read one at a
+    time, so a witness, or a level with no class, stops the search
+    before the next level is built.
+    """
     if d < 1:
         raise ValueError("degree bound must be at least 1")
     checked = 0
-    for x in enumerate_connected_graphs(max_left_vertices, d):
+    levels = (_census_level(n, d) for n in range(1, max_left_vertices + 1))
+    # a level with no class is grown from by none: every later one is empty
+    for x in itertools.chain.from_iterable(itertools.takewhile(len, levels)):
         checked += 1
         cf = hom_count(x, f)
         cg = hom_count(x, g)

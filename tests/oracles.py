@@ -49,7 +49,13 @@ import numpy as np
 
 from holant.contraction import gadget_signature, resolve_bindings
 from holant.grids import WIRE_ID, SignatureGrid, enumerate_grids
-from holant.homgraphs import SimpleGraph, _graph_of_code, _refine_colors, canonical_code
+from holant.homgraphs import (
+    SimpleGraph,
+    _graph_of_code,
+    _neighbour_lists,
+    _refine_colors,
+    canonical_code,
+)
 from holant.spans import _symmetric_ids
 from holant.tensors import MAX_ENTRIES, MixedTensor, identity_signature
 from holant.transforms import PREDICATE_TOL, HolantTheoremReport, HoloTransform
@@ -154,7 +160,7 @@ def oracle_canonical_code(g: SimpleGraph) -> int:
     if g.n <= 1:
         return 0
     bit = {pair: i for i, pair in enumerate(itertools.combinations(range(g.n), 2))}
-    colors = _refine_colors(g)
+    colors = _refine_colors(_neighbour_lists(g))
     classes = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
     best = None
     for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):

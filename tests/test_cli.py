@@ -320,6 +320,13 @@ def test_hom_and_homdist(capsys, tmp_path):
     assert code == 0
     assert rep["verdict"] == "indist_at_bound"
 
+    # the one-vertex graph tells C5 from C6, and the census stops there
+    c5 = write(tmp_path, "c5.json", graph_to_obj(cycle_graph(5)))
+    c6 = write(tmp_path, "c6.json", graph_to_obj(cycle_graph(6)))
+    code, rep = run(capsys, ["homdist", "--f", c5, "--g", c6, "--max-degree", "3", "--max-vertices", "1000"])
+    assert code == 1
+    assert (rep["verdict"], rep["graphs_checked"], rep["max_vertices"]) == ("distinguished", 1, 1000)
+
 
 def test_transform_with_inverse_check(capsys, tmp_path):
     sigs = write(

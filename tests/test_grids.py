@@ -952,6 +952,14 @@ def test_enumerators_refuse_duplicate_ids():
         list(enumerate_grids(sigs, 2, q=2))
     with pytest.raises(ValueError, match="distinct"):
         list(enumerate_gadgets(sigs, (1, 1), 2, q=2))
+    # the reserved wire id is refused by closed and gadget walks alike,
+    # before any grid is made
+    message = "signature ids must be distinct and not the reserved wire id"
+    wired = [(WIRE_ID, (1, 1)), ("f", (2, 0))]
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_grids(wired, 2, q=2))
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_gadgets(wired, (1, 1), 2, q=2))
 
 
 # -- enumeration against the all-permutations canonical code -----------------

@@ -668,16 +668,20 @@ def test_canonical_code_is_relabeling_invariant(g, rnd):
     assert canonical_code(g) == canonical_code(g.relabel(perm))
 
 
+@pytest.fixture
+def empty_census(monkeypatch):
+    """An emptied census level store for one test; the shared one, and
+    the levels other tests built in it, come back after."""
+    monkeypatch.setattr(homgraphs, "_census_levels", {})
+
+
 @pytest.mark.parametrize("args", [(7, 3), (6, None)])
 def test_census_is_the_one_built_with_the_oracle(monkeypatch, args):
     mine = enumerate_connected_graphs(*args)
-    enumerate_connected_graphs.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(homgraphs, "canonical_code", oracle_canonical_code)
-            theirs = enumerate_connected_graphs(*args)
-    finally:
-        enumerate_connected_graphs.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(homgraphs, "_census_levels", {})
+        m.setattr(homgraphs, "canonical_code", oracle_canonical_code)
+        theirs = enumerate_connected_graphs(*args)
     assert mine == theirs
 
 
@@ -735,13 +739,12 @@ def test_degree_bounded_enumeration():
 
 
 @pytest.mark.parametrize("args", [(9, 3), (8, 4), (7, None)])
-def test_census_equals_the_one_that_canonicalizes_every_candidate(args):
-    # __wrapped__ leaves the shared lru_cache alone
-    assert enumerate_connected_graphs.__wrapped__(*args) == oracle_connected_graphs(*args)
+def test_census_equals_the_one_that_canonicalizes_every_candidate(empty_census, args):
+    assert enumerate_connected_graphs(*args) == oracle_connected_graphs(*args)
 
 
-def test_cubic_census_counts_at_nine_and_ten_vertices():
-    graphs = enumerate_connected_graphs.__wrapped__(10, 3)
+def test_cubic_census_counts_at_nine_and_ten_vertices(empty_census):
+    graphs = enumerate_connected_graphs(10, 3)
     assert [sum(1 for g in graphs if g.n == n) for n in (9, 10)] == [531, 1733]
 
 
@@ -761,8 +764,8 @@ CENSUS_DIGESTS = {
 
 
 @pytest.mark.parametrize("n, d", CENSUS_DIGESTS)
-def test_census_returns_the_pinned_tuple(n, d):
-    graphs = enumerate_connected_graphs.__wrapped__(n, d)
+def test_census_returns_the_pinned_tuple(empty_census, n, d):
+    graphs = enumerate_connected_graphs(n, d)
     assert (len(graphs), hashlib.sha256(repr(graphs).encode()).hexdigest()) == CENSUS_DIGESTS[n, d]
 
 
@@ -772,7 +775,9 @@ def test_census_below_one_vertex_is_empty():
     assert enumerate_connected_graphs(1) == (SimpleGraph(1, ()),)
 
 
-def test_census_canonicalizes_only_the_candidates_it_keeps(monkeypatch):
+def count_canonical_codes(monkeypatch):
+    """The vertex counts of the graphs canonical_code is called on by the
+    census from here on, in call order."""
     calls = []
 
     def counting(g):
@@ -780,11 +785,51 @@ def test_census_canonicalizes_only_the_candidates_it_keeps(monkeypatch):
         return canonical_code(g)
 
     monkeypatch.setattr(homgraphs, "canonical_code", counting)
-    graphs = enumerate_connected_graphs.__wrapped__(8, 3)
+    return calls
+
+
+def test_census_canonicalizes_only_the_candidates_it_keeps(empty_census, monkeypatch):
+    calls = count_canonical_codes(monkeypatch)
+    graphs = enumerate_connected_graphs(8, 3)
     assert len(graphs) == 307
     # every candidate canonicalized made 1722 calls, the new vertex
     # compared by degree alone 908
     assert len(calls) <= 622
+
+
+def test_larger_bound_grows_only_the_levels_it_adds(empty_census, monkeypatch):
+    calls = count_canonical_codes(monkeypatch)
+    fresh = enumerate_connected_graphs(9, 3)
+    fresh_level_9 = calls.count(9)
+    monkeypatch.setattr(homgraphs, "_census_levels", {})
+    smaller = enumerate_connected_graphs(8, 3)
+    calls.clear()
+    assert enumerate_connected_graphs(9, 3) == fresh
+    assert calls == [9] * fresh_level_9
+    # a smaller bound builds nothing and returns the classes it did
+    assert enumerate_connected_graphs(8, 3) == smaller
+    assert calls == [9] * fresh_level_9
+
+
+def test_early_witness_stops_the_census(empty_census, monkeypatch):
+    # the one-vertex graph has 5 homomorphisms into C5 and 6 into C6, so
+    # the first level decides the pair and no later level is built
+    calls = count_canonical_codes(monkeypatch)
+    report = bounded_degree_distinguisher(cycle_graph(5), cycle_graph(6), 3, 11)
+    assert (report.verdict, report.graphs_checked) == ("distinguished", 1)
+    assert (report.distinguisher, report.count_f, report.count_g) == (SimpleGraph(1, ()), 5, 6)
+    assert calls == []
+
+
+def test_distinguisher_stops_at_the_first_empty_level(empty_census, monkeypatch):
+    # at degree 1 only K1 and K2 are connected: level 3 is empty, and so
+    # is every later one, since a level grows from the one before alone
+    levels = []
+    census_level = homgraphs._census_level
+    monkeypatch.setattr(homgraphs, "_census_level", lambda n, d: levels.append(n) or census_level(n, d))
+    report = bounded_degree_distinguisher(complete_graph(2), path_graph(2), 1, 10**6)
+    assert (report.verdict, report.graphs_checked) == ("indist_at_bound", 2)
+    assert levels == [1, 2, 3]
 
 
 # -- distinguisher experiments ---------------------------------------------------------

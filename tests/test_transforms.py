@@ -155,8 +155,14 @@ def test_domain_mismatch_rejected():
         (lambda: verify_holant_theorem({"e": equality_signature(2, 1, 1)}, HoloTransform(3, np.eye(3)), 2),
          "signatures and transform must share one domain size"),
         (lambda: HoloTransform(2, np.eye(3)), "transform must be 2x2, got (3, 3)"),
+        # refused by the closed walk before any grid, not by the binder
+        # once T·I is not bitwise I
+        (lambda: verify_holant_theorem(
+            {"wire": identity_signature(2), "f": MixedTensor(2, 2, 0, [[1, 2], [3, 4]])},
+            HoloTransform(2, [[1, 2], [3, 5]]), 2),
+         "signature ids must be distinct and not the reserved wire id"),
     ],
-    ids=["empty-set", "set-q2-transform-q3", "matrix-3x3-at-q2"],
+    ids=["empty-set", "set-q2-transform-q3", "matrix-3x3-at-q2", "set-binds-wire"],
 )
 def test_theorem_and_transform_refusals(refused, message):
     with pytest.raises(ValueError, match=re.escape(message)):

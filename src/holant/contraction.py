@@ -22,12 +22,14 @@ result is bitwise binding set k's contraction alone.
   down from the plan's last nodes, and runs only the steps under its
   misses: counts into one target share whole subtrees of steps.
 - compile_family compiles the closed family that
-  spans.closed_signature_blocks stores into one FamilyProgram, which
+  spans.closed_signature_blocks stores into one FamilyProgram, one
+  buffer of at most PROGRAM_MAX_ENTRIES entries per binding set, which
   replays every structure's pairwise plan under every binding set in a
   few batched numpy calls (Dongarra et al., "A proposed API for batched
   basic linear algebra subprograms", 2016; Gray & Kourtis,
   "Hyper-optimized tensor network contraction", 2021, treat a
-  contraction tree as a compiled program).
+  contraction tree as a compiled program).  A family over that cap
+  gets no program and replays run by run.
 
 holant.grids says what a grid is and which grids exist; it imports
 nothing from here.
@@ -964,19 +966,18 @@ class QuantumGadget:
 # -- the compiled closed family ---------------------------------------------
 
 
-# The node entries of one part, per binding set.  A replay holds one
-# part's buffer and gathered operands at a time; every part's index
-# arrays are kept with the stored family.  closed-invariance's 300
-# structures take 5133 entries, one part.  The largest stored family of
-# its shapes, at bound 5 (3458 grids, 1729 structures), replayed warm by
-# verify_holant_theorem (B = 2, 2-CPU host): at q = 3, 7.1 ms at 1 << 12,
-# 4.1 ms at 1 << 14, 3.0 ms at this cap (three parts) and 2.3 ms in one
-# part, with peak RSS 43.8, 43.7, 45.3 and 47.9 MB.  At q = 4 the two
-# overlap: 5.2-8.5 ms (46.8 MB) at this cap, seven parts, and 3.8-9.4 ms
-# (53.7 MB) in one part, eight processes each.  At q = 5 and 6 one part
-# is faster, 7.4-7.6 against 9.4-9.7 ms and 10.6-11.5 against 14-23 ms
-# (two processes each), for 12 and 21 MB more peak RSS.
-PART_MAX_ENTRIES = 1 << 16
+# The entries of a program's one buffer, per binding set: its vertex
+# tensors, each (id, self-edges) once, and every step's output.  A family
+# whose buffer would hold more gets no program and replays run by run.
+# verify_holant_theorem (B = 2, 2-CPU host), warm replay against run by
+# run: closed-invariance's 5133 entries, 0.8 against 8 ms; its shapes at
+# bound 5, q = 3 to 8 (49 K to 0.93 M entries), 3-45 against 51-108 ms,
+# for peak RSS 48-124 against 44 MB.  Over the cap the program stops
+# paying for its memory: one (2,2) id at bound 4, q = 6 (1.6 M entries),
+# 97 against 94 ms at 218 against 45 MB; q = 8 (4.9 M), 0.39 against
+# 0.22 s at 582 against 46 MB; closed-invariance's shapes at bound 5,
+# q = 10 (2.0 M), 98-156 against 117-185 ms at 217 against 45 MB.
+PROGRAM_MAX_ENTRIES = 1 << 20
 
 
 def _column_major(perm: list[int], split: int) -> bool:
@@ -994,13 +995,24 @@ def _column_major(perm: list[int], split: int) -> bool:
     )
 
 
+def _vertex_nodes(g: SignatureGrid, plan: ContractionPlan) -> list[tuple[str, tuple]]:
+    """Each vertex of g as its program node: (id, the axis pairs of its
+    self-edges, in the order the plan traces them)."""
+    traced: dict[int, list] = {}
+    for nid, axis1, axis2 in plan.traces:
+        traced.setdefault(nid, []).append((axis1, axis2))
+    return [(sig, tuple(traced.get(v, ()))) for v, sig in enumerate(g.vertices)]
+
+
 def compile_family(runs, shapes: dict[str, tuple[int, int]]):
     """The FamilyProgram of runs, the stored family's loop-free closed
     grids, under shapes, the family's own (id -> shape), planning each
     structure pairwise once.  Returns None, for the family to keep, when
     the family has no program under any bindings: at q = 1, where numpy
-    rounds a one-entry product by the path it takes, and when some
-    pairwise plan is over the entry cap."""
+    rounds a one-entry product by the path it takes, when some pairwise
+    plan is over the entry cap, and when the program's buffer would hold
+    more than PROGRAM_MAX_ENTRIES entries per binding set, which the
+    plans tell before any index array is built."""
     runs = tuple(runs)
     q = runs[0].q
     if q == 1:
@@ -1008,15 +1020,23 @@ def compile_family(runs, shapes: dict[str, tuple[int, int]]):
     # BindingStacks.bind keys its kinds by q and id set, so every closed
     # grid of one id set gets one kind: one grid per id set, and its
     # (id, shape) pairs as bind sorts them
-    id_sets, plans = {}, []
+    id_sets, plans, nodes, entries = {}, [], set(), 0
     for g in runs:
         ids = frozenset(g.vertices)
         if ids not in id_sets:
             id_sets[ids] = (g, tuple((sig, shapes[sig]) for sig in sorted(ids)))
-        plans.append(_plan(g, id_sets[ids][1], ()))
+        plan = _plan(g, id_sets[ids][1], ())
         try:
-            _check_cap(plans[-1], q)
+            _check_cap(plan, q)
         except ValueError:
+            return None
+        plans.append(plan)
+        for sig, pattern in _vertex_nodes(g, plan):
+            if (sig, pattern) not in nodes:
+                nodes.add((sig, pattern))
+                entries += q ** (sum(shapes[sig]) - 2 * len(pattern))
+        entries += sum(q**rank for *_, rank in plan.steps)
+        if entries > PROGRAM_MAX_ENTRIES:
             return None
     return FamilyProgram(runs, tuple(id_sets.values()), plans)
 
@@ -1028,15 +1048,14 @@ class FamilyProgram:
     returns a read-only (structures, B) array, or None when some binding
     set routes a grid through elimination.
 
-    The structures are split, in walk order, into parts whose nodes hold
-    at most PART_MAX_ENTRIES entries in all per binding set (a part holds
-    at least one structure), each compiled when the program is built.  A
-    part keeps every node of its structures in one flat buffer of shape
-    (B, size), B the binding sets, each node's entries in C order on
-    columns of its own.  Its replay runs, in order:
-    - one copy per id of that id's stack, as BindingStacks bound it for
-      every route of _execute, and one chain of np.trace calls per (id,
-      self-edge axes) pattern;
+    The program is compiled in one pass when it is built.  It keeps every
+    node of every structure in one flat buffer of shape (B, size), B the
+    binding sets, each node's entries in C order on columns of its own;
+    compile_family bounds size by PROGRAM_MAX_ENTRIES.  A replay runs, in
+    order:
+    - per (id, self-edge axes) node, one copy of that id's stack, as
+      BindingStacks bound it for every route of _execute, through its
+      chain of np.trace calls;
     - per group of pairwise steps, one np.take per operand and one
       np.matmul of the (B, G, M, K) and (B, G, K, N) stacks.  A group is
       keyed by (depth, M, K, N, memory order of each operand).  A step's
@@ -1057,52 +1076,21 @@ class FamilyProgram:
       gathered in that order, worked out once from the step's axes.
     """
 
-    __slots__ = ("runs", "id_sets", "parts")
+    __slots__ = ("runs", "id_sets", "size", "inputs", "steps", "products")
 
     def __init__(self, runs, id_sets, plans):
         self.runs = runs
         self.id_sets = id_sets
         arity = {sig: sum(sh) for _, shapes in id_sets for sig, sh in shapes}
-        self.parts = [
-            self._compile_part(members, plans, arity) for members in self._split(plans, arity)
-        ]
-
-    def _split(self, plans, arity) -> list[list[int]]:
-        """The structures, indices into runs, split in walk order into
-        parts of at most PART_MAX_ENTRIES node entries; a part holds at
-        least one structure."""
-        q = self.runs[0].q
-        parts: list[list[int]] = []
-        members: list[int] = []
-        entries = 0
-        for i, (g, plan) in enumerate(zip(self.runs, plans)):
-            traced = [0] * len(g.vertices)
-            for nid, _, _ in plan.traces:
-                traced[nid] += 1
-            # its vertices once traced and its steps' outputs; a gather
-            # reads each of these nodes at most once
-            need = sum(q ** (arity[sig] - 2 * t) for sig, t in zip(g.vertices, traced))
-            need += sum(q**rank for *_, rank in plan.steps)
-            if members and entries + need > PART_MAX_ENTRIES:
-                parts.append(members)
-                members, entries = [], 0
-            members.append(i)
-            entries += need
-        return parts + [members]
-
-    def _compile_part(self, members: list[int], plans, arity) -> tuple:
-        """(size, inputs, traces, steps, products) of the structures
-        members, indices into runs, laid out in one buffer."""
-        q = self.runs[0].q
+        q = runs[0].q
         size = 0
-        inputs: dict[str, tuple[int, int]] = {}  # id -> its columns
-        traces: dict[tuple, tuple[int, int]] = {}  # (id, axes pairs) -> columns
+        inputs: dict[tuple, tuple[int, int]] = {}  # (id, axes pairs) -> columns
         # an operand's layout: its axes and rows -> (id, whether it is
         # gathered column-major, its matrix of node entries, so gathered)
         layouts: dict[tuple, tuple[int, bool, np.ndarray]] = {}
         # key -> per step, each operand's node and layout id
         groups: dict[tuple, list] = {}
-        outer: dict[int, list] = {}  # per structure, its leftover nodes
+        outer = []  # per structure, its leftover nodes
 
         def layout(axes, split):
             found = layouts.get((axes, split))
@@ -1114,22 +1102,16 @@ class FamilyProgram:
                 found = layouts[axes, split] = (len(layouts), column_major, idx.T if column_major else idx)
             return found
 
-        for i in members:
-            g, plan = self.runs[i], plans[i]
-            traced: dict[int, list] = {}
-            for nid, axis1, axis2 in plan.traces:
-                traced.setdefault(nid, []).append((axis1, axis2))
+        for g, plan in zip(runs, plans):
             # a node is (where, rank, depth); where is ("at", column) or
             # (group key, position in the group)
             nodes = []
-            for v, sig in enumerate(g.vertices):
-                pattern = tuple(traced.get(v, ()))
+            for sig, pattern in _vertex_nodes(g, plan):
                 rank = arity[sig] - 2 * len(pattern)
-                table, key = (traces, (sig, pattern)) if pattern else (inputs, sig)
-                if key not in table:
-                    table[key] = (size, size + q**rank)
+                if (sig, pattern) not in inputs:
+                    inputs[sig, pattern] = (size, size + q**rank)
                     size += q**rank
-                nodes.append((("at", table[key][0]), rank, 0))
+                nodes.append((("at", inputs[sig, pattern][0]), rank, 0))
             for u, axes_u, v, axes_v, shared, rank in plan.steps:
                 (wu, ru, du), (wv, rv, dv) = nodes[u], nodes[v]
                 lu, fu, _ = layout(axes_u, ru - shared)
@@ -1138,7 +1120,7 @@ class FamilyProgram:
                 group = groups.setdefault(key, [])
                 group.append((wu, lu, wv, lv))
                 nodes.append(((key, len(group) - 1), rank, key[0]))
-            outer[i] = [nodes[nid][0] for nid in plan.outer]
+            outer.append([nodes[nid][0] for nid in plan.outer])
 
         # the groups in order of depth, each group's outputs side by side
         base = {}
@@ -1163,23 +1145,23 @@ class FamilyProgram:
             start = np.array([column(step[at]) for step in group], dtype=np.intp)
             return table[np.searchsorted(distinct, ids)] + start[:, None, None]
 
-        steps = []
+        self.steps = []
         for key, lo in base.items():
             _, m, _, n, fa, fb = key
             group = groups[key]
-            steps.append((lo, lo + len(group) * m * n, gathered(group, 0), fa, gathered(group, 2), fb))
+            self.steps.append((lo, lo + len(group) * m * n, gathered(group, 0), fa, gathered(group, 2), fb))
 
         # the structures grouped by their number of leftover scalars
         by_count: dict[int, list[int]] = {}
-        for i, nodes in outer.items():
-            by_count.setdefault(len(nodes), []).append(i)
-        products = []
+        for i, leftover in enumerate(outer):
+            by_count.setdefault(len(leftover), []).append(i)
+        self.products = []
         for count, same in sorted(by_count.items()):
             idx = np.array(
                 [[column(outer[i][f]) for i in same] for f in range(count)], dtype=np.intp
             ).reshape(count, len(same))
-            products.append((np.array(same, dtype=np.intp), idx))
-        return size, inputs, traces, steps, products
+            self.products.append((np.array(same, dtype=np.intp), idx))
+        self.size, self.inputs = size, inputs
 
     def replay(self, stacks: BindingStacks) -> np.ndarray | None:
         """Every structure's values under every set of stacks, as one
@@ -1195,33 +1177,30 @@ class FamilyProgram:
             if list(bound.routes) != [()]:
                 return None
             stacked.update(zip(dict(bound.shapes), bound.arrays))
+        buf = np.empty((batch, self.size), dtype=np.complex128)
+        for (sig, pattern), (lo, hi) in self.inputs.items():
+            node = stacked[sig]
+            for axis1, axis2 in pattern:
+                node = node.trace(axis1=axis1, axis2=axis2)
+            buf[:, lo:hi] = node.reshape(batch, -1)
+        for lo, hi, ia, fa, ib, fb in self.steps:
+            a = np.take(buf, ia, axis=1)
+            b = np.take(buf, ib, axis=1)
+            if fa:
+                a = a.swapaxes(-1, -2)
+            if fb:
+                b = b.swapaxes(-1, -2)
+            buf[:, lo:hi] = np.matmul(a, b).reshape(batch, -1)
         out = np.empty((batch, len(self.runs)), dtype=np.complex128)
-        for size, inputs, traces, steps, products in self.parts:
-            buf = np.empty((batch, size), dtype=np.complex128)
-            for sig, (lo, hi) in inputs.items():
-                buf[:, lo:hi] = stacked[sig].reshape(batch, -1)
-            for (sig, pattern), (lo, hi) in traces.items():
-                node = stacked[sig]
-                for axis1, axis2 in pattern:
-                    node = node.trace(axis1=axis1, axis2=axis2)
-                buf[:, lo:hi] = node.reshape(batch, -1)
-            for lo, hi, ia, fa, ib, fb in steps:
-                a = np.take(buf, ia, axis=1)
-                b = np.take(buf, ib, axis=1)
-                if fa:
-                    a = a.swapaxes(-1, -2)
-                if fb:
-                    b = b.swapaxes(-1, -2)
-                buf[:, lo:hi] = np.matmul(a, b).reshape(batch, -1)
-            for same, idx in products:
-                if not len(idx):
-                    out[:, same] = 1
-                    continue
-                factors = np.take(buf, idx, axis=1)
-                product = factors[:, 0] * (1 + 0j)
-                for f in range(1, len(idx)):
-                    product = product * factors[:, f]
-                out[:, same] = product
+        for same, idx in self.products:
+            if not len(idx):
+                out[:, same] = 1
+                continue
+            factors = np.take(buf, idx, axis=1)
+            product = factors[:, 0] * (1 + 0j)
+            for f in range(1, len(idx)):
+                product = product * factors[:, f]
+            out[:, same] = product
         # the factor q**loops of a loop-free grid, multiplied as
         # _contract multiplies it
         out = (out * 1).T

@@ -504,14 +504,18 @@ def invertible_adjacency_experiment(
     hunt for a degree-3 distinguisher up to the vertex bound.
 
     A miss is evidence relative to the bound only, never a refutation.
+    An adjacency matrix counts as singular when its determinant, an
+    integer, is at most 1/2 in absolute value: read from slogdet, whose
+    logarithm stays finite where det itself overflows (dense graphs of a
+    few hundred vertices).
     """
     reports = []
     for idx, (f, g) in enumerate(pairs):
-        bad = [
-            side
-            for side, gr in (("first", f), ("second", g))
-            if abs(round(float(np.linalg.det(gr.adjacency())))) == 0
-        ]
+        bad = []
+        for side, gr in (("first", f), ("second", g)):
+            sign, logabsdet = np.linalg.slogdet(gr.adjacency())
+            if sign == 0 or logabsdet <= np.log(0.5):
+                bad.append(side)
         if bad:
             reports.append(
                 PairExperimentReport(

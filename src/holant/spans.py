@@ -123,9 +123,10 @@ def closed_signature_blocks(max_vertices: int, fs, *others):
     Only this function keeps a closed family, _family.  A family of at
     most FAMILY_MEMO_MAX_GRIDS grids is read whole and stored with what
     compile_family makes of it under its own shapes, which are the first
-    set's: a program, or None (q = 1, or a pairwise plan over the entry
-    cap).  A later call with its key enumerates and compiles nothing.  A
-    program contracts every structure under all sets at once through
+    set's: a program, or None (q = 1, a pairwise plan over the entry
+    cap, or a program buffer over PROGRAM_MAX_ENTRIES).  A later call
+    with its key enumerates and compiles nothing.  A program contracts
+    every structure under all sets at once, in one buffer, through
     this module's gadget_signature, and scales the loop copies by
     derives; it replays the whole family or gives no values (a set binds
     an id to an exact equality).  Then, and for a larger walk, which
@@ -176,8 +177,11 @@ def _symmetric_ids(*binding_sets) -> tuple[str, ...]:
 # FAMILY_MEMO_MAX_GRIDS grids streams and is never stored.  Grids take
 # 230-670 bytes each (tracemalloc): closed-invariance's family holds 600
 # grids in 0.29 MB; {a (1,1), b (2,2)} at bound 5, 107350 grids, streams.
-# A program takes 0.2 MB of index arrays for closed-invariance's 300
-# structures, planned and compiled in about 14 ms.
+# A program's one buffer holds at most PROGRAM_MAX_ENTRIES entries per
+# binding set, which bounds its index arrays too: 0.2 MB for
+# closed-invariance's 300 structures (5133 entries), planned and compiled
+# in about 14 ms; 25 MB for the 1729 structures of its shapes at bound 5,
+# q = 8 (0.93 M entries).  A larger family keeps no program.
 FAMILY_MEMO_MAX_GRIDS = 4096
 _family: tuple[tuple, tuple[SignatureGrid, ...], object] | None = None
 

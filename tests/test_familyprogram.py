@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holant import contraction
 from holant import grids as grids_module
@@ -99,7 +101,7 @@ def test_program_equals_each_structure_replayed_alone(monkeypatch, name):
     if q == 1:
         assert program is None
     else:
-        assert program.runs == tuple(grids[::2]) and program.parts
+        assert program.runs == tuple(grids[::2])
     parts = want.view(np.float64)
     assert np.any((parts == 0) & np.signbit(parts))  # some part is -0.0
     assert {g.loops for g in grids} == {0, 1}
@@ -132,27 +134,57 @@ def test_streamed_blocks_replay_run_by_run(monkeypatch, name):
     assert np.concatenate([v for _, v in blocks]).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["q2", "q3", "mixed"])
-def test_parts_keep_the_bits(monkeypatch, name):
-    # with the part cap lowered below the family's node entries, the
-    # program splits into parts of at most PART_MAX_ENTRIES entries per
-    # binding set, but for a part of one structure, each compiled when
-    # the program is built
+def buffer_entries(name):
+    """The entries per binding set of the buffer of case name's program,
+    compiled under the default cap."""
     sig_shapes, bound, q, sets = program_case(name)
-    monkeypatch.setattr(contraction, "PART_MAX_ENTRIES", q**5)
+    grids = grids_module.enumerate_grids(sig_shapes, bound, q, symmetric=spans._symmetric_ids(sets[0]))
+    return contraction.compile_family(tuple(grids)[::2], dict(sig_shapes)).size
+
+
+@pytest.mark.parametrize("name", ["q2", "q3", "mixed"])
+def test_family_at_the_cap_is_one_program(monkeypatch, name):
+    # with the cap at the family's buffer entries, the family compiles
+    # into one program, whose buffer holds each vertex node once and
+    # every step's output
+    sig_shapes, bound, q, sets = program_case(name)
+    entries = buffer_entries(name)
+    monkeypatch.setattr(contraction, "PROGRAM_MAX_ENTRIES", entries)
     monkeypatch.setattr(spans, "_family", None)
     grids, values = replayed(bound, sets)
     want = oracle_values(grids, sets)
     assert values.tobytes() == want.tobytes()
     assert replayed(bound, sets)[1].tobytes() == want.tobytes()
     program = spans._family[2]
-    assert 1 < len(program.parts) < len(grids) // 2
-    # each part's structures: the products' rows, by number of scalars
-    members = [np.concatenate([same for same, _ in products]) for *_, products in program.parts]
-    assert sorted(np.concatenate(members)) == list(range(len(grids) // 2))
-    for (size, *_), part in zip(program.parts, members):
-        assert size <= q**5 or len(part) == 1
-    assert any(len(part) > 1 for part in members)
+    assert program.size == entries
+    nodes = [hi - lo for lo, hi in program.inputs.values()] + [hi - lo for lo, hi, *_ in program.steps]
+    assert sum(nodes) == entries
+
+
+@pytest.mark.parametrize("name", ["q2", "q3", "mixed"])
+def test_family_over_the_cap_replays_run_by_run(monkeypatch, name):
+    # one entry over the cap, compile_family returns None before any
+    # FamilyProgram is built; the stored family keeps that None, is
+    # compiled once, and every later call replays it run by run, each
+    # loop-free structure contracted once
+    sig_shapes, bound, q, sets = program_case(name)
+    monkeypatch.setattr(contraction, "PROGRAM_MAX_ENTRIES", buffer_entries(name) - 1)
+    monkeypatch.setattr(spans, "_family", None)
+    compiled, contracted = [], []
+    compile_family, contract = spans.compile_family, contraction._contract
+
+    def no_program(*args):
+        raise AssertionError("a family over the cap built a program")
+
+    monkeypatch.setattr(contraction, "FamilyProgram", no_program)
+    monkeypatch.setattr(spans, "compile_family", lambda *a: compiled.append(a) or compile_family(*a))
+    monkeypatch.setattr(contraction, "_contract", lambda g, *a: contracted.append(g) or contract(g, *a))
+    for _ in range(2):
+        contracted.clear()
+        grids, values = replayed(bound, sets)
+        assert contracted == list(grids[::2])
+        assert spans._family[2] is None and len(compiled) == 1
+        assert values.tobytes() == oracle_values(grids, sets).tobytes()
 
 
 @pytest.mark.parametrize("name", ["q3", "mixed"])
@@ -292,6 +324,61 @@ def test_a_later_set_of_other_shapes_is_refused(monkeypatch):
             list(spans.closed_signature_blocks(bound, *swapped))
         messages.append(str(refused.value))
     assert messages == [str(cold.value)] * 2
+
+
+SHAPES = [(1, 1), (2, 1), (1, 2), (2, 0), (0, 2), (2, 2)]
+# entries drawn with both signed zeros among them
+ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-2, 2, allow_subnormal=False)
+
+
+def closable(shapes) -> bool:
+    """Is some grid over these shapes closed and not empty?"""
+    return any(l == r for l, r in shapes) or {l > r for l, r in shapes} == {True, False}
+
+
+@st.composite
+def closed_families(draw):
+    """(bound, binding sets) of a small closed family: 1-3 ids, q in
+    {1, 2, 3}, bound <= 3, 1-3 binding sets."""
+    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=3).filter(closable))
+    q, bound = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = {}
+        for k, (l, r) in enumerate(shapes):
+            parts = draw(st.lists(ENTRIES, min_size=2 * q ** (l + r), max_size=2 * q ** (l + r)))
+            b[f"s{k}"] = MixedTensor(q, l, r, np.array(parts).view(np.complex128))
+        sets.append(b)
+    return bound, sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=closed_families())
+def test_stored_program_replays_random_families(case):
+    # the stored family replays bitwise as each structure contracted
+    # alone, twice in a row; at q >= 2 its program gives those values
+    # unless some set binds an exact equality, and at q = 1 no program
+    # is stored
+    bound, sets = case
+    kept = spans._family
+    try:
+        spans._family = None
+        grids, values = replayed(bound, sets)
+        want = oracle_values(grids, sets)
+        assert values.tobytes() == want.tobytes()
+        assert replayed(bound, sets)[1].tobytes() == want.tobytes()
+        program = spans._family[2]
+        if sets[0]["s0"].q == 1:
+            assert program is None
+        else:
+            runs = program.replay(contraction.BindingStacks(sets))
+            ids = {sig for g in grids for sig in g.vertices}
+            if any(b[sig].is_equality() for b in sets for sig in ids):
+                assert runs is None
+            else:
+                assert runs.tobytes() == want[::2].tobytes()
+    finally:
+        spans._family = kept
 
 
 def test_import_does_not_load_the_compiler():

@@ -883,3 +883,16 @@ def test_invertible_adjacency_experiment_statuses():
     assert reports[2].distinguisher.max_degree() <= 3
     assert reports[2].distinguisher.n <= 7
     assert reports[2].count_f != reports[2].count_g
+
+
+def test_invertible_adjacency_experiment_on_a_dense_graph():
+    # G(400, 1/2): its determinant overflows float64 (np.linalg.det is
+    # inf), so singularity is read from slogdet's finite logarithm
+    rng = np.random.default_rng(1)
+    u, v = np.triu_indices(400, 1)
+    keep = rng.random(len(u)) < 0.5
+    g = SimpleGraph(400, tuple(zip(u[keep].tolist(), v[keep].tolist())))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.det(g.adjacency()))
+    [report] = invertible_adjacency_experiment([(g, g.relabel(rng.permutation(400).tolist()))], bound=3)
+    assert report.status == "isomorphic"

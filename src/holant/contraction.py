@@ -5,7 +5,8 @@ Each route replays a ContractionPlan, planned once per grid structure
 (_contraction_plan), and keeps one bit contract: row k of a stacked
 result is bitwise binding set k's contraction alone.
 - BindingStacks checks the binding sets of a walk once per kind of grid
-  and stacks each id's tensors on a leading batch axis.
+  and stacks each id's tensors on a leading batch axis; an eliminating
+  route reads a set's real tensors, as every count's are, in float64.
 - A pairwise plan contracts next the node pair whose result is smallest.
   An exact equality says that all its ports carry one value, so it is
   not a tensor of the network but one index its ports share, and
@@ -85,6 +86,17 @@ class _Bound(NamedTuple):
     # for exact equalities: () for a pairwise plan
     routes: dict[tuple[str, ...], list[int]]
     arrays: list[np.ndarray]  # per id, in shapes order, its stack (B, q, ..., q)
+    # per set, what its eliminating route reads of each id, in shapes
+    # order (BindingStacks.bind); None for an id it does not read, and
+    # () when no set eliminates
+    rows: tuple[list[np.ndarray | None], ...]
+
+
+def _eliminated_row(row: np.ndarray) -> np.ndarray:
+    """One set's tensor as an eliminating route reads it: a contiguous
+    float64 copy of its real part when no entry has a nonzero imaginary
+    part (a -0.0 is zero), else the complex row itself."""
+    return row if row.imag.any() else row.real.copy()
 
 
 class BindingStacks:
@@ -97,12 +109,19 @@ class BindingStacks:
     resolved, so a fault is named as a lone grid's contraction names it,
     in the grid's own vertex order.  Each set takes a route: a closed
     grid at q >= 2 under a set that binds some id to an exact equality
-    is eliminated, every other grid is contracted pairwise.  Every route
-    reads one list of stacked arrays, one per id of the grid (_execute),
-    and the compiled closed family reads the same stacks; an eliminating
-    route reads each of its sets on that set's row.  Each id is stacked
-    once per walk and domain size, the wire identity once some grid has
-    wire vertices.  The sets share each id's shape, as every caller's
+    is eliminated, every other grid is contracted pairwise.  The pairwise
+    route reads one list of stacked arrays, one per id of the grid
+    (_execute), and the compiled closed family reads the same stacks.
+    An eliminating route reads each of its sets apart, on that set's
+    row of each id it reads: as a float64 copy when the row's entries
+    are all real, as counting grids' are, since numpy's float64 einsum
+    loops run several times faster than its complex ones; else as the
+    complex row.  The choice is made per set, from that set's bits
+    alone, so a stacked row keeps the bits of its set alone.  Each id is
+    stacked once per walk and domain size, and each row an eliminating
+    route reads is chosen and copied once per walk and domain size too;
+    the wire identity is stacked once some grid has wire vertices.  The
+    sets share each id's shape, as every caller's
     correspondence checks; a set that binds an id with another shape
     than the first set's is refused by id and set when that id is first
     stacked.  The sets are never changed.  A lone set's stacks are views
@@ -111,22 +130,26 @@ class BindingStacks:
     hom_count keeps one per target, grown by extended, across counts.
     """
 
-    __slots__ = ("sets", "_stacks", "_bound")
+    __slots__ = ("sets", "_stacks", "_rows", "_bound")
 
     def __init__(self, sets):
         self.sets = tuple(sets)
         self._stacks: dict[int, dict[str, np.ndarray]] = {}  # q -> id -> stack
+        # q -> id -> per set, its row as an eliminating route reads it
+        self._rows: dict[int, dict[str, tuple[np.ndarray, ...]]] = {}
         self._bound: dict[tuple[int, frozenset[str], bool], _Bound] = {}
 
     def extended(self, more: dict[str, MixedTensor]) -> BindingStacks:
         """A one-set stacks over this one's set and more, new ids other
-        than the wire id, keeping every kind and stack bound so far: a
-        kind reads only its ids' bindings and the set's wire binding."""
+        than the wire id, keeping every kind, stack and row bound so far:
+        a kind reads only its ids' bindings and the set's wire binding."""
         (bindings,) = self.sets
         if WIRE_ID in more or bindings.keys() & more.keys():
             raise ValueError("extended binds only ids the set leaves unbound, never the wire id")
         out = BindingStacks([{**bindings, **more}])
-        out._stacks, out._bound = {q: dict(st) for q, st in self._stacks.items()}, dict(self._bound)
+        out._stacks = {q: dict(st) for q, st in self._stacks.items()}
+        out._rows = {q: dict(rows) for q, rows in self._rows.items()}
+        out._bound = dict(self._bound)
         return out
 
     def bind(self, grid: SignatureGrid) -> _Bound:
@@ -136,10 +159,12 @@ class BindingStacks:
             resolved = [resolve_bindings(grid, b) for b in self.sets]
             ids = sorted(set(grid.vertices))
             eliminate = grid.q >= 2 and grid.is_closed()
-            routes, shapes, arrays = {}, [], []
+            routes, shapes, arrays, read = {}, [], [], set()
             for k, b in enumerate(resolved):
                 equal = tuple([sig for sig in ids if eliminate and b[sig].is_equality()])
                 routes.setdefault(equal, []).append(k)
+                if equal:
+                    read.update([sig for sig in ids if sig not in equal])
             stacks = self._stacks.setdefault(grid.q, {})
             for sig in ids:
                 if sig not in stacks:
@@ -155,7 +180,15 @@ class BindingStacks:
                                    else first.array[None])
                 shapes.append((sig, resolved[0][sig].shape))
                 arrays.append(stacks[sig])
-            bound = self._bound[key] = _Bound(tuple(shapes), routes, arrays)
+            rows = ()
+            if read:
+                kept = self._rows.setdefault(grid.q, {})
+                for sig in read:
+                    if sig not in kept:
+                        kept[sig] = tuple(map(_eliminated_row, stacks[sig]))
+                rows = tuple([[kept[sig][k] if sig in read else None for sig in ids]
+                              for k in range(len(resolved))])
+            bound = self._bound[key] = _Bound(tuple(shapes), routes, arrays, rows)
         return bound
 
 
@@ -527,11 +560,14 @@ def _check_cap(plan: ContractionPlan, q: int) -> None:
 # pair their operands greedily (optimize=True: never an intermediate larger
 # than the step's operands or output), so that each pair is one BLAS
 # product.  The pairing costs some 10-20 us a step, the loop a few ns per
-# tuple and operand.  Timed on a 2-CPU host (numpy 2.4.6), loop against
-# paired: "ab,ac->bc" 15 against 19 us at q = 16 and 99 against 32 us at
-# q = 32; "ab,ac,ad->bcd" 25 against 81 us at q = 8 and 450 against 98 us
-# at q = 16.  A hom-census pass, plans cached, ran in 0.22 s with
-# thresholds from 2**13 to 2**15 and 0.28 s with every step in the loop.
+# tuple and operand.  Timed in float64, as every count runs, on a 2-CPU
+# host (numpy 2.4.6), loop against paired: "ab,ac->bc" 4.4 against 14 us
+# at q = 16 and 15.5 against 15.2 us at q = 32; "ab,ac,ad->bcd" 15 against
+# 27 us at q = 8 and 149 against 49 us at q = 16 (in complex128 17 against
+# 18, 89 against 23, 29 against 53 and 299 against 49 us).  The counts of
+# a hom-census pass, plans cached and the step memo empty, ran in 0.053 s
+# at 2**14, 0.054-0.057 s at 2**12, 2**13, 2**15 and 2**16, and 0.059 s
+# with every step in the loop (best of five).
 # The step memo's keys do not hold which way a step ran, so code that
 # moves this constant runs under an empty memo of its own.
 EINSUM_LOOP_MAX = 1 << 14
@@ -548,13 +584,15 @@ def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
 
 # Bytes the step memo keeps, counting each kept result as its nbytes plus
 # STEP_OVERHEAD for its key, its LRU node and its array header (412 bytes
-# a step by tracemalloc); the least recently used step goes first.  A
-# hom-census pass keeps 1452 steps, 0.59 MB of results and 1.2 MB in all;
-# the counts of `holant homdist` on two 16-vertex cubic graphs at degree 3
-# keep 2372 steps in 2.6 MB at bound 9 and 6656 in 8.0 MB at bound 10
-# (5.4 MB of results, peak RSS +6.4 MB), so a bound of 11 or more evicts.
+# a step by tracemalloc); the least recently used step goes first.  Counts
+# run in float64, so their results take 8 bytes an entry.  A hom-census
+# pass keeps 1906 steps, 0.51 MB of results and 1.28 MB in all; the counts
+# of `holant homdist` on two isomorphic 16-vertex cubic graphs (a random
+# pairing, numpy seed 5) at degree 3 keep 3856 steps in 3.5 MB at bound 9
+# and 12296 in 11.6 MB at bound 10 (6.7 MB of results, peak RSS +10 MB
+# over a memo that keeps nothing), so a bound of 11 or more evicts.
 # A count of entries would not bound the bytes: a target of 512 vertices
-# makes rank-2 results of 4 MB each.
+# makes rank-2 results of 2 MB each.
 STEP_MEMO_BYTES = 16 << 20
 STEP_OVERHEAD = 400
 
@@ -567,8 +605,10 @@ class StepMemo:
     two slots whatever the step's depth, and a hit answers the step's
     whole subtree: _eliminate looks up nothing below it.  The array's q
     and the step's subscripts decide whether the step runs wide
-    (EINSUM_LOOP_MAX), so one key is one np.einsum call while that
-    constant stands.
+    (EINSUM_LOOP_MAX), and the array's bits whether its steps run in
+    float64 (BindingStacks), so one key is one np.einsum call in one
+    dtype while that constant stands: a real array's steps keep float64
+    results, a complex one's complex128.
 
     Keys start with the bound array's id, which own registers with a
     weakref.finalize that drops the array's steps when it dies, so the
@@ -688,12 +728,13 @@ def _execute(
     owner: int | None = None,
 ) -> np.ndarray:
     """Replay a plan at domain size q on the tensors of batch binding
-    sets: arrays holds each id's tensors stacked on a leading batch axis,
-    in the order of the plan's (id, shape) pairs, and every plan reads
-    that one list, vertex v at arrays[plan.stack_of[v]].  perm, unless
-    empty, lists the axes of the stacked outer product in slot order,
-    the batch axis first.  Returns the batch results, stacked on a
-    leading axis.
+    sets.  For a pairwise plan, arrays holds each id's tensors stacked on
+    a leading batch axis, in the order of the plan's (id, shape) pairs,
+    vertex v at arrays[plan.stack_of[v]]; for a plan that eliminates, it
+    holds per set its list of rows in that order (_Bound.rows), so batch
+    is its length.  perm, unless empty, lists the axes of the stacked
+    outer product in slot order, the batch axis first.  Returns the batch
+    results, stacked on a leading axis, in complex128.
 
     Each step gives every row the bits that row gets alone: a trace runs
     on the plan's batch-shifted axes, a pairwise step is one np.matmul of
@@ -703,21 +744,27 @@ def _execute(
     takes (np.matmul, np.dot and broadcasting differ in signed zeros and
     fused multiply-adds), so there each row takes np.dot and
     np.multiply.outer apart, as a lone set does.  A plan that eliminates
-    has no pairwise step; each row runs its np.einsum steps apart, on
-    its own row of each stack (a lone set's row is its own array), and
-    only the scalars they leave are stacked (_eliminate).
+    has no pairwise step; each set runs its np.einsum steps apart, on its
+    own rows, and only the scalars they leave are stacked (_eliminate).
+    A set whose rows are all float64, as every hom and matchings count's
+    are, runs every step in float64, and its value is the real result
+    with imaginary part +0.0: an integer below 2**53 is exact either way,
+    while a value past it, or one that is not an integer, may round
+    otherwise than in complex128.  A step that reads a float64 and a
+    complex row runs in complex128 by numpy's promotion.
 
     owner, given only for one set whose steps read one bound array
     whole (plan.step_ids: every hom count, whose only tensor is its
     target's adjacency), is that array's id in the step memo: the set
     replays through the memo, top down, and keeps what it runs there, so
     that counts into one target share their steps (A.1, A**2, the A**k
-    chain of every cycle).  A hit is the very array an identical
-    np.einsum call on identical operands made, so every value keeps its
-    bits.
+    chain of every cycle).  Whether that array's row is read in float64
+    follows from its bits, so every step kept under its id ran in one
+    dtype, and a hit is the very array an identical np.einsum call on
+    identical operands made: every value keeps its bits.
     """
     if plan.eliminations:
-        rows = [_eliminate(plan, q, [a[k] for a in arrays], owner) for k in range(batch)]
+        rows = [_eliminate(plan, q, row, owner) for row in arrays]
         nodes = {nid: np.array([row[i] for row in rows]) for i, nid in enumerate(plan.outer)}
     else:
         nodes = [arrays[i] for i in plan.stack_of]
@@ -768,7 +815,7 @@ def _contract(grid: SignatureGrid, bound: _Bound, batch: int) -> np.ndarray:
     """stacked_signature on the _Bound of grid under batch binding sets:
     each route's plan, its cap checked at grid.q, replayed with the
     permutation that puts the free axes in slot order."""
-    shapes, routes, arrays = bound
+    shapes, routes, arrays, rows = bound
     out = None if len(routes) == 1 else np.empty(batch, dtype=np.complex128)
     for equal, ks in routes.items():
         plan = _plan(grid, shapes, equal)
@@ -783,9 +830,10 @@ def _contract(grid: SignatureGrid, bound: _Bound, batch: int) -> np.ndarray:
         if out is None:
             # a lone set's stack is a view of its read-only array (BindingStacks.bind)
             owner = step_memo.own(arrays[plan.shared_stack].base) if batch == 1 and plan.step_ids else None
-            out = _execute(plan, grid.q, arrays, perm, batch, owner)
+            out = _execute(plan, grid.q, rows if plan.eliminations else arrays, perm, batch, owner)
         else:  # two routes, so the grid is closed and each row one value
-            out[ks] = _execute(plan, grid.q, [a[ks] for a in arrays], perm, len(ks))
+            read = [rows[k] for k in ks] if plan.eliminations else [a[ks] for a in arrays]
+            out[ks] = _execute(plan, grid.q, read, perm, len(ks))
     out = out * grid.q**grid.loops
     out.setflags(write=False)
     return out
@@ -809,9 +857,16 @@ def stacked_signature(grid: SignatureGrid, stacks: BindingStacks) -> np.ndarray:
     cycles and random cubic graphs of 128 and 512 vertices) ran as fast
     as by pairwise plans or faster, and at q = 128 some grids fit the
     entry cap that do not fit it pairwise: hom(K4, G) needs q**3 entries
-    by elimination, q**4 pairwise.  Binding sets share a replay when they
-    pick one plan, that is, bind the same ids to equalities; a set whose
-    plan differs is replayed apart.  A lone set whose elimination steps
+    by elimination, q**4 pairwise.  An eliminating set reads each of its
+    tensors whose entries are all real, a -0.0 imaginary part included,
+    as a float64 copy, so every hom and matchings count runs its steps
+    in float64; a tensor with any nonzero imaginary entry stays
+    complex128.  The result is complex128 either way: a float64 row's
+    value has imaginary part +0.0, and its real part may differ in the
+    last bits from a complex128 replay wherever that replay rounds (an
+    integer count below 2**53 does not).  Binding sets share a replay when
+    they pick one plan, that is, bind the same ids to equalities; a set
+    whose plan differs is replayed apart.  A lone set whose elimination steps
     read one bound array whole looks its steps up in the step memo top
     down (_eliminate), each keyed by that array's id and its structural
     step id and kept while that array lives; stacked sets, whose rows

@@ -54,6 +54,21 @@ class SignatureGrid:
             # (an int compares with a float exactly, at any size)
             raise ValueError(f"{self.loops} loops at q={self.q}: q**loops is not a finite float")
 
+    @classmethod
+    def closed(cls, q: int, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> SignatureGrid:
+        """SignatureGrid(q, vertices, edges), a closed grid with no loops,
+        for vertices and edges that are already a tuple of ids and a tuple
+        of edge tuples, as homgraphs builds its star grids: the fields
+        hold them as given, with no second tuple of each, and q is checked
+        as __post_init__ checks it."""
+        if q < 1:
+            raise ValueError("domain size must be positive")
+        grid = object.__new__(cls)
+        grid.__dict__.update(
+            q=q, vertices=vertices, edges=edges, left_dangling=(), right_dangling=(), loops=0
+        )
+        return grid
+
     @property
     def profile(self) -> tuple[int, int]:
         return (len(self.left_dangling), len(self.right_dangling))

@@ -114,19 +114,16 @@ def _star_grid(x: SimpleGraph, degrees: list[int], prefix: str, edge_id: str, q:
     """Common wiring: a vertex signature per x-vertex, a 2-port edge
     signature per x-edge.  A vertex of degree d, degrees[v], gets the
     binding name prefix + str(d); an isolated vertex gets an arity-0
-    signature, a scalar with no ports."""
-    vertices = [f"{prefix}{d}" for d in degrees]
-    edge_base = len(vertices)
-    for _ in x.edges:
-        vertices.append(edge_id)
-    next_port = [1] * x.n
+    signature, a scalar with no ports.  The grid is built once, from the
+    tuples its fields hold (SignatureGrid.closed)."""
+    ports = [0] * x.n  # ports used so far, per x-vertex
     grid_edges = []
-    for k, (u, v) in enumerate(x.edges):
-        grid_edges.append((u, next_port[u], edge_base + k, 1))
-        next_port[u] += 1
-        grid_edges.append((v, next_port[v], edge_base + k, 2))
-        next_port[v] += 1
-    return SignatureGrid(q, tuple(vertices), tuple(grid_edges))
+    for k, (u, v) in enumerate(x.edges, len(degrees)):
+        ports[u] += 1
+        ports[v] += 1
+        grid_edges += ((u, ports[u], k, 1), (v, ports[v], k, 2))
+    vertices = (*[f"{prefix}{d}" for d in degrees], *[edge_id] * len(x.edges))
+    return SignatureGrid.closed(q, vertices, tuple(grid_edges))
 
 
 def hom_grid(x: SimpleGraph, q: int, degrees: list[int] | None = None) -> SignatureGrid:

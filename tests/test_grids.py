@@ -33,6 +33,7 @@ from holant import (
     pair,
 )
 from holant.contraction import (
+    BindingStacks,
     QuantumGadget,
     _check_cap,
     _contraction_plan,
@@ -41,6 +42,7 @@ from holant.contraction import (
     derives,
     gadget_signature,
     holant_eval_contracted,
+    stacked_signature,
 )
 from holant.grids import (
     WIRE_ID,
@@ -731,6 +733,57 @@ def test_equality_verdict_is_kept_on_the_tensor():
     shapes = (("A", (0, 2)), ("eq2", (2, 0)))
     assert _contraction_plan(grid.vertices, grid.edges, (), (), shapes, 2, ("eq2",)).eliminations
     assert _contraction_plan.cache_info().hits == 1
+
+
+def test_only_real_rows_are_eliminated_in_float64(monkeypatch):
+    # the 4-cycle's hom grid at q = 3 with "A" the adjacency of K3: read
+    # in float64 as it is, and with an imaginary -0.0 on one entry, but
+    # kept in complex128 once that entry's imaginary part is 5e-324, the
+    # smallest nonzero float, alone or stacked with a real set; and a
+    # step that reads a real and a complex id runs in complex128
+    einsum = np.einsum
+    calls = []
+
+    def recording(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        calls.append(({op.dtype.name for op in operands}, out.dtype.name))
+        return out
+
+    monkeypatch.setattr(np, "einsum", recording)
+    monkeypatch.setattr(holant.contraction, "step_memo", holant.contraction.StepMemo())
+    grid = hom_grid(cycle_graph(4), 3)
+    adjacency = np.ones((3, 3)) - np.eye(3)
+
+    def with_imaginary(part, at=(0, 1)):
+        entries = adjacency.astype(np.complex128)
+        entries.imag[at] = part
+        return MixedTensor(3, 0, 2, entries)
+
+    real, negative_zero, tiny = MixedTensor(3, 0, 2, adjacency), with_imaginary(-0.0), with_imaginary(5e-324)
+    assert np.signbit(negative_zero.array.imag).sum() == 1 and tiny.array.imag[0, 1] == 5e-324
+    eq2 = equality_signature(3, 2, 0)
+    values = {}
+    for name, a, dtype in (("real", real, "float64"), ("negative zero", negative_zero, "float64"),
+                           ("tiny", tiny, "complex128")):
+        calls.clear()
+        values[name] = holant_eval_contracted(grid, {"A": a, "eq2": eq2})
+        assert calls and all(ins == {dtype} and out == dtype for ins, out in calls), name
+    assert np.array(values["negative zero"]).tobytes() == np.array(values["real"]).tobytes()
+    assert values["real"] == values["tiny"].real == 18
+    calls.clear()
+    rows = stacked_signature(grid, BindingStacks([{"A": real, "eq2": eq2}, {"A": tiny, "eq2": eq2}]))
+    assert [row.tobytes() for row in rows] == [np.array(values[k]).tobytes() for k in ("real", "tiny")]
+    assert {out for _, out in calls} == {"float64", "complex128"}
+    # a triangle with edges A, A and B: eliminating a vertex on the B
+    # edge multiplies a float64 A by a complex B
+    triangle = SignatureGrid(3, ("eq2",) * 3 + ("A", "A", "B"), (
+        (0, 1, 3, 1), (1, 1, 3, 2), (1, 2, 4, 1), (2, 1, 4, 2), (0, 2, 5, 1), (2, 2, 5, 2)))
+    rng = np.random.default_rng(17)
+    bindings = {"A": real, "B": random_tensor(rng, 3, 0, 2), "eq2": eq2}
+    calls.clear()
+    got = holant_eval_contracted(triangle, bindings)
+    assert ({"float64", "complex128"}, "complex128") in calls
+    assert abs(got - brute_holant_eval(triangle, bindings)) <= 1e-12 * max(1, abs(got))
 
 
 def test_large_elimination_steps_pair_their_operands(monkeypatch):

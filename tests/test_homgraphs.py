@@ -550,7 +550,8 @@ def test_hom_count_past_2_53_is_invariant_under_relabeling():
     g, h = dense_relabelled_pair()
     assert (g.n, g.m) == (29, 367)
     assert hom_count(cycle_graph(12), g) == 70684918287142448
-    # reads 70684918287142456 while counts are rounded float64 values
+    # the count into g reads 70684918287142456, and the count into h the
+    # exact value, while counts are rounded float64 values
     assert hom_count(cycle_graph(12), h) == 70684918287142448
 
 
@@ -635,6 +636,40 @@ def test_matchings_counts():
 @example(SimpleGraph(3, ()), True)
 def test_matchings_against_brute_enumeration(x, perfect):
     assert count_matchings(x, perfect) == brute_matchings(x, perfect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(5), graphs(6))
+@example(cycle_graph(5), complete_graph(4))
+@example(complete_graph(4), SimpleGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4))))
+def test_counts_contract_in_float64(x, g):
+    # every hom and matchings grid binds real 0/1 tensors besides its
+    # equalities, so each np.einsum step runs on float64 operands, the
+    # counts equal the oracles' and each value's imaginary part is +0.0
+    einsum = np.einsum
+    dtypes, values = set(), []
+
+    def recording_einsum(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        dtypes.update([op.dtype for op in operands] + [out.dtype])
+        return out
+
+    def recording_value(grid, bindings):
+        values.append(holant_eval_contracted(grid, bindings))
+        return values[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "einsum", recording_einsum)
+        m.setattr(homgraphs, "holant_eval_contracted", recording_value)
+        m.setattr(homgraphs, "_target_bindings", weakref.WeakKeyDictionary())
+        m.setattr(contraction, "step_memo", contraction.StepMemo())
+        assert hom_count(x, g) == brute_hom_count(x, g)
+        for perfect in (False, True):
+            assert count_matchings(x, perfect) == brute_matchings(x, perfect)
+    assert dtypes <= {np.dtype(np.float64)}
+    assert all(np.copysign(1.0, v.imag) == 1.0 for v in values)
+    if x.m:
+        assert dtypes
 
 
 # -- canonical forms and enumeration -------------------------------------------------
